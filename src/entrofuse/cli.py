@@ -4,7 +4,8 @@ Subcommands:
   gen-data  write a synthetic dataset to a binary file
   run       train one configuration and write a run directory
   ablate    run the ablation grid with shared seeds, emit a combined table
-  audit     calibration + inversion + scatter reports for a checkpoint
+  audit     calibration + inversion + scatter reports for a checkpoint,
+            at the temperature its run fitted (summary.yaml beside it)
 
 Exit codes: 0 success, 1 usage or config error, 2 runtime failure
 (including training divergence).
@@ -211,6 +212,27 @@ def cmd_ablate(args) -> int:
     return 0
 
 
+def _run_temperature(checkpoint: str) -> float:
+    """Temperature fitted by the run that wrote ``checkpoint``, read from the
+    ``summary.yaml`` beside it; 1 when there is none or it records null."""
+    path = os.path.join(os.path.dirname(checkpoint), "summary.yaml")
+    if not os.path.isfile(path):
+        return 1.0
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            summary = yaml.safe_load(fh)
+    except (OSError, yaml.YAMLError) as exc:
+        raise ConfigError(f"cannot read run summary {path}: {exc}")
+    value = summary.get("temperature") if isinstance(summary, dict) else None
+    if value is None:
+        return 1.0
+    if (isinstance(value, bool) or not isinstance(value, (int, float))
+            or not 0.0 < value < float("inf")):
+        raise ConfigError(f"{path}: temperature must be a positive number, "
+                          f"got {value!r}")
+    return float(value)
+
+
 def cmd_audit(args) -> int:
     try:
         model = load_checkpoint(args.checkpoint)
@@ -233,12 +255,14 @@ def cmd_audit(args) -> int:
             f"checkpoint layout (M={model.cfg.modalities}, dims={model.cfg.dims}, "
             f"classes={model.cfg.classes}) does not match data config")
 
+    temperature = _run_temperature(args.checkpoint)
     _, _, test_b = generate(spec)
     out = _resolve_out(cfg, args.out, "runs/audit")
     os.makedirs(out, exist_ok=True)
 
     out_fwd = forward(model, test_b)
-    conf, pred = _scaled_scores(out_fwd.logits.data, model.cfg.multilabel, 1.0)
+    conf, pred = _scaled_scores(out_fwd.logits.data, model.cfg.multilabel,
+                                temperature)
     if model.cfg.multilabel:
         correct = test_b.labels[np.arange(test_b.n), pred].astype(bool)
     else:
@@ -270,14 +294,16 @@ def cmd_audit(args) -> int:
     if args.rates is not None:
         table = evaluate_under_dropout(model, test_b, rates=args.rates,
                                        seeds=cfg.train.eval_seeds,
-                                       seed=cfg.train.seed)
+                                       seed=cfg.train.seed,
+                                       temperature=temperature)
         eval_rows = [[rate, row["score"], row["ece"], row["gate_entropy"]]
                      for rate, row in table.items()]
         write_csv(os.path.join(out, "eval.csv"),
                   ["rate", "score", "ece", "gate_entropy"], eval_rows)
 
     print(f"audit: out={out} ece={report.ece:.4f} "
-          f"inversion_rate={audit.rate:.4f} pairs={len(audit.pairs)}")
+          f"inversion_rate={audit.rate:.4f} pairs={len(audit.pairs)} "
+          f"temperature={temperature:.6g}")
     return 0
 
 

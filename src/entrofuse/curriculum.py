@@ -9,7 +9,7 @@ exp(mean_entropy_after_dropping_S / eta).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -75,6 +75,9 @@ class MaskDistribution:
     support: tuple[SubsetMask, ...]
     probs: np.ndarray
     mean_entropies: np.ndarray
+    # derived once here rather than on every sampling call
+    drop_table: np.ndarray = field(init=False, repr=False, compare=False)
+    cdf: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if len(self.support) == 0:
@@ -90,6 +93,9 @@ class MaskDistribution:
             raise ValueError("probs must lie on the simplex")
         if self.mean_entropies.shape != self.probs.shape:
             raise ValueError("mean_entropies length must match support")
+        object.__setattr__(self, "drop_table", np.array(
+            [s.bits for s in self.support], dtype=bool))
+        object.__setattr__(self, "cdf", np.cumsum(self.probs))
 
 
 def candidate_family(modalities: int, family: str) -> list[SubsetMask]:
@@ -147,7 +153,7 @@ def _pick_support(dist: MaskDistribution, n: int,
                   rng: np.random.Generator) -> np.ndarray:
     """Inverse-CDF draws from the teacher; one uniform per sample, matching
     rng.choice(len(support), size=n, p=probs) draw for draw."""
-    return np.searchsorted(np.cumsum(dist.probs), rng.random(n), side="right")
+    return np.searchsorted(dist.cdf, rng.random(n), side="right")
 
 
 def masks_to_keep(masks: list[SubsetMask]) -> np.ndarray:
@@ -168,6 +174,5 @@ def sample_keep(dist: MaskDistribution, pi_t: float, n: int,
         raise ValueError("need at least one sample")
     gate = rng.random(n) < pi_t
     picks = _pick_support(dist, n, rng)
-    drop_table = np.array([s.bits for s in dist.support], dtype=bool)
-    drop = np.where(gate[:, None], drop_table[picks], False)
+    drop = np.where(gate[:, None], dist.drop_table[picks], False)
     return ~drop

@@ -16,6 +16,7 @@ import numpy as np
 
 from . import tensor as T
 from .data import MultimodalBatch
+from .model import forward, lattice_forward
 from .subsets import SubsetMask, subset_lattice
 
 __all__ = [
@@ -26,6 +27,7 @@ __all__ = [
     "cec_pairs",
     "subset_confidences",
     "composite_loss",
+    "step_loss",
 ]
 
 
@@ -92,17 +94,9 @@ def cec_pairs(modalities: int, rng: np.random.Generator | None = None,
 def subset_confidences(model, batch: MultimodalBatch,
                        pairs: list[tuple[SubsetMask, SubsetMask]],
                        uniform_gate: bool = False) -> dict[SubsetMask, T.Tensor]:
-    """Per-sample confidence for every subset a pair mentions, each computed
-    once so gradients flow through a single forward per subset."""
-    from .model import predict_subset  # local import, model depends on losses' siblings
-
-    out: dict[SubsetMask, T.Tensor] = {}
-    for pair in pairs:
-        for subset in pair:
-            if subset not in out:
-                out[subset] = predict_subset(model, batch, subset,
-                                             uniform_gate=uniform_gate).confidence
-    return out
+    """Per-sample confidence for every subset a pair mentions, from one
+    stacked forward over a view of the batch per subset."""
+    return lattice_forward(model, batch, pairs, uniform_gate=uniform_gate)[1]
 
 
 def cec_loss(conf_by_subset: dict[SubsetMask, T.Tensor],
@@ -178,3 +172,28 @@ def composite_loss(logits: T.Tensor, p: T.Tensor, labels: np.ndarray, *,
         lam=lam_report, gamma=float(gamma), beta=float(beta),
     )
     return total, breakdown
+
+
+def step_loss(model, batch: MultimodalBatch, clean: MultimodalBatch,
+              pairs: list[tuple[SubsetMask, SubsetMask]] | None, *,
+              lam: float | np.ndarray, gamma: float, beta: float = 0.0,
+              multilabel: bool = False,
+              uniform_gate: bool = False) -> tuple[T.Tensor, LossBreakdown]:
+    """Objective of one training step on the active tape, from one forward.
+
+    ``batch`` is the curriculum-masked minibatch and ``clean`` the same rows
+    unmasked. Without pairs the forward covers ``batch`` alone and the
+    consistency term is off. With pairs, ``batch`` is stacked above one view
+    of ``clean`` per subset the pairs mention; the task and entropy terms
+    read the first ``batch.n`` rows, the consistency term the views.
+    """
+    if pairs is None:
+        out = forward(model, batch, uniform_gate=uniform_gate)
+        return composite_loss(out.logits, out.p, batch.labels, lam=lam,
+                              gamma=0.0, beta=beta, multilabel=multilabel)
+    out, conf = lattice_forward(model, clean, pairs, head=batch,
+                                uniform_gate=uniform_gate)
+    n = batch.n
+    return composite_loss(T.rows(out.logits, 0, n), T.rows(out.p, 0, n),
+                          batch.labels, lam=lam, gamma=gamma, beta=beta,
+                          cec=cec_loss(conf, pairs), multilabel=multilabel)

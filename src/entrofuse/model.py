@@ -16,7 +16,7 @@ from dataclasses import dataclass, asdict
 import numpy as np
 
 from . import tensor as T
-from .data import MultimodalBatch, apply_mask
+from .data import MultimodalBatch, apply_mask, stack_views
 from .rng import stream
 from .subsets import SubsetMask, subset_lattice, nonempty_subsets  # noqa: F401
 
@@ -28,6 +28,7 @@ __all__ = [
     "gate_rows",
     "forward",
     "predict_subset",
+    "lattice_forward",
     "subset_lattice",
     "SubsetMask",
     "save_checkpoint",
@@ -224,6 +225,30 @@ def predict_subset(model: FusionModel, batch: MultimodalBatch,
         raise ValueError("observed subset must be nonempty")
     masked = apply_mask(batch, drop=observed.complement())
     return forward(model, masked, uniform_gate=uniform_gate)
+
+
+def lattice_forward(model: FusionModel, clean: MultimodalBatch,
+                    pairs: list[tuple[SubsetMask, SubsetMask]],
+                    head: MultimodalBatch | None = None,
+                    uniform_gate: bool = False,
+                    ) -> tuple[ForwardOutput, dict[SubsetMask, T.Tensor]]:
+    """One forward over ``head`` (if given) stacked above one view of
+    ``clean`` per subset the pairs mention (see ``stack_views``).
+
+    Returns the stacked output, whose first ``head.n`` rows belong to
+    ``head``, and each subset's confidence rows. Each subset's rows equal
+    ``predict_subset(model, clean, subset)`` row for row, and gradients
+    through them reach the parameters as they would through that call.
+    """
+    subsets = list(dict.fromkeys(s for pair in pairs for s in pair))
+    out = forward(model, stack_views(clean, subsets, head=head),
+                  uniform_gate=uniform_gate)
+    lo = head.n if head is not None else 0
+    conf = {}
+    for subset in subsets:
+        conf[subset] = T.rows(out.confidence, lo, lo + clean.n)
+        lo += clean.n
+    return out, conf
 
 
 # ---------------------------------------------------------------------------

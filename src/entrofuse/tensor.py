@@ -34,6 +34,7 @@ __all__ = [
     "relu",
     "row_max",
     "row_scale",
+    "rows",
     "sigmoid",
     "softmax",
     "softplus",
@@ -407,6 +408,25 @@ def pick(x: Tensor, idx: np.ndarray) -> Tensor:
         if x.requires_grad:
             g = np.zeros_like(x.data)
             g[rows, idx] = out.grad
+            _accum(x, g)
+
+    return _maybe_record(out, (x,), backward)
+
+
+def rows(x: Tensor, lo: int, hi: int) -> Tensor:
+    """Rows lo:hi of a vector or matrix (a copy); backward scatters into them."""
+    if x.data.ndim not in (1, 2):
+        raise ValueError("rows expects a vector or a matrix of rows")
+    if not 0 <= lo < hi <= x.shape[0]:
+        raise ValueError(f"rows({lo}, {hi}) out of range for shape {x.shape}")
+    out = Tensor(x.data[lo:hi].copy())
+
+    def backward():
+        if out.grad is None:
+            return
+        if x.requires_grad:
+            g = np.zeros_like(x.data)
+            g[lo:hi] = out.grad
             _accum(x, g)
 
     return _maybe_record(out, (x,), backward)

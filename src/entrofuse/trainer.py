@@ -1,8 +1,10 @@
 """End-to-end training loop with ablation switches and dropout evaluation.
 
 One epoch: refresh the mask teacher, advance the warm-up schedules, then for
-each shuffled minibatch sample a modality mask, run the gated forward pass,
-assemble task + entropy + consistency losses on the tape, and take one
+each shuffled minibatch sample a modality mask, run the gated forward pass
+(with the consistency penalty on, one pass over the masked batch stacked
+above the clean batch's subset views), assemble task + entropy +
+consistency losses on the tape, and take one
 decoupled-weight-decay Adam step (gate parameters at their own learning
 rate, cosine decay on both groups).
 
@@ -24,8 +26,7 @@ from . import tensor as T
 from .curriculum import (Schedules, acm_distribution, sample_keep,
                          schedule_lambda, schedule_pi)
 from .data import MultimodalBatch, apply_mask, bernoulli_mask
-from .losses import (LossBreakdown, cec_loss, cec_pairs, composite_loss,
-                     subset_confidences)
+from .losses import LossBreakdown, cec_pairs, step_loss
 from .metrics import ece, map_at_1, top1_accuracy
 from .model import FusionConfig, FusionModel, forward
 from .optim import AdamW, cosine_lr
@@ -263,14 +264,10 @@ def train(cfg: TrainConfig, data: tuple[MultimodalBatch, MultimodalBatch, Multim
                 lam = lam_t
 
             with T.Tape() as tape:
-                out = forward(model, batch, uniform_gate=not sw.gate_on)
-                cec_term = (cec_loss(subset_confidences(
-                    model, clean, pairs, uniform_gate=not sw.gate_on), pairs)
-                    if pairs is not None else None)
-                total, bd = composite_loss(
-                    out.logits, out.p, batch.labels, lam=lam,
-                    gamma=cfg.gamma if pairs is not None else 0.0,
-                    beta=cfg.beta, cec=cec_term, multilabel=multilabel)
+                total, bd = step_loss(
+                    model, batch, clean, pairs, lam=lam, gamma=cfg.gamma,
+                    beta=cfg.beta, multilabel=multilabel,
+                    uniform_gate=not sw.gate_on)
                 if ref_total is None:
                     ref_total = bd.total
                 guard = cfg.divergence_factor * max(abs(ref_total), 1e-3)

@@ -151,6 +151,41 @@ class TestAuditCommand:
         rows = open(os.path.join(out, "eval.csv")).read().splitlines()
         assert len(rows) == 3
 
+    def test_applies_the_runs_fitted_temperature(self, tmp_path, capsys):
+        doc = dict(SMALL_CONFIG,
+                   train=dict(SMALL_CONFIG["train"], temp_scaling=True))
+        path = tmp_path / "config.yaml"
+        path.write_text(yaml.safe_dump(doc))
+        run = str(tmp_path / "run")
+        assert main(["run", "--config", str(path), "--out", run]) == 0
+        temperature = yaml.safe_load(
+            open(os.path.join(run, "summary.yaml")))["temperature"]
+        assert temperature is not None and abs(temperature - 1.0) > 1e-3
+        bare = tmp_path / "bare"  # the checkpoint without its summary
+        bare.mkdir()
+        bare_ckpt = str(bare / "checkpoint.npz")
+        with open(os.path.join(run, "checkpoint.npz"), "rb") as fh:
+            open(bare_ckpt, "wb").write(fh.read())
+        capsys.readouterr()
+
+        def audit(ckpt, out):
+            assert main(["audit", "--checkpoint", ckpt, "--config", str(path),
+                         "--out", out, "--rates", "0.0,0.5"]) == 0
+            printed = capsys.readouterr().out
+            return (open(os.path.join(out, "calibration.csv")).read(),
+                    open(os.path.join(out, "eval.csv")).read(), printed)
+
+        cal, evals, printed = audit(os.path.join(run, "checkpoint.npz"),
+                                    str(tmp_path / "audit"))
+        bare_cal, bare_evals, bare_printed = audit(bare_ckpt,
+                                                   str(tmp_path / "audit-bare"))
+        assert printed.split()[-1] == f"temperature={temperature:.6g}"
+        assert bare_printed.split()[-1] == "temperature=1"
+        # same rates, seeds and temperature as the run's own evaluation
+        assert evals == open(os.path.join(run, "eval.csv")).read()
+        assert evals != bare_evals
+        assert cal != bare_cal
+
     def test_mismatched_config_exits_one(self, run_dir, tmp_path):
         doc = dict(SMALL_CONFIG)
         doc["data"] = dict(SMALL_CONFIG["data"], dims=[4, 4])

@@ -4,11 +4,12 @@ import numpy as np
 import pytest
 
 import entrofuse.tensor as T
-from entrofuse.data import MultimodalBatch
+from entrofuse.data import MultimodalBatch, apply_mask, bernoulli_mask
 from entrofuse.losses import (LossBreakdown, cec_loss, cec_pairs,
-                              composite_loss, entropy_penalty,
+                              composite_loss, entropy_penalty, step_loss,
                               subset_confidences, task_loss)
-from entrofuse.model import FusionConfig, FusionModel, forward
+from entrofuse.model import (FusionConfig, FusionModel, forward,
+                             lattice_forward, predict_subset)
 from entrofuse.subsets import SubsetMask, subset_lattice
 
 from test_model import random_batch, random_model
@@ -356,3 +357,98 @@ class TestCompositeLoss:
         _, bd = composite_loss(logits, p, labels, lam=0.1, gamma=0.0)
         for field in ("total", "task", "ent", "cec", "mask", "lam", "gamma", "beta"):
             assert type(getattr(bd, field)) is float
+
+
+class TestStackedStep:
+    """The stacked pass against its reference: ``forward`` on the masked
+    batch plus one ``predict_subset`` call per lattice subset."""
+
+    CASES = [(m, uniform) for m in (2, 3, 4) for uniform in (False, True)]
+
+    def _setup(self, seed, m):
+        rng = np.random.default_rng(seed)
+        cfg = FusionConfig(modalities=m, dims=(3, 4, 2, 5)[:m], classes=4,
+                           fused_dim=5)
+        model = random_model(rng, cfg)
+        clean = random_batch(rng, 7, cfg.dims, cfg.classes)
+        keep = bernoulli_mask(clean.n, m, 0.4, rng)
+        return model, apply_mask(clean, per_sample=keep), clean, cec_pairs(m)
+
+    @staticmethod
+    def _subsets(pairs):
+        return list(dict.fromkeys(s for pair in pairs for s in pair))
+
+    def _reference_loss(self, model, batch, clean, pairs, uniform):
+        out = forward(model, batch, uniform_gate=uniform)
+        conf = {s: predict_subset(model, clean, s, uniform_gate=uniform).confidence
+                for s in self._subsets(pairs)}
+        return composite_loss(out.logits, out.p, batch.labels, lam=0.05,
+                              gamma=2.0, cec=cec_loss(conf, pairs))[0]
+
+    @staticmethod
+    def _loss_and_grads(model, loss_fn):
+        for _, param in model.parameters():
+            param.zero_grad()
+        with T.Tape() as tape:
+            loss = loss_fn()
+            tape.backward(loss)
+        return loss.item(), {name: None if param.grad is None
+                             else param.grad.copy()
+                             for name, param in model.parameters()}
+
+    @pytest.mark.parametrize("m,uniform", CASES)
+    def test_every_view_matches_its_reference_forward(self, m, uniform):
+        model, batch, clean, pairs = self._setup(70 + m, m)
+        out, conf = lattice_forward(model, clean, pairs, head=batch,
+                                    uniform_gate=uniform)
+        views = [(forward(model, batch, uniform_gate=uniform), 0)]
+        for i, subset in enumerate(self._subsets(pairs)):
+            sub = predict_subset(model, clean, subset, uniform_gate=uniform)
+            views.append((sub, batch.n + i * clean.n))
+            np.testing.assert_allclose(conf[subset].data, sub.confidence.data,
+                                       rtol=0, atol=1e-12)
+        assert out.logits.shape[0] == views[-1][1] + clean.n
+        for ref, lo in views:
+            rows = slice(lo, lo + ref.logits.shape[0])
+            for field in ("logits", "confidence", "p"):
+                np.testing.assert_allclose(getattr(out, field).data[rows],
+                                           getattr(ref, field).data,
+                                           rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("m,uniform", CASES)
+    def test_step_loss_and_gradients_match_reference(self, m, uniform):
+        model, batch, clean, pairs = self._setup(80 + m, m)
+        got_loss, got = self._loss_and_grads(model, lambda: step_loss(
+            model, batch, clean, pairs, lam=0.05, gamma=2.0,
+            uniform_gate=uniform)[0])
+        want_loss, want = self._loss_and_grads(
+            model, lambda: self._reference_loss(model, batch, clean, pairs,
+                                                uniform))
+        assert abs(got_loss - want_loss) <= 1e-12 * abs(want_loss)
+        for name, g in want.items():
+            if g is None:
+                assert uniform and name.startswith("gate."), name
+                assert got[name] is None, name
+                continue
+            scale = np.abs(g).max()
+            assert scale > 0.0, name
+            np.testing.assert_allclose(got[name], g, rtol=0,
+                                       atol=1e-12 * scale, err_msg=name)
+
+    def test_without_pairs_is_the_plain_composite_loss(self):
+        model, batch, clean, _ = self._setup(90, 3)
+        out = forward(model, batch)
+        want, _ = composite_loss(out.logits, out.p, batch.labels, lam=0.05,
+                                 gamma=0.0)
+        got, bd = step_loss(model, batch, clean, None, lam=0.05, gamma=2.0)
+        assert got.item() == want.item()
+        assert bd.cec == 0.0
+
+    def test_view_with_no_observed_modality_rejected(self):
+        rng = np.random.default_rng(91)
+        cfg = FusionConfig(modalities=2, dims=(3, 3), classes=3, fused_dim=4)
+        model = random_model(rng, cfg)
+        presence = np.array([[True, True], [True, False], [True, True]])
+        batch = random_batch(rng, 3, cfg.dims, cfg.classes, presence=presence)
+        with pytest.raises(ValueError, match="observed modality"):
+            subset_confidences(model, batch, subset_lattice(2))

@@ -232,6 +232,27 @@ class TestPrimitiveGradients:
                 lambda t: T.mean_all(T.row_scale(Tensor(x.data), t)), s)
             assert err < 1e-6
 
+    def test_rows(self):
+        rng = np.random.default_rng(24)
+        for _ in range(10):
+            x = Tensor(_rand(rng, 6, 3))
+            err = grad_check(lambda t: T.mean_all(T.rows(t, 2, 5)), x)
+            assert err < 1e-6
+            v = Tensor(_rand(rng, 6))
+            err = grad_check(lambda t: T.mean_all(T.rows(t, 0, 4)), v)
+            assert err < 1e-6
+
+    def test_rows_gradients_of_disjoint_slices_add_up(self):
+        rng = np.random.default_rng(25)
+        x = Tensor(_rand(rng, 6, 2), requires_grad=True)
+        w = _rand(rng, 6)
+        with Tape() as tape:
+            a = T.dot_const(T.col(T.rows(x, 0, 3), 0), w[:3])
+            b = T.dot_const(T.col(T.rows(x, 3, 6), 0), w[3:])
+            tape.backward(T.add(a, b))
+        np.testing.assert_array_equal(x.grad[:, 0], w)
+        np.testing.assert_array_equal(x.grad[:, 1], np.zeros(6))
+
     def test_dot_const_and_mean(self):
         rng = np.random.default_rng(21)
         for _ in range(10):
@@ -296,6 +317,22 @@ class TestForwardValues:
             oracle = e / e.sum(axis=1, keepdims=True)
             np.testing.assert_allclose(p, oracle, atol=1e-12)
             assert np.all(p[~keep] == 0.0)
+
+    def test_rows_copies_the_slice(self):
+        x = Tensor(np.arange(12.0).reshape(4, 3))
+        out = T.rows(x, 1, 3)
+        np.testing.assert_array_equal(out.data, x.data[1:3])
+        out.data[0, 0] = -1.0
+        assert x.data[1, 0] == 3.0
+
+    def test_rows_rejects_bad_ranges_and_shapes(self):
+        x = Tensor(np.zeros((4, 3)))
+        for lo, hi in ((-1, 2), (2, 2), (3, 1), (0, 5)):
+            with pytest.raises(ValueError):
+                T.rows(x, lo, hi)
+        for bad in (Tensor(1.0), Tensor(np.zeros((2, 2, 2)))):
+            with pytest.raises(ValueError):
+                T.rows(bad, 0, 1)
 
     def test_masked_softmax_rejects_empty_row(self):
         keep = np.array([[True, False], [False, False]])

@@ -1,9 +1,13 @@
 """Training loop: ablation switches, determinism, divergence guard,
 dropout evaluation, temperature fitting."""
 
+import sys
+
 import numpy as np
 import pytest
 
+import entrofuse.model as model_module
+import entrofuse.tensor as T
 from entrofuse.curriculum import Schedules
 from entrofuse.data import SyntheticSpec, generate
 from entrofuse.model import FusionConfig, FusionModel, forward
@@ -138,6 +142,34 @@ class TestTrainLoop:
     def test_gamma_zero_skips_consistency_term(self):
         res = train(small_cfg(gamma=0.0), small_data())
         assert all(h.cec == 0.0 for h in res.history)
+
+    @pytest.mark.parametrize("ablation", ["full", "no_gate"])
+    def test_consistency_penalty_shares_one_forward_per_step(
+            self, monkeypatch, ablation):
+        # training forwards are the ones under a tape; the lattice subsets
+        # must ride in that one pass, never in predict_subset calls
+        calls = {"forward": 0, "predict_subset": 0}
+
+        def counting(name, fn):
+            def wrapped(*args, **kwargs):
+                if name != "forward" or T._active_tape() is not None:
+                    calls[name] += 1
+                return fn(*args, **kwargs)
+            return wrapped
+
+        for name in calls:
+            original = getattr(model_module, name)
+            wrapped = counting(name, original)
+            for mod_name, module in list(sys.modules.items()):
+                if (mod_name.startswith("entrofuse")
+                        and getattr(module, name, None) is original):
+                    monkeypatch.setattr(module, name, wrapped)
+        cfg = small_cfg(gamma=1.0, ablation=ablation,
+                        schedules=Schedules(mode="acm", t_warm=5, t_lam=5))
+        res = train(cfg, small_data())
+        assert all(h.cec > 0.0 for h in res.history)
+        steps = cfg.epochs * (256 // cfg.batch_size)
+        assert calls == {"forward": steps, "predict_subset": 0}
 
     def test_divergence_guard_raises(self):
         cfg = small_cfg(epochs=10, lr_base=2.0, lr_gate=20.0,
