@@ -159,7 +159,8 @@ class FusionModel:
 @dataclass
 class ForwardOutput:
     """Per-sample gate weights, gate entropy (nats), fused features, logits
-    and max-class confidence. Fields are tape tensors; use ``.data``."""
+    and max-class confidence. Fields are tape tensors; use ``.data``. The
+    gate entropy is not recorded on the tape, so no gradient reaches it."""
 
     p: T.Tensor
     gate_entropy: T.Tensor
@@ -198,7 +199,8 @@ def forward(model: FusionModel, batch: MultimodalBatch,
     at uniform over the observed modalities (no gradient to the gate)."""
     cfg = model.cfg
     p = gate_rows(model, batch, uniform_gate=uniform_gate)
-    gate_entropy = T.entropy_rows(p)
+    # a reported statistic, kept off the tape: the loss records its own
+    gate_entropy = T.entropy_rows(T.Tensor(p.data))
 
     z = None
     for m in range(cfg.modalities):

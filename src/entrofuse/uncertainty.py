@@ -53,10 +53,26 @@ class LambdaConfig:
             raise ValueError("v_max must be nonnegative")
 
 
+# Uniforms drawn per dropout block: enough draws per block to amortize the
+# per-op overhead on these small arrays, few enough that the block stays in
+# cache and the working set does not grow with the draw count. On a 2-core
+# Xeon (AVX-512, 4 MiB L2) 2**15 beat 2**14 and 2**16 on 128 x 32 batches.
+BLOCK = 1 << 15
+
+
 def mc_variance(model, batch: MultimodalBatch, rng: np.random.Generator,
                 draws: int = 20, rate: float = 0.1) -> np.ndarray:
     """Per-sample, per-branch variance (ddof=1) of the max class logit when
-    the branch input is hit with inverted dropout. Shape [n, modalities]."""
+    the branch input is hit with inverted dropout. Shape [n, modalities].
+
+    Uniforms are consumed modality by modality and, within a modality,
+    draw-major: exactly the stream of one ``rng.random((n, d_m))`` call per
+    draw, so the estimate does not depend on how the draws are grouped.
+    They are taken in blocks of ``max(1, BLOCK // (n * d_m))`` draws, which
+    bounds the dropout working set by ``BLOCK`` elements or one draw,
+    whichever is larger, whatever ``draws`` is; only the [draws, n] max
+    logits grow with ``draws``. ``rate == 0`` draws nothing.
+    """
     if draws < 2:
         raise ValueError("variance needs at least two draws")
     if not 0.0 <= rate < 1.0:
@@ -65,18 +81,34 @@ def mc_variance(model, batch: MultimodalBatch, rng: np.random.Generator,
     var = np.zeros((n, batch.num_modalities))
     head_w = model.head_w.data
     head_b = model.head_b.data
+    ys = np.empty((draws, n))
     for m in range(batch.num_modalities):
         h = batch.features[m]
+        d = h.shape[1]
         vw = model.proj[m].data @ head_w  # combined [d_m, classes]
-        ys = np.empty((draws, n))
-        for k in range(draws):
-            if rate > 0.0:
-                keep = (rng.random(h.shape) >= rate).astype(np.float64)
-                hk = h * keep / (1.0 - rate)
-            else:
-                hk = h
-            ys[k] = (hk @ vw + head_b).max(axis=1)
-        var[:, m] = ys.var(axis=0, ddof=1)
+        if rate == 0.0:
+            ys[:] = (h @ vw + head_b).max(axis=1)
+        else:
+            scaled = h / (1.0 - rate)
+            block = np.empty((min(draws, max(1, BLOCK // max(1, n * d))), n, d))
+            for lo in range(0, draws, len(block)):
+                u = block[:draws - lo]
+                rng.random(out=u)
+                hk = np.multiply(u >= rate, scaled, out=u)
+                # the stacked matmul makes the same BLAS call per draw as a
+                # single [n, d_m] @ [d_m, classes] product, so each draw's
+                # logits are bit-identical to it; the class axis goes first
+                # so the max runs over a few long rows
+                logits = np.empty((vw.shape[1], len(u), n))
+                np.add((hk @ vw).transpose(2, 0, 1), head_b[:, None, None],
+                       out=logits)
+                logits.max(axis=0, out=ys[lo:lo + len(u)])
+        # ys.var(axis=0, ddof=1) step for step, but in place: the samples
+        # are the one array here that grows with draws
+        mean = ys.sum(axis=0) / draws
+        ys -= mean
+        ys *= ys
+        var[:, m] = ys.sum(axis=0) / (draws - 1)
     return var
 
 
@@ -87,12 +119,12 @@ def ensemble_variance(model, batch: MultimodalBatch, rng: np.random.Generator,
         raise ValueError("variance needs at least two ensemble members")
     d_z, classes = model.head_w.shape
     bound = 1.0 / np.sqrt(d_z)
-    heads = [rng.uniform(-bound, bound, size=(d_z, classes)) for _ in range(size)]
+    heads = rng.uniform(-bound, bound, size=(size, d_z, classes))
     n = batch.n
     var = np.zeros((n, batch.num_modalities))
     for m in range(batch.num_modalities):
         base = batch.features[m] @ model.proj[m].data  # [n, d_z]
-        ys = np.stack([(base @ w).max(axis=1) for w in heads])
+        ys = (base @ heads).max(axis=2)  # [size, n], one head per row
         var[:, m] = ys.var(axis=0, ddof=1)
     return var
 

@@ -64,6 +64,19 @@ class TestGateWeights:
             assert (out.p.data[~presence] == 0.0).all()
             assert (out.p.data >= 0.0).all()
 
+    def test_gate_entropy_is_reported_off_the_tape(self):
+        # the loss records its own entropy; the forward's copy is a statistic
+        cfg = FusionConfig(modalities=3, dims=(4, 3, 5), classes=4, fused_dim=6)
+        model = random_model(np.random.default_rng(5), cfg)
+        batch = random_batch(np.random.default_rng(6), 8, cfg.dims, cfg.classes)
+        with T.Tape() as tape:
+            out = forward(model, batch)
+            recorded = tape.num_recorded
+            taped = T.entropy_rows(out.p)
+        assert not out.gate_entropy.requires_grad
+        assert tape.num_recorded == recorded + 1
+        assert (out.gate_entropy.data == taped.data).all()
+
     def test_gate_entropy_bounded_by_log_observed_count(self):
         for k in range(5):
             rng = np.random.default_rng(10 + k)

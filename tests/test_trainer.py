@@ -8,6 +8,7 @@ import pytest
 
 import entrofuse.model as model_module
 import entrofuse.tensor as T
+import entrofuse.uncertainty as uncertainty
 from entrofuse.curriculum import Schedules
 from entrofuse.data import SyntheticSpec, generate
 from entrofuse.model import FusionConfig, FusionModel, forward
@@ -17,6 +18,8 @@ from entrofuse.trainer import (DivergenceError, Switches, TrainConfig,
                                apply_ablation, evaluate_under_dropout,
                                fit_temperature, run_config_hash, train)
 from entrofuse.uncertainty import LambdaConfig
+
+from test_uncertainty import per_draw_mc_variance
 
 
 def small_data(seed=0, classes=3, snr=(1e4, 1e4)):
@@ -184,6 +187,25 @@ class TestTrainLoop:
         assert res.v_max is not None and res.v_max >= 0.0
         # per-sample weights average above the floor
         assert all(h.lam > cfg.lambda_cfg.lam_min for h in res.history)
+
+    def test_instance_lambda_history_matches_per_draw_estimator(
+            self, monkeypatch):
+        # the blocked dropout estimator leaves instance-lambda training,
+        # calibration included, exactly as the one-draw-at-a-time loop does
+        cfg = small_cfg(lam_mode="instance", gamma=0.0,
+                        lambda_cfg=LambdaConfig(draws=6, rate=0.2))
+        blocked = train(cfg, small_data())
+        calls = []
+
+        def reference(*args, **kwargs):
+            calls.append(1)
+            return per_draw_mc_variance(*args, **kwargs)
+
+        monkeypatch.setattr(uncertainty, "mc_variance", reference)
+        per_draw = train(cfg, small_data())
+        assert len(calls) == 1 + cfg.epochs * (256 // cfg.batch_size)
+        assert blocked.v_max == per_draw.v_max
+        assert blocked.history == per_draw.history
 
     def test_wall_clock_and_hash_are_populated(self):
         res = train(small_cfg(epochs=1), small_data())

@@ -1,5 +1,7 @@
 """Instance-adaptive entropy weight from per-branch predictive variance."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -7,12 +9,50 @@ from entrofuse.data import MultimodalBatch, apply_mask
 from entrofuse.model import FusionConfig, FusionModel
 from entrofuse.subsets import SubsetMask
 from entrofuse.tensor import softplus
-from entrofuse.uncertainty import (LambdaConfig, branch_variance,
+from entrofuse.uncertainty import (BLOCK, LambdaConfig, branch_variance,
                                    calibrate_vmax, ensemble_variance,
                                    lambda_of, lambda_upper, mc_variance,
                                    with_vmax)
 
 from test_model import random_batch, random_model
+
+
+def per_draw_mc_variance(model, batch, rng, draws=20, rate=0.1):
+    """Reference estimator: one dropout pass per draw and modality."""
+    n = batch.n
+    var = np.zeros((n, batch.num_modalities))
+    head_w = model.head_w.data
+    head_b = model.head_b.data
+    for m in range(batch.num_modalities):
+        h = batch.features[m]
+        vw = model.proj[m].data @ head_w
+        ys = np.empty((draws, n))
+        for k in range(draws):
+            if rate > 0.0:
+                keep = (rng.random(h.shape) >= rate).astype(np.float64)
+                hk = h * keep / (1.0 - rate)
+            else:
+                hk = h
+            ys[k] = (hk @ vw + head_b).max(axis=1)
+        var[:, m] = ys.var(axis=0, ddof=1)
+    return var
+
+
+def per_head_ensemble_variance(model, batch, rng, size=5):
+    """Reference estimator: one head drawn and scored at a time."""
+    d_z, classes = model.head_w.shape
+    bound = 1.0 / np.sqrt(d_z)
+    heads = [rng.uniform(-bound, bound, size=(d_z, classes)) for _ in range(size)]
+    var = np.zeros((batch.n, batch.num_modalities))
+    for m in range(batch.num_modalities):
+        base = batch.features[m] @ model.proj[m].data
+        ys = np.stack([(base @ w).max(axis=1) for w in heads])
+        var[:, m] = ys.var(axis=0, ddof=1)
+    return var
+
+
+# (dims, classes): the benchmark's layout, and unequal dims with few classes
+LAYOUTS = [((32, 32), 8), ((3, 5, 40), 3)]
 
 
 class TestLambdaConfig:
@@ -103,6 +143,65 @@ class TestMcVariance:
         batch = random_batch(rng, 4, cfg.dims, cfg.classes)
         with pytest.raises(ValueError):
             mc_variance(model, batch, np.random.default_rng(0), draws=1)
+
+
+class TestBlockedEquivalence:
+    """The blocked estimators against the one-draw-at-a-time references:
+    equal bit for bit, and leaving the generator in the same state."""
+
+    @pytest.mark.parametrize("dims,classes", LAYOUTS)
+    @pytest.mark.parametrize("rate", [0.0, 0.2])
+    @pytest.mark.parametrize("n", [1, 7, 2000])
+    def test_mc_variance_matches_per_draw_loop(self, dims, classes, rate, n):
+        draws = 21
+        if n == 2000:  # several blocks per modality, the last one partial
+            assert all(BLOCK // (n * d) < draws for d in dims)
+        else:  # one block per modality
+            assert all(BLOCK // (n * d) >= draws for d in dims)
+        rng = np.random.default_rng(n)
+        cfg = FusionConfig(modalities=len(dims), dims=dims, classes=classes,
+                           fused_dim=8)
+        model = random_model(rng, cfg)
+        batch = random_batch(rng, n, dims, classes)
+        got_rng, want_rng = np.random.default_rng(60), np.random.default_rng(60)
+        got = mc_variance(model, batch, got_rng, draws=draws, rate=rate)
+        want = per_draw_mc_variance(model, batch, want_rng, draws=draws,
+                                    rate=rate)
+        assert np.array_equal(got, want)
+        assert got_rng.random() == want_rng.random()
+
+    @pytest.mark.parametrize("dims,classes", LAYOUTS)
+    @pytest.mark.parametrize("n", [1, 7, 500])
+    def test_ensemble_variance_matches_per_head_loop(self, dims, classes, n):
+        rng = np.random.default_rng(70 + n)
+        cfg = FusionConfig(modalities=len(dims), dims=dims, classes=classes,
+                           fused_dim=8)
+        model = random_model(rng, cfg)
+        batch = random_batch(rng, n, dims, classes)
+        got_rng, want_rng = np.random.default_rng(61), np.random.default_rng(61)
+        got = ensemble_variance(model, batch, got_rng, size=5)
+        want = per_head_ensemble_variance(model, batch, want_rng, size=5)
+        assert np.array_equal(got, want)
+        assert got_rng.random() == want_rng.random()
+
+    @pytest.mark.parametrize("draws", [20, 400])
+    def test_working_set_does_not_grow_with_draws(self, draws):
+        # beyond the [draws, n] max logits the variance is taken from, the
+        # estimator holds one dropout block whatever the draw count; a
+        # [draws, n, d] array of every draw, or a second [draws, n] array
+        # for the variance, breaks the bound
+        rng = np.random.default_rng(62)
+        cfg = FusionConfig(modalities=2, dims=(32, 32), classes=8, fused_dim=32)
+        model = random_model(rng, cfg)
+        batch = random_batch(rng, 500, cfg.dims, cfg.classes)
+        tracemalloc.start()
+        try:
+            mc_variance(model, batch, np.random.default_rng(63), draws=draws)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        samples = draws * batch.n * 8
+        assert peak - samples < 2**20
 
 
 class TestEnsembleVariance:
