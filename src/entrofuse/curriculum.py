@@ -89,7 +89,8 @@ class MaskDistribution:
             raise ValueError("support must exclude the full drop subset")
         if self.probs.shape != (len(self.support),):
             raise ValueError("probs length must match support")
-        if (self.probs < 0).any() or abs(self.probs.sum() - 1.0) > 1e-9:
+        # written so that NaN fails: every comparison with NaN is False
+        if not ((self.probs >= 0).all() and abs(self.probs.sum() - 1.0) <= 1e-9):
             raise ValueError("probs must lie on the simplex")
         if self.mean_entropies.shape != self.probs.shape:
             raise ValueError("mean_entropies length must match support")
@@ -113,7 +114,9 @@ def candidate_family(modalities: int, family: str) -> list[SubsetMask]:
 def acm_distribution(model, batch: MultimodalBatch, eta: float,
                      family: str = "single_drops") -> MaskDistribution:
     """Softmax over per-candidate probe entropies: drop subsets after which
-    the gate stays most undecided are sampled most often."""
+    the gate stays most undecided are sampled most often. A candidate that
+    leaves exactly one observed modality in every probe row has entropy 0
+    and gets no gate pass."""
     from .model import gate_rows  # deferred to avoid an import cycle
 
     from .tensor import entropy_rows
@@ -123,6 +126,11 @@ def acm_distribution(model, batch: MultimodalBatch, eta: float,
     candidates = candidate_family(batch.num_modalities, family)
     entropies = np.empty(len(candidates))
     for i, drop in enumerate(candidates):
+        left = (batch.presence & ~np.asarray(drop.bits, dtype=bool)).sum(axis=1)
+        if (left == 1).all():
+            # one modality left per row: the masked softmax is a point mass
+            entropies[i] = 0.0
+            continue
         p = gate_rows(model, apply_mask(batch, drop=drop))
         entropies[i] = float(entropy_rows(p).data.mean())
     scaled = entropies / eta

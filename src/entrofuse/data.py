@@ -101,11 +101,12 @@ class MultimodalBatch:
         return tuple(f.shape[1] for f in self.features)
 
     def take(self, idx: np.ndarray) -> "MultimodalBatch":
-        """Row subset (copy), e.g. for minibatching."""
+        """Row subset for an integer index array, e.g. for minibatching.
+        Fancy indexing already returns copies."""
         return MultimodalBatch(
-            features=[f[idx].copy() for f in self.features],
-            presence=self.presence[idx].copy(),
-            labels=self.labels[idx].copy(),
+            features=[f[idx] for f in self.features],
+            presence=self.presence[idx],
+            labels=self.labels[idx],
             multilabel=self.multilabel,
         )
 

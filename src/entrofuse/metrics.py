@@ -58,7 +58,7 @@ def ece(confidences: np.ndarray, correct: np.ndarray, bins: int = 15) -> Calibra
         raise ValueError("need at least one prediction")
     if conf.shape != corr.shape:
         raise ValueError("confidences and correct must align")
-    if (conf < 0.0).any() or (conf > 1.0).any():
+    if not ((conf >= 0.0) & (conf <= 1.0)).all():  # NaN fails too
         raise ValueError("confidences must lie in [0, 1]")
     if bins < 1:
         raise ValueError("need at least one bin")

@@ -147,13 +147,18 @@ class FusionModel:
         return list(self.proj) + [self.head_w, self.head_b]
 
     def gate_input(self, batch: MultimodalBatch) -> np.ndarray:
-        """Standardized features zeroed where absent, then presence flags."""
-        cols = []
-        for m in range(self.cfg.modalities):
-            z = (batch.features[m] - self.norm_mean[m]) / self.norm_std[m]
-            cols.append(z * batch.presence[:, m:m + 1])
-        cols.append(batch.presence.astype(np.float64))
-        return np.concatenate(cols, axis=1)
+        """Standardized features zeroed where absent, then presence flags,
+        written block by block into one [n, sum(dims) + M] array."""
+        x = np.empty((batch.n, sum(batch.dims) + batch.num_modalities))
+        flags = x[:, x.shape[1] - batch.num_modalities:]
+        flags[...] = batch.presence
+        lo = 0
+        for m, f in enumerate(batch.features):
+            z = f - self.norm_mean[m]
+            z /= self.norm_std[m]
+            np.multiply(z, flags[:, m:m + 1], out=x[:, lo:lo + f.shape[1]])
+            lo += f.shape[1]
+        return x
 
 
 @dataclass
@@ -174,7 +179,8 @@ def gate_rows(model: FusionModel, batch: MultimodalBatch,
     """Mixture weights over observed modalities, one simplex row per sample.
 
     With ``uniform_gate`` the weights are frozen at uniform over the observed
-    modalities (no gradient to the gate).
+    modalities (no gradient to the gate). Raises ``ValueError`` if the
+    weights are non-finite: the gate pass itself does not scan its results.
     """
     cfg = model.cfg
     if batch.num_modalities != cfg.modalities or batch.dims != tuple(cfg.dims):
@@ -187,28 +193,29 @@ def gate_rows(model: FusionModel, batch: MultimodalBatch,
     if uniform_gate:
         weights = presence / presence.sum(axis=1, keepdims=True)
         return T.Tensor(weights)
-    x_gate = T.Tensor(model.gate_input(batch))
-    h1 = T.relu(T.add_bias(T.matmul(x_gate, model.gate.w1), model.gate.b1))
-    gate_logits = T.add_bias(T.matmul(h1, model.gate.w2), model.gate.b2)
-    return T.masked_softmax(gate_logits, presence)
+    gate = model.gate
+    h1 = T.relu(T.linear(T.Tensor(model.gate_input(batch)), gate.w1, gate.b1))
+    p = T.masked_softmax(T.linear(h1, gate.w2, gate.b2), presence)
+    if not np.isfinite(p.data).all():
+        raise ValueError("gate weights are non-finite")
+    return p
 
 
 def forward(model: FusionModel, batch: MultimodalBatch,
             uniform_gate: bool = False) -> ForwardOutput:
     """Full fusion pass. With ``uniform_gate`` the mixture weights are frozen
-    at uniform over the observed modalities (no gradient to the gate)."""
+    at uniform over the observed modalities (no gradient to the gate).
+    Raises ``ValueError`` if the gate weights or the logits are non-finite."""
     cfg = model.cfg
     p = gate_rows(model, batch, uniform_gate=uniform_gate)
     # a reported statistic, kept off the tape: the loss records its own
     gate_entropy = T.entropy_rows(T.Tensor(p.data))
 
-    z = None
-    for m in range(cfg.modalities):
-        proj_m = T.matmul(T.Tensor(batch.features[m]), model.proj[m])
-        term = T.row_scale(proj_m, T.col(p, m))
-        z = term if z is None else T.add(z, term)
-
-    logits = T.add_bias(T.matmul(z, model.head_w), model.head_b)
+    z = T.mix(p, [T.matmul(T.Tensor(batch.features[m]), model.proj[m])
+                  for m in range(cfg.modalities)])
+    logits = T.linear(z, model.head_w, model.head_b)
+    if not np.isfinite(logits.data).all():
+        raise ValueError("logits are non-finite")
     if cfg.multilabel:
         confidence = T.row_max(T.sigmoid(logits))
     else:

@@ -1,8 +1,16 @@
 """Dense float64 tensors with a replayable reverse-mode gradient tape.
 
 The op set is deliberately small: just enough for two-layer MLPs, softmax
-heads, mixture gating and the fusion losses. No broadcasting beyond the
-explicit bias/row-scale primitives, no views, no GPU.
+heads, mixture gating and the fusion losses. ``linear`` (``x @ w + b``) and
+``mix`` (the gate-weighted sum of per-modality blocks) are single fused
+nodes. No broadcasting beyond those two, no views, no GPU.
+
+Finiteness is checked at the boundaries, not on every op result:
+``Tensor(data)`` rejects non-finite data and parameters coming from
+outside, op results skip that scan, and the model rejects non-finite gate
+weights (``gate_rows``) and logits (``forward``), which every read and
+train path passes through. The trainer's divergence guard and AdamW's
+gradient check cover the loss and the backward pass.
 """
 
 from __future__ import annotations
@@ -16,7 +24,6 @@ __all__ = [
     "Tensor",
     "Tape",
     "add",
-    "add_bias",
     "bce_with_logits",
     "col",
     "dot_const",
@@ -24,16 +31,17 @@ __all__ = [
     "entropy",
     "entropy_rows",
     "grad_check",
+    "linear",
     "log_softmax",
     "masked_softmax",
     "matmul",
     "mean_all",
+    "mix",
     "mul",
     "mul_scalar",
     "pick",
     "relu",
     "row_max",
-    "row_scale",
     "rows",
     "sigmoid",
     "softmax",
@@ -69,6 +77,15 @@ class Tensor:
 
     def __repr__(self) -> str:
         return f"Tensor(shape={self.shape}, requires_grad={self.requires_grad})"
+
+
+def _result(data) -> Tensor:
+    """An op result: a Tensor built without the finiteness scan."""
+    out = Tensor.__new__(Tensor)
+    out.data = np.asarray(data, dtype=np.float64)
+    out.grad = None
+    out.requires_grad = False
+    return out
 
 
 _ACTIVE = threading.local()
@@ -144,7 +161,7 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
         raise ValueError("matmul expects 2-D operands")
     if a.shape[1] != b.shape[0]:
         raise ValueError(f"matmul shape mismatch: {a.shape} x {b.shape}")
-    out = Tensor(a.data @ b.data)
+    out = _result(a.data @ b.data)
 
     def backward():
         if out.grad is None:
@@ -160,7 +177,7 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
 def add(a: Tensor, b: Tensor) -> Tensor:
     if a.shape != b.shape:
         raise ValueError(f"add shape mismatch: {a.shape} vs {b.shape}")
-    out = Tensor(a.data + b.data)
+    out = _result(a.data + b.data)
 
     def backward():
         if out.grad is None:
@@ -176,7 +193,7 @@ def add(a: Tensor, b: Tensor) -> Tensor:
 def sub(a: Tensor, b: Tensor) -> Tensor:
     if a.shape != b.shape:
         raise ValueError(f"sub shape mismatch: {a.shape} vs {b.shape}")
-    out = Tensor(a.data - b.data)
+    out = _result(a.data - b.data)
 
     def backward():
         if out.grad is None:
@@ -192,7 +209,7 @@ def sub(a: Tensor, b: Tensor) -> Tensor:
 def mul(a: Tensor, b: Tensor) -> Tensor:
     if a.shape != b.shape:
         raise ValueError(f"mul shape mismatch: {a.shape} vs {b.shape}")
-    out = Tensor(a.data * b.data)
+    out = _result(a.data * b.data)
 
     def backward():
         if out.grad is None:
@@ -206,7 +223,7 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
 
 
 def mul_scalar(x: Tensor, c: float) -> Tensor:
-    out = Tensor(x.data * c)
+    out = _result(x.data * c)
 
     def backward():
         if out.grad is None:
@@ -217,25 +234,37 @@ def mul_scalar(x: Tensor, c: float) -> Tensor:
     return _maybe_record(out, (x,), backward)
 
 
-def add_bias(x: Tensor, b: Tensor) -> Tensor:
-    """Row-wise bias add: [n, d] + [d]."""
-    if x.data.ndim != 2 or b.data.ndim != 1 or x.shape[1] != b.shape[0]:
-        raise ValueError(f"add_bias shape mismatch: {x.shape} + {b.shape}")
-    out = Tensor(x.data + b.data[None, :])
+def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
+    """Affine map ``x @ w + b`` of the rows of x: [n, k] @ [k, d] + [d].
+
+    One node; the bias is added in place to the product, so values and
+    gradients equal those of a matmul followed by a separate bias add.
+    """
+    if x.data.ndim != 2 or w.data.ndim != 2 or b.data.ndim != 1:
+        raise ValueError("linear expects [n, k] rows, [k, d] weights, [d] bias")
+    if x.shape[1] != w.shape[0] or w.shape[1] != b.shape[0]:
+        raise ValueError(
+            f"linear shape mismatch: {x.shape} @ {w.shape} + {b.shape}")
+    y = x.data @ w.data
+    y += b.data
+    out = _result(y)
 
     def backward():
         if out.grad is None:
             return
-        if x.requires_grad:
-            _accum(x, out.grad)
+        g = out.grad
         if b.requires_grad:
-            _accum(b, out.grad.sum(axis=0))
+            _accum(b, g.sum(axis=0))
+        if x.requires_grad:
+            _accum(x, g @ w.data.T)
+        if w.requires_grad:
+            _accum(w, x.data.T @ g)
 
-    return _maybe_record(out, (x, b), backward)
+    return _maybe_record(out, (x, w, b), backward)
 
 
 def relu(x: Tensor) -> Tensor:
-    out = Tensor(np.maximum(x.data, 0.0))
+    out = _result(np.maximum(x.data, 0.0))
 
     def backward():
         if out.grad is None:
@@ -251,7 +280,7 @@ def sigmoid(x: Tensor) -> Tensor:
     d = x.data
     s = np.where(d >= 0, 1.0 / (1.0 + np.exp(-np.abs(d))),
                  np.exp(-np.abs(d)) / (1.0 + np.exp(-np.abs(d))))
-    out = Tensor(s)
+    out = _result(s)
 
     def backward():
         if out.grad is None:
@@ -274,9 +303,10 @@ def softmax(x: Tensor) -> Tensor:
     """Numerically stabilized softmax over the last axis (1-D or row-wise 2-D)."""
     if x.data.ndim not in (1, 2):
         raise ValueError("softmax expects a vector or a matrix of rows")
-    keep = np.ones_like(x.data, dtype=bool)
-    p = _softmax_rows(x.data, keep)
-    out = Tensor(p)
+    p = x.data - x.data.max(axis=-1, keepdims=True)
+    np.exp(p, out=p)
+    p /= p.sum(axis=-1, keepdims=True)
+    out = _result(p)
 
     def backward():
         if out.grad is None:
@@ -303,7 +333,7 @@ def masked_softmax(logits: Tensor, keep: np.ndarray) -> Tensor:
     if not keep.any(axis=1).all():
         raise ValueError("every row must keep at least one entry")
     p = _softmax_rows(logits.data, keep)
-    out = Tensor(p)
+    out = _result(p)
 
     def backward():
         if out.grad is None:
@@ -322,7 +352,7 @@ def log_softmax(x: Tensor) -> Tensor:
     m = x.data.max(axis=1, keepdims=True)
     shifted = x.data - m
     lse = np.log(np.exp(shifted).sum(axis=1, keepdims=True))
-    out = Tensor(shifted - lse)
+    out = _result(shifted - lse)
     p = np.exp(out.data)
 
     def backward():
@@ -344,7 +374,7 @@ def entropy_rows(p: Tensor) -> Tensor:
         raise ValueError("entropy_rows expects [n, m] rows")
     pos = p.data > 0.0
     logp = np.where(pos, np.log(np.where(pos, p.data, 1.0)), 0.0)
-    out = Tensor(-(p.data * logp).sum(axis=1))
+    out = _result(-(p.data * logp).sum(axis=1))
 
     def backward():
         if out.grad is None:
@@ -361,7 +391,7 @@ def row_max(x: Tensor) -> Tensor:
         raise ValueError("row_max expects [n, c]")
     idx = np.argmax(x.data, axis=1)
     rows = np.arange(x.shape[0])
-    out = Tensor(x.data[rows, idx])
+    out = _result(x.data[rows, idx])
 
     def backward():
         if out.grad is None:
@@ -377,7 +407,7 @@ def row_max(x: Tensor) -> Tensor:
 def col(x: Tensor, j: int) -> Tensor:
     if x.data.ndim != 2 or not (0 <= j < x.shape[1]):
         raise ValueError(f"col({j}) out of range for shape {x.shape}")
-    out = Tensor(x.data[:, j].copy())
+    out = _result(x.data[:, j].copy())
 
     def backward():
         if out.grad is None:
@@ -400,7 +430,7 @@ def pick(x: Tensor, idx: np.ndarray) -> Tensor:
     if idx.min() < 0 or idx.max() >= x.shape[1]:
         raise ValueError("pick index out of range")
     rows = np.arange(x.shape[0])
-    out = Tensor(x.data[rows, idx])
+    out = _result(x.data[rows, idx])
 
     def backward():
         if out.grad is None:
@@ -419,7 +449,7 @@ def rows(x: Tensor, lo: int, hi: int) -> Tensor:
         raise ValueError("rows expects a vector or a matrix of rows")
     if not 0 <= lo < hi <= x.shape[0]:
         raise ValueError(f"rows({lo}, {hi}) out of range for shape {x.shape}")
-    out = Tensor(x.data[lo:hi].copy())
+    out = _result(x.data[lo:hi].copy())
 
     def backward():
         if out.grad is None:
@@ -432,25 +462,42 @@ def rows(x: Tensor, lo: int, hi: int) -> Tensor:
     return _maybe_record(out, (x,), backward)
 
 
-def row_scale(x: Tensor, s: Tensor) -> Tensor:
-    """Scale row i of x by s[i]: out[i, :] = s[i] * x[i, :]."""
-    if x.data.ndim != 2 or s.data.ndim != 1 or s.shape[0] != x.shape[0]:
-        raise ValueError(f"row_scale shape mismatch: {x.shape} by {s.shape}")
-    out = Tensor(x.data * s.data[:, None])
+def mix(p: Tensor, blocks: Sequence[Tensor]) -> Tensor:
+    """Row-weighted sum of blocks: out[i] = sum_m p[i, m] * blocks[m][i].
+
+    p is [n, M] and each of the M blocks is [n, d]. One node, summing the
+    terms in block order; its backward writes one [n, M] gradient for p.
+    """
+    if p.data.ndim != 2 or len(blocks) != p.shape[1] or not blocks:
+        raise ValueError(f"mix needs one block per column of p {p.shape}")
+    shape = blocks[0].shape
+    if len(shape) != 2 or shape[0] != p.shape[0] or any(
+            blk.shape != shape for blk in blocks):
+        raise ValueError(f"mix blocks must all be [{p.shape[0]}, d]")
+    w = p.data
+    y = blocks[0].data * w[:, 0:1]
+    for m in range(1, len(blocks)):
+        y += blocks[m].data * w[:, m:m + 1]
+    out = _result(y)
 
     def backward():
         if out.grad is None:
             return
-        if x.requires_grad:
-            _accum(x, out.grad * s.data[:, None])
-        if s.requires_grad:
-            _accum(s, (out.grad * x.data).sum(axis=1))
+        g = out.grad
+        gp = np.empty_like(w) if p.requires_grad else None
+        for m, blk in enumerate(blocks):
+            if blk.requires_grad:
+                _accum(blk, g * w[:, m:m + 1])
+            if gp is not None:
+                gp[:, m] = (g * blk.data).sum(axis=1)
+        if gp is not None:
+            _accum(p, gp)
 
-    return _maybe_record(out, (x, s), backward)
+    return _maybe_record(out, (p, *blocks), backward)
 
 
 def mean_all(x: Tensor) -> Tensor:
-    out = Tensor(x.data.mean())
+    out = _result(x.data.mean())
     n = x.data.size
 
     def backward():
@@ -467,7 +514,7 @@ def dot_const(x: Tensor, w: np.ndarray) -> Tensor:
     w = np.asarray(w, dtype=np.float64)
     if x.data.ndim != 1 or w.shape != x.shape:
         raise ValueError(f"dot_const shape mismatch: {x.shape} vs {w.shape}")
-    out = Tensor(x.data @ w)
+    out = _result(x.data @ w)
 
     def backward():
         if out.grad is None:
@@ -488,7 +535,7 @@ def bce_with_logits(logits: Tensor, targets: np.ndarray) -> Tensor:
         raise ValueError(f"target shape {t.shape} != logits shape {logits.shape}")
     x = logits.data
     val = (np.maximum(x, 0.0) - x * t + np.log1p(np.exp(-np.abs(x)))).mean()
-    out = Tensor(val)
+    out = _result(val)
     n = x.size
 
     def backward():
@@ -509,7 +556,7 @@ def dropout(x: Tensor, rate: float, rng: np.random.Generator) -> Tensor:
     if rate == 0.0:
         return x
     scale = (rng.random(x.shape) >= rate) / (1.0 - rate)
-    out = Tensor(x.data * scale)
+    out = _result(x.data * scale)
 
     def backward():
         if out.grad is None:

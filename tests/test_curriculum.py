@@ -7,7 +7,10 @@ from entrofuse.curriculum import (MaskDistribution, Schedules,
                                   acm_distribution, candidate_family,
                                   masks_to_keep, sample_keep, sample_mask,
                                   schedule_lambda, schedule_pi)
+import entrofuse.model as model_module
+from entrofuse.data import apply_mask
 from entrofuse.model import FusionConfig, FusionModel
+from entrofuse.tensor import entropy_rows
 from entrofuse.subsets import SubsetMask, nonempty_subsets
 
 from test_model import random_batch, random_model
@@ -111,6 +114,13 @@ class TestMaskDistribution:
             MaskDistribution(support=support, probs=np.array([1.5, -0.5]),
                              mean_entropies=np.zeros(2))
 
+    def test_nan_probs_rejected(self):
+        support = tuple(candidate_family(2, "single_drops"))
+        for probs in ([np.nan, np.nan], [np.nan, 1.0]):
+            with pytest.raises(ValueError, match="simplex"):
+                MaskDistribution(support=support, probs=np.array(probs),
+                                 mean_entropies=np.zeros(2))
+
     def test_shape_mismatches_rejected(self):
         support = tuple(candidate_family(2, "single_drops"))
         with pytest.raises(ValueError):
@@ -169,6 +179,39 @@ class TestAcmDistribution:
         dist = acm_distribution(model, batch, 1.0, family="single_drops")
         assert (dist.mean_entropies == 0.0).all()
         np.testing.assert_allclose(dist.probs, [0.5, 0.5], rtol=0, atol=0)
+
+    def test_gate_runs_only_where_more_than_one_modality_is_left(self, monkeypatch):
+        # a single observed modality per row makes the softmax a point mass
+        calls = []
+        real = model_module.gate_rows
+
+        def counting(model, batch, **kw):
+            calls.append(batch.n)
+            return real(model, batch, **kw)
+
+        monkeypatch.setattr(model_module, "gate_rows", counting)
+        rng = np.random.default_rng(16)
+        for m, family, runs in ((2, "single_drops", 0), (3, "single_drops", 3),
+                                (3, "all_subsets", 3)):
+            cfg = FusionConfig(modalities=m, dims=(4,) * m, classes=3,
+                               fused_dim=5)
+            model = random_model(rng, cfg)
+            batch = random_batch(rng, 24, cfg.dims, cfg.classes)
+            calls.clear()
+            dist = acm_distribution(model, batch, 0.5, family=family)
+            assert len(calls) == runs
+            brute = [float(entropy_rows(real(model, apply_mask(batch, drop=d)))
+                           .data.mean()) for d in dist.support]
+            assert np.array_equal(dist.mean_entropies, brute)
+
+    def test_rows_left_empty_still_rejected(self):
+        rng = np.random.default_rng(17)
+        cfg = FusionConfig(modalities=2, dims=(3, 3), classes=2, fused_dim=4)
+        model = random_model(rng, cfg)
+        presence = np.array([[True, True], [True, False], [True, True]])
+        batch = random_batch(rng, 3, cfg.dims, cfg.classes, presence)
+        with pytest.raises(ValueError, match="no observed modality"):
+            acm_distribution(model, batch, 1.0)
 
     def test_fresh_gate_spreads_candidates_uniformly(self):
         # zero gate output layer keeps every probe entropy at log(2)

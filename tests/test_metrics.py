@@ -101,6 +101,10 @@ class TestEce:
         with pytest.raises(ValueError):
             ece(np.array([0.5]), np.array([True]), bins=0)
 
+    def test_nan_confidence_rejected_with_range_message(self):
+        with pytest.raises(ValueError, match=r"confidences must lie in \[0, 1\]"):
+            ece(np.array([0.5, np.nan]), np.array([True, False]))
+
 
 class TestPerClassEce:
     def test_single_predicted_class_equals_plain_ece(self):

@@ -5,8 +5,9 @@ import pytest
 
 import entrofuse.tensor as T
 from entrofuse.data import MultimodalBatch, apply_mask
+from entrofuse.losses import cec_pairs, step_loss
 from entrofuse.model import (ForwardOutput, FusionConfig, FusionModel,
-                             config_hash, forward, load_checkpoint,
+                             config_hash, forward, gate_rows, load_checkpoint,
                              predict_subset, save_checkpoint)
 from entrofuse.rng import stream
 from entrofuse.subsets import SubsetMask, nonempty_subsets
@@ -284,6 +285,20 @@ class TestNormStats:
         x = model.gate_input(batch)
         assert (x[0, 3:5] == 0.0).all()
 
+    def test_gate_input_equals_concatenated_blocks(self):
+        # the in-place fill does the reference's float ops, bit for bit
+        rng = np.random.default_rng(53)
+        cfg = FusionConfig(modalities=3, dims=(4, 1, 6), classes=3, fused_dim=4)
+        model = FusionModel.init(cfg, rng)
+        model.norm_mean = [rng.normal(size=d) for d in cfg.dims]
+        model.norm_std = [rng.uniform(0.1, 3.0, size=d) for d in cfg.dims]
+        presence = rng.random((50, 3)) < 0.6
+        batch = random_batch(rng, 50, cfg.dims, cfg.classes, presence)
+        cols = [(batch.features[m] - model.norm_mean[m]) / model.norm_std[m]
+                * presence[:, m:m + 1] for m in range(3)]
+        ref = np.concatenate(cols + [presence.astype(np.float64)], axis=1)
+        assert np.array_equal(model.gate_input(batch), ref)
+
 
 class TestValidation:
     def test_dims_length_must_match_modalities(self):
@@ -311,6 +326,44 @@ class TestValidation:
         batch.presence[:] = presence
         with pytest.raises(ValueError):
             forward(model, batch)
+
+
+    def test_forward_rejects_overflowing_logits(self):
+        rng = np.random.default_rng(62)
+        cfg = FusionConfig(modalities=2, dims=(3, 3), classes=2, fused_dim=4)
+        model = random_model(rng, cfg)
+        model.head_w.data[:] = 1e308
+        batch = random_batch(rng, 4, cfg.dims, cfg.classes)
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(ValueError, match="logits"):
+                forward(model, batch)
+
+    def test_gate_rows_rejects_non_finite_weights(self):
+        rng = np.random.default_rng(63)
+        cfg = FusionConfig(modalities=2, dims=(3, 3), classes=2, fused_dim=4)
+        model = random_model(rng, cfg)
+        model.gate.w2.data[0, 1] = np.nan
+        batch = random_batch(rng, 4, cfg.dims, cfg.classes)
+        with pytest.raises(ValueError, match="gate weights"):
+            gate_rows(model, batch)
+        with pytest.raises(ValueError, match="gate weights"):
+            forward(model, batch)
+
+
+class TestTapeSize:
+    def test_m2_consistency_step_records_36_nodes(self):
+        # gate: linear, relu, linear, masked_softmax; fusion: 2 matmul + mix;
+        # head: linear; confidence: softmax, row_max; the rest is the loss
+        rng = np.random.default_rng(64)
+        cfg = FusionConfig(modalities=2, dims=(3, 5), classes=4, fused_dim=6)
+        model = random_model(rng, cfg)
+        clean = random_batch(rng, 16, cfg.dims, cfg.classes)
+        keep = rng.random((16, 2)) < 0.7
+        keep[~keep.any(axis=1), 1] = True
+        batch = apply_mask(clean, per_sample=keep)
+        with T.Tape() as tape:
+            step_loss(model, batch, clean, cec_pairs(2), lam=0.05, gamma=20.0)
+        assert tape.num_recorded == 36
 
 
 class TestConfigHash:

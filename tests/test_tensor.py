@@ -149,17 +149,23 @@ class TestPrimitiveGradients:
                 err = grad_check(lambda t, op=op: T.mean_all(op(other, t)), x)
                 assert err < 1e-6
 
-    def test_mul_scalar_and_add_bias(self):
+    def test_mul_scalar_and_linear(self):
         rng = np.random.default_rng(13)
         for _ in range(10):
             x = Tensor(_rand(rng, 4, 3))
             err = grad_check(lambda t: T.mean_all(T.mul_scalar(t, -1.7)), x)
             assert err < 1e-6
-            b = Tensor(_rand(rng, 3))
-            err = grad_check(lambda t: T.mean_all(T.add_bias(t, b)), x)
+            w, b = Tensor(_rand(rng, 3, 2)), Tensor(_rand(rng, 2))
+            r = Tensor(_rand(rng, 4, 2))  # uneven output weights
+
+            def loss(out):
+                return T.mean_all(T.mul(out, r))
+
+            err = grad_check(lambda t: loss(T.linear(t, w, b)), x)
             assert err < 1e-6
-            err = grad_check(
-                lambda t: T.mean_all(T.add_bias(Tensor(x.data), t)), b)
+            err = grad_check(lambda t: loss(T.linear(x, t, b)), w)
+            assert err < 1e-6
+            err = grad_check(lambda t: loss(T.linear(x, w, t)), b)
             assert err < 1e-6
 
     def test_relu_away_from_kink(self):
@@ -216,7 +222,7 @@ class TestPrimitiveGradients:
             err = grad_check(lambda t: T.mean_all(T.row_max(t)), Tensor(x))
             assert err < 1e-6
 
-    def test_col_pick_row_scale(self):
+    def test_col_pick_mix(self):
         rng = np.random.default_rng(20)
         for _ in range(10):
             x = Tensor(_rand(rng, 4, 3))
@@ -225,12 +231,21 @@ class TestPrimitiveGradients:
             idx = rng.integers(0, 3, size=4)
             err = grad_check(lambda t: T.mean_all(T.pick(t, idx)), x)
             assert err < 1e-6
-            s = Tensor(_rand(rng, 4))
-            err = grad_check(lambda t: T.mean_all(T.row_scale(t, s)), x)
+            p = Tensor(_rand(rng, 4, 3))
+            blocks = [Tensor(_rand(rng, 4, 2)) for _ in range(3)]
+            r = Tensor(_rand(rng, 4, 2))
+
+            def loss(out):
+                return T.mean_all(T.mul(out, r))
+
+            err = grad_check(lambda t: loss(T.mix(t, blocks)), p)
             assert err < 1e-6
-            err = grad_check(
-                lambda t: T.mean_all(T.row_scale(Tensor(x.data), t)), s)
-            assert err < 1e-6
+            for m in range(3):
+                err = grad_check(
+                    lambda t, m=m: loss(
+                        T.mix(p, blocks[:m] + [t] + blocks[m + 1:])),
+                    blocks[m])
+                assert err < 1e-6
 
     def test_rows(self):
         rng = np.random.default_rng(24)
@@ -284,6 +299,118 @@ class TestPrimitiveGradients:
         np.testing.assert_allclose(x.grad, scale / x.data.size)
 
 
+# The compositions that linear and mix replace, kept as references: the
+# fused ops must reproduce their values and gradients bit for bit.
+
+def _ref_add_bias(x, b):
+    out = T._result(x.data + b.data[None, :])
+
+    def backward():
+        if out.grad is None:
+            return
+        if x.requires_grad:
+            T._accum(x, out.grad)
+        if b.requires_grad:
+            T._accum(b, out.grad.sum(axis=0))
+
+    return T._maybe_record(out, (x, b), backward)
+
+
+def _ref_row_scale(x, s):
+    out = T._result(x.data * s.data[:, None])
+
+    def backward():
+        if out.grad is None:
+            return
+        if x.requires_grad:
+            T._accum(x, out.grad * s.data[:, None])
+        if s.requires_grad:
+            T._accum(s, (out.grad * x.data).sum(axis=1))
+
+    return T._maybe_record(out, (x, s), backward)
+
+
+def _ref_linear(x, w, b):
+    return _ref_add_bias(T.matmul(x, w), b)
+
+
+def _ref_mix(p, blocks):
+    z = None
+    for m, blk in enumerate(blocks):
+        term = _ref_row_scale(blk, T.col(p, m))
+        z = term if z is None else T.add(z, term)
+    return z
+
+
+def _values_and_grads(build, arrays):
+    """Output of build(*leaves) and every leaf gradient of a weighted sum
+    of it, with the leaves also feeding a second consumer as in training."""
+    leaves = [Tensor(a.copy(), requires_grad=True) for a in arrays]
+    r = np.random.default_rng(99).standard_normal
+    with Tape() as tape:
+        out = build(*leaves)
+        loss = T.mean_all(T.mul(out, Tensor(r(out.shape))))
+        side = T.mean_all(T.mul(leaves[0], Tensor(r(leaves[0].shape))))
+        tape.backward(T.add(loss, side))
+    return out.data, [t.grad for t in leaves]
+
+
+class TestFusedOps:
+    """linear and mix against the node chains they replace, bit for bit."""
+
+    def _assert_same(self, fused, ref, arrays):
+        out, grads = _values_and_grads(fused, arrays)
+        ref_out, ref_grads = _values_and_grads(ref, arrays)
+        assert np.array_equal(out, ref_out)
+        for g, ref_g in zip(grads, ref_grads):
+            assert np.array_equal(g, ref_g)
+
+    def test_linear_equals_matmul_then_bias(self):
+        rng = np.random.default_rng(30)
+        for n, k, d in ((1, 3, 2), (7, 66, 132), (512, 132, 2), (64, 32, 8)):
+            arrays = [_rand(rng, n, k), _rand(rng, k, d), _rand(rng, d)]
+            self._assert_same(T.linear, _ref_linear, arrays)
+
+    def test_mix_equals_col_row_scale_add(self):
+        rng = np.random.default_rng(31)
+        for dims in ((32, 32), (3, 5, 40), (6, 1, 2, 9)):
+            n, m = 23, len(dims)
+            p = rng.random((n, m))
+            p[rng.random((n, m)) < 0.3] = 0.0  # masked modalities
+            p[4] = 0.0                          # a row of zeros
+            p /= np.where(p.sum(axis=1, keepdims=True) > 0,
+                          p.sum(axis=1, keepdims=True), 1.0)
+            feats = [_rand(rng, n, d) for d in dims]
+            projs = [_rand(rng, d, 6) for d in dims]
+
+            def build(mix):
+                def f(p, *proj):
+                    return mix(p, [T.matmul(Tensor(x), w)
+                                   for x, w in zip(feats, proj)])
+                return f
+
+            self._assert_same(build(T.mix), build(_ref_mix), [p] + projs)
+
+    def test_shape_errors(self):
+        x, w, b = Tensor(np.zeros((4, 3))), Tensor(np.zeros((3, 2))), Tensor(np.zeros(2))
+        for args in ((x, w, Tensor(np.zeros(3))), (x, Tensor(np.zeros((2, 2))), b),
+                     (Tensor(np.zeros(3)), w, b), (x, w, Tensor(np.zeros((1, 2))))):
+            with pytest.raises(ValueError):
+                T.linear(*args)
+        p = Tensor(np.zeros((4, 2)))
+        for blocks in ([], [x], [x, x, x], [x, Tensor(np.zeros((4, 2)))],
+                       [Tensor(np.zeros((3, 3)))] * 2, [Tensor(np.zeros(4))] * 2):
+            with pytest.raises(ValueError):
+                T.mix(p, blocks)
+
+    def test_op_results_are_not_scanned(self):
+        # finiteness is checked at the model's boundaries, not per op
+        big = Tensor(np.full((1, 1), 1e308))
+        with np.errstate(over="ignore"):
+            out = T.linear(big, Tensor(np.full((1, 1), 10.0)), Tensor(np.zeros(1)))
+        assert np.isinf(out.data).all()
+
+
 class TestForwardValues:
     def test_softmax_vector_value(self):
         p = T.softmax(Tensor([1.0, 2.0, 3.0])).data
@@ -299,6 +426,12 @@ class TestForwardValues:
             a = T.softmax(Tensor(z)).data
             b = T.softmax(Tensor(z + 123.4)).data
             np.testing.assert_allclose(a, b, atol=1e-12)
+
+    def test_softmax_equals_masked_softmax_with_nothing_masked(self):
+        z = np.random.default_rng(27).standard_normal((50, 8)) * 5.0
+        keep = np.ones(z.shape, dtype=bool)
+        assert np.array_equal(T.softmax(Tensor(z)).data,
+                              T.masked_softmax(Tensor(z), keep).data)
 
     def test_softmax_extreme_logits_stable(self):
         p = T.softmax(Tensor([1000.0, 0.0, -1000.0])).data
