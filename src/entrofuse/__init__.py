@@ -9,7 +9,7 @@ teacher, and a reproducible training/evaluation harness.
 
 from .config import ConfigError, ExperimentConfig, load_config, parse_config
 from .curriculum import (MaskDistribution, Schedules, acm_distribution,
-                         candidate_family, sample_mask, schedule_lambda,
+                         candidate_family, sample_keep, schedule_lambda,
                          schedule_pi)
 from .data import (MultimodalBatch, SyntheticSpec, apply_mask, bernoulli_mask,
                    generate, load_dataset, save_dataset)
@@ -23,7 +23,7 @@ from .model import (ForwardOutput, FusionConfig, FusionModel, forward,
 from .optim import AdamW, AdamWState, adamw_step, cosine_lr
 from .rng import stream
 from .subsets import SubsetMask, nonempty_subsets, subset_lattice
-from .tensor import Tape, Tensor, entropy, grad_check, softplus
+from .tensor import Tape, Tensor, grad_check, softplus
 from .trainer import (DivergenceError, RunResult, Switches, TrainConfig,
                       apply_ablation, evaluate_under_dropout, fit_temperature,
                       train)
@@ -42,12 +42,12 @@ __all__ = [
     "apply_mask", "audit_confidences", "bernoulli_mask", "calibrate_vmax",
     "candidate_family",
     "cec_loss", "cec_pairs", "composite_loss", "cosine_lr", "ece",
-    "ensemble_variance", "entropy", "entropy_confidence_export",
+    "ensemble_variance", "entropy_confidence_export",
     "entropy_penalty", "evaluate_under_dropout", "fit_temperature",
     "forward", "generate", "grad_check", "inversion_audit", "lambda_of",
     "lambda_upper", "load_checkpoint", "load_config", "load_dataset",
     "map_at_1", "mc_variance", "nonempty_subsets", "parse_config",
-    "per_class_ece", "predict_subset", "sample_mask", "save_checkpoint",
+    "per_class_ece", "predict_subset", "sample_keep", "save_checkpoint",
     "save_dataset", "schedule_lambda", "schedule_pi", "softplus", "stream",
     "subset_confidences", "subset_lattice", "task_loss", "top1_accuracy",
     "train", "with_vmax",

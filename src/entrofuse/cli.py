@@ -1,7 +1,7 @@
 """Experiment driver.
 
 Subcommands:
-  gen-data  write a synthetic dataset to a binary file
+  gen-data  write a synthetic dataset to an .npz file
   run       train one configuration and write a run directory
   ablate    run the ablation grid with shared seeds, emit a combined table
   audit     calibration + inversion + scatter reports for a checkpoint,
@@ -22,7 +22,8 @@ from dataclasses import replace
 import numpy as np
 import yaml
 
-from .config import ConfigError, ExperimentConfig, dump_resolved, load_config
+from .config import (ConfigError, ExperimentConfig, dump_resolved, load_config,
+                     parse_config, read_yaml)
 from .data import generate, save_dataset
 from .metrics import (ece, entropy_confidence_export, inversion_audit,
                       write_csv)
@@ -108,10 +109,10 @@ def write_run_dir(out: str, cfg: ExperimentConfig, result: RunResult,
     history_rows = []
     for bd, row in zip(result.history, result.metric_history):
         history_rows.append([row["epoch"], bd.total, bd.task, bd.ent, bd.cec,
-                             bd.mask, bd.lam, row["score"], row["ece"],
+                             bd.lam, row["score"], row["ece"],
                              row["gate_entropy"]])
     write_csv(os.path.join(out, "history.csv"),
-              ["epoch", "total", "task", "ent", "cec", "mask", "lam",
+              ["epoch", "total", "task", "ent", "cec", "lam",
                "val_score", "val_ece", "val_gate_entropy"], history_rows)
 
     eval_rows = [[rate, row["score"], row["ece"], row["gate_entropy"]]
@@ -239,11 +240,9 @@ def cmd_audit(args) -> int:
     except (OSError, KeyError, ValueError) as exc:
         raise ConfigError(f"cannot load checkpoint {args.checkpoint}: {exc}")
 
-    with open(args.config, "r", encoding="utf-8") as fh:
-        doc = yaml.safe_load(fh)
+    doc = read_yaml(args.config)
     if isinstance(doc, dict):
         doc.setdefault("train", {})  # audit needs only the data section
-    from .config import parse_config
     cfg = parse_config(doc)
 
     spec = cfg.data

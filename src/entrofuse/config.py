@@ -17,8 +17,8 @@ from .data import SyntheticSpec
 from .trainer import TrainConfig
 from .uncertainty import LambdaConfig
 
-__all__ = ["ConfigError", "ExperimentConfig", "load_config", "parse_config",
-           "resolved_dict", "dump_resolved"]
+__all__ = ["ConfigError", "ExperimentConfig", "read_yaml", "load_config",
+           "parse_config", "resolved_dict", "dump_resolved"]
 
 
 class ConfigError(ValueError):
@@ -89,7 +89,7 @@ def _cast_int_list(value, where: str) -> tuple[int, ...]:
 _DATA_KEYS = {"modalities", "classes", "dims", "snr", "n_train", "n_val",
               "n_test", "seed", "multilabel", "extra_label_rate"}
 _TRAIN_KEYS = {"epochs", "batch_size", "lr_base", "lr_gate", "weight_decay",
-               "schedules", "lam_mode", "gamma", "beta", "ablation",
+               "schedules", "lam_mode", "gamma", "ablation",
                "single_modality_index", "seed", "temp_scaling", "fused_dim",
                "gate_hidden", "lambda", "acm_family", "probe_size",
                "cec_pair_limit", "divergence_factor"}
@@ -102,7 +102,7 @@ _INT_FIELDS = {"modalities", "classes", "n_train", "n_val", "n_test", "seed",
                "gate_hidden", "probe_size", "cec_pair_limit", "t_warm",
                "t_lam", "draws", "ensemble_size", "seeds"}
 _FLOAT_FIELDS = {"extra_label_rate", "lr_base", "lr_gate", "weight_decay",
-                 "gamma", "beta", "divergence_factor", "pi_max", "lam_max",
+                 "gamma", "divergence_factor", "pi_max", "lam_max",
                  "eta", "lam_min", "rate"}
 _BOOL_FIELDS = {"multilabel", "temp_scaling"}
 _STR_FIELDS = {"lam_mode", "ablation", "acm_family", "mode", "source"}
@@ -183,15 +183,20 @@ def _build(cls, kwargs: dict, where: str):
         raise ConfigError(f"{where}: {exc}") from exc
 
 
-def load_config(path) -> ExperimentConfig:
+def read_yaml(path):
+    """The YAML document in a config file; ``ConfigError`` if the file is
+    missing or is not valid YAML."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            doc = yaml.safe_load(fh)
+            return yaml.safe_load(fh)
     except FileNotFoundError as exc:
         raise ConfigError(f"config file not found: {path}") from exc
     except yaml.YAMLError as exc:
         raise ConfigError(f"malformed config: {exc}") from exc
-    return parse_config(doc)
+
+
+def load_config(path) -> ExperimentConfig:
+    return parse_config(read_yaml(path))
 
 
 def resolved_dict(cfg: ExperimentConfig) -> dict:

@@ -23,9 +23,7 @@ __all__ = [
     "schedule_lambda",
     "candidate_family",
     "acm_distribution",
-    "sample_mask",
     "sample_keep",
-    "masks_to_keep",
 ]
 
 
@@ -141,46 +139,19 @@ def acm_distribution(model, batch: MultimodalBatch, eta: float,
                             mean_entropies=entropies)
 
 
-def sample_mask(dist: MaskDistribution, pi_t: float, n: int,
-                rng: np.random.Generator) -> list[SubsetMask]:
-    """Per-sample drop subsets: with probability pi_t draw from the teacher,
-    otherwise drop nothing. Always consumes the same rng amount for a given
-    n, so downstream draws do not shift with pi_t."""
-    if not 0.0 <= pi_t <= 1.0:
-        raise ValueError("pi_t must be in [0, 1]")
-    if n < 1:
-        raise ValueError("need at least one sample")
-    modalities = len(dist.support[0].bits)
-    gate = rng.random(n) < pi_t
-    picks = _pick_support(dist, n, rng)
-    empty = SubsetMask.empty(modalities)
-    return [dist.support[picks[i]] if gate[i] else empty for i in range(n)]
-
-
-def _pick_support(dist: MaskDistribution, n: int,
-                  rng: np.random.Generator) -> np.ndarray:
-    """Inverse-CDF draws from the teacher; one uniform per sample, matching
-    rng.choice(len(support), size=n, p=probs) draw for draw."""
-    return np.searchsorted(dist.cdf, rng.random(n), side="right")
-
-
-def masks_to_keep(masks: list[SubsetMask]) -> np.ndarray:
-    """Convert per-sample drop subsets to a boolean keep matrix [n, M]."""
-    if not masks:
-        raise ValueError("need at least one mask")
-    drop = np.array([m.bits for m in masks], dtype=bool)
-    return ~drop
-
-
 def sample_keep(dist: MaskDistribution, pi_t: float, n: int,
                 rng: np.random.Generator) -> np.ndarray:
-    """Keep matrix equal to masks_to_keep(sample_mask(...)) without building
-    the subset list; consumes the rng identically."""
+    """Per-sample keep matrix [n, M]: with probability pi_t a row drops the
+    subset it draws from the teacher, otherwise it drops nothing. Always
+    consumes the same rng amount for a given n, so downstream draws do not
+    shift with pi_t."""
     if not 0.0 <= pi_t <= 1.0:
         raise ValueError("pi_t must be in [0, 1]")
     if n < 1:
         raise ValueError("need at least one sample")
     gate = rng.random(n) < pi_t
-    picks = _pick_support(dist, n, rng)
+    # inverse-CDF draws from the teacher, one uniform per sample, matching
+    # rng.choice(len(support), size=n, p=probs) draw for draw
+    picks = np.searchsorted(dist.cdf, rng.random(n), side="right")
     drop = np.where(gate[:, None], dist.drop_table[picks], False)
     return ~drop

@@ -8,7 +8,7 @@ zero fill vector and its presence flag is cleared.
 
 from __future__ import annotations
 
-import struct
+import zipfile
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -28,8 +28,7 @@ __all__ = [
     "load_dataset",
 ]
 
-_MAGIC = b"EFDS"
-_FORMAT_VERSION = 1
+_SPLITS = ("train", "val", "test")
 
 
 @dataclass(frozen=True)
@@ -250,63 +249,56 @@ def bernoulli_mask(n: int, modalities: int, pi: float,
 
 
 # ---------------------------------------------------------------------------
-# flat binary dump/load
+# dataset file: one .npz holding, per split s in (train, val, test),
+# s_features_0 .. s_features_{M-1} [n, d_m], s_presence [n, M] bool and
+# s_labels ([n] class indices, or the [n, C] multi-hot matrix), plus classes
 # ---------------------------------------------------------------------------
-# Layout (all integers int64 LE, all payload float64 LE):
-#   magic "EFDS" | version | M | C | multilabel | n_train | n_val | n_test
-#   | d_1 .. d_M | then per split (train, val, test):
-#   features modality 1..M row-major, presence as 0.0/1.0, labels
-#   (class indices as float64, or the [n, C] multi-hot matrix).
-
-def _write_split(fh, batch: MultimodalBatch) -> None:
-    for f in batch.features:
-        fh.write(np.ascontiguousarray(f, dtype="<f8").tobytes())
-    fh.write(np.ascontiguousarray(batch.presence, dtype="<f8").tobytes())
-    fh.write(np.ascontiguousarray(batch.labels, dtype="<f8").tobytes())
-
-
-def _read_split(fh, n: int, dims: tuple[int, ...], classes: int,
-                multilabel: bool) -> MultimodalBatch:
-    def read(count):
-        buf = fh.read(count * 8)
-        if len(buf) != count * 8:
-            raise ValueError("truncated dataset file")
-        return np.frombuffer(buf, dtype="<f8")
-
-    features = [read(n * d).reshape(n, d).copy() for d in dims]
-    presence = read(n * len(dims)).reshape(n, len(dims)) != 0.0
-    if multilabel:
-        labels = read(n * classes).reshape(n, classes).copy()
-    else:
-        labels = read(n).astype(np.int64)
-    return MultimodalBatch(features=features, presence=presence,
-                           labels=labels, multilabel=multilabel)
-
 
 def save_dataset(path, train: MultimodalBatch, val: MultimodalBatch,
                  test: MultimodalBatch, classes: int) -> None:
-    dims = train.dims
-    with open(path, "wb") as fh:
-        fh.write(_MAGIC)
-        header = [_FORMAT_VERSION, train.num_modalities, classes,
-                  int(train.multilabel), train.n, val.n, test.n, *dims]
-        fh.write(struct.pack(f"<{len(header)}q", *header))
-        for split in (train, val, test):
-            _write_split(fh, split)
+    arrays = {"classes": np.int64(classes)}
+    for name, split in zip(_SPLITS, (train, val, test)):
+        for m, f in enumerate(split.features):
+            arrays[f"{name}_features_{m}"] = f
+        arrays[f"{name}_presence"] = split.presence
+        arrays[f"{name}_labels"] = split.labels
+    with open(path, "wb") as fh:  # a file object: no ".npz" gets appended
+        np.savez(fh, **arrays)
 
 
 def load_dataset(path) -> tuple[MultimodalBatch, MultimodalBatch, MultimodalBatch, int]:
-    """Returns (train, val, test, classes)."""
-    with open(path, "rb") as fh:
-        if fh.read(4) != _MAGIC:
-            raise ValueError("not a dataset file (bad magic)")
-        version, m, classes, multilabel, n_train, n_val, n_test = struct.unpack(
-            "<7q", fh.read(56))
-        if version != _FORMAT_VERSION:
-            raise ValueError(f"unsupported dataset format version {version}")
-        dims = struct.unpack(f"<{m}q", fh.read(8 * m))
-        ml = bool(multilabel)
-        train = _read_split(fh, n_train, dims, classes, ml)
-        val = _read_split(fh, n_val, dims, classes, ml)
-        test = _read_split(fh, n_test, dims, classes, ml)
-    return train, val, test, classes
+    """Returns (train, val, test, classes) from a ``save_dataset`` file.
+
+    Raises ``ValueError`` if the file is not such an archive, lacks an array,
+    or holds arrays whose row counts disagree.
+    """
+    try:
+        archive = np.load(path, allow_pickle=False)
+    except (EOFError, zipfile.BadZipFile) as exc:
+        raise ValueError(f"not a dataset file: {exc}") from exc
+    if not isinstance(archive, np.lib.npyio.NpzFile):
+        raise ValueError("not a dataset file: expected an .npz archive")
+    with archive:
+        def get(key: str, ndim: tuple[int, ...]) -> np.ndarray:
+            if key not in archive.files:
+                raise ValueError(f"dataset file lacks array {key!r}")
+            arr = archive[key]
+            if arr.ndim not in ndim:
+                raise ValueError(f"dataset array {key!r} has {arr.ndim} axes")
+            return arr
+
+        classes = int(get("classes", (0,)))
+        splits = []
+        for name in _SPLITS:
+            presence = get(f"{name}_presence", (2,)).astype(bool)
+            if presence.shape[1] == 0:
+                raise ValueError(f"dataset split {name!r} has no modality")
+            labels = get(f"{name}_labels", (1, 2))
+            multilabel = labels.ndim == 2
+            splits.append(MultimodalBatch(
+                features=[get(f"{name}_features_{m}", (2,)).astype(np.float64)
+                          for m in range(presence.shape[1])],
+                presence=presence,
+                labels=labels.astype(np.float64 if multilabel else np.int64),
+                multilabel=multilabel))
+    return (*splits, classes)

@@ -1,11 +1,10 @@
 """Composite training objective.
 
-total = task + lam * ent + gamma * cec + beta * mask
+total = task + lam * ent + gamma * cec
 
 where ``ent`` is the mean negative gate entropy (so positive ``lam`` pushes
-the gate toward spread-out mixture weights), ``cec`` is the squared hinge on
-confidence inversions between nested observed subsets, and ``mask`` is a
-reserved slot that is identically zero in this implementation.
+the gate toward spread-out mixture weights) and ``cec`` is the squared hinge
+on confidence inversions between nested observed subsets.
 """
 
 from __future__ import annotations
@@ -35,7 +34,7 @@ __all__ = [
 class LossBreakdown:
     """Scalar components of one objective evaluation.
 
-    Invariant: total == task + lam * ent + gamma * cec + beta * mask
+    Invariant: total == task + lam * ent + gamma * cec
     (up to float round-off). ``lam`` is the mean coefficient when the
     entropy weight is per-sample.
     """
@@ -44,14 +43,11 @@ class LossBreakdown:
     task: float
     ent: float
     cec: float
-    mask: float
     lam: float
     gamma: float
-    beta: float
 
     def composed(self) -> float:
-        return (self.task + self.lam * self.ent + self.gamma * self.cec
-                + self.beta * self.mask)
+        return self.task + self.lam * self.ent + self.gamma * self.cec
 
 
 def task_loss(logits: T.Tensor, labels: np.ndarray, multilabel: bool = False) -> T.Tensor:
@@ -92,11 +88,11 @@ def cec_pairs(modalities: int, rng: np.random.Generator | None = None,
 
 
 def subset_confidences(model, batch: MultimodalBatch,
-                       pairs: list[tuple[SubsetMask, SubsetMask]],
-                       uniform_gate: bool = False) -> dict[SubsetMask, T.Tensor]:
+                       pairs: list[tuple[SubsetMask, SubsetMask]]
+                       ) -> dict[SubsetMask, T.Tensor]:
     """Per-sample confidence for every subset a pair mentions, from one
     stacked forward over a view of the batch per subset."""
-    return lattice_forward(model, batch, pairs, uniform_gate=uniform_gate)[1]
+    return lattice_forward(model, batch, pairs)[1]
 
 
 def cec_loss(conf_by_subset: dict[SubsetMask, T.Tensor],
@@ -122,7 +118,7 @@ def cec_loss(conf_by_subset: dict[SubsetMask, T.Tensor],
 
 
 def composite_loss(logits: T.Tensor, p: T.Tensor, labels: np.ndarray, *,
-                   lam: float | np.ndarray, gamma: float, beta: float = 0.0,
+                   lam: float | np.ndarray, gamma: float,
                    cec: T.Tensor | None = None, multilabel: bool = False,
                    lam_min: float = 0.0) -> tuple[T.Tensor, LossBreakdown]:
     """Assemble the full objective on the active tape.
@@ -130,10 +126,10 @@ def composite_loss(logits: T.Tensor, p: T.Tensor, labels: np.ndarray, *,
     ``lam`` may be a scalar or a per-sample vector (instance-adaptive mode);
     every entry must be >= ``lam_min``. The returned breakdown reports the
     mean coefficient and an effective entropy term that keeps the invariant
-    total == task + lam * ent + gamma * cec + beta * mask.
+    total == task + lam * ent + gamma * cec.
     """
-    if gamma < 0 or beta < 0:
-        raise ValueError("gamma and beta must be nonnegative")
+    if gamma < 0:
+        raise ValueError("gamma must be nonnegative")
     if gamma > 0 and cec is None:
         raise ValueError("gamma > 0 needs a consistency term")
     task = task_loss(logits, labels, multilabel=multilabel)
@@ -164,21 +160,18 @@ def composite_loss(logits: T.Tensor, p: T.Tensor, labels: np.ndarray, *,
         cec_report = cec.item()
     else:
         cec_report = 0.0
-    mask_report = 0.0  # reserved component, identically zero
 
     breakdown = LossBreakdown(
         total=total.item(), task=task.item(), ent=ent_report,
-        cec=cec_report, mask=mask_report,
-        lam=lam_report, gamma=float(gamma), beta=float(beta),
+        cec=cec_report, lam=lam_report, gamma=float(gamma),
     )
     return total, breakdown
 
 
 def step_loss(model, batch: MultimodalBatch, clean: MultimodalBatch,
               pairs: list[tuple[SubsetMask, SubsetMask]] | None, *,
-              lam: float | np.ndarray, gamma: float, beta: float = 0.0,
-              multilabel: bool = False,
-              uniform_gate: bool = False) -> tuple[T.Tensor, LossBreakdown]:
+              lam: float | np.ndarray, gamma: float,
+              multilabel: bool = False) -> tuple[T.Tensor, LossBreakdown]:
     """Objective of one training step on the active tape, from one forward.
 
     ``batch`` is the curriculum-masked minibatch and ``clean`` the same rows
@@ -188,12 +181,11 @@ def step_loss(model, batch: MultimodalBatch, clean: MultimodalBatch,
     read the first ``batch.n`` rows, the consistency term the views.
     """
     if pairs is None:
-        out = forward(model, batch, uniform_gate=uniform_gate)
+        out = forward(model, batch)
         return composite_loss(out.logits, out.p, batch.labels, lam=lam,
-                              gamma=0.0, beta=beta, multilabel=multilabel)
-    out, conf = lattice_forward(model, clean, pairs, head=batch,
-                                uniform_gate=uniform_gate)
+                              gamma=0.0, multilabel=multilabel)
+    out, conf = lattice_forward(model, clean, pairs, head=batch)
     n = batch.n
     return composite_loss(T.rows(out.logits, 0, n), T.rows(out.p, 0, n),
-                          batch.labels, lam=lam, gamma=gamma, beta=beta,
+                          batch.labels, lam=lam, gamma=gamma,
                           cec=cec_loss(conf, pairs), multilabel=multilabel)

@@ -9,7 +9,6 @@ projections, followed by a linear classification head.
 
 from __future__ import annotations
 
-import hashlib
 import json
 from dataclasses import dataclass, asdict
 
@@ -44,15 +43,12 @@ class FusionConfig:
     fused_dim: int = 32
     gate_hidden: int | None = None  # default 2 * sum(dims)
     multilabel: bool = False
-    dropout_rate: float = 0.1
 
     def __post_init__(self):
         if len(self.dims) != self.modalities:
             raise ValueError("dims length must equal modality count")
         if self.classes < 1 or self.fused_dim < 1:
             raise ValueError("classes and fused_dim must be positive")
-        if not 0.0 <= self.dropout_rate < 1.0:
-            raise ValueError("dropout_rate must be in [0, 1)")
 
     @property
     def gate_input_dim(self) -> int:
@@ -61,11 +57,6 @@ class FusionConfig:
     @property
     def gate_hidden_dim(self) -> int:
         return self.gate_hidden if self.gate_hidden is not None else 2 * sum(self.dims)
-
-
-def config_hash(cfg: FusionConfig) -> str:
-    blob = json.dumps(asdict(cfg), sort_keys=True)
-    return hashlib.sha256(blob.encode("utf-8")).hexdigest()[:16]
 
 
 @dataclass
@@ -174,13 +165,14 @@ class ForwardOutput:
     confidence: T.Tensor
 
 
-def gate_rows(model: FusionModel, batch: MultimodalBatch,
-              uniform_gate: bool = False) -> T.Tensor:
+def gate_rows(model: FusionModel, batch: MultimodalBatch) -> T.Tensor:
     """Mixture weights over observed modalities, one simplex row per sample.
 
-    With ``uniform_gate`` the weights are frozen at uniform over the observed
-    modalities (no gradient to the gate). Raises ``ValueError`` if the
-    weights are non-finite: the gate pass itself does not scan its results.
+    A gate frozen at its initialisation (``requires_grad`` cleared on
+    ``model.gate_parameters()``) gives exactly ``presence / presence.sum(1)``
+    and takes no gradient: its output layer starts at zero, so every logit
+    is 0. Raises ``ValueError`` if the weights are non-finite: the gate pass
+    itself does not scan its results.
     """
     cfg = model.cfg
     if batch.num_modalities != cfg.modalities or batch.dims != tuple(cfg.dims):
@@ -190,9 +182,6 @@ def gate_rows(model: FusionModel, batch: MultimodalBatch,
     if not presence.any(axis=1).all():
         raise ValueError("every sample needs at least one observed modality")
 
-    if uniform_gate:
-        weights = presence / presence.sum(axis=1, keepdims=True)
-        return T.Tensor(weights)
     gate = model.gate
     h1 = T.relu(T.linear(T.Tensor(model.gate_input(batch)), gate.w1, gate.b1))
     p = T.masked_softmax(T.linear(h1, gate.w2, gate.b2), presence)
@@ -201,13 +190,11 @@ def gate_rows(model: FusionModel, batch: MultimodalBatch,
     return p
 
 
-def forward(model: FusionModel, batch: MultimodalBatch,
-            uniform_gate: bool = False) -> ForwardOutput:
-    """Full fusion pass. With ``uniform_gate`` the mixture weights are frozen
-    at uniform over the observed modalities (no gradient to the gate).
-    Raises ``ValueError`` if the gate weights or the logits are non-finite."""
+def forward(model: FusionModel, batch: MultimodalBatch) -> ForwardOutput:
+    """Full fusion pass. Raises ``ValueError`` if the gate weights or the
+    logits are non-finite."""
     cfg = model.cfg
-    p = gate_rows(model, batch, uniform_gate=uniform_gate)
+    p = gate_rows(model, batch)
     # a reported statistic, kept off the tape: the loss records its own
     gate_entropy = T.entropy_rows(T.Tensor(p.data))
 
@@ -225,7 +212,7 @@ def forward(model: FusionModel, batch: MultimodalBatch,
 
 
 def predict_subset(model: FusionModel, batch: MultimodalBatch,
-                   observed: SubsetMask, uniform_gate: bool = False) -> ForwardOutput:
+                   observed: SubsetMask) -> ForwardOutput:
     """Evaluate the predictor defined by an observed-modality subset.
 
     Identical to masking the complement of ``observed`` and running forward.
@@ -233,13 +220,12 @@ def predict_subset(model: FusionModel, batch: MultimodalBatch,
     if observed.count == 0:
         raise ValueError("observed subset must be nonempty")
     masked = apply_mask(batch, drop=observed.complement())
-    return forward(model, masked, uniform_gate=uniform_gate)
+    return forward(model, masked)
 
 
 def lattice_forward(model: FusionModel, clean: MultimodalBatch,
                     pairs: list[tuple[SubsetMask, SubsetMask]],
                     head: MultimodalBatch | None = None,
-                    uniform_gate: bool = False,
                     ) -> tuple[ForwardOutput, dict[SubsetMask, T.Tensor]]:
     """One forward over ``head`` (if given) stacked above one view of
     ``clean`` per subset the pairs mention (see ``stack_views``).
@@ -250,8 +236,7 @@ def lattice_forward(model: FusionModel, clean: MultimodalBatch,
     through them reach the parameters as they would through that call.
     """
     subsets = list(dict.fromkeys(s for pair in pairs for s in pair))
-    out = forward(model, stack_views(clean, subsets, head=head),
-                  uniform_gate=uniform_gate)
+    out = forward(model, stack_views(clean, subsets, head=head))
     lo = head.n if head is not None else 0
     conf = {}
     for subset in subsets:
@@ -277,15 +262,34 @@ def save_checkpoint(model: FusionModel, path) -> None:
 
 
 def load_checkpoint(path) -> FusionModel:
+    """Model saved by ``save_checkpoint``. Raises ``ValueError`` if the stored
+    config does not build a ``FusionConfig`` (e.g. a key this version no
+    longer has), or an array's shape does not fit that config, or an array
+    holds a non-finite value."""
     with np.load(path) as z:
-        cfg_dict = json.loads(bytes(z["config_json"].tobytes()).decode("utf-8"))
-        cfg_dict["dims"] = tuple(cfg_dict["dims"])
-        cfg = FusionConfig(**cfg_dict)
-        model = FusionModel.from_seed(cfg, seed=0)
-        for name, t in model.parameters():
-            t.data = z[name.replace(".", "_")].astype(np.float64)
-        model.norm_mean = [z[f"norm_mean_{m}"].astype(np.float64)
-                           for m in range(cfg.modalities)]
-        model.norm_std = [z[f"norm_std_{m}"].astype(np.float64)
-                          for m in range(cfg.modalities)]
-    return model
+        try:
+            cfg_dict = json.loads(bytes(z["config_json"].tobytes()).decode("utf-8"))
+            cfg_dict["dims"] = tuple(cfg_dict["dims"])
+            cfg = FusionConfig(**cfg_dict)
+        except TypeError as exc:
+            raise ValueError(f"checkpoint config does not fit: {exc}") from exc
+
+        def load(key: str, shape: tuple[int, ...]) -> T.Tensor:
+            arr = z[key]
+            if arr.shape != shape:
+                raise ValueError(f"checkpoint array {key} has shape "
+                                 f"{arr.shape}, the config needs {shape}")
+            return T.Tensor(arr, requires_grad=True)  # rejects non-finite data
+
+        layout = FusionModel.from_seed(cfg, seed=0)
+        params = {name: load(name.replace(".", "_"), t.shape)
+                  for name, t in layout.parameters()}
+        norm_mean = [load(f"norm_mean_{m}", (d,)).data
+                     for m, d in enumerate(cfg.dims)]
+        norm_std = [load(f"norm_std_{m}", (d,)).data
+                    for m, d in enumerate(cfg.dims)]
+    gate = GateState(w1=params["gate.w1"], b1=params["gate.b1"],
+                     w2=params["gate.w2"], b2=params["gate.b2"])
+    proj = [params[f"proj.{m}"] for m in range(cfg.modalities)]
+    return FusionModel(cfg, gate, proj, params["head.w"], params["head.b"],
+                       norm_mean, norm_std)

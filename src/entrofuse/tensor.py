@@ -25,10 +25,7 @@ __all__ = [
     "Tape",
     "add",
     "bce_with_logits",
-    "col",
     "dot_const",
-    "dropout",
-    "entropy",
     "entropy_rows",
     "grad_check",
     "linear",
@@ -404,22 +401,6 @@ def row_max(x: Tensor) -> Tensor:
     return _maybe_record(out, (x,), backward)
 
 
-def col(x: Tensor, j: int) -> Tensor:
-    if x.data.ndim != 2 or not (0 <= j < x.shape[1]):
-        raise ValueError(f"col({j}) out of range for shape {x.shape}")
-    out = _result(x.data[:, j].copy())
-
-    def backward():
-        if out.grad is None:
-            return
-        if x.requires_grad:
-            g = np.zeros_like(x.data)
-            g[:, j] = out.grad
-            _accum(x, g)
-
-    return _maybe_record(out, (x,), backward)
-
-
 def pick(x: Tensor, idx: np.ndarray) -> Tensor:
     """Gather x[i, idx[i]] into a vector; backward scatters."""
     if x.data.ndim != 2:
@@ -549,24 +530,6 @@ def bce_with_logits(logits: Tensor, targets: np.ndarray) -> Tensor:
     return _maybe_record(out, (logits,), backward)
 
 
-def dropout(x: Tensor, rate: float, rng: np.random.Generator) -> Tensor:
-    """Inverted dropout: kept entries scaled by 1/(1-rate). rate=0 is identity."""
-    if not 0.0 <= rate < 1.0:
-        raise ValueError(f"dropout rate must be in [0, 1), got {rate}")
-    if rate == 0.0:
-        return x
-    scale = (rng.random(x.shape) >= rate) / (1.0 - rate)
-    out = _result(x.data * scale)
-
-    def backward():
-        if out.grad is None:
-            return
-        if x.requires_grad:
-            _accum(x, out.grad * scale)
-
-    return _maybe_record(out, (x,), backward)
-
-
 # ---------------------------------------------------------------------------
 # plain scalar/array helpers (no tape)
 # ---------------------------------------------------------------------------
@@ -576,18 +539,6 @@ def softplus(x):
     x = np.asarray(x, dtype=np.float64)
     out = np.maximum(x, 0.0) + np.log1p(np.exp(-np.abs(x)))
     return float(out) if out.ndim == 0 else out
-
-
-def entropy(p, tol: float = 1e-9) -> float:
-    """Shannon entropy in nats of a probability vector; 0*log(0) = 0."""
-    p = np.asarray(p, dtype=np.float64)
-    if p.ndim != 1:
-        raise ValueError("entropy expects a 1-D vector")
-    if p.min() < -tol or abs(p.sum() - 1.0) > tol:
-        raise ValueError("input is not on the probability simplex")
-    p = np.clip(p, 0.0, None)
-    pos = p > 0.0
-    return float(-(p[pos] * np.log(p[pos])).sum())
 
 
 def grad_check(f: Callable[[Tensor], Tensor], x: Tensor, eps: float = 1e-5) -> float:

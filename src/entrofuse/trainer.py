@@ -61,7 +61,6 @@ class TrainConfig:
     schedules: Schedules = field(default_factory=lambda: Schedules(mode="acm"))
     lam_mode: str = "scheduled"  # "scheduled" or "instance"
     gamma: float = 0.1
-    beta: float = 0.0
     ablation: str = "full"
     single_modality_index: int = 0
     seed: int = 0
@@ -79,8 +78,8 @@ class TrainConfig:
     def __post_init__(self):
         if not 0.0 < self.lr_base <= self.lr_gate:
             raise ValueError("need lr_gate >= lr_base > 0")
-        if self.gamma < 0.0 or self.beta < 0.0:
-            raise ValueError("gamma and beta must be nonnegative")
+        if self.gamma < 0.0:
+            raise ValueError("gamma must be nonnegative")
         if self.epochs < 0 or self.batch_size < 1:
             raise ValueError("epochs must be >= 0 and batch_size >= 1")
         if self.lam_mode not in ("scheduled", "instance"):
@@ -200,9 +199,14 @@ def train(cfg: TrainConfig, data: tuple[MultimodalBatch, MultimodalBatch, Multim
     fcfg = FusionConfig(
         modalities=modalities, dims=train_b.dims, classes=classes,
         fused_dim=cfg.fused_dim, gate_hidden=cfg.gate_hidden,
-        multilabel=multilabel, dropout_rate=cfg.lambda_cfg.rate)
+        multilabel=multilabel)
     model = FusionModel.init(fcfg, stream(cfg.seed, "init"))
     model.fit_norm(train_b)
+    if not sw.gate_on:
+        # frozen at its zero-output initialisation, the gate weights every
+        # observed modality equally (see gate_rows)
+        for t in model.gate_parameters():
+            t.requires_grad = False
 
     opt = AdamW(groups=[
         {"params": model.gate_parameters(), "lr": cfg.lr_gate},
@@ -266,8 +270,7 @@ def train(cfg: TrainConfig, data: tuple[MultimodalBatch, MultimodalBatch, Multim
             with T.Tape() as tape:
                 total, bd = step_loss(
                     model, batch, clean, pairs, lam=lam, gamma=cfg.gamma,
-                    beta=cfg.beta, multilabel=multilabel,
-                    uniform_gate=not sw.gate_on)
+                    multilabel=multilabel)
                 if ref_total is None:
                     ref_total = bd.total
                 guard = cfg.divergence_factor * max(abs(ref_total), 1e-3)
@@ -283,9 +286,8 @@ def train(cfg: TrainConfig, data: tuple[MultimodalBatch, MultimodalBatch, Multim
         mean = sums / steps
         history.append(LossBreakdown(
             total=float(mean[0]), task=float(mean[1]), ent=float(mean[2]),
-            cec=float(mean[3]), mask=0.0, lam=float(mean[4]),
-            gamma=cfg.gamma, beta=cfg.beta))
-        val_out = forward(model, val_b, uniform_gate=not sw.gate_on)
+            cec=float(mean[3]), lam=float(mean[4]), gamma=cfg.gamma))
+        val_out = forward(model, val_b)
         row = _metric_row(val_out.logits.data, val_b.labels, multilabel)
         row["epoch"] = epoch
         row["gate_entropy"] = float(val_out.gate_entropy.data.mean())
@@ -293,14 +295,14 @@ def train(cfg: TrainConfig, data: tuple[MultimodalBatch, MultimodalBatch, Multim
 
     temperature = None
     if cfg.temp_scaling:
-        val_out = forward(model, val_b, uniform_gate=not sw.gate_on)
+        val_out = forward(model, val_b)
         temperature = fit_temperature(val_out.logits.data, val_b.labels,
                                       multilabel=multilabel)
 
     eval_table = evaluate_under_dropout(
         model, test_b, rates=cfg.eval_rates, seeds=cfg.eval_seeds,
         seed=cfg.seed, temperature=temperature or 1.0,
-        uniform_gate=not sw.gate_on, frozen_mask=sw.keep_only is not None)
+        frozen_mask=sw.keep_only is not None)
 
     return RunResult(
         history=history, metric_history=metric_history, eval_table=eval_table,
@@ -313,7 +315,6 @@ def evaluate_under_dropout(model: FusionModel, batch: MultimodalBatch,
                            rates: tuple[float, ...] = (0.0, 0.1, 0.2, 0.3, 0.5),
                            seeds: int = 5, seed: int = 0,
                            temperature: float = 1.0,
-                           uniform_gate: bool = False,
                            frozen_mask: bool = False) -> dict[float, dict[str, float]]:
     """Metrics under test-time modality dropout.
 
@@ -335,7 +336,7 @@ def evaluate_under_dropout(model: FusionModel, batch: MultimodalBatch,
                 masked = apply_mask(batch, per_sample=keep)
             else:
                 masked = batch
-            out = forward(model, masked, uniform_gate=uniform_gate)
+            out = forward(model, masked)
             row = _metric_row(out.logits.data, masked.labels, multilabel,
                               temperature=temperature)
             acc["score"] += row["score"]

@@ -315,8 +315,7 @@ def test_c08_calibration_trend_and_inversion_reduction(bench):
 
 def test_c09_instance_weight_bounds():
     rng = np.random.default_rng(900)
-    cfg = FusionConfig(modalities=2, dims=(6, 6), classes=3, fused_dim=8,
-                       dropout_rate=0.1)
+    cfg = FusionConfig(modalities=2, dims=(6, 6), classes=3, fused_dim=8)
     model = random_model(rng, cfg)
     val = random_batch(rng, 512, cfg.dims, cfg.classes)
     base = LambdaConfig(lam_min=0.01, draws=8)

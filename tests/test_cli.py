@@ -1,5 +1,6 @@
 """Command-line driver: run directories, exit codes, audit reports."""
 
+import json
 import os
 
 import numpy as np
@@ -39,7 +40,7 @@ class TestRunCommand:
         for name in RUN_FILES:
             assert os.path.exists(os.path.join(out, name)), name
         history = open(os.path.join(out, "history.csv")).read().splitlines()
-        assert history[0] == ("epoch,total,task,ent,cec,mask,lam,"
+        assert history[0] == ("epoch,total,task,ent,cec,lam,"
                               "val_score,val_ece,val_gate_entropy")
         assert len(history) == 3  # header + one row per epoch
         eval_rows = open(os.path.join(out, "eval.csv")).read().splitlines()
@@ -203,6 +204,54 @@ class TestAuditCommand:
                      "--config", config_path, "--out", str(tmp_path / "audit")])
         assert code == 1
 
+    @staticmethod
+    def _audit_altered(run_dir, config_path, tmp_path, capsys, alter):
+        """Exit code and stderr of audit on a copy of the run's checkpoint
+        whose arrays ``alter`` has changed in place."""
+        with np.load(os.path.join(run_dir, "checkpoint.npz")) as z:
+            arrays = {name: z[name] for name in z.files}
+        alter(arrays)
+        path = tmp_path / "altered.npz"
+        np.savez(path, **arrays)
+        capsys.readouterr()
+        code = main(["audit", "--checkpoint", str(path), "--config",
+                     config_path, "--out", str(tmp_path / "audit")])
+        return code, capsys.readouterr().err
+
+    def test_checkpoint_config_with_an_unknown_key_exits_one(
+            self, run_dir, config_path, tmp_path, capsys):
+        # checkpoints written while FusionConfig still held dropout_rate
+        def alter(arrays):
+            cfg = json.loads(arrays["config_json"].tobytes())
+            cfg["dropout_rate"] = 0.1
+            arrays["config_json"] = np.frombuffer(
+                json.dumps(cfg).encode("utf-8"), dtype=np.uint8)
+
+        code, err = self._audit_altered(run_dir, config_path, tmp_path,
+                                        capsys, alter)
+        assert code == 1 and "cannot load checkpoint" in err
+        assert "dropout_rate" in err
+
+    def test_checkpoint_array_of_the_wrong_shape_exits_one(
+            self, run_dir, config_path, tmp_path, capsys):
+        def alter(arrays):
+            arrays["head_w"] = arrays["head_w"][:, :-1]
+
+        code, err = self._audit_altered(run_dir, config_path, tmp_path,
+                                        capsys, alter)
+        assert code == 1 and "cannot load checkpoint" in err
+        assert "head_w" in err
+
+    def test_checkpoint_with_a_non_finite_value_exits_one(
+            self, run_dir, config_path, tmp_path, capsys):
+        def alter(arrays):
+            arrays["proj_1"][0, 0] = np.nan
+
+        code, err = self._audit_altered(run_dir, config_path, tmp_path,
+                                        capsys, alter)
+        assert code == 1 and "cannot load checkpoint" in err
+        assert "non-finite" in err
+
 
 class TestExitCodes:
     def test_missing_config_file_is_one(self, tmp_path):
@@ -212,6 +261,23 @@ class TestExitCodes:
         path = tmp_path / "bad.yaml"
         path.write_text("data: [unclosed\n")
         assert main(["run", "--config", str(path)]) == 1
+
+    # audit reads the config only after the checkpoint, so these need one
+    @pytest.fixture
+    def checkpoint(self, config_path, tmp_path):
+        out = str(tmp_path / "run")
+        assert main(["run", "--config", config_path, "--out", out]) == 0
+        return os.path.join(out, "checkpoint.npz")
+
+    def test_audit_missing_config_file_is_one(self, checkpoint, tmp_path):
+        assert main(["audit", "--checkpoint", checkpoint,
+                     "--config", str(tmp_path / "nope.yaml")]) == 1
+
+    def test_audit_bad_yaml_is_one(self, checkpoint, tmp_path):
+        path = tmp_path / "bad.yaml"
+        path.write_text("data: [unclosed\n")
+        assert main(["audit", "--checkpoint", checkpoint,
+                     "--config", str(path)]) == 1
 
     def test_unknown_subcommand_is_one(self):
         assert main(["explode"]) == 1

@@ -74,6 +74,8 @@ class TestParseConfig:
             parse_config(minimal_doc(data={"classs": 3}))
         with pytest.raises(ConfigError, match="'lr' in train"):
             parse_config(minimal_doc(train={"lr": 0.1}))
+        with pytest.raises(ConfigError, match="'beta' in train"):
+            parse_config(minimal_doc(train={"beta": 0.0}))
         with pytest.raises(ConfigError, match="'pi' in train.schedules"):
             parse_config(minimal_doc(train={"schedules": {"pi": 0.1}}))
         with pytest.raises(ConfigError, match="in config"):

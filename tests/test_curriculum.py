@@ -5,8 +5,7 @@ import pytest
 
 from entrofuse.curriculum import (MaskDistribution, Schedules,
                                   acm_distribution, candidate_family,
-                                  masks_to_keep, sample_keep, sample_mask,
-                                  schedule_lambda, schedule_pi)
+                                  sample_keep, schedule_lambda, schedule_pi)
 import entrofuse.model as model_module
 from entrofuse.data import apply_mask
 from entrofuse.model import FusionConfig, FusionModel
@@ -244,6 +243,15 @@ class TestAcmDistribution:
             acm_distribution(model, batch, 0.0)
 
 
+def _ref_drop_subsets(dist, pi_t, n, rng):
+    """Per-sample drop subsets, one loop step per sample: the reference
+    ``sample_keep`` must match draw for draw."""
+    gate = rng.random(n) < pi_t
+    picks = rng.choice(len(dist.support), size=n, p=dist.probs)
+    empty = SubsetMask.empty(len(dist.support[0].bits))
+    return [dist.support[picks[i]] if gate[i] else empty for i in range(n)]
+
+
 class TestSampleMask:
     def _dist(self, probs=(0.5, 0.5)):
         support = tuple(candidate_family(2, "single_drops"))
@@ -253,9 +261,7 @@ class TestSampleMask:
 
     def test_zero_rate_masks_nothing(self):
         dist = self._dist()
-        masks = sample_mask(dist, 0.0, 50, np.random.default_rng(0))
-        assert all(m.count == 0 for m in masks)
-        assert masks_to_keep(masks).all()
+        assert sample_keep(dist, 0.0, 50, np.random.default_rng(0)).all()
 
     def test_sample_keep_equals_subset_route_bitwise(self):
         # same rng stream in, same keep matrix and same post-call rng state out
@@ -263,7 +269,8 @@ class TestSampleMask:
         for pi_t in (0.0, 0.4, 1.0):
             rng_a = np.random.default_rng(21)
             rng_b = np.random.default_rng(21)
-            via_subsets = masks_to_keep(sample_mask(dist, pi_t, 40, rng_a))
+            drops = _ref_drop_subsets(dist, pi_t, 40, rng_a)
+            via_subsets = ~np.array([s.bits for s in drops], dtype=bool)
             direct = sample_keep(dist, pi_t, 40, rng_b)
             assert (via_subsets == direct).all()
             assert rng_a.random() == rng_b.random()
@@ -277,19 +284,19 @@ class TestSampleMask:
 
     def test_full_rate_on_degenerate_teacher_always_picks_it(self):
         dist = self._dist(probs=(1.0, 0.0))
-        masks = sample_mask(dist, 1.0, 50, np.random.default_rng(1))
-        assert all(m == dist.support[0] for m in masks)
+        keep = sample_keep(dist, 1.0, 50, np.random.default_rng(1))
+        assert (keep == ~np.array(dist.support[0].bits)).all()
 
     def test_masked_fraction_tracks_rate(self):
         dist = self._dist()
-        masks = sample_mask(dist, 0.5, 100_000, np.random.default_rng(2))
-        frac = np.mean([m.count > 0 for m in masks])
+        keep = sample_keep(dist, 0.5, 100_000, np.random.default_rng(2))
+        frac = np.mean(~keep.all(axis=1))
         np.testing.assert_allclose(frac, 0.5, rtol=0, atol=0.01)
 
     def test_pick_frequencies_track_teacher_probs(self):
         dist = self._dist(probs=(0.8, 0.2))
-        masks = sample_mask(dist, 1.0, 100_000, np.random.default_rng(3))
-        frac0 = np.mean([m == dist.support[0] for m in masks])
+        keep = sample_keep(dist, 1.0, 100_000, np.random.default_rng(3))
+        frac0 = np.mean(~keep[:, 0])  # support[0] drops modality 0
         np.testing.assert_allclose(frac0, 0.8, rtol=0, atol=0.01)
 
     def test_rng_consumption_is_independent_of_rate(self):
@@ -298,26 +305,20 @@ class TestSampleMask:
         after = []
         for pi_t in (0.0, 0.3, 1.0):
             rng = np.random.default_rng(7)
-            sample_mask(dist, pi_t, 64, rng)
+            sample_keep(dist, pi_t, 64, rng)
             after.append(rng.random(4))
         assert (after[0] == after[1]).all()
         assert (after[0] == after[2]).all()
 
     def test_keep_matrix_inverts_drop_bits(self):
         dist = self._dist(probs=(1.0, 0.0))
-        masks = sample_mask(dist, 1.0, 10, np.random.default_rng(4))
-        keep = masks_to_keep(masks)
+        keep = sample_keep(dist, 1.0, 10, np.random.default_rng(4))
         assert keep.shape == (10, 2)
         assert (~keep[:, 0]).all()  # support[0] drops modality 0
         assert keep[:, 1].all()
 
     def test_invalid_arguments_rejected(self):
         dist = self._dist()
-        with pytest.raises(ValueError):
-            sample_mask(dist, -0.1, 10, np.random.default_rng(0))
-        with pytest.raises(ValueError):
-            sample_mask(dist, 1.1, 10, np.random.default_rng(0))
-        with pytest.raises(ValueError):
-            sample_mask(dist, 0.5, 0, np.random.default_rng(0))
-        with pytest.raises(ValueError):
-            masks_to_keep([])
+        for pi_t, n in ((-0.1, 10), (1.1, 10), (0.5, 0)):
+            with pytest.raises(ValueError):
+                sample_keep(dist, pi_t, n, np.random.default_rng(0))

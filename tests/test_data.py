@@ -389,6 +389,10 @@ class TestDatasetIO:
         path.write_bytes(b"NOPE" + b"\x00" * 64)
         with pytest.raises(ValueError):
             load_dataset(path)
+        with open(path, "wb") as fh:
+            np.save(fh, np.zeros(3))  # a lone array, not an archive
+        with pytest.raises(ValueError, match="archive"):
+            load_dataset(path)
 
     def test_truncated_rejected(self, tmp_path):
         spec = SyntheticSpec(classes=5, n_train=20, n_val=5, n_test=5, seed=14)
@@ -398,4 +402,27 @@ class TestDatasetIO:
         blob = path.read_bytes()
         path.write_bytes(blob[: len(blob) // 2])
         with pytest.raises(ValueError):
+            load_dataset(path)
+
+    def _arrays(self, tmp_path):
+        spec = SyntheticSpec(classes=5, n_train=20, n_val=5, n_test=5, seed=15)
+        path = tmp_path / "full.npz"
+        save_dataset(path, *generate(spec), classes=5)
+        with np.load(path) as z:
+            return {k: z[k] for k in z.files}
+
+    def test_missing_array_rejected(self, tmp_path):
+        arrays = self._arrays(tmp_path)
+        del arrays["val_labels"]
+        path = tmp_path / "missing.npz"
+        np.savez(path, **arrays)
+        with pytest.raises(ValueError, match="val_labels"):
+            load_dataset(path)
+
+    def test_disagreeing_row_counts_rejected(self, tmp_path):
+        arrays = self._arrays(tmp_path)
+        arrays["test_features_1"] = arrays["test_features_1"][:-1]
+        path = tmp_path / "rows.npz"
+        np.savez(path, **arrays)
+        with pytest.raises(ValueError, match="row count"):
             load_dataset(path)

@@ -12,7 +12,7 @@ from entrofuse.model import (FusionConfig, FusionModel, forward,
                              lattice_forward, predict_subset)
 from entrofuse.subsets import SubsetMask, subset_lattice
 
-from test_model import random_batch, random_model
+from test_model import frozen_gate_model, random_batch, random_model
 
 
 def softmax_rows(z):
@@ -230,12 +230,12 @@ class TestCompositeLoss:
             logits, p, labels = self._parts(seed)
             cec = T.Tensor(np.array(0.03))
             total, bd = composite_loss(logits, p, labels, lam=0.05, gamma=0.2,
-                                       beta=0.7, cec=cec)
+                                       cec=cec)
             np.testing.assert_allclose(total.item(), bd.composed(), rtol=0,
                                        atol=1e-12)
             np.testing.assert_allclose(
-                bd.total, bd.task + bd.lam * bd.ent + bd.gamma * bd.cec
-                + bd.beta * bd.mask, rtol=0, atol=1e-12)
+                bd.total, bd.task + bd.lam * bd.ent + bd.gamma * bd.cec,
+                rtol=0, atol=1e-12)
 
     def test_component_values_match_independent_terms(self):
         logits, p, labels = self._parts(11)
@@ -246,16 +246,6 @@ class TestCompositeLoss:
         np.testing.assert_allclose(bd.ent, entropy_penalty(p).item(),
                                    rtol=0, atol=1e-12)
         assert bd.cec == 0.5
-        assert bd.mask == 0.0
-
-    def test_mask_slot_is_identically_zero(self):
-        logits, p, labels = self._parts(12)
-        total_a, bd_a = composite_loss(logits, p, labels, lam=0.1, gamma=0.0,
-                                       beta=0.0)
-        total_b, bd_b = composite_loss(logits, p, labels, lam=0.1, gamma=0.0,
-                                       beta=123.0)
-        assert bd_a.mask == 0.0 and bd_b.mask == 0.0
-        np.testing.assert_allclose(total_a.item(), total_b.item(), rtol=0, atol=0)
 
     def test_total_is_linear_in_each_coefficient(self):
         logits, p, labels = self._parts(13)
@@ -355,21 +345,22 @@ class TestCompositeLoss:
     def test_breakdown_is_plain_floats(self):
         logits, p, labels = self._parts(31)
         _, bd = composite_loss(logits, p, labels, lam=0.1, gamma=0.0)
-        for field in ("total", "task", "ent", "cec", "mask", "lam", "gamma", "beta"):
+        for field in ("total", "task", "ent", "cec", "lam", "gamma"):
             assert type(getattr(bd, field)) is float
 
 
 class TestStackedStep:
     """The stacked pass against its reference: ``forward`` on the masked
-    batch plus one ``predict_subset`` call per lattice subset."""
+    batch plus one ``predict_subset`` call per lattice subset, with the gate
+    trained or frozen as the no_gate ablation freezes it."""
 
-    CASES = [(m, uniform) for m in (2, 3, 4) for uniform in (False, True)]
+    CASES = [(m, frozen) for m in (2, 3, 4) for frozen in (False, True)]
 
-    def _setup(self, seed, m):
+    def _setup(self, seed, m, frozen=False):
         rng = np.random.default_rng(seed)
         cfg = FusionConfig(modalities=m, dims=(3, 4, 2, 5)[:m], classes=4,
                            fused_dim=5)
-        model = random_model(rng, cfg)
+        model = (frozen_gate_model if frozen else random_model)(rng, cfg)
         clean = random_batch(rng, 7, cfg.dims, cfg.classes)
         keep = bernoulli_mask(clean.n, m, 0.4, rng)
         return model, apply_mask(clean, per_sample=keep), clean, cec_pairs(m)
@@ -378,9 +369,9 @@ class TestStackedStep:
     def _subsets(pairs):
         return list(dict.fromkeys(s for pair in pairs for s in pair))
 
-    def _reference_loss(self, model, batch, clean, pairs, uniform):
-        out = forward(model, batch, uniform_gate=uniform)
-        conf = {s: predict_subset(model, clean, s, uniform_gate=uniform).confidence
+    def _reference_loss(self, model, batch, clean, pairs):
+        out = forward(model, batch)
+        conf = {s: predict_subset(model, clean, s).confidence
                 for s in self._subsets(pairs)}
         return composite_loss(out.logits, out.p, batch.labels, lam=0.05,
                               gamma=2.0, cec=cec_loss(conf, pairs))[0]
@@ -396,14 +387,13 @@ class TestStackedStep:
                              else param.grad.copy()
                              for name, param in model.parameters()}
 
-    @pytest.mark.parametrize("m,uniform", CASES)
-    def test_every_view_matches_its_reference_forward(self, m, uniform):
-        model, batch, clean, pairs = self._setup(70 + m, m)
-        out, conf = lattice_forward(model, clean, pairs, head=batch,
-                                    uniform_gate=uniform)
-        views = [(forward(model, batch, uniform_gate=uniform), 0)]
+    @pytest.mark.parametrize("m,frozen", CASES)
+    def test_every_view_matches_its_reference_forward(self, m, frozen):
+        model, batch, clean, pairs = self._setup(70 + m, m, frozen)
+        out, conf = lattice_forward(model, clean, pairs, head=batch)
+        views = [(forward(model, batch), 0)]
         for i, subset in enumerate(self._subsets(pairs)):
-            sub = predict_subset(model, clean, subset, uniform_gate=uniform)
+            sub = predict_subset(model, clean, subset)
             views.append((sub, batch.n + i * clean.n))
             np.testing.assert_allclose(conf[subset].data, sub.confidence.data,
                                        rtol=0, atol=1e-12)
@@ -415,19 +405,17 @@ class TestStackedStep:
                                            getattr(ref, field).data,
                                            rtol=0, atol=1e-12)
 
-    @pytest.mark.parametrize("m,uniform", CASES)
-    def test_step_loss_and_gradients_match_reference(self, m, uniform):
-        model, batch, clean, pairs = self._setup(80 + m, m)
+    @pytest.mark.parametrize("m,frozen", CASES)
+    def test_step_loss_and_gradients_match_reference(self, m, frozen):
+        model, batch, clean, pairs = self._setup(80 + m, m, frozen)
         got_loss, got = self._loss_and_grads(model, lambda: step_loss(
-            model, batch, clean, pairs, lam=0.05, gamma=2.0,
-            uniform_gate=uniform)[0])
+            model, batch, clean, pairs, lam=0.05, gamma=2.0)[0])
         want_loss, want = self._loss_and_grads(
-            model, lambda: self._reference_loss(model, batch, clean, pairs,
-                                                uniform))
+            model, lambda: self._reference_loss(model, batch, clean, pairs))
         assert abs(got_loss - want_loss) <= 1e-12 * abs(want_loss)
         for name, g in want.items():
             if g is None:
-                assert uniform and name.startswith("gate."), name
+                assert frozen and name.startswith("gate."), name
                 assert got[name] is None, name
                 continue
             scale = np.abs(g).max()

@@ -7,7 +7,7 @@ import entrofuse.tensor as T
 from entrofuse.data import MultimodalBatch, apply_mask
 from entrofuse.losses import cec_pairs, step_loss
 from entrofuse.model import (ForwardOutput, FusionConfig, FusionModel,
-                             config_hash, forward, gate_rows, load_checkpoint,
+                             forward, gate_rows, load_checkpoint,
                              predict_subset, save_checkpoint)
 from entrofuse.rng import stream
 from entrofuse.subsets import SubsetMask, nonempty_subsets
@@ -30,6 +30,26 @@ def random_model(rng, cfg):
     for _, t in model.parameters():
         t.data = rng.normal(scale=0.5, size=t.data.shape)
     return model
+
+
+def frozen_gate_model(rng, cfg):
+    """A model as the no_gate ablation trains it: the gate output layer at
+    its zero initialisation and no gate parameter taking a gradient. The
+    first gate layer and every other weight are scattered."""
+    model = random_model(rng, cfg)
+    model.gate.w2.data[:] = 0.0
+    model.gate.b2.data[:] = 0.0
+    for t in model.gate_parameters():
+        t.requires_grad = False
+    return model
+
+
+def random_presence(rng, n, m):
+    """Random presence pattern that leaves every row at least one modality."""
+    presence = rng.random((n, m)) < rng.uniform(0.1, 0.9)
+    empty = np.flatnonzero(~presence.any(axis=1))
+    presence[empty, rng.integers(0, m, size=empty.size)] = True
+    return presence
 
 
 class TestGateWeights:
@@ -91,29 +111,36 @@ class TestGateWeights:
             assert (out.gate_entropy.data <= bound + 1e-12).all()
             assert (out.gate_entropy.data >= -1e-12).all()
 
-    def test_uniform_gate_freezes_weights_at_observed_average(self):
-        rng = np.random.default_rng(4)
-        cfg = FusionConfig(modalities=3, dims=(4, 3, 5), classes=4, fused_dim=6)
-        model = random_model(rng, cfg)
-        presence = np.array([[True, True, True],
-                             [True, False, True],
-                             [False, False, True]] * 4)
-        batch = random_batch(rng, 12, cfg.dims, cfg.classes, presence)
-        out = forward(model, batch, uniform_gate=True)
-        expected = presence / presence.sum(axis=1, keepdims=True)
-        np.testing.assert_allclose(out.p.data, expected, rtol=0, atol=0)
+    def test_frozen_gate_rows_are_the_observed_average(self):
+        # property over random presence patterns, exact to the last bit
+        for m in (2, 3, 4):
+            cfg = FusionConfig(modalities=m, dims=(4, 3, 5, 2)[:m], classes=4,
+                               fused_dim=6)
+            for k in range(10):
+                rng = np.random.default_rng(100 * m + k)
+                model = frozen_gate_model(rng, cfg)
+                presence = random_presence(rng, 32, m)
+                batch = random_batch(rng, 32, cfg.dims, cfg.classes, presence)
+                expected = presence / presence.sum(axis=1, keepdims=True)
+                assert np.array_equal(gate_rows(model, batch).data, expected)
 
-    def test_uniform_gate_sends_no_gradient_to_gate(self):
-        rng = np.random.default_rng(5)
-        cfg = FusionConfig(modalities=2, dims=(3, 3), classes=3, fused_dim=4)
-        model = random_model(rng, cfg)
-        batch = random_batch(rng, 6, cfg.dims, cfg.classes)
-        with T.Tape() as tape:
-            out = forward(model, batch, uniform_gate=True)
-            tape.backward(T.mean_all(out.logits))
-        for t in model.gate_parameters():
-            assert t.grad is None
-        assert model.head_w.grad is not None
+    def test_frozen_gate_gets_no_gradient(self):
+        for m in (2, 3, 4):
+            cfg = FusionConfig(modalities=m, dims=(4, 3, 5, 2)[:m], classes=4,
+                               fused_dim=6)
+            for k in range(5):
+                rng = np.random.default_rng(500 + 100 * m + k)
+                model = frozen_gate_model(rng, cfg)
+                clean = random_batch(rng, 16, cfg.dims, cfg.classes)
+                batch = apply_mask(clean,
+                                   per_sample=random_presence(rng, 16, m))
+                with T.Tape() as tape:
+                    total, _ = step_loss(model, batch, clean, cec_pairs(m),
+                                         lam=0.05, gamma=2.0)
+                    tape.backward(total)
+                assert all(t.grad is None for t in model.gate_parameters())
+                assert all(t.grad is not None
+                           for t in model.base_parameters())
 
 
 class TestForwardValues:
@@ -305,10 +332,6 @@ class TestValidation:
         with pytest.raises(ValueError):
             FusionConfig(modalities=3, dims=(4, 4), classes=2)
 
-    def test_dropout_rate_domain(self):
-        with pytest.raises(ValueError):
-            FusionConfig(modalities=1, dims=(4,), classes=2, dropout_rate=1.0)
-
     def test_forward_rejects_mismatched_batch(self):
         rng = np.random.default_rng(60)
         model = FusionModel.init(
@@ -366,30 +389,11 @@ class TestTapeSize:
         assert tape.num_recorded == 36
 
 
-class TestConfigHash:
-    def test_equal_configs_hash_equal(self):
-        a = FusionConfig(modalities=2, dims=(3, 3), classes=2)
-        b = FusionConfig(modalities=2, dims=(3, 3), classes=2)
-        assert config_hash(a) == config_hash(b)
-        assert len(config_hash(a)) == 16
-        int(config_hash(a), 16)  # hex
-
-    def test_any_field_change_alters_hash(self):
-        base = FusionConfig(modalities=2, dims=(3, 3), classes=2)
-        variants = [
-            FusionConfig(modalities=2, dims=(3, 3), classes=3),
-            FusionConfig(modalities=2, dims=(3, 3), classes=2, fused_dim=8),
-            FusionConfig(modalities=2, dims=(3, 3), classes=2, multilabel=True),
-        ]
-        for v in variants:
-            assert config_hash(v) != config_hash(base)
-
-
 class TestCheckpoint:
     def test_round_trip_preserves_everything(self, tmp_path):
         rng = np.random.default_rng(70)
         cfg = FusionConfig(modalities=2, dims=(3, 4), classes=3, fused_dim=5,
-                           gate_hidden=9, multilabel=False, dropout_rate=0.2)
+                           gate_hidden=9, multilabel=False)
         model = random_model(rng, cfg)
         batch = random_batch(rng, 20, cfg.dims, cfg.classes)
         model.fit_norm(batch)

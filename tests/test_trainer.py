@@ -94,8 +94,7 @@ class TestTrainLoop:
         assert res.history == [] and res.metric_history == []
         expect = FusionModel.init(
             FusionConfig(modalities=2, dims=(6, 6), classes=3,
-                         fused_dim=cfg.fused_dim,
-                         dropout_rate=cfg.lambda_cfg.rate),
+                         fused_dim=cfg.fused_dim),
             stream(cfg.seed, "init"))
         expect.fit_norm(data[0])
         for (name, got), (_, want) in zip(res.model.parameters(),
@@ -220,8 +219,7 @@ class TestAblationRuns:
         res = train(cfg, small_data())
         init = FusionModel.init(
             FusionConfig(modalities=2, dims=(6, 6), classes=3,
-                         fused_dim=cfg.fused_dim,
-                         dropout_rate=cfg.lambda_cfg.rate),
+                         fused_dim=cfg.fused_dim),
             stream(cfg.seed, "init"))
         for got, want in zip(res.model.gate_parameters(),
                              init.gate_parameters()):
