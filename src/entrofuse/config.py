@@ -185,12 +185,15 @@ def _build(cls, kwargs: dict, where: str):
 
 def read_yaml(path):
     """The YAML document in a config file; ``ConfigError`` if the file is
-    missing or is not valid YAML."""
+    missing, cannot be read (a directory, no permission, not UTF-8) or is
+    not valid YAML."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             return yaml.safe_load(fh)
     except FileNotFoundError as exc:
         raise ConfigError(f"config file not found: {path}") from exc
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigError(f"cannot read config {path}: {exc}") from exc
     except yaml.YAMLError as exc:
         raise ConfigError(f"malformed config: {exc}") from exc
 

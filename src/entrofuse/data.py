@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import zipfile
 from dataclasses import dataclass, field
-from typing import Sequence
 
 import numpy as np
 
@@ -22,7 +21,6 @@ __all__ = [
     "MultimodalBatch",
     "generate",
     "apply_mask",
-    "stack_views",
     "bernoulli_mask",
     "save_dataset",
     "load_dataset",
@@ -187,47 +185,6 @@ def apply_mask(
     for m in range(out.num_modalities):
         out.features[m][~keep[:, m]] = 0.0
     return out
-
-
-def stack_views(batch: MultimodalBatch, observed: Sequence[SubsetMask],
-                head: MultimodalBatch | None = None) -> MultimodalBatch:
-    """Row-stack ``head`` (if given) above one view of ``batch`` per subset.
-
-    The view for subset S keeps modality m of a row where m is in S and
-    observed in that row; elsewhere it holds the zero fill vector with the
-    presence flag cleared. Block for block this equals
-    ``apply_mask(batch, drop=S.complement())``, built into one preallocated
-    array per modality instead of a masked copy per subset. Rows left with
-    no observed modality are not rejected here; the gate rejects them.
-    """
-    if not observed:
-        raise ValueError("need at least one observed subset")
-    if any(len(s.bits) != batch.num_modalities or s.count == 0
-           for s in observed):
-        raise ValueError("observed subsets must be nonempty and match the "
-                         "modality count")
-    if head is not None and (head.dims != batch.dims
-                             or head.multilabel != batch.multilabel):
-        raise ValueError("head batch layout does not match the viewed batch")
-    n, k = batch.n, len(observed)
-    n0 = head.n if head is not None else 0
-    bits = np.array([s.bits for s in observed], dtype=bool)  # [k, M]
-    view_presence = (bits[:, None, :] & batch.presence[None]).reshape(k * n, -1)
-    features = []
-    for m, f in enumerate(batch.features):
-        stacked = np.zeros((n0 + k * n, f.shape[1]))
-        if head is not None:
-            stacked[:n0] = head.features[m]
-        views = stacked[n0:].reshape(k, n, f.shape[1])
-        views[bits[:, m]] = np.where(batch.presence[:, m:m + 1], f, 0.0)
-        features.append(stacked)
-    heads = [head] if head is not None else []
-    return MultimodalBatch(
-        features=features,
-        presence=np.concatenate([h.presence for h in heads] + [view_presence]),
-        labels=np.concatenate([h.labels for h in heads] + [batch.labels] * k),
-        multilabel=batch.multilabel,
-    )
 
 
 def bernoulli_mask(n: int, modalities: int, pi: float,

@@ -87,12 +87,35 @@ def cec_pairs(modalities: int, rng: np.random.Generator | None = None,
     return [pairs[i] for i in sorted(chosen)]
 
 
+def _views(pairs: list[tuple[SubsetMask, SubsetMask]], presence: np.ndarray
+           ) -> tuple[list[SubsetMask], np.ndarray]:
+    """The subsets the pairs mention, in first-mention order, and their
+    [V, n, M] views of rows with this presence: each subset's modalities
+    that the row observes."""
+    if not pairs:
+        raise ValueError("need at least one subset pair")
+    subsets = list(dict.fromkeys(s for pair in pairs for s in pair))
+    bits = np.array([s.bits for s in subsets], dtype=bool)
+    if bits.shape[1] != presence.shape[1]:
+        raise ValueError("subset length does not match the modality count")
+    return subsets, bits[:, None, :] & presence[None]
+
+
+def _confidences(out, subsets: list[SubsetMask], n: int
+                 ) -> dict[SubsetMask, T.Tensor]:
+    return {s: T.rows(out.confidence, v * n, (v + 1) * n)
+            for v, s in enumerate(subsets)}
+
+
 def subset_confidences(model, batch: MultimodalBatch,
                        pairs: list[tuple[SubsetMask, SubsetMask]]
                        ) -> dict[SubsetMask, T.Tensor]:
-    """Per-sample confidence for every subset a pair mentions, from one
-    stacked forward over a view of the batch per subset."""
-    return lattice_forward(model, batch, pairs)[1]
+    """Per-sample confidence for every subset a pair mentions, each equal
+    to ``predict_subset(model, batch, subset).confidence`` up to round-off:
+    one ``lattice_forward`` over a view of the batch's rows per subset,
+    read back in row blocks."""
+    subsets, views = _views(pairs, batch.presence)
+    return _confidences(lattice_forward(model, batch, views), subsets, batch.n)
 
 
 def cec_loss(conf_by_subset: dict[SubsetMask, T.Tensor],
@@ -172,20 +195,33 @@ def step_loss(model, batch: MultimodalBatch, clean: MultimodalBatch,
               pairs: list[tuple[SubsetMask, SubsetMask]] | None, *,
               lam: float | np.ndarray, gamma: float,
               multilabel: bool = False) -> tuple[T.Tensor, LossBreakdown]:
-    """Objective of one training step on the active tape, from one forward.
+    """Objective of one training step on the active tape.
 
     ``batch`` is the curriculum-masked minibatch and ``clean`` the same rows
-    unmasked. Without pairs the forward covers ``batch`` alone and the
-    consistency term is off. With pairs, ``batch`` is stacked above one view
-    of ``clean`` per subset the pairs mention; the task and entropy terms
-    read the first ``batch.n`` rows, the consistency term the views.
+    unmasked. Without pairs, one ``forward`` over ``batch`` feeds the task
+    and entropy terms and the consistency term is off. With pairs, one
+    ``lattice_forward`` over ``clean`` holds a view per subset the pairs
+    mention, which the consistency term reads; the task and entropy terms
+    read each masked row from a view whose row has the same presence
+    pattern, so only ``batch``'s presence and labels are used. That is every
+    row when all nonempty subsets are viewed (up to 4 modalities); rows no
+    view holds get one extra view with ``batch``'s presence.
     """
     if pairs is None:
         out = forward(model, batch)
         return composite_loss(out.logits, out.p, batch.labels, lam=lam,
                               gamma=0.0, multilabel=multilabel)
-    out, conf = lattice_forward(model, clean, pairs, head=batch)
-    n = batch.n
-    return composite_loss(T.rows(out.logits, 0, n), T.rows(out.p, 0, n),
+    n = clean.n
+    if batch.n != n or (batch.presence & ~clean.presence).any():
+        raise ValueError("batch must be a masked copy of clean")
+    subsets, views = _views(pairs, clean.presence)
+    held = (views == batch.presence).all(axis=2)  # [V, n]
+    if not held.any(axis=0).all():
+        views = np.concatenate([views, batch.presence[None]])
+        held = np.concatenate([held, np.ones((1, n), dtype=bool)])
+    out = lattice_forward(model, clean, views)
+    idx = held.argmax(axis=0) * n + np.arange(n)
+    return composite_loss(T.gather(out.logits, idx), T.gather(out.p, idx),
                           batch.labels, lam=lam, gamma=gamma,
-                          cec=cec_loss(conf, pairs), multilabel=multilabel)
+                          cec=cec_loss(_confidences(out, subsets, n), pairs),
+                          multilabel=multilabel)

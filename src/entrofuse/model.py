@@ -15,7 +15,7 @@ from dataclasses import dataclass, asdict
 import numpy as np
 
 from . import tensor as T
-from .data import MultimodalBatch, apply_mask, stack_views
+from .data import MultimodalBatch, apply_mask
 from .rng import stream
 from .subsets import SubsetMask, subset_lattice, nonempty_subsets  # noqa: F401
 
@@ -154,15 +154,56 @@ class FusionModel:
 
 @dataclass
 class ForwardOutput:
-    """Per-sample gate weights, gate entropy (nats), fused features, logits
-    and max-class confidence. Fields are tape tensors; use ``.data``. The
-    gate entropy is not recorded on the tape, so no gradient reaches it."""
+    """Per-sample gate weights, fused features, logits and max-class
+    confidence. Fields are tape tensors; use ``.data``. The gate entropy
+    (nats) is computed from the weights when read, off the tape, so no
+    gradient reaches it: the loss records its own."""
 
     p: T.Tensor
-    gate_entropy: T.Tensor
     z: T.Tensor
     logits: T.Tensor
     confidence: T.Tensor
+
+    @property
+    def gate_entropy(self) -> T.Tensor:
+        return T.entropy_rows(T.Tensor(self.p.data))
+
+
+def _check_layout(model: FusionModel, batch: MultimodalBatch) -> None:
+    if (batch.num_modalities != model.cfg.modalities
+            or batch.dims != tuple(model.cfg.dims)):
+        raise ValueError(f"batch layout {batch.dims} does not match model "
+                         f"{tuple(model.cfg.dims)}")
+
+
+def _check_rows(presence: np.ndarray) -> None:
+    if not presence.any(axis=1).all():
+        raise ValueError("every sample needs at least one observed modality")
+
+
+def _gate_weights(model: FusionModel, pre: T.Tensor,
+                  keep: np.ndarray) -> T.Tensor:
+    """ReLU, gate layer 2 and the softmax masked to ``keep``, from gate
+    layer 1's pre-activation. Raises ``ValueError`` if the weights are
+    non-finite: the gate pass itself does not scan its results."""
+    gate = model.gate
+    p = T.masked_softmax(T.linear(T.relu(pre), gate.w2, gate.b2), keep)
+    if not np.isfinite(p.data).all():
+        raise ValueError("gate weights are non-finite")
+    return p
+
+
+def _head(model: FusionModel, p: T.Tensor, z: T.Tensor) -> ForwardOutput:
+    """Head and confidence over fused rows. Raises ``ValueError`` if the
+    logits are non-finite."""
+    logits = T.linear(z, model.head_w, model.head_b)
+    if not np.isfinite(logits.data).all():
+        raise ValueError("logits are non-finite")
+    if model.cfg.multilabel:
+        confidence = T.row_max(T.sigmoid(logits))
+    else:
+        confidence = T.row_max(T.softmax(logits))
+    return ForwardOutput(p=p, z=z, logits=logits, confidence=confidence)
 
 
 def gate_rows(model: FusionModel, batch: MultimodalBatch) -> T.Tensor:
@@ -171,44 +212,22 @@ def gate_rows(model: FusionModel, batch: MultimodalBatch) -> T.Tensor:
     A gate frozen at its initialisation (``requires_grad`` cleared on
     ``model.gate_parameters()``) gives exactly ``presence / presence.sum(1)``
     and takes no gradient: its output layer starts at zero, so every logit
-    is 0. Raises ``ValueError`` if the weights are non-finite: the gate pass
-    itself does not scan its results.
+    is 0. Raises ``ValueError`` if the weights are non-finite.
     """
-    cfg = model.cfg
-    if batch.num_modalities != cfg.modalities or batch.dims != tuple(cfg.dims):
-        raise ValueError(
-            f"batch layout {batch.dims} does not match model {tuple(cfg.dims)}")
-    presence = batch.presence
-    if not presence.any(axis=1).all():
-        raise ValueError("every sample needs at least one observed modality")
-
+    _check_layout(model, batch)
+    _check_rows(batch.presence)
     gate = model.gate
-    h1 = T.relu(T.linear(T.Tensor(model.gate_input(batch)), gate.w1, gate.b1))
-    p = T.masked_softmax(T.linear(h1, gate.w2, gate.b2), presence)
-    if not np.isfinite(p.data).all():
-        raise ValueError("gate weights are non-finite")
-    return p
+    pre = T.linear(T.Tensor(model.gate_input(batch)), gate.w1, gate.b1)
+    return _gate_weights(model, pre, batch.presence)
 
 
 def forward(model: FusionModel, batch: MultimodalBatch) -> ForwardOutput:
     """Full fusion pass. Raises ``ValueError`` if the gate weights or the
     logits are non-finite."""
-    cfg = model.cfg
     p = gate_rows(model, batch)
-    # a reported statistic, kept off the tape: the loss records its own
-    gate_entropy = T.entropy_rows(T.Tensor(p.data))
-
-    z = T.mix(p, [T.matmul(T.Tensor(batch.features[m]), model.proj[m])
-                  for m in range(cfg.modalities)])
-    logits = T.linear(z, model.head_w, model.head_b)
-    if not np.isfinite(logits.data).all():
-        raise ValueError("logits are non-finite")
-    if cfg.multilabel:
-        confidence = T.row_max(T.sigmoid(logits))
-    else:
-        confidence = T.row_max(T.softmax(logits))
-    return ForwardOutput(p=p, gate_entropy=gate_entropy, z=z,
-                         logits=logits, confidence=confidence)
+    z = T.mix(p, [T.matmul(T.Tensor(f), w)
+                  for f, w in zip(batch.features, model.proj)])
+    return _head(model, p, z)
 
 
 def predict_subset(model: FusionModel, batch: MultimodalBatch,
@@ -224,25 +243,51 @@ def predict_subset(model: FusionModel, batch: MultimodalBatch,
 
 
 def lattice_forward(model: FusionModel, clean: MultimodalBatch,
-                    pairs: list[tuple[SubsetMask, SubsetMask]],
-                    head: MultimodalBatch | None = None,
-                    ) -> tuple[ForwardOutput, dict[SubsetMask, T.Tensor]]:
-    """One forward over ``head`` (if given) stacked above one view of
-    ``clean`` per subset the pairs mention (see ``stack_views``).
+                    views: np.ndarray) -> ForwardOutput:
+    """Forward over V views of the rows of ``clean`` without a masked copy.
 
-    Returns the stacked output, whose first ``head.n`` rows belong to
-    ``head``, and each subset's confidence rows. Each subset's rows equal
-    ``predict_subset(model, clean, subset)`` row for row, and gradients
-    through them reach the parameters as they would through that call.
+    ``views`` is a [V, n, M] presence pattern, each row a nonempty part of
+    that row's observed set. Row ``v * n + i`` of the output is row i of
+    ``forward`` on ``clean`` masked to ``views[v, i]``, up to round-off.
+    Each modality's gate layer-1 product (its standardised block and flag
+    times its rows of the layer's weight) and its projection are computed
+    once on the clean rows; each view row sums them with ``T.blend``, by
+    its presence pattern and then by its gate weights. Raises
+    ``ValueError`` as ``forward`` does, and for a view row with no
+    observed modality.
     """
-    subsets = list(dict.fromkeys(s for pair in pairs for s in pair))
-    out = forward(model, stack_views(clean, subsets, head=head))
-    lo = head.n if head is not None else 0
-    conf = {}
-    for subset in subsets:
-        conf[subset] = T.rows(out.confidence, lo, lo + clean.n)
-        lo += clean.n
-    return out, conf
+    _check_layout(model, clean)
+    views = np.asarray(views, dtype=bool)
+    if views.ndim != 3 or views.shape[1:] != clean.presence.shape:
+        raise ValueError(f"views {views.shape} need [V, {clean.n}, "
+                         f"{clean.num_modalities}]")
+    if (views & ~clean.presence).any():
+        raise ValueError("a view keeps a modality its row does not observe")
+    keep = views.reshape(-1, clean.num_modalities)
+    _check_rows(keep)
+
+    # A row observing one modality gets weight exactly 1 on it from the
+    # masked softmax, and passes no gradient back into the gate, so the
+    # gate runs only on views with a row observing more.
+    p = T.Tensor(keep.astype(np.float64))
+    gated = np.flatnonzero((views.sum(axis=2) > 1).any(axis=1))
+    if gated.size:
+        rows = (gated[:, None] * clean.n + np.arange(clean.n)).ravel()
+        x = model.gate_input(clean)
+        edges = np.cumsum((0,) + clean.dims)
+        gate = model.gate
+        layer1 = []
+        for m in range(clean.num_modalities):
+            cols = np.append(np.arange(edges[m], edges[m + 1]), edges[-1] + m)
+            layer1.append(T.matmul(T.Tensor(x[:, cols]),
+                                   T.gather(gate.w1, cols)))
+        pre = T.blend(T.Tensor(p.data[rows]), layer1, gate.b1)
+        p_gated = _gate_weights(model, pre, keep[rows])
+        p = (p_gated if gated.size == len(views)
+             else T.put_rows(p, rows, p_gated))
+    z = T.blend(p, [T.matmul(T.Tensor(f), w)
+                    for f, w in zip(clean.features, model.proj)])
+    return _head(model, p, z)
 
 
 # ---------------------------------------------------------------------------

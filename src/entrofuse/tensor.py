@@ -1,15 +1,18 @@
 """Dense float64 tensors with a replayable reverse-mode gradient tape.
 
 The op set is deliberately small: just enough for two-layer MLPs, softmax
-heads, mixture gating and the fusion losses. ``linear`` (``x @ w + b``) and
-``mix`` (the gate-weighted sum of per-modality blocks) are single fused
-nodes. No broadcasting beyond those two, no views, no GPU.
+heads, mixture gating and the fusion losses. ``linear`` (``x @ w + b``),
+``mix`` (the gate-weighted sum of per-modality blocks) and ``blend`` (the
+same sum for V views of n shared rows, one batched matmul) are single
+fused nodes; ``rows`` and ``gather`` copy out rows by range or by index,
+and ``put_rows`` writes rows by index into a copy.
+No broadcasting beyond those, no views, no GPU.
 
 Finiteness is checked at the boundaries, not on every op result:
 ``Tensor(data)`` rejects non-finite data and parameters coming from
 outside, op results skip that scan, and the model rejects non-finite gate
-weights (``gate_rows``) and logits (``forward``), which every read and
-train path passes through. The trainer's divergence guard and AdamW's
+weights and logits on every read and train path (``forward``, ``gate_rows``
+and ``lattice_forward``). The trainer's divergence guard and AdamW's
 gradient check cover the loss and the backward pass.
 """
 
@@ -25,8 +28,10 @@ __all__ = [
     "Tape",
     "add",
     "bce_with_logits",
+    "blend",
     "dot_const",
     "entropy_rows",
+    "gather",
     "grad_check",
     "linear",
     "log_softmax",
@@ -37,6 +42,7 @@ __all__ = [
     "mul",
     "mul_scalar",
     "pick",
+    "put_rows",
     "relu",
     "row_max",
     "rows",
@@ -443,6 +449,60 @@ def rows(x: Tensor, lo: int, hi: int) -> Tensor:
     return _maybe_record(out, (x,), backward)
 
 
+def _row_index(idx, n: int) -> np.ndarray:
+    idx = np.asarray(idx, dtype=np.int64)
+    if idx.ndim != 1 or idx.size == 0:
+        raise ValueError("row index must be a nonempty vector")
+    if idx.min() < 0 or idx.max() >= n:
+        raise ValueError(f"row index out of range for {n} rows")
+    if np.bincount(idx).max() > 1:
+        raise ValueError("row indices must be distinct")
+    return idx
+
+
+def gather(x: Tensor, idx: np.ndarray) -> Tensor:
+    """Rows ``x[idx]`` for distinct indices idx; backward scatters into them."""
+    if x.data.ndim not in (1, 2):
+        raise ValueError("gather expects a vector or a matrix of rows")
+    idx = _row_index(idx, x.shape[0])
+    out = _result(x.data[idx])
+
+    def backward():
+        if out.grad is None:
+            return
+        if x.requires_grad:
+            g = np.zeros_like(x.data)
+            g[idx] = out.grad
+            _accum(x, g)
+
+    return _maybe_record(out, (x,), backward)
+
+
+def put_rows(base: Tensor, idx: np.ndarray, x: Tensor) -> Tensor:
+    """A copy of base whose rows ``idx`` (distinct) are the rows of x."""
+    if base.data.ndim not in (1, 2):
+        raise ValueError("put_rows expects a vector or a matrix of rows")
+    idx = _row_index(idx, base.shape[0])
+    if x.shape != (idx.size,) + base.shape[1:]:
+        raise ValueError(f"put_rows needs {idx.size} rows like {base.shape}, "
+                         f"got {x.shape}")
+    y = base.data.copy()
+    y[idx] = x.data
+    out = _result(y)
+
+    def backward():
+        if out.grad is None:
+            return
+        if x.requires_grad:
+            _accum(x, out.grad[idx])
+        if base.requires_grad:
+            g = out.grad.copy()
+            g[idx] = 0.0
+            _accum(base, g)
+
+    return _maybe_record(out, (base, x), backward)
+
+
 def mix(p: Tensor, blocks: Sequence[Tensor]) -> Tensor:
     """Row-weighted sum of blocks: out[i] = sum_m p[i, m] * blocks[m][i].
 
@@ -475,6 +535,52 @@ def mix(p: Tensor, blocks: Sequence[Tensor]) -> Tensor:
             _accum(p, gp)
 
     return _maybe_record(out, (p, *blocks), backward)
+
+
+def blend(w: Tensor, blocks: Sequence[Tensor], b: Tensor | None = None) -> Tensor:
+    """Per-row weighted sums of M shared blocks for V views of their n rows.
+
+    Each block is [n, k] and w is [V * n, M]; row v * n + i of the [V * n, k]
+    result is sum_m w[v * n + i, m] * blocks[m][i], plus b ([k]) if given.
+    One node and one batched matmul, so the blocks are computed once for
+    every view; ``mix`` is the V = 1 case summed term by term.
+    """
+    shape = blocks[0].shape if blocks else ()
+    if len(shape) != 2 or shape[0] == 0 or any(
+            blk.shape != shape for blk in blocks):
+        raise ValueError("blend blocks must all be the same nonempty [n, k]")
+    n, k = shape
+    m_count = len(blocks)
+    if (w.data.ndim != 2 or w.shape[1] != m_count or w.shape[0] == 0
+            or w.shape[0] % n):
+        raise ValueError(f"blend weights {w.shape} need [V * {n}, {m_count}]")
+    if b is not None and b.shape != (k,):
+        raise ValueError(f"blend bias {b.shape} needs [{k}]")
+    views = w.shape[0] // n
+    stacked = np.stack([blk.data for blk in blocks], axis=1)  # [n, M, k]
+    wv = w.data.reshape(views, n, 1, m_count)
+    y = np.matmul(wv, stacked).reshape(views * n, k)
+    if b is not None:
+        y += b.data
+    out = _result(y)
+
+    def backward():
+        if out.grad is None:
+            return
+        g = out.grad.reshape(views, n, k).transpose(1, 0, 2)  # [n, V, k]
+        if b is not None and b.requires_grad:
+            _accum(b, out.grad.sum(axis=0))
+        if w.requires_grad:
+            gw = np.matmul(g, stacked.transpose(0, 2, 1))  # [n, V, M]
+            _accum(w, gw.transpose(1, 0, 2).reshape(views * n, m_count))
+        if any(blk.requires_grad for blk in blocks):
+            gb = np.matmul(wv[:, :, 0, :].transpose(1, 2, 0), g)  # [n, M, k]
+            for m, blk in enumerate(blocks):
+                if blk.requires_grad:
+                    _accum(blk, gb[:, m])
+
+    inputs = (w, *blocks) if b is None else (w, *blocks, b)
+    return _maybe_record(out, inputs, backward)
 
 
 def mean_all(x: Tensor) -> Tensor:

@@ -279,6 +279,30 @@ class TestExitCodes:
         assert main(["audit", "--checkpoint", checkpoint,
                      "--config", str(path)]) == 1
 
+    @pytest.fixture(params=["directory", "not_utf8"])
+    def unreadable_config(self, request, tmp_path):
+        if request.param == "directory":
+            path = tmp_path / "config_dir"
+            path.mkdir()
+        else:
+            path = tmp_path / "latin1.yaml"
+            path.write_bytes(b"data: {seed: 0}  # caf\xe9\n")
+        return str(path)
+
+    @pytest.mark.parametrize("command", ["run", "ablate", "gen-data"])
+    def test_unreadable_config_is_one(self, unreadable_config, command,
+                                      tmp_path, capsys):
+        code = main([command, "--config", unreadable_config,
+                     "--out", str(tmp_path / "out")])
+        assert code == 1
+        assert "config error: cannot read config" in capsys.readouterr().err
+
+    def test_audit_unreadable_config_is_one(self, checkpoint,
+                                            unreadable_config, capsys):
+        assert main(["audit", "--checkpoint", checkpoint,
+                     "--config", unreadable_config]) == 1
+        assert "config error: cannot read config" in capsys.readouterr().err
+
     def test_unknown_subcommand_is_one(self):
         assert main(["explode"]) == 1
 

@@ -5,7 +5,7 @@ import pytest
 
 from entrofuse.data import (MultimodalBatch, SyntheticSpec, apply_mask,
                             bernoulli_mask, generate, load_dataset,
-                            save_dataset, stack_views)
+                            save_dataset)
 from entrofuse.rng import stream
 from entrofuse.subsets import SubsetMask, nonempty_subsets, subset_lattice
 
@@ -261,68 +261,6 @@ class TestApplyMask:
         out = apply_mask(batch, per_sample=keep)
         drop_rate = 1.0 - out.presence.mean()
         assert abs(drop_rate - 0.5) < 0.02
-
-
-class TestStackViews:
-    def _batch(self, rng, n, presence=None):
-        dims = (3, 2, 4)
-        if presence is None:
-            presence = np.ones((n, 3), dtype=bool)
-        feats = [rng.standard_normal((n, d)) * presence[:, m:m + 1]
-                 for m, d in enumerate(dims)]
-        return MultimodalBatch(features=feats, presence=presence,
-                               labels=rng.integers(0, 4, size=n))
-
-    def test_blocks_equal_apply_mask_of_the_complement(self):
-        rng = np.random.default_rng(60)
-        batch = self._batch(rng, 5)
-        head = self._batch(rng, 3)
-        subsets = nonempty_subsets(3)
-        out = stack_views(batch, subsets, head=head)
-        assert out.n == 3 + 5 * len(subsets)
-        for m in range(3):
-            np.testing.assert_array_equal(out.features[m][:3], head.features[m])
-        np.testing.assert_array_equal(out.presence[:3], head.presence)
-        np.testing.assert_array_equal(out.labels[:3], head.labels)
-        for i, subset in enumerate(subsets):
-            rows = slice(3 + 5 * i, 3 + 5 * (i + 1))
-            ref = apply_mask(batch, drop=subset.complement())
-            for m in range(3):
-                np.testing.assert_array_equal(out.features[m][rows],
-                                              ref.features[m])
-            np.testing.assert_array_equal(out.presence[rows], ref.presence)
-            np.testing.assert_array_equal(out.labels[rows], batch.labels)
-
-    def test_views_respect_missing_inputs(self):
-        rng = np.random.default_rng(61)
-        presence = rng.random((8, 3)) < 0.6
-        presence[~presence.any(axis=1), 2] = True
-        batch = self._batch(rng, 8, presence)
-        subsets = nonempty_subsets(3)
-        out = stack_views(batch, subsets)
-        for i, subset in enumerate(subsets):
-            rows = slice(8 * i, 8 * (i + 1))
-            keep = presence & np.array(subset.bits)
-            np.testing.assert_array_equal(out.presence[rows], keep)
-            for m in range(3):
-                want = np.where(keep[:, m:m + 1], batch.features[m], 0.0)
-                np.testing.assert_array_equal(out.features[m][rows], want)
-
-    def test_invalid_subsets_and_heads_rejected(self):
-        rng = np.random.default_rng(62)
-        batch = self._batch(rng, 4)
-        with pytest.raises(ValueError):
-            stack_views(batch, [])
-        with pytest.raises(ValueError):
-            stack_views(batch, [SubsetMask.empty(3)])
-        with pytest.raises(ValueError):
-            stack_views(batch, [SubsetMask.full(2)])
-        other = MultimodalBatch(
-            features=[np.zeros((2, 3)), np.zeros((2, 2)), np.zeros((2, 5))],
-            presence=np.ones((2, 3), dtype=bool),
-            labels=np.zeros(2, dtype=np.int64))
-        with pytest.raises(ValueError):
-            stack_views(batch, [SubsetMask.full(3)], head=other)
 
 
 class TestBernoulliMask:

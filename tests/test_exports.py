@@ -1,7 +1,10 @@
-"""Export lists: every name a module lists in ``__all__`` exists."""
+"""Export lists: every name a module lists in ``__all__`` exists, and every
+name the benchmark's tracer wraps still resolves."""
 
 import importlib
+import importlib.util
 import pkgutil
+from pathlib import Path
 
 import entrofuse
 
@@ -15,3 +18,21 @@ def test_every_exported_name_resolves():
              if not hasattr(module, name)]
     assert len(modules) == 14
     assert stale == []
+
+
+def test_every_traced_name_resolves():
+    # perfbench/tracing.py wraps these with getattr when --trace 1 runs, so
+    # a deleted or renamed function breaks the traced benchmark
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", path)
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    missing = []
+    for module_name, attr in tracing.TRACED:
+        owner = importlib.import_module(module_name)
+        for part in attr.split("."):
+            owner = getattr(owner, part, None)
+        if not callable(owner):
+            missing.append(f"{module_name}.{attr}")
+    assert tracing.TRACED
+    assert missing == []

@@ -3,6 +3,9 @@
 import numpy as np
 import pytest
 
+import entrofuse.data as data_module
+import entrofuse.losses as losses_module
+import entrofuse.model as model_module
 import entrofuse.tensor as T
 from entrofuse.data import MultimodalBatch, apply_mask, bernoulli_mask
 from entrofuse.losses import (LossBreakdown, cec_loss, cec_pairs,
@@ -350,31 +353,38 @@ class TestCompositeLoss:
 
 
 class TestStackedStep:
-    """The stacked pass against its reference: ``forward`` on the masked
+    """The lattice step against its reference: ``forward`` on the masked
     batch plus one ``predict_subset`` call per lattice subset, with the gate
-    trained or frozen as the no_gate ablation freezes it."""
+    trained or frozen as the no_gate ablation freezes it. Beyond 4
+    modalities the pairs are sampled, so some masked rows have a presence
+    pattern no subset view holds."""
 
-    CASES = [(m, frozen) for m in (2, 3, 4) for frozen in (False, True)]
+    CASES = [(m, frozen) for m in (2, 3, 4, 5) for frozen in (False, True)]
 
-    def _setup(self, seed, m, frozen=False):
+    def _setup(self, seed, m, frozen=False, multilabel=False):
         rng = np.random.default_rng(seed)
-        cfg = FusionConfig(modalities=m, dims=(3, 4, 2, 5)[:m], classes=4,
-                           fused_dim=5)
+        cfg = FusionConfig(modalities=m, dims=(3, 4, 2, 5, 3)[:m], classes=4,
+                           fused_dim=5, multilabel=multilabel)
         model = (frozen_gate_model if frozen else random_model)(rng, cfg)
         clean = random_batch(rng, 7, cfg.dims, cfg.classes)
+        if multilabel:
+            clean.labels = (rng.random((7, cfg.classes)) < 0.4).astype(float)
+            clean.multilabel = True
         keep = bernoulli_mask(clean.n, m, 0.4, rng)
-        return model, apply_mask(clean, per_sample=keep), clean, cec_pairs(m)
+        return (model, apply_mask(clean, per_sample=keep), clean,
+                cec_pairs(m, rng, limit=8))
 
     @staticmethod
     def _subsets(pairs):
         return list(dict.fromkeys(s for pair in pairs for s in pair))
 
-    def _reference_loss(self, model, batch, clean, pairs):
+    def _reference_loss(self, model, batch, clean, pairs, multilabel=False):
         out = forward(model, batch)
         conf = {s: predict_subset(model, clean, s).confidence
                 for s in self._subsets(pairs)}
         return composite_loss(out.logits, out.p, batch.labels, lam=0.05,
-                              gamma=2.0, cec=cec_loss(conf, pairs))[0]
+                              gamma=2.0, cec=cec_loss(conf, pairs),
+                              multilabel=multilabel)[0]
 
     @staticmethod
     def _loss_and_grads(model, loss_fn):
@@ -387,31 +397,14 @@ class TestStackedStep:
                              else param.grad.copy()
                              for name, param in model.parameters()}
 
-    @pytest.mark.parametrize("m,frozen", CASES)
-    def test_every_view_matches_its_reference_forward(self, m, frozen):
-        model, batch, clean, pairs = self._setup(70 + m, m, frozen)
-        out, conf = lattice_forward(model, clean, pairs, head=batch)
-        views = [(forward(model, batch), 0)]
-        for i, subset in enumerate(self._subsets(pairs)):
-            sub = predict_subset(model, clean, subset)
-            views.append((sub, batch.n + i * clean.n))
-            np.testing.assert_allclose(conf[subset].data, sub.confidence.data,
-                                       rtol=0, atol=1e-12)
-        assert out.logits.shape[0] == views[-1][1] + clean.n
-        for ref, lo in views:
-            rows = slice(lo, lo + ref.logits.shape[0])
-            for field in ("logits", "confidence", "p"):
-                np.testing.assert_allclose(getattr(out, field).data[rows],
-                                           getattr(ref, field).data,
-                                           rtol=0, atol=1e-12)
-
-    @pytest.mark.parametrize("m,frozen", CASES)
-    def test_step_loss_and_gradients_match_reference(self, m, frozen):
-        model, batch, clean, pairs = self._setup(80 + m, m, frozen)
+    def _assert_step_matches(self, model, batch, clean, pairs, frozen=False,
+                             multilabel=False):
         got_loss, got = self._loss_and_grads(model, lambda: step_loss(
-            model, batch, clean, pairs, lam=0.05, gamma=2.0)[0])
+            model, batch, clean, pairs, lam=0.05, gamma=2.0,
+            multilabel=multilabel)[0])
         want_loss, want = self._loss_and_grads(
-            model, lambda: self._reference_loss(model, batch, clean, pairs))
+            model, lambda: self._reference_loss(model, batch, clean, pairs,
+                                                multilabel))
         assert abs(got_loss - want_loss) <= 1e-12 * abs(want_loss)
         for name, g in want.items():
             if g is None:
@@ -422,6 +415,97 @@ class TestStackedStep:
             assert scale > 0.0, name
             np.testing.assert_allclose(got[name], g, rtol=0,
                                        atol=1e-12 * scale, err_msg=name)
+
+    @pytest.mark.parametrize("m,frozen", CASES)
+    def test_every_view_matches_its_reference_forward(self, m, frozen):
+        model, batch, clean, pairs = self._setup(70 + m, m, frozen)
+        subsets = self._subsets(pairs)
+        views = np.array([np.array(s.bits) & clean.presence for s in subsets]
+                         + [batch.presence])
+        out = lattice_forward(model, clean, views)
+        refs = [predict_subset(model, clean, s) for s in subsets]
+        refs.append(forward(model, batch))
+        assert out.logits.shape[0] == len(refs) * clean.n
+        for v, ref in enumerate(refs):
+            rows = slice(v * clean.n, (v + 1) * clean.n)
+            for field in ("logits", "confidence", "p", "gate_entropy"):
+                np.testing.assert_allclose(getattr(out, field).data[rows],
+                                           getattr(ref, field).data,
+                                           rtol=0, atol=1e-12)
+            assert (out.p.data[rows][~views[v]] == 0.0).all()
+
+    @pytest.mark.parametrize("m,frozen", CASES)
+    def test_step_loss_and_gradients_match_reference(self, m, frozen):
+        model, batch, clean, pairs = self._setup(80 + m, m, frozen)
+        self._assert_step_matches(model, batch, clean, pairs, frozen)
+
+    @pytest.mark.parametrize("m", [2, 4, 5])
+    def test_multilabel_step_matches_reference(self, m):
+        model, batch, clean, pairs = self._setup(85 + m, m, multilabel=True)
+        self._assert_step_matches(model, batch, clean, pairs, multilabel=True)
+
+    def test_masked_rows_outside_every_view_get_one_extra_view(
+            self, monkeypatch):
+        model, batch, clean, pairs = self._setup(85, 5)
+        subsets = self._subsets(pairs)
+        held = [np.array(s.bits) & clean.presence for s in subsets]
+        outside = [not any((v[i] == batch.presence[i]).all() for v in held)
+                   for i in range(batch.n)]
+        assert any(outside) and not all(outside)
+        seen = []
+
+        def spy(model, clean, views):
+            seen.append(views.shape[0])
+            return lattice_forward(model, clean, views)
+
+        monkeypatch.setattr(losses_module, "lattice_forward", spy)
+        step_loss(model, batch, clean, pairs, lam=0.05, gamma=2.0)
+        assert seen == [len(subsets) + 1]
+        seen.clear()
+        # up to 4 modalities every masked pattern is a subset view
+        model, batch, clean, pairs = self._setup(84, 4)
+        step_loss(model, batch, clean, pairs, lam=0.05, gamma=2.0)
+        assert seen == [len(self._subsets(pairs))]
+
+    @pytest.mark.parametrize("m", [2, 3, 4, 5])
+    def test_view_rows_lie_on_their_masked_simplex(self, m):
+        # C02 over random presence: missing inputs in the clean rows and
+        # random nonempty observed parts of them as views
+        rng = np.random.default_rng(95 + m)
+        cfg = FusionConfig(modalities=m, dims=(3, 4, 2, 5, 3)[:m], classes=4,
+                           fused_dim=5)
+        model = random_model(rng, cfg)
+        for _ in range(5):
+            presence = bernoulli_mask(9, m, 0.3, rng)
+            clean = random_batch(rng, 9, cfg.dims, cfg.classes,
+                                 presence=presence)
+            views = np.array([presence & bernoulli_mask(9, m, 0.5, rng)
+                              for _ in range(6)])
+            empty = ~views.any(axis=2)
+            views[empty] = presence[np.nonzero(empty)[1]]
+            p = lattice_forward(model, clean, views).p.data
+            keep = views.reshape(-1, m)
+            assert (p >= 0.0).all()
+            assert (p[~keep] == 0.0).all()
+            np.testing.assert_allclose(p.sum(axis=1), 1.0, rtol=0, atol=1e-12)
+
+    def test_single_modality_views_skip_the_gate(self):
+        # rows observing one modality weigh it by exactly 1, with or
+        # without the gate, and pass the gate no gradient either way
+        model, _, clean, _ = self._setup(93, 3)
+        subsets = [SubsetMask.from_indices(3, [m]) for m in range(3)]
+        views = np.array([np.array(s.bits) & clean.presence for s in subsets])
+        with T.Tape() as tape:
+            out = lattice_forward(model, clean, views)
+            tape.backward(T.mean_all(out.confidence))
+        np.testing.assert_array_equal(out.p.data, views.reshape(-1, 3))
+        for v, subset in enumerate(subsets):
+            ref = predict_subset(model, clean, subset)
+            rows = slice(v * clean.n, (v + 1) * clean.n)
+            np.testing.assert_allclose(out.logits.data[rows], ref.logits.data,
+                                       rtol=0, atol=1e-12)
+        assert all(t.grad is None for t in model.gate_parameters())
+        assert all(t.grad is not None for t in model.base_parameters())
 
     def test_without_pairs_is_the_plain_composite_loss(self):
         model, batch, clean, _ = self._setup(90, 3)
@@ -438,5 +522,25 @@ class TestStackedStep:
         model = random_model(rng, cfg)
         presence = np.array([[True, True], [True, False], [True, True]])
         batch = random_batch(rng, 3, cfg.dims, cfg.classes, presence=presence)
+        # the {1} view leaves row 1, which observes only modality 0, empty
         with pytest.raises(ValueError, match="observed modality"):
             subset_confidences(model, batch, subset_lattice(2))
+        with pytest.raises(ValueError, match="observed modality"):
+            step_loss(model, batch, batch, subset_lattice(2), lam=0.05,
+                      gamma=2.0)
+        with pytest.raises(ValueError, match="does not observe"):
+            lattice_forward(model, batch, np.ones((1, 3, 2), dtype=bool))
+
+    def test_no_view_is_a_masked_copy_of_the_batch(self, monkeypatch):
+        model, batch, clean, pairs = self._setup(92, 3)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a view was built as a masked batch copy")
+
+        for module in (data_module, model_module):
+            monkeypatch.setattr(module, "apply_mask", refuse)
+        monkeypatch.setattr(data_module.MultimodalBatch, "__init__", refuse)
+        monkeypatch.setattr(data_module.MultimodalBatch, "take", refuse)
+        with T.Tape():
+            _, bd = step_loss(model, batch, clean, pairs, lam=0.05, gamma=2.0)
+        assert bd.cec > 0.0

@@ -374,9 +374,13 @@ class TestValidation:
 
 
 class TestTapeSize:
-    def test_m2_consistency_step_records_36_nodes(self):
-        # gate: linear, relu, linear, masked_softmax; fusion: 2 matmul + mix;
-        # head: linear; confidence: softmax, row_max; the rest is the loss
+    def test_m2_consistency_step_records_41_nodes(self):
+        # gate, on the {0, 1} view only: per modality gather + matmul, then
+        # blend, relu, linear, masked_softmax, and put_rows beside the
+        # one-hot weights of the {0} and {1} views; fusion: 2 matmul +
+        # blend; head: linear; confidence: softmax, row_max; the rest is the
+        # loss, which reads the masked rows with 2 gathers and each subset
+        # with 1 rows
         rng = np.random.default_rng(64)
         cfg = FusionConfig(modalities=2, dims=(3, 5), classes=4, fused_dim=6)
         model = random_model(rng, cfg)
@@ -386,7 +390,7 @@ class TestTapeSize:
         batch = apply_mask(clean, per_sample=keep)
         with T.Tape() as tape:
             step_loss(model, batch, clean, cec_pairs(2), lam=0.05, gamma=20.0)
-        assert tape.num_recorded == 36
+        assert tape.num_recorded == 41
 
 
 class TestCheckpoint:

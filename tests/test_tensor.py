@@ -257,6 +257,58 @@ class TestPrimitiveGradients:
             err = grad_check(lambda t: T.mean_all(T.rows(t, 0, 4)), v)
             assert err < 1e-6
 
+    def test_gather(self):
+        rng = np.random.default_rng(26)
+        for _ in range(10):
+            x = Tensor(_rand(rng, 6, 3))
+            idx = rng.permutation(6)[:4]
+            r = Tensor(_rand(rng, 4, 3))
+            err = grad_check(lambda t: T.mean_all(T.mul(T.gather(t, idx), r)), x)
+            assert err < 1e-6
+            v = Tensor(_rand(rng, 6))
+            err = grad_check(lambda t: T.dot_const(T.gather(t, idx), v.data[:4]), v)
+            assert err < 1e-6
+
+    def test_put_rows(self):
+        rng = np.random.default_rng(28)
+        for _ in range(10):
+            base = Tensor(_rand(rng, 6, 3))
+            x = Tensor(_rand(rng, 2, 3))
+            idx = rng.permutation(6)[:2]
+            r = Tensor(_rand(rng, 6, 3))
+            err = grad_check(lambda t: T.mean_all(T.mul(
+                T.put_rows(t, idx, x), r)), base)
+            assert err < 1e-6
+            err = grad_check(lambda t: T.mean_all(T.mul(
+                T.put_rows(base, idx, t), r)), x)
+            assert err < 1e-6
+            out = T.put_rows(base, idx, x).data
+            np.testing.assert_array_equal(out[idx], x.data)
+            rest = np.setdiff1d(np.arange(6), idx)
+            np.testing.assert_array_equal(out[rest], base.data[rest])
+
+    def test_blend(self):
+        rng = np.random.default_rng(27)
+        for views, m in ((1, 2), (3, 2), (4, 3)):
+            w = Tensor(_rand(rng, views * 5, m))
+            blocks = [Tensor(_rand(rng, 5, 4)) for _ in range(m)]
+            b = Tensor(_rand(rng, 4))
+            r = Tensor(_rand(rng, views * 5, 4))
+
+            def loss(out):
+                return T.mean_all(T.mul(out, r))
+
+            err = grad_check(lambda t: loss(T.blend(t, blocks, b)), w)
+            assert err < 1e-6
+            err = grad_check(lambda t: loss(T.blend(w, blocks, t)), b)
+            assert err < 1e-6
+            for j in range(m):
+                err = grad_check(
+                    lambda t, j=j: loss(
+                        T.blend(w, blocks[:j] + [t] + blocks[j + 1:])),
+                    blocks[j])
+                assert err < 1e-6
+
     def test_rows_gradients_of_disjoint_slices_add_up(self):
         rng = np.random.default_rng(25)
         x = Tensor(_rand(rng, 6, 2), requires_grad=True)
@@ -344,6 +396,21 @@ def _ref_mix(p, blocks):
     return z
 
 
+def _ref_concat(parts):
+    """Row-stack of tensors, for comparing a multi-view op with its views."""
+    out = T._result(np.concatenate([t.data for t in parts]))
+    edges = np.cumsum([0] + [t.shape[0] for t in parts])
+
+    def backward():
+        if out.grad is None:
+            return
+        for t, lo, hi in zip(parts, edges[:-1], edges[1:]):
+            if t.requires_grad:
+                T._accum(t, out.grad[lo:hi])
+
+    return T._maybe_record(out, parts, backward)
+
+
 def _values_and_grads(build, arrays):
     """Output of build(*leaves) and every leaf gradient of a weighted sum
     of it, with the leaves also feeding a second consumer as in training."""
@@ -393,6 +460,35 @@ class TestFusedOps:
 
             self._assert_same(build(T.mix), build(_ref_mix), [p] + projs)
 
+    def test_blend_is_mix_of_each_view(self):
+        # V views of shared blocks: view v is mix over its weight rows, up
+        # to the summation order of the batched matmul
+        rng = np.random.default_rng(32)
+        for views, dims in ((3, (32, 32)), (7, (3, 5, 40)), (15, (6, 1, 2, 9))):
+            n, m = 11, len(dims)
+            p = rng.random((views * n, m))
+            p[rng.random(p.shape) < 0.3] = 0.0
+            feats = [_rand(rng, n, d) for d in dims]
+            projs = [_rand(rng, d, 6) for d in dims]
+
+            def blended(p, *proj):
+                return T.blend(p, [T.matmul(Tensor(x), w)
+                                   for x, w in zip(feats, proj)])
+
+            def per_view(p, *proj):
+                out = []
+                for v in range(views):
+                    pv = T.rows(p, v * n, (v + 1) * n)
+                    out.append(T.mix(pv, [T.matmul(Tensor(x), w)
+                                          for x, w in zip(feats, proj)]))
+                return _ref_concat(out)
+
+            out, grads = _values_and_grads(blended, [p] + projs)
+            ref, ref_grads = _values_and_grads(per_view, [p] + projs)
+            np.testing.assert_allclose(out, ref, rtol=1e-13, atol=1e-13)
+            for g, ref_g in zip(grads, ref_grads):
+                np.testing.assert_allclose(g, ref_g, rtol=1e-13, atol=1e-13)
+
     def test_shape_errors(self):
         x, w, b = Tensor(np.zeros((4, 3))), Tensor(np.zeros((3, 2))), Tensor(np.zeros(2))
         for args in ((x, w, Tensor(np.zeros(3))), (x, Tensor(np.zeros((2, 2))), b),
@@ -404,6 +500,23 @@ class TestFusedOps:
                        [Tensor(np.zeros((3, 3)))] * 2, [Tensor(np.zeros(4))] * 2):
             with pytest.raises(ValueError):
                 T.mix(p, blocks)
+
+        blk = Tensor(np.zeros((4, 3)))
+        for w_shape, blocks in (((8, 2), []), ((8, 2), [blk]),
+                                ((6, 2), [blk, blk]), ((0, 2), [blk, blk]),
+                                ((8, 2), [blk, Tensor(np.zeros((4, 2)))])):
+            with pytest.raises(ValueError):
+                T.blend(Tensor(np.zeros(w_shape)), blocks)
+        with pytest.raises(ValueError):
+            T.blend(Tensor(np.zeros((8, 2))), [blk, blk], Tensor(np.zeros(2)))
+        for idx in ([], [0, 4], [-1], [1, 1]):
+            with pytest.raises(ValueError):
+                T.gather(x, np.array(idx, dtype=np.int64))
+            with pytest.raises(ValueError):
+                T.put_rows(x, np.array(idx, dtype=np.int64),
+                           Tensor(np.zeros((len(idx), 3))))
+        with pytest.raises(ValueError):
+            T.put_rows(x, np.array([0, 1]), Tensor(np.zeros((2, 2))))
 
     def test_op_results_are_not_scanned(self):
         # finiteness is checked at the model's boundaries, not per op

@@ -148,13 +148,14 @@ class TestTrainLoop:
     @pytest.mark.parametrize("ablation", ["full", "no_gate"])
     def test_consistency_penalty_shares_one_forward_per_step(
             self, monkeypatch, ablation):
-        # training forwards are the ones under a tape; the lattice subsets
-        # must ride in that one pass, never in predict_subset calls
-        calls = {"forward": 0, "predict_subset": 0}
+        # training passes are the ones under a tape: one lattice pass per
+        # step carries the masked rows and every subset view, with no
+        # forward or predict_subset call beside it
+        calls = {"forward": 0, "predict_subset": 0, "lattice_forward": 0}
 
         def counting(name, fn):
             def wrapped(*args, **kwargs):
-                if name != "forward" or T._active_tape() is not None:
+                if name == "predict_subset" or T._active_tape() is not None:
                     calls[name] += 1
                 return fn(*args, **kwargs)
             return wrapped
@@ -171,7 +172,8 @@ class TestTrainLoop:
         res = train(cfg, small_data())
         assert all(h.cec > 0.0 for h in res.history)
         steps = cfg.epochs * (256 // cfg.batch_size)
-        assert calls == {"forward": steps, "predict_subset": 0}
+        assert calls == {"forward": 0, "predict_subset": 0,
+                         "lattice_forward": steps}
 
     def test_divergence_guard_raises(self):
         cfg = small_cfg(epochs=10, lr_base=2.0, lr_gate=20.0,
