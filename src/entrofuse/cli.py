@@ -120,7 +120,7 @@ def write_run_dir(out: str, cfg: ExperimentConfig, result: RunResult,
     write_csv(os.path.join(out, "eval.csv"),
               ["rate", "score", "ece", "gate_entropy"], eval_rows)
 
-    scatter = entropy_confidence_export(result.model, test_batch)
+    scatter = entropy_confidence_export(forward(result.model, test_batch))
     write_csv(os.path.join(out, "scatter.csv"),
               ["gate_entropy", "confidence"], scatter.tolist())
 
@@ -286,7 +286,7 @@ def cmd_audit(args) -> int:
               ["observed_small", "observed_big", "count", "mean_violation"],
               pair_rows)
 
-    scatter = entropy_confidence_export(model, test_b)
+    scatter = entropy_confidence_export(out_fwd)
     write_csv(os.path.join(out, "scatter.csv"),
               ["gate_entropy", "confidence"], scatter.tolist())
 

@@ -1,21 +1,27 @@
 """Experiment configuration: strict YAML schema with materialized defaults.
 
-Top-level keys: ``data`` and ``train`` (required), ``eval`` and ``out``
-(optional). Unknown keys anywhere are rejected so typos fail loudly before
-any compute happens. ``resolved_dict`` returns every effective value, which
-the CLI writes into each run directory for bit-reproduction.
+The schema is the fields of the config dataclasses. ``data`` sets
+``SyntheticSpec``, ``train`` sets ``TrainConfig`` (its ``schedules`` and
+``lambda`` sections set ``Schedules`` and ``LambdaConfig``), the optional
+``eval`` section sets ``TrainConfig.eval_rates`` and ``eval_seeds`` as
+``rates`` and ``seeds``, and ``out`` is optional. Each value is cast by its
+field's annotation, and a section sets only the fields it names, over the
+field defaults. Unknown keys anywhere are rejected so typos fail loudly
+before any compute happens. ``resolved_dict`` returns every effective value,
+which the CLI writes into each run directory for bit-reproduction.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, asdict, replace
+from dataclasses import dataclass, fields, is_dataclass, replace
+from functools import cache
+from types import UnionType
+from typing import get_args, get_origin, get_type_hints
 
 import yaml
 
-from .curriculum import Schedules
 from .data import SyntheticSpec
 from .trainer import TrainConfig
-from .uncertainty import LambdaConfig
 
 __all__ = ["ConfigError", "ExperimentConfig", "read_yaml", "load_config",
            "parse_config", "resolved_dict", "dump_resolved"]
@@ -38,8 +44,30 @@ class ExperimentConfig:
                                 out=self.out)
 
 
-def _check_keys(mapping: dict, allowed: set[str], where: str) -> None:
-    unknown = sorted(set(mapping) - allowed)
+# Where the YAML keys differ from the dataclass fields: field -> key in its
+# own section, None for a field that section leaves out (``v_max`` is
+# calibrated at run time; the eval fields sit in the ``eval`` section).
+_RENAMED = {"lambda_cfg": "lambda", "v_max": None,
+            "eval_rates": None, "eval_seeds": None}
+_EVAL = {"rates": "eval_rates", "seeds": "eval_seeds"}  # eval key -> field
+
+_KINDS = {int: "an integer", float: "a number", bool: "true or false",
+          str: "a string"}
+
+
+@cache  # get_type_hints evaluates the string annotations on every call
+def _hints(cls) -> dict:
+    return get_type_hints(cls)
+
+
+def _keys(cls) -> dict[str, str]:
+    """YAML key -> field name for the section that sets ``cls``."""
+    return {key: f.name for f in fields(cls)
+            if (key := _RENAMED.get(f.name, f.name)) is not None}
+
+
+def _check_keys(mapping: dict, allowed, where: str) -> None:
+    unknown = sorted(set(mapping) - set(allowed))
     if unknown:
         raise ConfigError(f"unknown key '{unknown[0]}' in {where}")
 
@@ -50,82 +78,41 @@ def _require_mapping(value, where: str) -> dict:
     return value
 
 
-def _cast_int(value, where: str) -> int:
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ConfigError(f"{where} must be an integer")
+def _section(default, doc, where: str, keys: dict[str, str] | None = None) -> dict:
+    """Field name -> value for each key of the mapping ``doc``, cast by the
+    annotations of ``default``'s class; ``keys`` maps YAML key to field."""
+    keys = keys or _keys(type(default))
+    _check_keys(_require_mapping(doc, where), keys, where)
+    hints = _hints(type(default))
+    return {keys[k]: _cast(hints[keys[k]], v, f"{where}.{k}",
+                           getattr(default, keys[k]))
+            for k, v in doc.items()}
+
+
+def _cast(hint, value, where: str, default=None):
+    """``value`` as the annotation ``hint`` reads: a scalar type, ``X | None``,
+    ``tuple[X, ...]`` from a nonempty list, or a dataclass from a mapping
+    over ``default``. A bool is not a number."""
+    if is_dataclass(hint):
+        return _build(default, _section(default, value, where), where)
+    if get_origin(hint) is UnionType:  # X | None: null keeps the derived default
+        return None if value is None else _cast(get_args(hint)[0], value, where)
+    if get_origin(hint) is tuple:
+        if not isinstance(value, list) or not value:
+            raise ConfigError(f"{where} must be a nonempty list")
+        return tuple(_cast(get_args(hint)[0], v, where) for v in value)
+    if hint is float and type(value) is int:
+        return float(value)
+    if not isinstance(value, hint) or (isinstance(value, bool) and hint is not bool):
+        raise ConfigError(f"{where} must be {_KINDS[hint]}")
     return value
 
 
-def _cast_float(value, where: str) -> float:
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ConfigError(f"{where} must be a number")
-    return float(value)
-
-
-def _cast_bool(value, where: str) -> bool:
-    if not isinstance(value, bool):
-        raise ConfigError(f"{where} must be true or false")
-    return value
-
-
-def _cast_str(value, where: str) -> str:
-    if not isinstance(value, str):
-        raise ConfigError(f"{where} must be a string")
-    return value
-
-
-def _cast_number_list(value, where: str) -> tuple[float, ...]:
-    if not isinstance(value, list) or not value:
-        raise ConfigError(f"{where} must be a nonempty list of numbers")
-    return tuple(_cast_float(v, where) for v in value)
-
-
-def _cast_int_list(value, where: str) -> tuple[int, ...]:
-    if not isinstance(value, list) or not value:
-        raise ConfigError(f"{where} must be a nonempty list of integers")
-    return tuple(_cast_int(v, where) for v in value)
-
-
-_DATA_KEYS = {"modalities", "classes", "dims", "snr", "n_train", "n_val",
-              "n_test", "seed", "multilabel", "extra_label_rate"}
-_TRAIN_KEYS = {"epochs", "batch_size", "lr_base", "lr_gate", "weight_decay",
-               "schedules", "lam_mode", "gamma", "ablation",
-               "single_modality_index", "seed", "temp_scaling", "fused_dim",
-               "gate_hidden", "lambda", "acm_family", "probe_size",
-               "cec_pair_limit", "divergence_factor"}
-_SCHED_KEYS = {"t_warm", "pi_max", "t_lam", "lam_max", "eta", "mode"}
-_LAMBDA_KEYS = {"lam_min", "draws", "rate", "source", "ensemble_size"}
-_EVAL_KEYS = {"rates", "seeds"}
-
-_INT_FIELDS = {"modalities", "classes", "n_train", "n_val", "n_test", "seed",
-               "epochs", "batch_size", "single_modality_index", "fused_dim",
-               "gate_hidden", "probe_size", "cec_pair_limit", "t_warm",
-               "t_lam", "draws", "ensemble_size", "seeds"}
-_FLOAT_FIELDS = {"extra_label_rate", "lr_base", "lr_gate", "weight_decay",
-                 "gamma", "divergence_factor", "pi_max", "lam_max",
-                 "eta", "lam_min", "rate"}
-_BOOL_FIELDS = {"multilabel", "temp_scaling"}
-_STR_FIELDS = {"lam_mode", "ablation", "acm_family", "mode", "source"}
-_NULLABLE_FIELDS = {"gate_hidden"}  # null means "use the derived default"
-
-
-def _cast_field(key: str, value, where: str):
-    if key in _INT_FIELDS:
-        return _cast_int(value, where)
-    if key in _FLOAT_FIELDS:
-        return _cast_float(value, where)
-    if key in _BOOL_FIELDS:
-        return _cast_bool(value, where)
-    if key in _STR_FIELDS:
-        return _cast_str(value, where)
-    raise ConfigError(f"unhandled key {where}")
-
-
-def _parse_section(section: dict, allowed: set[str], where: str) -> dict:
-    _check_keys(section, allowed, where)
-    return {k: _cast_field(k, v, f"{where}.{k}") for k, v in section.items()
-            if k not in ("dims", "snr", "schedules", "lambda", "rates")
-            and not (v is None and k in _NULLABLE_FIELDS)}
+def _build(default, changes: dict, where: str):
+    try:
+        return replace(default, **changes)
+    except (ValueError, TypeError) as exc:
+        raise ConfigError(f"{where}: {exc}") from exc
 
 
 def parse_config(doc) -> ExperimentConfig:
@@ -134,53 +121,12 @@ def parse_config(doc) -> ExperimentConfig:
     for required in ("data", "train"):
         if required not in root:
             raise ConfigError(f"missing required field '{required}'")
-
-    data_sec = _require_mapping(root["data"], "data")
-    data_kwargs = _parse_section(data_sec, _DATA_KEYS, "data")
-    if "dims" in data_sec:
-        data_kwargs["dims"] = _cast_int_list(data_sec["dims"], "data.dims")
-    if "snr" in data_sec:
-        data_kwargs["snr"] = _cast_number_list(data_sec["snr"], "data.snr")
-
-    train_sec = _require_mapping(root["train"], "train")
-    train_kwargs = _parse_section(train_sec, _TRAIN_KEYS, "train")
-    if "schedules" in train_sec:
-        sched_sec = _require_mapping(train_sec["schedules"], "train.schedules")
-        sched_kwargs = _parse_section(sched_sec, _SCHED_KEYS, "train.schedules")
-        if "mode" not in sched_kwargs:
-            sched_kwargs["mode"] = "acm"
-        train_kwargs["schedules"] = _build(Schedules, sched_kwargs,
-                                           "train.schedules")
-    if "lambda" in train_sec:
-        lam_sec = _require_mapping(train_sec["lambda"], "train.lambda")
-        lam_kwargs = _parse_section(lam_sec, _LAMBDA_KEYS, "train.lambda")
-        train_kwargs["lambda_cfg"] = _build(LambdaConfig, lam_kwargs,
-                                            "train.lambda")
-
-    if "eval" in root:
-        eval_sec = _require_mapping(root["eval"], "eval")
-        _check_keys(eval_sec, _EVAL_KEYS, "eval")
-        if "rates" in eval_sec:
-            train_kwargs["eval_rates"] = _cast_number_list(
-                eval_sec["rates"], "eval.rates")
-        if "seeds" in eval_sec:
-            train_kwargs["eval_seeds"] = _cast_int(eval_sec["seeds"],
-                                                   "eval.seeds")
-
-    out = None
-    if "out" in root and root["out"] is not None:
-        out = _cast_str(root["out"], "out")
-
-    data = _build(SyntheticSpec, data_kwargs, "data")
-    train = _build(TrainConfig, train_kwargs, "train")
-    return ExperimentConfig(data=data, train=train, out=out)
-
-
-def _build(cls, kwargs: dict, where: str):
-    try:
-        return cls(**kwargs)
-    except (ValueError, TypeError) as exc:
-        raise ConfigError(f"{where}: {exc}") from exc
+    data = _cast(SyntheticSpec, root["data"], "data", SyntheticSpec())
+    train = TrainConfig()
+    changes = _section(train, root["train"], "train")
+    changes.update(_section(train, root.get("eval", {}), "eval", _EVAL))
+    return ExperimentConfig(data=data, train=_build(train, changes, "train"),
+                            out=_cast(str | None, root.get("out"), "out"))
 
 
 def read_yaml(path):
@@ -202,18 +148,29 @@ def load_config(path) -> ExperimentConfig:
     return parse_config(read_yaml(path))
 
 
+def _plain(hint, value):
+    """``value`` as plain YAML-safe types: the inverse of ``_cast``."""
+    if value is None:
+        return None
+    if is_dataclass(hint):
+        return _unparse(value)
+    if get_origin(hint) is UnionType:
+        return _plain(get_args(hint)[0], value)
+    if get_origin(hint) is tuple:
+        return [_plain(get_args(hint)[0], v) for v in value]
+    return float(value) if hint is float else value
+
+
+def _unparse(obj, keys: dict[str, str] | None = None) -> dict:
+    hints = _hints(type(obj))
+    return {k: _plain(hints[name], getattr(obj, name))
+            for k, name in (keys or _keys(type(obj))).items()}
+
+
 def resolved_dict(cfg: ExperimentConfig) -> dict:
     """All effective values, defaults included, as plain YAML-safe types."""
-    data = asdict(cfg.data)
-    data["dims"] = list(data["dims"])
-    data["snr"] = [float(v) for v in data["snr"]]
-    train = asdict(cfg.train)
-    train["lambda"] = train.pop("lambda_cfg")
-    train["lambda"].pop("v_max")  # calibrated at runtime, never configured
-    rates = [float(r) for r in train.pop("eval_rates")]
-    seeds = train.pop("eval_seeds")
-    return {"data": data, "train": train,
-            "eval": {"rates": rates, "seeds": seeds}, "out": cfg.out}
+    return {"data": _unparse(cfg.data), "train": _unparse(cfg.train),
+            "eval": _unparse(cfg.train, _EVAL), "out": cfg.out}
 
 
 def dump_resolved(cfg: ExperimentConfig, path) -> None:

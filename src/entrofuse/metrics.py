@@ -191,11 +191,9 @@ def inversion_audit(model, batch: MultimodalBatch) -> InversionAudit:
     return audit_confidences(conf_by_subset, pairs)
 
 
-def entropy_confidence_export(model, batch: MultimodalBatch) -> np.ndarray:
-    """Per-sample (gate entropy, confidence) rows for external plotting."""
-    from .model import forward
-
-    out = forward(model, batch)
+def entropy_confidence_export(out) -> np.ndarray:
+    """Per-sample (gate entropy, confidence) rows of a ``ForwardOutput``,
+    for external plotting."""
     return np.column_stack([out.gate_entropy.data, out.confidence.data])
 
 

@@ -21,7 +21,6 @@ from .subsets import SubsetMask, subset_lattice, nonempty_subsets  # noqa: F401
 
 __all__ = [
     "FusionConfig",
-    "GateState",
     "FusionModel",
     "ForwardOutput",
     "gate_rows",
@@ -59,58 +58,42 @@ class FusionConfig:
         return self.gate_hidden if self.gate_hidden is not None else 2 * sum(self.dims)
 
 
-@dataclass
-class GateState:
-    """Two-layer MLP over concat(features, presence flags) -> M logits."""
-
-    w1: T.Tensor
-    b1: T.Tensor
-    w2: T.Tensor
-    b2: T.Tensor
-
-    def parameters(self) -> list[tuple[str, T.Tensor]]:
-        return [("gate.w1", self.w1), ("gate.b1", self.b1),
-                ("gate.w2", self.w2), ("gate.b2", self.b2)]
-
-
 def _fan_in_uniform(rng: np.random.Generator, shape: tuple[int, ...]) -> np.ndarray:
     bound = 1.0 / np.sqrt(shape[0])
     return rng.uniform(-bound, bound, size=shape)
 
 
 class FusionModel:
-    """Gate + per-modality projections + linear head, with train-set norm stats."""
+    """Gate MLP (``gate_w1``, ``gate_b1``, ReLU, ``gate_w2``, ``gate_b2``:
+    concat(standardized features, presence flags) -> M logits), per-modality
+    projections and a linear head, with train-set norm stats."""
 
-    def __init__(self, cfg: FusionConfig, gate: GateState, proj: list[T.Tensor],
-                 head_w: T.Tensor, head_b: T.Tensor,
-                 norm_mean: list[np.ndarray], norm_std: list[np.ndarray]):
+    def __init__(self, cfg: FusionConfig, gate_w1: T.Tensor, gate_b1: T.Tensor,
+                 gate_w2: T.Tensor, gate_b2: T.Tensor, proj: list[T.Tensor],
+                 head_w: T.Tensor, head_b: T.Tensor):
         self.cfg = cfg
-        self.gate = gate
+        self.gate_w1, self.gate_b1 = gate_w1, gate_b1
+        self.gate_w2, self.gate_b2 = gate_w2, gate_b2
         self.proj = proj
-        self.head_w = head_w
-        self.head_b = head_b
-        self.norm_mean = norm_mean
-        self.norm_std = norm_std
+        self.head_w, self.head_b = head_w, head_b
+        self.norm_mean = [np.zeros(d) for d in cfg.dims]
+        self.norm_std = [np.ones(d) for d in cfg.dims]
 
     @classmethod
     def init(cls, cfg: FusionConfig, rng: np.random.Generator) -> "FusionModel":
         """Fan-in-uniform weights, zero biases; the gate output layer starts at
         zero so training begins from the equal-weight mixture."""
+        def param(data: np.ndarray) -> T.Tensor:
+            return T.Tensor(data, requires_grad=True)
+
         hid = cfg.gate_hidden_dim
-        gate = GateState(
-            w1=T.Tensor(_fan_in_uniform(rng, (cfg.gate_input_dim, hid)), requires_grad=True),
-            b1=T.Tensor(np.zeros(hid), requires_grad=True),
-            w2=T.Tensor(np.zeros((hid, cfg.modalities)), requires_grad=True),
-            b2=T.Tensor(np.zeros(cfg.modalities), requires_grad=True),
-        )
-        proj = [T.Tensor(_fan_in_uniform(rng, (d, cfg.fused_dim)), requires_grad=True)
-                for d in cfg.dims]
-        head_w = T.Tensor(_fan_in_uniform(rng, (cfg.fused_dim, cfg.classes)),
-                          requires_grad=True)
-        head_b = T.Tensor(np.zeros(cfg.classes), requires_grad=True)
-        norm_mean = [np.zeros(d) for d in cfg.dims]
-        norm_std = [np.ones(d) for d in cfg.dims]
-        return cls(cfg, gate, proj, head_w, head_b, norm_mean, norm_std)
+        return cls(cfg, param(_fan_in_uniform(rng, (cfg.gate_input_dim, hid))),
+                   param(np.zeros(hid)), param(np.zeros((hid, cfg.modalities))),
+                   param(np.zeros(cfg.modalities)),
+                   [param(_fan_in_uniform(rng, (d, cfg.fused_dim)))
+                    for d in cfg.dims],
+                   param(_fan_in_uniform(rng, (cfg.fused_dim, cfg.classes))),
+                   param(np.zeros(cfg.classes)))
 
     @classmethod
     def from_seed(cls, cfg: FusionConfig, seed: int) -> "FusionModel":
@@ -126,13 +109,14 @@ class FusionModel:
             self.norm_std[m] = np.maximum(rows.std(axis=0), 1e-8)
 
     def parameters(self) -> list[tuple[str, T.Tensor]]:
-        params = self.gate.parameters()
-        params += [(f"proj.{m}", w) for m, w in enumerate(self.proj)]
-        params += [("head.w", self.head_w), ("head.b", self.head_b)]
-        return params
+        """(checkpoint array name, tensor) for every parameter."""
+        return ([("gate_w1", self.gate_w1), ("gate_b1", self.gate_b1),
+                 ("gate_w2", self.gate_w2), ("gate_b2", self.gate_b2)]
+                + [(f"proj_{m}", w) for m, w in enumerate(self.proj)]
+                + [("head_w", self.head_w), ("head_b", self.head_b)])
 
     def gate_parameters(self) -> list[T.Tensor]:
-        return [t for _, t in self.gate.parameters()]
+        return [self.gate_w1, self.gate_b1, self.gate_w2, self.gate_b2]
 
     def base_parameters(self) -> list[T.Tensor]:
         return list(self.proj) + [self.head_w, self.head_b]
@@ -186,8 +170,8 @@ def _gate_weights(model: FusionModel, pre: T.Tensor,
     """ReLU, gate layer 2 and the softmax masked to ``keep``, from gate
     layer 1's pre-activation. Raises ``ValueError`` if the weights are
     non-finite: the gate pass itself does not scan its results."""
-    gate = model.gate
-    p = T.masked_softmax(T.linear(T.relu(pre), gate.w2, gate.b2), keep)
+    p = T.masked_softmax(T.linear(T.relu(pre), model.gate_w2, model.gate_b2),
+                         keep)
     if not np.isfinite(p.data).all():
         raise ValueError("gate weights are non-finite")
     return p
@@ -216,8 +200,8 @@ def gate_rows(model: FusionModel, batch: MultimodalBatch) -> T.Tensor:
     """
     _check_layout(model, batch)
     _check_rows(batch.presence)
-    gate = model.gate
-    pre = T.linear(T.Tensor(model.gate_input(batch)), gate.w1, gate.b1)
+    pre = T.linear(T.Tensor(model.gate_input(batch)), model.gate_w1,
+                   model.gate_b1)
     return _gate_weights(model, pre, batch.presence)
 
 
@@ -275,13 +259,12 @@ def lattice_forward(model: FusionModel, clean: MultimodalBatch,
         rows = (gated[:, None] * clean.n + np.arange(clean.n)).ravel()
         x = model.gate_input(clean)
         edges = np.cumsum((0,) + clean.dims)
-        gate = model.gate
         layer1 = []
         for m in range(clean.num_modalities):
             cols = np.append(np.arange(edges[m], edges[m + 1]), edges[-1] + m)
             layer1.append(T.matmul(T.Tensor(x[:, cols]),
-                                   T.gather(gate.w1, cols)))
-        pre = T.blend(T.Tensor(p.data[rows]), layer1, gate.b1)
+                                   T.gather(model.gate_w1, cols)))
+        pre = T.blend(T.Tensor(p.data[rows]), layer1, model.gate_b1)
         p_gated = _gate_weights(model, pre, keep[rows])
         p = (p_gated if gated.size == len(views)
              else T.put_rows(p, rows, p_gated))
@@ -295,7 +278,7 @@ def lattice_forward(model: FusionModel, clean: MultimodalBatch,
 # ---------------------------------------------------------------------------
 
 def save_checkpoint(model: FusionModel, path) -> None:
-    arrays = {name.replace(".", "_"): t.data for name, t in model.parameters()}
+    arrays = {name: t.data for name, t in model.parameters()}
     for m in range(model.cfg.modalities):
         arrays[f"norm_mean_{m}"] = model.norm_mean[m]
         arrays[f"norm_std_{m}"] = model.norm_std[m]
@@ -319,22 +302,18 @@ def load_checkpoint(path) -> FusionModel:
         except TypeError as exc:
             raise ValueError(f"checkpoint config does not fit: {exc}") from exc
 
-        def load(key: str, shape: tuple[int, ...]) -> T.Tensor:
+        def load(key: str, shape: tuple[int, ...]) -> np.ndarray:
             arr = z[key]
             if arr.shape != shape:
                 raise ValueError(f"checkpoint array {key} has shape "
                                  f"{arr.shape}, the config needs {shape}")
-            return T.Tensor(arr, requires_grad=True)  # rejects non-finite data
+            return T.Tensor(arr).data  # rejects non-finite data
 
-        layout = FusionModel.from_seed(cfg, seed=0)
-        params = {name: load(name.replace(".", "_"), t.shape)
-                  for name, t in layout.parameters()}
-        norm_mean = [load(f"norm_mean_{m}", (d,)).data
-                     for m, d in enumerate(cfg.dims)]
-        norm_std = [load(f"norm_std_{m}", (d,)).data
-                    for m, d in enumerate(cfg.dims)]
-    gate = GateState(w1=params["gate.w1"], b1=params["gate.b1"],
-                     w2=params["gate.w2"], b2=params["gate.b2"])
-    proj = [params[f"proj.{m}"] for m in range(cfg.modalities)]
-    return FusionModel(cfg, gate, proj, params["head.w"], params["head.b"],
-                       norm_mean, norm_std)
+        model = FusionModel.from_seed(cfg, seed=0)
+        for name, t in model.parameters():
+            t.data = load(name, t.shape)
+        model.norm_mean = [load(f"norm_mean_{m}", (d,))
+                           for m, d in enumerate(cfg.dims)]
+        model.norm_std = [load(f"norm_std_{m}", (d,))
+                          for m, d in enumerate(cfg.dims)]
+    return model

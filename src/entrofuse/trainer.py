@@ -18,7 +18,7 @@ from __future__ import annotations
 import hashlib
 import json
 import time
-from dataclasses import dataclass, field, asdict
+from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
@@ -202,16 +202,16 @@ def train(cfg: TrainConfig, data: tuple[MultimodalBatch, MultimodalBatch, Multim
         multilabel=multilabel)
     model = FusionModel.init(fcfg, stream(cfg.seed, "init"))
     model.fit_norm(train_b)
-    if not sw.gate_on:
-        # frozen at its zero-output initialisation, the gate weights every
-        # observed modality equally (see gate_rows)
+    groups = [{"params": model.base_parameters(), "lr": cfg.lr_base}]
+    if sw.gate_on:
+        groups.append({"params": model.gate_parameters(), "lr": cfg.lr_gate})
+    else:
+        # frozen at its zero-output initialisation, and out of the optimizer
+        # so weight decay leaves it there, the gate weights every observed
+        # modality equally (see gate_rows)
         for t in model.gate_parameters():
             t.requires_grad = False
-
-    opt = AdamW(groups=[
-        {"params": model.gate_parameters(), "lr": cfg.lr_gate},
-        {"params": model.base_parameters(), "lr": cfg.lr_base},
-    ], weight_decay=cfg.weight_decay)
+    opt = AdamW(groups=groups, weight_decay=cfg.weight_decay)
 
     data_rng = stream(cfg.seed, "data")
     mask_rng = stream(cfg.seed, "masking")
@@ -219,7 +219,8 @@ def train(cfg: TrainConfig, data: tuple[MultimodalBatch, MultimodalBatch, Multim
 
     lam_cfg = cfg.lambda_cfg
     v_max = None
-    if cfg.lam_mode == "instance" and sw.lam_on:
+    instance_lam = sw.lam_on and cfg.lam_mode == "instance"
+    if instance_lam:
         v_max = calibrate_vmax(model, val_b, lam_cfg, drop_rng)
         lam_cfg = with_vmax(lam_cfg, v_max)
 
@@ -252,17 +253,18 @@ def train(cfg: TrainConfig, data: tuple[MultimodalBatch, MultimodalBatch, Multim
             idx = perm[step * cfg.batch_size:(step + 1) * cfg.batch_size]
             if idx.size == 0:
                 continue
-            clean = train_b.take(idx)
+            clean = batch = train_b.take(idx)
             if sw.mask_on and pi_t > 0.0:
                 if sched.mode == "acm":
                     keep = sample_keep(dist, pi_t, idx.size, mask_rng)
                 else:
                     keep = bernoulli_mask(idx.size, modalities, pi_t, mask_rng)
-                batch = apply_mask(clean, per_sample=keep)
-            else:
-                batch = clean
+                if pairs is None or instance_lam:
+                    batch = apply_mask(clean, per_sample=keep)
+                else:  # step_loss reads only the masked presence and labels
+                    batch = replace(clean, presence=clean.presence & keep)
 
-            if sw.lam_on and cfg.lam_mode == "instance":
+            if instance_lam:
                 lam = lambda_of(model, batch, lam_cfg, drop_rng)
             else:
                 lam = lam_t

@@ -7,6 +7,8 @@ import numpy as np
 import pytest
 import yaml
 
+import entrofuse.cli as cli_module
+import entrofuse.model as model_module
 from entrofuse.cli import main
 from entrofuse.data import load_dataset
 from entrofuse.trainer import ABLATIONS
@@ -141,6 +143,25 @@ class TestAuditCommand:
         assert os.path.exists(os.path.join(out, "scatter.csv"))
         assert not os.path.exists(os.path.join(out, "eval.csv"))
         assert "inversion_rate" in capsys.readouterr().out
+
+    def test_one_forward_pass_over_the_test_split(
+            self, run_dir, config_path, tmp_path, monkeypatch):
+        # the scatter reuses the calibration pass; every other forward is
+        # over a masked copy for a subset view
+        seen = []
+        real = model_module.forward
+
+        def counting(model, batch):
+            seen.append(batch)
+            return real(model, batch)
+
+        for module in (cli_module, model_module):
+            monkeypatch.setattr(module, "forward", counting)
+        assert main(["audit",
+                     "--checkpoint", os.path.join(run_dir, "checkpoint.npz"),
+                     "--config", config_path,
+                     "--out", str(tmp_path / "audit")]) == 0
+        assert len({id(batch) for batch in seen}) == len(seen)
 
     def test_rates_flag_adds_dropout_table(self, run_dir, config_path, tmp_path):
         out = str(tmp_path / "audit")

@@ -1,5 +1,8 @@
 """Strict YAML config schema: defaults, typed casts, round-trips."""
 
+import dataclasses
+import re
+
 import numpy as np
 import pytest
 import yaml
@@ -159,3 +162,104 @@ class TestFileRoundTrip:
         path.write_text("42\n")
         with pytest.raises(ConfigError, match="mapping"):
             load_config(path)
+
+
+# Every field the schema reads, found by walking the dataclasses, so a new
+# field is covered without editing this table. Only where the YAML differs
+# from the fields is spelled out: renamed keys, the eval section, v_max.
+YAML_KEY = {"lambda_cfg": "lambda"}
+EVAL_KEY = {"eval_rates": "rates", "eval_seeds": "seeds"}
+# valid values for fields whose domain the default alone does not give
+OTHER = {"modalities": 3, "lam_mode": "instance", "ablation": "no_gate",
+         "acm_family": "all_subsets", "mode": "bernoulli",
+         "source": "ensemble", "multilabel": True, "temp_scaling": True}
+# (YAML section, attribute path from ExperimentConfig, default)
+SECTIONS = [("data", ("data",), SyntheticSpec()),
+            ("train", ("train",), TrainConfig()),
+            ("train.schedules", ("train", "schedules"), TrainConfig().schedules),
+            ("train.lambda", ("train", "lambda_cfg"), TrainConfig().lambda_cfg)]
+
+
+def schema_fields():
+    for where, attrs, default in SECTIONS:
+        for f in dataclasses.fields(default):
+            if f.name == "v_max":  # calibrated at run time, never configured
+                continue
+            if f.name in EVAL_KEY:
+                path = ("eval", EVAL_KEY[f.name])
+            else:
+                path = (*where.split("."), YAML_KEY.get(f.name, f.name))
+            yield pytest.param(path, (*attrs, f.name),
+                               getattr(default, f.name), id=".".join(path))
+
+
+def other_value(name, default):
+    """A valid YAML value for the field that differs from its default."""
+    if name in OTHER:
+        return OTHER[name]
+    if dataclasses.is_dataclass(default):
+        first = dataclasses.fields(default)[0].name
+        return {first: other_value(first, getattr(default, first))}
+    if isinstance(default, tuple):
+        return [other_value(name, v) for v in default]
+    if default is None or isinstance(default, int):
+        return (default or 0) + 1
+    return default / 2
+
+
+def typed(value, default):
+    """``value`` as the parsed field holds it."""
+    if isinstance(value, list):
+        return tuple(value)
+    if isinstance(value, dict):
+        return dataclasses.replace(default, **{
+            k: typed(v, getattr(default, k)) for k, v in value.items()})
+    return value
+
+
+def wrong_value(default):
+    """A YAML value of the wrong type for a field with this default."""
+    if dataclasses.is_dataclass(default) or isinstance(default, tuple):
+        return 3  # a scalar for a mapping or a list
+    if isinstance(default, bool):
+        return "yes"
+    if isinstance(default, float):
+        return "big"  # a string for a number
+    if isinstance(default, str):
+        return 1
+    return True  # a bool for an integer
+
+
+def document(path, value):
+    doc = minimal_doc()
+    section = doc
+    for key in path[:-1]:
+        section = section.setdefault(key, {})
+    section[path[-1]] = value
+    if path == ("data", "modalities"):  # one dim and one snr per modality
+        doc["data"].update(dims=[32] * value, snr=[1e6] * value)
+    return doc
+
+
+def lookup(tree, path):
+    for key in path:
+        tree = tree[key] if isinstance(tree, dict) else getattr(tree, key)
+    return tree
+
+
+class TestSchemaIsTheDataclassFields:
+    @pytest.mark.parametrize("path,attrs,default", schema_fields())
+    def test_non_default_value_parses_and_survives_resolved_dict(
+            self, path, attrs, default):
+        value = other_value(attrs[-1], default)
+        cfg = parse_config(document(path, value))
+        assert lookup(cfg, attrs) == typed(value, default) != default
+        resolved = resolved_dict(cfg)
+        if not dataclasses.is_dataclass(default):
+            assert lookup(resolved, path) == value
+        assert parse_config(resolved) == cfg
+
+    @pytest.mark.parametrize("path,attrs,default", schema_fields())
+    def test_wrong_type_is_named(self, path, attrs, default):
+        with pytest.raises(ConfigError, match=re.escape(".".join(path))):
+            parse_config(document(path, wrong_value(default)))

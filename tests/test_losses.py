@@ -408,7 +408,7 @@ class TestStackedStep:
         assert abs(got_loss - want_loss) <= 1e-12 * abs(want_loss)
         for name, g in want.items():
             if g is None:
-                assert frozen and name.startswith("gate."), name
+                assert frozen and name.startswith("gate_"), name
                 assert got[name] is None, name
                 continue
             scale = np.abs(g).max()

@@ -319,8 +319,8 @@ class TestEntropyConfidenceExport:
         cfg = FusionConfig(modalities=2, dims=(3, 3), classes=3, fused_dim=4)
         model = random_model(rng, cfg)
         batch = random_batch(rng, 9, cfg.dims, cfg.classes)
-        rows = entropy_confidence_export(model, batch)
         out = forward(model, batch)
+        rows = entropy_confidence_export(out)
         assert rows.shape == (9, 2)
         assert (rows[:, 0] == out.gate_entropy.data).all()
         assert (rows[:, 1] == out.confidence.data).all()
@@ -331,7 +331,7 @@ class TestEntropyConfidenceExport:
         model = random_model(rng, cfg)
         presence = np.tile([True, False], (6, 1))
         batch = random_batch(rng, 6, cfg.dims, cfg.classes, presence)
-        rows = entropy_confidence_export(model, batch)
+        rows = entropy_confidence_export(forward(model, batch))
         assert (rows[:, 0] == 0.0).all()
 
 

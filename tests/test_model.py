@@ -37,8 +37,8 @@ def frozen_gate_model(rng, cfg):
     its zero initialisation and no gate parameter taking a gradient. The
     first gate layer and every other weight are scattered."""
     model = random_model(rng, cfg)
-    model.gate.w2.data[:] = 0.0
-    model.gate.b2.data[:] = 0.0
+    model.gate_w2.data[:] = 0.0
+    model.gate_b2.data[:] = 0.0
     for t in model.gate_parameters():
         t.requires_grad = False
     return model
@@ -163,8 +163,8 @@ class TestForwardValues:
                 z = (batch.features[m] - model.norm_mean[m]) / model.norm_std[m]
                 cols.append(z * presence[:, m:m + 1])
             x_gate = np.concatenate(cols + [presence.astype(float)], axis=1)
-            h1 = np.maximum(x_gate @ model.gate.w1.data + model.gate.b1.data, 0.0)
-            glog = h1 @ model.gate.w2.data + model.gate.b2.data
+            h1 = np.maximum(x_gate @ model.gate_w1.data + model.gate_b1.data, 0.0)
+            glog = h1 @ model.gate_w2.data + model.gate_b2.data
             glog = np.where(presence, glog, -np.inf)
             glog = glog - glog.max(axis=1, keepdims=True)
             e = np.exp(glog)
@@ -365,7 +365,7 @@ class TestValidation:
         rng = np.random.default_rng(63)
         cfg = FusionConfig(modalities=2, dims=(3, 3), classes=2, fused_dim=4)
         model = random_model(rng, cfg)
-        model.gate.w2.data[0, 1] = np.nan
+        model.gate_w2.data[0, 1] = np.nan
         batch = random_batch(rng, 4, cfg.dims, cfg.classes)
         with pytest.raises(ValueError, match="gate weights"):
             gate_rows(model, batch)
@@ -440,10 +440,10 @@ class TestSeededInit:
         cfg = FusionConfig(modalities=2, dims=(3, 3), classes=3, fused_dim=4)
         a = FusionModel.from_seed(cfg, 7)
         b = FusionModel.from_seed(cfg, 8)
-        assert np.abs(a.gate.w1.data - b.gate.w1.data).max() > 1e-9
+        assert np.abs(a.gate_w1.data - b.gate_w1.data).max() > 1e-9
 
     def test_gate_output_layer_starts_at_zero(self):
         cfg = FusionConfig(modalities=3, dims=(3, 3, 3), classes=3, fused_dim=4)
         model = FusionModel.from_seed(cfg, 0)
-        assert (model.gate.w2.data == 0.0).all()
-        assert (model.gate.b2.data == 0.0).all()
+        assert (model.gate_w2.data == 0.0).all()
+        assert (model.gate_b2.data == 0.0).all()

@@ -8,9 +8,10 @@ import pytest
 
 import entrofuse.model as model_module
 import entrofuse.tensor as T
+import entrofuse.trainer as trainer_module
 import entrofuse.uncertainty as uncertainty
 from entrofuse.curriculum import Schedules
-from entrofuse.data import SyntheticSpec, generate
+from entrofuse.data import SyntheticSpec, apply_mask, generate
 from entrofuse.model import FusionConfig, FusionModel, forward
 from entrofuse.metrics import top1_accuracy
 from entrofuse.rng import stream
@@ -215,6 +216,29 @@ class TestTrainLoop:
         int(res.config_hash, 16)
 
 
+class TestMaskedCopies:
+    @pytest.mark.parametrize("gamma,lam_mode,copied", [
+        (1.0, "scheduled", False), (0.0, "scheduled", True),
+        (1.0, "instance", True)])
+    def test_step_loop_copies_masked_features_only_where_read(
+            self, monkeypatch, gamma, lam_mode, copied):
+        # with consistency pairs, step_loss reads only the masked presence
+        # and labels; the gamma=0 forward and instance lambda read features
+        calls = []
+
+        def counting(batch, *args, **kwargs):
+            calls.append(batch.n)
+            return apply_mask(batch, *args, **kwargs)
+
+        monkeypatch.setattr(trainer_module, "apply_mask", counting)
+        cfg = small_cfg(gamma=gamma, lam_mode=lam_mode)
+        res = train(cfg, small_data())
+        assert all((h.cec > 0.0) == (gamma > 0.0) for h in res.history)
+        steps = cfg.epochs * (256 // cfg.batch_size)
+        eval_draws = cfg.eval_seeds  # the one rate above 0
+        assert len(calls) == eval_draws + (steps if copied else 0)
+
+
 class TestAblationRuns:
     def test_no_gate_never_updates_gate_parameters(self):
         cfg = small_cfg(ablation="no_gate", weight_decay=0.0)
@@ -228,6 +252,18 @@ class TestAblationRuns:
             assert (got.data == want.data).all()
         # base parameters did move
         assert np.abs(res.model.head_w.data - init.head_w.data).max() > 1e-6
+
+    def test_no_gate_keeps_its_gate_out_of_weight_decay(self):
+        cfg = small_cfg(ablation="no_gate")
+        assert cfg.weight_decay > 0.0
+        res = train(cfg, small_data())
+        init = FusionModel.init(
+            FusionConfig(modalities=2, dims=(6, 6), classes=3,
+                         fused_dim=cfg.fused_dim),
+            stream(cfg.seed, "init"))
+        for got, want in zip(res.model.gate_parameters(),
+                             init.gate_parameters()):
+            assert (got.data == want.data).all()
 
     def test_no_entropy_reports_zero_lambda(self):
         res = train(small_cfg(ablation="no_entropy"), small_data())
