@@ -19,18 +19,16 @@ import sys
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import replace
 
-import numpy as np
 import yaml
 
 from .config import (ConfigError, ExperimentConfig, dump_resolved, load_config,
                      parse_config, read_yaml)
 from .data import generate, save_dataset
-from .metrics import (ece, entropy_confidence_export, inversion_audit,
-                      write_csv)
+from .metrics import (confidence_correct, ece, entropy_confidence_export,
+                      inversion_audit, write_csv)
 from .model import forward, load_checkpoint, save_checkpoint
 from .trainer import (ABLATIONS, DivergenceError, RunResult,
-                      evaluate_under_dropout, train, _metric_row,
-                      _scaled_scores)
+                      evaluate_under_dropout, train)
 
 __all__ = ["main"]
 
@@ -53,6 +51,8 @@ def _rates_arg(text: str) -> tuple[float, ...]:
         raise argparse.ArgumentTypeError(f"bad rates list: {text!r}")
     if not rates:
         raise argparse.ArgumentTypeError("rates list is empty")
+    if not all(0.0 <= r < 1.0 for r in rates):  # NaN fails too
+        raise argparse.ArgumentTypeError(f"rates must be in [0, 1): {text!r}")
     return rates
 
 
@@ -260,13 +260,8 @@ def cmd_audit(args) -> int:
     os.makedirs(out, exist_ok=True)
 
     out_fwd = forward(model, test_b)
-    conf, pred = _scaled_scores(out_fwd.logits.data, model.cfg.multilabel,
-                                temperature)
-    if model.cfg.multilabel:
-        correct = test_b.labels[np.arange(test_b.n), pred].astype(bool)
-    else:
-        correct = pred == test_b.labels.astype(np.int64)
-    report = ece(conf, correct)
+    report = ece(*confidence_correct(out_fwd.logits.data, test_b.labels,
+                                     model.cfg.multilabel, temperature))
     bin_rows = [[k, report.bin_edges[k], report.bin_edges[k + 1],
                  report.counts[k], report.mean_confidence[k],
                  report.accuracy[k]] for k in range(len(report.counts))]

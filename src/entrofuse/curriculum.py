@@ -13,8 +13,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .data import MultimodalBatch, apply_mask
+from .data import MultimodalBatch
+from .model import gate_rows
 from .subsets import SubsetMask, nonempty_subsets
+from .tensor import entropy_rows
 
 __all__ = [
     "Schedules",
@@ -112,25 +114,17 @@ def candidate_family(modalities: int, family: str) -> list[SubsetMask]:
 def acm_distribution(model, batch: MultimodalBatch, eta: float,
                      family: str = "single_drops") -> MaskDistribution:
     """Softmax over per-candidate probe entropies: drop subsets after which
-    the gate stays most undecided are sampled most often. A candidate that
-    leaves exactly one observed modality in every probe row has entropy 0
-    and gets no gate pass."""
-    from .model import gate_rows  # deferred to avoid an import cycle
-
-    from .tensor import entropy_rows
-
+    the gate stays most undecided are sampled most often. Each candidate is
+    one ``gate_rows`` view of the probe rows, so one that leaves exactly
+    one observed modality in every row has entropy 0 and no gate pass."""
     if eta <= 0.0:
         raise ValueError("eta must be positive")
     candidates = candidate_family(batch.num_modalities, family)
     entropies = np.empty(len(candidates))
     for i, drop in enumerate(candidates):
-        left = (batch.presence & ~np.asarray(drop.bits, dtype=bool)).sum(axis=1)
-        if (left == 1).all():
-            # one modality left per row: the masked softmax is a point mass
-            entropies[i] = 0.0
-            continue
-        p = gate_rows(model, apply_mask(batch, drop=drop))
-        entropies[i] = float(entropy_rows(p).data.mean())
+        view = batch.presence & ~np.array(drop.bits)
+        entropies[i] = float(entropy_rows(gate_rows(model, batch, view[None]))
+                             .data.mean())
     scaled = entropies / eta
     scaled = scaled - scaled.max()  # softmax shift, exact distribution unchanged
     weights = np.exp(scaled)

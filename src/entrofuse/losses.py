@@ -15,7 +15,7 @@ import numpy as np
 
 from . import tensor as T
 from .data import MultimodalBatch
-from .model import forward, lattice_forward
+from .model import forward
 from .subsets import SubsetMask, subset_lattice
 
 __all__ = [
@@ -103,7 +103,7 @@ def _views(pairs: list[tuple[SubsetMask, SubsetMask]], presence: np.ndarray
 
 def _confidences(out, subsets: list[SubsetMask], n: int
                  ) -> dict[SubsetMask, T.Tensor]:
-    return {s: T.rows(out.confidence, v * n, (v + 1) * n)
+    return {s: T.gather(out.confidence, np.arange(v * n, (v + 1) * n))
             for v, s in enumerate(subsets)}
 
 
@@ -112,10 +112,10 @@ def subset_confidences(model, batch: MultimodalBatch,
                        ) -> dict[SubsetMask, T.Tensor]:
     """Per-sample confidence for every subset a pair mentions, each equal
     to ``predict_subset(model, batch, subset).confidence`` up to round-off:
-    one ``lattice_forward`` over a view of the batch's rows per subset,
-    read back in row blocks."""
+    one ``forward`` over a view of the batch's rows per subset, read back
+    in row blocks."""
     subsets, views = _views(pairs, batch.presence)
-    return _confidences(lattice_forward(model, batch, views), subsets, batch.n)
+    return _confidences(forward(model, batch, views), subsets, batch.n)
 
 
 def cec_loss(conf_by_subset: dict[SubsetMask, T.Tensor],
@@ -191,35 +191,36 @@ def composite_loss(logits: T.Tensor, p: T.Tensor, labels: np.ndarray, *,
     return total, breakdown
 
 
-def step_loss(model, batch: MultimodalBatch, clean: MultimodalBatch,
+def step_loss(model, batch: MultimodalBatch, keep: np.ndarray,
               pairs: list[tuple[SubsetMask, SubsetMask]] | None, *,
               lam: float | np.ndarray, gamma: float,
               multilabel: bool = False) -> tuple[T.Tensor, LossBreakdown]:
     """Objective of one training step on the active tape.
 
-    ``batch`` is the curriculum-masked minibatch and ``clean`` the same rows
-    unmasked. Without pairs, one ``forward`` over ``batch`` feeds the task
-    and entropy terms and the consistency term is off. With pairs, one
-    ``lattice_forward`` over ``clean`` holds a view per subset the pairs
-    mention, which the consistency term reads; the task and entropy terms
-    read each masked row from a view whose row has the same presence
-    pattern, so only ``batch``'s presence and labels are used. That is every
-    row when all nonempty subsets are viewed (up to 4 modalities); rows no
-    view holds get one extra view with ``batch``'s presence.
+    ``batch`` holds the minibatch rows and ``keep`` their [n, M]
+    curriculum-masked presence, inside ``batch.presence``. Without pairs,
+    one ``forward`` over the ``keep`` view feeds the task and entropy terms
+    and the consistency term is off. With pairs, one ``forward`` holds a
+    view per subset the pairs mention, which the consistency term reads;
+    the task and entropy terms read each masked row from a view whose row
+    has the same presence pattern. That is every row when all nonempty
+    subsets are viewed (up to 4 modalities); rows no view holds get one
+    extra view, ``keep`` itself.
     """
+    keep = np.asarray(keep, dtype=bool)
     if pairs is None:
-        out = forward(model, batch)
+        out = forward(model, batch, keep[None])
         return composite_loss(out.logits, out.p, batch.labels, lam=lam,
                               gamma=0.0, multilabel=multilabel)
-    n = clean.n
-    if batch.n != n or (batch.presence & ~clean.presence).any():
-        raise ValueError("batch must be a masked copy of clean")
-    subsets, views = _views(pairs, clean.presence)
-    held = (views == batch.presence).all(axis=2)  # [V, n]
+    n = batch.n
+    if keep.shape != batch.presence.shape:
+        raise ValueError(f"keep {keep.shape} needs {batch.presence.shape}")
+    subsets, views = _views(pairs, batch.presence)
+    held = (views == keep).all(axis=2)  # [V, n]
     if not held.any(axis=0).all():
-        views = np.concatenate([views, batch.presence[None]])
+        views = np.concatenate([views, keep[None]])
         held = np.concatenate([held, np.ones((1, n), dtype=bool)])
-    out = lattice_forward(model, clean, views)
+    out = forward(model, batch, views)
     idx = held.argmax(axis=0) * n + np.arange(n)
     return composite_loss(T.gather(out.logits, idx), T.gather(out.p, idx),
                           batch.labels, lam=lam, gamma=gamma,

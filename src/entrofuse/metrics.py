@@ -13,6 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import MultimodalBatch
+from .model import predict_subset
 from .subsets import SubsetMask, subset_lattice
 
 __all__ = [
@@ -22,6 +23,7 @@ __all__ = [
     "per_class_ece",
     "map_at_1",
     "top1_accuracy",
+    "confidence_correct",
     "audit_confidences",
     "inversion_audit",
     "entropy_confidence_export",
@@ -130,6 +132,28 @@ def top1_accuracy(logits: np.ndarray, labels: np.ndarray) -> float:
     return float((logits.argmax(axis=1) == labels.astype(np.int64)).mean())
 
 
+def confidence_correct(logits: np.ndarray, labels: np.ndarray,
+                       multilabel: bool, temperature: float = 1.0
+                       ) -> tuple[np.ndarray, np.ndarray]:
+    """Per-sample max-class probability of ``logits / temperature`` (softmax,
+    or per-class sigmoid when multi-label) and whether that class is a true
+    label: the inputs of ``ece``."""
+    z = logits / temperature
+    if multilabel:
+        probs = 1.0 / (1.0 + np.exp(-np.abs(z)))
+        probs = np.where(z >= 0, probs, 1.0 - probs)
+    else:
+        z = z - z.max(axis=1, keepdims=True)
+        e = np.exp(z)
+        probs = e / e.sum(axis=1, keepdims=True)
+    pred = probs.argmax(axis=1)
+    if multilabel:
+        correct = labels[np.arange(len(pred)), pred].astype(bool)
+    else:
+        correct = pred == labels.astype(np.int64)
+    return probs.max(axis=1), correct
+
+
 @dataclass(frozen=True)
 class InversionAudit:
     """Confidence monotonicity audit over the strict-inclusion lattice:
@@ -177,8 +201,6 @@ def audit_confidences(conf_by_subset, pairs) -> InversionAudit:
 
 def inversion_audit(model, batch: MultimodalBatch) -> InversionAudit:
     """Count samples with conf(A) > conf(B) for every strict pair A in B."""
-    from .model import predict_subset
-
     modalities = batch.num_modalities
     if modalities > 4:
         raise ValueError("full lattice audit is limited to 4 modalities")

@@ -5,6 +5,12 @@ and emits mixture weights on the probability simplex. Logits of absent
 modalities are masked before the softmax, so weights renormalize over the
 observed set only. Fusion is the gate-weighted sum of per-modality linear
 projections, followed by a linear classification head.
+
+A missing-modality pattern is a presence view, not a masked copy of the
+batch: ``forward`` and ``gate_rows`` take V [n, M] presence patterns inside
+the batch's own presence and return V * n rows, row v * n + i being row i
+as seen through view v. Features a view leaves out do not reach its rows:
+they are zeroed in the gate input and weighted by exactly 0 in the fusion.
 """
 
 from __future__ import annotations
@@ -15,7 +21,7 @@ from dataclasses import dataclass, asdict
 import numpy as np
 
 from . import tensor as T
-from .data import MultimodalBatch, apply_mask
+from .data import MultimodalBatch
 from .rng import stream
 from .subsets import SubsetMask, subset_lattice, nonempty_subsets  # noqa: F401
 
@@ -26,7 +32,6 @@ __all__ = [
     "gate_rows",
     "forward",
     "predict_subset",
-    "lattice_forward",
     "subset_lattice",
     "SubsetMask",
     "save_checkpoint",
@@ -121,12 +126,14 @@ class FusionModel:
     def base_parameters(self) -> list[T.Tensor]:
         return list(self.proj) + [self.head_w, self.head_b]
 
-    def gate_input(self, batch: MultimodalBatch) -> np.ndarray:
-        """Standardized features zeroed where absent, then presence flags,
-        written block by block into one [n, sum(dims) + M] array."""
+    def gate_input(self, batch: MultimodalBatch,
+                   presence: np.ndarray | None = None) -> np.ndarray:
+        """Standardized features zeroed where ``presence`` (default: the
+        batch's) is False, then those presence flags, written block by block
+        into one [n, sum(dims) + M] array."""
         x = np.empty((batch.n, sum(batch.dims) + batch.num_modalities))
         flags = x[:, x.shape[1] - batch.num_modalities:]
-        flags[...] = batch.presence
+        flags[...] = batch.presence if presence is None else presence
         lo = 0
         for m, f in enumerate(batch.features):
             z = f - self.norm_mean[m]
@@ -153,16 +160,24 @@ class ForwardOutput:
         return T.entropy_rows(T.Tensor(self.p.data))
 
 
-def _check_layout(model: FusionModel, batch: MultimodalBatch) -> None:
+def _views(model: FusionModel, batch: MultimodalBatch, views) -> np.ndarray:
+    """``views`` as a [V, n, M] bool array inside ``batch.presence`` whose
+    rows each keep a modality (the batch's own presence when None), for a
+    batch laid out as the model expects."""
     if (batch.num_modalities != model.cfg.modalities
             or batch.dims != tuple(model.cfg.dims)):
         raise ValueError(f"batch layout {batch.dims} does not match model "
                          f"{tuple(model.cfg.dims)}")
-
-
-def _check_rows(presence: np.ndarray) -> None:
-    if not presence.any(axis=1).all():
-        raise ValueError("every sample needs at least one observed modality")
+    views = np.asarray(batch.presence[None] if views is None else views,
+                       dtype=bool)
+    if views.ndim != 3 or views.shape[1:] != batch.presence.shape:
+        raise ValueError(f"views {views.shape} need [V, {batch.n}, "
+                         f"{batch.num_modalities}]")
+    if (views > batch.presence).any():
+        raise ValueError("a view keeps a modality its row does not observe")
+    if not views.any(axis=2).all():
+        raise ValueError("a sample has no observed modality")
+    return views
 
 
 def _gate_weights(model: FusionModel, pre: T.Tensor,
@@ -190,87 +205,67 @@ def _head(model: FusionModel, p: T.Tensor, z: T.Tensor) -> ForwardOutput:
     return ForwardOutput(p=p, z=z, logits=logits, confidence=confidence)
 
 
-def gate_rows(model: FusionModel, batch: MultimodalBatch) -> T.Tensor:
-    """Mixture weights over observed modalities, one simplex row per sample.
+def gate_rows(model: FusionModel, batch: MultimodalBatch,
+              views: np.ndarray | None = None) -> T.Tensor:
+    """Mixture weights over observed modalities, one simplex row per sample
+    and view: [V * n, M] for V [n, M] presence ``views`` inside
+    ``batch.presence`` (default: that presence, V = 1).
+
+    A row observing one modality weighs it by exactly 1 and passes the gate
+    no gradient, so the gate runs only on views with a row observing more.
+    With one such view, gate layer 1 is one affine map of its masked gate
+    input; with several, each modality's layer-1 product is computed once
+    on the batch's rows and ``T.blend`` sums them per view row.
 
     A gate frozen at its initialisation (``requires_grad`` cleared on
     ``model.gate_parameters()``) gives exactly ``presence / presence.sum(1)``
     and takes no gradient: its output layer starts at zero, so every logit
-    is 0. Raises ``ValueError`` if the weights are non-finite.
+    is 0. Raises ``ValueError`` if the weights are non-finite, or a view
+    row observes no modality or one its batch row does not.
     """
-    _check_layout(model, batch)
-    _check_rows(batch.presence)
-    pre = T.linear(T.Tensor(model.gate_input(batch)), model.gate_w1,
-                   model.gate_b1)
-    return _gate_weights(model, pre, batch.presence)
+    views = _views(model, batch, views)
+    keep = views.reshape(-1, batch.num_modalities)
+    gated = np.flatnonzero((views.sum(axis=2) > 1).any(axis=1))
+    if gated.size == 0:
+        return T.Tensor(keep.astype(np.float64))
+    if gated.size == 1:
+        pre = T.linear(T.Tensor(model.gate_input(batch, views[gated[0]])),
+                       model.gate_w1, model.gate_b1)
+    else:
+        x = model.gate_input(batch)
+        edges = np.cumsum((0,) + batch.dims)
+        layer1 = []
+        for m in range(batch.num_modalities):
+            cols = np.append(np.arange(edges[m], edges[m + 1]), edges[-1] + m)
+            layer1.append(T.matmul(T.Tensor(x[:, cols]),
+                                   T.gather(model.gate_w1, cols)))
+        weights = views[gated].reshape(-1, batch.num_modalities)
+        pre = T.blend(T.Tensor(weights.astype(np.float64)), layer1,
+                      model.gate_b1)
+    if gated.size == len(views):
+        return _gate_weights(model, pre, keep)
+    rows = (gated[:, None] * batch.n + np.arange(batch.n)).ravel()
+    return T.put_rows(T.Tensor(keep.astype(np.float64)), rows,
+                      _gate_weights(model, pre, keep[rows]))
 
 
-def forward(model: FusionModel, batch: MultimodalBatch) -> ForwardOutput:
-    """Full fusion pass. Raises ``ValueError`` if the gate weights or the
-    logits are non-finite."""
-    p = gate_rows(model, batch)
-    z = T.mix(p, [T.matmul(T.Tensor(f), w)
-                  for f, w in zip(batch.features, model.proj)])
+def forward(model: FusionModel, batch: MultimodalBatch,
+            views: np.ndarray | None = None) -> ForwardOutput:
+    """Full fusion pass over ``views`` of the batch's rows, as in
+    ``gate_rows``: each modality's projection is computed once on the
+    batch's rows and ``T.blend`` sums them per view row by its gate weights.
+    Raises ``ValueError`` as ``gate_rows`` does, and if the logits are
+    non-finite."""
+    p = gate_rows(model, batch, views)
+    z = T.blend(p, [T.matmul(T.Tensor(f), w)
+                    for f, w in zip(batch.features, model.proj)])
     return _head(model, p, z)
 
 
 def predict_subset(model: FusionModel, batch: MultimodalBatch,
                    observed: SubsetMask) -> ForwardOutput:
-    """Evaluate the predictor defined by an observed-modality subset.
-
-    Identical to masking the complement of ``observed`` and running forward.
-    """
-    if observed.count == 0:
-        raise ValueError("observed subset must be nonempty")
-    masked = apply_mask(batch, drop=observed.complement())
-    return forward(model, masked)
-
-
-def lattice_forward(model: FusionModel, clean: MultimodalBatch,
-                    views: np.ndarray) -> ForwardOutput:
-    """Forward over V views of the rows of ``clean`` without a masked copy.
-
-    ``views`` is a [V, n, M] presence pattern, each row a nonempty part of
-    that row's observed set. Row ``v * n + i`` of the output is row i of
-    ``forward`` on ``clean`` masked to ``views[v, i]``, up to round-off.
-    Each modality's gate layer-1 product (its standardised block and flag
-    times its rows of the layer's weight) and its projection are computed
-    once on the clean rows; each view row sums them with ``T.blend``, by
-    its presence pattern and then by its gate weights. Raises
-    ``ValueError`` as ``forward`` does, and for a view row with no
-    observed modality.
-    """
-    _check_layout(model, clean)
-    views = np.asarray(views, dtype=bool)
-    if views.ndim != 3 or views.shape[1:] != clean.presence.shape:
-        raise ValueError(f"views {views.shape} need [V, {clean.n}, "
-                         f"{clean.num_modalities}]")
-    if (views & ~clean.presence).any():
-        raise ValueError("a view keeps a modality its row does not observe")
-    keep = views.reshape(-1, clean.num_modalities)
-    _check_rows(keep)
-
-    # A row observing one modality gets weight exactly 1 on it from the
-    # masked softmax, and passes no gradient back into the gate, so the
-    # gate runs only on views with a row observing more.
-    p = T.Tensor(keep.astype(np.float64))
-    gated = np.flatnonzero((views.sum(axis=2) > 1).any(axis=1))
-    if gated.size:
-        rows = (gated[:, None] * clean.n + np.arange(clean.n)).ravel()
-        x = model.gate_input(clean)
-        edges = np.cumsum((0,) + clean.dims)
-        layer1 = []
-        for m in range(clean.num_modalities):
-            cols = np.append(np.arange(edges[m], edges[m + 1]), edges[-1] + m)
-            layer1.append(T.matmul(T.Tensor(x[:, cols]),
-                                   T.gather(model.gate_w1, cols)))
-        pre = T.blend(T.Tensor(p.data[rows]), layer1, model.gate_b1)
-        p_gated = _gate_weights(model, pre, keep[rows])
-        p = (p_gated if gated.size == len(views)
-             else T.put_rows(p, rows, p_gated))
-    z = T.blend(p, [T.matmul(T.Tensor(f), w)
-                    for f, w in zip(clean.features, model.proj)])
-    return _head(model, p, z)
+    """``forward`` over the view of the batch that keeps ``observed``."""
+    return forward(model, batch, (batch.presence & observed.bits)[None])
 
 
 # ---------------------------------------------------------------------------

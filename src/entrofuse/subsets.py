@@ -37,9 +37,6 @@ class SubsetMask:
     def count(self) -> int:
         return sum(self.bits)
 
-    def complement(self) -> "SubsetMask":
-        return SubsetMask(tuple(not b for b in self.bits))
-
     def indices(self) -> tuple[int, ...]:
         return tuple(i for i, b in enumerate(self.bits) if b)
 

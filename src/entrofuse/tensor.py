@@ -1,19 +1,18 @@
 """Dense float64 tensors with a replayable reverse-mode gradient tape.
 
 The op set is deliberately small: just enough for two-layer MLPs, softmax
-heads, mixture gating and the fusion losses. ``linear`` (``x @ w + b``),
-``mix`` (the gate-weighted sum of per-modality blocks) and ``blend`` (the
-same sum for V views of n shared rows, one batched matmul) are single
-fused nodes; ``rows`` and ``gather`` copy out rows by range or by index,
-and ``put_rows`` writes rows by index into a copy.
+heads, mixture gating and the fusion losses. ``linear`` (``x @ w + b``) and
+``blend`` (the gate-weighted sum of per-modality blocks for V views of n
+shared rows, one batched matmul) are single fused nodes; ``gather`` copies
+out rows by index and ``put_rows`` writes rows by index into a copy.
 No broadcasting beyond those, no views, no GPU.
 
 Finiteness is checked at the boundaries, not on every op result:
 ``Tensor(data)`` rejects non-finite data and parameters coming from
 outside, op results skip that scan, and the model rejects non-finite gate
-weights and logits on every read and train path (``forward``, ``gate_rows``
-and ``lattice_forward``). The trainer's divergence guard and AdamW's
-gradient check cover the loss and the backward pass.
+weights and logits on every read and train path (``forward`` and
+``gate_rows``). The trainer's divergence guard and AdamW's gradient check
+cover the loss and the backward pass.
 """
 
 from __future__ import annotations
@@ -38,14 +37,12 @@ __all__ = [
     "masked_softmax",
     "matmul",
     "mean_all",
-    "mix",
     "mul",
     "mul_scalar",
     "pick",
     "put_rows",
     "relu",
     "row_max",
-    "rows",
     "sigmoid",
     "softmax",
     "softplus",
@@ -430,25 +427,6 @@ def pick(x: Tensor, idx: np.ndarray) -> Tensor:
     return _maybe_record(out, (x,), backward)
 
 
-def rows(x: Tensor, lo: int, hi: int) -> Tensor:
-    """Rows lo:hi of a vector or matrix (a copy); backward scatters into them."""
-    if x.data.ndim not in (1, 2):
-        raise ValueError("rows expects a vector or a matrix of rows")
-    if not 0 <= lo < hi <= x.shape[0]:
-        raise ValueError(f"rows({lo}, {hi}) out of range for shape {x.shape}")
-    out = _result(x.data[lo:hi].copy())
-
-    def backward():
-        if out.grad is None:
-            return
-        if x.requires_grad:
-            g = np.zeros_like(x.data)
-            g[lo:hi] = out.grad
-            _accum(x, g)
-
-    return _maybe_record(out, (x,), backward)
-
-
 def _row_index(idx, n: int) -> np.ndarray:
     idx = np.asarray(idx, dtype=np.int64)
     if idx.ndim != 1 or idx.size == 0:
@@ -503,47 +481,13 @@ def put_rows(base: Tensor, idx: np.ndarray, x: Tensor) -> Tensor:
     return _maybe_record(out, (base, x), backward)
 
 
-def mix(p: Tensor, blocks: Sequence[Tensor]) -> Tensor:
-    """Row-weighted sum of blocks: out[i] = sum_m p[i, m] * blocks[m][i].
-
-    p is [n, M] and each of the M blocks is [n, d]. One node, summing the
-    terms in block order; its backward writes one [n, M] gradient for p.
-    """
-    if p.data.ndim != 2 or len(blocks) != p.shape[1] or not blocks:
-        raise ValueError(f"mix needs one block per column of p {p.shape}")
-    shape = blocks[0].shape
-    if len(shape) != 2 or shape[0] != p.shape[0] or any(
-            blk.shape != shape for blk in blocks):
-        raise ValueError(f"mix blocks must all be [{p.shape[0]}, d]")
-    w = p.data
-    y = blocks[0].data * w[:, 0:1]
-    for m in range(1, len(blocks)):
-        y += blocks[m].data * w[:, m:m + 1]
-    out = _result(y)
-
-    def backward():
-        if out.grad is None:
-            return
-        g = out.grad
-        gp = np.empty_like(w) if p.requires_grad else None
-        for m, blk in enumerate(blocks):
-            if blk.requires_grad:
-                _accum(blk, g * w[:, m:m + 1])
-            if gp is not None:
-                gp[:, m] = (g * blk.data).sum(axis=1)
-        if gp is not None:
-            _accum(p, gp)
-
-    return _maybe_record(out, (p, *blocks), backward)
-
-
 def blend(w: Tensor, blocks: Sequence[Tensor], b: Tensor | None = None) -> Tensor:
     """Per-row weighted sums of M shared blocks for V views of their n rows.
 
     Each block is [n, k] and w is [V * n, M]; row v * n + i of the [V * n, k]
     result is sum_m w[v * n + i, m] * blocks[m][i], plus b ([k]) if given.
     One node and one batched matmul, so the blocks are computed once for
-    every view; ``mix`` is the V = 1 case summed term by term.
+    every view.
     """
     shape = blocks[0].shape if blocks else ()
     if len(shape) != 2 or shape[0] == 0 or any(

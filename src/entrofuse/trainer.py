@@ -2,11 +2,13 @@
 
 One epoch: refresh the mask teacher, advance the warm-up schedules, then for
 each shuffled minibatch sample a modality mask, run the gated forward pass
-(with the consistency penalty on, one pass over the masked batch stacked
-above the clean batch's subset views), assemble task + entropy +
-consistency losses on the tape, and take one
+over presence views of the minibatch rows (the masked pattern, and with the
+consistency penalty on, one view per lattice subset), assemble task +
+entropy + consistency losses on the tape, and take one
 decoupled-weight-decay Adam step (gate parameters at their own learning
-rate, cosine decay on both groups).
+rate, cosine decay on both groups). Only instance lambda, which reads the
+masked features, and the single_modality ablation build zero-filled
+masked copies of the batch.
 
 Named RNG streams keyed by the run seed keep the data order identical
 across ablations of the same seed, so switched-off components are the only
@@ -18,7 +20,7 @@ from __future__ import annotations
 import hashlib
 import json
 import time
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -27,7 +29,7 @@ from .curriculum import (Schedules, acm_distribution, sample_keep,
                          schedule_lambda, schedule_pi)
 from .data import MultimodalBatch, apply_mask, bernoulli_mask
 from .losses import LossBreakdown, cec_pairs, step_loss
-from .metrics import ece, map_at_1, top1_accuracy
+from .metrics import confidence_correct, ece, map_at_1, top1_accuracy
 from .model import FusionConfig, FusionModel, forward
 from .optim import AdamW, cosine_lr
 from .rng import stream
@@ -154,29 +156,12 @@ def _keep_single(batch: MultimodalBatch, index: int) -> MultimodalBatch:
     return apply_mask(batch, per_sample=keep)
 
 
-def _scaled_scores(logits: np.ndarray, multilabel: bool,
-                   temperature: float) -> tuple[np.ndarray, np.ndarray]:
-    """(confidence, predicted class) after temperature scaling."""
-    z = logits / temperature
-    if multilabel:
-        probs = 1.0 / (1.0 + np.exp(-np.abs(z)))
-        probs = np.where(z >= 0, probs, 1.0 - probs)
-    else:
-        z = z - z.max(axis=1, keepdims=True)
-        e = np.exp(z)
-        probs = e / e.sum(axis=1, keepdims=True)
-    return probs.max(axis=1), probs.argmax(axis=1)
-
-
 def _metric_row(logits: np.ndarray, labels: np.ndarray, multilabel: bool,
                 temperature: float = 1.0) -> dict[str, float]:
-    conf, pred = _scaled_scores(logits, multilabel, temperature)
-    if multilabel:
-        score = map_at_1(logits, labels)
-        correct = labels[np.arange(len(pred)), pred].astype(bool)
-    else:
-        score = top1_accuracy(logits, labels)
-        correct = pred == labels.astype(np.int64)
+    conf, correct = confidence_correct(logits, labels, multilabel,
+                                       temperature)
+    score = (map_at_1(logits, labels) if multilabel
+             else top1_accuracy(logits, labels))
     return {"score": score, "ece": ece(conf, correct).ece}
 
 
@@ -253,25 +238,25 @@ def train(cfg: TrainConfig, data: tuple[MultimodalBatch, MultimodalBatch, Multim
             idx = perm[step * cfg.batch_size:(step + 1) * cfg.batch_size]
             if idx.size == 0:
                 continue
-            clean = batch = train_b.take(idx)
+            batch = masked = train_b.take(idx)
+            keep = batch.presence
             if sw.mask_on and pi_t > 0.0:
                 if sched.mode == "acm":
-                    keep = sample_keep(dist, pi_t, idx.size, mask_rng)
+                    draw = sample_keep(dist, pi_t, idx.size, mask_rng)
                 else:
-                    keep = bernoulli_mask(idx.size, modalities, pi_t, mask_rng)
-                if pairs is None or instance_lam:
-                    batch = apply_mask(clean, per_sample=keep)
-                else:  # step_loss reads only the masked presence and labels
-                    batch = replace(clean, presence=clean.presence & keep)
+                    draw = bernoulli_mask(idx.size, modalities, pi_t, mask_rng)
+                keep = keep & draw
+                if instance_lam:  # the variance reads the masked features
+                    masked = apply_mask(batch, per_sample=draw)
 
             if instance_lam:
-                lam = lambda_of(model, batch, lam_cfg, drop_rng)
+                lam = lambda_of(model, masked, lam_cfg, drop_rng)
             else:
                 lam = lam_t
 
             with T.Tape() as tape:
                 total, bd = step_loss(
-                    model, batch, clean, pairs, lam=lam, gamma=cfg.gamma,
+                    model, batch, keep, pairs, lam=lam, gamma=cfg.gamma,
                     multilabel=multilabel)
                 if ref_total is None:
                     ref_total = bd.total
@@ -285,6 +270,11 @@ def train(cfg: TrainConfig, data: tuple[MultimodalBatch, MultimodalBatch, Multim
             opt.zero_grad()
             sums += (bd.total, bd.task, bd.ent, bd.cec, bd.lam)
 
+        # the last step's tape holds its intermediates and their gradients:
+        # drop it before the validation pass and the next teacher probe.
+        # Only here: freed after every backward, that memory sits at the top
+        # of the heap, and the allocator returns and re-faults it each step
+        tape = None
         mean = sums / steps
         history.append(LossBreakdown(
             total=float(mean[0]), task=float(mean[1]), ent=float(mean[2]),
@@ -332,14 +322,13 @@ def evaluate_under_dropout(model: FusionModel, batch: MultimodalBatch,
         draws = 1 if rate == 0.0 or frozen_mask else seeds
         acc = {"score": 0.0, "ece": 0.0, "gate_entropy": 0.0}
         for s in range(draws):
+            views = None
             if rate > 0.0 and not frozen_mask:
                 rng = stream(seed, f"eval:{r_index}:{s}")
                 keep = bernoulli_mask(batch.n, batch.num_modalities, rate, rng)
-                masked = apply_mask(batch, per_sample=keep)
-            else:
-                masked = batch
-            out = forward(model, masked)
-            row = _metric_row(out.logits.data, masked.labels, multilabel,
+                views = (batch.presence & keep)[None]
+            out = forward(model, batch, views)
+            row = _metric_row(out.logits.data, batch.labels, multilabel,
                               temperature=temperature)
             acc["score"] += row["score"]
             acc["ece"] += row["ece"]

@@ -147,13 +147,13 @@ class TestAuditCommand:
     def test_one_forward_pass_over_the_test_split(
             self, run_dir, config_path, tmp_path, monkeypatch):
         # the scatter reuses the calibration pass; every other forward is
-        # over a masked copy for a subset view
+        # over a subset view
         seen = []
         real = model_module.forward
 
-        def counting(model, batch):
-            seen.append(batch)
-            return real(model, batch)
+        def counting(model, batch, views=None):
+            seen.append(views is None)
+            return real(model, batch, views)
 
         for module in (cli_module, model_module):
             monkeypatch.setattr(module, "forward", counting)
@@ -161,7 +161,7 @@ class TestAuditCommand:
                      "--checkpoint", os.path.join(run_dir, "checkpoint.npz"),
                      "--config", config_path,
                      "--out", str(tmp_path / "audit")]) == 0
-        assert len({id(batch) for batch in seen}) == len(seen)
+        assert seen.count(True) == 1 and len(seen) == 4  # and 3 subsets
 
     def test_rates_flag_adds_dropout_table(self, run_dir, config_path, tmp_path):
         out = str(tmp_path / "audit")
@@ -172,6 +172,18 @@ class TestAuditCommand:
         assert code == 0
         rows = open(os.path.join(out, "eval.csv")).read().splitlines()
         assert len(rows) == 3
+
+    @pytest.mark.parametrize("rates", ["0,1.5", "0,1", "-0.1", "nan"])
+    def test_rates_outside_unit_interval_are_usage_errors(
+            self, run_dir, config_path, tmp_path, capsys, rates):
+        out = tmp_path / "audit"
+        code = main(["audit",
+                     "--checkpoint", os.path.join(run_dir, "checkpoint.npz"),
+                     "--config", config_path, "--out", str(out),
+                     "--rates", rates])
+        assert code == 1
+        assert "usage error" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_applies_the_runs_fitted_temperature(self, tmp_path, capsys):
         doc = dict(SMALL_CONFIG,

@@ -183,12 +183,13 @@ class TestAcmDistribution:
         # a single observed modality per row makes the softmax a point mass
         calls = []
         real = model_module.gate_rows
+        real_gate = model_module._gate_weights
 
-        def counting(model, batch, **kw):
-            calls.append(batch.n)
-            return real(model, batch, **kw)
+        def counting(model, pre, keep):
+            calls.append(keep.shape[0])
+            return real_gate(model, pre, keep)
 
-        monkeypatch.setattr(model_module, "gate_rows", counting)
+        monkeypatch.setattr(model_module, "_gate_weights", counting)
         rng = np.random.default_rng(16)
         for m, family, runs in ((2, "single_drops", 0), (3, "single_drops", 3),
                                 (3, "all_subsets", 3)):

@@ -50,11 +50,6 @@ class TestSubsetMask:
         with pytest.raises(ValueError):
             SubsetMask.from_indices(2, [-1])
 
-    def test_complement(self):
-        s = SubsetMask.from_indices(3, [1])
-        assert s.complement().bits == (True, False, True)
-        assert s.complement().complement() == s
-
     def test_strict_subset_truth_table(self):
         a = SubsetMask.from_indices(3, [0])
         ab = SubsetMask.from_indices(3, [0, 1])

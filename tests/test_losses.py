@@ -5,17 +5,16 @@ import pytest
 
 import entrofuse.data as data_module
 import entrofuse.losses as losses_module
-import entrofuse.model as model_module
 import entrofuse.tensor as T
-from entrofuse.data import MultimodalBatch, apply_mask, bernoulli_mask
+from entrofuse.data import MultimodalBatch, bernoulli_mask
 from entrofuse.losses import (LossBreakdown, cec_loss, cec_pairs,
                               composite_loss, entropy_penalty, step_loss,
                               subset_confidences, task_loss)
-from entrofuse.model import (FusionConfig, FusionModel, forward,
-                             lattice_forward, predict_subset)
+from entrofuse.model import FusionConfig, FusionModel, forward
 from entrofuse.subsets import SubsetMask, subset_lattice
 
 from test_model import frozen_gate_model, random_batch, random_model
+from test_views import reference_forward
 
 
 def softmax_rows(z):
@@ -353,11 +352,12 @@ class TestCompositeLoss:
 
 
 class TestStackedStep:
-    """The lattice step against its reference: ``forward`` on the masked
-    batch plus one ``predict_subset`` call per lattice subset, with the gate
-    trained or frozen as the no_gate ablation freezes it. Beyond 4
-    modalities the pairs are sampled, so some masked rows have a presence
-    pattern no subset view holds."""
+    """The training step against its reference: the masked-copy pass of
+    ``test_views.reference_forward`` on the masked rows plus one per lattice
+    subset, with the gate trained or frozen as the no_gate ablation freezes
+    it, and without pairs as gamma=0 trains. Beyond 4 modalities the pairs
+    are sampled, so some masked rows have a presence pattern no subset view
+    holds."""
 
     CASES = [(m, frozen) for m in (2, 3, 4, 5) for frozen in (False, True)]
 
@@ -366,22 +366,25 @@ class TestStackedStep:
         cfg = FusionConfig(modalities=m, dims=(3, 4, 2, 5, 3)[:m], classes=4,
                            fused_dim=5, multilabel=multilabel)
         model = (frozen_gate_model if frozen else random_model)(rng, cfg)
-        clean = random_batch(rng, 7, cfg.dims, cfg.classes)
+        batch = random_batch(rng, 7, cfg.dims, cfg.classes)
         if multilabel:
-            clean.labels = (rng.random((7, cfg.classes)) < 0.4).astype(float)
-            clean.multilabel = True
-        keep = bernoulli_mask(clean.n, m, 0.4, rng)
-        return (model, apply_mask(clean, per_sample=keep), clean,
-                cec_pairs(m, rng, limit=8))
+            batch.labels = (rng.random((7, cfg.classes)) < 0.4).astype(float)
+            batch.multilabel = True
+        keep = bernoulli_mask(batch.n, m, 0.4, rng)
+        return model, batch, keep, cec_pairs(m, rng, limit=8)
 
     @staticmethod
     def _subsets(pairs):
         return list(dict.fromkeys(s for pair in pairs for s in pair))
 
-    def _reference_loss(self, model, batch, clean, pairs, multilabel=False):
-        out = forward(model, batch)
-        conf = {s: predict_subset(model, clean, s).confidence
-                for s in self._subsets(pairs)}
+    def _reference_loss(self, model, batch, keep, pairs, multilabel=False):
+        out = reference_forward(model, batch, keep)
+        if pairs is None:
+            return composite_loss(out.logits, out.p, batch.labels, lam=0.05,
+                                  gamma=0.0, multilabel=multilabel)[0]
+        conf = {s: reference_forward(model, batch,
+                                     batch.presence & np.array(s.bits))
+                .confidence for s in self._subsets(pairs)}
         return composite_loss(out.logits, out.p, batch.labels, lam=0.05,
                               gamma=2.0, cec=cec_loss(conf, pairs),
                               multilabel=multilabel)[0]
@@ -397,13 +400,13 @@ class TestStackedStep:
                              else param.grad.copy()
                              for name, param in model.parameters()}
 
-    def _assert_step_matches(self, model, batch, clean, pairs, frozen=False,
+    def _assert_step_matches(self, model, batch, keep, pairs, frozen=False,
                              multilabel=False):
         got_loss, got = self._loss_and_grads(model, lambda: step_loss(
-            model, batch, clean, pairs, lam=0.05, gamma=2.0,
+            model, batch, keep, pairs, lam=0.05, gamma=2.0,
             multilabel=multilabel)[0])
         want_loss, want = self._loss_and_grads(
-            model, lambda: self._reference_loss(model, batch, clean, pairs,
+            model, lambda: self._reference_loss(model, batch, keep, pairs,
                                                 multilabel))
         assert abs(got_loss - want_loss) <= 1e-12 * abs(want_loss)
         for name, g in want.items():
@@ -412,107 +415,70 @@ class TestStackedStep:
                 assert got[name] is None, name
                 continue
             scale = np.abs(g).max()
-            assert scale > 0.0, name
+            if scale == 0.0:  # no row of the masked view needs the gate
+                assert got[name] is None or not got[name].any(), name
+                continue
             np.testing.assert_allclose(got[name], g, rtol=0,
                                        atol=1e-12 * scale, err_msg=name)
 
     @pytest.mark.parametrize("m,frozen", CASES)
     def test_every_view_matches_its_reference_forward(self, m, frozen):
-        model, batch, clean, pairs = self._setup(70 + m, m, frozen)
-        subsets = self._subsets(pairs)
-        views = np.array([np.array(s.bits) & clean.presence for s in subsets]
-                         + [batch.presence])
-        out = lattice_forward(model, clean, views)
-        refs = [predict_subset(model, clean, s) for s in subsets]
-        refs.append(forward(model, batch))
-        assert out.logits.shape[0] == len(refs) * clean.n
-        for v, ref in enumerate(refs):
-            rows = slice(v * clean.n, (v + 1) * clean.n)
+        model, batch, keep, pairs = self._setup(70 + m, m, frozen)
+        views = np.array([np.array(s.bits) & batch.presence
+                          for s in self._subsets(pairs)] + [keep])
+        out = forward(model, batch, views)
+        assert out.logits.shape[0] == len(views) * batch.n
+        for v, view in enumerate(views):
+            ref = reference_forward(model, batch, view)
+            rows = slice(v * batch.n, (v + 1) * batch.n)
             for field in ("logits", "confidence", "p", "gate_entropy"):
                 np.testing.assert_allclose(getattr(out, field).data[rows],
                                            getattr(ref, field).data,
                                            rtol=0, atol=1e-12)
-            assert (out.p.data[rows][~views[v]] == 0.0).all()
+            assert (out.p.data[rows][~view] == 0.0).all()
 
     @pytest.mark.parametrize("m,frozen", CASES)
-    def test_step_loss_and_gradients_match_reference(self, m, frozen):
-        model, batch, clean, pairs = self._setup(80 + m, m, frozen)
-        self._assert_step_matches(model, batch, clean, pairs, frozen)
+    @pytest.mark.parametrize("with_pairs", [True, False])
+    def test_step_loss_and_gradients_match_reference(self, m, frozen,
+                                                     with_pairs):
+        model, batch, keep, pairs = self._setup(80 + m, m, frozen)
+        self._assert_step_matches(model, batch, keep,
+                                  pairs if with_pairs else None, frozen)
 
     @pytest.mark.parametrize("m", [2, 4, 5])
     def test_multilabel_step_matches_reference(self, m):
-        model, batch, clean, pairs = self._setup(85 + m, m, multilabel=True)
-        self._assert_step_matches(model, batch, clean, pairs, multilabel=True)
+        model, batch, keep, pairs = self._setup(85 + m, m, multilabel=True)
+        self._assert_step_matches(model, batch, keep, pairs, multilabel=True)
 
     def test_masked_rows_outside_every_view_get_one_extra_view(
             self, monkeypatch):
-        model, batch, clean, pairs = self._setup(85, 5)
+        model, batch, keep, pairs = self._setup(85, 5)
         subsets = self._subsets(pairs)
-        held = [np.array(s.bits) & clean.presence for s in subsets]
-        outside = [not any((v[i] == batch.presence[i]).all() for v in held)
+        held = [np.array(s.bits) & batch.presence for s in subsets]
+        outside = [not any((v[i] == keep[i]).all() for v in held)
                    for i in range(batch.n)]
         assert any(outside) and not all(outside)
         seen = []
 
-        def spy(model, clean, views):
+        def spy(model, batch, views):
             seen.append(views.shape[0])
-            return lattice_forward(model, clean, views)
+            return forward(model, batch, views)
 
-        monkeypatch.setattr(losses_module, "lattice_forward", spy)
-        step_loss(model, batch, clean, pairs, lam=0.05, gamma=2.0)
+        monkeypatch.setattr(losses_module, "forward", spy)
+        step_loss(model, batch, keep, pairs, lam=0.05, gamma=2.0)
         assert seen == [len(subsets) + 1]
         seen.clear()
         # up to 4 modalities every masked pattern is a subset view
-        model, batch, clean, pairs = self._setup(84, 4)
-        step_loss(model, batch, clean, pairs, lam=0.05, gamma=2.0)
+        model, batch, keep, pairs = self._setup(84, 4)
+        step_loss(model, batch, keep, pairs, lam=0.05, gamma=2.0)
         assert seen == [len(self._subsets(pairs))]
 
-    @pytest.mark.parametrize("m", [2, 3, 4, 5])
-    def test_view_rows_lie_on_their_masked_simplex(self, m):
-        # C02 over random presence: missing inputs in the clean rows and
-        # random nonempty observed parts of them as views
-        rng = np.random.default_rng(95 + m)
-        cfg = FusionConfig(modalities=m, dims=(3, 4, 2, 5, 3)[:m], classes=4,
-                           fused_dim=5)
-        model = random_model(rng, cfg)
-        for _ in range(5):
-            presence = bernoulli_mask(9, m, 0.3, rng)
-            clean = random_batch(rng, 9, cfg.dims, cfg.classes,
-                                 presence=presence)
-            views = np.array([presence & bernoulli_mask(9, m, 0.5, rng)
-                              for _ in range(6)])
-            empty = ~views.any(axis=2)
-            views[empty] = presence[np.nonzero(empty)[1]]
-            p = lattice_forward(model, clean, views).p.data
-            keep = views.reshape(-1, m)
-            assert (p >= 0.0).all()
-            assert (p[~keep] == 0.0).all()
-            np.testing.assert_allclose(p.sum(axis=1), 1.0, rtol=0, atol=1e-12)
-
-    def test_single_modality_views_skip_the_gate(self):
-        # rows observing one modality weigh it by exactly 1, with or
-        # without the gate, and pass the gate no gradient either way
-        model, _, clean, _ = self._setup(93, 3)
-        subsets = [SubsetMask.from_indices(3, [m]) for m in range(3)]
-        views = np.array([np.array(s.bits) & clean.presence for s in subsets])
-        with T.Tape() as tape:
-            out = lattice_forward(model, clean, views)
-            tape.backward(T.mean_all(out.confidence))
-        np.testing.assert_array_equal(out.p.data, views.reshape(-1, 3))
-        for v, subset in enumerate(subsets):
-            ref = predict_subset(model, clean, subset)
-            rows = slice(v * clean.n, (v + 1) * clean.n)
-            np.testing.assert_allclose(out.logits.data[rows], ref.logits.data,
-                                       rtol=0, atol=1e-12)
-        assert all(t.grad is None for t in model.gate_parameters())
-        assert all(t.grad is not None for t in model.base_parameters())
-
     def test_without_pairs_is_the_plain_composite_loss(self):
-        model, batch, clean, _ = self._setup(90, 3)
-        out = forward(model, batch)
+        model, batch, keep, _ = self._setup(90, 3)
+        out = forward(model, batch, [keep])
         want, _ = composite_loss(out.logits, out.p, batch.labels, lam=0.05,
                                  gamma=0.0)
-        got, bd = step_loss(model, batch, clean, None, lam=0.05, gamma=2.0)
+        got, bd = step_loss(model, batch, keep, None, lam=0.05, gamma=2.0)
         assert got.item() == want.item()
         assert bd.cec == 0.0
 
@@ -526,21 +492,22 @@ class TestStackedStep:
         with pytest.raises(ValueError, match="observed modality"):
             subset_confidences(model, batch, subset_lattice(2))
         with pytest.raises(ValueError, match="observed modality"):
-            step_loss(model, batch, batch, subset_lattice(2), lam=0.05,
-                      gamma=2.0)
+            step_loss(model, batch, batch.presence, subset_lattice(2),
+                      lam=0.05, gamma=2.0)
         with pytest.raises(ValueError, match="does not observe"):
-            lattice_forward(model, batch, np.ones((1, 3, 2), dtype=bool))
+            step_loss(model, batch, np.ones((3, 2), dtype=bool), None,
+                      lam=0.05, gamma=2.0)
 
     def test_no_view_is_a_masked_copy_of_the_batch(self, monkeypatch):
-        model, batch, clean, pairs = self._setup(92, 3)
+        model, batch, keep, pairs = self._setup(92, 3)
 
         def refuse(*args, **kwargs):
             raise AssertionError("a view was built as a masked batch copy")
 
-        for module in (data_module, model_module):
-            monkeypatch.setattr(module, "apply_mask", refuse)
+        monkeypatch.setattr(data_module, "apply_mask", refuse)
         monkeypatch.setattr(data_module.MultimodalBatch, "__init__", refuse)
         monkeypatch.setattr(data_module.MultimodalBatch, "take", refuse)
         with T.Tape():
-            _, bd = step_loss(model, batch, clean, pairs, lam=0.05, gamma=2.0)
+            _, bd = step_loss(model, batch, keep, pairs, lam=0.05, gamma=2.0)
+            step_loss(model, batch, keep, None, lam=0.05, gamma=2.0)
         assert bd.cec > 0.0

@@ -131,11 +131,10 @@ class TestGateWeights:
             for k in range(5):
                 rng = np.random.default_rng(500 + 100 * m + k)
                 model = frozen_gate_model(rng, cfg)
-                clean = random_batch(rng, 16, cfg.dims, cfg.classes)
-                batch = apply_mask(clean,
-                                   per_sample=random_presence(rng, 16, m))
+                batch = random_batch(rng, 16, cfg.dims, cfg.classes)
+                keep = random_presence(rng, 16, m)
                 with T.Tape() as tape:
-                    total, _ = step_loss(model, batch, clean, cec_pairs(m),
+                    total, _ = step_loss(model, batch, keep, cec_pairs(m),
                                          lam=0.05, gamma=2.0)
                     tape.backward(total)
                 assert all(t.grad is None for t in model.gate_parameters())
@@ -237,7 +236,8 @@ class TestPredictSubset:
         batch = random_batch(rng, 10, cfg.dims, cfg.classes)
         for subset in nonempty_subsets(3):
             via_subset = predict_subset(model, batch, subset)
-            masked = apply_mask(batch, drop=subset.complement())
+            masked = apply_mask(batch,
+                                per_sample=np.tile(subset.bits, (10, 1)))
             via_mask = forward(model, masked)
             assert (via_subset.logits.data == via_mask.logits.data).all()
             assert (via_subset.confidence.data == via_mask.confidence.data).all()
@@ -374,23 +374,21 @@ class TestValidation:
 
 
 class TestTapeSize:
-    def test_m2_consistency_step_records_41_nodes(self):
-        # gate, on the {0, 1} view only: per modality gather + matmul, then
-        # blend, relu, linear, masked_softmax, and put_rows beside the
-        # one-hot weights of the {0} and {1} views; fusion: 2 matmul +
-        # blend; head: linear; confidence: softmax, row_max; the rest is the
-        # loss, which reads the masked rows with 2 gathers and each subset
-        # with 1 rows
+    def test_m2_consistency_step_records_37_nodes(self):
+        # gate, on the {0, 1} view only: linear, relu, linear,
+        # masked_softmax, and put_rows beside the one-hot weights of the
+        # {0} and {1} views; fusion: 2 matmul + blend; head: linear;
+        # confidence: softmax, row_max; the rest is the loss, which reads
+        # the masked rows and each subset with a gather
         rng = np.random.default_rng(64)
         cfg = FusionConfig(modalities=2, dims=(3, 5), classes=4, fused_dim=6)
         model = random_model(rng, cfg)
-        clean = random_batch(rng, 16, cfg.dims, cfg.classes)
+        batch = random_batch(rng, 16, cfg.dims, cfg.classes)
         keep = rng.random((16, 2)) < 0.7
         keep[~keep.any(axis=1), 1] = True
-        batch = apply_mask(clean, per_sample=keep)
         with T.Tape() as tape:
-            step_loss(model, batch, clean, cec_pairs(2), lam=0.05, gamma=20.0)
-        assert tape.num_recorded == 41
+            step_loss(model, batch, keep, cec_pairs(2), lam=0.05, gamma=20.0)
+        assert tape.num_recorded == 37
 
 
 class TestCheckpoint:

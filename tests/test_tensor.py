@@ -222,7 +222,7 @@ class TestPrimitiveGradients:
             err = grad_check(lambda t: T.mean_all(T.row_max(t)), Tensor(x))
             assert err < 1e-6
 
-    def test_col_pick_mix(self):
+    def test_col_pick(self):
         rng = np.random.default_rng(20)
         for _ in range(10):
             x = Tensor(_rand(rng, 4, 3))
@@ -230,31 +230,6 @@ class TestPrimitiveGradients:
             assert err < 1e-6
             idx = rng.integers(0, 3, size=4)
             err = grad_check(lambda t: T.mean_all(T.pick(t, idx)), x)
-            assert err < 1e-6
-            p = Tensor(_rand(rng, 4, 3))
-            blocks = [Tensor(_rand(rng, 4, 2)) for _ in range(3)]
-            r = Tensor(_rand(rng, 4, 2))
-
-            def loss(out):
-                return T.mean_all(T.mul(out, r))
-
-            err = grad_check(lambda t: loss(T.mix(t, blocks)), p)
-            assert err < 1e-6
-            for m in range(3):
-                err = grad_check(
-                    lambda t, m=m: loss(
-                        T.mix(p, blocks[:m] + [t] + blocks[m + 1:])),
-                    blocks[m])
-                assert err < 1e-6
-
-    def test_rows(self):
-        rng = np.random.default_rng(24)
-        for _ in range(10):
-            x = Tensor(_rand(rng, 6, 3))
-            err = grad_check(lambda t: T.mean_all(T.rows(t, 2, 5)), x)
-            assert err < 1e-6
-            v = Tensor(_rand(rng, 6))
-            err = grad_check(lambda t: T.mean_all(T.rows(t, 0, 4)), v)
             assert err < 1e-6
 
     def test_gather(self):
@@ -309,13 +284,13 @@ class TestPrimitiveGradients:
                     blocks[j])
                 assert err < 1e-6
 
-    def test_rows_gradients_of_disjoint_slices_add_up(self):
+    def test_gather_gradients_of_disjoint_rows_add_up(self):
         rng = np.random.default_rng(25)
         x = Tensor(_rand(rng, 6, 2), requires_grad=True)
         w = _rand(rng, 6)
         with Tape() as tape:
-            a = T.dot_const(_ref_col(T.rows(x, 0, 3), 0), w[:3])
-            b = T.dot_const(_ref_col(T.rows(x, 3, 6), 0), w[3:])
+            a = T.dot_const(_ref_col(T.gather(x, np.arange(0, 3)), 0), w[:3])
+            b = T.dot_const(_ref_col(T.gather(x, np.arange(3, 6)), 0), w[3:])
             tape.backward(T.add(a, b))
         np.testing.assert_array_equal(x.grad[:, 0], w)
         np.testing.assert_array_equal(x.grad[:, 1], np.zeros(6))
@@ -339,8 +314,9 @@ class TestPrimitiveGradients:
             assert err < 1e-6
 
 
-# The compositions that linear and mix replace, kept as references: the
-# fused ops must reproduce their values and gradients bit for bit.
+# The compositions that linear and blend replace, kept as references:
+# linear must reproduce its chain's values and gradients bit for bit, and
+# blend the term-by-term sum of each view up to summation order.
 
 def _ref_col(x, j):
     out = T._result(x.data[:, j].copy())
@@ -425,7 +401,7 @@ def _values_and_grads(build, arrays):
 
 
 class TestFusedOps:
-    """linear and mix against the node chains they replace, bit for bit."""
+    """linear and blend against the node chains they replace."""
 
     def _assert_same(self, fused, ref, arrays):
         out, grads = _values_and_grads(fused, arrays)
@@ -440,31 +416,12 @@ class TestFusedOps:
             arrays = [_rand(rng, n, k), _rand(rng, k, d), _rand(rng, d)]
             self._assert_same(T.linear, _ref_linear, arrays)
 
-    def test_mix_equals_col_row_scale_add(self):
-        rng = np.random.default_rng(31)
-        for dims in ((32, 32), (3, 5, 40), (6, 1, 2, 9)):
-            n, m = 23, len(dims)
-            p = rng.random((n, m))
-            p[rng.random((n, m)) < 0.3] = 0.0  # masked modalities
-            p[4] = 0.0                          # a row of zeros
-            p /= np.where(p.sum(axis=1, keepdims=True) > 0,
-                          p.sum(axis=1, keepdims=True), 1.0)
-            feats = [_rand(rng, n, d) for d in dims]
-            projs = [_rand(rng, d, 6) for d in dims]
-
-            def build(mix):
-                def f(p, *proj):
-                    return mix(p, [T.matmul(Tensor(x), w)
-                                   for x, w in zip(feats, proj)])
-                return f
-
-            self._assert_same(build(T.mix), build(_ref_mix), [p] + projs)
-
-    def test_blend_is_mix_of_each_view(self):
-        # V views of shared blocks: view v is mix over its weight rows, up
-        # to the summation order of the batched matmul
+    def test_blend_is_term_by_term_sum_of_each_view(self):
+        # V views of shared blocks: view v is the term-by-term sum over its
+        # weight rows, up to the summation order of the batched matmul
         rng = np.random.default_rng(32)
-        for views, dims in ((3, (32, 32)), (7, (3, 5, 40)), (15, (6, 1, 2, 9))):
+        for views, dims in ((1, (32, 32)), (3, (32, 32)), (7, (3, 5, 40)),
+                            (15, (6, 1, 2, 9))):
             n, m = 11, len(dims)
             p = rng.random((views * n, m))
             p[rng.random(p.shape) < 0.3] = 0.0
@@ -478,9 +435,9 @@ class TestFusedOps:
             def per_view(p, *proj):
                 out = []
                 for v in range(views):
-                    pv = T.rows(p, v * n, (v + 1) * n)
-                    out.append(T.mix(pv, [T.matmul(Tensor(x), w)
-                                          for x, w in zip(feats, proj)]))
+                    pv = T.gather(p, np.arange(v * n, (v + 1) * n))
+                    out.append(_ref_mix(pv, [T.matmul(Tensor(x), w)
+                                             for x, w in zip(feats, proj)]))
                 return _ref_concat(out)
 
             out, grads = _values_and_grads(blended, [p] + projs)
@@ -495,12 +452,6 @@ class TestFusedOps:
                      (Tensor(np.zeros(3)), w, b), (x, w, Tensor(np.zeros((1, 2))))):
             with pytest.raises(ValueError):
                 T.linear(*args)
-        p = Tensor(np.zeros((4, 2)))
-        for blocks in ([], [x], [x, x, x], [x, Tensor(np.zeros((4, 2)))],
-                       [Tensor(np.zeros((3, 3)))] * 2, [Tensor(np.zeros(4))] * 2):
-            with pytest.raises(ValueError):
-                T.mix(p, blocks)
-
         blk = Tensor(np.zeros((4, 3)))
         for w_shape, blocks in (((8, 2), []), ((8, 2), [blk]),
                                 ((6, 2), [blk, blk]), ((0, 2), [blk, blk]),
@@ -566,21 +517,18 @@ class TestForwardValues:
             np.testing.assert_allclose(p, oracle, atol=1e-12)
             assert np.all(p[~keep] == 0.0)
 
-    def test_rows_copies_the_slice(self):
+    def test_gather_copies_the_rows(self):
         x = Tensor(np.arange(12.0).reshape(4, 3))
-        out = T.rows(x, 1, 3)
+        out = T.gather(x, np.arange(1, 3))
         np.testing.assert_array_equal(out.data, x.data[1:3])
         out.data[0, 0] = -1.0
         assert x.data[1, 0] == 3.0
 
-    def test_rows_rejects_bad_ranges_and_shapes(self):
-        x = Tensor(np.zeros((4, 3)))
-        for lo, hi in ((-1, 2), (2, 2), (3, 1), (0, 5)):
-            with pytest.raises(ValueError):
-                T.rows(x, lo, hi)
+    def test_gather_rejects_bad_shapes(self):
+        # bad indices are covered with the other ops' shape errors
         for bad in (Tensor(1.0), Tensor(np.zeros((2, 2, 2)))):
             with pytest.raises(ValueError):
-                T.rows(bad, 0, 1)
+                T.gather(bad, np.array([0]))
 
     def test_masked_softmax_rejects_empty_row(self):
         keep = np.array([[True, False], [False, False]])

@@ -149,10 +149,10 @@ class TestTrainLoop:
     @pytest.mark.parametrize("ablation", ["full", "no_gate"])
     def test_consistency_penalty_shares_one_forward_per_step(
             self, monkeypatch, ablation):
-        # training passes are the ones under a tape: one lattice pass per
-        # step carries the masked rows and every subset view, with no
-        # forward or predict_subset call beside it
-        calls = {"forward": 0, "predict_subset": 0, "lattice_forward": 0}
+        # training passes are the ones under a tape: one forward per step
+        # carries the masked rows and every subset view, with no
+        # predict_subset call beside it
+        calls = {"forward": 0, "predict_subset": 0}
 
         def counting(name, fn):
             def wrapped(*args, **kwargs):
@@ -173,8 +173,7 @@ class TestTrainLoop:
         res = train(cfg, small_data())
         assert all(h.cec > 0.0 for h in res.history)
         steps = cfg.epochs * (256 // cfg.batch_size)
-        assert calls == {"forward": 0, "predict_subset": 0,
-                         "lattice_forward": steps}
+        assert calls == {"forward": steps, "predict_subset": 0}
 
     def test_divergence_guard_raises(self):
         cfg = small_cfg(epochs=10, lr_base=2.0, lr_gate=20.0,
@@ -218,12 +217,12 @@ class TestTrainLoop:
 
 class TestMaskedCopies:
     @pytest.mark.parametrize("gamma,lam_mode,copied", [
-        (1.0, "scheduled", False), (0.0, "scheduled", True),
-        (1.0, "instance", True)])
+        (1.0, "scheduled", False), (0.0, "scheduled", False),
+        (1.0, "instance", True), (0.0, "instance", True)])
     def test_step_loop_copies_masked_features_only_where_read(
             self, monkeypatch, gamma, lam_mode, copied):
-        # with consistency pairs, step_loss reads only the masked presence
-        # and labels; the gamma=0 forward and instance lambda read features
+        # the step and the dropout evaluation read presence views of the
+        # rows; only instance lambda reads masked features
         calls = []
 
         def counting(batch, *args, **kwargs):
@@ -235,8 +234,7 @@ class TestMaskedCopies:
         res = train(cfg, small_data())
         assert all((h.cec > 0.0) == (gamma > 0.0) for h in res.history)
         steps = cfg.epochs * (256 // cfg.batch_size)
-        eval_draws = cfg.eval_seeds  # the one rate above 0
-        assert len(calls) == eval_draws + (steps if copied else 0)
+        assert len(calls) == (steps if copied else 0)
 
 
 class TestAblationRuns:

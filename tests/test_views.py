@@ -1,0 +1,282 @@
+"""Presence views: the one model pass against the masked-copy pass it replaced.
+
+``reference_forward`` keeps that pass as the oracle: ``forward`` over an
+``apply_mask`` copy of the batch, with the gate input concatenated block by
+block and the fusion summed term by term. Over random presence views that
+give 0, 1 and several views needing the gate, for 2 to 5 modalities,
+``forward`` and ``gate_rows`` must match it view by view, values and
+gradients, and every view row must lie on its masked simplex. The read
+paths and the gamma=0 training step must run without a masked copy.
+"""
+
+import sys
+
+import numpy as np
+import pytest
+
+import entrofuse.model as model_module
+import entrofuse.tensor as T
+from entrofuse.curriculum import acm_distribution, candidate_family
+from entrofuse.data import apply_mask
+from entrofuse.metrics import audit_confidences, inversion_audit
+from entrofuse.model import ForwardOutput, FusionConfig, forward, gate_rows
+from entrofuse.subsets import subset_lattice
+from entrofuse.trainer import evaluate_under_dropout, train
+
+from test_model import (frozen_gate_model, random_batch, random_model,
+                        random_presence)
+from test_tensor import _ref_mix
+from test_trainer import small_cfg, small_data
+
+MODALITIES = (2, 3, 4, 5)
+GATED = (0, 1, 3)  # views that need the gate: none, one kernel, the other
+
+
+def reference_forward(model, batch, keep=None) -> ForwardOutput:
+    """The pass before presence views, on the rows of ``batch`` masked to
+    ``keep`` (default: unmasked)."""
+    masked = batch if keep is None else apply_mask(batch, per_sample=keep)
+    presence = masked.presence
+    cols = [(f - mu) / sd * presence[:, m:m + 1]
+            for m, (f, mu, sd) in enumerate(zip(
+                masked.features, model.norm_mean, model.norm_std))]
+    x = np.concatenate(cols + [presence.astype(np.float64)], axis=1)
+    pre = T.linear(T.Tensor(x), model.gate_w1, model.gate_b1)
+    p = T.masked_softmax(T.linear(T.relu(pre), model.gate_w2, model.gate_b2),
+                         presence)
+    z = _ref_mix(p, [T.matmul(T.Tensor(f), w)
+                     for f, w in zip(masked.features, model.proj)])
+    logits = T.linear(z, model.head_w, model.head_b)
+    squash = T.sigmoid if model.cfg.multilabel else T.softmax
+    return ForwardOutput(p=p, z=z, logits=logits,
+                         confidence=T.row_max(squash(logits)))
+
+
+def assert_close(got, want, what=""):
+    """Equal within 1e-12 of the reference's largest magnitude."""
+    scale = max(np.abs(want).max(), 1e-300)
+    np.testing.assert_allclose(got, want, rtol=0, atol=1e-12 * scale,
+                               err_msg=what)
+
+
+def random_views(rng, presence, gated, single):
+    """``gated`` views with a row observing two or more modalities and
+    ``single`` views whose rows each observe one, shuffled, all inside
+    ``presence``, which needs a row observing two or more."""
+    n, m = presence.shape
+    multi = np.flatnonzero(presence.sum(axis=1) > 1)
+    views = []
+    for _ in range(gated):
+        view = presence & (rng.random((n, m)) < 0.6)
+        empty = ~view.any(axis=1)
+        view[empty] = presence[empty]
+        i = rng.choice(multi)
+        view[i] = presence[i]
+        views.append(view)
+    for _ in range(single):
+        view = np.zeros((n, m), dtype=bool)
+        for i in range(n):
+            view[i, rng.choice(np.flatnonzero(presence[i]))] = True
+        views.append(view)
+    return np.array(views)[rng.permutation(len(views))]
+
+
+def _setup(seed, m, gated, frozen=False, n=9):
+    """A scattered model, a batch with missing inputs (row 0 observes every
+    modality) and random views of it: ``gated`` needing the gate, and two
+    single-modality ones."""
+    rng = np.random.default_rng(seed)
+    cfg = FusionConfig(modalities=m, dims=(3, 4, 2, 5, 3)[:m], classes=4,
+                       fused_dim=5)
+    model = (frozen_gate_model if frozen else random_model)(rng, cfg)
+    model.norm_mean = [rng.normal(size=d) for d in cfg.dims]
+    model.norm_std = [rng.uniform(0.5, 2.0, size=d) for d in cfg.dims]
+    presence = random_presence(rng, n, m)
+    presence[0] = True
+    batch = random_batch(rng, n, cfg.dims, cfg.classes, presence)
+    return rng, model, batch, random_views(rng, presence, gated, 2)
+
+
+def _loss_and_grads(model, build):
+    for _, param in model.parameters():
+        param.zero_grad()
+    with T.Tape() as tape:
+        loss = build()
+        tape.backward(loss)
+    return loss.item(), {name: np.zeros_like(param.data) if param.grad is None
+                         else param.grad.copy()
+                         for name, param in model.parameters()}
+
+
+class TestAgainstReference:
+    CASES = [(m, gated, frozen) for m in MODALITIES for gated in GATED
+             for frozen in (False, True)]
+
+    @pytest.mark.parametrize("m,gated,frozen", CASES)
+    def test_forward_matches_reference_view_by_view(self, m, gated, frozen):
+        _, model, batch, views = _setup(10 * m + gated, m, gated, frozen)
+        out = forward(model, batch, views)
+        n = batch.n
+        assert out.logits.shape[0] == len(views) * n
+        for v, view in enumerate(views):
+            ref = reference_forward(model, batch, view)
+            rows = slice(v * n, (v + 1) * n)
+            for field in ("logits", "p", "confidence"):
+                assert_close(getattr(out, field).data[rows],
+                             getattr(ref, field).data, f"{field} view {v}")
+        assert np.array_equal(gate_rows(model, batch, views).data, out.p.data)
+
+    @pytest.mark.parametrize("m,gated,frozen", CASES)
+    def test_gradients_match_reference(self, m, gated, frozen):
+        rng, model, batch, views = _setup(20 * m + gated, m, gated, frozen)
+        n = batch.n
+        weights = rng.normal(size=(len(views) * n, model.cfg.classes))
+
+        def objective(out, w):
+            return T.add(T.mean_all(T.mul(out.logits, T.Tensor(w))),
+                         T.mean_all(out.confidence))
+
+        def viewed():
+            return objective(forward(model, batch, views), weights)
+
+        def reference():
+            # the mean over all view rows is the mean of the view means
+            total = None
+            for v, view in enumerate(views):
+                term = T.mul_scalar(objective(
+                    reference_forward(model, batch, view),
+                    weights[v * n:(v + 1) * n]), 1.0 / len(views))
+                total = term if total is None else T.add(total, term)
+            return total
+
+        got_loss, got = _loss_and_grads(model, viewed)
+        want_loss, want = _loss_and_grads(model, reference)
+        assert abs(got_loss - want_loss) <= 1e-12 * abs(want_loss)
+        for name, g in want.items():
+            if not g.any():
+                assert not got[name].any(), name
+                continue
+            assert_close(got[name], g, name)
+
+    def test_default_view_is_the_batch_presence(self):
+        _, model, batch, _ = _setup(3, 3, 1)
+        a = forward(model, batch)
+        b = forward(model, batch, [batch.presence])
+        assert np.array_equal(a.logits.data, b.logits.data)
+        assert_close(a.logits.data, reference_forward(model, batch).logits.data)
+
+
+class TestRandomViews:
+    @pytest.mark.parametrize("m,gated", [(m, g) for m in MODALITIES
+                                         for g in GATED])
+    def test_every_view_row_lies_on_its_masked_simplex(self, m, gated):
+        # C02 over random presence: missing inputs in the batch rows and
+        # random nonempty observed parts of them as views
+        for k in range(4):
+            _, model, batch, views = _setup(100 * m + 10 * gated + k, m,
+                                            gated)
+            p = gate_rows(model, batch, views).data
+            keep = views.reshape(-1, m)
+            assert (p >= 0.0).all()
+            assert (p[~keep] == 0.0).all()
+            np.testing.assert_allclose(p.sum(axis=1), 1.0, rtol=0, atol=1e-12)
+            # a row observing one modality weighs it by exactly 1
+            single = keep.sum(axis=1) == 1
+            assert np.array_equal(p[single], keep[single].astype(np.float64))
+
+    def test_gate_runs_once_per_call_and_only_for_views_that_need_it(
+            self, monkeypatch):
+        passes = []
+        real = model_module._gate_weights
+
+        def counting(model, pre, keep):
+            passes.append(keep.shape[0])
+            return real(model, pre, keep)
+
+        monkeypatch.setattr(model_module, "_gate_weights", counting)
+        for gated in GATED:
+            _, model, batch, views = _setup(40 + gated, 3, gated)
+            passes.clear()
+            gate_rows(model, batch, views)
+            assert passes == ([gated * batch.n] if gated else [])
+
+    def test_single_modality_views_skip_the_gate(self):
+        # rows observing one modality pass the gate no gradient
+        _, model, batch, views = _setup(93, 3, 0)
+        with T.Tape() as tape:
+            out = forward(model, batch, views)
+            tape.backward(T.mean_all(out.confidence))
+        np.testing.assert_array_equal(out.p.data, views.reshape(-1, 3))
+        assert all(t.grad is None for t in model.gate_parameters())
+        assert all(t.grad is not None for t in model.base_parameters())
+
+    def test_views_outside_the_batch_or_empty_rejected(self):
+        _, model, batch, views = _setup(94, 3, 1)
+        with pytest.raises(ValueError, match="does not observe"):
+            forward(model, batch, np.ones((1, batch.n, 3), dtype=bool))
+        empty = views.copy()
+        empty[0, 1] = False
+        with pytest.raises(ValueError, match="no observed modality"):
+            gate_rows(model, batch, empty)
+        with pytest.raises(ValueError, match="need"):
+            forward(model, batch, views[:, :-1])
+
+
+@pytest.fixture
+def no_masked_copies(monkeypatch):
+    """Every ``apply_mask`` the package can reach raises."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("a masked copy of the batch was built")
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("entrofuse") and hasattr(module, "apply_mask"):
+            monkeypatch.setattr(module, "apply_mask", refuse)
+
+
+class TestReadPathsTakeViews:
+    @pytest.mark.parametrize("m", [2, 3, 4])
+    def test_inversion_audit(self, m, no_masked_copies):
+        rng = np.random.default_rng(200 + m)
+        cfg = FusionConfig(modalities=m, dims=(3, 4, 2, 5)[:m], classes=4,
+                           fused_dim=5)
+        model = random_model(rng, cfg)
+        batch = random_batch(rng, 20, cfg.dims, cfg.classes)
+        audit = inversion_audit(model, batch)
+        subsets = {s for pair in subset_lattice(m) for s in pair}
+        ref = audit_confidences(
+            {s: reference_forward(model, batch,
+                                  batch.presence & np.array(s.bits))
+             .confidence.data for s in subsets}, subset_lattice(m))
+        assert np.array_equal(audit.counts, ref.counts)
+        assert_close(audit.mean_violation, ref.mean_violation)
+
+    def test_evaluate_under_dropout(self, no_masked_copies):
+        rng = np.random.default_rng(210)
+        cfg = FusionConfig(modalities=3, dims=(3, 4, 2), classes=4,
+                           fused_dim=5)
+        model = random_model(rng, cfg)
+        batch = random_batch(rng, 30, cfg.dims, cfg.classes)
+        table = evaluate_under_dropout(model, batch, rates=(0.0, 0.5),
+                                       seeds=2)
+        assert set(table) == {0.0, 0.5}
+        assert all(np.isfinite(list(row.values())).all()
+                   for row in table.values())
+
+    def test_acm_distribution_all_subsets(self, no_masked_copies):
+        rng = np.random.default_rng(220)
+        cfg = FusionConfig(modalities=3, dims=(3, 4, 2), classes=4,
+                           fused_dim=5)
+        model = random_model(rng, cfg)
+        batch = random_batch(rng, 24, cfg.dims, cfg.classes)
+        dist = acm_distribution(model, batch, 0.5, family="all_subsets")
+        assert dist.support == tuple(candidate_family(3, "all_subsets"))
+        for drop, entropy in zip(dist.support, dist.mean_entropies):
+            keep = ~np.array(drop.bits) & batch.presence
+            ref = reference_forward(model, batch, keep).p
+            assert_close(entropy, T.entropy_rows(ref).data.mean())
+
+    def test_gamma_zero_scheduled_lambda_training(self, no_masked_copies):
+        res = train(small_cfg(gamma=0.0, epochs=2), small_data())
+        assert all(h.cec == 0.0 and np.isfinite(h.total) for h in res.history)
+        assert res.history[-1].lam > 0.0
+
