@@ -160,26 +160,6 @@ class ForwardOutput:
         return T.entropy_rows(T.Tensor(self.p.data))
 
 
-def _views(model: FusionModel, batch: MultimodalBatch, views) -> np.ndarray:
-    """``views`` as a [V, n, M] bool array inside ``batch.presence`` whose
-    rows each keep a modality (the batch's own presence when None), for a
-    batch laid out as the model expects."""
-    if (batch.num_modalities != model.cfg.modalities
-            or batch.dims != tuple(model.cfg.dims)):
-        raise ValueError(f"batch layout {batch.dims} does not match model "
-                         f"{tuple(model.cfg.dims)}")
-    views = np.asarray(batch.presence[None] if views is None else views,
-                       dtype=bool)
-    if views.ndim != 3 or views.shape[1:] != batch.presence.shape:
-        raise ValueError(f"views {views.shape} need [V, {batch.n}, "
-                         f"{batch.num_modalities}]")
-    if (views > batch.presence).any():
-        raise ValueError("a view keeps a modality its row does not observe")
-    if not views.any(axis=2).all():
-        raise ValueError("a sample has no observed modality")
-    return views
-
-
 def _gate_weights(model: FusionModel, pre: T.Tensor,
                   keep: np.ndarray) -> T.Tensor:
     """ReLU, gate layer 2 and the softmax masked to ``keep``, from gate
@@ -220,10 +200,23 @@ def gate_rows(model: FusionModel, batch: MultimodalBatch,
     A gate frozen at its initialisation (``requires_grad`` cleared on
     ``model.gate_parameters()``) gives exactly ``presence / presence.sum(1)``
     and takes no gradient: its output layer starts at zero, so every logit
-    is 0. Raises ``ValueError`` if the weights are non-finite, or a view
-    row observes no modality or one its batch row does not.
+    is 0. Raises ``ValueError`` if the batch's layout is not the model's,
+    the weights are non-finite, or a view row observes no modality or one
+    its batch row does not.
     """
-    views = _views(model, batch, views)
+    if (batch.num_modalities != model.cfg.modalities
+            or batch.dims != tuple(model.cfg.dims)):
+        raise ValueError(f"batch layout {batch.dims} does not match model "
+                         f"{tuple(model.cfg.dims)}")
+    views = np.asarray(batch.presence[None] if views is None else views,
+                       dtype=bool)
+    if views.ndim != 3 or views.shape[1:] != batch.presence.shape:
+        raise ValueError(f"views {views.shape} need [V, {batch.n}, "
+                         f"{batch.num_modalities}]")
+    if (views > batch.presence).any():
+        raise ValueError("a view keeps a modality its row does not observe")
+    if not views.any(axis=2).all():
+        raise ValueError("a sample has no observed modality")
     keep = views.reshape(-1, batch.num_modalities)
     gated = np.flatnonzero((views.sum(axis=2) > 1).any(axis=1))
     if gated.size == 0:
@@ -264,7 +257,11 @@ def forward(model: FusionModel, batch: MultimodalBatch,
 
 def predict_subset(model: FusionModel, batch: MultimodalBatch,
                    observed: SubsetMask) -> ForwardOutput:
-    """``forward`` over the view of the batch that keeps ``observed``."""
+    """``forward`` over the view of the batch that keeps ``observed``.
+    Raises ``ValueError`` as ``forward`` does, or if ``observed`` does not
+    cover the batch's modalities."""
+    if len(observed.bits) != batch.num_modalities:
+        raise ValueError("subset length != modality count")
     return forward(model, batch, (batch.presence & observed.bits)[None])
 
 

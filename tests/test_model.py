@@ -271,6 +271,15 @@ class TestPredictSubset:
         with pytest.raises(ValueError):
             predict_subset(model, batch, SubsetMask.empty(2))
 
+    def test_subset_of_the_wrong_length_rejected(self):
+        rng = np.random.default_rng(44)
+        cfg = FusionConfig(modalities=2, dims=(3, 3), classes=3, fused_dim=4)
+        model = random_model(rng, cfg)
+        batch = random_batch(rng, 4, cfg.dims, cfg.classes)
+        for bits in ((True,), (True, False, True)):
+            with pytest.raises(ValueError, match="modality count"):
+                predict_subset(model, batch, SubsetMask(bits))
+
 
 class TestNormStats:
     def test_fit_norm_matches_numpy_on_observed_rows(self):
