@@ -121,23 +121,20 @@ def subset_confidences(model, batch: MultimodalBatch,
 def cec_loss(conf_by_subset: dict[SubsetMask, T.Tensor],
              pairs: list[tuple[SubsetMask, SubsetMask]]) -> T.Tensor:
     """Mean over pairs and samples of relu(conf(A) - conf(B))^2 for A strictly
-    inside B: seeing more modalities must not look less confident."""
+    inside B: seeing more modalities must not look less confident. One tape
+    node (``T.hinge_pairs``) for any number of pairs."""
     if not pairs:
         raise ValueError("need at least one subset pair")
-
-    def conf(subset: SubsetMask) -> T.Tensor:
-        if subset not in conf_by_subset:
-            raise ValueError(f"no confidence entry for subset {subset}")
-        return conf_by_subset[subset]
-
-    total = None
+    index: dict[SubsetMask, int] = {}
     for small, big in pairs:
         if not small.is_strict_subset_of(big):
             raise ValueError(f"pair ({small}, {big}) is not strict inclusion")
-        gap = T.relu(T.sub(conf(small), conf(big)))
-        term = T.mean_all(T.mul(gap, gap))
-        total = term if total is None else T.add(total, term)
-    return T.mul_scalar(total, 1.0 / len(pairs))
+        for subset in (small, big):
+            if subset not in conf_by_subset:
+                raise ValueError(f"no confidence entry for subset {subset}")
+            index.setdefault(subset, len(index))
+    return T.hinge_pairs([conf_by_subset[s] for s in index],
+                         [(index[small], index[big]) for small, big in pairs])
 
 
 def composite_loss(logits: T.Tensor, p: T.Tensor, labels: np.ndarray, *,

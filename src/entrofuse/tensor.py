@@ -3,8 +3,10 @@
 The op set is deliberately small: just enough for two-layer MLPs, softmax
 heads, mixture gating and the fusion losses. ``linear`` (``x @ w + b``) and
 ``blend`` (the gate-weighted sum of per-modality blocks for V views of n
-shared rows, one batched matmul) are single fused nodes; ``gather`` copies
-out rows by index and ``put_rows`` writes rows by index into a copy.
+shared rows, one batched matmul) and ``hinge_pairs`` (the mean squared
+hinge ``relu(x_i - x_j) ** 2`` over any number of index pairs, the
+consistency penalty) are single fused nodes; ``gather`` copies out rows by
+index and ``put_rows`` writes rows by index into a copy.
 No broadcasting beyond those, no views, no GPU.
 
 Finiteness is checked at the boundaries, not on every op result:
@@ -32,6 +34,7 @@ __all__ = [
     "entropy_rows",
     "gather",
     "grad_check",
+    "hinge_pairs",
     "linear",
     "log_softmax",
     "masked_softmax",
@@ -538,6 +541,46 @@ def mean_all(x: Tensor) -> Tensor:
             _accum(x, np.full_like(x.data, float(out.grad) / n))
 
     return _maybe_record(out, (x,), backward)
+
+
+def hinge_pairs(xs: Sequence[Tensor], pairs: Sequence[tuple[int, int]]
+                ) -> Tensor:
+    """Mean over index pairs (i, j) of ``mean(relu(xs[i] - xs[j]) ** 2)``.
+
+    One node for any number of pairs, with the values and gradients of the
+    composed ``sub``, ``relu``, ``mul``, ``mean_all``, ``add`` and
+    ``mul_scalar`` chain: the pair terms are summed in pair order, and the
+    backward accumulates into the inputs in reverse pair order.
+    """
+    if not pairs:
+        raise ValueError("hinge_pairs needs at least one pair")
+    if not xs or any(x.shape != xs[0].shape for x in xs):
+        raise ValueError("hinge_pairs inputs must all have one shape")
+    diff = (np.array([xs[i].data for i, _ in pairs])
+            - np.array([xs[j].data for _, j in pairs]))
+    gap = np.maximum(diff, 0.0)
+    n = gap[0].size
+    terms = np.add.reduce((gap * gap).reshape(len(pairs), n), axis=1) / n
+    total = terms[0]
+    for term in terms[1:]:
+        total = total + term
+    scale = 1.0 / len(pairs)
+    out = _result(total * scale)
+
+    def backward():
+        if out.grad is None:
+            return
+        g = float(out.grad * scale) / n * gap
+        g += g
+        g *= diff > 0.0
+        for k in reversed(range(len(pairs))):
+            i, j = pairs[k]
+            if xs[i].requires_grad:
+                _accum(xs[i], g[k])
+            if xs[j].requires_grad:
+                _accum(xs[j], -g[k])
+
+    return _maybe_record(out, xs, backward)
 
 
 def dot_const(x: Tensor, w: np.ndarray) -> Tensor:

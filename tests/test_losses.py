@@ -219,6 +219,92 @@ class TestCecLoss:
         assert checked >= 10
 
 
+def composed_cec_loss(conf_by_subset, pairs):
+    """``cec_loss`` as it was composed from tape primitives, about five
+    nodes per pair, before it became one node."""
+    total = None
+    for small, big in pairs:
+        gap = T.relu(T.sub(conf_by_subset[small], conf_by_subset[big]))
+        term = T.mean_all(T.mul(gap, gap))
+        total = term if total is None else T.add(total, term)
+    return T.mul_scalar(total, 1.0 / len(pairs))
+
+
+class TestFusedCecLoss:
+    """One tape node against the composed chain, value and gradients equal
+    bit for bit, with exact ties (gap 0) and inversions in every case."""
+
+    CASES = [(2, None), (3, None), (4, None), (5, 8)]
+
+    @staticmethod
+    def _confidences(rng, pairs, n=12):
+        subsets = list(dict.fromkeys(s for pair in pairs for s in pair))
+        tied = rng.choice([0.25, 0.5, 0.75, 1.0], size=(len(subsets), n // 2))
+        # free values spread over decades, so the pair terms do too and
+        # the order they are summed in shows in the last bits
+        free = (rng.uniform(0.3, 1.0, size=(len(subsets), n - n // 2))
+                * 10.0 ** rng.integers(-3, 1, size=(len(subsets), 1)))
+        return subsets, np.concatenate([tied, free], axis=1)
+
+    @staticmethod
+    def _loss_and_grads(loss_fn, subsets, values):
+        leaves = {s: T.Tensor(v.copy(), requires_grad=True)
+                  for s, v in zip(subsets, values)}
+        with T.Tape() as tape:
+            loss = T.mul_scalar(loss_fn(leaves), 20.0)
+            tape.backward(loss)
+        return loss.data, [leaves[s].grad for s in subsets]
+
+    @pytest.mark.parametrize("m,limit", CASES)
+    @pytest.mark.parametrize("seed", range(4))
+    def test_value_and_gradients_match_composed_chain(self, m, limit, seed):
+        rng = np.random.default_rng([40 + m, seed])
+        pairs = cec_pairs(m, rng, limit=limit) if limit else cec_pairs(m)
+        subsets, values = self._confidences(rng, pairs)
+        diffs = np.array([values[subsets.index(a)] - values[subsets.index(b)]
+                          for a, b in pairs])
+        assert (diffs == 0.0).any() and (diffs > 0.0).any()
+        got, got_grads = self._loss_and_grads(
+            lambda conf: cec_loss(conf, pairs), subsets, values)
+        want, want_grads = self._loss_and_grads(
+            lambda conf: composed_cec_loss(conf, pairs), subsets, values)
+        assert got > 0.0
+        assert np.array_equal(got, want)
+        for subset, g, w in zip(subsets, got_grads, want_grads):
+            assert np.array_equal(g, w), subset
+
+    @pytest.mark.parametrize("m,limit", CASES)
+    def test_records_one_node_for_every_pair_count(self, m, limit):
+        rng = np.random.default_rng(50 + m)
+        pairs = cec_pairs(m, rng, limit=limit) if limit else cec_pairs(m)
+        subsets, values = self._confidences(rng, pairs)
+        conf = {s: T.Tensor(v, requires_grad=True)
+                for s, v in zip(subsets, values)}
+        with T.Tape() as tape:
+            cec_loss(conf, pairs)
+        assert tape.num_recorded == 1
+
+    def test_gradient_matches_central_differences(self):
+        rng = np.random.default_rng(45)
+        pairs = cec_pairs(4)
+        subsets = list(dict.fromkeys(s for pair in pairs for s in pair))
+        n = 5
+
+        def loss(x):
+            return cec_loss({s: T.gather(x, np.arange(v * n, (v + 1) * n))
+                             for v, s in enumerate(subsets)}, pairs)
+
+        x = T.Tensor(rng.uniform(0.3, 1.0, size=len(subsets) * n))
+        assert T.grad_check(loss, x) < 1e-6
+
+    def test_confidences_of_different_shapes_rejected(self):
+        small, big = SubsetMask.from_indices(2, [0]), SubsetMask.full(2)
+        conf = {small: T.Tensor(np.array([0.9, 0.1])),
+                big: T.Tensor(np.array([0.7]))}
+        with pytest.raises(ValueError):
+            cec_loss(conf, [(small, big)])
+
+
 class TestCompositeLoss:
     def _parts(self, seed, n=6, classes=4, m=3):
         rng = np.random.default_rng(seed)

@@ -3,9 +3,10 @@
 import numpy as np
 import pytest
 
+import entrofuse.losses as losses_module
 import entrofuse.tensor as T
 from entrofuse.data import MultimodalBatch, apply_mask
-from entrofuse.losses import cec_pairs, step_loss
+from entrofuse.losses import cec_loss, cec_pairs, step_loss
 from entrofuse.model import (ForwardOutput, FusionConfig, FusionModel,
                              forward, gate_rows, load_checkpoint,
                              predict_subset, save_checkpoint)
@@ -383,12 +384,13 @@ class TestValidation:
 
 
 class TestTapeSize:
-    def test_m2_consistency_step_records_37_nodes(self):
+    def test_m2_consistency_step_records_28_nodes(self):
         # gate, on the {0, 1} view only: linear, relu, linear,
         # masked_softmax, and put_rows beside the one-hot weights of the
         # {0} and {1} views; fusion: 2 matmul + blend; head: linear;
         # confidence: softmax, row_max; the rest is the loss, which reads
-        # the masked rows and each subset with a gather
+        # the masked rows and each subset with a gather, and whose
+        # consistency term is one node
         rng = np.random.default_rng(64)
         cfg = FusionConfig(modalities=2, dims=(3, 5), classes=4, fused_dim=6)
         model = random_model(rng, cfg)
@@ -397,7 +399,32 @@ class TestTapeSize:
         keep[~keep.any(axis=1), 1] = True
         with T.Tape() as tape:
             step_loss(model, batch, keep, cec_pairs(2), lam=0.05, gamma=20.0)
-        assert tape.num_recorded == 37
+        assert tape.num_recorded == 28
+
+    def test_m4_all_subsets_step_records_one_consistency_node(
+            self, monkeypatch):
+        rng = np.random.default_rng(65)
+        cfg = FusionConfig(modalities=4, dims=(3, 4, 2, 5), classes=4,
+                           fused_dim=6)
+        model = random_model(rng, cfg)
+        batch = random_batch(rng, 16, cfg.dims, cfg.classes)
+        subsets = nonempty_subsets(4)
+        keep = np.array([subsets[i].bits
+                         for i in rng.integers(0, len(subsets), size=16)])
+        pairs = cec_pairs(4)
+        assert len(pairs) == 50
+        recorded = []
+
+        def counted(conf_by_subset, pairs):
+            before = tape.num_recorded
+            out = cec_loss(conf_by_subset, pairs)
+            recorded.append(tape.num_recorded - before)
+            return out
+
+        monkeypatch.setattr(losses_module, "cec_loss", counted)
+        with T.Tape() as tape:
+            step_loss(model, batch, keep, pairs, lam=0.05, gamma=20.0)
+        assert recorded == [1]
 
 
 class TestCheckpoint:

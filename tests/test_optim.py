@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from entrofuse.model import FusionConfig, FusionModel
 from entrofuse.optim import AdamW, AdamWState, adamw_step, cosine_lr
 from entrofuse.tensor import Tensor
 
@@ -19,6 +20,27 @@ def _reference_step(p, g, m, v, step, lr, b1, b2, wd, eps):
     p = p - lr * wd * p
     p = p - lr * m_hat / (np.sqrt(v_hat) + eps)
     return p, m, v
+
+
+def _per_parameter_step(params, grads, state, lr, betas, weight_decay,
+                        eps=1e-8):
+    """AdamW's kernel as it ran before the flat group buffers: one pass per
+    parameter with fresh temporaries. ``state`` is a dict of step, m, v."""
+    if not state:
+        state.update(step=0, m=[np.zeros_like(p) for p in params],
+                     v=[np.zeros_like(p) for p in params])
+    state["step"] += 1
+    b1, b2 = betas
+    bc1 = 1.0 - b1 ** state["step"]
+    bc2 = 1.0 - b2 ** state["step"]
+    for p, g, m, v in zip(params, grads, state["m"], state["v"]):
+        m *= b1
+        m += (1.0 - b1) * g
+        v *= b2
+        v += (1.0 - b2) * g * g
+        if weight_decay != 0.0:
+            p -= lr * weight_decay * p
+        p -= (lr / bc1) * m / (np.sqrt(v / bc2) + eps)
 
 
 class TestAdamWStep:
@@ -149,3 +171,94 @@ class TestAdamWGroups:
         opt = AdamW(groups=[{"params": [t], "lr": 0.1}])
         opt.zero_grad()
         assert t.grad is None
+
+
+class TestFlatGroups:
+    """Each group's parameters live in one flat buffer that one
+    ``adamw_step`` updates; the numbers are those of the per-parameter
+    kernel, bit for bit."""
+
+    @staticmethod
+    def _model():
+        # the benchmark's training shapes: 2 x 32 features, 8 classes
+        cfg = FusionConfig(modalities=2, dims=(32, 32), classes=8,
+                           fused_dim=32, gate_hidden=64)
+        return FusionModel.init(cfg, np.random.default_rng(34))
+
+    @pytest.mark.parametrize("weight_decay", [0.0, 0.01])
+    def test_matches_per_parameter_kernel_bit_for_bit(self, weight_decay):
+        rng = np.random.default_rng(35)
+        model = self._model()
+        groups = [model.base_parameters(), model.gate_parameters()]
+        lrs = [5e-3, 5e-2]
+        refs = [[t.data.copy() for t in group] for group in groups]
+        states = [{} for _ in groups]
+        opt = AdamW(groups=[{"params": g, "lr": lr}
+                            for g, lr in zip(groups, lrs)],
+                    weight_decay=weight_decay)
+        for step in range(20):
+            lr_scale = cosine_lr(1.0, step, 20)
+            for group, ref, state, lr in zip(groups, refs, states, lrs):
+                grads = []
+                for t in group:
+                    if t is model.gate_b2:  # never reached by a gradient
+                        t.grad = None
+                        grads.append(np.zeros(t.shape))
+                    else:
+                        scale = 10.0 ** rng.integers(-4, 2)
+                        t.grad = rng.standard_normal(t.shape) * scale
+                        grads.append(t.grad.copy())
+                _per_parameter_step(ref, grads, state, lr * lr_scale,
+                                    (0.9, 0.999), weight_decay)
+            opt.step(lr_scale=lr_scale)
+            opt.zero_grad()
+            for group, ref in zip(groups, refs):
+                for t, want in zip(group, ref):
+                    assert np.array_equal(t.data, want), step
+        # no gradient and a zero start: decay and moments leave it at 0
+        assert np.array_equal(model.gate_b2.data, np.zeros(2))
+
+    def test_parameters_become_views_of_one_buffer_per_group(self):
+        model = self._model()
+        before = [t.data.copy() for _, t in model.parameters()]
+        base, gate = model.base_parameters(), model.gate_parameters()
+        AdamW(groups=[{"params": base, "lr": 0.1}, {"params": gate, "lr": 0.1}])
+        for (_, t), want in zip(model.parameters(), before):
+            assert np.array_equal(t.data, want)
+            assert t.grad is None
+        for group in (base, gate):
+            owner = group[0].data.base
+            assert owner is not None and owner.ndim == 1
+            assert all(t.data.base is owner for t in group)
+        assert base[0].data.base is not gate[0].data.base
+
+    def test_tensor_listed_twice_rejected(self):
+        a = Tensor(np.ones(2), requires_grad=True)
+        b = Tensor(np.ones(3), requires_grad=True)
+        with pytest.raises(ValueError, match="twice"):
+            AdamW(groups=[{"params": [a, b, a], "lr": 0.1}])
+        with pytest.raises(ValueError, match="twice"):
+            AdamW(groups=[{"params": [a], "lr": 0.1},
+                          {"params": [b, a], "lr": 0.01}])
+
+    def test_empty_group_rejected(self):
+        a = Tensor(np.ones(2), requires_grad=True)
+        with pytest.raises(ValueError, match="no parameters"):
+            AdamW(groups=[{"params": [a], "lr": 0.1}, {"params": [], "lr": 0.1}])
+
+    def test_rebound_parameter_rejected_on_step(self):
+        a = Tensor(np.ones(2), requires_grad=True)
+        b = Tensor(np.ones(3), requires_grad=True)
+        opt = AdamW(groups=[{"params": [a, b], "lr": 0.1}])
+        a.grad = np.ones(2)
+        opt.step()
+        b.data = b.data.copy()  # a detached copy the optimizer cannot see
+        with pytest.raises(RuntimeError, match="rebound"):
+            opt.step()
+
+    def test_gradient_of_the_wrong_shape_rejected(self):
+        a = Tensor(np.ones(2), requires_grad=True)
+        opt = AdamW(groups=[{"params": [a], "lr": 0.1}])
+        a.grad = np.ones(())
+        with pytest.raises(ValueError, match="shape"):
+            opt.step()

@@ -6,7 +6,9 @@ import sys
 import numpy as np
 import pytest
 
+import entrofuse.losses as losses_module
 import entrofuse.model as model_module
+import entrofuse.optim as optim_module
 import entrofuse.tensor as T
 import entrofuse.trainer as trainer_module
 import entrofuse.uncertainty as uncertainty
@@ -235,6 +237,29 @@ class TestMaskedCopies:
         assert all((h.cec > 0.0) == (gamma > 0.0) for h in res.history)
         steps = cfg.epochs * (256 // cfg.batch_size)
         assert len(calls) == (steps if copied else 0)
+
+
+class TestTracedPhases:
+    def test_each_step_makes_one_update_per_group_and_one_consistency_call(
+            self, monkeypatch):
+        # the benchmark's tracer times the optimizer and the consistency
+        # term by wrapping these two module-level functions, so one
+        # gamma > 0 run must reach them through those names: once per
+        # optimizer group and step, and once per step
+        calls = {"adamw_step": [], "cec_loss": []}
+        for module, name in ((optim_module, "adamw_step"),
+                             (losses_module, "cec_loss")):
+            def spy(*args, _real=getattr(module, name), _name=name, **kw):
+                calls[_name].append(1)
+                return _real(*args, **kw)
+            monkeypatch.setattr(module, name, spy)
+        cfg = small_cfg(gamma=1.0,
+                        schedules=Schedules(mode="acm", t_warm=5, t_lam=5))
+        res = train(cfg, small_data())
+        steps = cfg.epochs * (256 // cfg.batch_size)
+        assert all(h.cec > 0.0 for h in res.history)
+        assert len(calls["adamw_step"]) == 2 * steps
+        assert len(calls["cec_loss"]) == steps
 
 
 class TestAblationRuns:
