@@ -2,7 +2,8 @@
 
 A small float64 research stack: a replayable reverse-mode tape, a gated
 mixture fusion model that renormalizes over observed modalities, an
-entropy/consistency composite loss, instance-adaptive entropy weighting
+entropy/consistency composite loss with a hand-derived gradient (one tape
+node), instance-adaptive entropy weighting
 from predictive variance, curriculum mask schedules with an adaptive
 teacher, and a reproducible training/evaluation harness.
 """
@@ -14,10 +15,10 @@ from .curriculum import (MaskDistribution, Schedules, acm_distribution,
 from .data import (MultimodalBatch, SyntheticSpec, apply_mask, bernoulli_mask,
                    generate, load_dataset, save_dataset)
 from .losses import (LossBreakdown, cec_loss, cec_pairs, composite_loss,
-                     entropy_penalty, subset_confidences, task_loss)
+                     subset_confidences)
 from .metrics import (CalibrationReport, InversionAudit, audit_confidences,
                       ece, entropy_confidence_export, inversion_audit,
-                      map_at_1, per_class_ece, top1_accuracy)
+                      map_at_1, top1_accuracy)
 from .model import (ForwardOutput, FusionConfig, FusionModel, forward,
                     load_checkpoint, predict_subset, save_checkpoint)
 from .optim import AdamW, AdamWState, adamw_step, cosine_lr
@@ -43,12 +44,12 @@ __all__ = [
     "candidate_family",
     "cec_loss", "cec_pairs", "composite_loss", "cosine_lr", "ece",
     "ensemble_variance", "entropy_confidence_export",
-    "entropy_penalty", "evaluate_under_dropout", "fit_temperature",
+    "evaluate_under_dropout", "fit_temperature",
     "forward", "generate", "grad_check", "inversion_audit", "lambda_of",
     "lambda_upper", "load_checkpoint", "load_config", "load_dataset",
     "map_at_1", "mc_variance", "nonempty_subsets", "parse_config",
-    "per_class_ece", "predict_subset", "sample_keep", "save_checkpoint",
+    "predict_subset", "sample_keep", "save_checkpoint",
     "save_dataset", "schedule_lambda", "schedule_pi", "softplus", "stream",
-    "subset_confidences", "subset_lattice", "task_loss", "top1_accuracy",
+    "subset_confidences", "subset_lattice", "top1_accuracy",
     "train", "with_vmax",
 ]

@@ -14,9 +14,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .data import MultimodalBatch
-from .model import gate_rows
+from .model import entropy_rows, gate_rows
 from .subsets import SubsetMask, nonempty_subsets
-from .tensor import entropy_rows
 
 __all__ = [
     "Schedules",
@@ -123,8 +122,8 @@ def acm_distribution(model, batch: MultimodalBatch, eta: float,
     entropies = np.empty(len(candidates))
     for i, drop in enumerate(candidates):
         view = batch.presence & ~np.array(drop.bits)
-        entropies[i] = float(entropy_rows(gate_rows(model, batch, view[None]))
-                             .data.mean())
+        entropies[i] = float(entropy_rows(
+            gate_rows(model, batch, view[None]).data).mean())
     scaled = entropies / eta
     scaled = scaled - scaled.max()  # softmax shift, exact distribution unchanged
     weights = np.exp(scaled)

@@ -1,10 +1,14 @@
-"""Composite training objective.
+"""Composite training objective, one tape node.
 
 total = task + lam * ent + gamma * cec
 
-where ``ent`` is the mean negative gate entropy (so positive ``lam`` pushes
-the gate toward spread-out mixture weights) and ``cec`` is the squared hinge
-on confidence inversions between nested observed subsets.
+where ``task`` is the mean cross-entropy (mean BCE over every entry when
+multi-label), ``ent`` the mean negative gate entropy (so positive ``lam``
+pushes the gate toward spread-out mixture weights) and ``cec`` the squared
+hinge on confidence inversions between nested observed subsets.
+``composite_loss`` computes the objective and its gradients with respect to
+the logits and the gate weights in plain NumPy, and records them on the
+tape as one node.
 """
 
 from __future__ import annotations
@@ -15,13 +19,11 @@ import numpy as np
 
 from . import tensor as T
 from .data import MultimodalBatch
-from .model import forward
+from .model import class_probs, entropy_rows, forward
 from .subsets import SubsetMask, subset_lattice
 
 __all__ = [
     "LossBreakdown",
-    "task_loss",
-    "entropy_penalty",
     "cec_loss",
     "cec_pairs",
     "subset_confidences",
@@ -50,27 +52,6 @@ class LossBreakdown:
         return self.task + self.lam * self.ent + self.gamma * self.cec
 
 
-def task_loss(logits: T.Tensor, labels: np.ndarray, multilabel: bool = False) -> T.Tensor:
-    """Mean cross-entropy (single-label) or mean BCE over all entries."""
-    if multilabel:
-        return T.bce_with_logits(logits, labels)
-    idx = np.asarray(labels)
-    if idx.ndim != 1 or idx.shape[0] != logits.shape[0]:
-        raise ValueError("labels must be one class index per row")
-    picked = T.pick(T.log_softmax(logits), idx.astype(np.int64))
-    return T.mul_scalar(T.mean_all(picked), -1.0)
-
-
-def entropy_penalty(p: T.Tensor) -> T.Tensor:
-    """Mean over rows of sum_m p log p, i.e. negative mean gate entropy."""
-    rows = p.data
-    if rows.ndim != 2:
-        raise ValueError("entropy_penalty expects [n, m] rows")
-    if rows.min() < -1e-9 or np.abs(rows.sum(axis=1) - 1.0).max() > 1e-9:
-        raise ValueError("rows are not on the probability simplex")
-    return T.mul_scalar(T.mean_all(T.entropy_rows(p)), -1.0)
-
-
 def cec_pairs(modalities: int, rng: np.random.Generator | None = None,
               limit: int = 8) -> list[tuple[SubsetMask, SubsetMask]]:
     """Strict-inclusion subset pairs used by the consistency penalty.
@@ -88,60 +69,85 @@ def cec_pairs(modalities: int, rng: np.random.Generator | None = None,
 
 
 def _views(pairs: list[tuple[SubsetMask, SubsetMask]], presence: np.ndarray
-           ) -> tuple[list[SubsetMask], np.ndarray]:
-    """The subsets the pairs mention, in first-mention order, and their
-    [V, n, M] views of rows with this presence: each subset's modalities
-    that the row observes."""
+           ) -> tuple[np.ndarray, np.ndarray]:
+    """The pairs as [P, 2] (small, big) indices into the subsets they
+    mention, taken in first-mention order, and those subsets' [V, n, M]
+    views of rows with this presence: each subset's modalities that the row
+    observes. Raises ``ValueError`` unless every pair is a strict inclusion
+    of subsets of the presence's modalities."""
     if not pairs:
         raise ValueError("need at least one subset pair")
-    subsets = list(dict.fromkeys(s for pair in pairs for s in pair))
-    bits = np.array([s.bits for s in subsets], dtype=bool)
-    if bits.shape[1] != presence.shape[1]:
+    first: dict[tuple[bool, ...], int] = {}  # a subset's bits -> its view
+    index = np.array([first.setdefault(s.bits, len(first))
+                      for pair in pairs for s in pair]).reshape(-1, 2)
+    bits = np.array(list(first), dtype=bool)  # [V, M]
+    if bits.ndim != 2 or bits.shape[1] != presence.shape[1]:
         raise ValueError("subset length does not match the modality count")
-    return subsets, bits[:, None, :] & presence[None]
-
-
-def _confidences(out, subsets: list[SubsetMask], n: int
-                 ) -> dict[SubsetMask, T.Tensor]:
-    return {s: T.gather(out.confidence, np.arange(v * n, (v + 1) * n))
-            for v, s in enumerate(subsets)}
+    small, big = bits[index[:, 0]], bits[index[:, 1]]
+    loose = (small > big).any(axis=1) | (small == big).all(axis=1)
+    if loose.any():
+        a, b = pairs[int(loose.argmax())]
+        raise ValueError(f"pair ({a}, {b}) is not strict inclusion")
+    return index, bits[:, None] & presence[None]
 
 
 def subset_confidences(model, batch: MultimodalBatch,
                        pairs: list[tuple[SubsetMask, SubsetMask]]
-                       ) -> dict[SubsetMask, T.Tensor]:
+                       ) -> dict[SubsetMask, np.ndarray]:
     """Per-sample confidence for every subset a pair mentions, each equal
-    to ``predict_subset(model, batch, subset).confidence`` up to round-off:
-    one ``forward`` over a view of the batch's rows per subset, read back
-    in row blocks."""
-    subsets, views = _views(pairs, batch.presence)
-    return _confidences(forward(model, batch, views), subsets, batch.n)
+    to ``predict_subset(model, batch, subset).confidence.data`` up to
+    round-off: one ``forward`` over a view of the batch's rows per subset,
+    read back in row blocks."""
+    _, views = _views(pairs, batch.presence)
+    conf = forward(model, batch, views).confidence.data.reshape(-1, batch.n)
+    return dict(zip(dict.fromkeys(s for pair in pairs for s in pair), conf))
 
 
-def cec_loss(conf_by_subset: dict[SubsetMask, T.Tensor],
-             pairs: list[tuple[SubsetMask, SubsetMask]]) -> T.Tensor:
-    """Mean over pairs and samples of relu(conf(A) - conf(B))^2 for A strictly
-    inside B: seeing more modalities must not look less confident. One tape
-    node (``T.hinge_pairs``) for any number of pairs."""
-    if not pairs:
-        raise ValueError("need at least one subset pair")
-    index: dict[SubsetMask, int] = {}
-    for small, big in pairs:
-        if not small.is_strict_subset_of(big):
-            raise ValueError(f"pair ({small}, {big}) is not strict inclusion")
-        for subset in (small, big):
-            if subset not in conf_by_subset:
-                raise ValueError(f"no confidence entry for subset {subset}")
-            index.setdefault(subset, len(index))
-    return T.hinge_pairs([conf_by_subset[s] for s in index],
-                         [(index[small], index[big]) for small, big in pairs])
+def cec_loss(conf: np.ndarray, pairs, weight: float = 1.0
+             ) -> tuple[float, np.ndarray]:
+    """Mean over index pairs (a, b) and columns of relu(conf[a] - conf[b])^2
+    for [V, n] confidences whose row a views a subset strictly inside row
+    b's: seeing more modalities must not look less confident. Returns the
+    value and the gradient of ``weight`` times it with respect to ``conf``.
+
+    The pair terms are summed in pair order, and each row's gradient sums
+    its terms in reverse pair order."""
+    conf = np.asarray(conf, dtype=np.float64)
+    pairs = np.asarray(pairs, dtype=np.int64)
+    if conf.ndim != 2 or conf.shape[1] == 0:
+        raise ValueError(f"confidences {conf.shape} need [V, n] with n > 0")
+    if pairs.ndim != 2 or pairs.shape[1] != 2 or len(pairs) == 0:
+        raise ValueError("need at least one (a, b) index pair")
+    if pairs.min() < 0 or pairs.max() >= len(conf):
+        raise ValueError(f"pair index out of range for {len(conf)} rows")
+    small, big = pairs[:, 0], pairs[:, 1]
+    diff = conf[small] - conf[big]
+    gap = np.maximum(diff, 0.0)
+    n = conf.shape[1]
+    scale = 1.0 / len(pairs)
+    value = float(np.cumsum((gap * gap).sum(axis=1) / n)[-1] * scale)
+    g = float(weight * scale) / n * gap
+    g += g
+    g *= diff > 0.0
+    grad = np.zeros_like(conf)
+    for k in reversed(range(len(pairs))):
+        grad[small[k]] += g[k]
+        grad[big[k]] -= g[k]
+    return value, grad
 
 
 def composite_loss(logits: T.Tensor, p: T.Tensor, labels: np.ndarray, *,
                    lam: float | np.ndarray, gamma: float,
-                   cec: T.Tensor | None = None, multilabel: bool = False,
+                   rows: np.ndarray | None = None,
+                   pairs: np.ndarray | None = None, multilabel: bool = False,
                    lam_min: float = 0.0) -> tuple[T.Tensor, LossBreakdown]:
-    """Assemble the full objective on the active tape.
+    """The objective over V views of n labelled rows, as one tape node.
+
+    ``logits`` [V * n, C] and gate weights ``p`` [V * n, M] hold row i of
+    view v at v * n + i. The task and entropy terms read the n distinct
+    rows ``rows`` picks (default: every row, V = 1). The consistency term,
+    on when ``pairs`` is given, is ``cec_loss`` over every row's max-class
+    confidence as a [V, n] array and the (a, b) view index ``pairs``.
 
     ``lam`` may be a scalar or a per-sample vector (instance-adaptive mode);
     every entry must be >= ``lam_min``. The returned breakdown reports the
@@ -150,42 +156,90 @@ def composite_loss(logits: T.Tensor, p: T.Tensor, labels: np.ndarray, *,
     """
     if gamma < 0:
         raise ValueError("gamma must be nonnegative")
-    if gamma > 0 and cec is None:
-        raise ValueError("gamma > 0 needs a consistency term")
-    task = task_loss(logits, labels, multilabel=multilabel)
-    ent_rows = T.entropy_rows(p)
-    n = ent_rows.shape[0]
+    if gamma > 0 and pairs is None:
+        raise ValueError("gamma > 0 needs subset pairs")
+    if logits.data.ndim != 2 or p.data.ndim != 2 or len(p.data) != len(
+            logits.data):
+        raise ValueError(f"logits {logits.shape} and gate weights {p.shape} "
+                         "need one row each per view row")
+    z, w = logits.data, p.data
+    if rows is not None:
+        rows = np.asarray(rows, dtype=np.int64)
+        if (rows.ndim != 1 or rows.size == 0 or rows.min() < 0
+                or rows.max() >= len(z) or np.bincount(rows).max() > 1):
+            raise ValueError("rows must be distinct indices of logit rows")
+        z, w = z[rows], w[rows]
+    n = len(z)
+
+    if multilabel:
+        t = np.asarray(labels, dtype=np.float64)
+        if t.shape != z.shape:
+            raise ValueError(f"target shape {t.shape} != logits shape {z.shape}")
+        task = (np.maximum(z, 0.0) - z * t + np.log1p(np.exp(-np.abs(z)))).mean()
+        # d task / d z = (sigmoid(z) - t) / (n * C)
+        g_task = (class_probs(z, multilabel=True) - t) * (1.0 / z.size)
+    else:
+        idx = np.asarray(labels)
+        if idx.ndim != 1 or idx.shape[0] != n:
+            raise ValueError("labels must be one class index per row")
+        idx = idx.astype(np.int64)
+        if idx.min() < 0 or idx.max() >= z.shape[1]:
+            raise ValueError("label out of range")
+        shifted = z - z.max(axis=1, keepdims=True)
+        log_probs = shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
+        at = (np.arange(n), idx)
+        task = -log_probs[at].mean()
+        # d task / d z = (softmax(z) - onehot(labels)) / n
+        g_task = np.exp(log_probs) * (1.0 / n)
+        g_task[at] -= 1.0 / n
 
     lam_arr = np.asarray(lam, dtype=np.float64)
+    ent_rows = entropy_rows(w)
     if lam_arr.ndim == 0:
-        lam_value = float(lam_arr)
-        if lam_value < lam_min:
-            raise ValueError(f"lam={lam_value} below floor {lam_min}")
-        ent_term = T.mul_scalar(T.mul_scalar(T.mean_all(ent_rows), -1.0), lam_value)
-        lam_report = lam_value
+        lam_report = float(lam_arr)
+        if lam_report < lam_min:
+            raise ValueError(f"lam={lam_report} below floor {lam_min}")
+        ent_term = -ent_rows.mean() * lam_report
     else:
         if lam_arr.shape != (n,):
             raise ValueError("per-sample lam must have one entry per row")
         if (lam_arr < lam_min).any():
             raise ValueError("per-sample lam entry below floor")
-        ent_term = T.mul_scalar(T.dot_const(ent_rows, lam_arr / n), -1.0)
+        ent_term = -(ent_rows @ (lam_arr / n))
         lam_report = float(lam_arr.mean())
+    ent_report = (ent_term / lam_report if lam_report > 0.0
+                  else -float(np.mean(ent_rows)))
+    # d ent_term / d w = -(log w + 1) * coef where w > 0, else 0
+    pos = w > 0.0
+    coef = -lam_arr / n  # d ent_term / d ent_rows, per row or for all
+    g_w = (np.where(pos, -(np.log(np.where(pos, w, 1.0)) + 1.0), 0.0)
+           * (coef[:, None] if coef.ndim else coef))
 
-    ent_report = (ent_term.item() / lam_report if lam_report > 0.0
-                  else -float(np.mean(ent_rows.data)))
-
-    total = T.add(task, ent_term)
-    if cec is not None:
-        total = T.add(total, T.mul_scalar(cec, gamma))
-        cec_report = cec.item()
-    else:
-        cec_report = 0.0
+    g_logits, g_p = g_task, g_w
+    if rows is not None:
+        g_logits, g_p = np.zeros_like(logits.data), np.zeros_like(p.data)
+        g_logits[rows], g_p[rows] = g_task, g_w
+    total, cec = task + ent_term, 0.0
+    if pairs is not None:
+        if len(logits.data) % n:
+            raise ValueError(f"{len(logits.data)} logit rows are not views "
+                             f"of {n} rows")
+        probs = class_probs(logits.data, multilabel)
+        top = (np.arange(len(probs)), probs.argmax(axis=1))
+        cec, g_conf = cec_loss(probs[top].reshape(-1, n), pairs, gamma)
+        # through each row's max into its softmax (or sigmoids) of the logits
+        g = np.zeros_like(probs)
+        g[top] = g_conf.ravel()
+        if multilabel:
+            g_logits += g * probs * (1.0 - probs)
+        else:
+            g_logits += probs * (g - (g * probs).sum(axis=1, keepdims=True))
+        total = total + cec * gamma
 
     breakdown = LossBreakdown(
-        total=total.item(), task=task.item(), ent=ent_report,
-        cec=cec_report, lam=lam_report, gamma=float(gamma),
-    )
-    return total, breakdown
+        total=float(total), task=float(task), ent=float(ent_report),
+        cec=cec, lam=lam_report, gamma=float(gamma))
+    return T.scalar_node(total, (logits, p), (g_logits, g_p)), breakdown
 
 
 def step_loss(model, batch: MultimodalBatch, keep: np.ndarray,
@@ -212,14 +266,12 @@ def step_loss(model, batch: MultimodalBatch, keep: np.ndarray,
     n = batch.n
     if keep.shape != batch.presence.shape:
         raise ValueError(f"keep {keep.shape} needs {batch.presence.shape}")
-    subsets, views = _views(pairs, batch.presence)
+    index, views = _views(pairs, batch.presence)
     held = (views == keep).all(axis=2)  # [V, n]
     if not held.any(axis=0).all():
         views = np.concatenate([views, keep[None]])
         held = np.concatenate([held, np.ones((1, n), dtype=bool)])
     out = forward(model, batch, views)
-    idx = held.argmax(axis=0) * n + np.arange(n)
-    return composite_loss(T.gather(out.logits, idx), T.gather(out.p, idx),
-                          batch.labels, lam=lam, gamma=gamma,
-                          cec=cec_loss(_confidences(out, subsets, n), pairs),
-                          multilabel=multilabel)
+    return composite_loss(out.logits, out.p, batch.labels, lam=lam,
+                          gamma=gamma, rows=held.argmax(axis=0) * n
+                          + np.arange(n), pairs=index, multilabel=multilabel)

@@ -13,14 +13,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import MultimodalBatch
-from .model import predict_subset
+from .model import class_probs, predict_subset
 from .subsets import SubsetMask, subset_lattice
 
 __all__ = [
     "CalibrationReport",
     "InversionAudit",
     "ece",
-    "per_class_ece",
     "map_at_1",
     "top1_accuracy",
     "confidence_correct",
@@ -84,21 +83,6 @@ def ece(confidences: np.ndarray, correct: np.ndarray, bins: int = 15) -> Calibra
         mean_confidence=mean_conf, accuracy=accuracy, ece=score, n=n)
 
 
-def per_class_ece(confidences: np.ndarray, correct: np.ndarray,
-                  predicted: np.ndarray, classes: int, bins: int = 15) -> float:
-    """Macro mean of per-class calibration error, grouped by predicted class;
-    classes that were never predicted are excluded."""
-    pred = np.asarray(predicted)
-    scores = []
-    for c in range(classes):
-        sel = pred == c
-        if sel.any():
-            scores.append(ece(confidences[sel], correct[sel], bins=bins).ece)
-    if not scores:
-        raise ValueError("no predictions at all")
-    return float(np.mean(scores))
-
-
 def map_at_1(logits: np.ndarray, labels: np.ndarray) -> float:
     """Mean over classes of the precision of top-1 predictions.
 
@@ -138,14 +122,7 @@ def confidence_correct(logits: np.ndarray, labels: np.ndarray,
     """Per-sample max-class probability of ``logits / temperature`` (softmax,
     or per-class sigmoid when multi-label) and whether that class is a true
     label: the inputs of ``ece``."""
-    z = logits / temperature
-    if multilabel:
-        probs = 1.0 / (1.0 + np.exp(-np.abs(z)))
-        probs = np.where(z >= 0, probs, 1.0 - probs)
-    else:
-        z = z - z.max(axis=1, keepdims=True)
-        e = np.exp(z)
-        probs = e / e.sum(axis=1, keepdims=True)
+    probs = class_probs(logits / temperature, multilabel)
     pred = probs.argmax(axis=1)
     if multilabel:
         correct = labels[np.arange(len(pred)), pred].astype(bool)
@@ -216,7 +193,7 @@ def inversion_audit(model, batch: MultimodalBatch) -> InversionAudit:
 def entropy_confidence_export(out) -> np.ndarray:
     """Per-sample (gate entropy, confidence) rows of a ``ForwardOutput``,
     for external plotting."""
-    return np.column_stack([out.gate_entropy.data, out.confidence.data])
+    return np.column_stack([out.gate_entropy, out.confidence.data])
 
 
 def format_value(value) -> str:

@@ -29,6 +29,8 @@ __all__ = [
     "FusionConfig",
     "FusionModel",
     "ForwardOutput",
+    "class_probs",
+    "entropy_rows",
     "gate_rows",
     "forward",
     "predict_subset",
@@ -143,12 +145,32 @@ class FusionModel:
         return x
 
 
+def class_probs(logits: np.ndarray, multilabel: bool) -> np.ndarray:
+    """Class probabilities of logit rows: each row's softmax, or with
+    ``multilabel`` every entry's sigmoid in the stable two-branch form,
+    which takes exp only of non-positive arguments."""
+    if multilabel:
+        e = np.exp(-np.abs(logits))
+        return np.where(logits >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
+    probs = logits - logits.max(axis=-1, keepdims=True)
+    np.exp(probs, out=probs)
+    probs /= probs.sum(axis=-1, keepdims=True)
+    return probs
+
+
+def entropy_rows(p: np.ndarray) -> np.ndarray:
+    """Shannon entropy (nats) of each row of a row-stochastic matrix, with
+    0 log 0 = 0."""
+    return -(p * np.log(np.where(p > 0.0, p, 1.0))).sum(axis=1)
+
+
 @dataclass
 class ForwardOutput:
     """Per-sample gate weights, fused features, logits and max-class
-    confidence. Fields are tape tensors; use ``.data``. The gate entropy
-    (nats) is computed from the weights when read, off the tape, so no
-    gradient reaches it: the loss records its own."""
+    confidence, as tensors; use ``.data``. ``p``, ``z`` and ``logits`` are
+    on the tape. The confidence and the gate entropy (nats, an array
+    computed from the weights when read) are not, so no gradient reaches
+    them: the loss derives its own from the logits and weights."""
 
     p: T.Tensor
     z: T.Tensor
@@ -156,8 +178,8 @@ class ForwardOutput:
     confidence: T.Tensor
 
     @property
-    def gate_entropy(self) -> T.Tensor:
-        return T.entropy_rows(T.Tensor(self.p.data))
+    def gate_entropy(self) -> np.ndarray:
+        return entropy_rows(self.p.data)
 
 
 def _gate_weights(model: FusionModel, pre: T.Tensor,
@@ -173,16 +195,16 @@ def _gate_weights(model: FusionModel, pre: T.Tensor,
 
 
 def _head(model: FusionModel, p: T.Tensor, z: T.Tensor) -> ForwardOutput:
-    """Head and confidence over fused rows. Raises ``ValueError`` if the
-    logits are non-finite."""
+    """Head over fused rows, and off the tape their confidence. Raises
+    ``ValueError`` if the logits are non-finite."""
     logits = T.linear(z, model.head_w, model.head_b)
     if not np.isfinite(logits.data).all():
         raise ValueError("logits are non-finite")
-    if model.cfg.multilabel:
-        confidence = T.row_max(T.sigmoid(logits))
-    else:
-        confidence = T.row_max(T.softmax(logits))
-    return ForwardOutput(p=p, z=z, logits=logits, confidence=confidence)
+    probs = class_probs(logits.data, model.cfg.multilabel)
+    # read at the argmax: a max along this short class axis is slower
+    confidence = probs[np.arange(len(probs)), probs.argmax(axis=1)]
+    return ForwardOutput(p=p, z=z, logits=logits,
+                         confidence=T.Tensor(confidence))
 
 
 def gate_rows(model: FusionModel, batch: MultimodalBatch,

@@ -1,13 +1,13 @@
 """Dense float64 tensors with a replayable reverse-mode gradient tape.
 
-The op set is deliberately small: just enough for two-layer MLPs, softmax
-heads, mixture gating and the fusion losses. ``linear`` (``x @ w + b``) and
+The op set is what the fusion model needs: ``matmul``, ``linear``
+(``x @ w + b``, one node), ``relu``, ``masked_softmax``, ``gather`` (rows
+copied out by index), ``put_rows`` (rows written by index into a copy) and
 ``blend`` (the gate-weighted sum of per-modality blocks for V views of n
-shared rows, one batched matmul) and ``hinge_pairs`` (the mean squared
-hinge ``relu(x_i - x_j) ** 2`` over any number of index pairs, the
-consistency penalty) are single fused nodes; ``gather`` copies out rows by
-index and ``put_rows`` writes rows by index into a copy.
-No broadcasting beyond those, no views, no GPU.
+shared rows, one batched matmul as one node). A loss whose gradient is
+derived by hand joins the tape as one ``scalar_node``; the training
+objective (``losses.composite_loss``) is one. No broadcasting beyond
+those, no views, no GPU.
 
 Finiteness is checked at the boundaries, not on every op result:
 ``Tensor(data)`` rejects non-finite data and parameters coming from
@@ -27,29 +27,16 @@ import numpy as np
 __all__ = [
     "Tensor",
     "Tape",
-    "add",
-    "bce_with_logits",
     "blend",
-    "dot_const",
-    "entropy_rows",
     "gather",
     "grad_check",
-    "hinge_pairs",
     "linear",
-    "log_softmax",
     "masked_softmax",
     "matmul",
-    "mean_all",
-    "mul",
-    "mul_scalar",
-    "pick",
     "put_rows",
     "relu",
-    "row_max",
-    "sigmoid",
-    "softmax",
+    "scalar_node",
     "softplus",
-    "sub",
 ]
 
 
@@ -177,66 +164,6 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     return _maybe_record(out, (a, b), backward)
 
 
-def add(a: Tensor, b: Tensor) -> Tensor:
-    if a.shape != b.shape:
-        raise ValueError(f"add shape mismatch: {a.shape} vs {b.shape}")
-    out = _result(a.data + b.data)
-
-    def backward():
-        if out.grad is None:
-            return
-        if a.requires_grad:
-            _accum(a, out.grad)
-        if b.requires_grad:
-            _accum(b, out.grad)
-
-    return _maybe_record(out, (a, b), backward)
-
-
-def sub(a: Tensor, b: Tensor) -> Tensor:
-    if a.shape != b.shape:
-        raise ValueError(f"sub shape mismatch: {a.shape} vs {b.shape}")
-    out = _result(a.data - b.data)
-
-    def backward():
-        if out.grad is None:
-            return
-        if a.requires_grad:
-            _accum(a, out.grad)
-        if b.requires_grad:
-            _accum(b, -out.grad)
-
-    return _maybe_record(out, (a, b), backward)
-
-
-def mul(a: Tensor, b: Tensor) -> Tensor:
-    if a.shape != b.shape:
-        raise ValueError(f"mul shape mismatch: {a.shape} vs {b.shape}")
-    out = _result(a.data * b.data)
-
-    def backward():
-        if out.grad is None:
-            return
-        if a.requires_grad:
-            _accum(a, out.grad * b.data)
-        if b.requires_grad:
-            _accum(b, out.grad * a.data)
-
-    return _maybe_record(out, (a, b), backward)
-
-
-def mul_scalar(x: Tensor, c: float) -> Tensor:
-    out = _result(x.data * c)
-
-    def backward():
-        if out.grad is None:
-            return
-        if x.requires_grad:
-            _accum(x, out.grad * c)
-
-    return _maybe_record(out, (x,), backward)
-
-
 def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     """Affine map ``x @ w + b`` of the rows of x: [n, k] @ [k, d] + [d].
 
@@ -278,48 +205,12 @@ def relu(x: Tensor) -> Tensor:
     return _maybe_record(out, (x,), backward)
 
 
-def sigmoid(x: Tensor) -> Tensor:
-    # stable two-branch form, exp only of non-positive arguments
-    d = x.data
-    s = np.where(d >= 0, 1.0 / (1.0 + np.exp(-np.abs(d))),
-                 np.exp(-np.abs(d)) / (1.0 + np.exp(-np.abs(d))))
-    out = _result(s)
-
-    def backward():
-        if out.grad is None:
-            return
-        if x.requires_grad:
-            _accum(x, out.grad * s * (1.0 - s))
-
-    return _maybe_record(out, (x,), backward)
-
-
 def _softmax_rows(z: np.ndarray, keep: np.ndarray) -> np.ndarray:
     shifted = np.where(keep, z, -np.inf)
     m = shifted.max(axis=-1, keepdims=True)
     e = np.exp(np.where(keep, z - m, -np.inf))
     e = np.where(keep, e, 0.0)
     return e / e.sum(axis=-1, keepdims=True)
-
-
-def softmax(x: Tensor) -> Tensor:
-    """Numerically stabilized softmax over the last axis (1-D or row-wise 2-D)."""
-    if x.data.ndim not in (1, 2):
-        raise ValueError("softmax expects a vector or a matrix of rows")
-    p = x.data - x.data.max(axis=-1, keepdims=True)
-    np.exp(p, out=p)
-    p /= p.sum(axis=-1, keepdims=True)
-    out = _result(p)
-
-    def backward():
-        if out.grad is None:
-            return
-        if x.requires_grad:
-            g = out.grad
-            inner = (g * p).sum(axis=-1, keepdims=True)
-            _accum(x, p * (g - inner))
-
-    return _maybe_record(out, (x,), backward)
 
 
 def masked_softmax(logits: Tensor, keep: np.ndarray) -> Tensor:
@@ -347,87 +238,6 @@ def masked_softmax(logits: Tensor, keep: np.ndarray) -> Tensor:
             _accum(logits, p * (g - inner))
 
     return _maybe_record(out, (logits,), backward)
-
-
-def log_softmax(x: Tensor) -> Tensor:
-    if x.data.ndim != 2:
-        raise ValueError("log_softmax expects [n, c] logits")
-    m = x.data.max(axis=1, keepdims=True)
-    shifted = x.data - m
-    lse = np.log(np.exp(shifted).sum(axis=1, keepdims=True))
-    out = _result(shifted - lse)
-    p = np.exp(out.data)
-
-    def backward():
-        if out.grad is None:
-            return
-        if x.requires_grad:
-            _accum(x, out.grad - p * out.grad.sum(axis=1, keepdims=True))
-
-    return _maybe_record(out, (x,), backward)
-
-
-def entropy_rows(p: Tensor) -> Tensor:
-    """Shannon entropy (nats) of each row of a row-stochastic matrix.
-
-    Uses the 0*log(0) = 0 convention; gradient at exact zeros is taken as 0,
-    which is the correct one-sided limit through the masked-softmax path.
-    """
-    if p.data.ndim != 2:
-        raise ValueError("entropy_rows expects [n, m] rows")
-    pos = p.data > 0.0
-    logp = np.where(pos, np.log(np.where(pos, p.data, 1.0)), 0.0)
-    out = _result(-(p.data * logp).sum(axis=1))
-
-    def backward():
-        if out.grad is None:
-            return
-        if p.requires_grad:
-            _accum(p, np.where(pos, -(logp + 1.0), 0.0) * out.grad[:, None])
-
-    return _maybe_record(out, (p,), backward)
-
-
-def row_max(x: Tensor) -> Tensor:
-    """Max over each row; gradient flows to the argmax entry (ties: lowest index)."""
-    if x.data.ndim != 2:
-        raise ValueError("row_max expects [n, c]")
-    idx = np.argmax(x.data, axis=1)
-    rows = np.arange(x.shape[0])
-    out = _result(x.data[rows, idx])
-
-    def backward():
-        if out.grad is None:
-            return
-        if x.requires_grad:
-            g = np.zeros_like(x.data)
-            g[rows, idx] = out.grad
-            _accum(x, g)
-
-    return _maybe_record(out, (x,), backward)
-
-
-def pick(x: Tensor, idx: np.ndarray) -> Tensor:
-    """Gather x[i, idx[i]] into a vector; backward scatters."""
-    if x.data.ndim != 2:
-        raise ValueError("pick expects [n, c]")
-    idx = np.asarray(idx, dtype=np.int64)
-    if idx.shape != (x.shape[0],):
-        raise ValueError("index vector length must match row count")
-    if idx.min() < 0 or idx.max() >= x.shape[1]:
-        raise ValueError("pick index out of range")
-    rows = np.arange(x.shape[0])
-    out = _result(x.data[rows, idx])
-
-    def backward():
-        if out.grad is None:
-            return
-        if x.requires_grad:
-            g = np.zeros_like(x.data)
-            g[rows, idx] = out.grad
-            _accum(x, g)
-
-    return _maybe_record(out, (x,), backward)
 
 
 def _row_index(idx, n: int) -> np.ndarray:
@@ -530,97 +340,25 @@ def blend(w: Tensor, blocks: Sequence[Tensor], b: Tensor | None = None) -> Tenso
     return _maybe_record(out, inputs, backward)
 
 
-def mean_all(x: Tensor) -> Tensor:
-    out = _result(x.data.mean())
-    n = x.data.size
+def scalar_node(value, inputs: Sequence[Tensor],
+                grads: Sequence[np.ndarray]) -> Tensor:
+    """A scalar whose gradients are derived by hand, as one node:
+    ``grads[k]`` is d value / d ``inputs[k]``, and backward adds it, times
+    the upstream gradient (1 at the root), into that input's gradient."""
+    if any(g.shape != t.shape for t, g in zip(inputs, grads, strict=True)):
+        raise ValueError("each gradient needs its input's shape")
+    out = _result(value)
+    if out.data.ndim != 0:
+        raise ValueError("scalar_node value must be a scalar")
 
     def backward():
         if out.grad is None:
             return
-        if x.requires_grad:
-            _accum(x, np.full_like(x.data, float(out.grad) / n))
+        for t, g in zip(inputs, grads):
+            if t.requires_grad:
+                _accum(t, g * out.grad)
 
-    return _maybe_record(out, (x,), backward)
-
-
-def hinge_pairs(xs: Sequence[Tensor], pairs: Sequence[tuple[int, int]]
-                ) -> Tensor:
-    """Mean over index pairs (i, j) of ``mean(relu(xs[i] - xs[j]) ** 2)``.
-
-    One node for any number of pairs, with the values and gradients of the
-    composed ``sub``, ``relu``, ``mul``, ``mean_all``, ``add`` and
-    ``mul_scalar`` chain: the pair terms are summed in pair order, and the
-    backward accumulates into the inputs in reverse pair order.
-    """
-    if not pairs:
-        raise ValueError("hinge_pairs needs at least one pair")
-    if not xs or any(x.shape != xs[0].shape for x in xs):
-        raise ValueError("hinge_pairs inputs must all have one shape")
-    diff = (np.array([xs[i].data for i, _ in pairs])
-            - np.array([xs[j].data for _, j in pairs]))
-    gap = np.maximum(diff, 0.0)
-    n = gap[0].size
-    terms = np.add.reduce((gap * gap).reshape(len(pairs), n), axis=1) / n
-    total = terms[0]
-    for term in terms[1:]:
-        total = total + term
-    scale = 1.0 / len(pairs)
-    out = _result(total * scale)
-
-    def backward():
-        if out.grad is None:
-            return
-        g = float(out.grad * scale) / n * gap
-        g += g
-        g *= diff > 0.0
-        for k in reversed(range(len(pairs))):
-            i, j = pairs[k]
-            if xs[i].requires_grad:
-                _accum(xs[i], g[k])
-            if xs[j].requires_grad:
-                _accum(xs[j], -g[k])
-
-    return _maybe_record(out, xs, backward)
-
-
-def dot_const(x: Tensor, w: np.ndarray) -> Tensor:
-    """Weighted sum sum_i w[i] * x[i] with constant weights."""
-    w = np.asarray(w, dtype=np.float64)
-    if x.data.ndim != 1 or w.shape != x.shape:
-        raise ValueError(f"dot_const shape mismatch: {x.shape} vs {w.shape}")
-    out = _result(x.data @ w)
-
-    def backward():
-        if out.grad is None:
-            return
-        if x.requires_grad:
-            _accum(x, w * float(out.grad))
-
-    return _maybe_record(out, (x,), backward)
-
-
-def bce_with_logits(logits: Tensor, targets: np.ndarray) -> Tensor:
-    """Mean binary cross-entropy over all entries, from raw logits.
-
-    Stable form softplus(x) - x*t, so no clamping of probabilities is needed.
-    """
-    t = np.asarray(targets, dtype=np.float64)
-    if t.shape != logits.shape:
-        raise ValueError(f"target shape {t.shape} != logits shape {logits.shape}")
-    x = logits.data
-    val = (np.maximum(x, 0.0) - x * t + np.log1p(np.exp(-np.abs(x)))).mean()
-    out = _result(val)
-    n = x.size
-
-    def backward():
-        if out.grad is None:
-            return
-        if logits.requires_grad:
-            s = np.where(x >= 0, 1.0 / (1.0 + np.exp(-np.abs(x))),
-                         np.exp(-np.abs(x)) / (1.0 + np.exp(-np.abs(x))))
-            _accum(logits, (s - t) * (float(out.grad) / n))
-
-    return _maybe_record(out, (logits,), backward)
+    return _maybe_record(out, inputs, backward)
 
 
 # ---------------------------------------------------------------------------

@@ -3,8 +3,8 @@
 One epoch: refresh the mask teacher, advance the warm-up schedules, then for
 each shuffled minibatch sample a modality mask, run the gated forward pass
 over presence views of the minibatch rows (the masked pattern, and with the
-consistency penalty on, one view per lattice subset), assemble task +
-entropy + consistency losses on the tape, and take one
+consistency penalty on, one view per lattice subset), record the task +
+entropy + consistency objective on the tape as one node, and take one
 decoupled-weight-decay Adam step (gate parameters at their own learning
 rate, cosine decay on both groups). Only instance lambda, which reads the
 masked features, and the single_modality ablation build zero-filled
@@ -221,6 +221,7 @@ def train(cfg: TrainConfig, data: tuple[MultimodalBatch, MultimodalBatch, Multim
     history: list[LossBreakdown] = []
     metric_history: list[dict] = []
     ref_total = None
+    val_out = None
 
     for epoch in range(1, cfg.epochs + 1):
         pi_t = schedule_pi(epoch, sched) if sw.mask_on else 0.0
@@ -282,12 +283,13 @@ def train(cfg: TrainConfig, data: tuple[MultimodalBatch, MultimodalBatch, Multim
         val_out = forward(model, val_b)
         row = _metric_row(val_out.logits.data, val_b.labels, multilabel)
         row["epoch"] = epoch
-        row["gate_entropy"] = float(val_out.gate_entropy.data.mean())
+        row["gate_entropy"] = float(val_out.gate_entropy.mean())
         metric_history.append(row)
 
     temperature = None
     if cfg.temp_scaling:
-        val_out = forward(model, val_b)
+        if val_out is None:  # no epoch ran, so no validation pass either
+            val_out = forward(model, val_b)
         temperature = fit_temperature(val_out.logits.data, val_b.labels,
                                       multilabel=multilabel)
 
@@ -332,7 +334,7 @@ def evaluate_under_dropout(model: FusionModel, batch: MultimodalBatch,
                               temperature=temperature)
             acc["score"] += row["score"]
             acc["ece"] += row["ece"]
-            acc["gate_entropy"] += float(out.gate_entropy.data.mean())
+            acc["gate_entropy"] += float(out.gate_entropy.mean())
         table[rate] = {k: v / draws for k, v in acc.items()}
     return table
 

@@ -9,9 +9,9 @@ from entrofuse.curriculum import (MaskDistribution, Schedules,
 import entrofuse.model as model_module
 from entrofuse.data import apply_mask
 from entrofuse.model import FusionConfig, FusionModel
-from entrofuse.tensor import entropy_rows
 from entrofuse.subsets import SubsetMask, nonempty_subsets
 
+from reference_chain import entropy_rows
 from test_model import random_batch, random_model
 
 

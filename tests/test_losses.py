@@ -1,4 +1,5 @@
-"""Composite objective: task term, entropy penalty, consistency hinge."""
+"""Composite objective: task term, entropy penalty, consistency hinge, and
+the one tape node that computes them against the op chain it replaced."""
 
 import numpy as np
 import pytest
@@ -6,14 +7,16 @@ import pytest
 import entrofuse.data as data_module
 import entrofuse.losses as losses_module
 import entrofuse.tensor as T
-from entrofuse.data import MultimodalBatch, bernoulli_mask
-from entrofuse.losses import (LossBreakdown, cec_loss, cec_pairs,
-                              composite_loss, entropy_penalty, step_loss,
-                              subset_confidences, task_loss)
-from entrofuse.model import FusionConfig, FusionModel, forward
+from entrofuse.data import bernoulli_mask
+from entrofuse.losses import (cec_loss, cec_pairs, composite_loss, step_loss,
+                              subset_confidences)
+from entrofuse.model import FusionConfig, forward
 from entrofuse.subsets import SubsetMask, subset_lattice
+from entrofuse.trainer import train
 
+import reference_chain as R
 from test_model import frozen_gate_model, random_batch, random_model
+from test_trainer import small_cfg, small_data
 from test_views import reference_forward
 
 
@@ -22,80 +25,84 @@ def softmax_rows(z):
     return e / e.sum(axis=1, keepdims=True)
 
 
+def terms(logits, labels, p=None, multilabel=False, lam=0.0):
+    """Breakdown of the objective with the consistency term off; the gate
+    weights default to uniform rows over 3 modalities."""
+    if p is None:
+        p = np.full((len(logits), 3), 1.0 / 3.0)
+    return composite_loss(T.Tensor(logits), T.Tensor(p), labels, lam=lam,
+                          gamma=0.0, multilabel=multilabel)[1]
+
+
 class TestTaskLoss:
     def test_confident_correct_prediction_costs_almost_nothing(self):
         # margin of 100 logits on the true class
         logits = np.zeros((4, 5))
         labels = np.array([0, 2, 4, 1])
         logits[np.arange(4), labels] = 100.0
-        loss = task_loss(T.Tensor(logits), labels)
-        assert loss.item() < 1e-6
+        assert terms(logits, labels).task < 1e-6
 
     def test_uniform_logits_cost_log_num_classes(self):
-        logits = T.Tensor(np.zeros((7, 10)))
         labels = np.arange(7) % 10
-        loss = task_loss(logits, labels)
-        np.testing.assert_allclose(loss.item(), np.log(10.0), rtol=0, atol=1e-12)
+        np.testing.assert_allclose(terms(np.zeros((7, 10)), labels).task,
+                                   np.log(10.0), rtol=0, atol=1e-12)
 
     def test_matches_scalar_recomputation(self):
         for k in range(5):
             rng = np.random.default_rng(k)
             logits = rng.normal(size=(4, 3)) * 3.0
             labels = rng.integers(0, 3, size=4)
-            loss = task_loss(T.Tensor(logits), labels)
             probs = softmax_rows(logits)
             expected = -np.mean([np.log(probs[i, labels[i]]) for i in range(4)])
-            np.testing.assert_allclose(loss.item(), expected, rtol=0, atol=1e-12)
+            np.testing.assert_allclose(terms(logits, labels).task, expected,
+                                       rtol=0, atol=1e-12)
 
     def test_multilabel_matches_elementwise_bce(self):
         rng = np.random.default_rng(9)
         logits = rng.normal(size=(6, 4)) * 2.0
         targets = (rng.random((6, 4)) < 0.4).astype(np.float64)
-        loss = task_loss(T.Tensor(logits), targets, multilabel=True)
         z, y = logits, targets
         expected = np.mean(np.maximum(z, 0) - z * y + np.log1p(np.exp(-np.abs(z))))
-        np.testing.assert_allclose(loss.item(), expected, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(
+            terms(logits, targets, multilabel=True).task, expected, rtol=0,
+            atol=1e-12)
 
     def test_label_out_of_range_rejected(self):
-        logits = T.Tensor(np.zeros((2, 3)))
-        with pytest.raises((ValueError, IndexError)):
-            task_loss(logits, np.array([0, 3]))
-        with pytest.raises((ValueError, IndexError)):
-            task_loss(logits, np.array([0, -1]))
+        for labels in ([0, 3], [0, -1], [[0, 1]]):
+            with pytest.raises(ValueError):
+                terms(np.zeros((2, 3)), np.array(labels))
+        with pytest.raises(ValueError):
+            terms(np.zeros((2, 3)), np.zeros((2, 2)), multilabel=True)
 
 
 class TestEntropyPenalty:
     def test_uniform_rows_give_negative_log_m(self):
-        p = T.Tensor(np.full((5, 2), 0.5))
-        np.testing.assert_allclose(entropy_penalty(p).item(), -np.log(2.0),
-                                   rtol=0, atol=1e-12)
-        p = T.Tensor(np.full((5, 4), 0.25))
-        np.testing.assert_allclose(entropy_penalty(p).item(), -np.log(4.0),
-                                   rtol=0, atol=1e-12)
+        for m in (2, 4):
+            bd = terms(np.zeros((5, 3)), np.zeros(5, dtype=int),
+                       p=np.full((5, m), 1.0 / m))
+            np.testing.assert_allclose(bd.ent, -np.log(m), rtol=0, atol=1e-12)
 
     def test_one_hot_rows_give_zero(self):
         p = np.zeros((4, 3))
         p[np.arange(4), [0, 2, 1, 0]] = 1.0
-        assert entropy_penalty(T.Tensor(p)).item() == 0.0
+        assert terms(np.zeros((4, 3)), np.zeros(4, dtype=int), p=p).ent == 0.0
 
     def test_value_is_negative_mean_entropy(self):
         rng = np.random.default_rng(3)
         p = softmax_rows(rng.normal(size=(8, 3)))
-        got = entropy_penalty(T.Tensor(p)).item()
         ent = -(p * np.log(p)).sum(axis=1)
-        np.testing.assert_allclose(got, -ent.mean(), rtol=0, atol=1e-12)
-
-    def test_off_simplex_rows_rejected(self):
-        with pytest.raises(ValueError):
-            entropy_penalty(T.Tensor(np.full((3, 2), 0.7)))
-        with pytest.raises(ValueError):
-            entropy_penalty(T.Tensor(np.array([[1.5, -0.5]])))
+        for lam in (0.0, 0.3):
+            bd = terms(np.zeros((8, 3)), np.zeros(8, dtype=int), p=p, lam=lam)
+            np.testing.assert_allclose(bd.ent, -ent.mean(), rtol=0, atol=1e-12)
 
     def test_gradient_matches_central_differences(self):
         for k in range(5):
             rng = np.random.default_rng(40 + k)
-            x = T.Tensor(rng.normal(size=(4, 3)), requires_grad=True)
-            err = T.grad_check(lambda t: entropy_penalty(T.softmax(t)), x)
+            logits = T.Tensor(rng.normal(size=(4, 3)))
+            labels = rng.integers(0, 3, size=4)
+            x = T.Tensor(rng.uniform(0.05, 1.0, size=(4, 3)))
+            err = T.grad_check(lambda t: composite_loss(
+                logits, t, labels, lam=1.0, gamma=0.0)[0], x)
             assert err < 1e-6
 
 
@@ -123,55 +130,59 @@ class TestCecPairs:
 
 
 class TestCecLoss:
-    def _pair(self):
-        small = SubsetMask.from_indices(2, [0])
-        big = SubsetMask.full(2)
-        return small, big
-
     def test_well_ordered_confidences_cost_zero(self):
         # subset less confident than superset: no violation
-        small, big = self._pair()
-        conf = {small: T.Tensor(np.array([0.7])), big: T.Tensor(np.array([0.9]))}
-        assert cec_loss(conf, [(small, big)]).item() == 0.0
+        value, grad = cec_loss(np.array([[0.7], [0.9]]), [(0, 1)])
+        assert value == 0.0
+        assert not grad.any()
 
     def test_inverted_confidences_cost_squared_gap(self):
-        small, big = self._pair()
-        conf = {small: T.Tensor(np.array([0.9])), big: T.Tensor(np.array([0.7]))}
-        np.testing.assert_allclose(cec_loss(conf, [(small, big)]).item(), 0.04,
-                                   rtol=0, atol=1e-15)
+        value, grad = cec_loss(np.array([[0.9], [0.7]]), [(0, 1)])
+        np.testing.assert_allclose(value, 0.04, rtol=0, atol=1e-15)
+        np.testing.assert_allclose(grad, [[0.4], [-0.4]], rtol=0, atol=1e-15)
 
     def test_matches_brute_force_over_samples_and_pairs(self):
         rng = np.random.default_rng(5)
-        pairs = subset_lattice(2)
-        assert len(pairs) == 2
-        conf = {}
-        for s in {x for pair in pairs for x in pair}:
-            conf[s] = T.Tensor(rng.uniform(0.3, 1.0, size=4))
-        got = cec_loss(conf, pairs).item()
-        acc = 0.0
-        for small, big in pairs:
-            gap = np.maximum(conf[small].data - conf[big].data, 0.0)
-            acc += np.mean(gap ** 2)
-        np.testing.assert_allclose(got, acc / len(pairs), rtol=0, atol=1e-12)
+        conf = rng.uniform(0.3, 1.0, size=(3, 4))
+        pairs = [(0, 2), (1, 2)]
+        acc = sum(np.mean(np.maximum(conf[a] - conf[b], 0.0) ** 2)
+                  for a, b in pairs)
+        np.testing.assert_allclose(cec_loss(conf, pairs)[0], acc / 2, rtol=0,
+                                   atol=1e-12)
+
+    def test_gradient_scales_with_the_weight(self):
+        rng = np.random.default_rng(8)
+        conf = rng.uniform(0.3, 1.0, size=(3, 6))
+        value, grad = cec_loss(conf, [(0, 2), (1, 2)], weight=4.0)
+        assert value == cec_loss(conf, [(0, 2), (1, 2)])[0]
+        np.testing.assert_allclose(
+            grad, 4.0 * cec_loss(conf, [(0, 2), (1, 2)])[1], rtol=1e-15,
+            atol=0)
 
     def test_non_strict_pair_rejected(self):
+        # strictness is a property of the subsets, checked where the step
+        # maps them to views
+        rng = np.random.default_rng(12)
+        cfg = FusionConfig(modalities=2, dims=(3, 3), classes=3, fused_dim=4)
+        model = random_model(rng, cfg)
+        batch = random_batch(rng, 4, cfg.dims, cfg.classes)
         s = SubsetMask.from_indices(2, [0])
-        conf = {s: T.Tensor(np.array([0.5]))}
-        with pytest.raises(ValueError):
-            cec_loss(conf, [(s, s)])
         t = SubsetMask.from_indices(2, [1])
-        conf[t] = T.Tensor(np.array([0.5]))
-        with pytest.raises(ValueError):
-            cec_loss(conf, [(t, s)])
+        for bad in ([(s, s)], [(t, s)],
+                    [(s, SubsetMask.full(2)), (SubsetMask.full(2), t)]):
+            with pytest.raises(ValueError, match="is not strict inclusion"):
+                step_loss(model, batch, batch.presence, bad, lam=0.05,
+                          gamma=2.0)
 
-    def test_missing_subset_entry_rejected(self):
-        small, big = self._pair()
-        with pytest.raises(ValueError):
-            cec_loss({small: T.Tensor(np.array([0.5]))}, [(small, big)])
+    def test_pair_index_out_of_range_rejected(self):
+        conf = np.full((2, 3), 0.5)
+        for pairs in ([(0, 2)], [(-1, 0)]):
+            with pytest.raises(ValueError, match="out of range"):
+                cec_loss(conf, pairs)
 
     def test_empty_pair_list_rejected(self):
         with pytest.raises(ValueError):
-            cec_loss({}, [])
+            cec_loss(np.full((2, 3), 0.5), [])
 
     def test_model_confidences_computed_once_per_subset(self):
         rng = np.random.default_rng(6)
@@ -180,43 +191,13 @@ class TestCecLoss:
         batch = random_batch(rng, 6, cfg.dims, cfg.classes)
         pairs = subset_lattice(3)
         conf = subset_confidences(model, batch, pairs)
-        assert set(conf) == {s for pair in pairs for s in pair}
+        assert list(conf) == list(dict.fromkeys(s for pair in pairs
+                                                for s in pair))
         for s, c in conf.items():
-            assert c.data.shape == (6,)
-
-    def test_gradient_through_model_matches_central_differences(self):
-        rng = np.random.default_rng(7)
-        cfg = FusionConfig(modalities=2, dims=(3, 3), classes=3, fused_dim=4)
-        model = random_model(rng, cfg)
-        batch = random_batch(rng, 5, cfg.dims, cfg.classes)
-        pairs = subset_lattice(2)
-
-        def value():
-            return cec_loss(subset_confidences(model, batch, pairs), pairs).item()
-
-        with T.Tape() as tape:
-            loss = cec_loss(subset_confidences(model, batch, pairs), pairs)
-            tape.backward(loss)
-        assert loss.item() > 0.0  # random weights produce some violation
-        eps = 1e-5
-        checked = 0
-        for _, param in model.parameters():
-            if param.grad is None:
-                continue
-            flat = param.data.reshape(-1)
-            gflat = param.grad.reshape(-1)
-            for idx in rng.choice(flat.size, size=min(3, flat.size), replace=False):
-                keep = flat[idx]
-                flat[idx] = keep + eps
-                up = value()
-                flat[idx] = keep - eps
-                down = value()
-                flat[idx] = keep
-                numeric = (up - down) / (2 * eps)
-                err = abs(gflat[idx] - numeric) / (abs(gflat[idx]) + abs(numeric) + 1e-12)
-                assert err < 1e-5
-                checked += 1
-        assert checked >= 10
+            assert c.shape == (6,)
+            np.testing.assert_allclose(
+                c, forward(model, batch, [batch.presence & s.bits])
+                .confidence.data, rtol=0, atol=1e-12)
 
 
 def composed_cec_loss(conf_by_subset, pairs):
@@ -224,15 +205,16 @@ def composed_cec_loss(conf_by_subset, pairs):
     nodes per pair, before it became one node."""
     total = None
     for small, big in pairs:
-        gap = T.relu(T.sub(conf_by_subset[small], conf_by_subset[big]))
-        term = T.mean_all(T.mul(gap, gap))
-        total = term if total is None else T.add(total, term)
-    return T.mul_scalar(total, 1.0 / len(pairs))
+        gap = T.relu(R.sub(conf_by_subset[small], conf_by_subset[big]))
+        term = R.mean_all(R.mul(gap, gap))
+        total = term if total is None else R.add(total, term)
+    return R.mul_scalar(total, 1.0 / len(pairs))
 
 
 class TestFusedCecLoss:
-    """One tape node against the composed chain, value and gradients equal
-    bit for bit, with exact ties (gap 0) and inversions in every case."""
+    """The plain hinge against the composed chain and the one-node
+    ``hinge_pairs`` it replaced: value and gradient equal bit for bit, with
+    exact ties (gap 0) and inversions in every case."""
 
     CASES = [(2, None), (3, None), (4, None), (5, 8)]
 
@@ -244,124 +226,127 @@ class TestFusedCecLoss:
         # the order they are summed in shows in the last bits
         free = (rng.uniform(0.3, 1.0, size=(len(subsets), n - n // 2))
                 * 10.0 ** rng.integers(-3, 1, size=(len(subsets), 1)))
-        return subsets, np.concatenate([tied, free], axis=1)
+        index = [(subsets.index(a), subsets.index(b)) for a, b in pairs]
+        return subsets, index, np.concatenate([tied, free], axis=1)
 
     @staticmethod
-    def _loss_and_grads(loss_fn, subsets, values):
+    def _chain(loss_fn, subsets, values):
         leaves = {s: T.Tensor(v.copy(), requires_grad=True)
                   for s, v in zip(subsets, values)}
         with T.Tape() as tape:
-            loss = T.mul_scalar(loss_fn(leaves), 20.0)
-            tape.backward(loss)
-        return loss.data, [leaves[s].grad for s in subsets]
+            cec = loss_fn(leaves)
+            tape.backward(R.mul_scalar(cec, 20.0))
+        return cec.data, np.array([leaves[s].grad for s in subsets])
 
     @pytest.mark.parametrize("m,limit", CASES)
     @pytest.mark.parametrize("seed", range(4))
     def test_value_and_gradients_match_composed_chain(self, m, limit, seed):
         rng = np.random.default_rng([40 + m, seed])
         pairs = cec_pairs(m, rng, limit=limit) if limit else cec_pairs(m)
-        subsets, values = self._confidences(rng, pairs)
-        diffs = np.array([values[subsets.index(a)] - values[subsets.index(b)]
-                          for a, b in pairs])
+        subsets, index, values = self._confidences(rng, pairs)
+        diffs = np.array([values[a] - values[b] for a, b in index])
         assert (diffs == 0.0).any() and (diffs > 0.0).any()
-        got, got_grads = self._loss_and_grads(
-            lambda conf: cec_loss(conf, pairs), subsets, values)
-        want, want_grads = self._loss_and_grads(
-            lambda conf: composed_cec_loss(conf, pairs), subsets, values)
+        got, got_grad = cec_loss(values, index, weight=20.0)
         assert got > 0.0
-        assert np.array_equal(got, want)
-        for subset, g, w in zip(subsets, got_grads, want_grads):
-            assert np.array_equal(g, w), subset
-
-    @pytest.mark.parametrize("m,limit", CASES)
-    def test_records_one_node_for_every_pair_count(self, m, limit):
-        rng = np.random.default_rng(50 + m)
-        pairs = cec_pairs(m, rng, limit=limit) if limit else cec_pairs(m)
-        subsets, values = self._confidences(rng, pairs)
-        conf = {s: T.Tensor(v, requires_grad=True)
-                for s, v in zip(subsets, values)}
-        with T.Tape() as tape:
-            cec_loss(conf, pairs)
-        assert tape.num_recorded == 1
+        for chain in (lambda conf: composed_cec_loss(conf, pairs),
+                      lambda conf: R.hinge_pairs([conf[s] for s in subsets],
+                                                 index)):
+            want, want_grad = self._chain(chain, subsets, values)
+            assert np.array_equal(got, want)
+            assert np.array_equal(got_grad, want_grad)
 
     def test_gradient_matches_central_differences(self):
         rng = np.random.default_rng(45)
         pairs = cec_pairs(4)
-        subsets = list(dict.fromkeys(s for pair in pairs for s in pair))
-        n = 5
+        subsets, index, _ = self._confidences(rng, pairs)
+        shape = (len(subsets), 5)
 
         def loss(x):
-            return cec_loss({s: T.gather(x, np.arange(v * n, (v + 1) * n))
-                             for v, s in enumerate(subsets)}, pairs)
+            value, grad = cec_loss(x.data.reshape(shape), index)
+            return T.scalar_node(value, (x,), (grad.ravel(),))
 
-        x = T.Tensor(rng.uniform(0.3, 1.0, size=len(subsets) * n))
+        x = T.Tensor(rng.uniform(0.3, 1.0, size=shape[0] * shape[1]))
         assert T.grad_check(loss, x) < 1e-6
 
-    def test_confidences_of_different_shapes_rejected(self):
-        small, big = SubsetMask.from_indices(2, [0]), SubsetMask.full(2)
-        conf = {small: T.Tensor(np.array([0.9, 0.1])),
-                big: T.Tensor(np.array([0.7]))}
-        with pytest.raises(ValueError):
-            cec_loss(conf, [(small, big)])
+    def test_confidences_not_a_view_matrix_rejected(self):
+        for conf in (np.array([0.9, 0.1]), np.zeros((2, 0))):
+            with pytest.raises(ValueError):
+                cec_loss(conf, [(0, 1)])
 
 
 class TestCompositeLoss:
-    def _parts(self, seed, n=6, classes=4, m=3):
+    def _parts(self, seed, n=6, classes=4, m=3, views=2):
+        """Logits and gate weights of ``views`` views of n rows; the task
+        reads view 0 and the one pair penalizes view 0 against view 1."""
         rng = np.random.default_rng(seed)
-        logits = T.Tensor(rng.normal(size=(n, classes)) * 2.0)
-        p = T.Tensor(softmax_rows(rng.normal(size=(n, m))))
+        logits = T.Tensor(rng.normal(size=(views * n, classes)) * 2.0)
+        p = T.Tensor(softmax_rows(rng.normal(size=(views * n, m))))
         labels = rng.integers(0, classes, size=n)
-        return logits, p, labels
+        return logits, p, labels, dict(rows=np.arange(n), pairs=[(0, 1)])
 
     def test_breakdown_recomposes_total(self):
         for seed in range(5):
-            logits, p, labels = self._parts(seed)
-            cec = T.Tensor(np.array(0.03))
+            logits, p, labels, kw = self._parts(seed)
             total, bd = composite_loss(logits, p, labels, lam=0.05, gamma=0.2,
-                                       cec=cec)
+                                       **kw)
+            assert bd.cec > 0.0
             np.testing.assert_allclose(total.item(), bd.composed(), rtol=0,
                                        atol=1e-12)
-            np.testing.assert_allclose(
-                bd.total, bd.task + bd.lam * bd.ent + bd.gamma * bd.cec,
-                rtol=0, atol=1e-12)
+            assert total.item() == bd.total
 
     def test_component_values_match_independent_terms(self):
-        logits, p, labels = self._parts(11)
-        cec = T.Tensor(np.array(0.5))
-        total, bd = composite_loss(logits, p, labels, lam=0.1, gamma=0.3, cec=cec)
-        np.testing.assert_allclose(bd.task, task_loss(logits, labels).item(),
+        logits, p, labels, kw = self._parts(11)
+        _, bd = composite_loss(logits, p, labels, lam=0.1, gamma=0.3, **kw)
+        rows = T.Tensor(logits.data[:6]), T.Tensor(p.data[:6])
+        np.testing.assert_allclose(bd.task, R.task_loss(rows[0], labels).item(),
                                    rtol=0, atol=1e-12)
-        np.testing.assert_allclose(bd.ent, entropy_penalty(p).item(),
+        np.testing.assert_allclose(bd.ent, R.entropy_penalty(rows[1]).item(),
                                    rtol=0, atol=1e-12)
-        assert bd.cec == 0.5
+        conf = softmax_rows(logits.data).max(axis=1).reshape(2, 6)
+        np.testing.assert_allclose(
+            bd.cec, np.mean(np.maximum(conf[0] - conf[1], 0.0) ** 2), rtol=0,
+            atol=1e-15)
 
     def test_total_is_linear_in_each_coefficient(self):
-        logits, p, labels = self._parts(13)
-        cec = T.Tensor(np.array(0.25))
-        t00, bd = composite_loss(logits, p, labels, lam=0.0, gamma=0.0, cec=cec)
-        t10, _ = composite_loss(logits, p, labels, lam=1.0, gamma=0.0, cec=cec)
-        t01, _ = composite_loss(logits, p, labels, lam=0.0, gamma=1.0, cec=cec)
+        logits, p, labels, kw = self._parts(13)
+
+        def total(lam, gamma):
+            return composite_loss(logits, p, labels, lam=lam, gamma=gamma,
+                                  **kw)[0].item()
+
+        t00, t10, t01 = total(0.0, 0.0), total(1.0, 0.0), total(0.0, 1.0)
         lam, gam = 0.37, 0.83
-        tmix, _ = composite_loss(logits, p, labels, lam=lam, gamma=gam, cec=cec)
-        expected = (t00.item() + lam * (t10.item() - t00.item())
-                    + gam * (t01.item() - t00.item()))
-        np.testing.assert_allclose(tmix.item(), expected, rtol=0, atol=1e-12)
+        expected = t00 + lam * (t10 - t00) + gam * (t01 - t00)
+        np.testing.assert_allclose(total(lam, gam), expected, rtol=0,
+                                   atol=1e-12)
 
     def test_total_never_increases_with_lambda(self):
         # entropy term is nonpositive, so a larger weight can only lower total
-        logits, p, labels = self._parts(14)
+        logits, p, labels, _ = self._parts(14, views=1)
         lams = [0.0, 0.01, 0.1, 0.5, 2.0]
         totals = [composite_loss(logits, p, labels, lam=l, gamma=0.0)[0].item()
                   for l in lams]
         assert all(b <= a + 1e-15 for a, b in zip(totals, totals[1:]))
 
-    def test_gamma_requires_cec_value(self):
-        logits, p, labels = self._parts(15)
-        with pytest.raises(ValueError):
-            composite_loss(logits, p, labels, lam=0.1, gamma=0.5, cec=None)
+    def test_gamma_requires_pairs(self):
+        logits, p, labels, kw = self._parts(15)
+        with pytest.raises(ValueError, match="needs subset pairs"):
+            composite_loss(logits, p, labels, lam=0.1, gamma=0.5,
+                           rows=kw["rows"])
+
+    def test_bad_rows_rejected(self):
+        logits, p, labels, _ = self._parts(17)
+        for rows in ([0, 0, 1, 2, 3, 4], [0, 1, 2, 3, 4, 12], [-1, 1, 2, 3, 4, 5],
+                     np.zeros((6, 1), dtype=int)):
+            with pytest.raises(ValueError, match="rows"):
+                composite_loss(logits, p, labels, lam=0.1, gamma=0.0,
+                               rows=np.array(rows))
+        with pytest.raises(ValueError, match="one row each"):
+            composite_loss(logits, T.Tensor(p.data[:6]), labels, lam=0.1,
+                           gamma=0.0, rows=np.arange(6))
 
     def test_scalar_lambda_below_floor_rejected(self):
-        logits, p, labels = self._parts(16)
+        logits, p, labels, _ = self._parts(16, views=1)
         with pytest.raises(ValueError):
             composite_loss(logits, p, labels, lam=-0.01, gamma=0.0)
         with pytest.raises(ValueError):
@@ -369,7 +354,7 @@ class TestCompositeLoss:
 
     def test_vector_lambda_recomposes_and_reports_mean(self):
         for seed in range(3):
-            logits, p, labels = self._parts(20 + seed)
+            logits, p, labels, _ = self._parts(20 + seed, views=1)
             rng = np.random.default_rng(100 + seed)
             lam = rng.uniform(0.01, 0.2, size=6)
             total, bd = composite_loss(logits, p, labels, lam=lam, gamma=0.0,
@@ -379,21 +364,38 @@ class TestCompositeLoss:
                                        atol=1e-12)
             # per-sample weighting oracle
             ent_rows = -(p.data * np.log(np.maximum(p.data, 1e-300))).sum(axis=1)
-            expected = (task_loss(logits, labels).item()
+            expected = (R.task_loss(logits, labels).item()
                         - np.mean(lam * ent_rows))
             np.testing.assert_allclose(total.item(), expected, rtol=0, atol=1e-12)
 
     def test_vector_lambda_entry_below_floor_rejected(self):
-        logits, p, labels = self._parts(24)
+        logits, p, labels, _ = self._parts(24, views=1)
         lam = np.full(6, 0.05)
         lam[3] = 0.001
         with pytest.raises(ValueError):
             composite_loss(logits, p, labels, lam=lam, gamma=0.0, lam_min=0.01)
 
     def test_vector_lambda_wrong_length_rejected(self):
-        logits, p, labels = self._parts(25)
+        logits, p, labels, _ = self._parts(25, views=1)
         with pytest.raises(ValueError):
             composite_loss(logits, p, labels, lam=np.full(3, 0.1), gamma=0.0)
+
+    def test_gradients_wrt_logits_and_gate_weights_match_central_differences(
+            self):
+        for multilabel in (False, True):
+            logits, p, labels, kw = self._parts(26)
+            if multilabel:
+                labels = (np.random.default_rng(27).random((6, 4)) < 0.4
+                          ).astype(float)
+            lam = np.linspace(0.05, 0.3, 6)
+            for name, x in (("logits", logits), ("p", p)):
+                def loss(t, name=name):
+                    inputs = {"logits": logits, "p": p, name: t}
+                    return composite_loss(inputs["logits"], inputs["p"],
+                                          labels, lam=lam, gamma=2.0,
+                                          multilabel=multilabel, **kw)[0]
+
+                assert T.grad_check(loss, x) < 1e-6
 
     def test_gradient_through_model_matches_central_differences(self):
         rng = np.random.default_rng(30)
@@ -403,11 +405,8 @@ class TestCompositeLoss:
         pairs = subset_lattice(2)
 
         def total_value():
-            out = forward(model, batch)
-            cec = cec_loss(subset_confidences(model, batch, pairs), pairs)
-            total, _ = composite_loss(out.logits, out.p, batch.labels,
-                                      lam=0.05, gamma=0.2, cec=cec)
-            return total
+            return step_loss(model, batch, batch.presence, pairs, lam=0.05,
+                             gamma=0.2)[0]
 
         with T.Tape() as tape:
             tape.backward(total_value())
@@ -431,10 +430,117 @@ class TestCompositeLoss:
         assert checked >= 10
 
     def test_breakdown_is_plain_floats(self):
-        logits, p, labels = self._parts(31)
-        _, bd = composite_loss(logits, p, labels, lam=0.1, gamma=0.0)
-        for field in ("total", "task", "ent", "cec", "lam", "gamma"):
-            assert type(getattr(bd, field)) is float
+        for views, gamma in ((1, 0.0), (2, 0.5)):
+            logits, p, labels, kw = self._parts(31, views=views)
+            if views == 1:
+                kw = {}
+            _, bd = composite_loss(logits, p, labels, lam=0.1, gamma=gamma,
+                                   **kw)
+            for field in ("total", "task", "ent", "cec", "lam", "gamma"):
+                assert type(getattr(bd, field)) is float
+
+    def test_records_one_node(self):
+        logits, p, labels, kw = self._parts(32)
+        leaves = [T.Tensor(t.data, requires_grad=True) for t in (logits, p)]
+        with T.Tape() as tape:
+            composite_loss(*leaves, labels, lam=0.1, gamma=0.5, **kw)
+        assert tape.num_recorded == 1
+
+
+class TestNodeMatchesChain:
+    """``composite_loss`` against ``reference_chain.composite_loss``, the
+    chain of tape ops it replaced: the value, the breakdown and the
+    gradients with respect to the logits and the gate weights are equal bit
+    for bit. Inputs are laid out as a training step lays them out: the
+    views of the pairs' subsets (plus the extra ``keep`` view where a masked
+    row has no subset view), each view row's logits and gate weights a
+    function of its presence pattern. Some rows get the same logits in
+    every view, so their confidences tie exactly and the hinge sits at its
+    kink."""
+
+    CASES = [(m, lam, multilabel, with_pairs)
+             for m in (2, 3, 4, 5) for lam in ("scalar", "rows")
+             for multilabel in (False, True) for with_pairs in (True, False)]
+
+    @staticmethod
+    def _inputs(seed, m, lam_kind, multilabel, with_pairs, n=9, classes=4):
+        rng = np.random.default_rng(seed)
+        presence = np.ones((n, m), dtype=bool)
+        keep = bernoulli_mask(n, m, 0.4, rng)
+        rows, index, views = None, None, keep[None]
+        if with_pairs:
+            pairs = cec_pairs(m, rng, limit=8)
+            index, views = losses_module._views(pairs, presence)
+            held = (views == keep).all(axis=2)
+            if not held.any(axis=0).all():
+                views = np.concatenate([views, keep[None]])
+                held = np.concatenate([held, np.ones((1, n), dtype=bool)])
+            rows = held.argmax(axis=0) * n + np.arange(n)
+        codes = views @ (1 << np.arange(m))  # [V, n] presence patterns
+        table_z = rng.normal(size=(n, 1 << m, classes)) * 3.0
+        tied = rng.random(n) < 0.3
+        table_z[tied] = table_z[tied, :1]
+        table_g = rng.normal(size=(n, 1 << m, m))
+        logits = table_z[np.arange(n), codes].reshape(-1, classes)
+        keep_rows = views.reshape(-1, m)
+        gate = np.where(keep_rows, table_g[np.arange(n), codes].reshape(-1, m),
+                        -np.inf)
+        p = np.exp(gate - gate.max(axis=1, keepdims=True))
+        p /= p.sum(axis=1, keepdims=True)
+        labels = ((rng.random((n, classes)) < 0.4).astype(float) if multilabel
+                  else rng.integers(0, classes, size=n))
+        lam = 0.05 if lam_kind == "scalar" else rng.uniform(0.01, 0.5, size=n)
+        return logits, p, labels, lam, dict(rows=rows, pairs=index,
+                                            multilabel=multilabel), len(views)
+
+    @staticmethod
+    def _run(loss_fn, logits, p, labels, lam, gamma, kw):
+        leaves = [T.Tensor(a.copy(), requires_grad=True) for a in (logits, p)]
+        with T.Tape() as tape:
+            total, bd = loss_fn(*leaves, labels, lam=lam, gamma=gamma, **kw)
+            tape.backward(total)
+        return total.data, bd, [t.grad for t in leaves]
+
+    @pytest.mark.parametrize("m,lam,multilabel,with_pairs", CASES)
+    def test_value_breakdown_and_gradients_equal_the_chain(
+            self, m, lam, multilabel, with_pairs):
+        seed = [m, lam == "rows", multilabel, with_pairs]
+        logits, p, labels, lam, kw, _ = self._inputs(seed, m, lam, multilabel,
+                                                     with_pairs)
+        gamma = 20.0 if with_pairs else 0.0
+        got, got_bd, got_grads = self._run(composite_loss, logits, p, labels,
+                                           lam, gamma, kw)
+        want, want_bd, want_grads = self._run(R.composite_loss, logits, p,
+                                              labels, lam, gamma, kw)
+        assert np.array_equal(got, want)
+        assert got_bd == want_bd
+        for g, w in zip(got_grads, want_grads):
+            assert g.any() and np.array_equal(g, w)
+        if with_pairs:
+            assert got_bd.cec > 0.0
+
+    def test_cases_include_rows_that_need_the_extra_keep_view(self):
+        extra = 0
+        for m, lam, multilabel, with_pairs in self.CASES:
+            if with_pairs:
+                seed = [m, lam == "rows", multilabel, with_pairs]
+                *_, kw, views = self._inputs(seed, m, lam, multilabel, True)
+                extra += views > kw["pairs"].max() + 1
+        assert extra > 0
+
+    @pytest.mark.parametrize("gamma,lam_mode", [(2.0, "scheduled"),
+                                                (0.0, "instance"),
+                                                (2.0, "instance")])
+    def test_training_is_unchanged_bit_for_bit(self, monkeypatch, gamma,
+                                               lam_mode):
+        cfg = small_cfg(gamma=gamma, lam_mode=lam_mode, epochs=2)
+        got = train(cfg, small_data())
+        monkeypatch.setattr(losses_module, "composite_loss", R.composite_loss)
+        want = train(cfg, small_data())
+        assert got.history == want.history
+        for (name, a), (_, b) in zip(got.model.parameters(),
+                                     want.model.parameters()):
+            assert np.array_equal(a.data, b.data), name
 
 
 class TestStackedStep:
@@ -465,15 +571,16 @@ class TestStackedStep:
 
     def _reference_loss(self, model, batch, keep, pairs, multilabel=False):
         out = reference_forward(model, batch, keep)
+        total = R.composite_loss(out.logits, out.p, batch.labels, lam=0.05,
+                                 gamma=0.0, multilabel=multilabel)[0]
         if pairs is None:
-            return composite_loss(out.logits, out.p, batch.labels, lam=0.05,
-                                  gamma=0.0, multilabel=multilabel)[0]
-        conf = {s: reference_forward(model, batch,
-                                     batch.presence & np.array(s.bits))
-                .confidence for s in self._subsets(pairs)}
-        return composite_loss(out.logits, out.p, batch.labels, lam=0.05,
-                              gamma=2.0, cec=cec_loss(conf, pairs),
-                              multilabel=multilabel)[0]
+            return total
+        subsets = self._subsets(pairs)
+        conf = [reference_forward(model, batch,
+                                  batch.presence & np.array(s.bits)).confidence
+                for s in subsets]
+        index = [(subsets.index(a), subsets.index(b)) for a, b in pairs]
+        return R.add(total, R.mul_scalar(R.hinge_pairs(conf, index), 2.0))
 
     @staticmethod
     def _loss_and_grads(model, loss_fn):
@@ -515,10 +622,12 @@ class TestStackedStep:
         for v, view in enumerate(views):
             ref = reference_forward(model, batch, view)
             rows = slice(v * batch.n, (v + 1) * batch.n)
-            for field in ("logits", "confidence", "p", "gate_entropy"):
+            for field in ("logits", "confidence", "p"):
                 np.testing.assert_allclose(getattr(out, field).data[rows],
                                            getattr(ref, field).data,
                                            rtol=0, atol=1e-12)
+            np.testing.assert_allclose(out.gate_entropy[rows],
+                                       ref.gate_entropy, rtol=0, atol=1e-12)
             assert (out.p.data[rows][~view] == 0.0).all()
 
     @pytest.mark.parametrize("m,frozen", CASES)

@@ -7,10 +7,10 @@ import entrofuse.tensor as T
 from entrofuse.data import MultimodalBatch
 from entrofuse.losses import cec_loss, subset_confidences
 from entrofuse.metrics import (CalibrationReport, InversionAudit,
-                               audit_confidences, ece,
+                               audit_confidences, confidence_correct, ece,
                                entropy_confidence_export, format_value,
-                               inversion_audit, map_at_1, per_class_ece,
-                               top1_accuracy, write_csv)
+                               inversion_audit, map_at_1, top1_accuracy,
+                               write_csv)
 from entrofuse.model import FusionConfig, FusionModel, forward, predict_subset
 from entrofuse.subsets import SubsetMask, subset_lattice
 
@@ -106,28 +106,40 @@ class TestEce:
             ece(np.array([0.5, np.nan]), np.array([True, False]))
 
 
-class TestPerClassEce:
-    def test_single_predicted_class_equals_plain_ece(self):
+class TestConfidenceCorrect:
+    def test_single_label_is_the_forward_confidence(self):
         rng = np.random.default_rng(4)
-        conf = rng.uniform(0.0, 1.0, size=50)
-        correct = rng.random(50) < conf
-        pred = np.zeros(50, dtype=np.int64)
-        assert per_class_ece(conf, correct, pred, classes=3) == ece(conf, correct).ece
+        cfg = FusionConfig(modalities=2, dims=(3, 3), classes=5, fused_dim=4)
+        model = random_model(rng, cfg)
+        batch = random_batch(rng, 40, cfg.dims, cfg.classes)
+        out = forward(model, batch)
+        conf, correct = confidence_correct(out.logits.data, batch.labels,
+                                           multilabel=False)
+        assert np.array_equal(conf, out.confidence.data)
+        assert np.array_equal(
+            correct, out.logits.data.argmax(axis=1) == batch.labels)
 
-    def test_macro_average_over_predicted_classes(self):
-        conf = np.array([0.9, 0.9, 0.6, 0.6])
-        correct = np.array([True, False, True, True])
-        pred = np.array([0, 0, 1, 1])
-        got = per_class_ece(conf, correct, pred, classes=5)
-        expected = (ece(conf[:2], correct[:2]).ece + ece(conf[2:], correct[2:]).ece) / 2
-        np.testing.assert_allclose(got, expected, rtol=0, atol=1e-15)
+    def test_multilabel_uses_the_two_branch_sigmoid(self):
+        rng = np.random.default_rng(5)
+        logits = rng.normal(scale=3.0, size=(50, 4))
+        labels = (rng.random((50, 4)) < 0.4).astype(np.float64)
+        conf, correct = confidence_correct(logits, labels, multilabel=True)
+        e = np.exp(-np.abs(logits))
+        probs = np.where(logits >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
+        assert np.array_equal(conf, probs.max(axis=1))
+        top = probs.argmax(axis=1)
+        assert np.array_equal(correct, labels[np.arange(50), top] == 1.0)
 
-    def test_never_predicted_classes_are_skipped(self):
-        conf = np.array([0.8, 0.7])
-        correct = np.array([True, True])
-        pred = np.array([2, 2])
-        got = per_class_ece(conf, correct, pred, classes=10)
-        assert got == ece(conf, correct).ece
+    def test_temperature_divides_the_logits(self):
+        rng = np.random.default_rng(6)
+        logits = rng.normal(scale=2.0, size=(20, 3))
+        labels = rng.integers(0, 3, size=20)
+        for multilabel in (False, True):
+            if multilabel:
+                labels = (rng.random((20, 3)) < 0.5).astype(np.float64)
+            hot = confidence_correct(logits, labels, multilabel, 2.5)
+            plain = confidence_correct(logits / 2.5, labels, multilabel)
+            assert all(np.array_equal(a, b) for a, b in zip(hot, plain))
 
 
 class TestMapAt1:
@@ -232,6 +244,12 @@ class TestInversionAudit:
 
     def test_zero_audit_count_iff_zero_consistency_loss(self):
         # the hinge loss and the audit agree on "no violations"
+        def cec(model, batch, pairs):
+            conf = subset_confidences(model, batch, pairs)
+            subsets = list(conf)
+            index = [(subsets.index(a), subsets.index(b)) for a, b in pairs]
+            return cec_loss(np.array(list(conf.values())), index)[0]
+
         rng = np.random.default_rng(9)
         cfg = FusionConfig(modalities=2, dims=(4, 4), classes=3, fused_dim=4)
         pairs = subset_lattice(2)
@@ -239,14 +257,14 @@ class TestInversionAudit:
         for w in zero_model.proj:
             w.data = np.zeros_like(w.data)
         batch = random_batch(rng, 10, cfg.dims, cfg.classes)
-        loss = cec_loss(subset_confidences(zero_model, batch, pairs), pairs)
+        loss = cec(zero_model, batch, pairs)
         audit = inversion_audit(zero_model, batch)
-        assert loss.item() == 0.0 and audit.total_count == 0
+        assert loss == 0.0 and audit.total_count == 0
 
         live_model = random_model(np.random.default_rng(10), cfg)
-        loss = cec_loss(subset_confidences(live_model, batch, pairs), pairs)
+        loss = cec(live_model, batch, pairs)
         audit = inversion_audit(live_model, batch)
-        assert (loss.item() > 0.0) == (audit.total_count > 0)
+        assert (loss > 0.0) == (audit.total_count > 0)
         assert audit.total_count > 0  # random weights do violate somewhere
 
     def test_rate_normalizes_by_samples_and_pairs(self):
@@ -322,7 +340,7 @@ class TestEntropyConfidenceExport:
         out = forward(model, batch)
         rows = entropy_confidence_export(out)
         assert rows.shape == (9, 2)
-        assert (rows[:, 0] == out.gate_entropy.data).all()
+        assert (rows[:, 0] == out.gate_entropy).all()
         assert (rows[:, 1] == out.confidence.data).all()
 
     def test_single_observed_modality_exports_zero_entropy(self):

@@ -6,12 +6,14 @@ import pytest
 import entrofuse.losses as losses_module
 import entrofuse.tensor as T
 from entrofuse.data import MultimodalBatch, apply_mask
-from entrofuse.losses import cec_loss, cec_pairs, step_loss
+from entrofuse.losses import cec_pairs, step_loss
 from entrofuse.model import (ForwardOutput, FusionConfig, FusionModel,
                              forward, gate_rows, load_checkpoint,
                              predict_subset, save_checkpoint)
 from entrofuse.rng import stream
 from entrofuse.subsets import SubsetMask, nonempty_subsets
+
+import reference_chain as R
 
 
 def random_batch(rng, n, dims, classes, presence=None):
@@ -71,7 +73,7 @@ class TestGateWeights:
         # exact zeros and ones, not merely tiny values
         assert (out.p.data[:, 1] == 0.0).all()
         assert (out.p.data[:, 0] == 1.0).all()
-        assert (out.gate_entropy.data == 0.0).all()
+        assert (out.gate_entropy == 0.0).all()
 
     def test_rows_sum_to_one_and_absent_entries_are_zero(self):
         for k in range(5):
@@ -86,18 +88,23 @@ class TestGateWeights:
             assert (out.p.data[~presence] == 0.0).all()
             assert (out.p.data >= 0.0).all()
 
-    def test_gate_entropy_is_reported_off_the_tape(self):
-        # the loss records its own entropy; the forward's copy is a statistic
+    def test_gate_entropy_and_confidence_are_reported_off_the_tape(self):
+        # the loss derives its own from the weights and logits; the
+        # forward's copies are statistics
         cfg = FusionConfig(modalities=3, dims=(4, 3, 5), classes=4, fused_dim=6)
         model = random_model(np.random.default_rng(5), cfg)
         batch = random_batch(np.random.default_rng(6), 8, cfg.dims, cfg.classes)
         with T.Tape() as tape:
             out = forward(model, batch)
             recorded = tape.num_recorded
-            taped = T.entropy_rows(out.p)
-        assert not out.gate_entropy.requires_grad
-        assert tape.num_recorded == recorded + 1
-        assert (out.gate_entropy.data == taped.data).all()
+            entropy = out.gate_entropy
+            taped = R.entropy_rows(out.p)
+            conf = R.confidence(out.logits)
+        assert isinstance(entropy, np.ndarray)
+        assert not out.confidence.requires_grad
+        assert tape.num_recorded == recorded + 3  # the reference ops only
+        assert (entropy == taped.data).all()
+        assert (out.confidence.data == conf.data).all()
 
     def test_gate_entropy_bounded_by_log_observed_count(self):
         for k in range(5):
@@ -109,8 +116,8 @@ class TestGateWeights:
             batch = random_batch(rng, 32, cfg.dims, cfg.classes, presence)
             out = forward(model, batch)
             bound = np.log(presence.sum(axis=1))
-            assert (out.gate_entropy.data <= bound + 1e-12).all()
-            assert (out.gate_entropy.data >= -1e-12).all()
+            assert (out.gate_entropy <= bound + 1e-12).all()
+            assert (out.gate_entropy >= -1e-12).all()
 
     def test_frozen_gate_rows_are_the_observed_average(self):
         # property over random presence patterns, exact to the last bit
@@ -384,13 +391,12 @@ class TestValidation:
 
 
 class TestTapeSize:
-    def test_m2_consistency_step_records_28_nodes(self):
+    def test_m2_consistency_step_records_10_nodes(self):
         # gate, on the {0, 1} view only: linear, relu, linear,
         # masked_softmax, and put_rows beside the one-hot weights of the
-        # {0} and {1} views; fusion: 2 matmul + blend; head: linear;
-        # confidence: softmax, row_max; the rest is the loss, which reads
-        # the masked rows and each subset with a gather, and whose
-        # consistency term is one node
+        # {0} and {1} views; fusion: 2 matmul + blend; head: linear; the
+        # objective, which reads the masked rows and the confidence of each
+        # subset view from the logits, is one node
         rng = np.random.default_rng(64)
         cfg = FusionConfig(modalities=2, dims=(3, 5), classes=4, fused_dim=6)
         model = random_model(rng, cfg)
@@ -399,9 +405,23 @@ class TestTapeSize:
         keep[~keep.any(axis=1), 1] = True
         with T.Tape() as tape:
             step_loss(model, batch, keep, cec_pairs(2), lam=0.05, gamma=20.0)
-        assert tape.num_recorded == 28
+        assert tape.num_recorded == 10
 
-    def test_m4_all_subsets_step_records_one_consistency_node(
+    def test_m2_instance_lambda_step_without_pairs_records_9_nodes(self):
+        # gate on the keep view: linear, relu, linear, masked_softmax;
+        # fusion: 2 matmul + blend; head: linear; the objective: one node
+        rng = np.random.default_rng(66)
+        cfg = FusionConfig(modalities=2, dims=(3, 5), classes=4, fused_dim=6)
+        model = random_model(rng, cfg)
+        batch = random_batch(rng, 16, cfg.dims, cfg.classes)
+        keep = rng.random((16, 2)) < 0.7
+        keep[~keep.any(axis=1), 1] = True
+        lam = rng.uniform(0.01, 0.5, size=16)
+        with T.Tape() as tape:
+            step_loss(model, batch, keep, None, lam=lam, gamma=0.0)
+        assert tape.num_recorded == 9
+
+    def test_m4_all_subsets_step_records_one_objective_node(
             self, monkeypatch):
         rng = np.random.default_rng(65)
         cfg = FusionConfig(modalities=4, dims=(3, 4, 2, 5), classes=4,
@@ -415,13 +435,14 @@ class TestTapeSize:
         assert len(pairs) == 50
         recorded = []
 
-        def counted(conf_by_subset, pairs):
+        def counted(*args, **kwargs):
             before = tape.num_recorded
-            out = cec_loss(conf_by_subset, pairs)
+            out = composite_loss(*args, **kwargs)
             recorded.append(tape.num_recorded - before)
             return out
 
-        monkeypatch.setattr(losses_module, "cec_loss", counted)
+        composite_loss = losses_module.composite_loss
+        monkeypatch.setattr(losses_module, "composite_loss", counted)
         with T.Tape() as tape:
             step_loss(model, batch, keep, pairs, lam=0.05, gamma=20.0)
         assert recorded == [1]

@@ -1,6 +1,7 @@
 """Tape mechanics and gradient correctness for every primitive.
 
-Each op's analytic pullback is verified against central finite differences
+Each op's analytic pullback, the package's and the reference chain's
+(``reference_chain``), is verified against central finite differences
 through ``grad_check`` at randomized points, plus closed-form values for
 the handful of functions with easy hand oracles.
 """
@@ -12,6 +13,8 @@ import pytest
 
 from entrofuse import tensor as T
 from entrofuse.tensor import Tape, Tensor, grad_check, softplus
+
+import reference_chain as R
 
 
 class TestTensorBasics:
@@ -43,8 +46,8 @@ class TestTapeMechanics:
     def test_records_in_execution_order_and_replays_once(self):
         x = Tensor(np.ones((2, 2)), requires_grad=True)
         with Tape() as tape:
-            y = T.mul_scalar(x, 2.0)
-            z = T.mean_all(y)
+            y = R.mul_scalar(x, 2.0)
+            z = R.mean_all(y)
         assert tape.num_recorded == 2
         tape.backward(z)
         assert tape.backward_calls == 2
@@ -53,7 +56,7 @@ class TestTapeMechanics:
     def test_backward_twice_rejected(self):
         x = Tensor(np.ones(3), requires_grad=True)
         with Tape() as tape:
-            z = T.mean_all(x)
+            z = R.mean_all(x)
         tape.backward(z)
         with pytest.raises(RuntimeError):
             tape.backward(z)
@@ -61,7 +64,7 @@ class TestTapeMechanics:
     def test_backward_needs_scalar_root(self):
         x = Tensor(np.ones(3), requires_grad=True)
         with Tape() as tape:
-            y = T.mul_scalar(x, 2.0)
+            y = R.mul_scalar(x, 2.0)
         with pytest.raises(ValueError):
             tape.backward(y)
 
@@ -75,12 +78,12 @@ class TestTapeMechanics:
         a = Tensor(np.ones((2, 2)))
         b = Tensor(np.ones((2, 2)))
         with Tape() as tape:
-            T.add(a, b)
+            R.add(a, b)
         assert tape.num_recorded == 0
 
     def test_no_tape_means_no_recording(self):
         x = Tensor(np.ones((2, 2)), requires_grad=True)
-        y = T.mul_scalar(x, 3.0)
+        y = R.mul_scalar(x, 3.0)
         assert y.data is not None
         assert x.grad is None
 
@@ -88,7 +91,7 @@ class TestTapeMechanics:
         # f(x) = mean(x) + mean(x) -> grad = 2/n each
         x = Tensor(np.ones(4), requires_grad=True)
         with Tape() as tape:
-            z = T.add(T.mean_all(x), T.mean_all(x))
+            z = R.add(R.mean_all(x), R.mean_all(x))
         tape.backward(z)
         np.testing.assert_allclose(x.grad, np.full(4, 0.5))
 
@@ -97,16 +100,16 @@ class TestGradCheckHarness:
     def test_eps_domain_enforced(self):
         x = Tensor(np.ones(2))
         with pytest.raises(ValueError):
-            grad_check(lambda t: T.mean_all(t), x, eps=1e-8)
+            grad_check(lambda t: R.mean_all(t), x, eps=1e-8)
         with pytest.raises(ValueError):
-            grad_check(lambda t: T.mean_all(t), x, eps=1e-2)
+            grad_check(lambda t: R.mean_all(t), x, eps=1e-2)
 
     def test_detects_wrong_gradient(self):
         # mul_scalar by 2 but claim the function is mean: errors stay large
         x = Tensor(np.array([1.0, 2.0]))
 
         def wrong(t):
-            return T.mul_scalar(T.mean_all(t), 3.0)
+            return R.mul_scalar(R.mean_all(t), 3.0)
 
         err_right = grad_check(wrong, x)
         assert err_right < 1e-6  # consistent function is fine
@@ -114,7 +117,7 @@ class TestGradCheckHarness:
     def test_quadratic_exact(self):
         rng = np.random.default_rng(7)
         x = Tensor(rng.standard_normal(5))
-        err = grad_check(lambda t: T.mean_all(T.mul(t, t)), x)
+        err = grad_check(lambda t: R.mean_all(R.mul(t, t)), x)
         assert err < 1e-7
 
 
@@ -130,11 +133,11 @@ class TestPrimitiveGradients:
         b_const = Tensor(_rand(rng, 4, 3))
         for _ in range(10):
             x = Tensor(_rand(rng, 2, 4))
-            err = grad_check(lambda t: T.mean_all(T.matmul(t, b_const)), x)
+            err = grad_check(lambda t: R.mean_all(T.matmul(t, b_const)), x)
             assert err < 1e-6
             w = Tensor(_rand(rng, 2, 4))
             err = grad_check(
-                lambda t: T.mean_all(T.matmul(Tensor(w.data), t)),
+                lambda t: R.mean_all(T.matmul(Tensor(w.data), t)),
                 Tensor(_rand(rng, 4, 3)))
             assert err < 1e-6
 
@@ -142,24 +145,24 @@ class TestPrimitiveGradients:
         rng = np.random.default_rng(12)
         for _ in range(10):
             other = Tensor(_rand(rng, 3, 3))
-            for op in (T.add, T.sub, T.mul):
+            for op in (R.add, R.sub, R.mul):
                 x = Tensor(_rand(rng, 3, 3))
-                err = grad_check(lambda t, op=op: T.mean_all(op(t, other)), x)
+                err = grad_check(lambda t, op=op: R.mean_all(op(t, other)), x)
                 assert err < 1e-6
-                err = grad_check(lambda t, op=op: T.mean_all(op(other, t)), x)
+                err = grad_check(lambda t, op=op: R.mean_all(op(other, t)), x)
                 assert err < 1e-6
 
     def test_mul_scalar_and_linear(self):
         rng = np.random.default_rng(13)
         for _ in range(10):
             x = Tensor(_rand(rng, 4, 3))
-            err = grad_check(lambda t: T.mean_all(T.mul_scalar(t, -1.7)), x)
+            err = grad_check(lambda t: R.mean_all(R.mul_scalar(t, -1.7)), x)
             assert err < 1e-6
             w, b = Tensor(_rand(rng, 3, 2)), Tensor(_rand(rng, 2))
             r = Tensor(_rand(rng, 4, 2))  # uneven output weights
 
             def loss(out):
-                return T.mean_all(T.mul(out, r))
+                return R.mean_all(R.mul(out, r))
 
             err = grad_check(lambda t: loss(T.linear(t, w, b)), x)
             assert err < 1e-6
@@ -173,14 +176,14 @@ class TestPrimitiveGradients:
         for _ in range(10):
             x = _rand(rng, 4, 4)
             x = np.where(np.abs(x) < 0.05, 0.5, x)  # keep clear of the kink
-            err = grad_check(lambda t: T.mean_all(T.relu(t)), Tensor(x))
+            err = grad_check(lambda t: R.mean_all(T.relu(t)), Tensor(x))
             assert err < 1e-6
 
     def test_sigmoid(self):
         rng = np.random.default_rng(15)
         for _ in range(10):
             x = Tensor(3.0 * _rand(rng, 5))
-            err = grad_check(lambda t: T.mean_all(T.sigmoid(t)), x)
+            err = grad_check(lambda t: R.mean_all(R.sigmoid(t)), x)
             assert err < 1e-6
 
     def test_softmax_and_log_softmax(self):
@@ -189,10 +192,10 @@ class TestPrimitiveGradients:
         for _ in range(10):
             x = Tensor(_rand(rng, 3, 4))
             err = grad_check(
-                lambda t: T.mean_all(T.mul(T.softmax(t), w)), x)
+                lambda t: R.mean_all(R.mul(R.softmax(t), w)), x)
             assert err < 1e-6
             err = grad_check(
-                lambda t: T.mean_all(T.mul(T.log_softmax(t), w)), x)
+                lambda t: R.mean_all(R.mul(R.log_softmax(t), w)), x)
             assert err < 1e-6
 
     def test_masked_softmax(self):
@@ -203,7 +206,7 @@ class TestPrimitiveGradients:
             w = Tensor(_rand(rng, 4, 3))
             x = Tensor(_rand(rng, 4, 3))
             err = grad_check(
-                lambda t: T.mean_all(T.mul(T.masked_softmax(t, keep), w)), x)
+                lambda t: R.mean_all(R.mul(T.masked_softmax(t, keep), w)), x)
             assert err < 1e-6
 
     def test_entropy_rows_through_softmax(self):
@@ -211,7 +214,7 @@ class TestPrimitiveGradients:
         for _ in range(10):
             x = Tensor(_rand(rng, 4, 3))
             err = grad_check(
-                lambda t: T.mean_all(T.entropy_rows(T.softmax(t))), x)
+                lambda t: R.mean_all(R.entropy_rows(R.softmax(t))), x)
             assert err < 1e-6
 
     def test_row_max_away_from_ties(self):
@@ -219,17 +222,17 @@ class TestPrimitiveGradients:
         for _ in range(10):
             x = _rand(rng, 5, 4)
             x[:, 0] += 3.0  # clear argmax margin, finite differences stay smooth
-            err = grad_check(lambda t: T.mean_all(T.row_max(t)), Tensor(x))
+            err = grad_check(lambda t: R.mean_all(R.row_max(t)), Tensor(x))
             assert err < 1e-6
 
     def test_col_pick(self):
         rng = np.random.default_rng(20)
         for _ in range(10):
             x = Tensor(_rand(rng, 4, 3))
-            err = grad_check(lambda t: T.mean_all(_ref_col(t, 1)), x)
+            err = grad_check(lambda t: R.mean_all(_ref_col(t, 1)), x)
             assert err < 1e-6
             idx = rng.integers(0, 3, size=4)
-            err = grad_check(lambda t: T.mean_all(T.pick(t, idx)), x)
+            err = grad_check(lambda t: R.mean_all(R.pick(t, idx)), x)
             assert err < 1e-6
 
     def test_gather(self):
@@ -238,10 +241,10 @@ class TestPrimitiveGradients:
             x = Tensor(_rand(rng, 6, 3))
             idx = rng.permutation(6)[:4]
             r = Tensor(_rand(rng, 4, 3))
-            err = grad_check(lambda t: T.mean_all(T.mul(T.gather(t, idx), r)), x)
+            err = grad_check(lambda t: R.mean_all(R.mul(T.gather(t, idx), r)), x)
             assert err < 1e-6
             v = Tensor(_rand(rng, 6))
-            err = grad_check(lambda t: T.dot_const(T.gather(t, idx), v.data[:4]), v)
+            err = grad_check(lambda t: R.dot_const(T.gather(t, idx), v.data[:4]), v)
             assert err < 1e-6
 
     def test_put_rows(self):
@@ -251,10 +254,10 @@ class TestPrimitiveGradients:
             x = Tensor(_rand(rng, 2, 3))
             idx = rng.permutation(6)[:2]
             r = Tensor(_rand(rng, 6, 3))
-            err = grad_check(lambda t: T.mean_all(T.mul(
+            err = grad_check(lambda t: R.mean_all(R.mul(
                 T.put_rows(t, idx, x), r)), base)
             assert err < 1e-6
-            err = grad_check(lambda t: T.mean_all(T.mul(
+            err = grad_check(lambda t: R.mean_all(R.mul(
                 T.put_rows(base, idx, t), r)), x)
             assert err < 1e-6
             out = T.put_rows(base, idx, x).data
@@ -271,7 +274,7 @@ class TestPrimitiveGradients:
             r = Tensor(_rand(rng, views * 5, 4))
 
             def loss(out):
-                return T.mean_all(T.mul(out, r))
+                return R.mean_all(R.mul(out, r))
 
             err = grad_check(lambda t: loss(T.blend(t, blocks, b)), w)
             assert err < 1e-6
@@ -289,9 +292,9 @@ class TestPrimitiveGradients:
         x = Tensor(_rand(rng, 6, 2), requires_grad=True)
         w = _rand(rng, 6)
         with Tape() as tape:
-            a = T.dot_const(_ref_col(T.gather(x, np.arange(0, 3)), 0), w[:3])
-            b = T.dot_const(_ref_col(T.gather(x, np.arange(3, 6)), 0), w[3:])
-            tape.backward(T.add(a, b))
+            a = R.dot_const(_ref_col(T.gather(x, np.arange(0, 3)), 0), w[:3])
+            b = R.dot_const(_ref_col(T.gather(x, np.arange(3, 6)), 0), w[3:])
+            tape.backward(R.add(a, b))
         np.testing.assert_array_equal(x.grad[:, 0], w)
         np.testing.assert_array_equal(x.grad[:, 1], np.zeros(6))
 
@@ -300,9 +303,9 @@ class TestPrimitiveGradients:
         for _ in range(10):
             w = _rand(rng, 6)
             x = Tensor(_rand(rng, 6))
-            err = grad_check(lambda t: T.dot_const(t, w), x)
+            err = grad_check(lambda t: R.dot_const(t, w), x)
             assert err < 1e-6
-            err = grad_check(lambda t: T.mean_all(t), Tensor(_rand(rng, 3, 3)))
+            err = grad_check(lambda t: R.mean_all(t), Tensor(_rand(rng, 3, 3)))
             assert err < 1e-7
 
     def test_bce_with_logits(self):
@@ -310,7 +313,7 @@ class TestPrimitiveGradients:
         for _ in range(10):
             targets = (rng.random((4, 3)) < 0.5).astype(np.float64)
             x = Tensor(2.0 * _rand(rng, 4, 3))
-            err = grad_check(lambda t: T.bce_with_logits(t, targets), x)
+            err = grad_check(lambda t: R.bce_with_logits(t, targets), x)
             assert err < 1e-6
 
 
@@ -368,7 +371,7 @@ def _ref_mix(p, blocks):
     z = None
     for m, blk in enumerate(blocks):
         term = _ref_row_scale(blk, _ref_col(p, m))
-        z = term if z is None else T.add(z, term)
+        z = term if z is None else R.add(z, term)
     return z
 
 
@@ -394,9 +397,9 @@ def _values_and_grads(build, arrays):
     r = np.random.default_rng(99).standard_normal
     with Tape() as tape:
         out = build(*leaves)
-        loss = T.mean_all(T.mul(out, Tensor(r(out.shape))))
-        side = T.mean_all(T.mul(leaves[0], Tensor(r(leaves[0].shape))))
-        tape.backward(T.add(loss, side))
+        loss = R.mean_all(R.mul(out, Tensor(r(out.shape))))
+        side = R.mean_all(R.mul(leaves[0], Tensor(r(leaves[0].shape))))
+        tape.backward(R.add(loss, side))
     return out.data, [t.grad for t in leaves]
 
 
@@ -479,7 +482,7 @@ class TestFusedOps:
 
 class TestForwardValues:
     def test_softmax_vector_value(self):
-        p = T.softmax(Tensor([1.0, 2.0, 3.0])).data
+        p = R.softmax(Tensor([1.0, 2.0, 3.0])).data
         np.testing.assert_allclose(
             p, [0.09003057317038046, 0.24472847105479764, 0.6652409557748219],
             atol=1e-12)
@@ -489,18 +492,18 @@ class TestForwardValues:
         rng = np.random.default_rng(24)
         for _ in range(20):
             z = rng.standard_normal(6)
-            a = T.softmax(Tensor(z)).data
-            b = T.softmax(Tensor(z + 123.4)).data
+            a = R.softmax(Tensor(z)).data
+            b = R.softmax(Tensor(z + 123.4)).data
             np.testing.assert_allclose(a, b, atol=1e-12)
 
     def test_softmax_equals_masked_softmax_with_nothing_masked(self):
         z = np.random.default_rng(27).standard_normal((50, 8)) * 5.0
         keep = np.ones(z.shape, dtype=bool)
-        assert np.array_equal(T.softmax(Tensor(z)).data,
+        assert np.array_equal(R.softmax(Tensor(z)).data,
                               T.masked_softmax(Tensor(z), keep).data)
 
     def test_softmax_extreme_logits_stable(self):
-        p = T.softmax(Tensor([1000.0, 0.0, -1000.0])).data
+        p = R.softmax(Tensor([1000.0, 0.0, -1000.0])).data
         assert np.all(np.isfinite(p))
         np.testing.assert_allclose(p.sum(), 1.0, atol=1e-12)
 
@@ -538,19 +541,46 @@ class TestForwardValues:
     def test_entropy_rows_values(self):
         rows = np.array([[0.7, 0.2, 0.1], [1.0, 0.0, 0.0],
                          [1 / 3, 1 / 3, 1 / 3]])
-        h = T.entropy_rows(Tensor(rows)).data
+        h = R.entropy_rows(Tensor(rows)).data
         np.testing.assert_allclose(
             h, [0.8018185525433372, 0.0, math.log(3.0)], atol=1e-12)
 
     def test_row_max_tie_goes_low(self):
         x = np.array([[2.0, 2.0, 1.0]])
-        out = T.row_max(Tensor(x))
+        out = R.row_max(Tensor(x))
         assert out.data[0] == 2.0
         t = Tensor(x, requires_grad=True)
         with Tape() as tape:
-            z = T.mean_all(T.row_max(t))
+            z = R.mean_all(R.row_max(t))
         tape.backward(z)
         np.testing.assert_allclose(t.grad, [[1.0, 0.0, 0.0]])
+
+
+class TestScalarNode:
+    def test_backward_adds_each_gradient_times_the_upstream_one(self):
+        x = Tensor(np.array([1.0, -2.0, 3.0]), requires_grad=True)
+        c = Tensor(np.ones(3))  # no gradient wanted
+        with Tape() as tape:
+            y = T.scalar_node((x.data ** 2).sum(), (x, c),
+                              (2.0 * x.data, np.ones(3)))
+            tape.backward(R.mul_scalar(R.add(y, R.mean_all(x)), 3.0))
+        assert tape.num_recorded == 4
+        np.testing.assert_array_equal(x.grad, 3.0 * (2.0 * x.data + 1.0 / 3.0))
+        assert c.grad is None
+
+    def test_not_recorded_without_a_gradient_input(self):
+        with Tape() as tape:
+            y = T.scalar_node(2.0, (Tensor(np.ones(2)),), (np.ones(2),))
+        assert tape.num_recorded == 0 and y.item() == 2.0
+
+    def test_shape_errors(self):
+        x = Tensor(np.ones(3), requires_grad=True)
+        with pytest.raises(ValueError):
+            T.scalar_node(1.0, (x,), (np.ones(2),))
+        with pytest.raises(ValueError):
+            T.scalar_node(1.0, (x,), ())
+        with pytest.raises(ValueError):
+            T.scalar_node(np.ones(2), (x,), (np.ones(3),))
 
 
 class TestScalarHelpers:

@@ -242,13 +242,17 @@ class TestMaskedCopies:
 class TestTracedPhases:
     def test_each_step_makes_one_update_per_group_and_one_consistency_call(
             self, monkeypatch):
-        # the benchmark's tracer times the optimizer and the consistency
-        # term by wrapping these two module-level functions, so one
-        # gamma > 0 run must reach them through those names: once per
-        # optimizer group and step, and once per step
-        calls = {"adamw_step": [], "cec_loss": []}
+        # the benchmark's tracer times the optimizer, the objective, its
+        # consistency term and the backward pass by wrapping these
+        # module-level functions and the tape method, so one gamma > 0 run
+        # must reach them through those names: once per optimizer group and
+        # step, and once per step
+        calls = {"adamw_step": [], "cec_loss": [], "composite_loss": [],
+                 "backward": []}
         for module, name in ((optim_module, "adamw_step"),
-                             (losses_module, "cec_loss")):
+                             (losses_module, "cec_loss"),
+                             (losses_module, "composite_loss"),
+                             (T.Tape, "backward")):
             def spy(*args, _real=getattr(module, name), _name=name, **kw):
                 calls[_name].append(1)
                 return _real(*args, **kw)
@@ -259,7 +263,8 @@ class TestTracedPhases:
         steps = cfg.epochs * (256 // cfg.batch_size)
         assert all(h.cec > 0.0 for h in res.history)
         assert len(calls["adamw_step"]) == 2 * steps
-        assert len(calls["cec_loss"]) == steps
+        for name in ("cec_loss", "composite_loss", "backward"):
+            assert len(calls[name]) == steps, name
 
 
 class TestAblationRuns:
@@ -401,6 +406,38 @@ class TestFitTemperature:
             fit_temperature(np.zeros((0, 3)), np.zeros(0))
         with pytest.raises(ValueError):
             fit_temperature(np.zeros((4, 3)), np.zeros(4))
+
+    @staticmethod
+    def _val_forwards(monkeypatch, cfg):
+        """The run's fitted temperature and its forward passes over the
+        validation split."""
+        data = small_data()
+        calls = []
+
+        def counted(model, batch, views=None):
+            calls.append(batch is data[1])
+            return forward(model, batch, views)
+
+        monkeypatch.setattr(trainer_module, "forward", counted)
+        return train(cfg, data).temperature, sum(calls)
+
+    def test_validation_split_is_forwarded_once_per_epoch(self, monkeypatch):
+        # the temperature is fitted on the last epoch's validation pass: the
+        # model does not change after it
+        plain = self._val_forwards(monkeypatch, small_cfg(epochs=2))
+        fitted = self._val_forwards(monkeypatch,
+                                    small_cfg(epochs=2, temp_scaling=True))
+        assert plain == (None, 2)
+        assert fitted[1] == 2 and fitted[0] > 0.0
+
+    def test_temperature_is_fitted_without_training(self, monkeypatch):
+        temperature, forwards = self._val_forwards(
+            monkeypatch, small_cfg(epochs=0, temp_scaling=True))
+        assert forwards == 1
+        data = small_data()
+        model = train(small_cfg(epochs=0), data).model
+        assert temperature == fit_temperature(
+            forward(model, data[1]).logits.data, data[1].labels)
 
 
 class TestRunConfigHash:

@@ -23,6 +23,7 @@ from entrofuse.model import ForwardOutput, FusionConfig, forward, gate_rows
 from entrofuse.subsets import subset_lattice
 from entrofuse.trainer import evaluate_under_dropout, train
 
+import reference_chain as R
 from test_model import (frozen_gate_model, random_batch, random_model,
                         random_presence)
 from test_tensor import _ref_mix
@@ -47,9 +48,8 @@ def reference_forward(model, batch, keep=None) -> ForwardOutput:
     z = _ref_mix(p, [T.matmul(T.Tensor(f), w)
                      for f, w in zip(masked.features, model.proj)])
     logits = T.linear(z, model.head_w, model.head_b)
-    squash = T.sigmoid if model.cfg.multilabel else T.softmax
     return ForwardOutput(p=p, z=z, logits=logits,
-                         confidence=T.row_max(squash(logits)))
+                         confidence=R.confidence(logits, model.cfg.multilabel))
 
 
 def assert_close(got, want, what=""):
@@ -133,8 +133,9 @@ class TestAgainstReference:
         weights = rng.normal(size=(len(views) * n, model.cfg.classes))
 
         def objective(out, w):
-            return T.add(T.mean_all(T.mul(out.logits, T.Tensor(w))),
-                         T.mean_all(out.confidence))
+            # the confidence a loss derives from the logits, on the tape
+            return R.add(R.mean_all(R.mul(out.logits, T.Tensor(w))),
+                         R.mean_all(R.confidence(out.logits)))
 
         def viewed():
             return objective(forward(model, batch, views), weights)
@@ -143,10 +144,10 @@ class TestAgainstReference:
             # the mean over all view rows is the mean of the view means
             total = None
             for v, view in enumerate(views):
-                term = T.mul_scalar(objective(
+                term = R.mul_scalar(objective(
                     reference_forward(model, batch, view),
                     weights[v * n:(v + 1) * n]), 1.0 / len(views))
-                total = term if total is None else T.add(total, term)
+                total = term if total is None else R.add(total, term)
             return total
 
         got_loss, got = _loss_and_grads(model, viewed)
@@ -205,7 +206,7 @@ class TestRandomViews:
         _, model, batch, views = _setup(93, 3, 0)
         with T.Tape() as tape:
             out = forward(model, batch, views)
-            tape.backward(T.mean_all(out.confidence))
+            tape.backward(R.mean_all(R.confidence(out.logits)))
         np.testing.assert_array_equal(out.p.data, views.reshape(-1, 3))
         assert all(t.grad is None for t in model.gate_parameters())
         assert all(t.grad is not None for t in model.base_parameters())
@@ -273,7 +274,7 @@ class TestReadPathsTakeViews:
         for drop, entropy in zip(dist.support, dist.mean_entropies):
             keep = ~np.array(drop.bits) & batch.presence
             ref = reference_forward(model, batch, keep).p
-            assert_close(entropy, T.entropy_rows(ref).data.mean())
+            assert_close(entropy, R.entropy_rows(ref).data.mean())
 
     def test_gamma_zero_scheduled_lambda_training(self, no_masked_copies):
         res = train(small_cfg(gamma=0.0, epochs=2), small_data())
