@@ -1,11 +1,11 @@
 """Entropy-gated multimodal fusion with curriculum masking.
 
-A small float64 research stack: a replayable reverse-mode tape, a gated
-mixture fusion model that renormalizes over observed modalities, an
-entropy/consistency composite loss with a hand-derived gradient (one tape
-node), instance-adaptive entropy weighting
-from predictive variance, curriculum mask schedules with an adaptive
-teacher, and a reproducible training/evaluation harness.
+A small float64 research stack: a gated mixture fusion model that
+renormalizes over observed modalities and an entropy/consistency composite
+loss, each with a hand-derived gradient recorded as one node on a
+reverse-mode tape, instance-adaptive entropy weighting from predictive
+variance, curriculum mask schedules with an adaptive teacher, and a
+reproducible training/evaluation harness.
 """
 
 from .config import ConfigError, ExperimentConfig, load_config, parse_config

@@ -185,7 +185,8 @@ def composite_loss(logits: T.Tensor, p: T.Tensor, labels: np.ndarray, *,
         idx = idx.astype(np.int64)
         if idx.min() < 0 or idx.max() >= z.shape[1]:
             raise ValueError("label out of range")
-        shifted = z - z.max(axis=1, keepdims=True)
+        # shift by the entry at the argmax, the max itself, as class_probs
+        shifted = z - z[np.arange(n), z.argmax(axis=1), None]
         log_probs = shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
         at = (np.arange(n), idx)
         task = -log_probs[at].mean()

@@ -11,6 +11,9 @@ batch: ``forward`` and ``gate_rows`` take V [n, M] presence patterns inside
 the batch's own presence and return V * n rows, row v * n + i being row i
 as seen through view v. Features a view leaves out do not reach its rows:
 they are zeroed in the gate input and weighted by exactly 0 in the fusion.
+
+The pass is plain NumPy. On an active tape ``forward`` records itself as
+one node whose pullback is derived by hand; ``gate_rows`` is off the tape.
 """
 
 from __future__ import annotations
@@ -23,7 +26,7 @@ import numpy as np
 from . import tensor as T
 from .data import MultimodalBatch
 from .rng import stream
-from .subsets import SubsetMask, subset_lattice, nonempty_subsets  # noqa: F401
+from .subsets import SubsetMask, subset_lattice
 
 __all__ = [
     "FusionConfig",
@@ -152,7 +155,10 @@ def class_probs(logits: np.ndarray, multilabel: bool) -> np.ndarray:
     if multilabel:
         e = np.exp(-np.abs(logits))
         return np.where(logits >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
-    probs = logits - logits.max(axis=-1, keepdims=True)
+    # shift by the entry at the argmax, the max itself: a max along this
+    # short class axis is slower
+    probs = logits - logits[np.arange(len(logits)), logits.argmax(axis=1),
+                            None]
     np.exp(probs, out=probs)
     probs /= probs.sum(axis=-1, keepdims=True)
     return probs
@@ -166,66 +172,123 @@ def entropy_rows(p: np.ndarray) -> np.ndarray:
 
 @dataclass
 class ForwardOutput:
-    """Per-sample gate weights, fused features, logits and max-class
-    confidence, as tensors; use ``.data``. ``p``, ``z`` and ``logits`` are
-    on the tape. The confidence and the gate entropy (nats, an array
-    computed from the weights when read) are not, so no gradient reaches
-    them: the loss derives its own from the logits and weights."""
+    """Per-sample gate weights, fused features and logits, as tensors; use
+    ``.data``. ``p`` and ``logits`` are the outputs of the pass's tape
+    node, which reads their gradients. The max-class confidence (a tensor)
+    and the gate entropy (nats, an array) are computed from the logits and
+    weights when read, and take no gradient: the loss derives its own."""
 
     p: T.Tensor
     z: T.Tensor
     logits: T.Tensor
-    confidence: T.Tensor
+    multilabel: bool
+
+    @property
+    def confidence(self) -> T.Tensor:
+        probs = class_probs(self.logits.data, self.multilabel)
+        return T.Tensor(probs[np.arange(len(probs)), probs.argmax(axis=1)])
 
     @property
     def gate_entropy(self) -> np.ndarray:
         return entropy_rows(self.p.data)
 
 
-def _gate_weights(model: FusionModel, pre: T.Tensor,
-                  keep: np.ndarray) -> T.Tensor:
-    """ReLU, gate layer 2 and the softmax masked to ``keep``, from gate
-    layer 1's pre-activation. Raises ``ValueError`` if the weights are
-    non-finite: the gate pass itself does not scan its results."""
-    p = T.masked_softmax(T.linear(T.relu(pre), model.gate_w2, model.gate_b2),
-                         keep)
-    if not np.isfinite(p.data).all():
+def _add_grad(t: T.Tensor, g: np.ndarray) -> None:
+    if t.requires_grad:
+        T._accum(t, g)
+
+
+def _blend(w: np.ndarray, blocks: list[np.ndarray]):
+    """Per-row weighted sums of M shared [n, k] blocks for V views of their
+    n rows: row v * n + i of the [V * n, k] result is
+    sum_m w[v * n + i, m] * blocks[m][i] for [V * n, M] weights w. One
+    batched matmul, so the blocks are computed once for every view.
+    Returns the result and the [n, M, k] stacked blocks and [V, n, 1, M]
+    weights that ``_blend_back`` reads."""
+    n, k = blocks[0].shape
+    stacked = np.stack(blocks, axis=1)
+    wv = w.reshape(-1, n, 1, len(blocks))
+    return np.matmul(wv, stacked).reshape(-1, k), stacked, wv
+
+
+def _blend_back(g: np.ndarray, stacked: np.ndarray, wv: np.ndarray,
+                weights: bool):
+    """Gradients of a ``_blend`` from its result's gradient g: with respect
+    to the weights ([V * n, M], if ``weights``, else None) and the blocks
+    ([n, M, k]; block m's is ``[:, m]``)."""
+    n, m_count, k = stacked.shape
+    g = g.reshape(-1, n, k).transpose(1, 0, 2)  # [n, V, k]
+    gw = None
+    if weights:
+        gw = np.matmul(g, stacked.transpose(0, 2, 1))  # [n, V, M]
+        gw = gw.transpose(1, 0, 2).reshape(-1, m_count)
+    return gw, np.matmul(wv[:, :, 0, :].transpose(1, 2, 0), g)
+
+
+def _gate(model: FusionModel, batch: MultimodalBatch, views: np.ndarray,
+          gated: np.ndarray):
+    """The gate MLP on the [n, M] ``views`` of the batch's rows that
+    ``gated`` indexes: [V * n, M] weights, rows of the other views being
+    their one-hot presence, and the pullback that adds the gate parameters'
+    gradients from the weights' one. With one gated view, gate layer 1 is
+    one affine map of its masked gate input; with several, each modality's
+    layer-1 product is computed once on the batch's rows and ``_blend``
+    sums them per view row. Raises ``ValueError`` if the weights are
+    non-finite."""
+    w1, b1, w2, b2 = (t.data for t in model.gate_parameters())
+    keep = views[gated].reshape(-1, batch.num_modalities)
+    if gated.size == 1:
+        x = model.gate_input(batch, views[gated[0]])
+        pre = x @ w1
+    else:
+        x = model.gate_input(batch)
+        edges = np.cumsum((0,) + batch.dims)
+        cols = [np.append(np.arange(edges[m], edges[m + 1]), edges[-1] + m)
+                for m in range(batch.num_modalities)]
+        xs = [x[:, c] for c in cols]
+        pre, stacked, wv = _blend(keep.astype(np.float64),
+                                  [xm @ w1[c] for xm, c in zip(xs, cols)])
+    pre += b1
+    h = np.maximum(pre, 0.0)
+    s = h @ w2
+    s += b2
+    # softmax over the kept entries; the rest are exp(-inf) = 0 exactly
+    s[~keep] = -np.inf
+    s -= s.max(axis=1, keepdims=True)
+    p = np.exp(s)
+    p /= p.sum(axis=1, keepdims=True)
+    if not np.isfinite(p).all():
         raise ValueError("gate weights are non-finite")
-    return p
+    weights, rows = p, None
+    if gated.size < len(views):
+        rows = (gated[:, None] * batch.n + np.arange(batch.n)).ravel()
+        weights = views.reshape(-1, batch.num_modalities).astype(np.float64)
+        weights[rows] = p
+
+    def pullback(gp: np.ndarray) -> None:
+        g = np.where(keep, gp if rows is None else gp[rows], 0.0)
+        gs = p * (g - (g * p).sum(axis=1, keepdims=True))
+        _add_grad(model.gate_b2, gs.sum(axis=0))
+        _add_grad(model.gate_w2, h.T @ gs)
+        gpre = (gs @ w2.T) * (pre > 0.0)
+        _add_grad(model.gate_b1, gpre.sum(axis=0))
+        if gated.size == 1:
+            _add_grad(model.gate_w1, x.T @ gpre)
+            return
+        _, gb = _blend_back(gpre, stacked, wv, weights=False)
+        gw1 = np.empty_like(w1)  # the cols cover every row of w1
+        for m, c in enumerate(cols):
+            gw1[c] = xs[m].T @ gb[:, m]
+        _add_grad(model.gate_w1, gw1)
+
+    return weights, pullback
 
 
-def _head(model: FusionModel, p: T.Tensor, z: T.Tensor) -> ForwardOutput:
-    """Head over fused rows, and off the tape their confidence. Raises
-    ``ValueError`` if the logits are non-finite."""
-    logits = T.linear(z, model.head_w, model.head_b)
-    if not np.isfinite(logits.data).all():
-        raise ValueError("logits are non-finite")
-    probs = class_probs(logits.data, model.cfg.multilabel)
-    # read at the argmax: a max along this short class axis is slower
-    confidence = probs[np.arange(len(probs)), probs.argmax(axis=1)]
-    return ForwardOutput(p=p, z=z, logits=logits,
-                         confidence=T.Tensor(confidence))
-
-
-def gate_rows(model: FusionModel, batch: MultimodalBatch,
-              views: np.ndarray | None = None) -> T.Tensor:
-    """Mixture weights over observed modalities, one simplex row per sample
-    and view: [V * n, M] for V [n, M] presence ``views`` inside
-    ``batch.presence`` (default: that presence, V = 1).
-
-    A row observing one modality weighs it by exactly 1 and passes the gate
-    no gradient, so the gate runs only on views with a row observing more.
-    With one such view, gate layer 1 is one affine map of its masked gate
-    input; with several, each modality's layer-1 product is computed once
-    on the batch's rows and ``T.blend`` sums them per view row.
-
-    A gate frozen at its initialisation (``requires_grad`` cleared on
-    ``model.gate_parameters()``) gives exactly ``presence / presence.sum(1)``
-    and takes no gradient: its output layer starts at zero, so every logit
-    is 0. Raises ``ValueError`` if the batch's layout is not the model's,
-    the weights are non-finite, or a view row observes no modality or one
-    its batch row does not.
-    """
+def _gate_rows(model: FusionModel, batch: MultimodalBatch,
+               views: np.ndarray | None):
+    """The [V * n, M] weights of the checked [V, n, M] views (default: the
+    batch's presence) and their pullback, None when no gate parameter takes
+    a gradient or no view runs the gate."""
     if (batch.num_modalities != model.cfg.modalities
             or batch.dims != tuple(model.cfg.dims)):
         raise ValueError(f"batch layout {batch.dims} does not match model "
@@ -239,42 +302,80 @@ def gate_rows(model: FusionModel, batch: MultimodalBatch,
         raise ValueError("a view keeps a modality its row does not observe")
     if not views.any(axis=2).all():
         raise ValueError("a sample has no observed modality")
-    keep = views.reshape(-1, batch.num_modalities)
     gated = np.flatnonzero((views.sum(axis=2) > 1).any(axis=1))
     if gated.size == 0:
-        return T.Tensor(keep.astype(np.float64))
-    if gated.size == 1:
-        pre = T.linear(T.Tensor(model.gate_input(batch, views[gated[0]])),
-                       model.gate_w1, model.gate_b1)
-    else:
-        x = model.gate_input(batch)
-        edges = np.cumsum((0,) + batch.dims)
-        layer1 = []
-        for m in range(batch.num_modalities):
-            cols = np.append(np.arange(edges[m], edges[m + 1]), edges[-1] + m)
-            layer1.append(T.matmul(T.Tensor(x[:, cols]),
-                                   T.gather(model.gate_w1, cols)))
-        weights = views[gated].reshape(-1, batch.num_modalities)
-        pre = T.blend(T.Tensor(weights.astype(np.float64)), layer1,
-                      model.gate_b1)
-    if gated.size == len(views):
-        return _gate_weights(model, pre, keep)
-    rows = (gated[:, None] * batch.n + np.arange(batch.n)).ravel()
-    return T.put_rows(T.Tensor(keep.astype(np.float64)), rows,
-                      _gate_weights(model, pre, keep[rows]))
+        return views.reshape(-1, batch.num_modalities).astype(np.float64), None
+    p, pullback = _gate(model, batch, views, gated)
+    if not any(t.requires_grad for t in model.gate_parameters()):
+        pullback = None
+    return p, pullback
+
+
+def gate_rows(model: FusionModel, batch: MultimodalBatch,
+              views: np.ndarray | None = None) -> T.Tensor:
+    """Mixture weights over observed modalities, one simplex row per sample
+    and view: [V * n, M] for V [n, M] presence ``views`` inside
+    ``batch.presence`` (default: that presence, V = 1). Off the tape: the
+    gate's gradient flows through ``forward``'s node.
+
+    A row observing one modality weighs it by exactly 1 and passes the gate
+    no gradient, so the gate runs only on views with a row observing more.
+
+    A gate frozen at its initialisation (``requires_grad`` cleared on
+    ``model.gate_parameters()``) gives exactly ``presence / presence.sum(1)``
+    and takes no gradient: its output layer starts at zero, so every logit
+    is 0. Raises ``ValueError`` if the batch's layout is not the model's,
+    the weights are non-finite, or a view row observes no modality or one
+    its batch row does not.
+    """
+    return T._result(_gate_rows(model, batch, views)[0])
 
 
 def forward(model: FusionModel, batch: MultimodalBatch,
             views: np.ndarray | None = None) -> ForwardOutput:
     """Full fusion pass over ``views`` of the batch's rows, as in
     ``gate_rows``: each modality's projection is computed once on the
-    batch's rows and ``T.blend`` sums them per view row by its gate weights.
-    Raises ``ValueError`` as ``gate_rows`` does, and if the logits are
-    non-finite."""
-    p = gate_rows(model, batch, views)
-    z = T.blend(p, [T.matmul(T.Tensor(f), w)
-                    for f, w in zip(batch.features, model.proj)])
-    return _head(model, p, z)
+    batch's rows and ``_blend`` sums them per view row by its gate weights,
+    then the linear head gives the logits.
+
+    On an active tape the pass is one node. Its pullback reads the
+    gradients of ``p`` and ``logits`` and adds every parameter's, with the
+    array operations of the layer-by-layer chain it replaced (kept in
+    ``tests/reference_chain.py``), in that chain's reverse order. Raises
+    ``ValueError`` as ``gate_rows`` does, and if the logits are non-finite.
+    """
+    p, gate_back = _gate_rows(model, batch, views)
+    head_w, head_b = model.head_w.data, model.head_b.data
+    z, stacked, wv = _blend(p, [f @ w.data for f, w in zip(batch.features,
+                                                             model.proj)])
+    logits = z @ head_w
+    logits += head_b
+    if not np.isfinite(logits).all():
+        raise ValueError("logits are non-finite")
+    out = ForwardOutput(p=T._result(p), z=T._result(z),
+                        logits=T._result(logits),
+                        multilabel=model.cfg.multilabel)
+
+    def backward():
+        gp, g = out.p.grad, out.logits.grad
+        if g is not None:
+            _add_grad(model.head_b, g.sum(axis=0))
+            gz = g @ head_w.T
+            _add_grad(model.head_w, z.T @ g)
+            gw, gb = _blend_back(gz, stacked, wv, gate_back is not None)
+            if gate_back is not None:
+                gp = gw if gp is None else gp + gw
+            for m, (f, w) in enumerate(zip(batch.features, model.proj)):
+                _add_grad(w, f.T @ gb[:, m])
+        if gp is not None and gate_back is not None:
+            gate_back(gp)
+
+    inputs = model.base_parameters()
+    if gate_back is not None:
+        inputs += model.gate_parameters()
+    T._maybe_record(out.logits, inputs, backward)
+    out.p.requires_grad = out.logits.requires_grad and gate_back is not None
+    return out
 
 
 def predict_subset(model: FusionModel, batch: MultimodalBatch,

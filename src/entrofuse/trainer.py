@@ -3,8 +3,8 @@
 One epoch: refresh the mask teacher, advance the warm-up schedules, then for
 each shuffled minibatch sample a modality mask, run the gated forward pass
 over presence views of the minibatch rows (the masked pattern, and with the
-consistency penalty on, one view per lattice subset), record the task +
-entropy + consistency objective on the tape as one node, and take one
+consistency penalty on, one view per lattice subset) and the task +
+entropy + consistency objective, each one tape node, and take one
 decoupled-weight-decay Adam step (gate parameters at their own learning
 rate, cosine decay on both groups). Only instance lambda, which reads the
 masked features, and the single_modality ablation build zero-filled

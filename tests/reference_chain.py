@@ -1,8 +1,12 @@
-"""The training objective as the chain of generic tape ops it was built
-from before ``losses.composite_loss`` became one hand-derived node, kept as
-the reference that node must equal bit for bit.
+"""The fusion model pass and the training objective as the chains of
+generic tape ops they were built from, before ``model.forward`` and
+``losses.composite_loss`` each became one hand-derived node, kept as the
+references those nodes must equal bit for bit.
 
-The ops are the package's former tape primitives, unchanged. Tests also use
+The ops are the package's former tape primitives, unchanged: the layer ops
+``matmul``, ``linear``, ``relu``, ``masked_softmax``, ``gather``,
+``put_rows`` and ``blend``, which ``gate_rows`` and ``forward`` compose,
+and the loss ops, which ``composite_loss`` composes. Tests also use
 ``add``, ``mul``, ``mul_scalar`` and ``mean_all`` to weight the outputs of
 the package's own ops in gradient checks, and ``row_max`` over ``softmax``
 or ``sigmoid`` as a confidence that takes a gradient.
@@ -14,10 +18,14 @@ from typing import Sequence
 
 import numpy as np
 
-import entrofuse.tensor as T
 from entrofuse.losses import LossBreakdown
+from entrofuse.model import ForwardOutput
 from entrofuse.tensor import Tensor, _accum, _maybe_record, _result
 
+
+# ---------------------------------------------------------------------------
+# the loss ops
+# ---------------------------------------------------------------------------
 
 def add(a: Tensor, b: Tensor) -> Tensor:
     if a.shape != b.shape:
@@ -290,6 +298,265 @@ def bce_with_logits(logits: Tensor, targets: np.ndarray) -> Tensor:
 
 
 # ---------------------------------------------------------------------------
+# the layer ops
+# ---------------------------------------------------------------------------
+
+def matmul(a: Tensor, b: Tensor) -> Tensor:
+    if a.data.ndim != 2 or b.data.ndim != 2:
+        raise ValueError("matmul expects 2-D operands")
+    if a.shape[1] != b.shape[0]:
+        raise ValueError(f"matmul shape mismatch: {a.shape} x {b.shape}")
+    out = _result(a.data @ b.data)
+
+    def backward():
+        if out.grad is None:
+            return
+        if a.requires_grad:
+            _accum(a, out.grad @ b.data.T)
+        if b.requires_grad:
+            _accum(b, a.data.T @ out.grad)
+
+    return _maybe_record(out, (a, b), backward)
+
+
+def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
+    """Affine map ``x @ w + b`` of the rows of x: [n, k] @ [k, d] + [d].
+
+    One node; the bias is added in place to the product, so values and
+    gradients equal those of a matmul followed by a separate bias add.
+    """
+    if x.data.ndim != 2 or w.data.ndim != 2 or b.data.ndim != 1:
+        raise ValueError("linear expects [n, k] rows, [k, d] weights, [d] bias")
+    if x.shape[1] != w.shape[0] or w.shape[1] != b.shape[0]:
+        raise ValueError(
+            f"linear shape mismatch: {x.shape} @ {w.shape} + {b.shape}")
+    y = x.data @ w.data
+    y += b.data
+    out = _result(y)
+
+    def backward():
+        if out.grad is None:
+            return
+        g = out.grad
+        if b.requires_grad:
+            _accum(b, g.sum(axis=0))
+        if x.requires_grad:
+            _accum(x, g @ w.data.T)
+        if w.requires_grad:
+            _accum(w, x.data.T @ g)
+
+    return _maybe_record(out, (x, w, b), backward)
+
+
+def relu(x: Tensor) -> Tensor:
+    out = _result(np.maximum(x.data, 0.0))
+
+    def backward():
+        if out.grad is None:
+            return
+        if x.requires_grad:
+            _accum(x, out.grad * (x.data > 0.0))
+
+    return _maybe_record(out, (x,), backward)
+
+
+def _softmax_rows(z: np.ndarray, keep: np.ndarray) -> np.ndarray:
+    shifted = np.where(keep, z, -np.inf)
+    m = shifted.max(axis=-1, keepdims=True)
+    e = np.exp(np.where(keep, z - m, -np.inf))
+    e = np.where(keep, e, 0.0)
+    return e / e.sum(axis=-1, keepdims=True)
+
+
+def masked_softmax(logits: Tensor, keep: np.ndarray) -> Tensor:
+    """Softmax per row restricted to ``keep`` entries; masked entries are exactly 0.
+
+    Equivalent to forcing masked logits to -inf before a plain softmax, but
+    with a backward pass that never touches the masked coordinates.
+    """
+    if logits.data.ndim != 2:
+        raise ValueError("masked_softmax expects [n, m] logits")
+    keep = np.asarray(keep, dtype=bool)
+    if keep.shape != logits.shape:
+        raise ValueError(f"mask shape {keep.shape} != logits shape {logits.shape}")
+    if not keep.any(axis=1).all():
+        raise ValueError("every row must keep at least one entry")
+    p = _softmax_rows(logits.data, keep)
+    out = _result(p)
+
+    def backward():
+        if out.grad is None:
+            return
+        if logits.requires_grad:
+            g = np.where(keep, out.grad, 0.0)
+            inner = (g * p).sum(axis=1, keepdims=True)
+            _accum(logits, p * (g - inner))
+
+    return _maybe_record(out, (logits,), backward)
+
+
+def _row_index(idx, n: int) -> np.ndarray:
+    idx = np.asarray(idx, dtype=np.int64)
+    if idx.ndim != 1 or idx.size == 0:
+        raise ValueError("row index must be a nonempty vector")
+    if idx.min() < 0 or idx.max() >= n:
+        raise ValueError(f"row index out of range for {n} rows")
+    if np.bincount(idx).max() > 1:
+        raise ValueError("row indices must be distinct")
+    return idx
+
+
+def gather(x: Tensor, idx: np.ndarray) -> Tensor:
+    """Rows ``x[idx]`` for distinct indices idx; backward scatters into them."""
+    if x.data.ndim not in (1, 2):
+        raise ValueError("gather expects a vector or a matrix of rows")
+    idx = _row_index(idx, x.shape[0])
+    out = _result(x.data[idx])
+
+    def backward():
+        if out.grad is None:
+            return
+        if x.requires_grad:
+            g = np.zeros_like(x.data)
+            g[idx] = out.grad
+            _accum(x, g)
+
+    return _maybe_record(out, (x,), backward)
+
+
+def put_rows(base: Tensor, idx: np.ndarray, x: Tensor) -> Tensor:
+    """A copy of base whose rows ``idx`` (distinct) are the rows of x."""
+    if base.data.ndim not in (1, 2):
+        raise ValueError("put_rows expects a vector or a matrix of rows")
+    idx = _row_index(idx, base.shape[0])
+    if x.shape != (idx.size,) + base.shape[1:]:
+        raise ValueError(f"put_rows needs {idx.size} rows like {base.shape}, "
+                         f"got {x.shape}")
+    y = base.data.copy()
+    y[idx] = x.data
+    out = _result(y)
+
+    def backward():
+        if out.grad is None:
+            return
+        if x.requires_grad:
+            _accum(x, out.grad[idx])
+        if base.requires_grad:
+            g = out.grad.copy()
+            g[idx] = 0.0
+            _accum(base, g)
+
+    return _maybe_record(out, (base, x), backward)
+
+
+def blend(w: Tensor, blocks: Sequence[Tensor], b: Tensor | None = None) -> Tensor:
+    """Per-row weighted sums of M shared blocks for V views of their n rows.
+
+    Each block is [n, k] and w is [V * n, M]; row v * n + i of the [V * n, k]
+    result is sum_m w[v * n + i, m] * blocks[m][i], plus b ([k]) if given.
+    One node and one batched matmul, so the blocks are computed once for
+    every view.
+    """
+    shape = blocks[0].shape if blocks else ()
+    if len(shape) != 2 or shape[0] == 0 or any(
+            blk.shape != shape for blk in blocks):
+        raise ValueError("blend blocks must all be the same nonempty [n, k]")
+    n, k = shape
+    m_count = len(blocks)
+    if (w.data.ndim != 2 or w.shape[1] != m_count or w.shape[0] == 0
+            or w.shape[0] % n):
+        raise ValueError(f"blend weights {w.shape} need [V * {n}, {m_count}]")
+    if b is not None and b.shape != (k,):
+        raise ValueError(f"blend bias {b.shape} needs [{k}]")
+    views = w.shape[0] // n
+    stacked = np.stack([blk.data for blk in blocks], axis=1)  # [n, M, k]
+    wv = w.data.reshape(views, n, 1, m_count)
+    y = np.matmul(wv, stacked).reshape(views * n, k)
+    if b is not None:
+        y += b.data
+    out = _result(y)
+
+    def backward():
+        if out.grad is None:
+            return
+        g = out.grad.reshape(views, n, k).transpose(1, 0, 2)  # [n, V, k]
+        if b is not None and b.requires_grad:
+            _accum(b, out.grad.sum(axis=0))
+        if w.requires_grad:
+            gw = np.matmul(g, stacked.transpose(0, 2, 1))  # [n, V, M]
+            _accum(w, gw.transpose(1, 0, 2).reshape(views * n, m_count))
+        if any(blk.requires_grad for blk in blocks):
+            gb = np.matmul(wv[:, :, 0, :].transpose(1, 2, 0), g)  # [n, M, k]
+            for m, blk in enumerate(blocks):
+                if blk.requires_grad:
+                    _accum(blk, gb[:, m])
+
+    inputs = (w, *blocks) if b is None else (w, *blocks, b)
+    return _maybe_record(out, inputs, backward)
+
+
+
+
+# ---------------------------------------------------------------------------
+# the model pass composed from the layer ops
+# ---------------------------------------------------------------------------
+
+def _gate_weights(model, pre: Tensor, keep: np.ndarray) -> Tensor:
+    """ReLU, gate layer 2 and the softmax masked to ``keep``, from gate
+    layer 1's pre-activation."""
+    p = masked_softmax(linear(relu(pre), model.gate_w2, model.gate_b2), keep)
+    if not np.isfinite(p.data).all():
+        raise ValueError("gate weights are non-finite")
+    return p
+
+
+def gate_rows(model, batch, views=None) -> Tensor:
+    """``model.gate_rows`` as the chain it replaced, on the tape: no gate
+    for views whose rows each observe one modality, one ``linear`` for
+    gate layer 1 of one view that needs it, per-modality ``gather`` and
+    ``matmul`` products summed by ``blend`` for several, and ``put_rows``
+    beside the one-hot weights of the views that do not."""
+    views = np.asarray(batch.presence[None] if views is None else views,
+                       dtype=bool)
+    keep = views.reshape(-1, batch.num_modalities)
+    gated = np.flatnonzero((views.sum(axis=2) > 1).any(axis=1))
+    if gated.size == 0:
+        return Tensor(keep.astype(np.float64))
+    if gated.size == 1:
+        pre = linear(Tensor(model.gate_input(batch, views[gated[0]])),
+                     model.gate_w1, model.gate_b1)
+    else:
+        x = model.gate_input(batch)
+        edges = np.cumsum((0,) + batch.dims)
+        layer1 = []
+        for m in range(batch.num_modalities):
+            cols = np.append(np.arange(edges[m], edges[m + 1]), edges[-1] + m)
+            layer1.append(matmul(Tensor(x[:, cols]),
+                                 gather(model.gate_w1, cols)))
+        weights = views[gated].reshape(-1, batch.num_modalities)
+        pre = blend(Tensor(weights.astype(np.float64)), layer1, model.gate_b1)
+    if gated.size == len(views):
+        return _gate_weights(model, pre, keep)
+    rows = (gated[:, None] * batch.n + np.arange(batch.n)).ravel()
+    return put_rows(Tensor(keep.astype(np.float64)), rows,
+                    _gate_weights(model, pre, keep[rows]))
+
+
+def forward(model, batch, views=None) -> ForwardOutput:
+    """``model.forward`` as the chain it replaced: ``gate_rows`` above, a
+    ``matmul`` per modality's projection summed by ``blend``, and the head
+    as one ``linear``, recorded in that order."""
+    p = gate_rows(model, batch, views)
+    z = blend(p, [matmul(Tensor(f), w)
+                  for f, w in zip(batch.features, model.proj)])
+    logits = linear(z, model.head_w, model.head_b)
+    if not np.isfinite(logits.data).all():
+        raise ValueError("logits are non-finite")
+    return ForwardOutput(p=p, z=z, logits=logits,
+                         multilabel=model.cfg.multilabel)
+
+
+# ---------------------------------------------------------------------------
 # the objective composed from those ops
 # ---------------------------------------------------------------------------
 
@@ -325,13 +592,13 @@ def composite_loss(logits: Tensor, p: Tensor, labels: np.ndarray, *,
     order the training step recorded them."""
     conf = None if pairs is None else confidence(logits, multilabel)
     if rows is not None:
-        logits, p = T.gather(logits, rows), T.gather(p, rows)
+        logits, p = gather(logits, rows), gather(p, rows)
     cec = None
     if pairs is not None:
         n = len(labels)
         pairs = [(int(a), int(b)) for a, b in pairs]
         views = max(max(pair) for pair in pairs) + 1
-        cec = hinge_pairs([T.gather(conf, np.arange(v * n, (v + 1) * n))
+        cec = hinge_pairs([gather(conf, np.arange(v * n, (v + 1) * n))
                            for v in range(views)], pairs)
     task = task_loss(logits, labels, multilabel=multilabel)
     ent_rows = entropy_rows(p)

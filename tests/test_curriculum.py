@@ -183,13 +183,13 @@ class TestAcmDistribution:
         # a single observed modality per row makes the softmax a point mass
         calls = []
         real = model_module.gate_rows
-        real_gate = model_module._gate_weights
+        real_gate = model_module._gate
 
-        def counting(model, pre, keep):
-            calls.append(keep.shape[0])
-            return real_gate(model, pre, keep)
+        def counting(model, batch, views, gated):
+            calls.append(len(gated) * batch.n)
+            return real_gate(model, batch, views, gated)
 
-        monkeypatch.setattr(model_module, "_gate_weights", counting)
+        monkeypatch.setattr(model_module, "_gate", counting)
         rng = np.random.default_rng(16)
         for m, family, runs in ((2, "single_drops", 0), (3, "single_drops", 3),
                                 (3, "all_subsets", 3)):

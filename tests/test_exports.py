@@ -1,5 +1,6 @@
-"""Export lists: every name a module lists in ``__all__`` exists, and every
-name the benchmark's tracer wraps still resolves."""
+"""Export lists: every name a module lists in ``__all__`` exists, every
+name the benchmark's tracer wraps still resolves, and a traced training
+run counts its tape nodes and leaves the package as it found it."""
 
 import importlib
 import importlib.util
@@ -7,12 +8,31 @@ import pkgutil
 from pathlib import Path
 
 import entrofuse
+import entrofuse.trainer as trainer_module
+from entrofuse.data import MultimodalBatch
+from entrofuse.tensor import Tape
+
+from test_trainer import small_cfg, small_data
+
+
+def _modules():
+    return [entrofuse] + [
+        importlib.import_module(f"entrofuse.{info.name}")
+        for info in pkgutil.iter_modules(entrofuse.__path__)]
+
+
+def _tracing():
+    # perfbench/tracing.py wraps entrofuse names with getattr when --trace 1
+    # runs; it is loaded from its file, as the benchmark is not a package
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", path)
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    return tracing
 
 
 def test_every_exported_name_resolves():
-    modules = [entrofuse] + [
-        importlib.import_module(f"entrofuse.{info.name}")
-        for info in pkgutil.iter_modules(entrofuse.__path__)]
+    modules = _modules()
     stale = [f"{module.__name__}.{name}" for module in modules
              for name in getattr(module, "__all__", ())
              if not hasattr(module, name)]
@@ -21,12 +41,8 @@ def test_every_exported_name_resolves():
 
 
 def test_every_traced_name_resolves():
-    # perfbench/tracing.py wraps these with getattr when --trace 1 runs, so
     # a deleted or renamed function breaks the traced benchmark
-    path = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
-    spec = importlib.util.spec_from_file_location("perfbench_tracing", path)
-    tracing = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(tracing)
+    tracing = _tracing()
     missing = []
     for module_name, attr in tracing.TRACED:
         owner = importlib.import_module(module_name)
@@ -36,3 +52,30 @@ def test_every_traced_name_resolves():
             missing.append(f"{module_name}.{attr}")
     assert tracing.TRACED
     assert missing == []
+
+
+def test_traced_training_counts_two_nodes_per_step_and_restores_names():
+    # the --trace 1 path: one model-pass node and one objective node per
+    # gamma > 0 step, and every wrapped name put back on removal
+    tracing = _tracing()
+    namespaces = [vars(module) for module in _modules()] + [
+        Tape.__dict__, MultimodalBatch.__dict__]
+    before = [dict(space) for space in namespaces]
+    data = small_data()
+    cfg = small_cfg(gamma=2.0, epochs=1)
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        patched = list(tracer._patches)
+        trainer_module.train(cfg, data)
+    finally:
+        tracer.remove()
+    steps = cfg.epochs * -(-data[0].n // cfg.batch_size)
+    assert dict(tracer.tape_nodes) == {"idle": 2 * steps}
+    names = {span[0] for span in tracer.spans}
+    assert {"model.forward", "tensor.backward"} <= names
+    assert patched
+    for target, key, original in patched:
+        assert vars(target)[key] is original, key
+    for space, saved in zip(namespaces, before):
+        assert all(space[key] is value for key, value in saved.items())

@@ -205,7 +205,7 @@ def composed_cec_loss(conf_by_subset, pairs):
     nodes per pair, before it became one node."""
     total = None
     for small, big in pairs:
-        gap = T.relu(R.sub(conf_by_subset[small], conf_by_subset[big]))
+        gap = R.relu(R.sub(conf_by_subset[small], conf_by_subset[big]))
         term = R.mean_all(R.mul(gap, gap))
         total = term if total is None else R.add(total, term)
     return R.mul_scalar(total, 1.0 / len(pairs))
@@ -576,9 +576,9 @@ class TestStackedStep:
         if pairs is None:
             return total
         subsets = self._subsets(pairs)
-        conf = [reference_forward(model, batch,
-                                  batch.presence & np.array(s.bits)).confidence
-                for s in subsets]
+        conf = [R.confidence(reference_forward(
+                    model, batch, batch.presence & np.array(s.bits)).logits,
+                    multilabel) for s in subsets]
         index = [(subsets.index(a), subsets.index(b)) for a, b in pairs]
         return R.add(total, R.mul_scalar(R.hinge_pairs(conf, index), 2.0))
 

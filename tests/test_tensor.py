@@ -1,9 +1,10 @@
 """Tape mechanics and gradient correctness for every primitive.
 
-Each op's analytic pullback, the package's and the reference chain's
-(``reference_chain``), is verified against central finite differences
-through ``grad_check`` at randomized points, plus closed-form values for
-the handful of functions with easy hand oracles.
+Each reference op's analytic pullback (``reference_chain``, the ops the
+model pass and the objective were composed of) and ``scalar_node``'s are
+verified against central finite differences through ``grad_check`` at
+randomized points, plus closed-form values for the handful of functions
+with easy hand oracles.
 """
 
 import math
@@ -133,11 +134,11 @@ class TestPrimitiveGradients:
         b_const = Tensor(_rand(rng, 4, 3))
         for _ in range(10):
             x = Tensor(_rand(rng, 2, 4))
-            err = grad_check(lambda t: R.mean_all(T.matmul(t, b_const)), x)
+            err = grad_check(lambda t: R.mean_all(R.matmul(t, b_const)), x)
             assert err < 1e-6
             w = Tensor(_rand(rng, 2, 4))
             err = grad_check(
-                lambda t: R.mean_all(T.matmul(Tensor(w.data), t)),
+                lambda t: R.mean_all(R.matmul(Tensor(w.data), t)),
                 Tensor(_rand(rng, 4, 3)))
             assert err < 1e-6
 
@@ -164,11 +165,11 @@ class TestPrimitiveGradients:
             def loss(out):
                 return R.mean_all(R.mul(out, r))
 
-            err = grad_check(lambda t: loss(T.linear(t, w, b)), x)
+            err = grad_check(lambda t: loss(R.linear(t, w, b)), x)
             assert err < 1e-6
-            err = grad_check(lambda t: loss(T.linear(x, t, b)), w)
+            err = grad_check(lambda t: loss(R.linear(x, t, b)), w)
             assert err < 1e-6
-            err = grad_check(lambda t: loss(T.linear(x, w, t)), b)
+            err = grad_check(lambda t: loss(R.linear(x, w, t)), b)
             assert err < 1e-6
 
     def test_relu_away_from_kink(self):
@@ -176,7 +177,7 @@ class TestPrimitiveGradients:
         for _ in range(10):
             x = _rand(rng, 4, 4)
             x = np.where(np.abs(x) < 0.05, 0.5, x)  # keep clear of the kink
-            err = grad_check(lambda t: R.mean_all(T.relu(t)), Tensor(x))
+            err = grad_check(lambda t: R.mean_all(R.relu(t)), Tensor(x))
             assert err < 1e-6
 
     def test_sigmoid(self):
@@ -206,7 +207,7 @@ class TestPrimitiveGradients:
             w = Tensor(_rand(rng, 4, 3))
             x = Tensor(_rand(rng, 4, 3))
             err = grad_check(
-                lambda t: R.mean_all(R.mul(T.masked_softmax(t, keep), w)), x)
+                lambda t: R.mean_all(R.mul(R.masked_softmax(t, keep), w)), x)
             assert err < 1e-6
 
     def test_entropy_rows_through_softmax(self):
@@ -241,10 +242,10 @@ class TestPrimitiveGradients:
             x = Tensor(_rand(rng, 6, 3))
             idx = rng.permutation(6)[:4]
             r = Tensor(_rand(rng, 4, 3))
-            err = grad_check(lambda t: R.mean_all(R.mul(T.gather(t, idx), r)), x)
+            err = grad_check(lambda t: R.mean_all(R.mul(R.gather(t, idx), r)), x)
             assert err < 1e-6
             v = Tensor(_rand(rng, 6))
-            err = grad_check(lambda t: R.dot_const(T.gather(t, idx), v.data[:4]), v)
+            err = grad_check(lambda t: R.dot_const(R.gather(t, idx), v.data[:4]), v)
             assert err < 1e-6
 
     def test_put_rows(self):
@@ -255,12 +256,12 @@ class TestPrimitiveGradients:
             idx = rng.permutation(6)[:2]
             r = Tensor(_rand(rng, 6, 3))
             err = grad_check(lambda t: R.mean_all(R.mul(
-                T.put_rows(t, idx, x), r)), base)
+                R.put_rows(t, idx, x), r)), base)
             assert err < 1e-6
             err = grad_check(lambda t: R.mean_all(R.mul(
-                T.put_rows(base, idx, t), r)), x)
+                R.put_rows(base, idx, t), r)), x)
             assert err < 1e-6
-            out = T.put_rows(base, idx, x).data
+            out = R.put_rows(base, idx, x).data
             np.testing.assert_array_equal(out[idx], x.data)
             rest = np.setdiff1d(np.arange(6), idx)
             np.testing.assert_array_equal(out[rest], base.data[rest])
@@ -276,14 +277,14 @@ class TestPrimitiveGradients:
             def loss(out):
                 return R.mean_all(R.mul(out, r))
 
-            err = grad_check(lambda t: loss(T.blend(t, blocks, b)), w)
+            err = grad_check(lambda t: loss(R.blend(t, blocks, b)), w)
             assert err < 1e-6
-            err = grad_check(lambda t: loss(T.blend(w, blocks, t)), b)
+            err = grad_check(lambda t: loss(R.blend(w, blocks, t)), b)
             assert err < 1e-6
             for j in range(m):
                 err = grad_check(
                     lambda t, j=j: loss(
-                        T.blend(w, blocks[:j] + [t] + blocks[j + 1:])),
+                        R.blend(w, blocks[:j] + [t] + blocks[j + 1:])),
                     blocks[j])
                 assert err < 1e-6
 
@@ -292,8 +293,8 @@ class TestPrimitiveGradients:
         x = Tensor(_rand(rng, 6, 2), requires_grad=True)
         w = _rand(rng, 6)
         with Tape() as tape:
-            a = R.dot_const(_ref_col(T.gather(x, np.arange(0, 3)), 0), w[:3])
-            b = R.dot_const(_ref_col(T.gather(x, np.arange(3, 6)), 0), w[3:])
+            a = R.dot_const(_ref_col(R.gather(x, np.arange(0, 3)), 0), w[:3])
+            b = R.dot_const(_ref_col(R.gather(x, np.arange(3, 6)), 0), w[3:])
             tape.backward(R.add(a, b))
         np.testing.assert_array_equal(x.grad[:, 0], w)
         np.testing.assert_array_equal(x.grad[:, 1], np.zeros(6))
@@ -364,7 +365,7 @@ def _ref_row_scale(x, s):
 
 
 def _ref_linear(x, w, b):
-    return _ref_add_bias(T.matmul(x, w), b)
+    return _ref_add_bias(R.matmul(x, w), b)
 
 
 def _ref_mix(p, blocks):
@@ -417,7 +418,7 @@ class TestFusedOps:
         rng = np.random.default_rng(30)
         for n, k, d in ((1, 3, 2), (7, 66, 132), (512, 132, 2), (64, 32, 8)):
             arrays = [_rand(rng, n, k), _rand(rng, k, d), _rand(rng, d)]
-            self._assert_same(T.linear, _ref_linear, arrays)
+            self._assert_same(R.linear, _ref_linear, arrays)
 
     def test_blend_is_term_by_term_sum_of_each_view(self):
         # V views of shared blocks: view v is the term-by-term sum over its
@@ -432,14 +433,14 @@ class TestFusedOps:
             projs = [_rand(rng, d, 6) for d in dims]
 
             def blended(p, *proj):
-                return T.blend(p, [T.matmul(Tensor(x), w)
+                return R.blend(p, [R.matmul(Tensor(x), w)
                                    for x, w in zip(feats, proj)])
 
             def per_view(p, *proj):
                 out = []
                 for v in range(views):
-                    pv = T.gather(p, np.arange(v * n, (v + 1) * n))
-                    out.append(_ref_mix(pv, [T.matmul(Tensor(x), w)
+                    pv = R.gather(p, np.arange(v * n, (v + 1) * n))
+                    out.append(_ref_mix(pv, [R.matmul(Tensor(x), w)
                                              for x, w in zip(feats, proj)]))
                 return _ref_concat(out)
 
@@ -454,29 +455,29 @@ class TestFusedOps:
         for args in ((x, w, Tensor(np.zeros(3))), (x, Tensor(np.zeros((2, 2))), b),
                      (Tensor(np.zeros(3)), w, b), (x, w, Tensor(np.zeros((1, 2))))):
             with pytest.raises(ValueError):
-                T.linear(*args)
+                R.linear(*args)
         blk = Tensor(np.zeros((4, 3)))
         for w_shape, blocks in (((8, 2), []), ((8, 2), [blk]),
                                 ((6, 2), [blk, blk]), ((0, 2), [blk, blk]),
                                 ((8, 2), [blk, Tensor(np.zeros((4, 2)))])):
             with pytest.raises(ValueError):
-                T.blend(Tensor(np.zeros(w_shape)), blocks)
+                R.blend(Tensor(np.zeros(w_shape)), blocks)
         with pytest.raises(ValueError):
-            T.blend(Tensor(np.zeros((8, 2))), [blk, blk], Tensor(np.zeros(2)))
+            R.blend(Tensor(np.zeros((8, 2))), [blk, blk], Tensor(np.zeros(2)))
         for idx in ([], [0, 4], [-1], [1, 1]):
             with pytest.raises(ValueError):
-                T.gather(x, np.array(idx, dtype=np.int64))
+                R.gather(x, np.array(idx, dtype=np.int64))
             with pytest.raises(ValueError):
-                T.put_rows(x, np.array(idx, dtype=np.int64),
+                R.put_rows(x, np.array(idx, dtype=np.int64),
                            Tensor(np.zeros((len(idx), 3))))
         with pytest.raises(ValueError):
-            T.put_rows(x, np.array([0, 1]), Tensor(np.zeros((2, 2))))
+            R.put_rows(x, np.array([0, 1]), Tensor(np.zeros((2, 2))))
 
     def test_op_results_are_not_scanned(self):
         # finiteness is checked at the model's boundaries, not per op
         big = Tensor(np.full((1, 1), 1e308))
         with np.errstate(over="ignore"):
-            out = T.linear(big, Tensor(np.full((1, 1), 10.0)), Tensor(np.zeros(1)))
+            out = R.linear(big, Tensor(np.full((1, 1), 10.0)), Tensor(np.zeros(1)))
         assert np.isinf(out.data).all()
 
 
@@ -500,7 +501,7 @@ class TestForwardValues:
         z = np.random.default_rng(27).standard_normal((50, 8)) * 5.0
         keep = np.ones(z.shape, dtype=bool)
         assert np.array_equal(R.softmax(Tensor(z)).data,
-                              T.masked_softmax(Tensor(z), keep).data)
+                              R.masked_softmax(Tensor(z), keep).data)
 
     def test_softmax_extreme_logits_stable(self):
         p = R.softmax(Tensor([1000.0, 0.0, -1000.0])).data
@@ -513,7 +514,7 @@ class TestForwardValues:
             z = rng.standard_normal((3, 5))
             keep = rng.random((3, 5)) > 0.4
             keep[:, 2] |= ~keep.any(axis=1)
-            p = T.masked_softmax(Tensor(z), keep).data
+            p = R.masked_softmax(Tensor(z), keep).data
             masked = np.where(keep, z, -np.inf)
             e = np.exp(masked - masked.max(axis=1, keepdims=True))
             oracle = e / e.sum(axis=1, keepdims=True)
@@ -522,7 +523,7 @@ class TestForwardValues:
 
     def test_gather_copies_the_rows(self):
         x = Tensor(np.arange(12.0).reshape(4, 3))
-        out = T.gather(x, np.arange(1, 3))
+        out = R.gather(x, np.arange(1, 3))
         np.testing.assert_array_equal(out.data, x.data[1:3])
         out.data[0, 0] = -1.0
         assert x.data[1, 0] == 3.0
@@ -531,12 +532,12 @@ class TestForwardValues:
         # bad indices are covered with the other ops' shape errors
         for bad in (Tensor(1.0), Tensor(np.zeros((2, 2, 2)))):
             with pytest.raises(ValueError):
-                T.gather(bad, np.array([0]))
+                R.gather(bad, np.array([0]))
 
     def test_masked_softmax_rejects_empty_row(self):
         keep = np.array([[True, False], [False, False]])
         with pytest.raises(ValueError):
-            T.masked_softmax(Tensor(np.zeros((2, 2))), keep)
+            R.masked_softmax(Tensor(np.zeros((2, 2))), keep)
 
     def test_entropy_rows_values(self):
         rows = np.array([[0.7, 0.2, 0.1], [1.0, 0.0, 0.0],

@@ -7,6 +7,8 @@ give 0, 1 and several views needing the gate, for 2 to 5 modalities,
 ``forward`` and ``gate_rows`` must match it view by view, values and
 gradients, and every view row must lie on its masked simplex. The read
 paths and the gamma=0 training step must run without a masked copy.
+``forward``'s one tape node must also equal, bit for bit, the layer-op
+chain it replaced (``reference_chain.forward``) over the same views.
 """
 
 import sys
@@ -14,10 +16,13 @@ import sys
 import numpy as np
 import pytest
 
+import entrofuse.losses as losses_module
 import entrofuse.model as model_module
 import entrofuse.tensor as T
+import entrofuse.trainer as trainer_module
 from entrofuse.curriculum import acm_distribution, candidate_family
 from entrofuse.data import apply_mask
+from entrofuse.losses import cec_pairs, step_loss
 from entrofuse.metrics import audit_confidences, inversion_audit
 from entrofuse.model import ForwardOutput, FusionConfig, forward, gate_rows
 from entrofuse.subsets import subset_lattice
@@ -31,6 +36,9 @@ from test_trainer import small_cfg, small_data
 
 MODALITIES = (2, 3, 4, 5)
 GATED = (0, 1, 3)  # views that need the gate: none, one kernel, the other
+# (gated, single-modality) view counts: with singles, the gated views' rows
+# are put beside their one-hot rows
+LAYOUTS = ((0, 2), (1, 0), (1, 2), (3, 0), (3, 2))
 
 
 def reference_forward(model, batch, keep=None) -> ForwardOutput:
@@ -42,14 +50,14 @@ def reference_forward(model, batch, keep=None) -> ForwardOutput:
             for m, (f, mu, sd) in enumerate(zip(
                 masked.features, model.norm_mean, model.norm_std))]
     x = np.concatenate(cols + [presence.astype(np.float64)], axis=1)
-    pre = T.linear(T.Tensor(x), model.gate_w1, model.gate_b1)
-    p = T.masked_softmax(T.linear(T.relu(pre), model.gate_w2, model.gate_b2),
+    pre = R.linear(T.Tensor(x), model.gate_w1, model.gate_b1)
+    p = R.masked_softmax(R.linear(R.relu(pre), model.gate_w2, model.gate_b2),
                          presence)
-    z = _ref_mix(p, [T.matmul(T.Tensor(f), w)
+    z = _ref_mix(p, [R.matmul(T.Tensor(f), w)
                      for f, w in zip(masked.features, model.proj)])
-    logits = T.linear(z, model.head_w, model.head_b)
+    logits = R.linear(z, model.head_w, model.head_b)
     return ForwardOutput(p=p, z=z, logits=logits,
-                         confidence=R.confidence(logits, model.cfg.multilabel))
+                         multilabel=model.cfg.multilabel)
 
 
 def assert_close(got, want, what=""):
@@ -81,20 +89,23 @@ def random_views(rng, presence, gated, single):
     return np.array(views)[rng.permutation(len(views))]
 
 
-def _setup(seed, m, gated, frozen=False, n=9):
+def _setup(seed, m, gated, frozen=False, n=9, single=2, multilabel=False):
     """A scattered model, a batch with missing inputs (row 0 observes every
-    modality) and random views of it: ``gated`` needing the gate, and two
-    single-modality ones."""
+    modality) and random views of it: ``gated`` needing the gate, and
+    ``single`` single-modality ones."""
     rng = np.random.default_rng(seed)
     cfg = FusionConfig(modalities=m, dims=(3, 4, 2, 5, 3)[:m], classes=4,
-                       fused_dim=5)
+                       fused_dim=5, multilabel=multilabel)
     model = (frozen_gate_model if frozen else random_model)(rng, cfg)
     model.norm_mean = [rng.normal(size=d) for d in cfg.dims]
     model.norm_std = [rng.uniform(0.5, 2.0, size=d) for d in cfg.dims]
     presence = random_presence(rng, n, m)
     presence[0] = True
     batch = random_batch(rng, n, cfg.dims, cfg.classes, presence)
-    return rng, model, batch, random_views(rng, presence, gated, 2)
+    if multilabel:
+        batch.labels = (rng.random((n, cfg.classes)) < 0.4).astype(float)
+        batch.multilabel = True
+    return rng, model, batch, random_views(rng, presence, gated, single)
 
 
 def _loss_and_grads(model, build):
@@ -167,6 +178,110 @@ class TestAgainstReference:
         assert_close(a.logits.data, reference_forward(model, batch).logits.data)
 
 
+class TestForwardMatchesTape:
+    """``forward``'s one node against the layer-by-layer chain it replaced,
+    ``reference_chain.forward``: logits, gate weights and every parameter
+    gradient equal bit for bit. The views leave no row, one gated view (one
+    affine gate layer 1) or three (per-modality products summed by blend)
+    needing the gate, beside two single-modality views (the put_rows path)
+    or none."""
+
+    CASES = [(m, gated, single, frozen, multilabel)
+             for m in MODALITIES for gated, single in LAYOUTS
+             for frozen in (False, True) for multilabel in (False, True)]
+
+    @staticmethod
+    def _run(model, build):
+        for _, param in model.parameters():
+            param.zero_grad()
+        with T.Tape() as tape:
+            out, loss = build()
+            tape.backward(loss)
+        return out, loss.item(), {name: param.grad
+                                  for name, param in model.parameters()}
+
+    @staticmethod
+    def _assert_same_grads(got, want):
+        assert [n for n, g in got.items() if g is None] == [
+            n for n, g in want.items() if g is None]
+        for name, g in want.items():
+            if g is not None:
+                assert np.array_equal(got[name], g), name
+
+    @pytest.mark.parametrize("m,gated,single,frozen,multilabel", CASES)
+    def test_values_and_gradients(self, m, gated, single, frozen,
+                                  multilabel):
+        rng, model, batch, views = _setup(300 + 10 * m + gated, m, gated,
+                                          frozen, single=single,
+                                          multilabel=multilabel)
+        rows = len(views) * batch.n
+        w_logits = T.Tensor(rng.normal(size=(rows, model.cfg.classes)))
+        w_p = T.Tensor(rng.normal(size=(rows, m)))
+
+        def build(pass_fn):
+            # upstream gradients into both outputs, the logits' through a
+            # confidence too, as the objective's reach them
+            out = pass_fn(model, batch, views)
+            loss = R.add(R.add(R.mean_all(R.mul(out.logits, w_logits)),
+                               R.mean_all(R.mul(out.p, w_p))),
+                         R.mean_all(R.confidence(out.logits, multilabel)))
+            return out, loss
+
+        out, loss, grads = self._run(model, lambda: build(forward))
+        ref, ref_loss, ref_grads = self._run(model, lambda: build(R.forward))
+        for field in ("p", "z", "logits"):
+            assert np.array_equal(getattr(out, field).data,
+                                  getattr(ref, field).data), field
+        for field in ("p", "logits"):
+            assert (getattr(out, field).requires_grad
+                    == getattr(ref, field).requires_grad), field
+        assert loss == ref_loss
+        self._assert_same_grads(grads, ref_grads)
+        assert (grads["gate_w1"] is None) == (frozen or gated == 0)
+
+    @pytest.mark.parametrize("m", MODALITIES)
+    @pytest.mark.parametrize("frozen", [False, True])
+    @pytest.mark.parametrize("multilabel", [False, True])
+    @pytest.mark.parametrize("with_pairs", [True, False])
+    def test_step_loss(self, monkeypatch, m, frozen, multilabel, with_pairs):
+        rng, model, batch, views = _setup(400 + m, m, 1, frozen,
+                                          multilabel=multilabel)
+        keep = views[0]
+        pairs = None
+        if with_pairs:
+            # every subset view needs each row to observe every modality
+            batch.presence[:] = True
+            pairs = cec_pairs(m, rng, limit=8)
+        # gamma > 0 with a scalar lambda; gamma = 0 with a per-row one
+        lam = 0.05 if with_pairs else rng.uniform(0.01, 0.5, size=batch.n)
+
+        def build():
+            total, bd = step_loss(model, batch, keep, pairs, lam=lam,
+                                  gamma=2.0 if with_pairs else 0.0,
+                                  multilabel=multilabel)
+            return bd, total
+
+        bd, _, grads = self._run(model, build)
+        monkeypatch.setattr(losses_module, "forward", R.forward)
+        ref_bd, _, ref_grads = self._run(model, build)
+        assert bd == ref_bd
+        self._assert_same_grads(grads, ref_grads)
+
+    @pytest.mark.parametrize("kw", [dict(gamma=2.0),
+                                    dict(gamma=0.0, lam_mode="instance"),
+                                    dict(gamma=2.0, ablation="no_gate")])
+    def test_training_is_unchanged_bit_for_bit(self, monkeypatch, kw):
+        cfg = small_cfg(epochs=2, **kw)
+        got = train(cfg, small_data())
+        for module in (model_module, losses_module, trainer_module):
+            monkeypatch.setattr(module, "forward", R.forward)
+        want = train(cfg, small_data())
+        assert got.history == want.history
+        for (name, a), (_, b) in zip(got.model.parameters(),
+                                     want.model.parameters()):
+            assert np.array_equal(a.data, b.data), name
+
+
 class TestRandomViews:
     @pytest.mark.parametrize("m,gated", [(m, g) for m in MODALITIES
                                          for g in GATED])
@@ -188,13 +303,13 @@ class TestRandomViews:
     def test_gate_runs_once_per_call_and_only_for_views_that_need_it(
             self, monkeypatch):
         passes = []
-        real = model_module._gate_weights
+        real = model_module._gate
 
-        def counting(model, pre, keep):
-            passes.append(keep.shape[0])
-            return real(model, pre, keep)
+        def counting(model, batch, views, gated):
+            passes.append(len(gated) * batch.n)
+            return real(model, batch, views, gated)
 
-        monkeypatch.setattr(model_module, "_gate_weights", counting)
+        monkeypatch.setattr(model_module, "_gate", counting)
         for gated in GATED:
             _, model, batch, views = _setup(40 + gated, 3, gated)
             passes.clear()
