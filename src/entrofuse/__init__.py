@@ -21,7 +21,7 @@ from .metrics import (CalibrationReport, InversionAudit, audit_confidences,
                       map_at_1, top1_accuracy)
 from .model import (ForwardOutput, FusionConfig, FusionModel, forward,
                     load_checkpoint, predict_subset, save_checkpoint)
-from .optim import AdamW, AdamWState, adamw_step, cosine_lr
+from .optim import adamw_step, cosine_lr
 from .rng import stream
 from .subsets import SubsetMask, nonempty_subsets, subset_lattice
 from .tensor import Tape, Tensor, grad_check, softplus
@@ -34,22 +34,20 @@ from .uncertainty import (LambdaConfig, calibrate_vmax, ensemble_variance,
 __version__ = "0.1.0"
 
 __all__ = [
-    "AdamW", "AdamWState", "CalibrationReport", "ConfigError",
-    "DivergenceError", "ExperimentConfig", "ForwardOutput", "FusionConfig",
-    "FusionModel", "InversionAudit", "LambdaConfig", "LossBreakdown",
-    "MaskDistribution", "MultimodalBatch", "RunResult", "Schedules",
-    "SubsetMask", "Switches", "SyntheticSpec", "Tape", "Tensor",
-    "TrainConfig", "acm_distribution", "adamw_step", "apply_ablation",
-    "apply_mask", "audit_confidences", "bernoulli_mask", "calibrate_vmax",
-    "candidate_family",
-    "cec_loss", "cec_pairs", "composite_loss", "cosine_lr", "ece",
-    "ensemble_variance", "entropy_confidence_export",
-    "evaluate_under_dropout", "fit_temperature",
+    "CalibrationReport", "ConfigError", "DivergenceError", "ExperimentConfig",
+    "ForwardOutput", "FusionConfig", "FusionModel", "InversionAudit",
+    "LambdaConfig", "LossBreakdown", "MaskDistribution", "MultimodalBatch",
+    "RunResult", "Schedules", "SubsetMask", "Switches", "SyntheticSpec",
+    "Tape", "Tensor", "TrainConfig", "acm_distribution", "adamw_step",
+    "apply_ablation", "apply_mask", "audit_confidences", "bernoulli_mask",
+    "calibrate_vmax", "candidate_family", "cec_loss", "cec_pairs",
+    "composite_loss", "cosine_lr", "ece", "ensemble_variance",
+    "entropy_confidence_export", "evaluate_under_dropout", "fit_temperature",
     "forward", "generate", "grad_check", "inversion_audit", "lambda_of",
     "lambda_upper", "load_checkpoint", "load_config", "load_dataset",
     "map_at_1", "mc_variance", "nonempty_subsets", "parse_config",
-    "predict_subset", "sample_keep", "save_checkpoint",
-    "save_dataset", "schedule_lambda", "schedule_pi", "softplus", "stream",
-    "subset_confidences", "subset_lattice", "top1_accuracy",
-    "train", "with_vmax",
+    "predict_subset", "sample_keep", "save_checkpoint", "save_dataset",
+    "schedule_lambda", "schedule_pi", "softplus", "stream",
+    "subset_confidences", "subset_lattice", "top1_accuracy", "train",
+    "with_vmax",
 ]

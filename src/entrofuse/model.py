@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, asdict
+from typing import NamedTuple
 
 import numpy as np
 
@@ -31,6 +32,7 @@ from .subsets import SubsetMask, subset_lattice
 __all__ = [
     "FusionConfig",
     "FusionModel",
+    "ParamBuffers",
     "ForwardOutput",
     "class_probs",
     "entropy_rows",
@@ -73,10 +75,39 @@ def _fan_in_uniform(rng: np.random.Generator, shape: tuple[int, ...]) -> np.ndar
     return rng.uniform(-bound, bound, size=shape)
 
 
+class ParamBuffers(NamedTuple):
+    """One parameter group as two flat buffers: each of its parameters'
+    ``.data`` and ``.grad`` is a reshaped view of ``params`` and ``grads``."""
+
+    params: np.ndarray
+    grads: np.ndarray
+
+
+def _lay_out(tensors: list[T.Tensor]) -> ParamBuffers:
+    """Copy the tensors' data into one group's buffers and rebind their
+    ``.data`` and ``.grad`` (zero) to views of them."""
+    sizes = [t.data.size for t in tensors]
+    group = ParamBuffers(np.empty(sum(sizes)), np.zeros(sum(sizes)))
+    lo = 0
+    for t, size in zip(tensors, sizes):
+        shape = t.shape
+        group.params[lo:lo + size] = t.data.ravel()
+        t.data = group.params[lo:lo + size].reshape(shape)
+        t.grad = group.grads[lo:lo + size].reshape(shape)
+        lo += size
+    return group
+
+
 class FusionModel:
     """Gate MLP (``gate_w1``, ``gate_b1``, ReLU, ``gate_w2``, ``gate_b2``:
     concat(standardized features, presence flags) -> M logits), per-modality
-    projections and a linear head, with train-set norm stats."""
+    projections and a linear head, with train-set norm stats.
+
+    The model owns its parameter memory: ``base`` (projections and head)
+    and ``gate`` are each laid out as flat parameter and gradient buffers,
+    which ``forward``'s pullback adds into and an optimizer updates whole.
+    Write a parameter through its view (``t.data[...] = x``), not by
+    rebinding it."""
 
     def __init__(self, cfg: FusionConfig, gate_w1: T.Tensor, gate_b1: T.Tensor,
                  gate_w2: T.Tensor, gate_b2: T.Tensor, proj: list[T.Tensor],
@@ -88,6 +119,19 @@ class FusionModel:
         self.head_w, self.head_b = head_w, head_b
         self.norm_mean = [np.zeros(d) for d in cfg.dims]
         self.norm_std = [np.ones(d) for d in cfg.dims]
+        self.base = _lay_out(self.base_parameters())
+        self.gate = _lay_out(self.gate_parameters())
+        self._views = [(t.data, t.grad) for _, t in self.parameters()]
+
+    def zero_grad(self) -> None:
+        """Zero both gradient buffers. Raises ``RuntimeError`` if a
+        parameter's ``.data`` or ``.grad`` no longer views its buffer, which
+        would leave it out of training."""
+        for (_, t), (data, grad) in zip(self.parameters(), self._views):
+            if t.data is not data or t.grad is not grad:
+                raise RuntimeError(f"{t} was rebound off its group buffer")
+        self.base.grads.fill(0.0)
+        self.gate.grads.fill(0.0)
 
     @classmethod
     def init(cls, cfg: FusionConfig, rng: np.random.Generator) -> "FusionModel":
@@ -195,7 +239,7 @@ class ForwardOutput:
 
 def _add_grad(t: T.Tensor, g: np.ndarray) -> None:
     if t.requires_grad:
-        T._accum(t, g)
+        t.grad += g
 
 
 def _blend(w: np.ndarray, blocks: list[np.ndarray]):
@@ -426,7 +470,7 @@ def load_checkpoint(path) -> FusionModel:
 
         model = FusionModel.from_seed(cfg, seed=0)
         for name, t in model.parameters():
-            t.data = load(name, t.shape)
+            t.data[...] = load(name, t.shape)
         model.norm_mean = [load(f"norm_mean_{m}", (d,))
                            for m, d in enumerate(cfg.dims)]
         model.norm_std = [load(f"norm_std_{m}", (d,))

@@ -8,8 +8,8 @@ is one. ``Tape.backward`` replays the nodes in reverse, each exactly once.
 Finiteness is checked at the boundaries: ``Tensor(data)`` rejects
 non-finite data and parameters coming from outside, node results skip that
 scan, and the model rejects non-finite gate weights and logits on every
-read and train path. The trainer's divergence guard and AdamW's gradient
-check cover the loss and the backward pass.
+read and train path. The trainer's divergence guard and ``adamw_step``'s
+gradient check cover the loss and the backward pass.
 """
 
 from __future__ import annotations
@@ -49,9 +49,6 @@ class Tensor:
         if self.data.size != 1:
             raise ValueError(f"item() on tensor of shape {self.shape}")
         return float(self.data)
-
-    def zero_grad(self) -> None:
-        self.grad = None
 
     def __repr__(self) -> str:
         return f"Tensor(shape={self.shape}, requires_grad={self.requires_grad})"

@@ -5,10 +5,11 @@ each shuffled minibatch sample a modality mask, run the gated forward pass
 over presence views of the minibatch rows (the masked pattern, and with the
 consistency penalty on, one view per lattice subset) and the task +
 entropy + consistency objective, each one tape node, and take one
-decoupled-weight-decay Adam step (gate parameters at their own learning
-rate, cosine decay on both groups). Only instance lambda, which reads the
-masked features, and the single_modality ablation build zero-filled
-masked copies of the batch.
+decoupled-weight-decay Adam step per parameter group on the model's flat
+buffers (gate parameters at their own learning rate, cosine decay on both
+groups). Instance lambda reads the masked pattern as presence too; only
+the single_modality ablation builds zero-filled masked copies of the
+splits.
 
 Named RNG streams keyed by the run seed keep the data order identical
 across ablations of the same seed, so switched-off components are the only
@@ -20,7 +21,7 @@ from __future__ import annotations
 import hashlib
 import json
 import time
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
@@ -31,7 +32,7 @@ from .data import MultimodalBatch, apply_mask, bernoulli_mask
 from .losses import LossBreakdown, cec_pairs, step_loss
 from .metrics import confidence_correct, ece, map_at_1, top1_accuracy
 from .model import FusionConfig, FusionModel, forward
-from .optim import AdamW, cosine_lr
+from .optim import adamw_step, cosine_lr
 from .rng import stream
 from .uncertainty import LambdaConfig, calibrate_vmax, lambda_of, with_vmax
 
@@ -187,16 +188,15 @@ def train(cfg: TrainConfig, data: tuple[MultimodalBatch, MultimodalBatch, Multim
         multilabel=multilabel)
     model = FusionModel.init(fcfg, stream(cfg.seed, "init"))
     model.fit_norm(train_b)
-    groups = [{"params": model.base_parameters(), "lr": cfg.lr_base}]
+    groups = [(model.base, cfg.lr_base, {})]
     if sw.gate_on:
-        groups.append({"params": model.gate_parameters(), "lr": cfg.lr_gate})
+        groups.append((model.gate, cfg.lr_gate, {}))
     else:
         # frozen at its zero-output initialisation, and out of the optimizer
         # so weight decay leaves it there, the gate weights every observed
         # modality equally (see gate_rows)
         for t in model.gate_parameters():
             t.requires_grad = False
-    opt = AdamW(groups=groups, weight_decay=cfg.weight_decay)
 
     data_rng = stream(cfg.seed, "data")
     mask_rng = stream(cfg.seed, "masking")
@@ -239,7 +239,7 @@ def train(cfg: TrainConfig, data: tuple[MultimodalBatch, MultimodalBatch, Multim
             idx = perm[step * cfg.batch_size:(step + 1) * cfg.batch_size]
             if idx.size == 0:
                 continue
-            batch = masked = train_b.take(idx)
+            batch = train_b.take(idx)
             keep = batch.presence
             if sw.mask_on and pi_t > 0.0:
                 if sched.mode == "acm":
@@ -247,13 +247,11 @@ def train(cfg: TrainConfig, data: tuple[MultimodalBatch, MultimodalBatch, Multim
                 else:
                     draw = bernoulli_mask(idx.size, modalities, pi_t, mask_rng)
                 keep = keep & draw
-                if instance_lam:  # the variance reads the masked features
-                    masked = apply_mask(batch, per_sample=draw)
 
+            lam = lam_t
             if instance_lam:
-                lam = lambda_of(model, masked, lam_cfg, drop_rng)
-            else:
-                lam = lam_t
+                lam = lambda_of(model, replace(batch, presence=keep), lam_cfg,
+                                drop_rng)
 
             with T.Tape() as tape:
                 total, bd = step_loss(
@@ -267,8 +265,10 @@ def train(cfg: TrainConfig, data: tuple[MultimodalBatch, MultimodalBatch, Multim
                         f"loss {bd.total} at epoch {epoch} step {step} "
                         f"exceeds guard {guard} (reference {ref_total})")
                 tape.backward(total)
-            opt.step(lr_scale=lr_scale)
-            opt.zero_grad()
+            for group, lr, state in groups:
+                adamw_step(group.params, group.grads, state, lr * lr_scale,
+                           weight_decay=cfg.weight_decay)
+            model.zero_grad()
             sums += (bd.total, bd.task, bd.ent, bd.cec, bd.lam)
 
         # the last step's tape holds its intermediates and their gradients:
@@ -295,8 +295,7 @@ def train(cfg: TrainConfig, data: tuple[MultimodalBatch, MultimodalBatch, Multim
 
     eval_table = evaluate_under_dropout(
         model, test_b, rates=cfg.eval_rates, seeds=cfg.eval_seeds,
-        seed=cfg.seed, temperature=temperature or 1.0,
-        frozen_mask=sw.keep_only is not None)
+        seed=cfg.seed, temperature=temperature or 1.0)
 
     return RunResult(
         history=history, metric_history=metric_history, eval_table=eval_table,
@@ -308,27 +307,32 @@ def train(cfg: TrainConfig, data: tuple[MultimodalBatch, MultimodalBatch, Multim
 def evaluate_under_dropout(model: FusionModel, batch: MultimodalBatch,
                            rates: tuple[float, ...] = (0.0, 0.1, 0.2, 0.3, 0.5),
                            seeds: int = 5, seed: int = 0,
-                           temperature: float = 1.0,
-                           frozen_mask: bool = False) -> dict[float, dict[str, float]]:
+                           temperature: float = 1.0) -> dict[float, dict[str, float]]:
     """Metrics under test-time modality dropout.
 
     For each rate, metrics are averaged over ``seeds`` independent mask
-    draws; rate 0 is the unmasked column. ``frozen_mask`` skips masking
-    entirely (single-modality runs: the input interface is fixed).
+    draws, each intersected with the batch's presence; a row the draw would
+    empty is read as observed. Rate 0 is the unmasked column, and so is
+    every rate, evaluated once, when no row observes two modalities (e.g.
+    single-modality runs): no draw can change such a batch.
     """
     if any(not 0.0 <= r < 1.0 for r in rates):
         raise ValueError("rates must be in [0, 1)")
     multilabel = model.cfg.multilabel
+    maskable = (batch.presence.sum(axis=1) > 1).any()
     table: dict[float, dict[str, float]] = {}
     for r_index, rate in enumerate(rates):
-        draws = 1 if rate == 0.0 or frozen_mask else seeds
+        masked = rate > 0.0 and maskable
+        draws = seeds if masked else 1
         acc = {"score": 0.0, "ece": 0.0, "gate_entropy": 0.0}
         for s in range(draws):
             views = None
-            if rate > 0.0 and not frozen_mask:
+            if masked:
                 rng = stream(seed, f"eval:{r_index}:{s}")
                 keep = bernoulli_mask(batch.n, batch.num_modalities, rate, rng)
-                views = (batch.presence & keep)[None]
+                views = batch.presence & keep
+                views = np.where(views.any(axis=1, keepdims=True), views,
+                                 batch.presence)[None]
             out = forward(model, batch, views)
             row = _metric_row(out.logits.data, batch.labels, multilabel,
                               temperature=temperature)

@@ -64,6 +64,8 @@ def mc_variance(model, batch: MultimodalBatch, rng: np.random.Generator,
                 draws: int = 20, rate: float = 0.1) -> np.ndarray:
     """Per-sample, per-branch variance (ddof=1) of the max class logit when
     the branch input is hit with inverted dropout. Shape [n, modalities].
+    A modality a row does not observe (``batch.presence``) enters as the
+    zero vector, whatever its features hold.
 
     Uniforms are consumed modality by modality and, within a modality,
     draw-major: exactly the stream of one ``rng.random((n, d_m))`` call per
@@ -83,7 +85,7 @@ def mc_variance(model, batch: MultimodalBatch, rng: np.random.Generator,
     head_b = model.head_b.data
     ys = np.empty((draws, n))
     for m in range(batch.num_modalities):
-        h = batch.features[m]
+        h = np.where(batch.presence[:, m, None], batch.features[m], 0.0)
         d = h.shape[1]
         vw = model.proj[m].data @ head_w  # combined [d_m, classes]
         if rate == 0.0:
@@ -114,7 +116,8 @@ def mc_variance(model, batch: MultimodalBatch, rng: np.random.Generator,
 
 def ensemble_variance(model, batch: MultimodalBatch, rng: np.random.Generator,
                       size: int = 5) -> np.ndarray:
-    """Same statistic with head weights resampled instead of dropout."""
+    """Same statistic with head weights resampled instead of dropout; an
+    unobserved modality enters as the zero vector here too."""
     if size < 2:
         raise ValueError("variance needs at least two ensemble members")
     d_z, classes = model.head_w.shape
@@ -123,7 +126,8 @@ def ensemble_variance(model, batch: MultimodalBatch, rng: np.random.Generator,
     n = batch.n
     var = np.zeros((n, batch.num_modalities))
     for m in range(batch.num_modalities):
-        base = batch.features[m] @ model.proj[m].data  # [n, d_z]
+        h = np.where(batch.presence[:, m, None], batch.features[m], 0.0)
+        base = h @ model.proj[m].data  # [n, d_z]
         ys = (base @ heads).max(axis=2)  # [size, n], one head per row
         var[:, m] = ys.var(axis=0, ddof=1)
     return var

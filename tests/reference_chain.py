@@ -20,7 +20,17 @@ import numpy as np
 
 from entrofuse.losses import LossBreakdown
 from entrofuse.model import ForwardOutput
-from entrofuse.tensor import Tensor, _accum, _maybe_record, _result
+from entrofuse.tensor import Tensor, _maybe_record, _result
+
+
+def _accum(t: Tensor, g: np.ndarray) -> None:
+    """Add g into t's gradient in place, so a model parameter's gradient
+    stays a view of its group buffer; a tensor without one gets a copy of
+    g, as these pullbacks pass the same array on to several inputs."""
+    if t.grad is None:
+        t.grad = np.array(g, dtype=np.float64)
+    else:
+        t.grad += g
 
 
 # ---------------------------------------------------------------------------

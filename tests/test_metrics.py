@@ -218,7 +218,7 @@ class TestInversionAudit:
         cfg = FusionConfig(modalities=2, dims=(3, 3), classes=3, fused_dim=4)
         model = random_model(rng, cfg)
         for w in model.proj:
-            w.data = np.zeros_like(w.data)
+            w.data[...] = 0.0
         batch = random_batch(rng, 12, cfg.dims, cfg.classes)
         audit = inversion_audit(model, batch)
         assert audit.total_count == 0
@@ -255,7 +255,7 @@ class TestInversionAudit:
         pairs = subset_lattice(2)
         zero_model = random_model(rng, cfg)
         for w in zero_model.proj:
-            w.data = np.zeros_like(w.data)
+            w.data[...] = 0.0
         batch = random_batch(rng, 10, cfg.dims, cfg.classes)
         loss = cec(zero_model, batch, pairs)
         audit = inversion_audit(zero_model, batch)

@@ -31,7 +31,7 @@ def random_model(rng, cfg):
     """Init then scatter every weight so the gate path is nontrivial."""
     model = FusionModel.init(cfg, rng)
     for _, t in model.parameters():
-        t.data = rng.normal(scale=0.5, size=t.data.shape)
+        t.data[...] = rng.normal(scale=0.5, size=t.data.shape)
     return model
 
 
@@ -145,9 +145,8 @@ class TestGateWeights:
                     total, _ = step_loss(model, batch, keep, cec_pairs(m),
                                          lam=0.05, gamma=2.0)
                     tape.backward(total)
-                assert all(t.grad is None for t in model.gate_parameters())
-                assert all(t.grad is not None
-                           for t in model.base_parameters())
+                assert not model.gate.grads.any()
+                assert all(t.grad.any() for t in model.base_parameters())
 
 
 class TestForwardValues:
@@ -478,6 +477,80 @@ class TestCheckpoint:
         b = forward(loaded, batch)
         assert (a.logits.data == b.logits.data).all()
         assert (a.p.data == b.p.data).all()
+
+
+class TestParamBuffers:
+    """The model lays out each parameter group as one flat parameter and
+    one flat gradient buffer; every parameter's ``.data`` and ``.grad``
+    view them."""
+
+    @staticmethod
+    def _assert_views(model):
+        for group, tensors in ((model.base, model.base_parameters()),
+                               (model.gate, model.gate_parameters())):
+            assert group.params.ndim == 1 and group.grads.ndim == 1
+            assert group.params.size == sum(t.data.size for t in tensors)
+            lo = 0
+            for t in tensors:
+                hi = lo + t.data.size
+                assert t.data.base is group.params
+                assert t.grad.base is group.grads
+                assert np.shares_memory(t.data, group.params[lo:hi])
+                assert np.shares_memory(t.grad, group.grads[lo:hi])
+                lo = hi
+        assert not np.shares_memory(model.base.params, model.gate.params)
+
+    def test_views_after_init(self):
+        cfg = FusionConfig(modalities=3, dims=(3, 4, 2), classes=4, fused_dim=5)
+        model = FusionModel.from_seed(cfg, 3)
+        self._assert_views(model)
+        init = FusionModel.init(cfg, stream(3, "init"))
+        for (_, a), (_, b) in zip(model.parameters(), init.parameters()):
+            assert np.array_equal(a.data, b.data)
+            assert not a.grad.any()
+
+    def test_views_after_load_checkpoint(self, tmp_path):
+        rng = np.random.default_rng(72)
+        cfg = FusionConfig(modalities=2, dims=(3, 4), classes=3, fused_dim=5)
+        model = random_model(rng, cfg)
+        save_checkpoint(model, tmp_path / "ckpt.npz")
+        loaded = load_checkpoint(tmp_path / "ckpt.npz")
+        self._assert_views(loaded)
+        assert np.array_equal(loaded.base.params, model.base.params)
+        assert np.array_equal(loaded.gate.params, model.gate.params)
+
+    def test_backward_adds_into_the_buffers_and_zero_grad_clears_them(self):
+        rng = np.random.default_rng(73)
+        cfg = FusionConfig(modalities=2, dims=(3, 4), classes=3, fused_dim=5)
+        model = random_model(rng, cfg)
+        batch = random_batch(rng, 8, cfg.dims, cfg.classes)
+        grads = []
+        for _ in range(2):
+            with T.Tape() as tape:
+                out = forward(model, batch)
+                tape.backward(R.mean_all(R.confidence(out.logits)))
+            grads.append(np.concatenate([model.base.grads, model.gate.grads]))
+        np.testing.assert_allclose(grads[1], 2.0 * grads[0], rtol=1e-12)
+        self._assert_views(model)
+        model.zero_grad()
+        assert not model.base.grads.any() and not model.gate.grads.any()
+
+    @pytest.mark.parametrize("rebind", ["data", "grad", "no grad",
+                                        "grad shape"])
+    def test_rebound_parameter_rejected(self, rebind):
+        cfg = FusionConfig(modalities=2, dims=(3, 4), classes=3, fused_dim=5)
+        model = FusionModel.from_seed(cfg, 0)
+        t = model.proj[1]
+        if rebind == "data":
+            t.data = t.data.copy()  # a detached copy no optimizer can see
+        elif rebind == "grad":
+            t.grad = t.grad + 1.0
+        elif rebind == "no grad":
+            t.grad = None
+        else:
+            t.grad = np.ones(())
+        with pytest.raises(RuntimeError, match="rebound"):
+            model.zero_grad()
 
 
 class TestSeededInit:

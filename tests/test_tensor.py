@@ -36,12 +36,6 @@ class TestTensorBasics:
         with pytest.raises(ValueError):
             Tensor([np.inf])
 
-    def test_zero_grad_clears(self):
-        t = Tensor([1.0], requires_grad=True)
-        t.grad = np.ones(1)
-        t.zero_grad()
-        assert t.grad is None
-
 
 class TestTapeMechanics:
     def test_records_in_execution_order_and_replays_once(self):

@@ -218,13 +218,12 @@ class TestTrainLoop:
 
 
 class TestMaskedCopies:
-    @pytest.mark.parametrize("gamma,lam_mode,copied", [
-        (1.0, "scheduled", False), (0.0, "scheduled", False),
-        (1.0, "instance", True), (0.0, "instance", True)])
-    def test_step_loop_copies_masked_features_only_where_read(
-            self, monkeypatch, gamma, lam_mode, copied):
-        # the step and the dropout evaluation read presence views of the
-        # rows; only instance lambda reads masked features
+    @pytest.mark.parametrize("gamma", [1.0, 0.0])
+    @pytest.mark.parametrize("lam_mode", ["scheduled", "instance"])
+    def test_step_loop_makes_no_masked_copy(self, monkeypatch, gamma,
+                                            lam_mode):
+        # the step, instance lambda and the dropout evaluation read the
+        # masked pattern as presence, not as zero-filled features
         calls = []
 
         def counting(batch, *args, **kwargs):
@@ -235,8 +234,7 @@ class TestMaskedCopies:
         cfg = small_cfg(gamma=gamma, lam_mode=lam_mode)
         res = train(cfg, small_data())
         assert all((h.cec > 0.0) == (gamma > 0.0) for h in res.history)
-        steps = cfg.epochs * (256 // cfg.batch_size)
-        assert len(calls) == (steps if copied else 0)
+        assert calls == []
 
 
 class TestTracedPhases:
@@ -244,19 +242,25 @@ class TestTracedPhases:
             self, monkeypatch):
         # the benchmark's tracer times the optimizer, the objective, its
         # consistency term and the backward pass by wrapping these
-        # module-level functions and the tape method, so one gamma > 0 run
-        # must reach them through those names: once per optimizer group and
-        # step, and once per step
+        # functions in every entrofuse namespace that binds them, and the
+        # tape method, so one gamma > 0 run must reach them through those
+        # names: once per optimizer group and step, and once per step
         calls = {"adamw_step": [], "cec_loss": [], "composite_loss": [],
                  "backward": []}
+        spaces = [module for key, module in sys.modules.items()
+                  if key.split(".")[0] == "entrofuse"] + [T.Tape]
         for module, name in ((optim_module, "adamw_step"),
                              (losses_module, "cec_loss"),
                              (losses_module, "composite_loss"),
                              (T.Tape, "backward")):
-            def spy(*args, _real=getattr(module, name), _name=name, **kw):
+            real = getattr(module, name)
+
+            def spy(*args, _real=real, _name=name, **kw):
                 calls[_name].append(1)
                 return _real(*args, **kw)
-            monkeypatch.setattr(module, name, spy)
+            for space in spaces:
+                if vars(space).get(name) is real:
+                    monkeypatch.setattr(space, name, spy)
         cfg = small_cfg(gamma=1.0,
                         schedules=Schedules(mode="acm", t_warm=5, t_lam=5))
         res = train(cfg, small_data())
@@ -348,10 +352,24 @@ class TestEvaluateUnderDropout:
                                    seed=11)
         assert a == b
 
-    def test_frozen_mask_ignores_rates(self):
+    def test_one_modality_per_row_evaluates_each_rate_once(self,
+                                                            monkeypatch):
+        # no draw can change a batch whose rows observe one modality each:
+        # every rate is the clean column, computed once
         model, test_b = self._trained()
+        keep = np.zeros_like(test_b.presence)
+        keep[np.arange(test_b.n), np.arange(test_b.n) % 2] = True
+        test_b = apply_mask(test_b, per_sample=keep)
+        calls = []
+
+        def counting(*args):
+            calls.append(args)
+            return forward(*args)
+
+        monkeypatch.setattr(trainer_module, "forward", counting)
         table = evaluate_under_dropout(model, test_b, rates=(0.0, 0.3, 0.5),
-                                       seeds=2, frozen_mask=True)
+                                       seeds=2)
+        assert len(calls) == 3
         rows = list(table.values())
         assert all(r == rows[0] for r in rows)
 

@@ -24,7 +24,7 @@ def per_draw_mc_variance(model, batch, rng, draws=20, rate=0.1):
     head_w = model.head_w.data
     head_b = model.head_b.data
     for m in range(batch.num_modalities):
-        h = batch.features[m]
+        h = np.where(batch.presence[:, m, None], batch.features[m], 0.0)
         vw = model.proj[m].data @ head_w
         ys = np.empty((draws, n))
         for k in range(draws):
@@ -45,7 +45,8 @@ def per_head_ensemble_variance(model, batch, rng, size=5):
     heads = [rng.uniform(-bound, bound, size=(d_z, classes)) for _ in range(size)]
     var = np.zeros((batch.n, batch.num_modalities))
     for m in range(batch.num_modalities):
-        base = batch.features[m] @ model.proj[m].data
+        h = np.where(batch.presence[:, m, None], batch.features[m], 0.0)
+        base = h @ model.proj[m].data
         ys = np.stack([(base @ w).max(axis=1) for w in heads])
         var[:, m] = ys.var(axis=0, ddof=1)
     return var
@@ -220,7 +221,7 @@ class TestEnsembleVariance:
         rng = np.random.default_rng(13)
         cfg = FusionConfig(modalities=2, dims=(3, 3), classes=3, fused_dim=4)
         model = random_model(rng, cfg)
-        model.proj[0].data = np.zeros_like(model.proj[0].data)
+        model.proj[0].data[...] = 0.0
         batch = random_batch(rng, 6, cfg.dims, cfg.classes)
         var = ensemble_variance(model, batch, np.random.default_rng(14), size=4)
         assert (var[:, 0] == 0.0).all()

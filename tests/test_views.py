@@ -21,10 +21,11 @@ import entrofuse.model as model_module
 import entrofuse.tensor as T
 import entrofuse.trainer as trainer_module
 from entrofuse.curriculum import acm_distribution, candidate_family
-from entrofuse.data import apply_mask
+from entrofuse.data import apply_mask, bernoulli_mask
 from entrofuse.losses import cec_pairs, step_loss
 from entrofuse.metrics import audit_confidences, inversion_audit
 from entrofuse.model import ForwardOutput, FusionConfig, forward, gate_rows
+from entrofuse.rng import stream
 from entrofuse.subsets import subset_lattice
 from entrofuse.trainer import evaluate_under_dropout, train
 
@@ -109,13 +110,11 @@ def _setup(seed, m, gated, frozen=False, n=9, single=2, multilabel=False):
 
 
 def _loss_and_grads(model, build):
-    for _, param in model.parameters():
-        param.zero_grad()
+    model.zero_grad()
     with T.Tape() as tape:
         loss = build()
         tape.backward(loss)
-    return loss.item(), {name: np.zeros_like(param.data) if param.grad is None
-                         else param.grad.copy()
+    return loss.item(), {name: param.grad.copy()
                          for name, param in model.parameters()}
 
 
@@ -192,21 +191,17 @@ class TestForwardMatchesTape:
 
     @staticmethod
     def _run(model, build):
-        for _, param in model.parameters():
-            param.zero_grad()
+        model.zero_grad()
         with T.Tape() as tape:
             out, loss = build()
             tape.backward(loss)
-        return out, loss.item(), {name: param.grad
+        return out, loss.item(), {name: param.grad.copy()
                                   for name, param in model.parameters()}
 
     @staticmethod
     def _assert_same_grads(got, want):
-        assert [n for n, g in got.items() if g is None] == [
-            n for n, g in want.items() if g is None]
         for name, g in want.items():
-            if g is not None:
-                assert np.array_equal(got[name], g), name
+            assert np.array_equal(got[name], g), name
 
     @pytest.mark.parametrize("m,gated,single,frozen,multilabel", CASES)
     def test_values_and_gradients(self, m, gated, single, frozen,
@@ -237,7 +232,8 @@ class TestForwardMatchesTape:
                     == getattr(ref, field).requires_grad), field
         assert loss == ref_loss
         self._assert_same_grads(grads, ref_grads)
-        assert (grads["gate_w1"] is None) == (frozen or gated == 0)
+        # no gate gradient leaves the gate's buffer zero
+        assert (not grads["gate_w1"].any()) == (frozen or gated == 0)
 
     @pytest.mark.parametrize("m", MODALITIES)
     @pytest.mark.parametrize("frozen", [False, True])
@@ -323,8 +319,8 @@ class TestRandomViews:
             out = forward(model, batch, views)
             tape.backward(R.mean_all(R.confidence(out.logits)))
         np.testing.assert_array_equal(out.p.data, views.reshape(-1, 3))
-        assert all(t.grad is None for t in model.gate_parameters())
-        assert all(t.grad is not None for t in model.base_parameters())
+        assert not model.gate.grads.any()
+        assert all(t.grad.any() for t in model.base_parameters())
 
     def test_views_outside_the_batch_or_empty_rejected(self):
         _, model, batch, views = _setup(94, 3, 1)
@@ -378,6 +374,38 @@ class TestReadPathsTakeViews:
         assert all(np.isfinite(list(row.values())).all()
                    for row in table.values())
 
+    def test_evaluate_under_dropout_with_partial_presence(
+            self, monkeypatch, no_masked_copies):
+        # a split with missing inputs: each draw keeps only observed
+        # modalities, and a row the draw would empty keeps its observed set
+        rng = np.random.default_rng(211)
+        cfg = FusionConfig(modalities=3, dims=(3, 4, 2), classes=4,
+                           fused_dim=5)
+        model = random_model(rng, cfg)
+        presence = bernoulli_mask(30, 3, 0.3, rng)
+        batch = random_batch(rng, 30, cfg.dims, cfg.classes, presence)
+        seen = []
+
+        def spy(model, batch, views=None):
+            seen.append(views)
+            return forward(model, batch, views)
+
+        monkeypatch.setattr(trainer_module, "forward", spy)
+        table = evaluate_under_dropout(model, batch, rates=(0.0, 0.5),
+                                       seeds=2)
+        assert all(np.isfinite(list(row.values())).all()
+                   for row in table.values())
+        assert seen[0] is None and len(seen) == 3
+        emptied = 0
+        for s, views in enumerate(seen[1:]):
+            want = presence & bernoulli_mask(30, 3, 0.5,
+                                             stream(0, f"eval:1:{s}"))
+            empty = ~want.any(axis=1)
+            want[empty] = presence[empty]
+            assert np.array_equal(views, want[None])
+            emptied += empty.sum()
+        assert emptied > 0
+
     def test_acm_distribution_all_subsets(self, no_masked_copies):
         rng = np.random.default_rng(220)
         cfg = FusionConfig(modalities=3, dims=(3, 4, 2), classes=4,
@@ -391,8 +419,10 @@ class TestReadPathsTakeViews:
             ref = reference_forward(model, batch, keep).p
             assert_close(entropy, R.entropy_rows(ref).data.mean())
 
-    def test_gamma_zero_scheduled_lambda_training(self, no_masked_copies):
-        res = train(small_cfg(gamma=0.0, epochs=2), small_data())
+    @pytest.mark.parametrize("lam_mode", ["scheduled", "instance"])
+    def test_gamma_zero_training(self, lam_mode, no_masked_copies):
+        res = train(small_cfg(gamma=0.0, epochs=2, lam_mode=lam_mode),
+                    small_data())
         assert all(h.cec == 0.0 and np.isfinite(h.total) for h in res.history)
         assert res.history[-1].lam > 0.0
 
