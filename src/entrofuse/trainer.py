@@ -30,7 +30,8 @@ from .curriculum import (Schedules, acm_distribution, sample_keep,
                          schedule_lambda, schedule_pi)
 from .data import MultimodalBatch, apply_mask, bernoulli_mask
 from .losses import LossBreakdown, cec_pairs, step_loss
-from .metrics import confidence_correct, ece, map_at_1, top1_accuracy
+from .metrics import (confidence_correct, ece, entropy_confidence_export,
+                      map_at_1, top1_accuracy)
 from .model import FusionConfig, FusionModel, forward
 from .optim import adamw_step, cosine_lr
 from .rng import stream
@@ -136,6 +137,10 @@ class RunResult:
     wall_clock: float
     temperature: float | None
     v_max: float | None
+    # the test split train was given, with the (gate entropy, confidence)
+    # rows of its clean evaluation pass; None when no rate left the split
+    # unmasked or the single-modality ablation evaluated a masked copy
+    test_scatter: tuple[MultimodalBatch, np.ndarray] | None = None
 
 
 def run_config_hash(cfg: TrainConfig, fcfg: FusionConfig) -> str:
@@ -292,16 +297,20 @@ def train(cfg: TrainConfig, data: tuple[MultimodalBatch, MultimodalBatch, Multim
             val_out = forward(model, val_b)
         temperature = fit_temperature(val_out.logits.data, val_b.labels,
                                       multilabel=multilabel)
+    val_out = None  # free the last validation pass before the test passes
 
-    eval_table = evaluate_under_dropout(
+    eval_table, scatter = _dropout_table(
         model, test_b, rates=cfg.eval_rates, seeds=cfg.eval_seeds,
         seed=cfg.seed, temperature=temperature or 1.0)
+    test_scatter = None
+    if scatter is not None and test_b is data[2]:
+        test_scatter = (test_b, scatter)
 
     return RunResult(
         history=history, metric_history=metric_history, eval_table=eval_table,
         model=model, config_hash=run_config_hash(cfg, fcfg),
         wall_clock=time.perf_counter() - t_start,
-        temperature=temperature, v_max=v_max)
+        temperature=temperature, v_max=v_max, test_scatter=test_scatter)
 
 
 def evaluate_under_dropout(model: FusionModel, batch: MultimodalBatch,
@@ -316,11 +325,21 @@ def evaluate_under_dropout(model: FusionModel, batch: MultimodalBatch,
     every rate, evaluated once, when no row observes two modalities (e.g.
     single-modality runs): no draw can change such a batch.
     """
+    return _dropout_table(model, batch, rates, seeds, seed, temperature)[0]
+
+
+def _dropout_table(model: FusionModel, batch: MultimodalBatch,
+                   rates: tuple[float, ...], seeds: int, seed: int,
+                   temperature: float):
+    """``evaluate_under_dropout``'s table, and the per-sample (gate entropy,
+    confidence) rows of its first unmasked pass (None when every rate was
+    masked)."""
     if any(not 0.0 <= r < 1.0 for r in rates):
         raise ValueError("rates must be in [0, 1)")
     multilabel = model.cfg.multilabel
     maskable = (batch.presence.sum(axis=1) > 1).any()
     table: dict[float, dict[str, float]] = {}
+    scatter = None
     for r_index, rate in enumerate(rates):
         masked = rate > 0.0 and maskable
         draws = seeds if masked else 1
@@ -334,13 +353,15 @@ def evaluate_under_dropout(model: FusionModel, batch: MultimodalBatch,
                 views = np.where(views.any(axis=1, keepdims=True), views,
                                  batch.presence)[None]
             out = forward(model, batch, views)
+            if views is None and scatter is None:
+                scatter = entropy_confidence_export(out)
             row = _metric_row(out.logits.data, batch.labels, multilabel,
                               temperature=temperature)
             acc["score"] += row["score"]
             acc["ece"] += row["ece"]
             acc["gate_entropy"] += float(out.gate_entropy.mean())
         table[rate] = {k: v / draws for k, v in acc.items()}
-    return table
+    return table, scatter
 
 
 def fit_temperature(logits: np.ndarray, labels: np.ndarray,

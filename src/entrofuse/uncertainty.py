@@ -4,10 +4,12 @@ Each modality branch is scored by the variance of its max class logit under
 feature dropout (Monte Carlo) or under an ensemble of freshly drawn heads.
 The per-sample weight is
 
-    lam(x) = lam_min + softplus(min(mean_m var_m(x), v_max))
+    lam(x) = lam_min + softplus(min(v(x), v_max)),
+    v(x) = sum over observed m of var_m(x) / |observed(x)|,
 
-so it is bounded in (lam_min, lam_min + softplus(v_max)]; v_max is calibrated
-once as the largest mean branch variance observed on a validation batch.
+the mean over the branches of the modalities the row observes, so it is
+bounded in (lam_min, lam_min + softplus(v_max)]; v_max is calibrated once as
+the largest v(x) on a validation batch.
 """
 
 from __future__ import annotations
@@ -24,6 +26,7 @@ __all__ = [
     "mc_variance",
     "ensemble_variance",
     "branch_variance",
+    "mean_branch_variance",
     "lambda_of",
     "calibrate_vmax",
     "lambda_upper",
@@ -53,7 +56,7 @@ class LambdaConfig:
             raise ValueError("v_max must be nonnegative")
 
 
-# Uniforms drawn per dropout block: enough draws per block to amortize the
+# Entries drawn per dropout block: enough draws per block to amortize the
 # per-op overhead on these small arrays, few enough that the block stays in
 # cache and the working set does not grow with the draw count. On a 2-core
 # Xeon (AVX-512, 4 MiB L2) 2**15 beat 2**14 and 2**16 on 128 x 32 batches.
@@ -64,16 +67,22 @@ def mc_variance(model, batch: MultimodalBatch, rng: np.random.Generator,
                 draws: int = 20, rate: float = 0.1) -> np.ndarray:
     """Per-sample, per-branch variance (ddof=1) of the max class logit when
     the branch input is hit with inverted dropout. Shape [n, modalities].
-    A modality a row does not observe (``batch.presence``) enters as the
-    zero vector, whatever its features hold.
+    A modality a row does not observe (``batch.presence``) is no branch of
+    that row: it takes no draws and its entry is 0.
 
-    Uniforms are consumed modality by modality and, within a modality,
-    draw-major: exactly the stream of one ``rng.random((n, d_m))`` call per
-    draw, so the estimate does not depend on how the draws are grouped.
-    They are taken in blocks of ``max(1, BLOCK // (n * d_m))`` draws, which
-    bounds the dropout working set by ``BLOCK`` elements or one draw,
-    whichever is larger, whatever ``draws`` is; only the [draws, n] max
-    logits grow with ``draws``. ``rate == 0`` draws nothing.
+    The masks come from one stream of 16-bit lanes. For modality m, observed
+    by r rows (in row order) with d features, each draw reads
+    ceil(r * d / 4) words of ``rng.bit_generator.random_raw`` as
+    little-endian uint16 lanes, and its first r * d lanes are the draw's
+    [r, d] entries in row-major order. An entry drops when its lane is
+    below cut = round(rate * 2**16), so the realised drop probability is
+    cut / 2**16; a kept entry is scaled by 1 / (1 - rate). Draws are taken
+    modality by modality and draw-major within a modality, in blocks of
+    max(1, BLOCK // (r * d)) draws with one ``random_raw`` call each, so
+    the estimate does not depend on the blocking, and the dropout working
+    set is BLOCK entries or one draw, whichever is larger, whatever
+    ``draws`` is; only the [draws, n] max logits grow with ``draws``.
+    ``rate == 0`` draws nothing.
     """
     if draws < 2:
         raise ValueError("variance needs at least two draws")
@@ -83,26 +92,39 @@ def mc_variance(model, batch: MultimodalBatch, rng: np.random.Generator,
     var = np.zeros((n, batch.num_modalities))
     head_w = model.head_w.data
     head_b = model.head_b.data
-    ys = np.empty((draws, n))
+    # a Python int, compared by value: at 2**16 (rates within 2**-17 of 1)
+    # every lane drops rather than the threshold wrapping to 0 in uint16
+    cut = round(rate * 2**16)
+    samples = np.empty(draws * n)  # each modality's [draws, r] max logits
     for m in range(batch.num_modalities):
-        h = np.where(batch.presence[:, m, None], batch.features[m], 0.0)
+        rows = np.flatnonzero(batch.presence[:, m])
+        r = rows.size
+        if r == 0:
+            continue
+        h = batch.features[m][rows]
         d = h.shape[1]
         vw = model.proj[m].data @ head_w  # combined [d_m, classes]
+        ys = samples[:draws * r].reshape(draws, r)
         if rate == 0.0:
             ys[:] = (h @ vw + head_b).max(axis=1)
         else:
             scaled = h / (1.0 - rate)
-            block = np.empty((min(draws, max(1, BLOCK // max(1, n * d))), n, d))
+            words = -(-r * d // 4)
+            block = np.empty((min(draws, max(1, BLOCK // (r * d))), r, d))
             for lo in range(0, draws, len(block)):
                 u = block[:draws - lo]
-                rng.random(out=u)
-                hk = np.multiply(u >= rate, scaled, out=u)
+                raw = rng.bit_generator.random_raw(len(u) * words)
+                lanes = raw.astype("<u8", copy=False).view("<u2")
+                np.greater_equal(
+                    lanes.reshape(len(u), -1)[:, :r * d].reshape(u.shape),
+                    cut, out=u)
+                u *= scaled
                 # the stacked matmul makes the same BLAS call per draw as a
-                # single [n, d_m] @ [d_m, classes] product, so each draw's
+                # single [r, d_m] @ [d_m, classes] product, so each draw's
                 # logits are bit-identical to it; the class axis goes first
                 # so the max runs over a few long rows
-                logits = np.empty((vw.shape[1], len(u), n))
-                np.add((hk @ vw).transpose(2, 0, 1), head_b[:, None, None],
+                logits = np.empty((vw.shape[1], len(u), r))
+                np.add((u @ vw).transpose(2, 0, 1), head_b[:, None, None],
                        out=logits)
                 logits.max(axis=0, out=ys[lo:lo + len(u)])
         # ys.var(axis=0, ddof=1) step for step, but in place: the samples
@@ -110,26 +132,26 @@ def mc_variance(model, batch: MultimodalBatch, rng: np.random.Generator,
         mean = ys.sum(axis=0) / draws
         ys -= mean
         ys *= ys
-        var[:, m] = ys.sum(axis=0) / (draws - 1)
+        var[rows, m] = ys.sum(axis=0) / (draws - 1)
     return var
 
 
 def ensemble_variance(model, batch: MultimodalBatch, rng: np.random.Generator,
                       size: int = 5) -> np.ndarray:
-    """Same statistic with head weights resampled instead of dropout; an
-    unobserved modality enters as the zero vector here too."""
+    """Same statistic with head weights resampled instead of dropout, over
+    the rows that observe each modality; the heads are drawn first, all at
+    once, whatever the presence."""
     if size < 2:
         raise ValueError("variance needs at least two ensemble members")
     d_z, classes = model.head_w.shape
     bound = 1.0 / np.sqrt(d_z)
     heads = rng.uniform(-bound, bound, size=(size, d_z, classes))
-    n = batch.n
-    var = np.zeros((n, batch.num_modalities))
+    var = np.zeros((batch.n, batch.num_modalities))
     for m in range(batch.num_modalities):
-        h = np.where(batch.presence[:, m, None], batch.features[m], 0.0)
-        base = h @ model.proj[m].data  # [n, d_z]
-        ys = (base @ heads).max(axis=2)  # [size, n], one head per row
-        var[:, m] = ys.var(axis=0, ddof=1)
+        rows = np.flatnonzero(batch.presence[:, m])
+        base = batch.features[m][rows] @ model.proj[m].data  # [r, d_z]
+        ys = (base @ heads).max(axis=2)  # [size, r], one head per row
+        var[rows, m] = ys.var(axis=0, ddof=1)
     return var
 
 
@@ -140,10 +162,23 @@ def branch_variance(model, batch: MultimodalBatch, cfg: LambdaConfig,
     return ensemble_variance(model, batch, rng, size=cfg.ensemble_size)
 
 
+def mean_branch_variance(model, batch: MultimodalBatch, cfg: LambdaConfig,
+                         rng: np.random.Generator) -> np.ndarray:
+    """v(x): each row's branch variances averaged over the modalities it
+    observes. Raises ``ValueError`` if a row observes none, before drawing
+    anything."""
+    observed = batch.presence.sum(axis=1)
+    empty = int((observed == 0).sum())
+    if empty:
+        raise ValueError(f"{empty} of {batch.n} rows observe no modality, "
+                         "so they have no branch variance to average")
+    return branch_variance(model, batch, cfg, rng).sum(axis=1) / observed
+
+
 def lambda_of(model, batch: MultimodalBatch, cfg: LambdaConfig,
               rng: np.random.Generator) -> np.ndarray:
     """Per-sample entropy weight, capped at v_max before the softplus."""
-    vbar = branch_variance(model, batch, cfg, rng).mean(axis=1)
+    vbar = mean_branch_variance(model, batch, cfg, rng)
     if cfg.v_max is not None:
         vbar = np.minimum(vbar, cfg.v_max)
     return cfg.lam_min + softplus(vbar)
@@ -152,7 +187,7 @@ def lambda_of(model, batch: MultimodalBatch, cfg: LambdaConfig,
 def calibrate_vmax(model, batch: MultimodalBatch, cfg: LambdaConfig,
                    rng: np.random.Generator) -> float:
     """Largest uncapped mean branch variance on the given batch."""
-    return float(branch_variance(model, batch, cfg, rng).mean(axis=1).max())
+    return float(mean_branch_variance(model, batch, cfg, rng).max())
 
 
 def with_vmax(cfg: LambdaConfig, v_max: float) -> LambdaConfig:

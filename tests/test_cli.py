@@ -2,6 +2,7 @@
 
 import json
 import os
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -9,9 +10,12 @@ import yaml
 
 import entrofuse.cli as cli_module
 import entrofuse.model as model_module
+import entrofuse.trainer as trainer_module
 from entrofuse.cli import main
-from entrofuse.data import load_dataset
-from entrofuse.trainer import ABLATIONS
+from entrofuse.config import load_config
+from entrofuse.data import generate, load_dataset
+from entrofuse.metrics import entropy_confidence_export
+from entrofuse.trainer import ABLATIONS, train
 
 
 SMALL_CONFIG = {
@@ -117,6 +121,61 @@ class TestAblateCommand:
         for tag in ABLATIONS:
             assert os.path.isdir(os.path.join(out, tag))
         assert "ablation table" in capsys.readouterr().out
+
+
+class TestOneTestForwardPerRun:
+    @staticmethod
+    def _count_test_forwards(monkeypatch, test):
+        seen = []
+        real = model_module.forward
+
+        def counting(model, batch, views=None):
+            seen.append(views is None and batch.n == test.n and all(
+                np.array_equal(a, b)
+                for a, b in zip(batch.features, test.features)))
+            return real(model, batch, views)
+
+        for module in (cli_module, model_module, trainer_module):
+            monkeypatch.setattr(module, "forward", counting)
+        return seen
+
+    def test_run_forwards_the_clean_test_split_once(
+            self, config_path, tmp_path, monkeypatch):
+        # eval rates hold 0.0: the scatter reuses that column's pass
+        test = generate(load_config(config_path).data)[2]
+        seen = self._count_test_forwards(monkeypatch, test)
+        assert main(["run", "--config", config_path,
+                     "--out", str(tmp_path / "run")]) == 0
+        assert seen.count(True) == 1
+
+    def test_scatter_of_another_split_is_forwarded(self, config_path,
+                                                   tmp_path):
+        cfg = load_config(config_path)
+        data = generate(cfg.data)
+        result = train(cfg.train, data)
+        cli_module.write_run_dir(str(tmp_path / "a"), cfg, result, data[2])
+        cli_module.write_run_dir(str(tmp_path / "b"), cfg, result,
+                                 data[2].copy())
+        for name in ("eval.csv", "scatter.csv"):
+            a = (tmp_path / "a" / name).read_bytes()
+            assert a == (tmp_path / "b" / name).read_bytes(), name
+
+    def test_single_modality_scatter_reads_the_full_split(self, config_path,
+                                                          tmp_path):
+        # train evaluates a masked copy there, so write_run_dir forwards the
+        # split it is given
+        cfg = load_config(config_path)
+        cfg = replace(cfg, train=replace(cfg.train,
+                                         ablation="single_modality"))
+        data = generate(cfg.data)
+        result = train(cfg.train, data)
+        assert result.test_scatter is None
+        cli_module.write_run_dir(str(tmp_path / "run"), cfg, result, data[2])
+        scatter = np.loadtxt(tmp_path / "run" / "scatter.csv", delimiter=",",
+                             skiprows=1)
+        want = entropy_confidence_export(model_module.forward(result.model,
+                                                              data[2]))
+        assert np.array_equal(scatter, want)
 
 
 class TestAuditCommand:

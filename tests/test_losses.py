@@ -211,6 +211,22 @@ def composed_cec_loss(conf_by_subset, pairs):
     return R.mul_scalar(total, 1.0 / len(pairs))
 
 
+def per_pair_cec_grad(conf, index, weight):
+    """``cec_loss``'s gradient accumulated one pair at a time, in reverse
+    pair order, two in-place row updates per pair."""
+    small, big = index[:, 0], index[:, 1]
+    n = conf.shape[1]
+    diff = conf[small] - conf[big]
+    g = float(weight * (1.0 / len(index))) / n * np.maximum(diff, 0.0)
+    g += g
+    g *= diff > 0.0
+    grad = np.zeros_like(conf)
+    for k in reversed(range(len(index))):
+        grad[small[k]] += g[k]
+        grad[big[k]] -= g[k]
+    return grad
+
+
 class TestFusedCecLoss:
     """The plain hinge against the composed chain and the one-node
     ``hinge_pairs`` it replaced: value and gradient equal bit for bit, with
@@ -254,6 +270,19 @@ class TestFusedCecLoss:
             want, want_grad = self._chain(chain, subsets, values)
             assert np.array_equal(got, want)
             assert np.array_equal(got_grad, want_grad)
+
+    @pytest.mark.parametrize("m,limit", CASES)
+    @pytest.mark.parametrize("seed", range(4))
+    def test_gradient_matches_per_pair_loop(self, m, limit, seed):
+        rng = np.random.default_rng([50 + m, seed])
+        pairs = cec_pairs(m, rng, limit=limit) if limit else cec_pairs(m)
+        _, index, values = self._confidences(rng, pairs)
+        index = np.array(index)
+        # from 3 modalities on, some view is the small side of one pair and
+        # the big side of another
+        assert (m < 3) == (np.intersect1d(index[:, 0], index[:, 1]).size == 0)
+        _, got = cec_loss(values, index, weight=20.0)
+        assert np.array_equal(got, per_pair_cec_grad(values, index, 20.0))
 
     def test_gradient_matches_central_differences(self):
         rng = np.random.default_rng(45)

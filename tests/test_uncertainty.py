@@ -1,6 +1,7 @@
 """Instance-adaptive entropy weight from per-branch predictive variance."""
 
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -11,45 +12,60 @@ from entrofuse.subsets import SubsetMask
 from entrofuse.tensor import softplus
 from entrofuse.uncertainty import (BLOCK, LambdaConfig, branch_variance,
                                    calibrate_vmax, ensemble_variance,
-                                   lambda_of, lambda_upper, mc_variance,
+                                   lambda_of, lambda_upper,
+                                   mc_variance, mean_branch_variance,
                                    with_vmax)
 
-from test_model import random_batch, random_model
+from test_model import random_batch, random_model, random_presence
 
 
 def per_draw_mc_variance(model, batch, rng, draws=20, rate=0.1):
-    """Reference estimator: one dropout pass per draw and modality."""
-    n = batch.n
-    var = np.zeros((n, batch.num_modalities))
+    """Reference estimator: one dropout pass per draw and modality, over the
+    rows that observe the modality, each draw's mask read from its own
+    ``random_raw`` call as uint16 lanes."""
+    var = np.zeros((batch.n, batch.num_modalities))
     head_w = model.head_w.data
     head_b = model.head_b.data
+    cut = round(rate * 2**16)
     for m in range(batch.num_modalities):
-        h = np.where(batch.presence[:, m, None], batch.features[m], 0.0)
+        rows = np.flatnonzero(batch.presence[:, m])
+        if rows.size == 0:
+            continue
+        h = batch.features[m][rows]
         vw = model.proj[m].data @ head_w
-        ys = np.empty((draws, n))
+        ys = np.empty((draws, rows.size))
         for k in range(draws):
             if rate > 0.0:
-                keep = (rng.random(h.shape) >= rate).astype(np.float64)
+                raw = rng.bit_generator.random_raw(-(-h.size // 4))
+                lanes = raw.astype("<u8").view("<u2")[:h.size].reshape(h.shape)
+                keep = (lanes >= cut).astype(np.float64)
                 hk = h * keep / (1.0 - rate)
             else:
                 hk = h
             ys[k] = (hk @ vw + head_b).max(axis=1)
-        var[:, m] = ys.var(axis=0, ddof=1)
+        var[rows, m] = ys.var(axis=0, ddof=1)
     return var
 
 
 def per_head_ensemble_variance(model, batch, rng, size=5):
-    """Reference estimator: one head drawn and scored at a time."""
+    """Reference estimator: one head drawn and scored at a time, over the
+    rows that observe each modality."""
     d_z, classes = model.head_w.shape
     bound = 1.0 / np.sqrt(d_z)
     heads = [rng.uniform(-bound, bound, size=(d_z, classes)) for _ in range(size)]
     var = np.zeros((batch.n, batch.num_modalities))
     for m in range(batch.num_modalities):
-        h = np.where(batch.presence[:, m, None], batch.features[m], 0.0)
-        base = h @ model.proj[m].data
+        rows = np.flatnonzero(batch.presence[:, m])
+        if rows.size == 0:
+            continue
+        base = batch.features[m][rows] @ model.proj[m].data
         ys = np.stack([(base @ w).max(axis=1) for w in heads])
-        var[:, m] = ys.var(axis=0, ddof=1)
+        var[rows, m] = ys.var(axis=0, ddof=1)
     return var
+
+
+def same_state(a, b):
+    return a.bit_generator.state == b.bit_generator.state
 
 
 # (dims, classes): the benchmark's layout, and unequal dims with few classes
@@ -146,6 +162,80 @@ class TestMcVariance:
             mc_variance(model, batch, np.random.default_rng(0), draws=1)
 
 
+class TestDropoutStream:
+    """The documented mask stream: ceil(r * d / 4) words of ``random_raw``
+    per draw of a modality observed by r rows, read as uint16 lanes that
+    drop an entry when below round(rate * 2**16)."""
+
+    def _setup(self, seed, n=9, dims=(5, 3), presence=None):
+        rng = np.random.default_rng(seed)
+        cfg = FusionConfig(modalities=len(dims), dims=dims, classes=4,
+                           fused_dim=4)
+        return random_model(rng, cfg), random_batch(rng, n, dims, 4, presence)
+
+    def test_only_observed_rows_take_draws(self):
+        presence = np.ones((9, 2), dtype=bool)
+        presence[[1, 4, 5], 0] = False  # 6 rows observe modality 0
+        presence[:, 1] = False
+        presence[[1, 4, 5], 1] = True  # 3 rows observe modality 1
+        model, batch = self._setup(80, presence=presence)
+        rng, want = np.random.default_rng(81), np.random.default_rng(81)
+        var = mc_variance(model, batch, rng, draws=7, rate=0.3)
+        want.bit_generator.random_raw(7 * -(-6 * 5 // 4) + 7 * -(-3 * 3 // 4))
+        assert same_state(rng, want)
+        assert ((var > 0.0) == presence).all()
+
+    def test_unobserved_modality_takes_no_draws(self):
+        presence = np.ones((9, 2), dtype=bool)
+        presence[:, 1] = False
+        model, batch = self._setup(82, presence=presence)
+        rng, want = np.random.default_rng(83), np.random.default_rng(83)
+        var = mc_variance(model, batch, rng, draws=4, rate=0.5)
+        want.bit_generator.random_raw(4 * -(-9 * 5 // 4))
+        assert same_state(rng, want)
+        assert (var[:, 1] == 0.0).all()
+
+    def test_rate_just_below_one_drops_every_entry(self):
+        # round(rate * 2**16) is 2**16 here, one past the largest lane
+        model, batch = self._setup(84)
+        rate = 1.0 - 2**-20
+        assert round(rate * 2**16) == 2**16
+        rng, want = np.random.default_rng(85), np.random.default_rng(85)
+        var = mc_variance(model, batch, rng, draws=6, rate=rate)
+        np.testing.assert_allclose(var, 0.0, rtol=0, atol=1e-30)
+        want.bit_generator.random_raw(6 * (-(-9 * 5 // 4) + -(-9 * 3 // 4)))
+        assert same_state(rng, want)
+
+    def test_tiny_rate_drops_no_entry(self):
+        # round(rate * 2**16) is 0: every lane keeps, yet draws are taken
+        model, batch = self._setup(86)
+        rate = 2**-20
+        rng, want = np.random.default_rng(87), np.random.default_rng(87)
+        var = mc_variance(model, batch, rng, draws=6, rate=rate)
+        np.testing.assert_allclose(var, 0.0, rtol=0, atol=1e-30)
+        want.bit_generator.random_raw(6 * (-(-9 * 5 // 4) + -(-9 * 3 // 4)))
+        assert same_state(rng, want)
+
+    def test_entry_kept_exactly_when_its_lane_reaches_the_cut(self):
+        # one row of one feature, so every draw reads one lane of a word;
+        # the entry is kept exactly when that lane is at least the cut
+        rng = np.random.default_rng(88)
+        cfg = FusionConfig(modalities=2, dims=(1, 1), classes=1, fused_dim=2)
+        model = random_model(rng, cfg)
+        batch = random_batch(rng, 1, cfg.dims, 2, [[True, False]])
+        rate = 0.3
+        draws = 64
+        lanes = (np.random.default_rng(89).bit_generator.random_raw(draws)
+                 .astype("<u8").view("<u2")[::4])
+        keep = lanes >= round(rate * 2**16)
+        h = batch.features[0][0, 0] / (1.0 - rate)
+        vw = (model.proj[0].data @ model.head_w.data)[0, 0]
+        ys = np.where(keep, h, 0.0) * vw + model.head_b.data[0]
+        var = mc_variance(model, batch, np.random.default_rng(89),
+                          draws=draws, rate=rate)
+        np.testing.assert_allclose(var[0, 0], ys.var(ddof=1), rtol=1e-12)
+
+
 class TestBlockedEquivalence:
     """The blocked estimators against the one-draw-at-a-time references:
     equal bit for bit, and leaving the generator in the same state."""
@@ -153,37 +243,46 @@ class TestBlockedEquivalence:
     @pytest.mark.parametrize("dims,classes", LAYOUTS)
     @pytest.mark.parametrize("rate", [0.0, 0.2])
     @pytest.mark.parametrize("n", [1, 7, 2000])
-    def test_mc_variance_matches_per_draw_loop(self, dims, classes, rate, n):
+    @pytest.mark.parametrize("partial", [False, True])
+    def test_mc_variance_matches_per_draw_loop(self, dims, classes, rate, n,
+                                               partial):
         draws = 21
-        if n == 2000:  # several blocks per modality, the last one partial
-            assert all(BLOCK // (n * d) < draws for d in dims)
-        else:  # one block per modality
-            assert all(BLOCK // (n * d) >= draws for d in dims)
         rng = np.random.default_rng(n)
+        presence = (random_presence(rng, n, len(dims)) if partial
+                    else np.ones((n, len(dims)), dtype=bool))
+        for d, r in zip(dims, presence.sum(axis=0)):
+            if n == 2000:  # several blocks per modality, the last one partial
+                assert BLOCK // (r * d) < draws
+            elif r:  # one block per observed modality
+                assert BLOCK // (r * d) >= draws
         cfg = FusionConfig(modalities=len(dims), dims=dims, classes=classes,
                            fused_dim=8)
         model = random_model(rng, cfg)
-        batch = random_batch(rng, n, dims, classes)
+        batch = random_batch(rng, n, dims, classes, presence)
         got_rng, want_rng = np.random.default_rng(60), np.random.default_rng(60)
         got = mc_variance(model, batch, got_rng, draws=draws, rate=rate)
         want = per_draw_mc_variance(model, batch, want_rng, draws=draws,
                                     rate=rate)
         assert np.array_equal(got, want)
-        assert got_rng.random() == want_rng.random()
+        assert same_state(got_rng, want_rng)
 
     @pytest.mark.parametrize("dims,classes", LAYOUTS)
     @pytest.mark.parametrize("n", [1, 7, 500])
-    def test_ensemble_variance_matches_per_head_loop(self, dims, classes, n):
+    @pytest.mark.parametrize("partial", [False, True])
+    def test_ensemble_variance_matches_per_head_loop(self, dims, classes, n,
+                                                     partial):
         rng = np.random.default_rng(70 + n)
+        presence = (random_presence(rng, n, len(dims)) if partial
+                    else np.ones((n, len(dims)), dtype=bool))
         cfg = FusionConfig(modalities=len(dims), dims=dims, classes=classes,
                            fused_dim=8)
         model = random_model(rng, cfg)
-        batch = random_batch(rng, n, dims, classes)
+        batch = random_batch(rng, n, dims, classes, presence)
         got_rng, want_rng = np.random.default_rng(61), np.random.default_rng(61)
         got = ensemble_variance(model, batch, got_rng, size=5)
         want = per_head_ensemble_variance(model, batch, want_rng, size=5)
         assert np.array_equal(got, want)
-        assert got_rng.random() == want_rng.random()
+        assert same_state(got_rng, want_rng)
 
     @pytest.mark.parametrize("draws", [20, 400])
     def test_working_set_does_not_grow_with_draws(self, draws):
@@ -289,6 +388,80 @@ class TestLambdaOf:
         var = mc_variance(model, batch, np.random.default_rng(25), draws=6)
         np.testing.assert_allclose(lam, 0.01 + softplus(var.mean(axis=1)),
                                    rtol=0, atol=1e-15)
+
+
+class TestObservedBranches:
+    """v(x) averages the branches of the modalities a row observes."""
+
+    def _cfg_batch(self, seed, n, dims, presence=None):
+        rng = np.random.default_rng(seed)
+        cfg = FusionConfig(modalities=len(dims), dims=dims, classes=3,
+                           fused_dim=4)
+        return random_model(rng, cfg), random_batch(rng, n, dims, 3, presence)
+
+    def test_mean_over_observed_branches(self):
+        presence = np.array([[True, True, True], [True, False, False],
+                             [False, True, True], [False, False, True]])
+        model, batch = self._cfg_batch(90, 4, (4, 3, 5), presence)
+        lcfg = LambdaConfig(draws=6, rate=0.2)
+        v = mean_branch_variance(model, batch, lcfg, np.random.default_rng(91))
+        var = mc_variance(model, batch, np.random.default_rng(91), draws=6,
+                          rate=0.2)
+        expected = [var[0].mean(), var[1, 0], var[2, 1:].mean(), var[3, 2]]
+        np.testing.assert_allclose(v, expected, rtol=1e-15, atol=0)
+
+    @pytest.mark.parametrize("source", ["mc", "ensemble"])
+    def test_rows_observing_nothing_rejected(self, source):
+        presence = np.ones((6, 2), dtype=bool)
+        presence[[1, 4], :] = False
+        model, batch = self._cfg_batch(92, 6, (3, 3), presence)
+        lcfg = with_vmax(LambdaConfig(source=source, draws=4), 0.5)
+        rng = np.random.default_rng(93)
+        state = rng.bit_generator.state
+        message = "2 of 6 rows observe no modality"
+        with pytest.raises(ValueError, match=message):
+            lambda_of(model, batch, lcfg, rng)
+        with pytest.raises(ValueError, match=message):
+            calibrate_vmax(model, batch, lcfg, rng)
+        assert rng.bit_generator.state == state  # raised before drawing
+
+
+class TestLambdaInvariants:
+    """Random presence patterns (every row observing at least one modality),
+    2 to 5 modalities, both variance sources."""
+
+    @pytest.mark.parametrize("source", ["mc", "ensemble"])
+    @pytest.mark.parametrize("modalities", [2, 3, 4, 5])
+    @pytest.mark.parametrize("seed", range(3))
+    def test_invariants(self, source, modalities, seed):
+        rng = np.random.default_rng(1000 * modalities + seed)
+        dims = tuple(int(d) for d in rng.integers(1, 9, size=modalities))
+        cfg = FusionConfig(modalities=modalities, dims=dims,
+                           classes=int(rng.integers(1, 5)), fused_dim=4)
+        model = random_model(rng, cfg)
+        full = random_batch(rng, 40, dims, cfg.classes)
+        presence = random_presence(rng, 40, modalities)
+        batch = random_batch(rng, 40, dims, cfg.classes, presence)
+        lcfg = LambdaConfig(lam_min=0.01, draws=5, rate=0.25, source=source,
+                            ensemble_size=4)
+
+        # a fully observed batch averages every branch, as var.mean does
+        v = mean_branch_variance(model, full, lcfg, np.random.default_rng(1))
+        var = branch_variance(model, full, lcfg, np.random.default_rng(1))
+        assert np.array_equal(v, var.mean(axis=1))
+
+        lcfg = with_vmax(lcfg, calibrate_vmax(model, full, lcfg,
+                                              np.random.default_rng(2)))
+        lam = lambda_of(model, batch, lcfg, np.random.default_rng(3))
+        assert (lam > lcfg.lam_min).all()
+        assert (lam <= lambda_upper(lcfg) + 1e-15).all()  # softplus round-off
+
+        # what an unobserved modality's features hold changes nothing
+        noisy = [np.where(presence[:, m, None], f, rng.normal(size=f.shape))
+                 for m, f in enumerate(batch.features)]
+        lam_noisy = lambda_of(model, replace(batch, features=noisy), lcfg,
+                              np.random.default_rng(3))
+        assert np.array_equal(lam, lam_noisy)
 
 
 class TestCalibration:
