@@ -23,7 +23,7 @@ from .model import (ForwardOutput, FusionConfig, FusionModel, forward,
                     load_checkpoint, predict_subset, save_checkpoint)
 from .optim import adamw_step, cosine_lr
 from .rng import stream
-from .subsets import SubsetMask, nonempty_subsets, subset_lattice
+from .subsets import SubsetLattice, nonempty_subsets, subset_lattice
 from .tensor import Tape, Tensor, grad_check, softplus
 from .trainer import (DivergenceError, RunResult, Switches, TrainConfig,
                       apply_ablation, evaluate_under_dropout, fit_temperature,
@@ -37,7 +37,7 @@ __all__ = [
     "CalibrationReport", "ConfigError", "DivergenceError", "ExperimentConfig",
     "ForwardOutput", "FusionConfig", "FusionModel", "InversionAudit",
     "LambdaConfig", "LossBreakdown", "MaskDistribution", "MultimodalBatch",
-    "RunResult", "Schedules", "SubsetMask", "Switches", "SyntheticSpec",
+    "RunResult", "Schedules", "SubsetLattice", "Switches", "SyntheticSpec",
     "Tape", "Tensor", "TrainConfig", "acm_distribution", "adamw_step",
     "apply_ablation", "apply_mask", "audit_confidences", "bernoulli_mask",
     "calibrate_vmax", "candidate_family", "cec_loss", "cec_pairs",

@@ -120,10 +120,8 @@ def write_run_dir(out: str, cfg: ExperimentConfig, result: RunResult,
     write_csv(os.path.join(out, "eval.csv"),
               ["rate", "score", "ece", "gate_entropy"], eval_rows)
 
-    cached = result.test_scatter  # from train's clean evaluation pass
-    if cached is not None and cached[0] is test_batch:
-        scatter = cached[1]
-    else:
+    scatter = result.test_scatter  # from train's clean evaluation pass
+    if scatter is None:
         scatter = entropy_confidence_export(forward(result.model, test_batch))
     write_csv(os.path.join(out, "scatter.csv"),
               ["gate_entropy", "confidence"], scatter.tolist())
@@ -275,8 +273,9 @@ def cmd_audit(args) -> int:
 
     audit = inversion_audit(model, test_b)
 
-    def cell(subset):  # comma-free rendering for CSV cells
-        return "+".join(str(i) for i in subset.indices())
+    def cell(row):  # a subset's modality indices, comma-free for CSV cells
+        return "+".join(str(m) for m, on in enumerate(audit.subsets[row])
+                        if on)
 
     pair_rows = [[cell(small), cell(big), audit.counts[i],
                   audit.mean_violation[i]]

@@ -9,13 +9,13 @@ exp(mean_entropy_after_dropping_S / eta).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .data import MultimodalBatch
 from .model import entropy_rows, gate_rows
-from .subsets import SubsetMask, nonempty_subsets
+from .subsets import nonempty_subsets
 
 __all__ = [
     "Schedules",
@@ -66,25 +66,21 @@ def schedule_lambda(t: int, s: Schedules) -> float:
 
 @dataclass(frozen=True)
 class MaskDistribution:
-    """Categorical distribution over candidate drop subsets.
+    """Categorical distribution over candidate drop subsets, the [K, M]
+    bool rows of ``support``.
 
     The support never contains the full drop (some modality always stays).
     """
 
-    support: tuple[SubsetMask, ...]
+    support: np.ndarray
     probs: np.ndarray
     mean_entropies: np.ndarray
-    # derived once here rather than on every sampling call
-    drop_table: np.ndarray = field(init=False, repr=False, compare=False)
-    cdf: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if len(self.support) == 0:
-            raise ValueError("support must be nonempty")
-        widths = {len(s.bits) for s in self.support}
-        if len(widths) != 1:
-            raise ValueError("support subsets must share one modality count")
-        if any(s.count == len(s.bits) for s in self.support):
+        if (self.support.dtype != bool or self.support.ndim != 2
+                or len(self.support) == 0):
+            raise ValueError("support must be nonempty [K, M] bool rows")
+        if self.support.all(axis=1).any():
             raise ValueError("support must exclude the full drop subset")
         if self.probs.shape != (len(self.support),):
             raise ValueError("probs length must match support")
@@ -93,20 +89,18 @@ class MaskDistribution:
             raise ValueError("probs must lie on the simplex")
         if self.mean_entropies.shape != self.probs.shape:
             raise ValueError("mean_entropies length must match support")
-        object.__setattr__(self, "drop_table", np.array(
-            [s.bits for s in self.support], dtype=bool))
-        object.__setattr__(self, "cdf", np.cumsum(self.probs))
 
 
-def candidate_family(modalities: int, family: str) -> list[SubsetMask]:
-    """Candidate drop subsets: exhaustive nonempty proper subsets for small
-    modality counts, or just the M singletons (linear cost)."""
+def candidate_family(modalities: int, family: str) -> np.ndarray:
+    """Candidate drop subsets as [K, M] bool rows: exhaustive nonempty
+    proper subsets for small modality counts, or just the M singletons
+    (linear cost)."""
     if family == "all_subsets":
         if modalities > 4:
             raise ValueError("all_subsets family is limited to 4 modalities")
-        return [s for s in nonempty_subsets(modalities) if s.count < modalities]
+        return nonempty_subsets(modalities)[:-1]
     if family == "single_drops":
-        return [SubsetMask.from_indices(modalities, [m]) for m in range(modalities)]
+        return np.eye(modalities, dtype=bool)
     raise ValueError(f"unknown family {family!r}")
 
 
@@ -121,14 +115,14 @@ def acm_distribution(model, batch: MultimodalBatch, eta: float,
     candidates = candidate_family(batch.num_modalities, family)
     entropies = np.empty(len(candidates))
     for i, drop in enumerate(candidates):
-        view = batch.presence & ~np.array(drop.bits)
+        view = batch.presence & ~drop
         entropies[i] = float(entropy_rows(
             gate_rows(model, batch, view[None]).data).mean())
     scaled = entropies / eta
     scaled = scaled - scaled.max()  # softmax shift, exact distribution unchanged
     weights = np.exp(scaled)
     probs = weights / weights.sum()
-    return MaskDistribution(support=tuple(candidates), probs=probs,
+    return MaskDistribution(support=candidates, probs=probs,
                             mean_entropies=entropies)
 
 
@@ -145,6 +139,7 @@ def sample_keep(dist: MaskDistribution, pi_t: float, n: int,
     gate = rng.random(n) < pi_t
     # inverse-CDF draws from the teacher, one uniform per sample, matching
     # rng.choice(len(support), size=n, p=probs) draw for draw
-    picks = np.searchsorted(dist.cdf, rng.random(n), side="right")
-    drop = np.where(gate[:, None], dist.drop_table[picks], False)
+    picks = np.searchsorted(np.cumsum(dist.probs), rng.random(n),
+                            side="right")
+    drop = np.where(gate[:, None], dist.support[picks], False)
     return ~drop

@@ -14,7 +14,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .rng import stream
-from .subsets import SubsetMask
 
 __all__ = [
     "SyntheticSpec",
@@ -66,8 +65,10 @@ class MultimodalBatch:
     """Per-modality feature matrices, presence mask and labels.
 
     features[m] is [n, d_m]; presence is [n, M] bool; labels is [n] int64 in
-    single-label mode or [n, C] float64 {0,1} in multi-label mode. Absent
-    modalities hold the zero fill vector.
+    single-label mode or [n, C] float64 {0,1} in multi-label mode. A model
+    pass weighs the features of a modality a row does not observe by
+    exactly 0, so they may hold any finite values (``apply_mask`` zeroes
+    them).
     """
 
     features: list = field(default_factory=list)
@@ -154,33 +155,23 @@ def generate(spec: SyntheticSpec) -> tuple[MultimodalBatch, MultimodalBatch, Mul
             full.take(np.arange(b, full.n)))
 
 
-def apply_mask(
-    batch: MultimodalBatch,
-    drop: SubsetMask | None = None,
-    per_sample: np.ndarray | None = None,
-) -> MultimodalBatch:
+def apply_mask(batch: MultimodalBatch,
+               per_sample: np.ndarray) -> MultimodalBatch:
     """Return a copy of the batch with modalities masked out.
 
-    ``drop`` marks modalities removed for every sample; ``per_sample`` is an
-    [n, M] boolean keep-matrix applied on top. Masked features become the
-    zero fill vector and presence flags are cleared. Raises if any sample
-    would end up with no observed modality.
+    ``per_sample`` is an [n, M] boolean keep-matrix applied on top of the
+    presence. Masked features become the zero fill vector and presence
+    flags are cleared. Raises if any sample would end up with no observed
+    modality.
     """
-    out = batch.copy()
-    keep = out.presence
-    if drop is not None:
-        if len(drop.bits) != batch.num_modalities:
-            raise ValueError("drop mask length != modality count")
-        if all(drop.bits):
-            raise ValueError("cannot drop all modalities")
-        keep = keep & ~np.asarray(drop.bits, dtype=bool)[None, :]
-    if per_sample is not None:
-        per_sample = np.asarray(per_sample, dtype=bool)
-        if per_sample.shape != keep.shape:
-            raise ValueError(f"per_sample mask shape {per_sample.shape} != {keep.shape}")
-        keep = keep & per_sample
+    per_sample = np.asarray(per_sample, dtype=bool)
+    if per_sample.shape != batch.presence.shape:
+        raise ValueError(f"per_sample mask shape {per_sample.shape} != "
+                         f"{batch.presence.shape}")
+    keep = batch.presence & per_sample
     if not keep.any(axis=1).all():
         raise ValueError("masking would leave a sample with no observed modality")
+    out = batch.copy()
     out.presence = keep
     for m in range(out.num_modalities):
         out.features[m][~keep[:, m]] = 0.0

@@ -20,7 +20,7 @@ import numpy as np
 from . import tensor as T
 from .data import MultimodalBatch
 from .model import class_probs, entropy_rows, forward
-from .subsets import SubsetMask, subset_lattice
+from .subsets import SubsetLattice, subset_lattice
 
 __all__ = [
     "LossBreakdown",
@@ -53,54 +53,29 @@ class LossBreakdown:
 
 
 def cec_pairs(modalities: int, rng: np.random.Generator | None = None,
-              limit: int = 8) -> list[tuple[SubsetMask, SubsetMask]]:
-    """Strict-inclusion subset pairs used by the consistency penalty.
+              limit: int = 8) -> SubsetLattice:
+    """The strict-inclusion lattice the consistency penalty runs over.
 
     Exhaustive up to 4 modalities; beyond that a fixed-size sample keeps the
     per-step cost bounded (requires an rng).
     """
-    pairs = subset_lattice(modalities)
-    if modalities <= 4 or len(pairs) <= limit:
-        return pairs
+    lattice = subset_lattice(modalities)
+    if modalities <= 4 or len(lattice.pairs) <= limit:
+        return lattice
     if rng is None:
         raise ValueError("rng required to sample pairs for modalities > 4")
-    chosen = rng.choice(len(pairs), size=limit, replace=False)
-    return [pairs[i] for i in sorted(chosen)]
-
-
-def _views(pairs: list[tuple[SubsetMask, SubsetMask]], presence: np.ndarray
-           ) -> tuple[np.ndarray, np.ndarray]:
-    """The pairs as [P, 2] (small, big) indices into the subsets they
-    mention, taken in first-mention order, and those subsets' [V, n, M]
-    views of rows with this presence: each subset's modalities that the row
-    observes. Raises ``ValueError`` unless every pair is a strict inclusion
-    of subsets of the presence's modalities."""
-    if not pairs:
-        raise ValueError("need at least one subset pair")
-    first: dict[tuple[bool, ...], int] = {}  # a subset's bits -> its view
-    index = np.array([first.setdefault(s.bits, len(first))
-                      for pair in pairs for s in pair]).reshape(-1, 2)
-    bits = np.array(list(first), dtype=bool)  # [V, M]
-    if bits.ndim != 2 or bits.shape[1] != presence.shape[1]:
-        raise ValueError("subset length does not match the modality count")
-    small, big = bits[index[:, 0]], bits[index[:, 1]]
-    loose = (small > big).any(axis=1) | (small == big).all(axis=1)
-    if loose.any():
-        a, b = pairs[int(loose.argmax())]
-        raise ValueError(f"pair ({a}, {b}) is not strict inclusion")
-    return index, bits[:, None] & presence[None]
+    chosen = rng.choice(len(lattice.pairs), size=limit, replace=False)
+    return lattice.select(np.sort(chosen))
 
 
 def subset_confidences(model, batch: MultimodalBatch,
-                       pairs: list[tuple[SubsetMask, SubsetMask]]
-                       ) -> dict[SubsetMask, np.ndarray]:
-    """Per-sample confidence for every subset a pair mentions, each equal
-    to ``predict_subset(model, batch, subset).confidence.data`` up to
-    round-off: one ``forward`` over a view of the batch's rows per subset,
-    read back in row blocks."""
-    _, views = _views(pairs, batch.presence)
-    conf = forward(model, batch, views).confidence.data.reshape(-1, batch.n)
-    return dict(zip(dict.fromkeys(s for pair in pairs for s in pair), conf))
+                       lattice: SubsetLattice) -> np.ndarray:
+    """[S, n] per-sample confidence for each of the lattice's subsets, row s
+    equal to the confidence of ``predict_subset(model, batch,
+    lattice.subsets[s])`` up to round-off: one ``forward`` over a view of
+    the batch's rows per subset, read back in row blocks."""
+    views = lattice.views(batch.presence)
+    return forward(model, batch, views).confidence.data.reshape(-1, batch.n)
 
 
 def cec_loss(conf: np.ndarray, pairs, weight: float = 1.0
@@ -247,30 +222,30 @@ def composite_loss(logits: T.Tensor, p: T.Tensor, labels: np.ndarray, *,
 
 
 def step_loss(model, batch: MultimodalBatch, keep: np.ndarray,
-              pairs: list[tuple[SubsetMask, SubsetMask]] | None, *,
-              lam: float | np.ndarray, gamma: float,
-              multilabel: bool = False) -> tuple[T.Tensor, LossBreakdown]:
+              lattice: SubsetLattice | None, *, lam: float | np.ndarray,
+              gamma: float, multilabel: bool = False
+              ) -> tuple[T.Tensor, LossBreakdown]:
     """Objective of one training step on the active tape.
 
     ``batch`` holds the minibatch rows and ``keep`` their [n, M]
-    curriculum-masked presence, inside ``batch.presence``. Without pairs,
-    one ``forward`` over the ``keep`` view feeds the task and entropy terms
-    and the consistency term is off. With pairs, one ``forward`` holds a
-    view per subset the pairs mention, which the consistency term reads;
-    the task and entropy terms read each masked row from a view whose row
-    has the same presence pattern. That is every row when all nonempty
-    subsets are viewed (up to 4 modalities); rows no view holds get one
-    extra view, ``keep`` itself.
+    curriculum-masked presence, inside ``batch.presence``. Without a
+    lattice, one ``forward`` over the ``keep`` view feeds the task and
+    entropy terms and the consistency term is off. With one, one
+    ``forward`` holds a view per lattice subset, which the consistency term
+    reads over the lattice's pairs; the task and entropy terms read each
+    masked row from a view whose row has the same presence pattern. That is
+    every row when all nonempty subsets are viewed (up to 4 modalities);
+    rows no view holds get one extra view, ``keep`` itself.
     """
     keep = np.asarray(keep, dtype=bool)
-    if pairs is None:
+    if lattice is None:
         out = forward(model, batch, keep[None])
         return composite_loss(out.logits, out.p, batch.labels, lam=lam,
                               gamma=0.0, multilabel=multilabel)
     n = batch.n
     if keep.shape != batch.presence.shape:
         raise ValueError(f"keep {keep.shape} needs {batch.presence.shape}")
-    index, views = _views(pairs, batch.presence)
+    views = lattice.views(batch.presence)
     held = (views == keep).all(axis=2)  # [V, n]
     if not held.any(axis=0).all():
         views = np.concatenate([views, keep[None]])
@@ -278,4 +253,5 @@ def step_loss(model, batch: MultimodalBatch, keep: np.ndarray,
     out = forward(model, batch, views)
     return composite_loss(out.logits, out.p, batch.labels, lam=lam,
                           gamma=gamma, rows=held.argmax(axis=0) * n
-                          + np.arange(n), pairs=index, multilabel=multilabel)
+                          + np.arange(n), pairs=lattice.pairs,
+                          multilabel=multilabel)

@@ -14,7 +14,7 @@ import numpy as np
 
 from .data import MultimodalBatch
 from .model import class_probs, predict_subset
-from .subsets import SubsetMask, subset_lattice
+from .subsets import SubsetLattice, subset_lattice
 
 __all__ = [
     "CalibrationReport",
@@ -136,7 +136,8 @@ class InversionAudit:
     """Confidence monotonicity audit over the strict-inclusion lattice:
     observing strictly more modalities must not lower confidence."""
 
-    pairs: tuple[tuple[SubsetMask, SubsetMask], ...]
+    subsets: np.ndarray         # [S, M] bool subset rows
+    pairs: np.ndarray           # [P, 2] (small, big) rows of ``subsets``
     counts: np.ndarray          # inversions per pair
     mean_violation: np.ndarray  # mean positive confidence gap per pair
     n: int
@@ -150,50 +151,38 @@ class InversionAudit:
         return self.total_count / (self.n * len(self.pairs))
 
 
-def audit_confidences(conf_by_subset, pairs) -> InversionAudit:
-    """Count samples with conf(A) > conf(B) over precomputed subset confidences."""
-    pairs = tuple(pairs)
-    if not pairs:
-        raise ValueError("need at least one subset pair")
-
-    def conf(subset: SubsetMask) -> np.ndarray:
-        if subset not in conf_by_subset:
-            raise ValueError(f"no confidence entry for subset {subset}")
-        return np.asarray(conf_by_subset[subset], dtype=np.float64)
-
-    n = conf(pairs[0][0]).shape[0]
-    for pair in pairs:
-        for subset in pair:
-            if conf(subset).shape != (n,):
-                raise ValueError("subset confidence vectors differ in length")
-    counts = np.zeros(len(pairs), dtype=np.int64)
-    violation = np.zeros(len(pairs))
-    for i, (small, big) in enumerate(pairs):
-        gap = conf(small) - conf(big)
-        counts[i] = int((gap > 0.0).sum())
-        violation[i] = float(np.maximum(gap, 0.0).mean())
-    return InversionAudit(pairs=pairs, counts=counts,
-                          mean_violation=violation, n=n)
+def audit_confidences(conf: np.ndarray, lattice: SubsetLattice
+                      ) -> InversionAudit:
+    """Count, per lattice pair (A, B), the samples with conf(A) > conf(B),
+    given [S, n] confidences whose row s is the lattice's subset s."""
+    conf = np.asarray(conf, dtype=np.float64)
+    s = len(lattice.subsets)
+    if conf.ndim != 2 or conf.shape[0] != s or conf.shape[1] == 0:
+        raise ValueError(f"confidences {conf.shape} need [{s}, n] with n > 0")
+    gap = conf[lattice.pairs[:, 0]] - conf[lattice.pairs[:, 1]]
+    return InversionAudit(subsets=lattice.subsets, pairs=lattice.pairs,
+                          counts=(gap > 0.0).sum(axis=1),
+                          mean_violation=np.maximum(gap, 0.0).mean(axis=1),
+                          n=conf.shape[1])
 
 
 def inversion_audit(model, batch: MultimodalBatch) -> InversionAudit:
-    """Count samples with conf(A) > conf(B) for every strict pair A in B."""
+    """Count samples with conf(A) > conf(B) for every strict pair A in B,
+    with one ``predict_subset`` pass per subset."""
     modalities = batch.num_modalities
     if modalities > 4:
         raise ValueError("full lattice audit is limited to 4 modalities")
-    pairs = subset_lattice(modalities)
-    conf_by_subset: dict[SubsetMask, np.ndarray] = {}
-    for pair in pairs:
-        for subset in pair:
-            if subset not in conf_by_subset:
-                conf_by_subset[subset] = predict_subset(model, batch, subset).confidence.data
-    return audit_confidences(conf_by_subset, pairs)
+    lattice = subset_lattice(modalities)
+    conf = np.empty((len(lattice.subsets), batch.n))
+    for row, subset in zip(conf, lattice.subsets):
+        row[:] = predict_subset(model, batch, subset).confidence.data
+    return audit_confidences(conf, lattice)
 
 
 def entropy_confidence_export(out) -> np.ndarray:
     """Per-sample (gate entropy, confidence) rows of a ``ForwardOutput``,
-    for external plotting."""
-    return np.column_stack([out.gate_entropy, out.confidence.data])
+    for external plotting. A one-hot gate row's entropy reads 0, not -0."""
+    return np.column_stack([out.gate_entropy + 0.0, out.confidence.data])
 
 
 def format_value(value) -> str:

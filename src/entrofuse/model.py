@@ -27,7 +27,6 @@ import numpy as np
 from . import tensor as T
 from .data import MultimodalBatch
 from .rng import stream
-from .subsets import SubsetMask, subset_lattice
 
 __all__ = [
     "FusionConfig",
@@ -39,8 +38,6 @@ __all__ = [
     "gate_rows",
     "forward",
     "predict_subset",
-    "subset_lattice",
-    "SubsetMask",
     "save_checkpoint",
     "load_checkpoint",
 ]
@@ -423,13 +420,14 @@ def forward(model: FusionModel, batch: MultimodalBatch,
 
 
 def predict_subset(model: FusionModel, batch: MultimodalBatch,
-                   observed: SubsetMask) -> ForwardOutput:
-    """``forward`` over the view of the batch that keeps ``observed``.
-    Raises ``ValueError`` as ``forward`` does, or if ``observed`` does not
-    cover the batch's modalities."""
-    if len(observed.bits) != batch.num_modalities:
+                   observed: np.ndarray) -> ForwardOutput:
+    """``forward`` over the view of the batch that keeps the modalities of
+    the [M] bool row ``observed``. Raises ``ValueError`` as ``forward``
+    does, or if ``observed`` does not cover the batch's modalities."""
+    observed = np.asarray(observed, dtype=bool)
+    if observed.shape != (batch.num_modalities,):
         raise ValueError("subset length != modality count")
-    return forward(model, batch, (batch.presence & observed.bits)[None])
+    return forward(model, batch, (batch.presence & observed)[None])
 
 
 # ---------------------------------------------------------------------------

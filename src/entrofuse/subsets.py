@@ -1,67 +1,78 @@
-"""Modality subsets and the strict-inclusion lattice over them."""
+"""Modality subsets as [M] bool rows, True marking a member, and the
+strict-inclusion lattice over them. The same row denotes an observed set
+(fusion) or a drop set (masking)."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
 
-__all__ = ["SubsetMask", "subset_lattice", "nonempty_subsets"]
+import numpy as np
+
+__all__ = ["SubsetLattice", "subset_lattice", "nonempty_subsets"]
 
 
-@dataclass(frozen=True)
-class SubsetMask:
-    """Bitmask over the M modalities. True marks a member of the subset.
-
-    The same type denotes observed sets (fusion) and drop sets (masking);
-    callers validate emptiness per use.
-    """
-
-    bits: tuple[bool, ...]
-
-    @classmethod
-    def from_indices(cls, modalities: int, indices) -> "SubsetMask":
-        idx = set(int(i) for i in indices)
-        if any(i < 0 or i >= modalities for i in idx):
-            raise ValueError(f"index out of range for {modalities} modalities")
-        return cls(tuple(i in idx for i in range(modalities)))
-
-    @classmethod
-    def full(cls, modalities: int) -> "SubsetMask":
-        return cls((True,) * modalities)
-
-    @classmethod
-    def empty(cls, modalities: int) -> "SubsetMask":
-        return cls((False,) * modalities)
-
-    @property
-    def count(self) -> int:
-        return sum(self.bits)
-
-    def indices(self) -> tuple[int, ...]:
-        return tuple(i for i, b in enumerate(self.bits) if b)
-
-    def is_strict_subset_of(self, other: "SubsetMask") -> bool:
-        if len(self.bits) != len(other.bits):
-            raise ValueError("subset masks have different lengths")
-        contained = all(not a or b for a, b in zip(self.bits, other.bits))
-        return contained and self.bits != other.bits
-
-    def __str__(self) -> str:
-        return "{" + ",".join(str(i) for i in self.indices()) + "}"
+def nonempty_subsets(modalities: int) -> np.ndarray:
+    """All 2^M - 1 nonempty subsets as [2^M - 1, M] bool rows, ordered by
+    size then lexicographically."""
+    return np.array([[m in combo for m in range(modalities)]
+                     for k in range(1, modalities + 1)
+                     for combo in combinations(range(modalities), k)],
+                    dtype=bool).reshape(-1, modalities)
 
 
-def nonempty_subsets(modalities: int) -> list[SubsetMask]:
-    """All 2^M - 1 nonempty subsets, ordered by size then lexicographically."""
-    out = []
-    for k in range(1, modalities + 1):
-        for combo in combinations(range(modalities), k):
-            out.append(SubsetMask.from_indices(modalities, combo))
-    return out
+@dataclass(frozen=True, eq=False)
+class SubsetLattice:
+    """[S, M] bool ``subsets`` and [P, 2] (small, big) index ``pairs`` into
+    them, subset ``small`` strictly inside subset ``big``. Validated once,
+    here; both arrays are read-only copies."""
+
+    subsets: np.ndarray
+    pairs: np.ndarray
+
+    def __post_init__(self):
+        subsets = np.array(self.subsets, dtype=bool)
+        pairs = np.array(self.pairs, dtype=np.int64)
+        if subsets.ndim != 2 or pairs.ndim != 2 or pairs.shape[1] != 2:
+            raise ValueError("need [S, M] subset rows and [P, 2] index pairs")
+        if len(pairs) == 0 or pairs.min() < 0 or pairs.max() >= len(subsets):
+            raise ValueError(f"need pairs of indices into {len(subsets)} "
+                             "subsets, at least one")
+        small, big = subsets[pairs[:, 0]], subsets[pairs[:, 1]]
+        loose = (small > big).any(axis=1) | (small == big).all(axis=1)
+        if loose.any():
+            a, b = pairs[int(loose.argmax())]
+            raise ValueError(f"pair ({a}, {b}) is not strict inclusion")
+        for name, value in (("subsets", subsets), ("pairs", pairs)):
+            value.setflags(write=False)
+            object.__setattr__(self, name, value)
+
+    def select(self, rows) -> "SubsetLattice":
+        """The lattice of the pairs ``rows`` picks, in that order, keeping
+        only the subsets they mention, renumbered in order of first
+        mention."""
+        pairs = self.pairs[rows]
+        order = np.array(list(dict.fromkeys(pairs.ravel().tolist())),
+                         dtype=np.int64)
+        renumber = np.empty(len(self.subsets), dtype=np.int64)
+        renumber[order] = np.arange(len(order))
+        return SubsetLattice(self.subsets[order], renumber[pairs])
+
+    def views(self, presence: np.ndarray) -> np.ndarray:
+        """[S, n, M] views of rows with [n, M] ``presence``: each subset's
+        modalities that the row observes."""
+        if self.subsets.shape[1] != presence.shape[1]:
+            raise ValueError("subset length does not match the modality count")
+        return self.subsets[:, None] & presence[None]
 
 
-def subset_lattice(modalities: int) -> list[tuple[SubsetMask, SubsetMask]]:
-    """All ordered pairs (A, B) of nonempty subsets with A strictly inside B."""
+def subset_lattice(modalities: int) -> SubsetLattice:
+    """All pairs (A, B) of nonempty subsets with A strictly inside B, in
+    nested ``nonempty_subsets`` order, A outer; the lattice's subsets are
+    numbered in order of first mention."""
     if not 2 <= modalities <= 10:
         raise ValueError(f"modality count must be in [2, 10], got {modalities}")
-    subsets = nonempty_subsets(modalities)
-    return [(a, b) for a in subsets for b in subsets if a.is_strict_subset_of(b)]
+    rows = nonempty_subsets(modalities)
+    inside = (rows[:, None] <= rows[None]).all(axis=2)
+    np.fill_diagonal(inside, False)
+    return SubsetLattice(rows, np.argwhere(inside)).select(slice(None))

@@ -7,9 +7,9 @@ consistency penalty on, one view per lattice subset) and the task +
 entropy + consistency objective, each one tape node, and take one
 decoupled-weight-decay Adam step per parameter group on the model's flat
 buffers (gate parameters at their own learning rate, cosine decay on both
-groups). Instance lambda reads the masked pattern as presence too; only
-the single_modality ablation builds zero-filled masked copies of the
-splits.
+groups). Instance lambda reads the masked pattern as presence too, and the
+single_modality ablation restricts each split's presence to the kept
+modality: no path builds a zero-filled masked copy.
 
 Named RNG streams keyed by the run seed keep the data order identical
 across ablations of the same seed, so switched-off components are the only
@@ -28,7 +28,7 @@ import numpy as np
 from . import tensor as T
 from .curriculum import (Schedules, acm_distribution, sample_keep,
                          schedule_lambda, schedule_pi)
-from .data import MultimodalBatch, apply_mask, bernoulli_mask
+from .data import MultimodalBatch, bernoulli_mask
 from .losses import LossBreakdown, cec_pairs, step_loss
 from .metrics import (confidence_correct, ece, entropy_confidence_export,
                       map_at_1, top1_accuracy)
@@ -137,10 +137,10 @@ class RunResult:
     wall_clock: float
     temperature: float | None
     v_max: float | None
-    # the test split train was given, with the (gate entropy, confidence)
-    # rows of its clean evaluation pass; None when no rate left the split
-    # unmasked or the single-modality ablation evaluated a masked copy
-    test_scatter: tuple[MultimodalBatch, np.ndarray] | None = None
+    # the [n, 2] (gate entropy, confidence) rows of the clean evaluation
+    # pass of the test split as train evaluated it; None when every rate
+    # masked the split
+    test_scatter: np.ndarray | None = None
 
 
 def run_config_hash(cfg: TrainConfig, fcfg: FusionConfig) -> str:
@@ -157,9 +157,13 @@ def _infer_classes(*batches: MultimodalBatch) -> int:
 
 
 def _keep_single(batch: MultimodalBatch, index: int) -> MultimodalBatch:
-    keep = np.zeros_like(batch.presence)
-    keep[:, index] = True
-    return apply_mask(batch, per_sample=keep)
+    """The batch with presence restricted to modality ``index``. Raises
+    ``ValueError`` if a row does not observe it."""
+    if not batch.presence[:, index].all():
+        raise ValueError("masking would leave a sample with no observed "
+                         "modality")
+    only = np.arange(batch.num_modalities) == index
+    return replace(batch, presence=np.tile(only, (batch.n, 1)))
 
 
 def _metric_row(logits: np.ndarray, labels: np.ndarray, multilabel: bool,
@@ -214,10 +218,10 @@ def train(cfg: TrainConfig, data: tuple[MultimodalBatch, MultimodalBatch, Multim
         v_max = calibrate_vmax(model, val_b, lam_cfg, drop_rng)
         lam_cfg = with_vmax(lam_cfg, v_max)
 
-    pairs = None
+    lattice = None
     if cfg.gamma > 0.0 and sw.cec_on:
-        pairs = cec_pairs(modalities, rng=stream(cfg.seed, "pairs"),
-                          limit=cfg.cec_pair_limit)
+        lattice = cec_pairs(modalities, rng=stream(cfg.seed, "pairs"),
+                            limit=cfg.cec_pair_limit)
 
     probe = train_b.take(np.arange(min(cfg.probe_size, train_b.n)))
     sched = cfg.schedules
@@ -260,7 +264,7 @@ def train(cfg: TrainConfig, data: tuple[MultimodalBatch, MultimodalBatch, Multim
 
             with T.Tape() as tape:
                 total, bd = step_loss(
-                    model, batch, keep, pairs, lam=lam, gamma=cfg.gamma,
+                    model, batch, keep, lattice, lam=lam, gamma=cfg.gamma,
                     multilabel=multilabel)
                 if ref_total is None:
                     ref_total = bd.total
@@ -299,12 +303,9 @@ def train(cfg: TrainConfig, data: tuple[MultimodalBatch, MultimodalBatch, Multim
                                       multilabel=multilabel)
     val_out = None  # free the last validation pass before the test passes
 
-    eval_table, scatter = _dropout_table(
+    eval_table, test_scatter = _dropout_table(
         model, test_b, rates=cfg.eval_rates, seeds=cfg.eval_seeds,
         seed=cfg.seed, temperature=temperature or 1.0)
-    test_scatter = None
-    if scatter is not None and test_b is data[2]:
-        test_scatter = (test_b, scatter)
 
     return RunResult(
         history=history, metric_history=metric_history, eval_table=eval_table,

@@ -22,7 +22,7 @@ from entrofuse.losses import cec_loss, step_loss
 from entrofuse.metrics import audit_confidences, ece, inversion_audit
 from entrofuse.model import FusionConfig, forward
 from entrofuse.rng import stream
-from entrofuse.subsets import SubsetMask, nonempty_subsets, subset_lattice
+from entrofuse.subsets import subset_lattice
 from entrofuse.trainer import TrainConfig, train
 from entrofuse.uncertainty import (LambdaConfig, calibrate_vmax, lambda_of,
                                    lambda_upper, with_vmax)
@@ -102,11 +102,11 @@ def test_c01_loss_gradients_match_finite_differences():
         cfg = FusionConfig(modalities=2, dims=(3, 3), classes=3, fused_dim=4)
         model = random_model(rng, cfg)
         batch = random_batch(rng, 6, cfg.dims, cfg.classes)
-        pairs = subset_lattice(2)
+        lattice = subset_lattice(2)
         params = [param for _, param in model.parameters()]
 
         def objective(lam, gamma):
-            return step_loss(model, batch, batch.presence, pairs, lam=lam,
+            return step_loss(model, batch, batch.presence, lattice, lam=lam,
                              gamma=gamma)[0]
 
         def gradients(lam, gamma, picks):
@@ -181,18 +181,16 @@ def test_c03_consistency_loss_zero_iff_no_inversions():
     agree = monotone = violating = 0
     for case in range(100):
         m = 2 if case % 2 == 0 else 3
-        pairs = subset_lattice(m)
-        subsets = nonempty_subsets(m)
+        lattice = subset_lattice(m)
         n = 5
         if case % 4 < 2:
             # confidence nondecreasing in subset size => no inversions
             levels = np.sort(rng.uniform(0.0, 1.0, size=(n, m)), axis=1)
-            conf = {s: levels[:, len(s.indices()) - 1].copy() for s in subsets}
+            conf = levels[:, lattice.subsets.sum(axis=1) - 1].T
         else:
-            conf = {s: rng.uniform(0.0, 1.0, size=n) for s in subsets}
-        index = [(subsets.index(a), subsets.index(b)) for a, b in pairs]
-        loss, _ = cec_loss(np.array([conf[s] for s in subsets]), index)
-        count = audit_confidences(conf, pairs).total_count
+            conf = rng.uniform(0.0, 1.0, size=(len(lattice.subsets), n))
+        loss, _ = cec_loss(conf, lattice.pairs)
+        count = audit_confidences(conf, lattice).total_count
         agree += int((loss == 0.0) == (count == 0))
         monotone += int(count == 0)
         violating += int(count > 0)
@@ -218,7 +216,8 @@ def test_c04_adaptive_mask_distribution_closed_form():
             # independent probe: recompute mean gate entropy per drop subset
             ents = []
             for drop in candidates:
-                p = forward(model, apply_mask(batch, drop=drop)).p.data
+                p = forward(model, apply_mask(
+                    batch, per_sample=np.tile(~drop, (batch.n, 1)))).p.data
                 h = -np.where(p > 0, p * np.log(np.where(p > 0, p, 1.0)),
                               0.0).sum(axis=1)
                 ents.append(float(h.mean()))

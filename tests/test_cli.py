@@ -148,25 +148,30 @@ class TestOneTestForwardPerRun:
                      "--out", str(tmp_path / "run")]) == 0
         assert seen.count(True) == 1
 
-    def test_scatter_of_another_split_is_forwarded(self, config_path,
-                                                   tmp_path):
+    def test_scatter_is_the_clean_pass_train_ran(self, config_path,
+                                                 tmp_path, monkeypatch):
+        # handed a copy of the split, write_run_dir still forwards nothing
         cfg = load_config(config_path)
         data = generate(cfg.data)
         result = train(cfg.train, data)
+        seen = self._count_test_forwards(monkeypatch, data[2])
         cli_module.write_run_dir(str(tmp_path / "a"), cfg, result, data[2])
         cli_module.write_run_dir(str(tmp_path / "b"), cfg, result,
                                  data[2].copy())
+        assert seen == []
         for name in ("eval.csv", "scatter.csv"):
             a = (tmp_path / "a" / name).read_bytes()
             assert a == (tmp_path / "b" / name).read_bytes(), name
+        scatter = np.loadtxt(tmp_path / "a" / "scatter.csv", delimiter=",",
+                             skiprows=1)
+        want = entropy_confidence_export(model_module.forward(result.model,
+                                                              data[2]))
+        assert np.array_equal(scatter, want)
 
-    def test_single_modality_scatter_reads_the_full_split(self, config_path,
-                                                          tmp_path):
-        # train evaluates a masked copy there, so write_run_dir forwards the
-        # split it is given
+    def test_scatter_without_a_clean_rate_is_forwarded(self, config_path,
+                                                       tmp_path):
         cfg = load_config(config_path)
-        cfg = replace(cfg, train=replace(cfg.train,
-                                         ablation="single_modality"))
+        cfg = replace(cfg, train=replace(cfg.train, eval_rates=(0.5,)))
         data = generate(cfg.data)
         result = train(cfg.train, data)
         assert result.test_scatter is None
@@ -176,6 +181,30 @@ class TestOneTestForwardPerRun:
         want = entropy_confidence_export(model_module.forward(result.model,
                                                               data[2]))
         assert np.array_equal(scatter, want)
+
+    def test_single_modality_scatter_reads_the_kept_modality(self,
+                                                             config_path,
+                                                             tmp_path):
+        # the rows eval.csv scores: the model sees only the kept modality,
+        # so each gate row is one-hot and its entropy prints as 0, not -0
+        cfg = load_config(config_path)
+        cfg = replace(cfg, train=replace(cfg.train,
+                                         ablation="single_modality",
+                                         single_modality_index=1))
+        data = generate(cfg.data)
+        result = train(cfg.train, data)
+        out = tmp_path / "run"
+        cli_module.write_run_dir(str(out), cfg, result, data[2])
+        text = (out / "scatter.csv").read_text().splitlines()
+        scatter = np.loadtxt(text[1:], delimiter=",")
+        kept = np.zeros_like(data[2].presence)
+        kept[:, 1] = True
+        want = entropy_confidence_export(model_module.forward(
+            result.model, data[2], kept[None]))
+        assert np.array_equal(scatter, want)
+        assert (scatter[:, 0] == 0.0).all()
+        assert not any(cell.startswith("-") for row in text[1:]
+                       for cell in row.split(","))
 
 
 class TestAuditCommand:

@@ -9,7 +9,7 @@ from entrofuse.curriculum import (MaskDistribution, Schedules,
 import entrofuse.model as model_module
 from entrofuse.data import apply_mask
 from entrofuse.model import FusionConfig, FusionModel
-from entrofuse.subsets import SubsetMask, nonempty_subsets
+from entrofuse.subsets import nonempty_subsets
 
 from reference_chain import entropy_rows
 from test_model import random_batch, random_model
@@ -79,13 +79,14 @@ class TestSchedules:
 class TestCandidateFamily:
     def test_single_drops_are_the_singletons(self):
         fam = candidate_family(4, "single_drops")
-        assert fam == [SubsetMask.from_indices(4, [m]) for m in range(4)]
+        assert fam.dtype == bool
+        assert np.array_equal(fam, np.eye(4, dtype=bool))
 
     def test_all_subsets_excludes_empty_and_full(self):
         fam = candidate_family(3, "all_subsets")
-        assert len(fam) == 6  # 2^3 - 2
-        assert SubsetMask.empty(3) not in fam
-        assert SubsetMask.full(3) not in fam
+        assert fam.shape == (6, 3)  # 2^3 - 2
+        assert fam.any(axis=1).all() and not fam.all(axis=1).any()
+        assert np.array_equal(fam, nonempty_subsets(3)[:6])
 
     def test_all_subsets_capped_at_four_modalities(self):
         with pytest.raises(ValueError):
@@ -100,12 +101,19 @@ class TestCandidateFamily:
 class TestMaskDistribution:
     def test_full_drop_in_support_rejected(self):
         with pytest.raises(ValueError):
-            MaskDistribution(support=(SubsetMask.full(2),),
+            MaskDistribution(support=np.ones((1, 2), dtype=bool),
                              probs=np.array([1.0]),
                              mean_entropies=np.array([0.0]))
 
+    def test_support_must_be_bool_rows(self):
+        for support in (np.eye(2), np.zeros((0, 2), dtype=bool),
+                        np.array([True, False])):
+            with pytest.raises(ValueError, match="bool rows"):
+                MaskDistribution(support=support, probs=np.array([1.0]),
+                                 mean_entropies=np.zeros(1))
+
     def test_probs_must_be_simplex(self):
-        support = tuple(candidate_family(2, "single_drops"))
+        support = candidate_family(2, "single_drops")
         with pytest.raises(ValueError):
             MaskDistribution(support=support, probs=np.array([0.7, 0.7]),
                              mean_entropies=np.zeros(2))
@@ -114,14 +122,14 @@ class TestMaskDistribution:
                              mean_entropies=np.zeros(2))
 
     def test_nan_probs_rejected(self):
-        support = tuple(candidate_family(2, "single_drops"))
+        support = candidate_family(2, "single_drops")
         for probs in ([np.nan, np.nan], [np.nan, 1.0]):
             with pytest.raises(ValueError, match="simplex"):
                 MaskDistribution(support=support, probs=np.array(probs),
                                  mean_entropies=np.zeros(2))
 
     def test_shape_mismatches_rejected(self):
-        support = tuple(candidate_family(2, "single_drops"))
+        support = candidate_family(2, "single_drops")
         with pytest.raises(ValueError):
             MaskDistribution(support=support, probs=np.array([1.0]),
                              mean_entropies=np.zeros(1))
@@ -200,8 +208,9 @@ class TestAcmDistribution:
             calls.clear()
             dist = acm_distribution(model, batch, 0.5, family=family)
             assert len(calls) == runs
-            brute = [float(entropy_rows(real(model, apply_mask(batch, drop=d)))
-                           .data.mean()) for d in dist.support]
+            brute = [float(entropy_rows(real(model, apply_mask(
+                batch, per_sample=np.tile(~d, (batch.n, 1))))).data.mean())
+                     for d in dist.support]
             assert np.array_equal(dist.mean_entropies, brute)
 
     def test_rows_left_empty_still_rejected(self):
@@ -231,7 +240,7 @@ class TestAcmDistribution:
         batch = random_batch(rng, 24, cfg.dims, cfg.classes)
         singles = acm_distribution(model, batch, 1.0, family="single_drops")
         full = acm_distribution(model, batch, 1.0, family="all_subsets")
-        assert full.support[:3] == singles.support
+        assert np.array_equal(full.support[:3], singles.support)
         np.testing.assert_allclose(full.mean_entropies[:3],
                                    singles.mean_entropies, rtol=0, atol=0)
 
@@ -249,13 +258,13 @@ def _ref_drop_subsets(dist, pi_t, n, rng):
     ``sample_keep`` must match draw for draw."""
     gate = rng.random(n) < pi_t
     picks = rng.choice(len(dist.support), size=n, p=dist.probs)
-    empty = SubsetMask.empty(len(dist.support[0].bits))
+    empty = np.zeros(dist.support.shape[1], dtype=bool)
     return [dist.support[picks[i]] if gate[i] else empty for i in range(n)]
 
 
 class TestSampleMask:
     def _dist(self, probs=(0.5, 0.5)):
-        support = tuple(candidate_family(2, "single_drops"))
+        support = candidate_family(2, "single_drops")
         return MaskDistribution(support=support,
                                 probs=np.asarray(probs, dtype=np.float64),
                                 mean_entropies=np.zeros(2))
@@ -271,7 +280,7 @@ class TestSampleMask:
             rng_a = np.random.default_rng(21)
             rng_b = np.random.default_rng(21)
             drops = _ref_drop_subsets(dist, pi_t, 40, rng_a)
-            via_subsets = ~np.array([s.bits for s in drops], dtype=bool)
+            via_subsets = ~np.array(drops)
             direct = sample_keep(dist, pi_t, 40, rng_b)
             assert (via_subsets == direct).all()
             assert rng_a.random() == rng_b.random()
@@ -286,7 +295,7 @@ class TestSampleMask:
     def test_full_rate_on_degenerate_teacher_always_picks_it(self):
         dist = self._dist(probs=(1.0, 0.0))
         keep = sample_keep(dist, 1.0, 50, np.random.default_rng(1))
-        assert (keep == ~np.array(dist.support[0].bits)).all()
+        assert (keep == ~dist.support[0]).all()
 
     def test_masked_fraction_tracks_rate(self):
         dist = self._dist()

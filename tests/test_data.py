@@ -7,7 +7,8 @@ from entrofuse.data import (MultimodalBatch, SyntheticSpec, apply_mask,
                             bernoulli_mask, generate, load_dataset,
                             save_dataset)
 from entrofuse.rng import stream
-from entrofuse.subsets import SubsetMask, nonempty_subsets, subset_lattice
+from entrofuse.subsets import (SubsetLattice, nonempty_subsets,
+                              subset_lattice)
 
 
 class TestStreams:
@@ -36,48 +37,83 @@ class TestStreams:
         np.testing.assert_array_equal(data_only, data_after)
 
 
-class TestSubsetMask:
-    def test_from_indices_and_str(self):
-        s = SubsetMask.from_indices(3, [0, 2])
-        assert s.bits == (True, False, True)
-        assert s.count == 2
-        assert s.indices() == (0, 2)
-        assert str(s) == "{0,2}"
+def _members(row) -> frozenset:
+    return frozenset(int(m) for m in np.flatnonzero(row))
 
-    def test_from_indices_validates(self):
-        with pytest.raises(ValueError):
-            SubsetMask.from_indices(2, [2])
-        with pytest.raises(ValueError):
-            SubsetMask.from_indices(2, [-1])
 
-    def test_strict_subset_truth_table(self):
-        a = SubsetMask.from_indices(3, [0])
-        ab = SubsetMask.from_indices(3, [0, 1])
-        c = SubsetMask.from_indices(3, [2])
-        assert a.is_strict_subset_of(ab)
-        assert not ab.is_strict_subset_of(a)
-        assert not a.is_strict_subset_of(a)
-        assert not c.is_strict_subset_of(ab)
+class TestSubsetLattice:
+    def test_pairs_index_subset_rows(self):
+        lattice = subset_lattice(3)
+        assert lattice.subsets.dtype == bool
+        assert lattice.subsets.shape == (7, 3)
+        assert lattice.pairs.shape == (12, 2)
+        assert lattice.pairs.dtype == np.int64
 
-    def test_mixed_lengths_rejected(self):
+    def test_rejects_loose_pairs(self):
+        rows = np.array([[1, 0, 0], [1, 1, 0], [0, 0, 1]], dtype=bool)
+        SubsetLattice(rows, [[0, 1]])
+        for pair in ([1, 0], [0, 0], [2, 1]):  # superset, equal, disjoint
+            with pytest.raises(ValueError, match="not strict inclusion"):
+                SubsetLattice(rows, [pair])
+
+    def test_rejects_bad_shapes_and_indices(self):
+        rows = np.array([[1, 0], [1, 1]], dtype=bool)
+        for subsets, pairs in ((rows, [[0, 2]]), (rows, [[-1, 1]]),
+                               (rows, np.zeros((0, 2))), (rows, [0, 1]),
+                               (rows[0], [[0, 1]])):
+            with pytest.raises(ValueError):
+                SubsetLattice(subsets, pairs)
+
+    def test_arrays_are_read_only_copies(self):
+        rows = np.array([[1, 0], [1, 1]], dtype=bool)
+        pairs = np.array([[0, 1]])
+        lattice = SubsetLattice(rows, pairs)
+        rows[1, 1] = False  # validated once: later edits must not reach it
+        assert lattice.subsets[1, 1]
         with pytest.raises(ValueError):
-            SubsetMask.from_indices(2, [0]).is_strict_subset_of(
-                SubsetMask.from_indices(3, [0, 1]))
+            lattice.pairs[0, 0] = 1
+        with pytest.raises(ValueError):
+            lattice.subsets[0, 0] = False
+
+    def test_select_renumbers_in_first_mention_order(self):
+        lattice = subset_lattice(3)
+        picked = lattice.select(np.array([5, 0]))
+        np.testing.assert_array_equal(picked.pairs, [[0, 1], [2, 3]])
+        for (a, b), (a0, b0) in zip(picked.pairs, lattice.pairs[[5, 0]]):
+            np.testing.assert_array_equal(picked.subsets[a],
+                                          lattice.subsets[a0])
+            np.testing.assert_array_equal(picked.subsets[b],
+                                          lattice.subsets[b0])
+
+    def test_views_check_width(self):
+        lattice = subset_lattice(2)
+        presence = np.array([[True, True], [True, False]])
+        views = lattice.views(presence)
+        assert views.shape == (3, 2, 2)
+        np.testing.assert_array_equal(views[0], [[True, False],
+                                                 [True, False]])
+        with pytest.raises(ValueError, match="modality count"):
+            lattice.views(np.ones((2, 3), dtype=bool))
 
 
 class TestLattice:
     def test_nonempty_subsets_count_and_order(self):
         for m in range(2, 6):
             subs = nonempty_subsets(m)
-            assert len(subs) == 2 ** m - 1
-            sizes = [s.count for s in subs]
-            assert sizes == sorted(sizes)
+            assert subs.shape == (2 ** m - 1, m) and subs.dtype == bool
+            keys = [(int(s.sum()), tuple(np.flatnonzero(s))) for s in subs]
+            assert keys == sorted(keys)
+        np.testing.assert_array_equal(
+            nonempty_subsets(3), [[1, 0, 0], [0, 1, 0], [0, 0, 1], [1, 1, 0],
+                                  [1, 0, 1], [0, 1, 1], [1, 1, 1]])
 
     def test_m2_has_exactly_two_pairs(self):
-        pairs = subset_lattice(2)
-        assert len(pairs) == 2
-        rendered = {(str(a), str(b)) for a, b in pairs}
-        assert rendered == {("{0}", "{0,1}"), ("{1}", "{0,1}")}
+        lattice = subset_lattice(2)
+        assert len(lattice.pairs) == 2
+        rendered = {(_members(lattice.subsets[a]),
+                     _members(lattice.subsets[b])) for a, b in lattice.pairs}
+        assert rendered == {(frozenset({0}), frozenset({0, 1})),
+                            (frozenset({1}), frozenset({0, 1}))}
 
     def test_matches_brute_force_enumeration(self):
         # oracle: direct double loop over nonempty subsets with strict
@@ -90,10 +126,10 @@ class TestLattice:
                 for b in all_sets:
                     if a < b:
                         oracle.append((a, b))
-            pairs = subset_lattice(m)
-            assert len(pairs) == len(oracle)
-            got = {(frozenset(a.indices()), frozenset(b.indices()))
-                   for a, b in pairs}
+            lattice = subset_lattice(m)
+            assert len(lattice.pairs) == len(oracle)
+            got = {(_members(lattice.subsets[a]), _members(lattice.subsets[b]))
+                   for a, b in lattice.pairs}
             assert got == set(oracle)
 
     def test_counts_follow_closed_form(self):
@@ -102,11 +138,12 @@ class TestLattice:
         for m in (2, 3, 4, 5):
             expected = sum(math.comb(m, k) * (2 ** (m - k) - 1)
                            for k in range(1, m + 1))
-            assert len(subset_lattice(m)) == expected
+            assert len(subset_lattice(m).pairs) == expected
 
     def test_every_pair_strict(self):
-        for a, b in subset_lattice(3):
-            assert a.is_strict_subset_of(b)
+        lattice = subset_lattice(3)
+        for a, b in lattice.pairs:
+            assert _members(lattice.subsets[a]) < _members(lattice.subsets[b])
 
     def test_range_validated(self):
         with pytest.raises(ValueError):
@@ -209,15 +246,15 @@ class TestApplyMask:
             presence=np.ones((n, 2), dtype=bool),
             labels=np.zeros(n, dtype=np.int64))
 
-    def test_empty_drop_is_identity(self):
+    def test_full_keep_is_identity(self):
         batch = self._batch()
-        out = apply_mask(batch, drop=SubsetMask.empty(2))
+        out = apply_mask(batch, per_sample=np.ones((6, 2), dtype=bool))
         np.testing.assert_array_equal(out.features[0], batch.features[0])
         np.testing.assert_array_equal(out.presence, batch.presence)
 
     def test_drop_zeroes_features_and_presence(self):
         batch = self._batch()
-        out = apply_mask(batch, drop=SubsetMask.from_indices(2, [1]))
+        out = apply_mask(batch, per_sample=np.tile([True, False], (6, 1)))
         assert (out.features[1] == 0.0).all()
         assert not out.presence[:, 1].any()
         assert out.presence[:, 0].all()
@@ -226,15 +263,19 @@ class TestApplyMask:
 
     def test_idempotent(self):
         batch = self._batch()
-        drop = SubsetMask.from_indices(2, [0])
-        once = apply_mask(batch, drop=drop)
-        twice = apply_mask(once, drop=drop)
+        keep = np.tile([False, True], (6, 1))
+        once = apply_mask(batch, per_sample=keep)
+        twice = apply_mask(once, per_sample=keep)
         np.testing.assert_array_equal(once.features[0], twice.features[0])
         np.testing.assert_array_equal(once.presence, twice.presence)
 
     def test_cannot_drop_all(self):
         with pytest.raises(ValueError):
-            apply_mask(self._batch(), drop=SubsetMask.full(2))
+            apply_mask(self._batch(), per_sample=np.zeros((6, 2), dtype=bool))
+
+    def test_rejects_wrong_shape(self):
+        with pytest.raises(ValueError, match="shape"):
+            apply_mask(self._batch(), per_sample=np.ones((6, 3), dtype=bool))
 
     def test_rejects_emptied_sample(self):
         batch = self._batch(4)

@@ -1,6 +1,8 @@
 """Composite objective: task term, entropy penalty, consistency hinge, and
 the one tape node that computes them against the op chain it replaced."""
 
+from itertools import combinations
+
 import numpy as np
 import pytest
 
@@ -11,7 +13,8 @@ from entrofuse.data import bernoulli_mask
 from entrofuse.losses import (cec_loss, cec_pairs, composite_loss, step_loss,
                               subset_confidences)
 from entrofuse.model import FusionConfig, forward
-from entrofuse.subsets import SubsetMask, subset_lattice
+from entrofuse.rng import stream
+from entrofuse.subsets import SubsetLattice, subset_lattice
 from entrofuse.trainer import train
 
 import reference_chain as R
@@ -106,18 +109,58 @@ class TestEntropyPenalty:
             assert err < 1e-6
 
 
+def nested_pairs(m):
+    """The strict-inclusion pairs as tuples of member flags, by a nested
+    loop over the nonempty subsets in size-then-lexicographic order (outer
+    loop the small side): the enumeration the lattice's pair order keeps."""
+    subsets = [tuple(i in combo for i in range(m)) for k in range(1, m + 1)
+               for combo in combinations(range(m), k)]
+    return [(a, b) for a in subsets for b in subsets
+            if a != b and all(y or not x for x, y in zip(a, b))]
+
+
+def first_mention(pairs):
+    """[S, M] subset rows in order of first mention by ``pairs``, and the
+    pairs as [P, 2] indices into them."""
+    first = {}
+    index = [[first.setdefault(s, len(first)) for s in pair] for pair in pairs]
+    return np.array(list(first), dtype=bool), np.array(index)
+
+
 class TestCecPairs:
     def test_small_counts_are_exhaustive(self):
-        assert cec_pairs(2) == subset_lattice(2)
-        assert cec_pairs(3) == subset_lattice(3)
-        assert cec_pairs(4) == subset_lattice(4)
+        for m in (2, 3, 4):
+            got, want = cec_pairs(m), subset_lattice(m)
+            assert np.array_equal(got.subsets, want.subsets)
+            assert np.array_equal(got.pairs, want.pairs)
+
+    @pytest.mark.parametrize("m", range(2, 8))
+    def test_lattice_keeps_the_nested_order_and_first_mention(self, m):
+        subsets, index = first_mention(nested_pairs(m))
+        lattice = subset_lattice(m)
+        assert np.array_equal(lattice.subsets, subsets)
+        assert np.array_equal(lattice.pairs, index)
+
+    @pytest.mark.parametrize("m", [5, 6, 7])
+    @pytest.mark.parametrize("seed", [0, 1, 4, 9])
+    def test_sampled_pairs_keep_the_draw_and_first_mention(self, m, seed):
+        # the same rng.choice draw over the nested order, sorted, with the
+        # subsets the sample mentions renumbered in first-mention order
+        pairs = nested_pairs(m)
+        chosen = stream(seed, "pairs").choice(len(pairs), size=8,
+                                              replace=False)
+        subsets, index = first_mention([pairs[i] for i in sorted(chosen)])
+        lattice = cec_pairs(m, stream(seed, "pairs"), 8)
+        assert np.array_equal(lattice.subsets, subsets)
+        assert np.array_equal(lattice.pairs, index)
 
     def test_large_modality_counts_are_sampled(self):
         rng = np.random.default_rng(0)
-        pairs = cec_pairs(5, rng=rng, limit=8)
-        assert len(pairs) == 8
-        lattice = set(subset_lattice(5))
-        assert all(p in lattice for p in pairs)
+        lattice = cec_pairs(5, rng=rng, limit=8)
+        assert len(lattice.pairs) == 8
+        got = {tuple(tuple(map(bool, lattice.subsets[i])) for i in pair)
+               for pair in lattice.pairs}
+        assert got <= set(nested_pairs(5))
 
     def test_sampling_requires_rng(self):
         with pytest.raises(ValueError):
@@ -126,7 +169,8 @@ class TestCecPairs:
     def test_sampled_pairs_are_deterministic_per_stream(self):
         a = cec_pairs(6, rng=np.random.default_rng(1), limit=8)
         b = cec_pairs(6, rng=np.random.default_rng(1), limit=8)
-        assert a == b
+        assert np.array_equal(a.subsets, b.subsets)
+        assert np.array_equal(a.pairs, b.pairs)
 
 
 class TestCecLoss:
@@ -160,19 +204,24 @@ class TestCecLoss:
             atol=0)
 
     def test_non_strict_pair_rejected(self):
-        # strictness is a property of the subsets, checked where the step
-        # maps them to views
+        # strictness is a property of the subsets, checked once where a
+        # lattice is built, so no step sees a loose pair
+        rows = np.array([[True, False], [False, True], [True, True]])
+        for bad in ([(0, 0)], [(1, 0)], [(0, 2), (2, 1)]):
+            with pytest.raises(ValueError, match="is not strict inclusion"):
+                SubsetLattice(rows, bad)
+
+    def test_lattice_of_another_width_rejected(self):
         rng = np.random.default_rng(12)
         cfg = FusionConfig(modalities=2, dims=(3, 3), classes=3, fused_dim=4)
         model = random_model(rng, cfg)
         batch = random_batch(rng, 4, cfg.dims, cfg.classes)
-        s = SubsetMask.from_indices(2, [0])
-        t = SubsetMask.from_indices(2, [1])
-        for bad in ([(s, s)], [(t, s)],
-                    [(s, SubsetMask.full(2)), (SubsetMask.full(2), t)]):
-            with pytest.raises(ValueError, match="is not strict inclusion"):
-                step_loss(model, batch, batch.presence, bad, lam=0.05,
-                          gamma=2.0)
+        lattice = subset_lattice(3)
+        with pytest.raises(ValueError, match="modality count"):
+            subset_confidences(model, batch, lattice)
+        with pytest.raises(ValueError, match="modality count"):
+            step_loss(model, batch, batch.presence, lattice, lam=0.05,
+                      gamma=2.0)
 
     def test_pair_index_out_of_range_rejected(self):
         conf = np.full((2, 3), 0.5)
@@ -189,23 +238,21 @@ class TestCecLoss:
         cfg = FusionConfig(modalities=3, dims=(3, 3, 3), classes=3, fused_dim=4)
         model = random_model(rng, cfg)
         batch = random_batch(rng, 6, cfg.dims, cfg.classes)
-        pairs = subset_lattice(3)
-        conf = subset_confidences(model, batch, pairs)
-        assert list(conf) == list(dict.fromkeys(s for pair in pairs
-                                                for s in pair))
-        for s, c in conf.items():
-            assert c.shape == (6,)
+        lattice = subset_lattice(3)
+        conf = subset_confidences(model, batch, lattice)
+        assert conf.shape == (7, 6)
+        for s, c in zip(lattice.subsets, conf):
             np.testing.assert_allclose(
-                c, forward(model, batch, [batch.presence & s.bits])
+                c, forward(model, batch, [batch.presence & s])
                 .confidence.data, rtol=0, atol=1e-12)
 
 
-def composed_cec_loss(conf_by_subset, pairs):
+def composed_cec_loss(conf, pairs):
     """``cec_loss`` as it was composed from tape primitives, about five
     nodes per pair, before it became one node."""
     total = None
     for small, big in pairs:
-        gap = R.relu(R.sub(conf_by_subset[small], conf_by_subset[big]))
+        gap = R.relu(R.sub(conf[small], conf[big]))
         term = R.mean_all(R.mul(gap, gap))
         total = term if total is None else R.add(total, term)
     return R.mul_scalar(total, 1.0 / len(pairs))
@@ -235,39 +282,38 @@ class TestFusedCecLoss:
     CASES = [(2, None), (3, None), (4, None), (5, 8)]
 
     @staticmethod
-    def _confidences(rng, pairs, n=12):
-        subsets = list(dict.fromkeys(s for pair in pairs for s in pair))
-        tied = rng.choice([0.25, 0.5, 0.75, 1.0], size=(len(subsets), n // 2))
+    def _confidences(rng, lattice, n=12):
+        """[S, n] confidences for the lattice's subsets and its pairs as a
+        list of index pairs."""
+        s = len(lattice.subsets)
+        tied = rng.choice([0.25, 0.5, 0.75, 1.0], size=(s, n // 2))
         # free values spread over decades, so the pair terms do too and
         # the order they are summed in shows in the last bits
-        free = (rng.uniform(0.3, 1.0, size=(len(subsets), n - n // 2))
-                * 10.0 ** rng.integers(-3, 1, size=(len(subsets), 1)))
-        index = [(subsets.index(a), subsets.index(b)) for a, b in pairs]
-        return subsets, index, np.concatenate([tied, free], axis=1)
+        free = (rng.uniform(0.3, 1.0, size=(s, n - n // 2))
+                * 10.0 ** rng.integers(-3, 1, size=(s, 1)))
+        return lattice.pairs.tolist(), np.concatenate([tied, free], axis=1)
 
     @staticmethod
-    def _chain(loss_fn, subsets, values):
-        leaves = {s: T.Tensor(v.copy(), requires_grad=True)
-                  for s, v in zip(subsets, values)}
+    def _chain(loss_fn, values):
+        leaves = [T.Tensor(v.copy(), requires_grad=True) for v in values]
         with T.Tape() as tape:
             cec = loss_fn(leaves)
             tape.backward(R.mul_scalar(cec, 20.0))
-        return cec.data, np.array([leaves[s].grad for s in subsets])
+        return cec.data, np.array([leaf.grad for leaf in leaves])
 
     @pytest.mark.parametrize("m,limit", CASES)
     @pytest.mark.parametrize("seed", range(4))
     def test_value_and_gradients_match_composed_chain(self, m, limit, seed):
         rng = np.random.default_rng([40 + m, seed])
-        pairs = cec_pairs(m, rng, limit=limit) if limit else cec_pairs(m)
-        subsets, index, values = self._confidences(rng, pairs)
+        lattice = cec_pairs(m, rng, limit=limit) if limit else cec_pairs(m)
+        index, values = self._confidences(rng, lattice)
         diffs = np.array([values[a] - values[b] for a, b in index])
         assert (diffs == 0.0).any() and (diffs > 0.0).any()
         got, got_grad = cec_loss(values, index, weight=20.0)
         assert got > 0.0
-        for chain in (lambda conf: composed_cec_loss(conf, pairs),
-                      lambda conf: R.hinge_pairs([conf[s] for s in subsets],
-                                                 index)):
-            want, want_grad = self._chain(chain, subsets, values)
+        for chain in (lambda conf: composed_cec_loss(conf, index),
+                      lambda conf: R.hinge_pairs(conf, index)):
+            want, want_grad = self._chain(chain, values)
             assert np.array_equal(got, want)
             assert np.array_equal(got_grad, want_grad)
 
@@ -275,8 +321,8 @@ class TestFusedCecLoss:
     @pytest.mark.parametrize("seed", range(4))
     def test_gradient_matches_per_pair_loop(self, m, limit, seed):
         rng = np.random.default_rng([50 + m, seed])
-        pairs = cec_pairs(m, rng, limit=limit) if limit else cec_pairs(m)
-        _, index, values = self._confidences(rng, pairs)
+        lattice = cec_pairs(m, rng, limit=limit) if limit else cec_pairs(m)
+        index, values = self._confidences(rng, lattice)
         index = np.array(index)
         # from 3 modalities on, some view is the small side of one pair and
         # the big side of another
@@ -286,9 +332,9 @@ class TestFusedCecLoss:
 
     def test_gradient_matches_central_differences(self):
         rng = np.random.default_rng(45)
-        pairs = cec_pairs(4)
-        subsets, index, _ = self._confidences(rng, pairs)
-        shape = (len(subsets), 5)
+        lattice = cec_pairs(4)
+        index, _ = self._confidences(rng, lattice)
+        shape = (len(lattice.subsets), 5)
 
         def loss(x):
             value, grad = cec_loss(x.data.reshape(shape), index)
@@ -431,10 +477,10 @@ class TestCompositeLoss:
         cfg = FusionConfig(modalities=2, dims=(3, 3), classes=3, fused_dim=4)
         model = random_model(rng, cfg)
         batch = random_batch(rng, 6, cfg.dims, cfg.classes)
-        pairs = subset_lattice(2)
+        lattice = subset_lattice(2)
 
         def total_value():
-            return step_loss(model, batch, batch.presence, pairs, lam=0.05,
+            return step_loss(model, batch, batch.presence, lattice, lam=0.05,
                              gamma=0.2)[0]
 
         with T.Tape() as tape:
@@ -498,8 +544,8 @@ class TestNodeMatchesChain:
         keep = bernoulli_mask(n, m, 0.4, rng)
         rows, index, views = None, None, keep[None]
         if with_pairs:
-            pairs = cec_pairs(m, rng, limit=8)
-            index, views = losses_module._views(pairs, presence)
+            lattice = cec_pairs(m, rng, limit=8)
+            index, views = lattice.pairs, lattice.views(presence)
             held = (views == keep).all(axis=2)
             if not held.any(axis=0).all():
                 views = np.concatenate([views, keep[None]])
@@ -594,22 +640,17 @@ class TestStackedStep:
         keep = bernoulli_mask(batch.n, m, 0.4, rng)
         return model, batch, keep, cec_pairs(m, rng, limit=8)
 
-    @staticmethod
-    def _subsets(pairs):
-        return list(dict.fromkeys(s for pair in pairs for s in pair))
-
-    def _reference_loss(self, model, batch, keep, pairs, multilabel=False):
+    def _reference_loss(self, model, batch, keep, lattice, multilabel=False):
         out = reference_forward(model, batch, keep)
         total = R.composite_loss(out.logits, out.p, batch.labels, lam=0.05,
                                  gamma=0.0, multilabel=multilabel)[0]
-        if pairs is None:
+        if lattice is None:
             return total
-        subsets = self._subsets(pairs)
         conf = [R.confidence(reference_forward(
-                    model, batch, batch.presence & np.array(s.bits)).logits,
-                    multilabel) for s in subsets]
-        index = [(subsets.index(a), subsets.index(b)) for a, b in pairs]
-        return R.add(total, R.mul_scalar(R.hinge_pairs(conf, index), 2.0))
+                    model, batch, batch.presence & s).logits, multilabel)
+                for s in lattice.subsets]
+        return R.add(total, R.mul_scalar(
+            R.hinge_pairs(conf, lattice.pairs.tolist()), 2.0))
 
     @staticmethod
     def _loss_and_grads(model, loss_fn):
@@ -620,13 +661,13 @@ class TestStackedStep:
         return loss.item(), {name: param.grad.copy()
                              for name, param in model.parameters()}
 
-    def _assert_step_matches(self, model, batch, keep, pairs, frozen=False,
+    def _assert_step_matches(self, model, batch, keep, lattice, frozen=False,
                              multilabel=False):
         got_loss, got = self._loss_and_grads(model, lambda: step_loss(
-            model, batch, keep, pairs, lam=0.05, gamma=2.0,
+            model, batch, keep, lattice, lam=0.05, gamma=2.0,
             multilabel=multilabel)[0])
         want_loss, want = self._loss_and_grads(
-            model, lambda: self._reference_loss(model, batch, keep, pairs,
+            model, lambda: self._reference_loss(model, batch, keep, lattice,
                                                 multilabel))
         assert abs(got_loss - want_loss) <= 1e-12 * abs(want_loss)
         for name, g in want.items():
@@ -640,9 +681,8 @@ class TestStackedStep:
 
     @pytest.mark.parametrize("m,frozen", CASES)
     def test_every_view_matches_its_reference_forward(self, m, frozen):
-        model, batch, keep, pairs = self._setup(70 + m, m, frozen)
-        views = np.array([np.array(s.bits) & batch.presence
-                          for s in self._subsets(pairs)] + [keep])
+        model, batch, keep, lattice = self._setup(70 + m, m, frozen)
+        views = np.concatenate([lattice.views(batch.presence), keep[None]])
         out = forward(model, batch, views)
         assert out.logits.shape[0] == len(views) * batch.n
         for v, view in enumerate(views):
@@ -660,20 +700,19 @@ class TestStackedStep:
     @pytest.mark.parametrize("with_pairs", [True, False])
     def test_step_loss_and_gradients_match_reference(self, m, frozen,
                                                      with_pairs):
-        model, batch, keep, pairs = self._setup(80 + m, m, frozen)
+        model, batch, keep, lattice = self._setup(80 + m, m, frozen)
         self._assert_step_matches(model, batch, keep,
-                                  pairs if with_pairs else None, frozen)
+                                  lattice if with_pairs else None, frozen)
 
     @pytest.mark.parametrize("m", [2, 4, 5])
     def test_multilabel_step_matches_reference(self, m):
-        model, batch, keep, pairs = self._setup(85 + m, m, multilabel=True)
-        self._assert_step_matches(model, batch, keep, pairs, multilabel=True)
+        model, batch, keep, lattice = self._setup(85 + m, m, multilabel=True)
+        self._assert_step_matches(model, batch, keep, lattice, multilabel=True)
 
     def test_masked_rows_outside_every_view_get_one_extra_view(
             self, monkeypatch):
-        model, batch, keep, pairs = self._setup(85, 5)
-        subsets = self._subsets(pairs)
-        held = [np.array(s.bits) & batch.presence for s in subsets]
+        model, batch, keep, lattice = self._setup(85, 5)
+        held = lattice.views(batch.presence)
         outside = [not any((v[i] == keep[i]).all() for v in held)
                    for i in range(batch.n)]
         assert any(outside) and not all(outside)
@@ -684,13 +723,13 @@ class TestStackedStep:
             return forward(model, batch, views)
 
         monkeypatch.setattr(losses_module, "forward", spy)
-        step_loss(model, batch, keep, pairs, lam=0.05, gamma=2.0)
-        assert seen == [len(subsets) + 1]
+        step_loss(model, batch, keep, lattice, lam=0.05, gamma=2.0)
+        assert seen == [len(lattice.subsets) + 1]
         seen.clear()
         # up to 4 modalities every masked pattern is a subset view
-        model, batch, keep, pairs = self._setup(84, 4)
-        step_loss(model, batch, keep, pairs, lam=0.05, gamma=2.0)
-        assert seen == [len(self._subsets(pairs))]
+        model, batch, keep, lattice = self._setup(84, 4)
+        step_loss(model, batch, keep, lattice, lam=0.05, gamma=2.0)
+        assert seen == [len(lattice.subsets)]
 
     def test_without_pairs_is_the_plain_composite_loss(self):
         model, batch, keep, _ = self._setup(90, 3)
@@ -718,7 +757,7 @@ class TestStackedStep:
                       lam=0.05, gamma=2.0)
 
     def test_no_view_is_a_masked_copy_of_the_batch(self, monkeypatch):
-        model, batch, keep, pairs = self._setup(92, 3)
+        model, batch, keep, lattice = self._setup(92, 3)
 
         def refuse(*args, **kwargs):
             raise AssertionError("a view was built as a masked batch copy")
@@ -727,6 +766,7 @@ class TestStackedStep:
         monkeypatch.setattr(data_module.MultimodalBatch, "__init__", refuse)
         monkeypatch.setattr(data_module.MultimodalBatch, "take", refuse)
         with T.Tape():
-            _, bd = step_loss(model, batch, keep, pairs, lam=0.05, gamma=2.0)
+            _, bd = step_loss(model, batch, keep, lattice, lam=0.05,
+                              gamma=2.0)
             step_loss(model, batch, keep, None, lam=0.05, gamma=2.0)
         assert bd.cec > 0.0

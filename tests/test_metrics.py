@@ -5,14 +5,15 @@ import pytest
 
 import entrofuse.tensor as T
 from entrofuse.data import MultimodalBatch
-from entrofuse.losses import cec_loss, subset_confidences
+from entrofuse.losses import cec_loss, cec_pairs, subset_confidences
 from entrofuse.metrics import (CalibrationReport, InversionAudit,
                                audit_confidences, confidence_correct, ece,
                                entropy_confidence_export, format_value,
                                inversion_audit, map_at_1, top1_accuracy,
                                write_csv)
 from entrofuse.model import FusionConfig, FusionModel, forward, predict_subset
-from entrofuse.subsets import SubsetMask, subset_lattice
+from entrofuse.rng import stream
+from entrofuse.subsets import SubsetLattice, subset_lattice
 
 from test_model import random_batch, random_model
 
@@ -231,41 +232,47 @@ class TestInversionAudit:
         model = random_model(rng, cfg)
         batch = random_batch(rng, 16, cfg.dims, cfg.classes)
         audit = inversion_audit(model, batch)
-        pairs = subset_lattice(3)
-        assert audit.pairs == tuple(pairs)
-        for i, (small, big) in enumerate(pairs):
-            cs = predict_subset(model, batch, small).confidence.data
-            cb = predict_subset(model, batch, big).confidence.data
+        lattice = subset_lattice(3)
+        assert np.array_equal(audit.subsets, lattice.subsets)
+        assert np.array_equal(audit.pairs, lattice.pairs)
+        for i, (small, big) in enumerate(lattice.pairs):
+            cs, cb = (predict_subset(model, batch, audit.subsets[k])
+                      .confidence.data for k in (small, big))
             assert audit.counts[i] == int((cs > cb).sum())
             np.testing.assert_allclose(audit.mean_violation[i],
                                        np.maximum(cs - cb, 0.0).mean(),
                                        rtol=0, atol=1e-15)
         assert audit.n == 16
 
-    def test_zero_audit_count_iff_zero_consistency_loss(self):
-        # the hinge loss and the audit agree on "no violations"
-        def cec(model, batch, pairs):
-            conf = subset_confidences(model, batch, pairs)
-            subsets = list(conf)
-            index = [(subsets.index(a), subsets.index(b)) for a, b in pairs]
-            return cec_loss(np.array(list(conf.values())), index)[0]
+    @pytest.mark.parametrize("m", [2, 3, 5, 6])
+    def test_zero_audit_count_iff_zero_consistency_loss(self, m):
+        # the hinge loss and the audit agree on "no violations", over the
+        # full lattice up to 4 modalities and a sampled one beyond
+        def audit_and_cec(model, batch):
+            conf = subset_confidences(model, batch, lattice)
+            return (audit_confidences(conf, lattice),
+                    cec_loss(conf, lattice.pairs)[0])
 
         rng = np.random.default_rng(9)
-        cfg = FusionConfig(modalities=2, dims=(4, 4), classes=3, fused_dim=4)
-        pairs = subset_lattice(2)
+        cfg = FusionConfig(modalities=m, dims=(4, 3, 4, 2, 3, 4)[:m],
+                           classes=3, fused_dim=4)
+        lattice = cec_pairs(m, stream(m, "pairs"), 8)
         zero_model = random_model(rng, cfg)
         for w in zero_model.proj:
             w.data[...] = 0.0
         batch = random_batch(rng, 10, cfg.dims, cfg.classes)
-        loss = cec(zero_model, batch, pairs)
-        audit = inversion_audit(zero_model, batch)
+        audit, loss = audit_and_cec(zero_model, batch)
         assert loss == 0.0 and audit.total_count == 0
+        if m <= 4:
+            assert inversion_audit(zero_model, batch).total_count == 0
 
         live_model = random_model(np.random.default_rng(10), cfg)
-        loss = cec(live_model, batch, pairs)
-        audit = inversion_audit(live_model, batch)
+        audit, loss = audit_and_cec(live_model, batch)
         assert (loss > 0.0) == (audit.total_count > 0)
         assert audit.total_count > 0  # random weights do violate somewhere
+        if m <= 4:
+            assert np.array_equal(inversion_audit(live_model, batch).counts,
+                                  audit.counts)
 
     def test_rate_normalizes_by_samples_and_pairs(self):
         rng = np.random.default_rng(11)
@@ -284,51 +291,84 @@ class TestInversionAudit:
             inversion_audit(model, batch)
 
 
+def per_pair_audit(conf, pairs):
+    """Inversion counts and mean violations one pair at a time, as the
+    audit computed them over confidences keyed by subset."""
+    counts = np.zeros(len(pairs), dtype=np.int64)
+    violation = np.zeros(len(pairs))
+    for i, (small, big) in enumerate(pairs):
+        gap = conf[small] - conf[big]
+        counts[i] = int((gap > 0.0).sum())
+        violation[i] = float(np.maximum(gap, 0.0).mean())
+    return counts, violation
+
+
 class TestAuditConfidences:
     def test_matches_model_audit(self):
         rng = np.random.default_rng(30)
         cfg = FusionConfig(modalities=3, dims=(3, 3, 3), classes=3, fused_dim=4)
         model = random_model(rng, cfg)
         batch = random_batch(rng, 14, cfg.dims, cfg.classes)
-        pairs = subset_lattice(3)
-        conf = {}
-        for pair in pairs:
-            for subset in pair:
-                if subset not in conf:
-                    conf[subset] = predict_subset(model, batch, subset).confidence.data
-        direct = audit_confidences(conf, pairs)
+        lattice = subset_lattice(3)
+        conf = [predict_subset(model, batch, s).confidence.data
+                for s in lattice.subsets]
+        direct = audit_confidences(conf, lattice)
         via_model = inversion_audit(model, batch)
-        assert direct.pairs == via_model.pairs
+        assert np.array_equal(direct.pairs, via_model.pairs)
         assert (direct.counts == via_model.counts).all()
         np.testing.assert_allclose(direct.mean_violation,
                                    via_model.mean_violation, rtol=0, atol=0)
         assert direct.n == via_model.n == 14
 
+    # subsets {0}, {1}, {0,1} and the pairs ({0},{0,1}), ({1},{0,1})
+    M2 = SubsetLattice([[True, False], [False, True], [True, True]],
+                       [[0, 2], [1, 2]])
+
     def test_counts_constructed_lattice(self):
-        a, ab = SubsetMask.from_indices(2, [0]), SubsetMask.from_indices(2, [0, 1])
-        b = SubsetMask.from_indices(2, [1])
-        conf = {a: np.array([0.9, 0.2, 0.5]),
-                b: np.array([0.1, 0.1, 0.5]),
-                ab: np.array([0.5, 0.3, 0.5])}
-        audit = audit_confidences(conf, subset_lattice(2))
+        conf = np.array([[0.9, 0.2, 0.5],   # {0}
+                         [0.1, 0.1, 0.5],   # {1}
+                         [0.5, 0.3, 0.5]])  # {0,1}
+        audit = audit_confidences(conf, self.M2)
         # pair ({0},{0,1}) violated once; ties never count
+        assert audit.counts.tolist() == [1, 0]
         assert audit.total_count == 1
         assert audit.n == 3
+        np.testing.assert_allclose(audit.mean_violation, [0.4 / 3, 0.0],
+                                   rtol=0, atol=1e-15)
 
     def test_missing_subset_rejected(self):
-        a, ab = SubsetMask.from_indices(2, [0]), SubsetMask.from_indices(2, [0, 1])
-        with pytest.raises(ValueError, match="no confidence entry"):
-            audit_confidences({a: np.zeros(3)}, [(a, ab)])
+        with pytest.raises(ValueError, match=r"need \[3, n\]"):
+            audit_confidences(np.zeros((2, 3)), self.M2)
 
     def test_empty_pairs_rejected(self):
         with pytest.raises(ValueError, match="at least one"):
-            audit_confidences({}, [])
+            SubsetLattice(self.M2.subsets, np.zeros((0, 2), dtype=np.int64))
 
-    def test_length_mismatch_rejected(self):
-        a, ab = SubsetMask.from_indices(2, [0]), SubsetMask.from_indices(2, [0, 1])
-        conf = {a: np.zeros(3), ab: np.zeros(4)}
-        with pytest.raises(ValueError, match="length"):
-            audit_confidences(conf, [(a, ab)])
+    def test_one_confidence_vector_or_no_sample_rejected(self):
+        for conf in (np.zeros(3), np.zeros((3, 0))):
+            with pytest.raises(ValueError, match=r"need \[3, n\]"):
+                audit_confidences(conf, self.M2)
+
+    @pytest.mark.parametrize("m,n", [(2, 9), (3, 7), (4, 300), (5, 1000),
+                                     (6, 129)])
+    def test_matches_per_pair_loop_bit_for_bit(self, m, n):
+        # ties and all-zero gaps included: some columns hold one value on
+        # every subset, some rows repeat another row, and the free values
+        # spread over decades so the summation order shows in the last bits
+        rng = np.random.default_rng([60, m, n])
+        lattice = cec_pairs(m, stream(m, "pairs"), 8)
+        s = len(lattice.subsets)
+        conf = (rng.uniform(0.3, 1.0, size=(s, n))
+                * 10.0 ** rng.integers(-3, 1, size=(s, n)))
+        conf[:, rng.random(n) < 0.3] = 0.5
+        conf[lattice.pairs[0, 1]] = conf[lattice.pairs[0, 0]]
+        counts, violation = per_pair_audit(conf, lattice.pairs)
+        gaps = conf[lattice.pairs[:, 0]] - conf[lattice.pairs[:, 1]]
+        assert (gaps == 0.0).all(axis=1).any() and (gaps > 0.0).any()
+        audit = audit_confidences(conf, lattice)
+        assert np.array_equal(audit.counts, counts)
+        assert np.array_equal(audit.mean_violation, violation)
+        assert audit.counts.dtype == counts.dtype
 
 
 class TestEntropyConfidenceExport:

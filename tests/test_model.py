@@ -11,7 +11,7 @@ from entrofuse.model import (ForwardOutput, FusionConfig, FusionModel,
                              forward, gate_rows, load_checkpoint,
                              predict_subset, save_checkpoint)
 from entrofuse.rng import stream
-from entrofuse.subsets import SubsetMask, nonempty_subsets
+from entrofuse.subsets import nonempty_subsets
 
 import reference_chain as R
 
@@ -68,7 +68,7 @@ class TestGateWeights:
         cfg = FusionConfig(modalities=2, dims=(3, 5), classes=4, fused_dim=6)
         model = random_model(np.random.default_rng(2), cfg)
         batch = random_batch(np.random.default_rng(3), 8, cfg.dims, cfg.classes)
-        masked = apply_mask(batch, drop=SubsetMask.from_indices(2, [1]))
+        masked = apply_mask(batch, per_sample=np.tile([True, False], (8, 1)))
         out = forward(model, masked)
         # exact zeros and ones, not merely tiny values
         assert (out.p.data[:, 1] == 0.0).all()
@@ -227,8 +227,9 @@ class TestForwardValues:
         cfg = FusionConfig(modalities=3, dims=(3, 3, 3), classes=4, fused_dim=5)
         model = random_model(rng, cfg)
         batch = random_batch(rng, 8, cfg.dims, cfg.classes)
-        once = apply_mask(batch, drop=SubsetMask.from_indices(3, [2]))
-        twice = apply_mask(once, drop=SubsetMask.from_indices(3, [2]))
+        keep = np.tile([True, True, False], (8, 1))
+        once = apply_mask(batch, per_sample=keep)
+        twice = apply_mask(once, per_sample=keep)
         a = forward(model, once)
         b = forward(model, twice)
         np.testing.assert_allclose(a.logits.data, b.logits.data, rtol=0, atol=1e-9)
@@ -244,7 +245,7 @@ class TestPredictSubset:
         for subset in nonempty_subsets(3):
             via_subset = predict_subset(model, batch, subset)
             masked = apply_mask(batch,
-                                per_sample=np.tile(subset.bits, (10, 1)))
+                                per_sample=np.tile(subset, (10, 1)))
             via_mask = forward(model, masked)
             assert (via_subset.logits.data == via_mask.logits.data).all()
             assert (via_subset.confidence.data == via_mask.confidence.data).all()
@@ -254,7 +255,7 @@ class TestPredictSubset:
         cfg = FusionConfig(modalities=2, dims=(3, 3), classes=3, fused_dim=4)
         model = random_model(rng, cfg)
         batch = random_batch(rng, 6, cfg.dims, cfg.classes)
-        full = predict_subset(model, batch, SubsetMask.full(2))
+        full = predict_subset(model, batch, np.ones(2, dtype=bool))
         plain = forward(model, batch)
         assert (full.logits.data == plain.logits.data).all()
 
@@ -276,7 +277,7 @@ class TestPredictSubset:
         model = random_model(rng, cfg)
         batch = random_batch(rng, 4, cfg.dims, cfg.classes)
         with pytest.raises(ValueError):
-            predict_subset(model, batch, SubsetMask.empty(2))
+            predict_subset(model, batch, np.zeros(2, dtype=bool))
 
     def test_subset_of_the_wrong_length_rejected(self):
         rng = np.random.default_rng(44)
@@ -285,7 +286,7 @@ class TestPredictSubset:
         batch = random_batch(rng, 4, cfg.dims, cfg.classes)
         for bits in ((True,), (True, False, True)):
             with pytest.raises(ValueError, match="modality count"):
-                predict_subset(model, batch, SubsetMask(bits))
+                predict_subset(model, batch, np.array(bits))
 
 
 class TestNormStats:
@@ -425,10 +426,9 @@ class TestTapeSize:
         model = random_model(rng, cfg)
         batch = random_batch(rng, 16, cfg.dims, cfg.classes)
         subsets = nonempty_subsets(4)
-        keep = np.array([subsets[i].bits
-                         for i in rng.integers(0, len(subsets), size=16)])
-        pairs = cec_pairs(4)
-        assert len(pairs) == 50
+        keep = subsets[rng.integers(0, len(subsets), size=16)]
+        lattice = cec_pairs(4)
+        assert len(lattice.pairs) == 50
         recorded = []
 
         def counted(*args, **kwargs):
@@ -440,7 +440,7 @@ class TestTapeSize:
         composite_loss = losses_module.composite_loss
         monkeypatch.setattr(losses_module, "composite_loss", counted)
         with T.Tape() as tape:
-            step_loss(model, batch, keep, pairs, lam=0.05, gamma=20.0)
+            step_loss(model, batch, keep, lattice, lam=0.05, gamma=20.0)
         assert recorded == [1]
 
 

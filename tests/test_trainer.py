@@ -230,7 +230,9 @@ class TestMaskedCopies:
             calls.append(batch.n)
             return apply_mask(batch, *args, **kwargs)
 
-        monkeypatch.setattr(trainer_module, "apply_mask", counting)
+        for name, module in list(sys.modules.items()):
+            if name.startswith("entrofuse") and hasattr(module, "apply_mask"):
+                monkeypatch.setattr(module, "apply_mask", counting)
         cfg = small_cfg(gamma=gamma, lam_mode=lam_mode)
         res = train(cfg, small_data())
         assert all((h.cec > 0.0) == (gamma > 0.0) for h in res.history)

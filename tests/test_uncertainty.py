@@ -8,7 +8,6 @@ import pytest
 
 from entrofuse.data import MultimodalBatch, apply_mask
 from entrofuse.model import FusionConfig, FusionModel
-from entrofuse.subsets import SubsetMask
 from entrofuse.tensor import softplus
 from entrofuse.uncertainty import (BLOCK, LambdaConfig, branch_variance,
                                    calibrate_vmax, ensemble_variance,
@@ -125,7 +124,7 @@ class TestMcVariance:
         cfg = FusionConfig(modalities=2, dims=(4, 3), classes=3, fused_dim=4)
         model = random_model(rng, cfg)
         batch = random_batch(rng, 8, cfg.dims, cfg.classes)
-        masked = apply_mask(batch, drop=SubsetMask.from_indices(2, [1]))
+        masked = apply_mask(batch, per_sample=np.tile([True, False], (8, 1)))
         var = mc_variance(model, masked, np.random.default_rng(5), draws=8)
         assert (var[:, 1] == 0.0).all()
         assert (var[:, 0] > 0.0).any()

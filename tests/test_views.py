@@ -6,7 +6,8 @@ block and the fusion summed term by term. Over random presence views that
 give 0, 1 and several views needing the gate, for 2 to 5 modalities,
 ``forward`` and ``gate_rows`` must match it view by view, values and
 gradients, and every view row must lie on its masked simplex. The read
-paths and the gamma=0 training step must run without a masked copy.
+paths, the gamma=0 training step and every ablation's training run must
+run without a masked copy.
 ``forward``'s one tape node must also equal, bit for bit, the layer-op
 chain it replaced (``reference_chain.forward``) over the same views.
 """
@@ -354,11 +355,10 @@ class TestReadPathsTakeViews:
         model = random_model(rng, cfg)
         batch = random_batch(rng, 20, cfg.dims, cfg.classes)
         audit = inversion_audit(model, batch)
-        subsets = {s for pair in subset_lattice(m) for s in pair}
-        ref = audit_confidences(
-            {s: reference_forward(model, batch,
-                                  batch.presence & np.array(s.bits))
-             .confidence.data for s in subsets}, subset_lattice(m))
+        lattice = subset_lattice(m)
+        ref = audit_confidences(np.array(
+            [reference_forward(model, batch, batch.presence & s)
+             .confidence.data for s in lattice.subsets]), lattice)
         assert np.array_equal(audit.counts, ref.counts)
         assert_close(audit.mean_violation, ref.mean_violation)
 
@@ -413,11 +413,19 @@ class TestReadPathsTakeViews:
         model = random_model(rng, cfg)
         batch = random_batch(rng, 24, cfg.dims, cfg.classes)
         dist = acm_distribution(model, batch, 0.5, family="all_subsets")
-        assert dist.support == tuple(candidate_family(3, "all_subsets"))
+        assert np.array_equal(dist.support,
+                              candidate_family(3, "all_subsets"))
         for drop, entropy in zip(dist.support, dist.mean_entropies):
-            keep = ~np.array(drop.bits) & batch.presence
+            keep = ~drop & batch.presence
             ref = reference_forward(model, batch, keep).p
             assert_close(entropy, R.entropy_rows(ref).data.mean())
+
+    @pytest.mark.parametrize("ablation", trainer_module.ABLATIONS)
+    def test_every_ablation_trains(self, ablation, no_masked_copies):
+        # the single-modality ablation restricts presence, too
+        res = train(small_cfg(gamma=1.0, epochs=2, ablation=ablation),
+                    small_data())
+        assert all(np.isfinite(h.total) for h in res.history)
 
     @pytest.mark.parametrize("lam_mode", ["scheduled", "instance"])
     def test_gamma_zero_training(self, lam_mode, no_masked_copies):
