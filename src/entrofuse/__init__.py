@@ -24,12 +24,13 @@ from .model import (ForwardOutput, FusionConfig, FusionModel, forward,
 from .optim import adamw_step, cosine_lr
 from .rng import stream
 from .subsets import SubsetLattice, nonempty_subsets, subset_lattice
-from .tensor import Tape, Tensor, grad_check, softplus
+from .tensor import Tape, Tensor
 from .trainer import (DivergenceError, RunResult, Switches, TrainConfig,
                       apply_ablation, evaluate_under_dropout, fit_temperature,
                       train)
 from .uncertainty import (LambdaConfig, calibrate_vmax, ensemble_variance,
-                          lambda_of, lambda_upper, mc_variance, with_vmax)
+                          lambda_of, lambda_upper, mc_variance, softplus,
+                          with_vmax)
 
 __version__ = "0.1.0"
 
@@ -43,7 +44,7 @@ __all__ = [
     "calibrate_vmax", "candidate_family", "cec_loss", "cec_pairs",
     "composite_loss", "cosine_lr", "ece", "ensemble_variance",
     "entropy_confidence_export", "evaluate_under_dropout", "fit_temperature",
-    "forward", "generate", "grad_check", "inversion_audit", "lambda_of",
+    "forward", "generate", "inversion_audit", "lambda_of",
     "lambda_upper", "load_checkpoint", "load_config", "load_dataset",
     "map_at_1", "mc_variance", "nonempty_subsets", "parse_config",
     "predict_subset", "sample_keep", "save_checkpoint", "save_dataset",

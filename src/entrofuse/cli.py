@@ -17,6 +17,7 @@ import argparse
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import nullcontext
 from dataclasses import replace
 
 import yaml
@@ -27,7 +28,7 @@ from .data import generate, save_dataset
 from .metrics import (confidence_correct, ece, entropy_confidence_export,
                       inversion_audit, write_csv)
 from .model import forward, load_checkpoint, save_checkpoint
-from .trainer import (ABLATIONS, DivergenceError, RunResult,
+from .trainer import (ABLATIONS, DivergenceError, RunResult, check_rates,
                       evaluate_under_dropout, train)
 
 __all__ = ["main"]
@@ -47,12 +48,11 @@ class _Parser(argparse.ArgumentParser):
 def _rates_arg(text: str) -> tuple[float, ...]:
     try:
         rates = tuple(float(part) for part in text.split(",") if part != "")
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"bad rates list: {text!r}")
+        check_rates(rates)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(f"bad rates list {text!r}: {exc}")
     if not rates:
         raise argparse.ArgumentTypeError("rates list is empty")
-    if not all(0.0 <= r < 1.0 for r in rates):  # NaN fails too
-        raise argparse.ArgumentTypeError(f"rates must be in [0, 1): {text!r}")
     return rates
 
 
@@ -101,6 +101,18 @@ def _load(args) -> ExperimentConfig:
     return cfg
 
 
+def _write_eval(out: str, table: dict[float, dict[str, float]]) -> None:
+    write_csv(os.path.join(out, "eval.csv"),
+              ["rate", "score", "ece", "gate_entropy"],
+              [[rate, row["score"], row["ece"], row["gate_entropy"]]
+               for rate, row in table.items()])
+
+
+def _write_scatter(out: str, scatter) -> None:
+    write_csv(os.path.join(out, "scatter.csv"),
+              ["gate_entropy", "confidence"], scatter.tolist())
+
+
 def write_run_dir(out: str, cfg: ExperimentConfig, result: RunResult,
                   test_batch) -> None:
     os.makedirs(out, exist_ok=True)
@@ -115,16 +127,11 @@ def write_run_dir(out: str, cfg: ExperimentConfig, result: RunResult,
               ["epoch", "total", "task", "ent", "cec", "lam",
                "val_score", "val_ece", "val_gate_entropy"], history_rows)
 
-    eval_rows = [[rate, row["score"], row["ece"], row["gate_entropy"]]
-                 for rate, row in result.eval_table.items()]
-    write_csv(os.path.join(out, "eval.csv"),
-              ["rate", "score", "ece", "gate_entropy"], eval_rows)
-
+    _write_eval(out, result.eval_table)
     scatter = result.test_scatter  # from train's clean evaluation pass
     if scatter is None:
         scatter = entropy_confidence_export(forward(result.model, test_batch))
-    write_csv(os.path.join(out, "scatter.csv"),
-              ["gate_entropy", "confidence"], scatter.tolist())
+    _write_scatter(out, scatter)
 
     save_checkpoint(result.model, os.path.join(out, "checkpoint.npz"))
 
@@ -167,12 +174,15 @@ def cmd_run(args) -> int:
 
 def _ablate_job(job: tuple[ExperimentConfig, str, str]):
     cfg, tag, out = job
-    sub_cfg = ExperimentConfig(data=cfg.data,
-                               train=replace(cfg.train, ablation=tag),
-                               out=out)
-    data = generate(sub_cfg.data)
-    result = train(sub_cfg.train, data)
-    write_run_dir(out, sub_cfg, result, data[2])
+    try:
+        sub_cfg = ExperimentConfig(data=cfg.data,
+                                   train=replace(cfg.train, ablation=tag),
+                                   out=out)
+        data = generate(sub_cfg.data)
+        result = train(sub_cfg.train, data)
+        write_run_dir(out, sub_cfg, result, data[2])
+    except Exception as exc:
+        raise RuntimeError(f"ablation '{tag}' failed: {exc}") from exc
     return tag, result.eval_table
 
 
@@ -182,35 +192,16 @@ def cmd_ablate(args) -> int:
     os.makedirs(out, exist_ok=True)
     jobs = [(cfg, tag, os.path.join(out, tag)) for tag in ABLATIONS]
 
-    tables: dict[str, dict] = {}
-    if args.jobs > 1:
-        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
-            futures = {job[1]: pool.submit(_ablate_job, job) for job in jobs}
-            for tag, future in futures.items():
-                exc = future.exception()
-                if exc is not None:
-                    raise RuntimeError(f"ablation '{tag}' failed: {exc}") from exc
-                tables[tag] = future.result()[1]
-    else:
-        for job in jobs:
-            tag = job[1]
-            try:
-                tables[tag] = _ablate_job(job)[1]
-            except Exception as exc:
-                raise RuntimeError(f"ablation '{tag}' failed: {exc}") from exc
+    with (ProcessPoolExecutor(max_workers=args.jobs) if args.jobs > 1
+          else nullcontext()) as pool:
+        tables = dict((map if pool is None else pool.map)(_ablate_job, jobs))
 
-    rates = list(cfg.train.eval_rates)
-    header = ["ablation"]
-    for rate in rates:
-        header += [f"score@{rate:g}", f"ece@{rate:g}"]
-    rows = []
-    for tag in ABLATIONS:
-        row = [tag]
-        for rate in rates:
-            row += [tables[tag][rate]["score"], tables[tag][rate]["ece"]]
-        rows.append(row)
+    cols = [(rate, key) for rate in cfg.train.eval_rates
+            for key in ("score", "ece")]
     table_path = os.path.join(out, "ablate.csv")
-    write_csv(table_path, header, rows)
+    write_csv(table_path, ["ablation"] + [f"{k}@{r:g}" for r, k in cols],
+              [[tag] + [tables[tag][r][k] for r, k in cols]
+               for tag in ABLATIONS])
     print(f"ablation table: {table_path}")
     return 0
 
@@ -284,19 +275,11 @@ def cmd_audit(args) -> int:
               ["observed_small", "observed_big", "count", "mean_violation"],
               pair_rows)
 
-    scatter = entropy_confidence_export(out_fwd)
-    write_csv(os.path.join(out, "scatter.csv"),
-              ["gate_entropy", "confidence"], scatter.tolist())
-
+    _write_scatter(out, entropy_confidence_export(out_fwd))
     if args.rates is not None:
-        table = evaluate_under_dropout(model, test_b, rates=args.rates,
-                                       seeds=cfg.train.eval_seeds,
-                                       seed=cfg.train.seed,
-                                       temperature=temperature)
-        eval_rows = [[rate, row["score"], row["ece"], row["gate_entropy"]]
-                     for rate, row in table.items()]
-        write_csv(os.path.join(out, "eval.csv"),
-                  ["rate", "score", "ece", "gate_entropy"], eval_rows)
+        _write_eval(out, evaluate_under_dropout(
+            model, test_b, rates=args.rates, seeds=cfg.train.eval_seeds,
+            seed=cfg.train.seed, temperature=temperature))
 
     print(f"audit: out={out} ece={report.ece:.4f} "
           f"inversion_rate={audit.rate:.4f} pairs={len(audit.pairs)} "

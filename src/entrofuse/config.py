@@ -125,7 +125,12 @@ def parse_config(doc) -> ExperimentConfig:
     train = TrainConfig()
     changes = _section(train, root["train"], "train")
     changes.update(_section(train, root.get("eval", {}), "eval", _EVAL))
-    return ExperimentConfig(data=data, train=_build(train, changes, "train"),
+    train = _build(train, changes, "train")
+    # every ablation grid runs single_modality, whatever the ablation tag
+    if not 0 <= train.single_modality_index < data.modalities:
+        raise ConfigError(f"train.single_modality_index must name one of "
+                          f"the {data.modalities} modalities")
+    return ExperimentConfig(data=data, train=train,
                             out=_cast(str | None, root.get("out"), "out"))
 
 

@@ -8,7 +8,8 @@ pushes the gate toward spread-out mixture weights) and ``cec`` the squared
 hinge on confidence inversions between nested observed subsets.
 ``composite_loss`` computes the objective and its gradients with respect to
 the logits and the gate weights in plain NumPy, and records them on the
-tape as one node.
+tape as one node. ``task_term`` is the task term alone, which
+``trainer.fit_temperature`` also minimises.
 """
 
 from __future__ import annotations
@@ -27,6 +28,7 @@ __all__ = [
     "cec_loss",
     "cec_pairs",
     "subset_confidences",
+    "task_term",
     "composite_loss",
     "step_loss",
 ]
@@ -114,6 +116,35 @@ def cec_loss(conf: np.ndarray, pairs, weight: float = 1.0
     return value, grad
 
 
+def task_term(z: np.ndarray, labels: np.ndarray, multilabel: bool = False
+              ) -> tuple[float, np.ndarray]:
+    """Mean cross-entropy of the logit rows ``z`` against one class index
+    per row (with ``multilabel``, mean BCE over every entry against 0/1
+    targets of ``z``'s shape), and its gradient with respect to ``z``."""
+    n = len(z)
+    if multilabel:
+        t = np.asarray(labels, dtype=np.float64)
+        if t.shape != z.shape:
+            raise ValueError(f"target shape {t.shape} != logits shape {z.shape}")
+        value = (np.maximum(z, 0.0) - z * t + np.log1p(np.exp(-np.abs(z)))).mean()
+        # d value / d z = (sigmoid(z) - t) / (n * C)
+        return value, (class_probs(z, multilabel=True) - t) * (1.0 / z.size)
+    idx = np.asarray(labels)
+    if idx.ndim != 1 or idx.shape[0] != n:
+        raise ValueError("labels must be one class index per row")
+    idx = idx.astype(np.int64)
+    if idx.min() < 0 or idx.max() >= z.shape[1]:
+        raise ValueError("label out of range")
+    # shift by the entry at the argmax, the max itself, as class_probs
+    shifted = z - z[np.arange(n), z.argmax(axis=1), None]
+    log_probs = shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
+    at = (np.arange(n), idx)
+    # d value / d z = (softmax(z) - onehot(labels)) / n
+    grad = np.exp(log_probs) * (1.0 / n)
+    grad[at] -= 1.0 / n
+    return -log_probs[at].mean(), grad
+
+
 def composite_loss(logits: T.Tensor, p: T.Tensor, labels: np.ndarray, *,
                    lam: float | np.ndarray, gamma: float,
                    rows: np.ndarray | None = None,
@@ -149,28 +180,7 @@ def composite_loss(logits: T.Tensor, p: T.Tensor, labels: np.ndarray, *,
         z, w = z[rows], w[rows]
     n = len(z)
 
-    if multilabel:
-        t = np.asarray(labels, dtype=np.float64)
-        if t.shape != z.shape:
-            raise ValueError(f"target shape {t.shape} != logits shape {z.shape}")
-        task = (np.maximum(z, 0.0) - z * t + np.log1p(np.exp(-np.abs(z)))).mean()
-        # d task / d z = (sigmoid(z) - t) / (n * C)
-        g_task = (class_probs(z, multilabel=True) - t) * (1.0 / z.size)
-    else:
-        idx = np.asarray(labels)
-        if idx.ndim != 1 or idx.shape[0] != n:
-            raise ValueError("labels must be one class index per row")
-        idx = idx.astype(np.int64)
-        if idx.min() < 0 or idx.max() >= z.shape[1]:
-            raise ValueError("label out of range")
-        # shift by the entry at the argmax, the max itself, as class_probs
-        shifted = z - z[np.arange(n), z.argmax(axis=1), None]
-        log_probs = shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
-        at = (np.arange(n), idx)
-        task = -log_probs[at].mean()
-        # d task / d z = (softmax(z) - onehot(labels)) / n
-        g_task = np.exp(log_probs) * (1.0 / n)
-        g_task[at] -= 1.0 / n
+    task, g_task = task_term(z, labels, multilabel)
 
     lam_arr = np.asarray(lam, dtype=np.float64)
     ent_rows = entropy_rows(w)

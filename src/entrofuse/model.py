@@ -55,8 +55,8 @@ class FusionConfig:
     def __post_init__(self):
         if len(self.dims) != self.modalities:
             raise ValueError("dims length must equal modality count")
-        if self.classes < 1 or self.fused_dim < 1:
-            raise ValueError("classes and fused_dim must be positive")
+        if self.classes < 1 or self.fused_dim < 1 or self.gate_hidden_dim < 1:
+            raise ValueError("classes and layer widths must be positive")
 
     @property
     def gate_input_dim(self) -> int:
@@ -106,14 +106,23 @@ class FusionModel:
     Write a parameter through its view (``t.data[...] = x``), not by
     rebinding it."""
 
-    def __init__(self, cfg: FusionConfig, gate_w1: T.Tensor, gate_b1: T.Tensor,
-                 gate_w2: T.Tensor, gate_b2: T.Tensor, proj: list[T.Tensor],
-                 head_w: T.Tensor, head_b: T.Tensor):
+    def __init__(self, cfg: FusionConfig, rng: np.random.Generator):
+        """Fan-in-uniform weights drawn from ``rng``, zero biases; the gate
+        output layer starts at zero so training begins from the
+        equal-weight mixture."""
+        def param(data: np.ndarray) -> T.Tensor:
+            return T.Tensor(data, requires_grad=True)
+
+        hid = cfg.gate_hidden_dim
         self.cfg = cfg
-        self.gate_w1, self.gate_b1 = gate_w1, gate_b1
-        self.gate_w2, self.gate_b2 = gate_w2, gate_b2
-        self.proj = proj
-        self.head_w, self.head_b = head_w, head_b
+        self.gate_w1 = param(_fan_in_uniform(rng, (cfg.gate_input_dim, hid)))
+        self.gate_b1 = param(np.zeros(hid))
+        self.gate_w2 = param(np.zeros((hid, cfg.modalities)))
+        self.gate_b2 = param(np.zeros(cfg.modalities))
+        self.proj = [param(_fan_in_uniform(rng, (d, cfg.fused_dim)))
+                     for d in cfg.dims]
+        self.head_w = param(_fan_in_uniform(rng, (cfg.fused_dim, cfg.classes)))
+        self.head_b = param(np.zeros(cfg.classes))
         self.norm_mean = [np.zeros(d) for d in cfg.dims]
         self.norm_std = [np.ones(d) for d in cfg.dims]
         self.base = _lay_out(self.base_parameters())
@@ -131,24 +140,8 @@ class FusionModel:
         self.gate.grads.fill(0.0)
 
     @classmethod
-    def init(cls, cfg: FusionConfig, rng: np.random.Generator) -> "FusionModel":
-        """Fan-in-uniform weights, zero biases; the gate output layer starts at
-        zero so training begins from the equal-weight mixture."""
-        def param(data: np.ndarray) -> T.Tensor:
-            return T.Tensor(data, requires_grad=True)
-
-        hid = cfg.gate_hidden_dim
-        return cls(cfg, param(_fan_in_uniform(rng, (cfg.gate_input_dim, hid))),
-                   param(np.zeros(hid)), param(np.zeros((hid, cfg.modalities))),
-                   param(np.zeros(cfg.modalities)),
-                   [param(_fan_in_uniform(rng, (d, cfg.fused_dim)))
-                    for d in cfg.dims],
-                   param(_fan_in_uniform(rng, (cfg.fused_dim, cfg.classes))),
-                   param(np.zeros(cfg.classes)))
-
-    @classmethod
     def from_seed(cls, cfg: FusionConfig, seed: int) -> "FusionModel":
-        return cls.init(cfg, stream(seed, "init"))
+        return cls(cfg, stream(seed, "init"))
 
     def fit_norm(self, train: MultimodalBatch) -> None:
         """Per-feature standardization statistics from observed train rows."""

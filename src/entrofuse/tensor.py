@@ -22,9 +22,7 @@ import numpy as np
 __all__ = [
     "Tensor",
     "Tape",
-    "grad_check",
     "scalar_node",
-    "softplus",
 ]
 
 
@@ -146,46 +144,3 @@ def scalar_node(value, inputs: Sequence[Tensor],
                 _accum(t, g * out.grad)
 
     return _maybe_record(out, inputs, backward)
-
-
-# ---------------------------------------------------------------------------
-# plain scalar/array helpers (no tape)
-# ---------------------------------------------------------------------------
-
-def softplus(x):
-    """log(1 + e^x), overflow-safe for large |x|. Works on scalars and arrays."""
-    x = np.asarray(x, dtype=np.float64)
-    out = np.maximum(x, 0.0) + np.log1p(np.exp(-np.abs(x)))
-    return float(out) if out.ndim == 0 else out
-
-
-def grad_check(f: Callable[[Tensor], Tensor], x: Tensor, eps: float = 1e-5) -> float:
-    """Max relative error between tape gradients of f and central differences.
-
-    f must map a single tensor to a scalar tensor. Error per coordinate is
-    |analytic - numeric| / (|analytic| + |numeric| + 1e-12).
-    """
-    if not 1e-7 <= eps <= 1e-3:
-        raise ValueError(f"eps must lie in [1e-7, 1e-3], got {eps}")
-    probe = Tensor(x.data.copy(), requires_grad=True)
-    with Tape() as tape:
-        y = f(probe)
-    if y.data.ndim != 0:
-        raise ValueError("grad_check target must return a scalar")
-    tape.backward(y)
-    analytic = probe.grad if probe.grad is not None else np.zeros_like(probe.data)
-
-    numeric = np.zeros_like(probe.data)
-    flat = probe.data.reshape(-1)
-    num_flat = numeric.reshape(-1)
-    for i in range(flat.size):
-        orig = flat[i]
-        flat[i] = orig + eps
-        hi = f(Tensor(probe.data)).item()
-        flat[i] = orig - eps
-        lo = f(Tensor(probe.data)).item()
-        flat[i] = orig
-        num_flat[i] = (hi - lo) / (2.0 * eps)
-
-    denom = np.abs(analytic) + np.abs(numeric) + 1e-12
-    return float(np.max(np.abs(analytic - numeric) / denom))

@@ -29,10 +29,10 @@ from . import tensor as T
 from .curriculum import (Schedules, acm_distribution, sample_keep,
                          schedule_lambda, schedule_pi)
 from .data import MultimodalBatch, bernoulli_mask
-from .losses import LossBreakdown, cec_pairs, step_loss
+from .losses import LossBreakdown, cec_pairs, step_loss, task_term
 from .metrics import (confidence_correct, ece, entropy_confidence_export,
                       map_at_1, top1_accuracy)
-from .model import FusionConfig, FusionModel, forward
+from .model import ForwardOutput, FusionConfig, FusionModel, forward
 from .optim import adamw_step, cosine_lr
 from .rng import stream
 from .uncertainty import LambdaConfig, calibrate_vmax, lambda_of, with_vmax
@@ -43,12 +43,11 @@ __all__ = [
     "RunResult",
     "DivergenceError",
     "apply_ablation",
+    "check_rates",
     "train",
     "evaluate_under_dropout",
     "fit_temperature",
 ]
-
-ABLATIONS = ("full", "no_entropy", "no_curmask", "no_gate", "single_modality")
 
 
 class DivergenceError(RuntimeError):
@@ -82,20 +81,32 @@ class TrainConfig:
     def __post_init__(self):
         if not 0.0 < self.lr_base <= self.lr_gate:
             raise ValueError("need lr_gate >= lr_base > 0")
-        if self.gamma < 0.0:
-            raise ValueError("gamma must be nonnegative")
+        if min(self.gamma, self.weight_decay) < 0.0:
+            raise ValueError("gamma and weight_decay must be nonnegative")
         if self.epochs < 0 or self.batch_size < 1:
             raise ValueError("epochs must be >= 0 and batch_size >= 1")
         if self.lam_mode not in ("scheduled", "instance"):
             raise ValueError(f"unknown lam_mode {self.lam_mode!r}")
         if self.ablation not in ABLATIONS:
             raise ValueError(f"unknown ablation {self.ablation!r}")
-        if any(not 0.0 <= r < 1.0 for r in self.eval_rates):
-            raise ValueError("eval rates must be in [0, 1)")
-        if self.eval_seeds < 1 or self.probe_size < 1:
-            raise ValueError("eval_seeds and probe_size must be positive")
+        check_rates(self.eval_rates)
+        hidden = () if self.gate_hidden is None else (self.gate_hidden,)
+        if min(self.eval_seeds, self.probe_size, self.cec_pair_limit,
+               self.fused_dim, *hidden) < 1:
+            raise ValueError("eval_seeds, probe_size, cec_pair_limit, "
+                             "fused_dim and gate_hidden must be positive")
         if self.divergence_factor <= 1.0:
             raise ValueError("divergence_factor must exceed 1")
+
+
+def check_rates(rates) -> None:
+    """Raise ``ValueError`` unless the dropout rates are distinct and each
+    lies in [0, 1): a rate keys its column of the evaluation table."""
+    rates = tuple(rates)
+    if not all(0.0 <= r < 1.0 for r in rates):  # NaN fails too
+        raise ValueError(f"rates must be in [0, 1): {rates}")
+    if len(set(rates)) != len(rates):
+        raise ValueError(f"rates must be distinct: {rates}")
 
 
 @dataclass(frozen=True)
@@ -109,22 +120,24 @@ class Switches:
     keep_only: int | None = None
 
 
+# ablation tag -> its switches, in ablate.csv's row order; apply_ablation
+# sets single_modality's kept index from the config
+ABLATIONS = {
+    "full": Switches(),
+    "no_entropy": Switches(lam_on=False),
+    "no_curmask": Switches(mask_on=False),
+    "no_gate": Switches(gate_on=False),
+    # one observed modality: subset consistency is vacuous, masking would
+    # empty samples, so both are off
+    "single_modality": Switches(mask_on=False, cec_on=False, keep_only=0),
+}
+
+
 def apply_ablation(cfg: TrainConfig) -> Switches:
-    tag = cfg.ablation
-    if tag == "full":
-        return Switches()
-    if tag == "no_entropy":
-        return Switches(lam_on=False)
-    if tag == "no_curmask":
-        return Switches(mask_on=False)
-    if tag == "no_gate":
-        return Switches(gate_on=False)
-    if tag == "single_modality":
-        # one observed modality: subset consistency is vacuous, masking
-        # would empty samples, so both are off
-        return Switches(mask_on=False, cec_on=False,
-                        keep_only=cfg.single_modality_index)
-    raise ValueError(f"unknown ablation {tag!r}")
+    sw = ABLATIONS[cfg.ablation]
+    if sw.keep_only is None:
+        return sw
+    return replace(sw, keep_only=cfg.single_modality_index)
 
 
 @dataclass
@@ -166,13 +179,16 @@ def _keep_single(batch: MultimodalBatch, index: int) -> MultimodalBatch:
     return replace(batch, presence=np.tile(only, (batch.n, 1)))
 
 
-def _metric_row(logits: np.ndarray, labels: np.ndarray, multilabel: bool,
+def _metric_row(out: ForwardOutput, labels: np.ndarray,
                 temperature: float = 1.0) -> dict[str, float]:
-    conf, correct = confidence_correct(logits, labels, multilabel,
+    """Score, ECE at ``temperature`` and mean gate entropy of one pass."""
+    logits = out.logits.data
+    conf, correct = confidence_correct(logits, labels, out.multilabel,
                                        temperature)
-    score = (map_at_1(logits, labels) if multilabel
+    score = (map_at_1(logits, labels) if out.multilabel
              else top1_accuracy(logits, labels))
-    return {"score": score, "ece": ece(conf, correct).ece}
+    return {"score": score, "ece": ece(conf, correct).ece,
+            "gate_entropy": float(out.gate_entropy.mean())}
 
 
 def train(cfg: TrainConfig, data: tuple[MultimodalBatch, MultimodalBatch, MultimodalBatch]) -> RunResult:
@@ -195,7 +211,7 @@ def train(cfg: TrainConfig, data: tuple[MultimodalBatch, MultimodalBatch, Multim
         modalities=modalities, dims=train_b.dims, classes=classes,
         fused_dim=cfg.fused_dim, gate_hidden=cfg.gate_hidden,
         multilabel=multilabel)
-    model = FusionModel.init(fcfg, stream(cfg.seed, "init"))
+    model = FusionModel.from_seed(fcfg, cfg.seed)
     model.fit_norm(train_b)
     groups = [(model.base, cfg.lr_base, {})]
     if sw.gate_on:
@@ -290,10 +306,8 @@ def train(cfg: TrainConfig, data: tuple[MultimodalBatch, MultimodalBatch, Multim
             total=float(mean[0]), task=float(mean[1]), ent=float(mean[2]),
             cec=float(mean[3]), lam=float(mean[4]), gamma=cfg.gamma))
         val_out = forward(model, val_b)
-        row = _metric_row(val_out.logits.data, val_b.labels, multilabel)
-        row["epoch"] = epoch
-        row["gate_entropy"] = float(val_out.gate_entropy.mean())
-        metric_history.append(row)
+        metric_history.append({"epoch": epoch,
+                               **_metric_row(val_out, val_b.labels)})
 
     temperature = None
     if cfg.temp_scaling:
@@ -335,9 +349,9 @@ def _dropout_table(model: FusionModel, batch: MultimodalBatch,
     """``evaluate_under_dropout``'s table, and the per-sample (gate entropy,
     confidence) rows of its first unmasked pass (None when every rate was
     masked)."""
-    if any(not 0.0 <= r < 1.0 for r in rates):
-        raise ValueError("rates must be in [0, 1)")
-    multilabel = model.cfg.multilabel
+    check_rates(rates)
+    if seeds < 1:
+        raise ValueError("seeds must be positive")
     maskable = (batch.presence.sum(axis=1) > 1).any()
     table: dict[float, dict[str, float]] = {}
     scatter = None
@@ -356,11 +370,8 @@ def _dropout_table(model: FusionModel, batch: MultimodalBatch,
             out = forward(model, batch, views)
             if views is None and scatter is None:
                 scatter = entropy_confidence_export(out)
-            row = _metric_row(out.logits.data, batch.labels, multilabel,
-                              temperature=temperature)
-            acc["score"] += row["score"]
-            acc["ece"] += row["ece"]
-            acc["gate_entropy"] += float(out.gate_entropy.mean())
+            for k, v in _metric_row(out, batch.labels, temperature).items():
+                acc[k] += v
         table[rate] = {k: v / draws for k, v in acc.items()}
     return table, scatter
 
@@ -377,22 +388,8 @@ def fit_temperature(logits: np.ndarray, labels: np.ndarray,
     if float(np.ptp(logits)) == 0.0:
         raise ValueError("degenerate logits: all entries identical")
 
-    if multilabel:
-        targets = np.asarray(labels, dtype=np.float64)
-
-        def nll(t: float) -> float:
-            z = logits / t
-            return float(np.mean(np.maximum(z, 0.0) - z * targets
-                                 + np.log1p(np.exp(-np.abs(z)))))
-    else:
-        idx = np.asarray(labels).astype(np.int64)
-        rows = np.arange(logits.shape[0])
-
-        def nll(t: float) -> float:
-            z = logits / t
-            z = z - z.max(axis=1, keepdims=True)
-            log_norm = np.log(np.exp(z).sum(axis=1))
-            return float(np.mean(log_norm - z[rows, idx]))
+    def nll(t: float) -> float:
+        return float(task_term(logits / t, labels, multilabel)[0])
 
     lo, hi = bounds
     inv_phi = (np.sqrt(5.0) - 1.0) / 2.0

@@ -19,7 +19,6 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .data import MultimodalBatch
-from .tensor import softplus
 
 __all__ = [
     "LambdaConfig",
@@ -31,6 +30,7 @@ __all__ = [
     "calibrate_vmax",
     "lambda_upper",
     "with_vmax",
+    "softplus",
 ]
 
 
@@ -173,6 +173,13 @@ def mean_branch_variance(model, batch: MultimodalBatch, cfg: LambdaConfig,
         raise ValueError(f"{empty} of {batch.n} rows observe no modality, "
                          "so they have no branch variance to average")
     return branch_variance(model, batch, cfg, rng).sum(axis=1) / observed
+
+
+def softplus(x):
+    """log(1 + e^x), overflow-safe for large |x|. Works on scalars and arrays."""
+    x = np.asarray(x, dtype=np.float64)
+    out = np.maximum(x, 0.0) + np.log1p(np.exp(-np.abs(x)))
+    return float(out) if out.ndim == 0 else out
 
 
 def lambda_of(model, batch: MultimodalBatch, cfg: LambdaConfig,

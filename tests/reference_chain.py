@@ -9,18 +9,19 @@ The ops are the package's former tape primitives, unchanged: the layer ops
 and the loss ops, which ``composite_loss`` composes. Tests also use
 ``add``, ``mul``, ``mul_scalar`` and ``mean_all`` to weight the outputs of
 the package's own ops in gradient checks, and ``row_max`` over ``softmax``
-or ``sigmoid`` as a confidence that takes a gradient.
+or ``sigmoid`` as a confidence that takes a gradient. ``grad_check``
+compares tape gradients with central differences.
 """
 
 from __future__ import annotations
 
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
 from entrofuse.losses import LossBreakdown
 from entrofuse.model import ForwardOutput
-from entrofuse.tensor import Tensor, _maybe_record, _result
+from entrofuse.tensor import Tape, Tensor, _maybe_record, _result
 
 
 def _accum(t: Tensor, g: np.ndarray) -> None:
@@ -31,6 +32,38 @@ def _accum(t: Tensor, g: np.ndarray) -> None:
         t.grad = np.array(g, dtype=np.float64)
     else:
         t.grad += g
+
+
+def grad_check(f: Callable[[Tensor], Tensor], x: Tensor, eps: float = 1e-5) -> float:
+    """Max relative error between tape gradients of f and central differences.
+
+    f must map a single tensor to a scalar tensor. Error per coordinate is
+    |analytic - numeric| / (|analytic| + |numeric| + 1e-12).
+    """
+    if not 1e-7 <= eps <= 1e-3:
+        raise ValueError(f"eps must lie in [1e-7, 1e-3], got {eps}")
+    probe = Tensor(x.data.copy(), requires_grad=True)
+    with Tape() as tape:
+        y = f(probe)
+    if y.data.ndim != 0:
+        raise ValueError("grad_check target must return a scalar")
+    tape.backward(y)
+    analytic = probe.grad if probe.grad is not None else np.zeros_like(probe.data)
+
+    numeric = np.zeros_like(probe.data)
+    flat = probe.data.reshape(-1)
+    num_flat = numeric.reshape(-1)
+    for i in range(flat.size):
+        orig = flat[i]
+        flat[i] = orig + eps
+        hi = f(Tensor(probe.data)).item()
+        flat[i] = orig - eps
+        lo = f(Tensor(probe.data)).item()
+        flat[i] = orig
+        num_flat[i] = (hi - lo) / (2.0 * eps)
+
+    denom = np.abs(analytic) + np.abs(numeric) + 1e-12
+    return float(np.max(np.abs(analytic - numeric) / denom))
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 """Command-line driver: run directories, exit codes, audit reports."""
 
 import json
+import multiprocessing
 import os
 from dataclasses import replace
 
@@ -121,6 +122,46 @@ class TestAblateCommand:
         for tag in ABLATIONS:
             assert os.path.isdir(os.path.join(out, tag))
         assert "ablation table" in capsys.readouterr().out
+
+    @pytest.fixture
+    def one_epoch_config(self, tmp_path):
+        path = tmp_path / "cfg.yaml"
+        path.write_text(yaml.safe_dump(dict(
+            SMALL_CONFIG, train=dict(SMALL_CONFIG["train"], epochs=1))))
+        return str(path)
+
+    def test_parallel_jobs_write_the_same_files(self, one_epoch_config,
+                                                tmp_path):
+        outs = [str(tmp_path / f"jobs{jobs}") for jobs in (1, 2)]
+        for jobs, out in zip((1, 2), outs):
+            assert main(["ablate", "--config", one_epoch_config, "--out", out,
+                         "--jobs", str(jobs)]) == 0
+        for tag in ABLATIONS:
+            for name in ("history.csv", "eval.csv", "scatter.csv",
+                         "checkpoint.npz"):
+                files = [open(os.path.join(out, tag, name), "rb").read()
+                         for out in outs]
+                assert files[0] == files[1], (tag, name)
+        tables = [open(os.path.join(out, "ablate.csv")).read()
+                  for out in outs]
+        assert tables[0] == tables[1]
+
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    def test_failed_job_names_its_ablation(self, one_epoch_config, tmp_path,
+                                           monkeypatch, capsys, jobs):
+        if jobs == "2" and multiprocessing.get_start_method() != "fork":
+            pytest.skip("workers see the patched train only when forked")
+        real = cli_module.train
+
+        def failing(cfg, data):
+            if cfg.ablation == "no_gate":
+                raise ValueError("boom")
+            return real(cfg, data)
+
+        monkeypatch.setattr(cli_module, "train", failing)
+        assert main(["ablate", "--config", one_epoch_config,
+                     "--out", str(tmp_path / "grid"), "--jobs", jobs]) == 2
+        assert "ablation 'no_gate' failed: boom" in capsys.readouterr().err
 
 
 class TestOneTestForwardPerRun:
@@ -261,8 +302,9 @@ class TestAuditCommand:
         rows = open(os.path.join(out, "eval.csv")).read().splitlines()
         assert len(rows) == 3
 
-    @pytest.mark.parametrize("rates", ["0,1.5", "0,1", "-0.1", "nan"])
-    def test_rates_outside_unit_interval_are_usage_errors(
+    @pytest.mark.parametrize("rates", ["0,1.5", "0,1", "-0.1", "nan",
+                                       "0.5,0.5", "0,-0", "0,x", ","])
+    def test_bad_rates_are_usage_errors(
             self, run_dir, config_path, tmp_path, capsys, rates):
         out = tmp_path / "audit"
         code = main(["audit",
@@ -434,6 +476,29 @@ class TestExitCodes:
         path = tmp_path / "cfg.yaml"
         path.write_text(yaml.safe_dump(minimal_bad_key()))
         assert main(["run", "--config", str(path)]) == 1
+
+    @pytest.mark.parametrize("command", ["run", "ablate"])
+    @pytest.mark.parametrize("section,setting", [
+        ("eval", {"rates": [0.0, 0.5, 0.5]}),
+        ("train", {"gate_hidden": 0}),
+        ("train", {"cec_pair_limit": 0}),
+        ("train", {"weight_decay": -0.01}),
+        ("train", {"single_modality_index": 2})])
+    def test_bad_run_settings_exit_one_before_any_compute(
+            self, tmp_path, monkeypatch, capsys, command, section, setting):
+        doc = dict(SMALL_CONFIG, **{section: dict(SMALL_CONFIG[section],
+                                                  **setting)})
+        path = tmp_path / "cfg.yaml"
+        path.write_text(yaml.safe_dump(doc))
+
+        def no_compute(*args):
+            raise AssertionError("a bad config reached data generation")
+
+        monkeypatch.setattr(cli_module, "generate", no_compute)
+        out = tmp_path / "out"
+        assert main([command, "--config", str(path), "--out", str(out)]) == 1
+        assert "config error" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_divergent_training_is_two(self, tmp_path):
         doc = {

@@ -102,6 +102,26 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match="data"):
             parse_config(minimal_doc(data={"classes": 50, "n_val": 10}))
 
+    @pytest.mark.parametrize("section,setting", [
+        ("eval", {"rates": [0.0, 0.5, 0.5]}),
+        ("train", {"gate_hidden": 0}),
+        ("train", {"cec_pair_limit": 0}),
+        ("train", {"cec_pair_limit": -1}),
+        ("train", {"weight_decay": -0.01})])
+    def test_bad_run_settings_are_config_errors(self, section, setting):
+        with pytest.raises(ConfigError, match="train"):
+            parse_config(minimal_doc(**{section: setting}))
+
+    @pytest.mark.parametrize("index", [-1, 2])
+    def test_single_modality_index_must_name_a_modality(self, index):
+        # checked whatever the ablation tag: the ablation grid runs them all
+        with pytest.raises(ConfigError, match="single_modality_index"):
+            parse_config(minimal_doc(train={"single_modality_index": index}))
+        three = {"modalities": 3, "dims": [4] * 3, "snr": [1.0] * 3}
+        cfg = parse_config(minimal_doc(data=three,
+                                       train={"single_modality_index": 2}))
+        assert cfg.train.single_modality_index == 2
+
     def test_with_seed_overrides_both_seeds(self):
         cfg = parse_config(minimal_doc())
         seeded = cfg.with_seed(9)

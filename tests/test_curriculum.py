@@ -226,7 +226,7 @@ class TestAcmDistribution:
         # zero gate output layer keeps every probe entropy at log(2)
         rng = np.random.default_rng(13)
         cfg = FusionConfig(modalities=3, dims=(3, 3, 3), classes=3, fused_dim=4)
-        model = FusionModel.init(cfg, rng)
+        model = FusionModel(cfg, rng)
         batch = random_batch(rng, 16, cfg.dims, cfg.classes)
         dist = acm_distribution(model, batch, 1.0, family="single_drops")
         np.testing.assert_allclose(dist.mean_entropies, np.log(2.0),

@@ -2,6 +2,7 @@
 name the benchmark's tracer wraps still resolves, and a traced training
 run counts its tape nodes and leaves the package as it found it."""
 
+import ast
 import importlib
 import importlib.util
 import pkgutil
@@ -38,6 +39,23 @@ def test_every_exported_name_resolves():
              if not hasattr(module, name)]
     assert len(modules) == 14
     assert stale == []
+
+
+def test_only_the_training_path_imports_the_tape():
+    # the tape serves the model pass, the objective and the step loop only
+    importers = []
+    for path in sorted(Path(entrofuse.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.ImportFrom) and (
+                    node.module in ("tensor", "entrofuse.tensor")
+                    or node.module in (None, "entrofuse")
+                    and any(a.name == "tensor" for a in node.names)):
+                importers.append(path.stem)
+            if isinstance(node, ast.Import) and any(
+                    a.name == "entrofuse.tensor" for a in node.names):
+                importers.append(path.stem)
+    assert sorted(set(importers)) == ["__init__", "losses", "model",
+                                      "trainer"]
 
 
 def test_every_traced_name_resolves():

@@ -104,7 +104,7 @@ class TestEntropyPenalty:
             logits = T.Tensor(rng.normal(size=(4, 3)))
             labels = rng.integers(0, 3, size=4)
             x = T.Tensor(rng.uniform(0.05, 1.0, size=(4, 3)))
-            err = T.grad_check(lambda t: composite_loss(
+            err = R.grad_check(lambda t: composite_loss(
                 logits, t, labels, lam=1.0, gamma=0.0)[0], x)
             assert err < 1e-6
 
@@ -341,7 +341,7 @@ class TestFusedCecLoss:
             return T.scalar_node(value, (x,), (grad.ravel(),))
 
         x = T.Tensor(rng.uniform(0.3, 1.0, size=shape[0] * shape[1]))
-        assert T.grad_check(loss, x) < 1e-6
+        assert R.grad_check(loss, x) < 1e-6
 
     def test_confidences_not_a_view_matrix_rejected(self):
         for conf in (np.array([0.9, 0.1]), np.zeros((2, 0))):
@@ -470,7 +470,7 @@ class TestCompositeLoss:
                                           labels, lam=lam, gamma=2.0,
                                           multilabel=multilabel, **kw)[0]
 
-                assert T.grad_check(loss, x) < 1e-6
+                assert R.grad_check(loss, x) < 1e-6
 
     def test_gradient_through_model_matches_central_differences(self):
         rng = np.random.default_rng(30)

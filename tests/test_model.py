@@ -29,7 +29,7 @@ def random_batch(rng, n, dims, classes, presence=None):
 
 def random_model(rng, cfg):
     """Init then scatter every weight so the gate path is nontrivial."""
-    model = FusionModel.init(cfg, rng)
+    model = FusionModel(cfg, rng)
     for _, t in model.parameters():
         t.data[...] = rng.normal(scale=0.5, size=t.data.shape)
     return model
@@ -59,7 +59,7 @@ class TestGateWeights:
     def test_fresh_model_gates_uniformly(self):
         # zero-initialized gate output layer puts every observed modality at 1/M
         cfg = FusionConfig(modalities=2, dims=(3, 5), classes=4, fused_dim=6)
-        model = FusionModel.init(cfg, np.random.default_rng(0))
+        model = FusionModel(cfg, np.random.default_rng(0))
         batch = random_batch(np.random.default_rng(1), 8, cfg.dims, cfg.classes)
         out = forward(model, batch)
         np.testing.assert_allclose(out.p.data, np.full((8, 2), 0.5), rtol=0, atol=0)
@@ -293,7 +293,7 @@ class TestNormStats:
     def test_fit_norm_matches_numpy_on_observed_rows(self):
         rng = np.random.default_rng(50)
         cfg = FusionConfig(modalities=2, dims=(3, 4), classes=3, fused_dim=4)
-        model = FusionModel.init(cfg, rng)
+        model = FusionModel(cfg, rng)
         presence = rng.random((40, 2)) < 0.7
         presence[~presence.any(axis=1), 0] = True
         batch = random_batch(rng, 40, cfg.dims, cfg.classes, presence)
@@ -307,7 +307,7 @@ class TestNormStats:
 
     def test_constant_feature_gets_std_floor(self):
         cfg = FusionConfig(modalities=1, dims=(2,), classes=2, fused_dim=2)
-        model = FusionModel.init(cfg, np.random.default_rng(51))
+        model = FusionModel(cfg, np.random.default_rng(51))
         feats = [np.column_stack([np.full(8, 3.0), np.arange(8.0)])]
         batch = MultimodalBatch(features=feats,
                                 presence=np.ones((8, 1), dtype=bool),
@@ -318,7 +318,7 @@ class TestNormStats:
     def test_gate_input_appends_presence_flags(self):
         rng = np.random.default_rng(52)
         cfg = FusionConfig(modalities=2, dims=(3, 2), classes=3, fused_dim=4)
-        model = FusionModel.init(cfg, rng)
+        model = FusionModel(cfg, rng)
         presence = np.array([[True, False], [True, True]])
         batch = random_batch(rng, 2, cfg.dims, cfg.classes, presence)
         x = model.gate_input(batch)
@@ -333,7 +333,7 @@ class TestNormStats:
         # the in-place fill does the reference's float ops, bit for bit
         rng = np.random.default_rng(53)
         cfg = FusionConfig(modalities=3, dims=(4, 1, 6), classes=3, fused_dim=4)
-        model = FusionModel.init(cfg, rng)
+        model = FusionModel(cfg, rng)
         model.norm_mean = [rng.normal(size=d) for d in cfg.dims]
         model.norm_std = [rng.uniform(0.1, 3.0, size=d) for d in cfg.dims]
         presence = rng.random((50, 3)) < 0.6
@@ -349,9 +349,16 @@ class TestValidation:
         with pytest.raises(ValueError):
             FusionConfig(modalities=3, dims=(4, 4), classes=2)
 
+    @pytest.mark.parametrize("hidden", [0, -1])
+    def test_gate_needs_hidden_units(self, hidden):
+        # with none, only gate_b2 reaches the weights: no row could move them
+        with pytest.raises(ValueError):
+            FusionConfig(modalities=2, dims=(4, 4), classes=2,
+                         gate_hidden=hidden)
+
     def test_forward_rejects_mismatched_batch(self):
         rng = np.random.default_rng(60)
-        model = FusionModel.init(
+        model = FusionModel(
             FusionConfig(modalities=2, dims=(3, 3), classes=2, fused_dim=4), rng)
         batch = random_batch(rng, 4, (3, 5), 2)
         with pytest.raises(ValueError):
@@ -360,7 +367,7 @@ class TestValidation:
     def test_forward_rejects_fully_unobserved_sample(self):
         rng = np.random.default_rng(61)
         cfg = FusionConfig(modalities=2, dims=(3, 3), classes=2, fused_dim=4)
-        model = FusionModel.init(cfg, rng)
+        model = FusionModel(cfg, rng)
         presence = np.array([[True, True], [False, False]])
         batch = random_batch(rng, 2, cfg.dims, cfg.classes)
         batch.presence[:] = presence
@@ -504,7 +511,7 @@ class TestParamBuffers:
         cfg = FusionConfig(modalities=3, dims=(3, 4, 2), classes=4, fused_dim=5)
         model = FusionModel.from_seed(cfg, 3)
         self._assert_views(model)
-        init = FusionModel.init(cfg, stream(3, "init"))
+        init = FusionModel(cfg, stream(3, "init"))
         for (_, a), (_, b) in zip(model.parameters(), init.parameters()):
             assert np.array_equal(a.data, b.data)
             assert not a.grad.any()

@@ -153,7 +153,7 @@ class TestModelGroups:
         # the benchmark's training shapes: 2 x 32 features, 8 classes
         cfg = FusionConfig(modalities=2, dims=(32, 32), classes=8,
                            fused_dim=32, gate_hidden=64)
-        return FusionModel.init(cfg, np.random.default_rng(34))
+        return FusionModel(cfg, np.random.default_rng(34))
 
     @pytest.mark.parametrize("weight_decay", [0.0, 0.01])
     def test_matches_per_parameter_kernel_bit_for_bit(self, weight_decay):

@@ -13,9 +13,11 @@ import numpy as np
 import pytest
 
 from entrofuse import tensor as T
-from entrofuse.tensor import Tape, Tensor, grad_check, softplus
+from entrofuse.tensor import Tape, Tensor
+from entrofuse.uncertainty import softplus
 
 import reference_chain as R
+from reference_chain import grad_check
 
 
 class TestTensorBasics:

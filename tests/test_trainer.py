@@ -13,12 +13,14 @@ import entrofuse.tensor as T
 import entrofuse.trainer as trainer_module
 import entrofuse.uncertainty as uncertainty
 from entrofuse.curriculum import Schedules
+from entrofuse.losses import task_term
 from entrofuse.data import SyntheticSpec, apply_mask, generate
 from entrofuse.model import FusionConfig, FusionModel, forward
 from entrofuse.metrics import top1_accuracy
 from entrofuse.rng import stream
-from entrofuse.trainer import (DivergenceError, Switches, TrainConfig,
-                               apply_ablation, evaluate_under_dropout,
+from entrofuse.trainer import (ABLATIONS, DivergenceError, Switches,
+                               TrainConfig, apply_ablation,
+                               evaluate_under_dropout,
                                fit_temperature, run_config_hash, train)
 from entrofuse.uncertainty import LambdaConfig
 
@@ -66,6 +68,21 @@ class TestApplyAblation:
         assert not sw.mask_on and not sw.cec_on
         assert sw.lam_on and sw.gate_on
 
+    def test_every_tag_in_ablate_row_order(self):
+        # the table's order is the row order of ablate.csv
+        expected = {
+            "full": Switches(),
+            "no_entropy": Switches(lam_on=False),
+            "no_curmask": Switches(mask_on=False),
+            "no_gate": Switches(gate_on=False),
+            "single_modality": Switches(mask_on=False, cec_on=False,
+                                        keep_only=1),
+        }
+        assert list(ABLATIONS) == list(expected)
+        for tag, switches in expected.items():
+            assert apply_ablation(small_cfg(
+                ablation=tag, single_modality_index=1)) == switches
+
 
 class TestTrainConfigValidation:
     def test_gate_lr_must_dominate_base(self):
@@ -84,6 +101,20 @@ class TestTrainConfigValidation:
         with pytest.raises(ValueError):
             TrainConfig(eval_rates=(-0.1,))
 
+    @pytest.mark.parametrize("rates", [(0.0, 0.5, 0.5), (0.0, -0.0)])
+    def test_eval_rates_must_be_distinct(self, rates):
+        # each rate keys one column of the evaluation table
+        with pytest.raises(ValueError, match="distinct"):
+            TrainConfig(eval_rates=rates)
+
+    @pytest.mark.parametrize("setting", [
+        {"gate_hidden": 0}, {"gate_hidden": -1}, {"fused_dim": 0},
+        {"cec_pair_limit": 0}, {"cec_pair_limit": -1},
+        {"weight_decay": -0.01}])
+    def test_bad_model_and_optimizer_settings_rejected(self, setting):
+        with pytest.raises(ValueError):
+            TrainConfig(**setting)
+
     def test_divergence_factor_must_exceed_one(self):
         with pytest.raises(ValueError):
             TrainConfig(divergence_factor=1.0)
@@ -95,7 +126,7 @@ class TestTrainLoop:
         cfg = small_cfg(epochs=0)
         res = train(cfg, data)
         assert res.history == [] and res.metric_history == []
-        expect = FusionModel.init(
+        expect = FusionModel(
             FusionConfig(modalities=2, dims=(6, 6), classes=3,
                          fused_dim=cfg.fused_dim),
             stream(cfg.seed, "init"))
@@ -277,7 +308,7 @@ class TestAblationRuns:
     def test_no_gate_never_updates_gate_parameters(self):
         cfg = small_cfg(ablation="no_gate", weight_decay=0.0)
         res = train(cfg, small_data())
-        init = FusionModel.init(
+        init = FusionModel(
             FusionConfig(modalities=2, dims=(6, 6), classes=3,
                          fused_dim=cfg.fused_dim),
             stream(cfg.seed, "init"))
@@ -291,7 +322,7 @@ class TestAblationRuns:
         cfg = small_cfg(ablation="no_gate")
         assert cfg.weight_decay > 0.0
         res = train(cfg, small_data())
-        init = FusionModel.init(
+        init = FusionModel(
             FusionConfig(modalities=2, dims=(6, 6), classes=3,
                          fused_dim=cfg.fused_dim),
             stream(cfg.seed, "init"))
@@ -312,6 +343,12 @@ class TestAblationRuns:
         # frozen input interface: every eval rate sees the same batch
         rows = list(res.eval_table.values())
         assert all(r == rows[0] for r in rows)
+
+    @pytest.mark.parametrize("index", [-1, 2])
+    def test_single_modality_index_out_of_range_rejected(self, index):
+        with pytest.raises(ValueError, match="single_modality_index"):
+            train(small_cfg(ablation="single_modality",
+                            single_modality_index=index), small_data())
 
     def test_all_ablations_run_green(self):
         data = small_data()
@@ -380,6 +417,56 @@ class TestEvaluateUnderDropout:
         with pytest.raises(ValueError):
             evaluate_under_dropout(model, test_b, rates=(1.0,))
 
+    def test_duplicate_rates_rejected(self):
+        # the second 0.5 column's draws would overwrite the first's
+        model, test_b = self._trained()
+        with pytest.raises(ValueError, match="distinct"):
+            evaluate_under_dropout(model, test_b, rates=(0.0, 0.5, 0.5))
+
+    def test_zero_seeds_rejected(self):
+        model, test_b = self._trained()
+        with pytest.raises(ValueError, match="seeds"):
+            evaluate_under_dropout(model, test_b, rates=(0.0, 0.5), seeds=0)
+
+
+def written_out_nll(z, labels, multilabel=False):
+    """Mean BCE (multi-label) or mean cross-entropy of logit rows ``z``,
+    written out here rather than read from ``losses.task_term``."""
+    if multilabel:
+        targets = np.asarray(labels, dtype=np.float64)
+        return float(np.mean(np.maximum(z, 0.0) - z * targets
+                             + np.log1p(np.exp(-np.abs(z)))))
+    idx = np.asarray(labels).astype(np.int64)
+    z = z - z.max(axis=1, keepdims=True)
+    log_norm = np.log(np.exp(z).sum(axis=1))
+    return float(np.mean(log_norm - z[np.arange(len(z)), idx]))
+
+
+def golden_nll_temperature(logits, labels, multilabel=False,
+                           bounds=(0.05, 20.0), iters=200):
+    """Reference for ``fit_temperature``: the same golden-section search
+    over ``written_out_nll`` of logits / t."""
+    def nll(t):
+        return written_out_nll(logits / t, labels, multilabel)
+
+    inv_phi = (np.sqrt(5.0) - 1.0) / 2.0
+    a, b = bounds
+    c = b - inv_phi * (b - a)
+    d = a + inv_phi * (b - a)
+    fc, fd = nll(c), nll(d)
+    for _ in range(iters):
+        if b - a < 1e-10:
+            break
+        if fc < fd:
+            b, d, fd = d, c, fc
+            c = b - inv_phi * (b - a)
+            fc = nll(c)
+        else:
+            a, c, fc = c, d, fd
+            d = a + inv_phi * (b - a)
+            fd = nll(d)
+    return float((a + b) / 2.0)
+
 
 class TestFitTemperature:
     def _calibrated_logits(self, seed, n=4000, classes=4):
@@ -420,6 +507,25 @@ class TestFitTemperature:
         targets = (rng.random(probs.shape) < probs).astype(np.float64)
         t = fit_temperature(4.0 * logits, targets, multilabel=True)
         assert 3.0 < t < 5.0
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_equals_the_written_out_search(self, seed):
+        # labels drawn at temperature t_true put the optimum inside bounds
+        rng = np.random.default_rng(seed)
+        logits = rng.normal(size=(300, 5)) * 2.0
+        t_true = rng.uniform(0.3, 3.0)
+        probs = np.exp(logits / t_true)
+        probs /= probs.sum(axis=1, keepdims=True)
+        labels = np.array([rng.choice(5, p=p) for p in probs])
+        targets = (rng.random(logits.shape)
+                   < 1.0 / (1.0 + np.exp(-logits / t_true))).astype(float)
+        for y, multilabel in ((labels, False), (targets, True)):
+            t = fit_temperature(logits, y, multilabel)
+            assert t == golden_nll_temperature(logits, y, multilabel)
+            assert 0.1 < t < 10.0
+            for s in (0.05, t_true, t, 20.0):
+                assert task_term(logits / s, y, multilabel)[0] == (
+                    written_out_nll(logits / s, y, multilabel))
 
     def test_degenerate_inputs_rejected(self):
         with pytest.raises(ValueError):

@@ -8,7 +8,7 @@ import pytest
 
 from entrofuse.data import MultimodalBatch, apply_mask
 from entrofuse.model import FusionConfig, FusionModel
-from entrofuse.tensor import softplus
+from entrofuse.uncertainty import softplus
 from entrofuse.uncertainty import (BLOCK, LambdaConfig, branch_variance,
                                    calibrate_vmax, ensemble_variance,
                                    lambda_of, lambda_upper,
