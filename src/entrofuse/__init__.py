@@ -20,7 +20,8 @@ from .metrics import (CalibrationReport, InversionAudit, audit_confidences,
                       ece, entropy_confidence_export, inversion_audit,
                       map_at_1, top1_accuracy)
 from .model import (ForwardOutput, FusionConfig, FusionModel, forward,
-                    load_checkpoint, predict_subset, save_checkpoint)
+                    forward_views, load_checkpoint, predict_subset,
+                    save_checkpoint)
 from .optim import adamw_step, cosine_lr
 from .rng import stream
 from .subsets import SubsetLattice, nonempty_subsets, subset_lattice
@@ -44,7 +45,7 @@ __all__ = [
     "calibrate_vmax", "candidate_family", "cec_loss", "cec_pairs",
     "composite_loss", "cosine_lr", "ece", "ensemble_variance",
     "entropy_confidence_export", "evaluate_under_dropout", "fit_temperature",
-    "forward", "generate", "inversion_audit", "lambda_of",
+    "forward", "forward_views", "generate", "inversion_audit", "lambda_of",
     "lambda_upper", "load_checkpoint", "load_config", "load_dataset",
     "map_at_1", "mc_variance", "nonempty_subsets", "parse_config",
     "predict_subset", "sample_keep", "save_checkpoint", "save_dataset",

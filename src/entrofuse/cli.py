@@ -232,6 +232,8 @@ def cmd_audit(args) -> int:
         model = load_checkpoint(args.checkpoint)
     except (OSError, KeyError, ValueError) as exc:
         raise ConfigError(f"cannot load checkpoint {args.checkpoint}: {exc}")
+    if model.cfg.modalities > 4:  # before any compute or file
+        raise ValueError("full lattice audit is limited to 4 modalities")
 
     doc = read_yaml(args.config)
     if isinstance(doc, dict):
@@ -269,11 +271,11 @@ def cmd_audit(args) -> int:
                         if on)
 
     pair_rows = [[cell(small), cell(big), audit.counts[i],
-                  audit.mean_violation[i]]
+                  audit.mean_violation[i], audit.rows[i]]
                  for i, (small, big) in enumerate(audit.pairs)]
     write_csv(os.path.join(out, "inversions.csv"),
-              ["observed_small", "observed_big", "count", "mean_violation"],
-              pair_rows)
+              ["observed_small", "observed_big", "count", "mean_violation",
+               "rows"], pair_rows)
 
     _write_scatter(out, entropy_confidence_export(out_fwd))
     if args.rates is not None:

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import MultimodalBatch
-from .model import class_probs, predict_subset
+from .model import class_probs, forward_views
 from .subsets import SubsetLattice, subset_lattice
 
 __all__ = [
@@ -134,13 +134,15 @@ def confidence_correct(logits: np.ndarray, labels: np.ndarray,
 @dataclass(frozen=True)
 class InversionAudit:
     """Confidence monotonicity audit over the strict-inclusion lattice:
-    observing strictly more modalities must not lower confidence."""
+    observing strictly more modalities must not lower confidence. A pair
+    counts on the rows where its small subset meets the row's presence."""
 
     subsets: np.ndarray         # [S, M] bool subset rows
     pairs: np.ndarray           # [P, 2] (small, big) rows of ``subsets``
     counts: np.ndarray          # inversions per pair
     mean_violation: np.ndarray  # mean positive confidence gap per pair
     n: int
+    rows: np.ndarray            # rows each pair counts on
 
     @property
     def total_count(self) -> int:
@@ -148,35 +150,45 @@ class InversionAudit:
 
     @property
     def rate(self) -> float:
-        return self.total_count / (self.n * len(self.pairs))
+        return self.total_count / max(int(self.rows.sum()), 1)
 
 
-def audit_confidences(conf: np.ndarray, lattice: SubsetLattice
-                      ) -> InversionAudit:
+def audit_confidences(conf: np.ndarray, lattice: SubsetLattice,
+                      presence: np.ndarray | None = None) -> InversionAudit:
     """Count, per lattice pair (A, B), the samples with conf(A) > conf(B),
-    given [S, n] confidences whose row s is the lattice's subset s."""
+    given [S, n] confidences whose row s is the lattice's subset s, over
+    the rows whose [n, M] ``presence`` (default: every modality) meets A."""
     conf = np.asarray(conf, dtype=np.float64)
     s = len(lattice.subsets)
     if conf.ndim != 2 or conf.shape[0] != s or conf.shape[1] == 0:
         raise ValueError(f"confidences {conf.shape} need [{s}, n] with n > 0")
     gap = conf[lattice.pairs[:, 0]] - conf[lattice.pairs[:, 1]]
+    rows = np.full(len(gap), conf.shape[1])
+    if presence is not None:
+        meets = lattice.views(presence).any(axis=2)[lattice.pairs[:, 0]]
+        gap, rows = np.where(meets, gap, 0.0), meets.sum(axis=1)
     return InversionAudit(subsets=lattice.subsets, pairs=lattice.pairs,
                           counts=(gap > 0.0).sum(axis=1),
-                          mean_violation=np.maximum(gap, 0.0).mean(axis=1),
-                          n=conf.shape[1])
+                          mean_violation=(np.maximum(gap, 0.0).sum(axis=1)
+                                          / np.maximum(rows, 1)),
+                          n=conf.shape[1], rows=rows)
 
 
 def inversion_audit(model, batch: MultimodalBatch) -> InversionAudit:
     """Count samples with conf(A) > conf(B) for every strict pair A in B,
-    with one ``predict_subset`` pass per subset."""
+    with one ``forward_views`` pass over the subsets' views of the batch.
+    A view that would empty a row reads the row's presence there, and the
+    audit leaves that row out of the pairs whose small subset it is."""
     modalities = batch.num_modalities
     if modalities > 4:
         raise ValueError("full lattice audit is limited to 4 modalities")
     lattice = subset_lattice(modalities)
+    views = (np.where(v.any(axis=1, keepdims=True), v, batch.presence)
+             for v in lattice.views(batch.presence))
     conf = np.empty((len(lattice.subsets), batch.n))
-    for row, subset in zip(conf, lattice.subsets):
-        row[:] = predict_subset(model, batch, subset).confidence.data
-    return audit_confidences(conf, lattice)
+    for row, out in zip(conf, forward_views(model, batch, views)):
+        row[:] = out.confidence.data
+    return audit_confidences(conf, lattice, batch.presence)
 
 
 def entropy_confidence_export(out) -> np.ndarray:

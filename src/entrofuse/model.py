@@ -13,14 +13,15 @@ as seen through view v. Features a view leaves out do not reach its rows:
 they are zeroed in the gate input and weighted by exactly 0 in the fusion.
 
 The pass is plain NumPy. On an active tape ``forward`` records itself as
-one node whose pullback is derived by hand; ``gate_rows`` is off the tape.
+one node whose pullback is derived by hand; ``gate_rows`` is off the tape,
+and so is ``forward_views``, which reads one view at a time.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass, asdict
-from typing import NamedTuple
+from typing import Iterable, Iterator, NamedTuple
 
 import numpy as np
 
@@ -37,6 +38,7 @@ __all__ = [
     "entropy_rows",
     "gate_rows",
     "forward",
+    "forward_views",
     "predict_subset",
     "save_checkpoint",
     "load_checkpoint",
@@ -232,17 +234,36 @@ def _add_grad(t: T.Tensor, g: np.ndarray) -> None:
         t.grad += g
 
 
-def _blend(w: np.ndarray, blocks: list[np.ndarray]):
-    """Per-row weighted sums of M shared [n, k] blocks for V views of their
-    n rows: row v * n + i of the [V * n, k] result is
-    sum_m w[v * n + i, m] * blocks[m][i] for [V * n, M] weights w. One
+def _per_modality(n: int, xs, ws: list[np.ndarray]) -> np.ndarray:
+    """The [n, M, k] blocks ``xs[m] @ ws[m]`` that a ``_blend`` sums,
+    written into one array; ``xs`` may be a generator."""
+    out = np.empty((n, len(ws), ws[0].shape[1]))
+    for m, (x, w) in enumerate(zip(xs, ws)):
+        np.matmul(x, w, out=out[:, m])
+    return out
+
+
+def _gate_products(model: FusionModel, batch: MultimodalBatch):
+    """The gate input at the batch's presence, its columns of each modality
+    (features and flag) and their [n, M, H] products with ``gate_w1``."""
+    x = model.gate_input(batch)
+    edges = np.cumsum((0,) + batch.dims)
+    cols = [np.append(np.arange(edges[m], edges[m + 1]), edges[-1] + m)
+            for m in range(batch.num_modalities)]
+    return x, cols, _per_modality(batch.n, (x[:, c] for c in cols),
+                                  [model.gate_w1.data[c] for c in cols])
+
+
+def _blend(w: np.ndarray, stacked: np.ndarray):
+    """Per-row weighted sums of the M [n, k] blocks of ``stacked`` [n, M, k]
+    for V views of their n rows: row v * n + i of the [V * n, k] result is
+    sum_m w[v * n + i, m] * stacked[i, m] for [V * n, M] weights w. One
     batched matmul, so the blocks are computed once for every view.
-    Returns the result and the [n, M, k] stacked blocks and [V, n, 1, M]
-    weights that ``_blend_back`` reads."""
-    n, k = blocks[0].shape
-    stacked = np.stack(blocks, axis=1)
-    wv = w.reshape(-1, n, 1, len(blocks))
-    return np.matmul(wv, stacked).reshape(-1, k), stacked, wv
+    Returns the result and the [V, n, 1, M] weights that ``_blend_back``
+    reads."""
+    n, m_count, k = stacked.shape
+    wv = w.reshape(-1, n, 1, m_count)
+    return np.matmul(wv, stacked).reshape(-1, k), wv
 
 
 def _blend_back(g: np.ndarray, stacked: np.ndarray, wv: np.ndarray,
@@ -260,30 +281,25 @@ def _blend_back(g: np.ndarray, stacked: np.ndarray, wv: np.ndarray,
 
 
 def _gate(model: FusionModel, batch: MultimodalBatch, views: np.ndarray,
-          gated: np.ndarray):
+          gated: np.ndarray, stacked: np.ndarray | None):
     """The gate MLP on the [n, M] ``views`` of the batch's rows that
     ``gated`` indexes: [V * n, M] weights, rows of the other views being
     their one-hot presence, and the pullback that adds the gate parameters'
     gradients from the weights' one. With one gated view, gate layer 1 is
-    one affine map of its masked gate input; with several, each modality's
-    layer-1 product is computed once on the batch's rows and ``_blend``
-    sums them per view row. Raises ``ValueError`` if the weights are
-    non-finite."""
+    one affine map of its masked gate input; with several, or given the
+    ``_gate_products`` ``stacked``, ``_blend`` sums those per view row.
+    Raises ``ValueError`` if the weights are non-finite."""
     w1, b1, w2, b2 = (t.data for t in model.gate_parameters())
     keep = views[gated].reshape(-1, batch.num_modalities)
-    if gated.size == 1:
+    if gated.size == 1 and stacked is None:
         x = model.gate_input(batch, views[gated[0]])
         pre = x @ w1
     else:
-        x = model.gate_input(batch)
-        edges = np.cumsum((0,) + batch.dims)
-        cols = [np.append(np.arange(edges[m], edges[m + 1]), edges[-1] + m)
-                for m in range(batch.num_modalities)]
-        xs = [x[:, c] for c in cols]
-        pre, stacked, wv = _blend(keep.astype(np.float64),
-                                  [xm @ w1[c] for xm, c in zip(xs, cols)])
+        if stacked is None:
+            x, cols, stacked = _gate_products(model, batch)
+        pre, wv = _blend(keep.astype(np.float64), stacked)
     pre += b1
-    h = np.maximum(pre, 0.0)
+    h = np.maximum(pre, 0.0, out=pre)
     s = h @ w2
     s += b2
     # softmax over the kept entries; the rest are exp(-inf) = 0 exactly
@@ -304,7 +320,7 @@ def _gate(model: FusionModel, batch: MultimodalBatch, views: np.ndarray,
         gs = p * (g - (g * p).sum(axis=1, keepdims=True))
         _add_grad(model.gate_b2, gs.sum(axis=0))
         _add_grad(model.gate_w2, h.T @ gs)
-        gpre = (gs @ w2.T) * (pre > 0.0)
+        gpre = (gs @ w2.T) * (h > 0.0)
         _add_grad(model.gate_b1, gpre.sum(axis=0))
         if gated.size == 1:
             _add_grad(model.gate_w1, x.T @ gpre)
@@ -312,21 +328,25 @@ def _gate(model: FusionModel, batch: MultimodalBatch, views: np.ndarray,
         _, gb = _blend_back(gpre, stacked, wv, weights=False)
         gw1 = np.empty_like(w1)  # the cols cover every row of w1
         for m, c in enumerate(cols):
-            gw1[c] = xs[m].T @ gb[:, m]
+            gw1[c] = x[:, c].T @ gb[:, m]
         _add_grad(model.gate_w1, gw1)
 
     return weights, pullback
 
 
-def _gate_rows(model: FusionModel, batch: MultimodalBatch,
-               views: np.ndarray | None):
-    """The [V * n, M] weights of the checked [V, n, M] views (default: the
-    batch's presence) and their pullback, None when no gate parameter takes
-    a gradient or no view runs the gate."""
+def _check_layout(model: FusionModel, batch: MultimodalBatch) -> None:
     if (batch.num_modalities != model.cfg.modalities
             or batch.dims != tuple(model.cfg.dims)):
         raise ValueError(f"batch layout {batch.dims} does not match model "
                          f"{tuple(model.cfg.dims)}")
+
+
+def _gate_rows(model: FusionModel, batch: MultimodalBatch,
+               views: np.ndarray | None, stacked: np.ndarray | None = None):
+    """The [V * n, M] weights of the checked [V, n, M] views (default: the
+    batch's presence) and their pullback, None when no gate parameter
+    takes a gradient, no view runs the gate or ``stacked`` is given."""
+    _check_layout(model, batch)
     views = np.asarray(batch.presence[None] if views is None else views,
                        dtype=bool)
     if views.ndim != 3 or views.shape[1:] != batch.presence.shape:
@@ -339,8 +359,9 @@ def _gate_rows(model: FusionModel, batch: MultimodalBatch,
     gated = np.flatnonzero((views.sum(axis=2) > 1).any(axis=1))
     if gated.size == 0:
         return views.reshape(-1, batch.num_modalities).astype(np.float64), None
-    p, pullback = _gate(model, batch, views, gated)
-    if not any(t.requires_grad for t in model.gate_parameters()):
+    p, pullback = _gate(model, batch, views, gated, stacked)
+    if stacked is not None or not any(t.requires_grad
+                                      for t in model.gate_parameters()):
         pullback = None
     return p, pullback
 
@@ -365,6 +386,20 @@ def gate_rows(model: FusionModel, batch: MultimodalBatch,
     return T._result(_gate_rows(model, batch, views)[0])
 
 
+def _fuse(model: FusionModel, p: np.ndarray, stacked: np.ndarray):
+    """The pass's output from the [V * n, M] gate weights p and the [n, M, k]
+    projections: their ``_blend``, then the head; and the blend's weights.
+    Raises ``ValueError`` if the logits are non-finite."""
+    z, wv = _blend(p, stacked)
+    logits = z @ model.head_w.data
+    logits += model.head_b.data
+    if not np.isfinite(logits).all():
+        raise ValueError("logits are non-finite")
+    return ForwardOutput(p=T._result(p), z=T._result(z),
+                         logits=T._result(logits),
+                         multilabel=model.cfg.multilabel), wv
+
+
 def forward(model: FusionModel, batch: MultimodalBatch,
             views: np.ndarray | None = None) -> ForwardOutput:
     """Full fusion pass over ``views`` of the batch's rows, as in
@@ -379,23 +414,16 @@ def forward(model: FusionModel, batch: MultimodalBatch,
     ``ValueError`` as ``gate_rows`` does, and if the logits are non-finite.
     """
     p, gate_back = _gate_rows(model, batch, views)
-    head_w, head_b = model.head_w.data, model.head_b.data
-    z, stacked, wv = _blend(p, [f @ w.data for f, w in zip(batch.features,
-                                                             model.proj)])
-    logits = z @ head_w
-    logits += head_b
-    if not np.isfinite(logits).all():
-        raise ValueError("logits are non-finite")
-    out = ForwardOutput(p=T._result(p), z=T._result(z),
-                        logits=T._result(logits),
-                        multilabel=model.cfg.multilabel)
+    stacked = _per_modality(batch.n, batch.features,
+                            [w.data for w in model.proj])
+    out, wv = _fuse(model, p, stacked)
 
     def backward():
         gp, g = out.p.grad, out.logits.grad
         if g is not None:
             _add_grad(model.head_b, g.sum(axis=0))
-            gz = g @ head_w.T
-            _add_grad(model.head_w, z.T @ g)
+            gz = g @ model.head_w.data.T
+            _add_grad(model.head_w, out.z.data.T @ g)
             gw, gb = _blend_back(gz, stacked, wv, gate_back is not None)
             if gate_back is not None:
                 gp = gw if gp is None else gp + gw
@@ -410,6 +438,25 @@ def forward(model: FusionModel, batch: MultimodalBatch,
     T._maybe_record(out.logits, inputs, backward)
     out.p.requires_grad = out.logits.requires_grad and gate_back is not None
     return out
+
+
+def forward_views(model: FusionModel, batch: MultimodalBatch,
+                  views: Iterable[np.ndarray]) -> Iterator[ForwardOutput]:
+    """Read-only ``forward`` over each [n, M] view in ``views``, lazily: one
+    view's rows are alive at a time. The split's prepared form, its
+    ``_gate_products`` and projections, is built once when iteration
+    starts; each view then runs only the blend of those by its keep mask,
+    the rest of the gate, the fusion blend and the head. Off the tape;
+    raises ``ValueError`` as ``forward`` does, at the view at fault."""
+    _check_layout(model, batch)
+    gate = None
+    if (batch.presence.sum(axis=1) > 1).any():  # else no view runs the gate
+        gate = _gate_products(model, batch)[2]
+    stacked = _per_modality(batch.n, batch.features,
+                            [w.data for w in model.proj])
+    for view in views:
+        p = _gate_rows(model, batch, np.asarray(view)[None], gate)[0]
+        yield _fuse(model, p, stacked)[0]
 
 
 def predict_subset(model: FusionModel, batch: MultimodalBatch,

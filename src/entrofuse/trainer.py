@@ -19,6 +19,7 @@ difference between runs.
 from __future__ import annotations
 
 import hashlib
+import itertools
 import json
 import time
 from dataclasses import asdict, dataclass, field, replace
@@ -32,7 +33,8 @@ from .data import MultimodalBatch, bernoulli_mask
 from .losses import LossBreakdown, cec_pairs, step_loss, task_term
 from .metrics import (confidence_correct, ece, entropy_confidence_export,
                       map_at_1, top1_accuracy)
-from .model import ForwardOutput, FusionConfig, FusionModel, forward
+from .model import (ForwardOutput, FusionConfig, FusionModel, forward,
+                    forward_views)
 from .optim import adamw_step, cosine_lr
 from .rng import stream
 from .uncertainty import LambdaConfig, calibrate_vmax, lambda_of, with_vmax
@@ -353,26 +355,30 @@ def _dropout_table(model: FusionModel, batch: MultimodalBatch,
     if seeds < 1:
         raise ValueError("seeds must be positive")
     maskable = (batch.presence.sum(axis=1) > 1).any()
+    draws = {rate: seeds if rate > 0.0 and maskable else 0 for rate in rates}
+
+    def views():  # lazily: one draw's view is alive at a time
+        for r_index, rate in enumerate(rates):
+            if not draws[rate]:
+                yield batch.presence
+            for s in range(draws[rate]):
+                rng = stream(seed, f"eval:{r_index}:{s}")
+                view = batch.presence & bernoulli_mask(
+                    batch.n, batch.num_modalities, rate, rng)
+                yield np.where(view.any(axis=1, keepdims=True), view,
+                               batch.presence)
+
+    outs = forward_views(model, batch, views())
     table: dict[float, dict[str, float]] = {}
     scatter = None
-    for r_index, rate in enumerate(rates):
-        masked = rate > 0.0 and maskable
-        draws = seeds if masked else 1
+    for rate in rates:
         acc = {"score": 0.0, "ece": 0.0, "gate_entropy": 0.0}
-        for s in range(draws):
-            views = None
-            if masked:
-                rng = stream(seed, f"eval:{r_index}:{s}")
-                keep = bernoulli_mask(batch.n, batch.num_modalities, rate, rng)
-                views = batch.presence & keep
-                views = np.where(views.any(axis=1, keepdims=True), views,
-                                 batch.presence)[None]
-            out = forward(model, batch, views)
-            if views is None and scatter is None:
+        for out in itertools.islice(outs, max(draws[rate], 1)):
+            if scatter is None and not draws[rate]:
                 scatter = entropy_confidence_export(out)
             for k, v in _metric_row(out, batch.labels, temperature).items():
                 acc[k] += v
-        table[rate] = {k: v / draws for k, v in acc.items()}
+        table[rate] = {k: v / max(draws[rate], 1) for k, v in acc.items()}
     return table, scatter
 
 

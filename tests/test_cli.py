@@ -10,12 +10,14 @@ import pytest
 import yaml
 
 import entrofuse.cli as cli_module
+import entrofuse.metrics as metrics_module
 import entrofuse.model as model_module
 import entrofuse.trainer as trainer_module
 from entrofuse.cli import main
 from entrofuse.config import load_config
 from entrofuse.data import generate, load_dataset
 from entrofuse.metrics import entropy_confidence_export
+from entrofuse.model import FusionConfig, FusionModel, save_checkpoint
 from entrofuse.trainer import ABLATIONS, train
 
 
@@ -164,20 +166,42 @@ class TestAblateCommand:
         assert "ablation 'no_gate' failed: boom" in capsys.readouterr().err
 
 
+def spy_passes(monkeypatch, modules, record):
+    """Call ``record(batch, clean)`` for every pass over the rows of a
+    batch: each ``forward`` call, clean when it takes no views, and each
+    view a ``forward_views`` call reads, clean when it is the batch's own
+    presence array."""
+    real, real_views = model_module.forward, model_module.forward_views
+
+    def counting(model, batch, views=None):
+        record(batch, views is None)
+        return real(model, batch, views)
+
+    def counting_views(model, batch, views):
+        def spied():
+            for view in views:
+                record(batch, view is batch.presence)
+                yield view
+        return real_views(model, batch, spied())
+
+    for module in modules:
+        for name, spy in (("forward", counting),
+                          ("forward_views", counting_views)):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, spy)
+
+
 class TestOneTestForwardPerRun:
     @staticmethod
     def _count_test_forwards(monkeypatch, test):
-        seen = []
-        real = model_module.forward
-
-        def counting(model, batch, views=None):
-            seen.append(views is None and batch.n == test.n and all(
+        def is_test(batch):
+            return batch.n == test.n and all(
                 np.array_equal(a, b)
-                for a, b in zip(batch.features, test.features)))
-            return real(model, batch, views)
+                for a, b in zip(batch.features, test.features))
 
-        for module in (cli_module, model_module, trainer_module):
-            monkeypatch.setattr(module, "forward", counting)
+        seen = []
+        spy_passes(monkeypatch, (cli_module, model_module, trainer_module),
+                   lambda batch, clean: seen.append(clean and is_test(batch)))
         return seen
 
     def test_run_forwards_the_clean_test_split_once(
@@ -205,8 +229,8 @@ class TestOneTestForwardPerRun:
             assert a == (tmp_path / "b" / name).read_bytes(), name
         scatter = np.loadtxt(tmp_path / "a" / "scatter.csv", delimiter=",",
                              skiprows=1)
-        want = entropy_confidence_export(model_module.forward(result.model,
-                                                              data[2]))
+        want = entropy_confidence_export(next(model_module.forward_views(
+            result.model, data[2], [data[2].presence])))
         assert np.array_equal(scatter, want)
 
     def test_scatter_without_a_clean_rate_is_forwarded(self, config_path,
@@ -265,10 +289,13 @@ class TestAuditCommand:
         assert len(cal) == 16  # header + 15 bins
         inv = open(os.path.join(out, "inversions.csv")).read().splitlines()
         assert len(inv) == 3  # header + both strict pairs for two modalities
-        # subset cells stay comma-free so every row has exactly four columns
+        assert inv[0] == "observed_small,observed_big,count,mean_violation,rows"
+        # subset cells stay comma-free so every row has exactly five columns
         assert [row.split(",")[:2] for row in inv[1:]] == [["0", "0+1"],
                                                            ["1", "0+1"]]
-        assert all(len(row.split(",")) == 4 for row in inv[1:])
+        assert all(len(row.split(",")) == 5 for row in inv[1:])
+        # full presence: each pair counts on every test row
+        assert [row.split(",")[4] for row in inv[1:]] == ["96", "96"]
         assert os.path.exists(os.path.join(out, "scatter.csv"))
         assert not os.path.exists(os.path.join(out, "eval.csv"))
         assert "inversion_rate" in capsys.readouterr().out
@@ -278,19 +305,29 @@ class TestAuditCommand:
         # the scatter reuses the calibration pass; every other forward is
         # over a subset view
         seen = []
-        real = model_module.forward
-
-        def counting(model, batch, views=None):
-            seen.append(views is None)
-            return real(model, batch, views)
-
-        for module in (cli_module, model_module):
-            monkeypatch.setattr(module, "forward", counting)
+        spy_passes(monkeypatch, (cli_module, model_module, metrics_module),
+                   lambda batch, clean: seen.append(clean))
         assert main(["audit",
                      "--checkpoint", os.path.join(run_dir, "checkpoint.npz"),
                      "--config", config_path,
                      "--out", str(tmp_path / "audit")]) == 0
         assert seen.count(True) == 1 and len(seen) == 4  # and 3 subsets
+
+    def test_more_than_four_modalities_exit_before_any_compute(
+            self, tmp_path, capsys):
+        doc = dict(SMALL_CONFIG, data=dict(SMALL_CONFIG["data"], modalities=5,
+                                           dims=[2] * 5, snr=[10.0] * 5))
+        path = tmp_path / "config.yaml"
+        path.write_text(yaml.safe_dump(doc))
+        checkpoint = str(tmp_path / "checkpoint.npz")
+        save_checkpoint(FusionModel.from_seed(FusionConfig(
+            modalities=5, dims=(2,) * 5, classes=3), seed=0), checkpoint)
+        out = tmp_path / "audit"
+        assert main(["audit", "--checkpoint", checkpoint, "--config",
+                     str(path), "--out", str(out)]) == 2
+        assert ("full lattice audit is limited to 4 modalities"
+                in capsys.readouterr().err)
+        assert not out.exists()
 
     def test_rates_flag_adds_dropout_table(self, run_dir, config_path, tmp_path):
         out = str(tmp_path / "audit")

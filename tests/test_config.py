@@ -3,12 +3,10 @@
 import dataclasses
 import re
 
-import numpy as np
 import pytest
-import yaml
 
-from entrofuse.config import (ConfigError, ExperimentConfig, dump_resolved,
-                              load_config, parse_config, resolved_dict)
+from entrofuse.config import (ConfigError, dump_resolved, load_config,
+                              parse_config, resolved_dict)
 from entrofuse.curriculum import Schedules
 from entrofuse.data import SyntheticSpec
 from entrofuse.trainer import TrainConfig

@@ -3,19 +3,17 @@
 import numpy as np
 import pytest
 
-import entrofuse.tensor as T
-from entrofuse.data import MultimodalBatch
 from entrofuse.losses import cec_loss, cec_pairs, subset_confidences
-from entrofuse.metrics import (CalibrationReport, InversionAudit,
-                               audit_confidences, confidence_correct, ece,
+from entrofuse.metrics import (audit_confidences, confidence_correct, ece,
                                entropy_confidence_export, format_value,
                                inversion_audit, map_at_1, top1_accuracy,
                                write_csv)
-from entrofuse.model import FusionConfig, FusionModel, forward, predict_subset
+from entrofuse.model import (FusionConfig, forward, forward_views,
+                             predict_subset)
 from entrofuse.rng import stream
 from entrofuse.subsets import SubsetLattice, subset_lattice
 
-from test_model import random_batch, random_model
+from test_model import random_batch, random_model, random_presence
 
 
 class TestEce:
@@ -291,6 +289,81 @@ class TestInversionAudit:
             inversion_audit(model, batch)
 
 
+def per_row_audit(model, batch, lattice):
+    """Inversion counts, mean violations and counted rows per pair, one row
+    at a time: row i counts for pair (A, B) when A meets its presence, and
+    each confidence is a ``forward`` of that row alone through its view."""
+    counts = np.zeros(len(lattice.pairs), dtype=np.int64)
+    rows = np.zeros(len(lattice.pairs), dtype=np.int64)
+    violation = np.zeros(len(lattice.pairs))
+    for i in range(batch.n):
+        row = batch.take(np.array([i]))
+        conf = [forward(model, row, (s & row.presence)[None])
+                .confidence.data[0] if (s & row.presence).any() else None
+                for s in lattice.subsets]
+        for k, (small, big) in enumerate(lattice.pairs):
+            if conf[small] is not None:
+                gap = conf[small] - conf[big]
+                rows[k] += 1
+                counts[k] += gap > 0.0
+                violation[k] += max(gap, 0.0)
+    return counts, violation / np.maximum(rows, 1), rows
+
+
+class TestPartialPresenceAudit:
+    @pytest.mark.parametrize("m", [2, 3, 4])
+    def test_matches_per_row_reference(self, m):
+        # rows missing modalities: a pair counts only where its small
+        # subset meets the row's presence, and views never empty a row
+        for k in range(3):
+            rng = np.random.default_rng([70, m, k])
+            cfg = FusionConfig(modalities=m, dims=(3, 4, 2, 5)[:m],
+                               classes=4, fused_dim=5)
+            model = random_model(rng, cfg)
+            presence = random_presence(rng, 25, m)
+            batch = random_batch(rng, 25, cfg.dims, cfg.classes, presence)
+            audit = inversion_audit(model, batch)
+            counts, violation, rows = per_row_audit(model, batch,
+                                                    subset_lattice(m))
+            assert (rows < batch.n).any() and (rows > 0).all()
+            assert np.array_equal(audit.rows, rows)
+            assert np.array_equal(audit.counts, counts)
+            np.testing.assert_allclose(audit.mean_violation, violation,
+                                       rtol=0, atol=1e-12)
+            assert audit.rate == audit.total_count / rows.sum()
+
+    @pytest.mark.parametrize("m", [2, 3, 4])
+    def test_full_presence_counts_every_row_as_before(self, m):
+        rng = np.random.default_rng(80 + m)
+        cfg = FusionConfig(modalities=m, dims=(3, 4, 2, 5)[:m], classes=4,
+                           fused_dim=5)
+        model = random_model(rng, cfg)
+        batch = random_batch(rng, 30, cfg.dims, cfg.classes)
+        lattice = subset_lattice(m)
+        conf = [out.confidence.data for out in forward_views(
+            model, batch, lattice.views(batch.presence))]
+        audit = inversion_audit(model, batch)
+        plain = audit_confidences(conf, lattice)
+        assert (audit.rows == batch.n).all()
+        assert np.array_equal(audit.counts, plain.counts)
+        assert np.array_equal(audit.mean_violation, plain.mean_violation)
+        assert audit.rate == plain.rate == (
+            plain.total_count / (batch.n * len(lattice.pairs)))
+
+    def test_pair_no_row_meets_counts_nothing(self):
+        # every row observes only modality 1: the pair ({0}, {0,1}) has no
+        # row to count on
+        lattice = TestAuditConfidences.M2
+        conf = np.array([[0.9, 0.2], [0.1, 0.3], [0.5, 0.1]])
+        presence = np.array([[False, True], [False, True]])
+        audit = audit_confidences(conf, lattice, presence)
+        assert audit.rows.tolist() == [0, 2]
+        assert audit.counts.tolist() == [0, 1]
+        np.testing.assert_allclose(audit.mean_violation, [0.0, 0.1],
+                                   rtol=0, atol=1e-15)
+        assert audit.rate == 0.5
+
+
 def per_pair_audit(conf, pairs):
     """Inversion counts and mean violations one pair at a time, as the
     audit computed them over confidences keyed by subset."""
@@ -310,8 +383,8 @@ class TestAuditConfidences:
         model = random_model(rng, cfg)
         batch = random_batch(rng, 14, cfg.dims, cfg.classes)
         lattice = subset_lattice(3)
-        conf = [predict_subset(model, batch, s).confidence.data
-                for s in lattice.subsets]
+        conf = [out.confidence.data for out in forward_views(
+            model, batch, lattice.views(batch.presence))]
         direct = audit_confidences(conf, lattice)
         via_model = inversion_audit(model, batch)
         assert np.array_equal(direct.pairs, via_model.pairs)

@@ -7,9 +7,8 @@ import entrofuse.losses as losses_module
 import entrofuse.tensor as T
 from entrofuse.data import MultimodalBatch, apply_mask
 from entrofuse.losses import cec_pairs, step_loss
-from entrofuse.model import (ForwardOutput, FusionConfig, FusionModel,
-                             forward, gate_rows, load_checkpoint,
-                             predict_subset, save_checkpoint)
+from entrofuse.model import (FusionConfig, FusionModel, forward, gate_rows,
+                             load_checkpoint, predict_subset, save_checkpoint)
 from entrofuse.rng import stream
 from entrofuse.subsets import nonempty_subsets
 

@@ -15,7 +15,7 @@ import entrofuse.uncertainty as uncertainty
 from entrofuse.curriculum import Schedules
 from entrofuse.losses import task_term
 from entrofuse.data import SyntheticSpec, apply_mask, generate
-from entrofuse.model import FusionConfig, FusionModel, forward
+from entrofuse.model import FusionConfig, FusionModel, forward, forward_views
 from entrofuse.metrics import top1_accuracy
 from entrofuse.rng import stream
 from entrofuse.trainer import (ABLATIONS, DivergenceError, Switches,
@@ -401,11 +401,11 @@ class TestEvaluateUnderDropout:
         test_b = apply_mask(test_b, per_sample=keep)
         calls = []
 
-        def counting(*args):
-            calls.append(args)
-            return forward(*args)
+        def counting(model, batch, views):
+            calls.extend(views)
+            return forward_views(model, batch, calls)
 
-        monkeypatch.setattr(trainer_module, "forward", counting)
+        monkeypatch.setattr(trainer_module, "forward_views", counting)
         table = evaluate_under_dropout(model, test_b, rates=(0.0, 0.3, 0.5),
                                        seeds=2)
         assert len(calls) == 3

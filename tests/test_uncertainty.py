@@ -6,8 +6,8 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from entrofuse.data import MultimodalBatch, apply_mask
-from entrofuse.model import FusionConfig, FusionModel
+from entrofuse.data import apply_mask
+from entrofuse.model import FusionConfig
 from entrofuse.uncertainty import softplus
 from entrofuse.uncertainty import (BLOCK, LambdaConfig, branch_variance,
                                    calibrate_vmax, ensemble_variance,

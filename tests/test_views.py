@@ -25,7 +25,8 @@ from entrofuse.curriculum import acm_distribution, candidate_family
 from entrofuse.data import apply_mask, bernoulli_mask
 from entrofuse.losses import cec_pairs, step_loss
 from entrofuse.metrics import audit_confidences, inversion_audit
-from entrofuse.model import ForwardOutput, FusionConfig, forward, gate_rows
+from entrofuse.model import (ForwardOutput, FusionConfig, forward,
+                             forward_views, gate_rows)
 from entrofuse.rng import stream
 from entrofuse.subsets import subset_lattice
 from entrofuse.trainer import evaluate_under_dropout, train
@@ -302,9 +303,9 @@ class TestRandomViews:
         passes = []
         real = model_module._gate
 
-        def counting(model, batch, views, gated):
+        def counting(model, batch, views, gated, *rest):
             passes.append(len(gated) * batch.n)
-            return real(model, batch, views, gated)
+            return real(model, batch, views, gated, *rest)
 
         monkeypatch.setattr(model_module, "_gate", counting)
         for gated in GATED:
@@ -386,23 +387,23 @@ class TestReadPathsTakeViews:
         batch = random_batch(rng, 30, cfg.dims, cfg.classes, presence)
         seen = []
 
-        def spy(model, batch, views=None):
-            seen.append(views)
-            return forward(model, batch, views)
+        def spy(model, batch, views):
+            seen.extend(views)
+            return forward_views(model, batch, seen)
 
-        monkeypatch.setattr(trainer_module, "forward", spy)
+        monkeypatch.setattr(trainer_module, "forward_views", spy)
         table = evaluate_under_dropout(model, batch, rates=(0.0, 0.5),
                                        seeds=2)
         assert all(np.isfinite(list(row.values())).all()
                    for row in table.values())
-        assert seen[0] is None and len(seen) == 3
+        assert seen[0] is batch.presence and len(seen) == 3
         emptied = 0
         for s, views in enumerate(seen[1:]):
             want = presence & bernoulli_mask(30, 3, 0.5,
                                              stream(0, f"eval:1:{s}"))
             empty = ~want.any(axis=1)
             want[empty] = presence[empty]
-            assert np.array_equal(views, want[None])
+            assert np.array_equal(views, want)
             emptied += empty.sum()
         assert emptied > 0
 
@@ -434,3 +435,135 @@ class TestReadPathsTakeViews:
         assert all(h.cec == 0.0 and np.isfinite(h.total) for h in res.history)
         assert res.history[-1].lam > 0.0
 
+
+
+class TestForwardViews:
+    """``forward_views``, the read-only pass over views that prepares the
+    split once, against one multi-view ``forward`` over the same views."""
+
+    CASES = [(m, gated, single, multilabel) for m in MODALITIES
+             for gated, single in LAYOUTS for multilabel in (False, True)]
+
+    @pytest.mark.parametrize("m,gated,single,multilabel", CASES)
+    def test_each_view_is_its_row_block_of_one_forward(self, m, gated,
+                                                       single, multilabel):
+        _, model, batch, views = _setup(300 + 10 * m + gated, m, gated,
+                                        single=single, multilabel=multilabel)
+        n = batch.n
+        outs = list(forward_views(model, batch, iter(views)))
+        assert len(outs) == len(views)
+        whole = forward(model, batch, views)
+        for v, out in enumerate(outs):
+            rows = slice(v * n, (v + 1) * n)
+            for field in ("p", "logits", "confidence"):
+                # not bit for bit: BLAS may round a gemm row differently
+                # with the row count (gate layer 2 and the head run on n
+                # rows here, on V * n there), and with one gated view
+                # forward's gate layer 1 is one affine map of the masked
+                # gate input, the same terms summed in another order
+                np.testing.assert_allclose(
+                    getattr(out, field).data, getattr(whole, field).data[rows],
+                    rtol=1e-12, atol=0, err_msg=f"{field} view {v}")
+
+    @pytest.mark.parametrize("m", MODALITIES)
+    def test_layer_one_is_the_multi_view_kernels_bit_for_bit(self, m):
+        # both blend the same per-modality products: one copy of that code
+        _, model, batch, views = _setup(310 + m, m, 3, single=0)
+        gated = views.reshape(-1, m).astype(np.float64)
+        stacked = model_module._gate_products(model, batch)[2]
+        together = model_module._blend(gated, stacked)[0]
+        for v, view in enumerate(views):
+            alone = model_module._blend(view.astype(np.float64), stacked)[0]
+            assert np.array_equal(alone,
+                                  together[v * batch.n:(v + 1) * batch.n])
+
+    def test_read_paths_prepare_the_split_once(self, monkeypatch):
+        rng = np.random.default_rng(320)
+        cfg = FusionConfig(modalities=3, dims=(3, 4, 2), classes=4,
+                           fused_dim=5)
+        model = random_model(rng, cfg)
+        presence = random_presence(rng, 30, 3)
+        presence[0] = True
+        batch = random_batch(rng, 30, cfg.dims, cfg.classes, presence)
+        calls = {}
+        real_input = model_module.FusionModel.gate_input
+        real_products = model_module._per_modality
+        real_forward = model_module.forward
+
+        def count(name, k=1):
+            calls[name] = calls.get(name, 0) + k
+
+        def gate_input(self, *args):
+            count("gate_input")
+            return real_input(self, *args)
+
+        def per_modality(n, xs, ws):
+            count("projection matmuls" if ws[0] is model.proj[0].data
+                  else "gate products", len(ws))
+            return real_products(n, xs, ws)
+
+        def forward_spy(*args):
+            count("forward")
+            return real_forward(*args)
+
+        monkeypatch.setattr(model_module.FusionModel, "gate_input",
+                            gate_input)
+        monkeypatch.setattr(model_module, "_per_modality", per_modality)
+        for module in (model_module, trainer_module):
+            monkeypatch.setattr(module, "forward", forward_spy)
+        for run in (lambda: inversion_audit(model, batch),
+                    lambda: evaluate_under_dropout(
+                        model, batch, rates=(0.0, 0.3, 0.5), seeds=3)):
+            calls.clear()
+            run()
+            assert calls == {"gate_input": 1, "gate products": 3,
+                             "projection matmuls": 3}
+
+    def test_views_are_read_one_at_a_time(self):
+        _, model, batch, views = _setup(325, 3, 3)
+        pulled = []
+
+        def lazy():
+            for view in views:
+                pulled.append(view)
+                yield view
+
+        outs = forward_views(model, batch, lazy())
+        assert pulled == []
+        next(outs)
+        assert len(pulled) == 1
+
+    def test_bad_views_and_non_finite_values_rejected(self):
+        _, model, batch, views = _setup(330, 3, 3)
+
+        def first(bad):
+            # a bad view is rejected when the pass reaches it
+            passes = forward_views(model, batch, [views[0], bad])
+            next(passes)
+            return next(passes)
+
+        with pytest.raises(ValueError, match="does not observe"):
+            first(np.ones((batch.n, 3), dtype=bool))
+        empty = views[0].copy()
+        empty[1] = False
+        with pytest.raises(ValueError, match="no observed modality"):
+            first(empty)
+        with pytest.raises(ValueError, match="need"):
+            first(views[0][:, :-1])
+        gated = views[(views.sum(axis=2) > 1).any(axis=1)][0]
+        for param, message in ((model.gate_w2, "gate weights are non-finite"),
+                               (model.head_w, "logits are non-finite")):
+            kept = param.data.copy()
+            param.data[...] = np.inf
+            with (pytest.raises(ValueError, match=message),
+                  np.errstate(over="ignore", invalid="ignore")):
+                next(forward_views(model, batch, [gated]))
+            param.data[...] = kept
+
+    def test_off_the_tape(self):
+        _, model, batch, views = _setup(340, 3, 3)
+        with T.Tape() as tape:
+            outs = list(forward_views(model, batch, views))
+        assert tape.num_recorded == 0
+        assert not any(out.logits.requires_grad or out.p.requires_grad
+                       for out in outs)
