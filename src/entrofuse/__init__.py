@@ -10,10 +10,9 @@ reproducible training/evaluation harness.
 
 from .config import ConfigError, ExperimentConfig, load_config, parse_config
 from .curriculum import (MaskDistribution, Schedules, acm_distribution,
-                         candidate_family, sample_keep, schedule_lambda,
-                         schedule_pi)
+                         candidate_family, ramp, sample_keep)
 from .data import (MultimodalBatch, SyntheticSpec, apply_mask, bernoulli_mask,
-                   generate, load_dataset, save_dataset)
+                   generate, keep_observed, load_dataset, save_dataset)
 from .losses import (LossBreakdown, cec_loss, cec_pairs, composite_loss,
                      subset_confidences)
 from .metrics import (CalibrationReport, InversionAudit, audit_confidences,
@@ -30,8 +29,7 @@ from .trainer import (DivergenceError, RunResult, Switches, TrainConfig,
                       apply_ablation, evaluate_under_dropout, fit_temperature,
                       train)
 from .uncertainty import (LambdaConfig, calibrate_vmax, ensemble_variance,
-                          lambda_of, lambda_upper, mc_variance, softplus,
-                          with_vmax)
+                          lambda_of, lambda_upper, mc_variance, softplus)
 
 __version__ = "0.1.0"
 
@@ -45,11 +43,10 @@ __all__ = [
     "calibrate_vmax", "candidate_family", "cec_loss", "cec_pairs",
     "composite_loss", "cosine_lr", "ece", "ensemble_variance",
     "entropy_confidence_export", "evaluate_under_dropout", "fit_temperature",
-    "forward", "forward_views", "generate", "inversion_audit", "lambda_of",
-    "lambda_upper", "load_checkpoint", "load_config", "load_dataset",
-    "map_at_1", "mc_variance", "nonempty_subsets", "parse_config",
-    "predict_subset", "sample_keep", "save_checkpoint", "save_dataset",
-    "schedule_lambda", "schedule_pi", "softplus", "stream",
+    "forward", "forward_views", "generate", "inversion_audit",
+    "keep_observed", "lambda_of", "lambda_upper", "load_checkpoint",
+    "load_config", "load_dataset", "map_at_1", "mc_variance",
+    "nonempty_subsets", "parse_config", "predict_subset", "ramp",
+    "sample_keep", "save_checkpoint", "save_dataset", "softplus", "stream",
     "subset_confidences", "subset_lattice", "top1_accuracy", "train",
-    "with_vmax",
 ]

@@ -27,7 +27,7 @@ from .config import (ConfigError, ExperimentConfig, dump_resolved, load_config,
 from .data import generate, save_dataset
 from .metrics import (confidence_correct, ece, entropy_confidence_export,
                       inversion_audit, write_csv)
-from .model import forward, load_checkpoint, save_checkpoint
+from .model import forward_views, load_checkpoint, save_checkpoint
 from .trainer import (ABLATIONS, DivergenceError, RunResult, check_rates,
                       evaluate_under_dropout, train)
 
@@ -129,8 +129,9 @@ def write_run_dir(out: str, cfg: ExperimentConfig, result: RunResult,
 
     _write_eval(out, result.eval_table)
     scatter = result.test_scatter  # from train's clean evaluation pass
-    if scatter is None:
-        scatter = entropy_confidence_export(forward(result.model, test_batch))
+    if scatter is None:  # read that pass as train would have
+        scatter = entropy_confidence_export(next(forward_views(
+            result.model, test_batch, [test_batch.presence])))
     _write_scatter(out, scatter)
 
     save_checkpoint(result.model, os.path.join(out, "checkpoint.npz"))
@@ -254,7 +255,9 @@ def cmd_audit(args) -> int:
     out = _resolve_out(cfg, args.out, "runs/audit")
     os.makedirs(out, exist_ok=True)
 
-    out_fwd = forward(model, test_b)
+    # the clean pass as run's evaluation reads it, so the calibration and
+    # scatter match the run's rate-0 column
+    out_fwd = next(forward_views(model, test_b, [test_b.presence]))
     report = ece(*confidence_correct(out_fwd.logits.data, test_b.labels,
                                      model.cfg.multilabel, temperature))
     bin_rows = [[k, report.bin_edges[k], report.bin_edges[k + 1],

@@ -45,10 +45,9 @@ class ExperimentConfig:
 
 
 # Where the YAML keys differ from the dataclass fields: field -> key in its
-# own section, None for a field that section leaves out (``v_max`` is
-# calibrated at run time; the eval fields sit in the ``eval`` section).
-_RENAMED = {"lambda_cfg": "lambda", "v_max": None,
-            "eval_rates": None, "eval_seeds": None}
+# own section, None for a field that section leaves out (the eval fields sit
+# in the ``eval`` section).
+_RENAMED = {"lambda_cfg": "lambda", "eval_rates": None, "eval_seeds": None}
 _EVAL = {"rates": "eval_rates", "seeds": "eval_seeds"}  # eval key -> field
 
 _KINDS = {int: "an integer", float: "a number", bool: "true or false",

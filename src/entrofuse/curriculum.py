@@ -1,10 +1,10 @@
-"""Curriculum masking: warm-up schedules and the adaptive mask teacher.
+"""Curriculum masking: the warm-up ramp and the adaptive mask teacher.
 
-Two deterministic linear ramps control training difficulty, saturating at
-pi_max and lam_max. Mask shape comes either from plain Bernoulli draws or
-from an adaptive teacher that prefers drop subsets that leave the gate
-undecided: candidate subset S gets probability proportional to
-exp(mean_entropy_after_dropping_S / eta).
+One deterministic linear ramp sets training difficulty, for the mask rate
+(saturating at pi_max) and the scheduled entropy weight (at lam_max). Mask
+shape comes either from plain Bernoulli draws or from an adaptive teacher
+that prefers drop subsets that leave the gate undecided: candidate subset S
+gets probability proportional to exp(mean_entropy_after_dropping_S / eta).
 """
 
 from __future__ import annotations
@@ -13,15 +13,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import MultimodalBatch
+from .data import MultimodalBatch, keep_observed
 from .model import entropy_rows, gate_rows
 from .subsets import nonempty_subsets
 
 __all__ = [
     "Schedules",
     "MaskDistribution",
-    "schedule_pi",
-    "schedule_lambda",
+    "ramp",
     "candidate_family",
     "acm_distribution",
     "sample_keep",
@@ -50,18 +49,12 @@ class Schedules:
             raise ValueError(f"unknown mask mode {self.mode!r}")
 
 
-def schedule_pi(t: int, s: Schedules) -> float:
-    """pi_t = pi_max * min(1, t / t_warm); saturates at pi_max."""
+def ramp(t: int, horizon: int, peak: float) -> float:
+    """peak * min(1, t / horizon), the warm-up at epoch t: pi_t runs it over
+    (t_warm, pi_max) and lam_t over (t_lam, lam_max)."""
     if t < 0:
         raise ValueError("epoch index must be nonnegative")
-    return s.pi_max * min(1.0, t / s.t_warm)
-
-
-def schedule_lambda(t: int, s: Schedules) -> float:
-    """lam_t = lam_max * min(1, t / t_lam); saturates at lam_max."""
-    if t < 0:
-        raise ValueError("epoch index must be nonnegative")
-    return s.lam_max * min(1.0, t / s.t_lam)
+    return peak * min(1.0, t / horizon)
 
 
 @dataclass(frozen=True)
@@ -109,15 +102,19 @@ def acm_distribution(model, batch: MultimodalBatch, eta: float,
     """Softmax over per-candidate probe entropies: drop subsets after which
     the gate stays most undecided are sampled most often. Each candidate is
     one ``gate_rows`` view of the probe rows, so one that leaves exactly
-    one observed modality in every row has entropy 0 and no gate pass."""
+    one observed modality in every row has entropy 0 and no gate pass. Its
+    entropy is the mean over the rows it leaves observable (0 if none):
+    a row it would empty reads its presence and is left out."""
     if eta <= 0.0:
         raise ValueError("eta must be positive")
     candidates = candidate_family(batch.num_modalities, family)
-    entropies = np.empty(len(candidates))
+    entropies = np.zeros(len(candidates))
     for i, drop in enumerate(candidates):
-        view = batch.presence & ~drop
-        entropies[i] = float(entropy_rows(
-            gate_rows(model, batch, view[None]).data).mean())
+        live = (batch.presence & ~drop).any(axis=1)
+        if live.any():
+            view = keep_observed(batch.presence, ~drop)
+            entropies[i] = float(entropy_rows(
+                gate_rows(model, batch, view[None]).data)[live].mean())
     scaled = entropies / eta
     scaled = scaled - scaled.max()  # softmax shift, exact distribution unchanged
     weights = np.exp(scaled)

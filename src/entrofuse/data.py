@@ -3,7 +3,8 @@
 Features play the role of frozen encoder outputs: each class has a Gaussian
 prototype per modality and samples observe prototype + noise at a
 per-modality signal-to-noise ratio. A masked modality is replaced by the
-zero fill vector and its presence flag is cleared.
+zero fill vector and its presence flag is cleared; a draw that would
+empty a row leaves it its presence (``keep_observed``).
 """
 
 from __future__ import annotations
@@ -21,6 +22,7 @@ __all__ = [
     "generate",
     "apply_mask",
     "bernoulli_mask",
+    "keep_observed",
     "save_dataset",
     "load_dataset",
 ]
@@ -65,7 +67,8 @@ class MultimodalBatch:
     """Per-modality feature matrices, presence mask and labels.
 
     features[m] is [n, d_m]; presence is [n, M] bool; labels is [n] int64 in
-    single-label mode or [n, C] float64 {0,1} in multi-label mode. A model
+    single-label mode or [n, C] float64 {0,1} in multi-label mode (checked:
+    a bool presence, and 1-D labels exactly when single-label). A model
     pass weighs the features of a modality a row does not observe by
     exactly 0, so they may hold any finite values (``apply_mask`` zeroes
     them).
@@ -83,8 +86,12 @@ class MultimodalBatch:
                 raise ValueError(f"modality {m} row count {f.shape[0]} != {n}")
         if self.presence.shape != (n, self.num_modalities):
             raise ValueError("presence shape mismatch")
+        if self.presence.dtype != bool:  # an int 0/1 matrix would index rows
+            raise ValueError(f"presence is {self.presence.dtype}, not bool")
         if self.labels.shape[0] != n:
             raise ValueError("label count mismatch")
+        if self.labels.ndim != (2 if self.multilabel else 1):
+            raise ValueError("labels must be 1-D exactly when single-label")
 
     @property
     def n(self) -> int:
@@ -194,6 +201,14 @@ def bernoulli_mask(n: int, modalities: int, pi: float,
             return keep
         keep[empty] = rng.random((int(empty.sum()), modalities)) >= pi
     raise RuntimeError("resampling failed to produce non-empty rows")
+
+
+def keep_observed(presence: np.ndarray, keep: np.ndarray) -> np.ndarray:
+    """The [n, M] view ``presence & keep`` (``keep`` broadcasts, e.g. one
+    [M] subset row), except that a row it would empty keeps its presence:
+    a mask draw or a subset never leaves a row with nothing observed."""
+    view = presence & keep
+    return np.where(view.any(axis=1, keepdims=True), view, presence)
 
 
 # ---------------------------------------------------------------------------

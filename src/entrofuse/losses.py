@@ -148,8 +148,8 @@ def task_term(z: np.ndarray, labels: np.ndarray, multilabel: bool = False
 def composite_loss(logits: T.Tensor, p: T.Tensor, labels: np.ndarray, *,
                    lam: float | np.ndarray, gamma: float,
                    rows: np.ndarray | None = None,
-                   pairs: np.ndarray | None = None, multilabel: bool = False,
-                   lam_min: float = 0.0) -> tuple[T.Tensor, LossBreakdown]:
+                   pairs: np.ndarray | None = None, multilabel: bool = False
+                   ) -> tuple[T.Tensor, LossBreakdown]:
     """The objective over V views of n labelled rows, as one tape node.
 
     ``logits`` [V * n, C] and gate weights ``p`` [V * n, M] hold row i of
@@ -159,7 +159,7 @@ def composite_loss(logits: T.Tensor, p: T.Tensor, labels: np.ndarray, *,
     confidence as a [V, n] array and the (a, b) view index ``pairs``.
 
     ``lam`` may be a scalar or a per-sample vector (instance-adaptive mode);
-    every entry must be >= ``lam_min``. The returned breakdown reports the
+    every entry must be nonnegative. The returned breakdown reports the
     mean coefficient and an effective entropy term that keeps the invariant
     total == task + lam * ent + gamma * cec.
     """
@@ -186,14 +186,14 @@ def composite_loss(logits: T.Tensor, p: T.Tensor, labels: np.ndarray, *,
     ent_rows = entropy_rows(w)
     if lam_arr.ndim == 0:
         lam_report = float(lam_arr)
-        if lam_report < lam_min:
-            raise ValueError(f"lam={lam_report} below floor {lam_min}")
+        if lam_report < 0.0:
+            raise ValueError(f"lam={lam_report} is negative")
         ent_term = -ent_rows.mean() * lam_report
     else:
         if lam_arr.shape != (n,):
             raise ValueError("per-sample lam must have one entry per row")
-        if (lam_arr < lam_min).any():
-            raise ValueError("per-sample lam entry below floor")
+        if (lam_arr < 0.0).any():
+            raise ValueError("per-sample lam entry is negative")
         ent_term = -(ent_rows @ (lam_arr / n))
         lam_report = float(lam_arr.mean())
     ent_report = (ent_term / lam_report if lam_report > 0.0

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import MultimodalBatch
+from .data import MultimodalBatch, keep_observed
 from .model import class_probs, forward_views
 from .subsets import SubsetLattice, subset_lattice
 
@@ -183,8 +183,7 @@ def inversion_audit(model, batch: MultimodalBatch) -> InversionAudit:
     if modalities > 4:
         raise ValueError("full lattice audit is limited to 4 modalities")
     lattice = subset_lattice(modalities)
-    views = (np.where(v.any(axis=1, keepdims=True), v, batch.presence)
-             for v in lattice.views(batch.presence))
+    views = (keep_observed(batch.presence, s) for s in lattice.subsets)
     conf = np.empty((len(lattice.subsets), batch.n))
     for row, out in zip(conf, forward_views(model, batch, views)):
         row[:] = out.confidence.data

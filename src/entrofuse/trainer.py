@@ -1,10 +1,11 @@
 """End-to-end training loop with ablation switches and dropout evaluation.
 
-One epoch: refresh the mask teacher, advance the warm-up schedules, then for
-each shuffled minibatch sample a modality mask, run the gated forward pass
-over presence views of the minibatch rows (the masked pattern, and with the
-consistency penalty on, one view per lattice subset) and the task +
-entropy + consistency objective, each one tape node, and take one
+One epoch: refresh the mask teacher, advance the warm-up ramps, then for
+each shuffled minibatch draw a modality mask inside each row's observed set
+(``data.keep_observed``), run the gated forward pass over presence views of
+the minibatch rows (the masked pattern, and with the consistency penalty
+on, one view per lattice subset) and the task + entropy + consistency
+objective, each one tape node, and take one
 decoupled-weight-decay Adam step per parameter group on the model's flat
 buffers (gate parameters at their own learning rate, cosine decay on both
 groups). Instance lambda reads the masked pattern as presence too, and the
@@ -27,9 +28,8 @@ from dataclasses import asdict, dataclass, field, replace
 import numpy as np
 
 from . import tensor as T
-from .curriculum import (Schedules, acm_distribution, sample_keep,
-                         schedule_lambda, schedule_pi)
-from .data import MultimodalBatch, bernoulli_mask
+from .curriculum import Schedules, acm_distribution, ramp, sample_keep
+from .data import MultimodalBatch, bernoulli_mask, keep_observed
 from .losses import LossBreakdown, cec_pairs, step_loss, task_term
 from .metrics import (confidence_correct, ece, entropy_confidence_export,
                       map_at_1, top1_accuracy)
@@ -37,7 +37,7 @@ from .model import (ForwardOutput, FusionConfig, FusionModel, forward,
                     forward_views)
 from .optim import adamw_step, cosine_lr
 from .rng import stream
-from .uncertainty import LambdaConfig, calibrate_vmax, lambda_of, with_vmax
+from .uncertainty import LambdaConfig, calibrate_vmax, lambda_of
 
 __all__ = [
     "TrainConfig",
@@ -229,12 +229,10 @@ def train(cfg: TrainConfig, data: tuple[MultimodalBatch, MultimodalBatch, Multim
     mask_rng = stream(cfg.seed, "masking")
     drop_rng = stream(cfg.seed, "dropout")
 
-    lam_cfg = cfg.lambda_cfg
     v_max = None
     instance_lam = sw.lam_on and cfg.lam_mode == "instance"
     if instance_lam:
-        v_max = calibrate_vmax(model, val_b, lam_cfg, drop_rng)
-        lam_cfg = with_vmax(lam_cfg, v_max)
+        v_max = calibrate_vmax(model, val_b, cfg.lambda_cfg, drop_rng)
 
     lattice = None
     if cfg.gamma > 0.0 and sw.cec_on:
@@ -251,10 +249,10 @@ def train(cfg: TrainConfig, data: tuple[MultimodalBatch, MultimodalBatch, Multim
     val_out = None
 
     for epoch in range(1, cfg.epochs + 1):
-        pi_t = schedule_pi(epoch, sched) if sw.mask_on else 0.0
+        pi_t = ramp(epoch, sched.t_warm, sched.pi_max) if sw.mask_on else 0.0
         lam_t = 0.0
         if sw.lam_on and cfg.lam_mode == "scheduled":
-            lam_t = schedule_lambda(epoch, sched)
+            lam_t = ramp(epoch, sched.t_lam, sched.lam_max)
         dist = None
         if sw.mask_on and sched.mode == "acm":
             dist = acm_distribution(model, probe, sched.eta, cfg.acm_family)
@@ -273,12 +271,12 @@ def train(cfg: TrainConfig, data: tuple[MultimodalBatch, MultimodalBatch, Multim
                     draw = sample_keep(dist, pi_t, idx.size, mask_rng)
                 else:
                     draw = bernoulli_mask(idx.size, modalities, pi_t, mask_rng)
-                keep = keep & draw
+                keep = keep_observed(keep, draw)
 
             lam = lam_t
             if instance_lam:
-                lam = lambda_of(model, replace(batch, presence=keep), lam_cfg,
-                                drop_rng)
+                lam = lambda_of(model, replace(batch, presence=keep),
+                                cfg.lambda_cfg, drop_rng, v_max)
 
             with T.Tape() as tape:
                 total, bd = step_loss(
@@ -363,10 +361,8 @@ def _dropout_table(model: FusionModel, batch: MultimodalBatch,
                 yield batch.presence
             for s in range(draws[rate]):
                 rng = stream(seed, f"eval:{r_index}:{s}")
-                view = batch.presence & bernoulli_mask(
-                    batch.n, batch.num_modalities, rate, rng)
-                yield np.where(view.any(axis=1, keepdims=True), view,
-                               batch.presence)
+                yield keep_observed(batch.presence, bernoulli_mask(
+                    batch.n, batch.num_modalities, rate, rng))
 
     outs = forward_views(model, batch, views())
     table: dict[float, dict[str, float]] = {}

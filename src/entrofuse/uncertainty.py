@@ -8,13 +8,13 @@ The per-sample weight is
     v(x) = sum over observed m of var_m(x) / |observed(x)|,
 
 the mean over the branches of the modalities the row observes, so it is
-bounded in (lam_min, lam_min + softplus(v_max)]; v_max is calibrated once as
-the largest v(x) on a validation batch.
+bounded in (lam_min, lam_min + softplus(v_max)]; the cap v_max is measured,
+the largest v(x) on a validation batch (``calibrate_vmax``).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -24,12 +24,10 @@ __all__ = [
     "LambdaConfig",
     "mc_variance",
     "ensemble_variance",
-    "branch_variance",
     "mean_branch_variance",
     "lambda_of",
     "calibrate_vmax",
     "lambda_upper",
-    "with_vmax",
     "softplus",
 ]
 
@@ -37,7 +35,6 @@ __all__ = [
 @dataclass(frozen=True)
 class LambdaConfig:
     lam_min: float = 0.01
-    v_max: float | None = None  # set by calibrate_vmax before use
     draws: int = 20
     rate: float = 0.1
     source: str = "mc"  # "mc" or "ensemble"
@@ -52,8 +49,6 @@ class LambdaConfig:
             raise ValueError("variance needs at least two draws")
         if self.source not in ("mc", "ensemble"):
             raise ValueError(f"unknown variance source {self.source!r}")
-        if self.v_max is not None and self.v_max < 0.0:
-            raise ValueError("v_max must be nonnegative")
 
 
 # Entries drawn per dropout block: enough draws per block to amortize the
@@ -155,24 +150,21 @@ def ensemble_variance(model, batch: MultimodalBatch, rng: np.random.Generator,
     return var
 
 
-def branch_variance(model, batch: MultimodalBatch, cfg: LambdaConfig,
-                    rng: np.random.Generator) -> np.ndarray:
-    if cfg.source == "mc":
-        return mc_variance(model, batch, rng, draws=cfg.draws, rate=cfg.rate)
-    return ensemble_variance(model, batch, rng, size=cfg.ensemble_size)
-
-
 def mean_branch_variance(model, batch: MultimodalBatch, cfg: LambdaConfig,
                          rng: np.random.Generator) -> np.ndarray:
-    """v(x): each row's branch variances averaged over the modalities it
-    observes. Raises ``ValueError`` if a row observes none, before drawing
-    anything."""
+    """v(x): each row's branch variances, from ``cfg.source``, averaged over
+    the modalities it observes. Raises ``ValueError`` if a row observes
+    none, before drawing anything."""
     observed = batch.presence.sum(axis=1)
     empty = int((observed == 0).sum())
     if empty:
         raise ValueError(f"{empty} of {batch.n} rows observe no modality, "
                          "so they have no branch variance to average")
-    return branch_variance(model, batch, cfg, rng).sum(axis=1) / observed
+    if cfg.source == "mc":
+        var = mc_variance(model, batch, rng, draws=cfg.draws, rate=cfg.rate)
+    else:
+        var = ensemble_variance(model, batch, rng, size=cfg.ensemble_size)
+    return var.sum(axis=1) / observed
 
 
 def softplus(x):
@@ -183,11 +175,12 @@ def softplus(x):
 
 
 def lambda_of(model, batch: MultimodalBatch, cfg: LambdaConfig,
-              rng: np.random.Generator) -> np.ndarray:
-    """Per-sample entropy weight, capped at v_max before the softplus."""
-    vbar = mean_branch_variance(model, batch, cfg, rng)
-    if cfg.v_max is not None:
-        vbar = np.minimum(vbar, cfg.v_max)
+              rng: np.random.Generator, v_max: float) -> np.ndarray:
+    """Per-sample entropy weight, capped at ``v_max`` (``np.inf``: no cap)
+    before the softplus. Raises ``ValueError`` unless v_max >= 0."""
+    if not v_max >= 0.0:
+        raise ValueError("v_max must be nonnegative")
+    vbar = np.minimum(mean_branch_variance(model, batch, cfg, rng), v_max)
     return cfg.lam_min + softplus(vbar)
 
 
@@ -197,12 +190,6 @@ def calibrate_vmax(model, batch: MultimodalBatch, cfg: LambdaConfig,
     return float(mean_branch_variance(model, batch, cfg, rng).max())
 
 
-def with_vmax(cfg: LambdaConfig, v_max: float) -> LambdaConfig:
-    return replace(cfg, v_max=float(v_max))
-
-
-def lambda_upper(cfg: LambdaConfig) -> float:
-    """Supremum of lambda_of under this config (attained at the cap)."""
-    if cfg.v_max is None:
-        raise ValueError("v_max not calibrated")
-    return cfg.lam_min + float(softplus(cfg.v_max))
+def lambda_upper(cfg: LambdaConfig, v_max: float) -> float:
+    """Supremum of lambda_of under this config and cap (attained at it)."""
+    return cfg.lam_min + float(softplus(v_max))

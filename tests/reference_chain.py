@@ -626,7 +626,7 @@ def confidence(logits: Tensor, multilabel: bool = False) -> Tensor:
 
 def composite_loss(logits: Tensor, p: Tensor, labels: np.ndarray, *,
                    lam, gamma: float, rows=None, pairs=None,
-                   multilabel: bool = False, lam_min: float = 0.0
+                   multilabel: bool = False
                    ) -> tuple[Tensor, LossBreakdown]:
     """``losses.composite_loss`` as the chain it replaced: the confidences'
     softmax and row max, a ``gather`` per read (the task rows, their gate
@@ -649,11 +649,11 @@ def composite_loss(logits: Tensor, p: Tensor, labels: np.ndarray, *,
     lam_arr = np.asarray(lam, dtype=np.float64)
     if lam_arr.ndim == 0:
         lam_value = float(lam_arr)
-        assert lam_value >= lam_min
+        assert lam_value >= 0.0
         ent_term = mul_scalar(mul_scalar(mean_all(ent_rows), -1.0), lam_value)
         lam_report = lam_value
     else:
-        assert (lam_arr >= lam_min).all()
+        assert (lam_arr >= 0.0).all()
         ent_term = mul_scalar(dot_const(ent_rows, lam_arr / n), -1.0)
         lam_report = float(lam_arr.mean())
     ent_report = (ent_term.item() / lam_report if lam_report > 0.0

@@ -16,7 +16,7 @@ import yaml
 import entrofuse.tensor as T
 from entrofuse.cli import main
 from entrofuse.curriculum import (Schedules, acm_distribution, candidate_family,
-                                  schedule_lambda, schedule_pi)
+                                  ramp)
 from entrofuse.data import SyntheticSpec, apply_mask, generate
 from entrofuse.losses import cec_loss, step_loss
 from entrofuse.metrics import audit_confidences, ece, inversion_audit
@@ -25,7 +25,7 @@ from entrofuse.rng import stream
 from entrofuse.subsets import subset_lattice
 from entrofuse.trainer import TrainConfig, train
 from entrofuse.uncertainty import (LambdaConfig, calibrate_vmax, lambda_of,
-                                   lambda_upper, with_vmax)
+                                   lambda_upper)
 
 from test_model import random_batch, random_model
 
@@ -254,15 +254,15 @@ def test_c05_mask_and_weight_schedules_exact():
                       lam_max=float(rng.uniform(0.0, 1.0)))
         for t in range(0, 3 * max(s.t_warm, s.t_lam) + 1):
             worst = max(worst,
-                        abs(schedule_pi(t, s)
+                        abs(ramp(t, s.t_warm, s.pi_max)
                             - s.pi_max * min(1.0, t / s.t_warm)),
-                        abs(schedule_lambda(t, s)
+                        abs(ramp(t, s.t_lam, s.lam_max)
                             - s.lam_max * min(1.0, t / s.t_lam)))
-    defaults = Schedules()
-    saturated = (schedule_pi(defaults.t_warm, defaults) == 0.40
-                 and schedule_pi(5 * defaults.t_warm, defaults) == 0.40
-                 and schedule_lambda(defaults.t_lam, defaults) == 0.08
-                 and schedule_lambda(5 * defaults.t_lam, defaults) == 0.08)
+    d = Schedules()
+    saturated = (ramp(d.t_warm, d.t_warm, d.pi_max) == 0.40
+                 and ramp(5 * d.t_warm, d.t_warm, d.pi_max) == 0.40
+                 and ramp(d.t_lam, d.t_lam, d.lam_max) == 0.08
+                 and ramp(5 * d.t_lam, d.t_lam, d.lam_max) == 0.08)
     ok = worst <= 1e-12 and saturated
     verdict("C05", "warm-up schedules reproduce the ramp formulas", ok,
             f"max err={worst:.1e} default saturation at 0.40/0.08={saturated}")
@@ -325,12 +325,11 @@ def test_c09_instance_weight_bounds():
     cfg = FusionConfig(modalities=2, dims=(6, 6), classes=3, fused_dim=8)
     model = random_model(rng, cfg)
     val = random_batch(rng, 512, cfg.dims, cfg.classes)
-    base = LambdaConfig(lam_min=0.01, draws=8)
-    v_max = calibrate_vmax(model, val, base, stream(900, "vmax"))
-    lam_cfg = with_vmax(base, v_max)
+    lam_cfg = LambdaConfig(lam_min=0.01, draws=8)
+    v_max = calibrate_vmax(model, val, lam_cfg, stream(900, "vmax"))
     batch = random_batch(rng, 10_000, cfg.dims, cfg.classes)
-    lam = lambda_of(model, batch, lam_cfg, stream(900, "dropout"))
-    upper = lambda_upper(lam_cfg)
+    lam = lambda_of(model, batch, lam_cfg, stream(900, "dropout"), v_max)
+    upper = lambda_upper(lam_cfg, v_max)
     ok = (lam.shape == (10_000,) and (lam > lam_cfg.lam_min).all()
           and (lam <= upper).all())
     verdict("C09", "instance weights stay inside the softplus band", ok,

@@ -235,6 +235,7 @@ class TestOneTestForwardPerRun:
 
     def test_scatter_without_a_clean_rate_is_forwarded(self, config_path,
                                                        tmp_path):
+        # as the dropout table would have read the clean pass
         cfg = load_config(config_path)
         cfg = replace(cfg, train=replace(cfg.train, eval_rates=(0.5,)))
         data = generate(cfg.data)
@@ -243,8 +244,8 @@ class TestOneTestForwardPerRun:
         cli_module.write_run_dir(str(tmp_path / "run"), cfg, result, data[2])
         scatter = np.loadtxt(tmp_path / "run" / "scatter.csv", delimiter=",",
                              skiprows=1)
-        want = entropy_confidence_export(model_module.forward(result.model,
-                                                              data[2]))
+        want = entropy_confidence_export(next(model_module.forward_views(
+            result.model, data[2], [data[2].presence])))
         assert np.array_equal(scatter, want)
 
     def test_single_modality_scatter_reads_the_kept_modality(self,
@@ -386,6 +387,32 @@ class TestAuditCommand:
         assert evals == open(os.path.join(run, "eval.csv")).read()
         assert evals != bare_evals
         assert cal != bare_cal
+
+    @pytest.mark.parametrize("temp_scaling", [False, True])
+    def test_reads_the_clean_pass_its_run_read(self, tmp_path, temp_scaling):
+        # forward sums gate layer 1 in another order than the prepared pass
+        # of forward_views, so reading another pass shows in the last digits
+        doc = dict(SMALL_CONFIG,
+                   data=dict(SMALL_CONFIG["data"], modalities=3,
+                             dims=[6, 5, 4], snr=[100.0, 1.0, 0.3]),
+                   train=dict(SMALL_CONFIG["train"],
+                              temp_scaling=temp_scaling))
+        path = tmp_path / "config.yaml"
+        path.write_text(yaml.safe_dump(doc))
+        run, out = tmp_path / "run", tmp_path / "audit"
+        assert main(["run", "--config", str(path), "--out", str(run)]) == 0
+        assert main(["audit", "--checkpoint", str(run / "checkpoint.npz"),
+                     "--config", str(path), "--out", str(out)]) == 0
+        assert ((out / "scatter.csv").read_bytes()
+                == (run / "scatter.csv").read_bytes())
+        # the ECE the calibration bins imply is eval.csv's rate-0 ECE
+        bins = np.loadtxt(out / "calibration.csv", delimiter=",", skiprows=1)
+        counts = bins[:, 3].astype(np.int64)
+        full = counts > 0
+        implied = float(np.sum(counts[full] / counts.sum() * np.abs(
+            bins[full, 5] - bins[full, 4])))
+        rate0 = np.loadtxt(run / "eval.csv", delimiter=",", skiprows=1)[0]
+        assert rate0[0] == 0.0 and implied == rate0[2]
 
     def test_mismatched_config_exits_one(self, run_dir, tmp_path):
         doc = dict(SMALL_CONFIG)

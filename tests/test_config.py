@@ -184,7 +184,7 @@ class TestFileRoundTrip:
 
 # Every field the schema reads, found by walking the dataclasses, so a new
 # field is covered without editing this table. Only where the YAML differs
-# from the fields is spelled out: renamed keys, the eval section, v_max.
+# from the fields is spelled out: renamed keys and the eval section.
 YAML_KEY = {"lambda_cfg": "lambda"}
 EVAL_KEY = {"eval_rates": "rates", "eval_seeds": "seeds"}
 # valid values for fields whose domain the default alone does not give
@@ -201,8 +201,6 @@ SECTIONS = [("data", ("data",), SyntheticSpec()),
 def schema_fields():
     for where, attrs, default in SECTIONS:
         for f in dataclasses.fields(default):
-            if f.name == "v_max":  # calibrated at run time, never configured
-                continue
             if f.name in EVAL_KEY:
                 path = ("eval", EVAL_KEY[f.name])
             else:
@@ -266,6 +264,17 @@ def lookup(tree, path):
 
 
 class TestSchemaIsTheDataclassFields:
+    def test_every_field_is_a_yaml_key(self):
+        # run state (a value measured during a run) has no place in these
+        # dataclasses: each field is a key of its section, except the two
+        # the eval section sets
+        resolved = resolved_dict(parse_config(minimal_doc()))
+        for where, _, default in SECTIONS:
+            names = {f.name for f in dataclasses.fields(default)}
+            assert set(lookup(resolved, where.split("."))) == {
+                YAML_KEY.get(name, name) for name in names - set(EVAL_KEY)}
+        assert set(resolved["eval"]) == set(EVAL_KEY.values())
+
     @pytest.mark.parametrize("path,attrs,default", schema_fields())
     def test_non_default_value_parses_and_survives_resolved_dict(
             self, path, attrs, default):

@@ -4,15 +4,24 @@ import numpy as np
 import pytest
 
 from entrofuse.curriculum import (MaskDistribution, Schedules,
-                                  acm_distribution, candidate_family,
-                                  sample_keep, schedule_lambda, schedule_pi)
+                                  acm_distribution, candidate_family, ramp,
+                                  sample_keep)
 import entrofuse.model as model_module
 from entrofuse.data import apply_mask
 from entrofuse.model import FusionConfig, FusionModel
 from entrofuse.subsets import nonempty_subsets
 
 from reference_chain import entropy_rows
-from test_model import random_batch, random_model
+from test_model import random_batch, random_model, random_presence
+
+
+# pi_t and lam_t as the trainer runs the one ramp
+def schedule_pi(t, s):
+    return ramp(t, s.t_warm, s.pi_max)
+
+
+def schedule_lambda(t, s):
+    return ramp(t, s.t_lam, s.lam_max)
 
 
 class TestSchedules:
@@ -213,14 +222,42 @@ class TestAcmDistribution:
                      for d in dist.support]
             assert np.array_equal(dist.mean_entropies, brute)
 
-    def test_rows_left_empty_still_rejected(self):
-        rng = np.random.default_rng(17)
-        cfg = FusionConfig(modalities=2, dims=(3, 3), classes=2, fused_dim=4)
+    @pytest.mark.parametrize("seed", range(3))
+    def test_entropy_averages_the_rows_a_candidate_leaves_observable(
+            self, seed):
+        # a row that observes only dropped modalities leaves that
+        # candidate's mean; the reference gates the other rows alone
+        rng = np.random.default_rng(17 + seed)
+        cfg = FusionConfig(modalities=3, dims=(3, 4, 2), classes=2,
+                           fused_dim=4)
         model = random_model(rng, cfg)
-        presence = np.array([[True, True], [True, False], [True, True]])
-        batch = random_batch(rng, 3, cfg.dims, cfg.classes, presence)
-        with pytest.raises(ValueError, match="no observed modality"):
-            acm_distribution(model, batch, 1.0)
+        presence = random_presence(rng, 40, 3)
+        batch = random_batch(rng, 40, cfg.dims, cfg.classes, presence)
+        dist = acm_distribution(model, batch, 1.0, family="all_subsets")
+        emptied = 0
+        for drop, h in zip(dist.support, dist.mean_entropies):
+            live = np.flatnonzero((presence & ~drop).any(axis=1))
+            emptied += live.size < batch.n
+            rows = batch.take(live)
+            want = entropy_rows(model_module.gate_rows(model, apply_mask(
+                rows, np.tile(~drop, (rows.n, 1))))).data.mean()
+            np.testing.assert_allclose(h, want, rtol=1e-12, atol=0)
+        assert emptied > 0
+
+    def test_candidate_emptying_every_row_reads_zero(self):
+        rng = np.random.default_rng(20)
+        cfg = FusionConfig(modalities=3, dims=(3, 3, 3), classes=2,
+                           fused_dim=4)
+        model = random_model(rng, cfg)
+        presence = np.tile([True, True, False], (6, 1))
+        batch = random_batch(rng, 6, cfg.dims, cfg.classes, presence)
+        dist = acm_distribution(model, batch, 1.0, family="all_subsets")
+        # dropping {0, 1} empties every row, and only dropping {2} leaves
+        # a row two modalities to weigh
+        only_2 = (dist.support == [False, False, True]).all(axis=1)
+        assert (dist.mean_entropies[~only_2] == 0.0).all()
+        assert dist.mean_entropies[only_2] > 0.0
+        assert np.isfinite(dist.probs).all()
 
     def test_fresh_gate_spreads_candidates_uniformly(self):
         # zero gate output layer keeps every probe entropy at log(2)

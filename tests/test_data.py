@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from entrofuse.data import (MultimodalBatch, SyntheticSpec, apply_mask,
-                            bernoulli_mask, generate, load_dataset,
-                            save_dataset)
+                            bernoulli_mask, generate, keep_observed,
+                            load_dataset, save_dataset)
 from entrofuse.rng import stream
 from entrofuse.subsets import (SubsetLattice, nonempty_subsets,
                               subset_lattice)
@@ -321,6 +321,45 @@ class TestBernoulliMask:
             bernoulli_mask(10, 2, 1.0, rng)
         with pytest.raises(ValueError):
             bernoulli_mask(10, 2, -0.1, rng)
+
+
+class TestKeepObserved:
+    def test_intersects_and_refills_emptied_rows(self):
+        presence = np.array([[True, True], [True, False], [False, True],
+                             [True, True]])
+        keep = np.array([[True, False], [False, True], [False, True],
+                         [False, False]])
+        view = keep_observed(presence, keep)
+        assert view.dtype == bool
+        assert view.tolist() == [[True, False], [True, False], [False, True],
+                                 [True, True]]
+
+    def test_one_subset_row_broadcasts(self):
+        presence = np.array([[True, True, False], [False, False, True]])
+        view = keep_observed(presence, np.array([True, True, False]))
+        assert view.tolist() == [[True, True, False], [False, False, True]]
+
+
+class TestBatchValidation:
+    def _parts(self, n=6):
+        rng = np.random.default_rng(4)
+        return [rng.normal(size=(n, 3)), rng.normal(size=(n, 2))]
+
+    def test_integer_presence_rejected(self):
+        # fit_norm would index rows 0 and 1 with it instead of masking
+        presence = np.ones((6, 2), dtype=np.int64)
+        with pytest.raises(ValueError, match="presence is int64, not bool"):
+            MultimodalBatch(features=self._parts(), presence=presence,
+                            labels=np.zeros(6, dtype=np.int64))
+
+    @pytest.mark.parametrize("multilabel,labels", [
+        (False, np.zeros((6, 3))), (False, np.zeros((6, 1), dtype=np.int64)),
+        (True, np.zeros(6)), (True, np.zeros((6, 3, 1)))])
+    def test_label_shape_must_match_the_mode(self, multilabel, labels):
+        with pytest.raises(ValueError, match="1-D exactly when single"):
+            MultimodalBatch(features=self._parts(),
+                            presence=np.ones((6, 2), dtype=bool),
+                            labels=labels, multilabel=multilabel)
 
 
 class TestDatasetIO:

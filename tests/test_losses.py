@@ -420,20 +420,19 @@ class TestCompositeLoss:
             composite_loss(logits, T.Tensor(p.data[:6]), labels, lam=0.1,
                            gamma=0.0, rows=np.arange(6))
 
-    def test_scalar_lambda_below_floor_rejected(self):
+    def test_negative_scalar_lambda_rejected(self):
         logits, p, labels, _ = self._parts(16, views=1)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="negative"):
             composite_loss(logits, p, labels, lam=-0.01, gamma=0.0)
-        with pytest.raises(ValueError):
-            composite_loss(logits, p, labels, lam=0.005, gamma=0.0, lam_min=0.01)
+        _, bd = composite_loss(logits, p, labels, lam=0.0, gamma=0.0)
+        assert bd.total == bd.task
 
     def test_vector_lambda_recomposes_and_reports_mean(self):
         for seed in range(3):
             logits, p, labels, _ = self._parts(20 + seed, views=1)
             rng = np.random.default_rng(100 + seed)
             lam = rng.uniform(0.01, 0.2, size=6)
-            total, bd = composite_loss(logits, p, labels, lam=lam, gamma=0.0,
-                                       lam_min=0.01)
+            total, bd = composite_loss(logits, p, labels, lam=lam, gamma=0.0)
             np.testing.assert_allclose(bd.lam, lam.mean(), rtol=0, atol=1e-15)
             np.testing.assert_allclose(total.item(), bd.composed(), rtol=0,
                                        atol=1e-12)
@@ -443,12 +442,12 @@ class TestCompositeLoss:
                         - np.mean(lam * ent_rows))
             np.testing.assert_allclose(total.item(), expected, rtol=0, atol=1e-12)
 
-    def test_vector_lambda_entry_below_floor_rejected(self):
+    def test_negative_vector_lambda_entry_rejected(self):
         logits, p, labels, _ = self._parts(24, views=1)
         lam = np.full(6, 0.05)
-        lam[3] = 0.001
-        with pytest.raises(ValueError):
-            composite_loss(logits, p, labels, lam=lam, gamma=0.0, lam_min=0.01)
+        lam[3] = -0.001
+        with pytest.raises(ValueError, match="negative"):
+            composite_loss(logits, p, labels, lam=lam, gamma=0.0)
 
     def test_vector_lambda_wrong_length_rejected(self):
         logits, p, labels, _ = self._parts(25, views=1)

@@ -16,7 +16,7 @@ from entrofuse.curriculum import Schedules
 from entrofuse.losses import task_term
 from entrofuse.data import SyntheticSpec, apply_mask, generate
 from entrofuse.model import FusionConfig, FusionModel, forward, forward_views
-from entrofuse.metrics import top1_accuracy
+from entrofuse.metrics import inversion_audit, top1_accuracy
 from entrofuse.rng import stream
 from entrofuse.trainer import (ABLATIONS, DivergenceError, Switches,
                                TrainConfig, apply_ablation,
@@ -39,6 +39,62 @@ def small_cfg(**kw):
                 eval_rates=(0.0, 0.5), eval_seeds=2, probe_size=64)
     base.update(kw)
     return TrainConfig(**base)
+
+
+def c07_missing_one(seed=0):
+    """The C07 splits with modality 1 cleared in 30% of the rows of each."""
+    spec = SyntheticSpec(modalities=2, classes=8, dims=(32, 32),
+                         snr=(1e4, 0.3), n_train=1500, n_val=500,
+                         n_test=1000, seed=seed)
+    rng = np.random.default_rng([seed, 30])
+    splits = []
+    for split in generate(spec):
+        keep = np.ones_like(split.presence)
+        keep[:, 1] = rng.random(split.n) >= 0.3
+        splits.append(apply_mask(split, keep))
+    return tuple(splits)
+
+
+class TestMissingInputs:
+    """Training on rows that lack a modality: the curriculum's draws stay
+    inside each row's observed set. The consistency penalty still needs
+    every lattice subset on every row, so with gamma > 0 it fails."""
+
+    @staticmethod
+    def _cfg(mode, lam_mode, gamma):
+        return TrainConfig(
+            epochs=3, gamma=gamma, lam_mode=lam_mode, seed=0, gate_hidden=64,
+            eval_rates=(0.0, 0.5),
+            schedules=Schedules(mode=mode, t_warm=10, t_lam=10, lam_max=1.2))
+
+    @pytest.mark.parametrize("mode", ["bernoulli", "acm"])
+    @pytest.mark.parametrize("lam_mode", ["scheduled", "instance"])
+    def test_gamma_zero_trains_and_audits(self, monkeypatch, mode, lam_mode):
+        data = c07_missing_one()
+        seen = []
+        real = trainer_module.step_loss
+
+        def spy(model, batch, keep, *args, **kw):
+            seen.append((batch.presence, keep))
+            return real(model, batch, keep, *args, **kw)
+
+        monkeypatch.setattr(trainer_module, "step_loss", spy)
+        res = train(self._cfg(mode, lam_mode, 0.0), data)
+        assert all(np.isfinite(h.total) for h in res.history)
+        for presence, keep in seen:
+            assert not (keep & ~presence).any() and keep.any(axis=1).all()
+        assert any((keep != presence).any() for presence, keep in seen)
+        audit = inversion_audit(res.model, data[2])
+        assert 0.0 <= audit.rate <= 1.0
+        assert (audit.rows < data[2].n).any()  # rows lacking modality 1
+
+    @pytest.mark.parametrize("mode", ["bernoulli", "acm"])
+    @pytest.mark.parametrize("lam_mode", ["scheduled", "instance"])
+    def test_consistency_penalty_rejects_missing_inputs(self, mode,
+                                                        lam_mode):
+        with pytest.raises(ValueError,
+                           match="a sample has no observed modality"):
+            train(self._cfg(mode, lam_mode, 20.0), c07_missing_one())
 
 
 class TestApplyAblation:

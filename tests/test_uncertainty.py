@@ -1,7 +1,7 @@
 """Instance-adaptive entropy weight from per-branch predictive variance."""
 
 import tracemalloc
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -9,11 +9,9 @@ import pytest
 from entrofuse.data import apply_mask
 from entrofuse.model import FusionConfig
 from entrofuse.uncertainty import softplus
-from entrofuse.uncertainty import (BLOCK, LambdaConfig, branch_variance,
-                                   calibrate_vmax, ensemble_variance,
-                                   lambda_of, lambda_upper,
-                                   mc_variance, mean_branch_variance,
-                                   with_vmax)
+from entrofuse.uncertainty import (BLOCK, LambdaConfig, calibrate_vmax,
+                                   ensemble_variance, lambda_of, lambda_upper,
+                                   mc_variance, mean_branch_variance)
 
 from test_model import random_batch, random_model, random_presence
 
@@ -75,7 +73,8 @@ class TestLambdaConfig:
     def test_defaults_are_valid(self):
         cfg = LambdaConfig()
         assert cfg.lam_min == 0.01
-        assert cfg.v_max is None
+        # the cap is measured at run time, so it is no config field
+        assert "v_max" not in {f.name for f in fields(LambdaConfig)}
 
     def test_invalid_fields_rejected(self):
         with pytest.raises(ValueError):
@@ -88,15 +87,6 @@ class TestLambdaConfig:
             LambdaConfig(ensemble_size=1)
         with pytest.raises(ValueError):
             LambdaConfig(source="bootstrap")
-        with pytest.raises(ValueError):
-            LambdaConfig(v_max=-0.1)
-
-    def test_with_vmax_only_touches_vmax(self):
-        cfg = LambdaConfig(lam_min=0.02, draws=8)
-        out = with_vmax(cfg, 0.5)
-        assert out.v_max == 0.5
-        assert out.lam_min == 0.02 and out.draws == 8
-        assert cfg.v_max is None  # original untouched
 
 
 class TestMcVariance:
@@ -332,12 +322,14 @@ class TestEnsembleVariance:
         batch = random_batch(rng, 6, cfg.dims, cfg.classes)
         mc_cfg = LambdaConfig(source="mc", draws=6, rate=0.2)
         en_cfg = LambdaConfig(source="ensemble", ensemble_size=4)
-        a = branch_variance(model, batch, mc_cfg, np.random.default_rng(16))
+        a = mean_branch_variance(model, batch, mc_cfg,
+                                 np.random.default_rng(16))
         b = mc_variance(model, batch, np.random.default_rng(16), draws=6, rate=0.2)
-        assert (a == b).all()
-        c = branch_variance(model, batch, en_cfg, np.random.default_rng(17))
+        assert (a == b.sum(axis=1) / 2).all()
+        c = mean_branch_variance(model, batch, en_cfg,
+                                 np.random.default_rng(17))
         d = ensemble_variance(model, batch, np.random.default_rng(17), size=4)
-        assert (c == d).all()
+        assert (c == d.sum(axis=1) / 2).all()
 
 
 class TestLambdaOf:
@@ -346,8 +338,8 @@ class TestLambdaOf:
         cfg = FusionConfig(modalities=2, dims=(4, 4), classes=3, fused_dim=4)
         model = random_model(rng, cfg)
         batch = random_batch(rng, 12, cfg.dims, cfg.classes)
-        lcfg = with_vmax(LambdaConfig(lam_min=0.02, draws=8, rate=0.2), 0.4)
-        lam = lambda_of(model, batch, lcfg, np.random.default_rng(21))
+        lcfg = LambdaConfig(lam_min=0.02, draws=8, rate=0.2)
+        lam = lambda_of(model, batch, lcfg, np.random.default_rng(21), 0.4)
         var = mc_variance(model, batch, np.random.default_rng(21),
                           draws=8, rate=0.2)
         expected = 0.02 + softplus(np.minimum(var.mean(axis=1), 0.4))
@@ -363,27 +355,27 @@ class TestLambdaOf:
             fresh = random_batch(rng, 64, cfg.dims, cfg.classes)
             lcfg = LambdaConfig(lam_min=0.01, draws=6, rate=0.2)
             v_max = calibrate_vmax(model, cal, lcfg, np.random.default_rng(40 + k))
-            lcfg = with_vmax(lcfg, v_max)
-            lam = lambda_of(model, fresh, lcfg, np.random.default_rng(50 + k))
+            lam = lambda_of(model, fresh, lcfg, np.random.default_rng(50 + k),
+                            v_max)
             assert (lam > lcfg.lam_min).all()
-            assert (lam <= lambda_upper(lcfg) + 1e-15).all()
+            assert (lam <= lambda_upper(lcfg, v_max) + 1e-15).all()
 
     def test_zero_cap_pins_lambda_at_softplus_zero(self):
         rng = np.random.default_rng(22)
         cfg = FusionConfig(modalities=2, dims=(3, 3), classes=3, fused_dim=4)
         model = random_model(rng, cfg)
         batch = random_batch(rng, 8, cfg.dims, cfg.classes)
-        lcfg = with_vmax(LambdaConfig(lam_min=0.01), 0.0)
-        lam = lambda_of(model, batch, lcfg, np.random.default_rng(23))
+        lcfg = LambdaConfig(lam_min=0.01)
+        lam = lambda_of(model, batch, lcfg, np.random.default_rng(23), 0.0)
         np.testing.assert_allclose(lam, 0.01 + np.log(2.0), rtol=0, atol=1e-15)
 
-    def test_uncapped_config_uses_raw_variance(self):
+    def test_infinite_cap_uses_raw_variance(self):
         rng = np.random.default_rng(24)
         cfg = FusionConfig(modalities=2, dims=(3, 3), classes=3, fused_dim=4)
         model = random_model(rng, cfg)
         batch = random_batch(rng, 8, cfg.dims, cfg.classes)
         lcfg = LambdaConfig(lam_min=0.01, draws=6)
-        lam = lambda_of(model, batch, lcfg, np.random.default_rng(25))
+        lam = lambda_of(model, batch, lcfg, np.random.default_rng(25), np.inf)
         var = mc_variance(model, batch, np.random.default_rng(25), draws=6)
         np.testing.assert_allclose(lam, 0.01 + softplus(var.mean(axis=1)),
                                    rtol=0, atol=1e-15)
@@ -414,12 +406,12 @@ class TestObservedBranches:
         presence = np.ones((6, 2), dtype=bool)
         presence[[1, 4], :] = False
         model, batch = self._cfg_batch(92, 6, (3, 3), presence)
-        lcfg = with_vmax(LambdaConfig(source=source, draws=4), 0.5)
+        lcfg = LambdaConfig(source=source, draws=4)
         rng = np.random.default_rng(93)
         state = rng.bit_generator.state
         message = "2 of 6 rows observe no modality"
         with pytest.raises(ValueError, match=message):
-            lambda_of(model, batch, lcfg, rng)
+            lambda_of(model, batch, lcfg, rng, 0.5)
         with pytest.raises(ValueError, match=message):
             calibrate_vmax(model, batch, lcfg, rng)
         assert rng.bit_generator.state == state  # raised before drawing
@@ -446,20 +438,22 @@ class TestLambdaInvariants:
 
         # a fully observed batch averages every branch, as var.mean does
         v = mean_branch_variance(model, full, lcfg, np.random.default_rng(1))
-        var = branch_variance(model, full, lcfg, np.random.default_rng(1))
+        var = (mc_variance(model, full, np.random.default_rng(1), draws=5,
+                           rate=0.25) if source == "mc" else
+               ensemble_variance(model, full, np.random.default_rng(1), size=4))
         assert np.array_equal(v, var.mean(axis=1))
 
-        lcfg = with_vmax(lcfg, calibrate_vmax(model, full, lcfg,
-                                              np.random.default_rng(2)))
-        lam = lambda_of(model, batch, lcfg, np.random.default_rng(3))
+        v_max = calibrate_vmax(model, full, lcfg, np.random.default_rng(2))
+        lam = lambda_of(model, batch, lcfg, np.random.default_rng(3), v_max)
         assert (lam > lcfg.lam_min).all()
-        assert (lam <= lambda_upper(lcfg) + 1e-15).all()  # softplus round-off
+        # softplus round-off
+        assert (lam <= lambda_upper(lcfg, v_max) + 1e-15).all()
 
         # what an unobserved modality's features hold changes nothing
         noisy = [np.where(presence[:, m, None], f, rng.normal(size=f.shape))
                  for m, f in enumerate(batch.features)]
         lam_noisy = lambda_of(model, replace(batch, features=noisy), lcfg,
-                              np.random.default_rng(3))
+                              np.random.default_rng(3), v_max)
         assert np.array_equal(lam, lam_noisy)
 
 
@@ -475,11 +469,18 @@ class TestCalibration:
                           draws=6, rate=0.2)
         assert v_max == var.mean(axis=1).max()
 
-    def test_lambda_upper_requires_calibration(self):
-        with pytest.raises(ValueError):
-            lambda_upper(LambdaConfig())
+    @pytest.mark.parametrize("v_max", [-0.1, np.nan])
+    def test_cap_must_be_nonnegative(self, v_max):
+        rng = np.random.default_rng(28)
+        cfg = FusionConfig(modalities=2, dims=(3, 3), classes=3, fused_dim=4)
+        model = random_model(rng, cfg)
+        batch = random_batch(rng, 8, cfg.dims, cfg.classes)
+        state = rng.bit_generator.state
+        with pytest.raises(ValueError, match="v_max must be nonnegative"):
+            lambda_of(model, batch, LambdaConfig(), rng, v_max)
+        assert rng.bit_generator.state == state  # raised before drawing
 
     def test_lambda_upper_formula(self):
-        lcfg = with_vmax(LambdaConfig(lam_min=0.03), 1.7)
-        np.testing.assert_allclose(lambda_upper(lcfg), 0.03 + softplus(1.7),
-                                   rtol=0, atol=0)
+        lcfg = LambdaConfig(lam_min=0.03)
+        np.testing.assert_allclose(lambda_upper(lcfg, 1.7),
+                                   0.03 + softplus(1.7), rtol=0, atol=0)
