@@ -188,12 +188,15 @@ def _ablate_job(job: tuple[ExperimentConfig, str, str]):
 
 
 def cmd_ablate(args) -> int:
+    if args.jobs < 1:
+        raise UsageError(f"--jobs must be at least 1, got {args.jobs}")
     cfg = _load(args)
     out = _resolve_out(cfg, args.out, f"runs/ablate-seed{cfg.train.seed}")
     os.makedirs(out, exist_ok=True)
     jobs = [(cfg, tag, os.path.join(out, tag)) for tag in ABLATIONS]
 
-    with (ProcessPoolExecutor(max_workers=args.jobs) if args.jobs > 1
+    # a fork pool starts all its workers up front: one per job at most
+    with (ProcessPoolExecutor(min(args.jobs, len(jobs))) if args.jobs > 1
           else nullcontext()) as pool:
         tables = dict((map if pool is None else pool.map)(_ablate_job, jobs))
 
@@ -296,11 +299,10 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
+        return args.func(args)
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1
-    try:
-        return args.func(args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import MultimodalBatch, keep_observed
+from .data import MultimodalBatch, keep_observed, last_axis_first
 from .model import entropy_rows, gate_rows
 from .subsets import nonempty_subsets
 
@@ -110,7 +110,7 @@ def acm_distribution(model, batch: MultimodalBatch, eta: float,
     candidates = candidate_family(batch.num_modalities, family)
     entropies = np.zeros(len(candidates))
     for i, drop in enumerate(candidates):
-        live = (batch.presence & ~drop).any(axis=1)
+        live = last_axis_first(batch.presence)[~drop].any(axis=0)
         if live.any():
             view = keep_observed(batch.presence, ~drop)
             entropies[i] = float(entropy_rows(

@@ -23,6 +23,7 @@ __all__ = [
     "apply_mask",
     "bernoulli_mask",
     "keep_observed",
+    "last_axis_first",
     "save_dataset",
     "load_dataset",
 ]
@@ -196,7 +197,7 @@ def bernoulli_mask(n: int, modalities: int, pi: float,
         raise ValueError(f"drop rate must be in [0, 1), got {pi}")
     keep = rng.random((n, modalities)) >= pi
     for _ in range(10_000):
-        empty = ~keep.any(axis=1)
+        empty = ~last_axis_first(keep).any(axis=0)
         if not empty.any():
             return keep
         keep[empty] = rng.random((int(empty.sum()), modalities)) >= pi
@@ -208,7 +209,14 @@ def keep_observed(presence: np.ndarray, keep: np.ndarray) -> np.ndarray:
     [M] subset row), except that a row it would empty keeps its presence:
     a mask draw or a subset never leaves a row with nothing observed."""
     view = presence & keep
-    return np.where(view.any(axis=1, keepdims=True), view, presence)
+    return np.where(last_axis_first(view).any(axis=0)[:, None], view, presence)
+
+
+def last_axis_first(a: np.ndarray) -> np.ndarray:
+    """A C-contiguous copy of ``a`` with its last axis first, so that a
+    reduction over a short modality or class axis runs across rows, where
+    NumPy is far faster (README, library map)."""
+    return a.transpose(-1, *range(a.ndim - 1)).copy()
 
 
 # ---------------------------------------------------------------------------

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import tensor as T
-from .data import MultimodalBatch
+from .data import MultimodalBatch, last_axis_first
 from .model import class_probs, entropy_rows, forward
 from .subsets import SubsetLattice, subset_lattice
 
@@ -135,8 +135,8 @@ def task_term(z: np.ndarray, labels: np.ndarray, multilabel: bool = False
     idx = idx.astype(np.int64)
     if idx.min() < 0 or idx.max() >= z.shape[1]:
         raise ValueError("label out of range")
-    # shift by the entry at the argmax, the max itself, as class_probs
-    shifted = z - z[np.arange(n), z.argmax(axis=1), None]
+    # shift by each row's max, taken across rows, as class_probs
+    shifted = z - last_axis_first(z).max(axis=0)[:, None]
     log_probs = shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
     at = (np.arange(n), idx)
     # d value / d z = (softmax(z) - onehot(labels)) / n
@@ -256,7 +256,7 @@ def step_loss(model, batch: MultimodalBatch, keep: np.ndarray,
     if keep.shape != batch.presence.shape:
         raise ValueError(f"keep {keep.shape} needs {batch.presence.shape}")
     views = lattice.views(batch.presence)
-    held = (views == keep).all(axis=2)  # [V, n]
+    held = last_axis_first(views == keep).all(axis=0)  # [V, n]
     if not held.any(axis=0).all():
         views = np.concatenate([views, keep[None]])
         held = np.concatenate([held, np.ones((1, n), dtype=bool)])

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import MultimodalBatch, keep_observed
+from .data import MultimodalBatch, keep_observed, last_axis_first
 from .model import class_probs, forward_views
 from .subsets import SubsetLattice, subset_lattice
 
@@ -122,13 +122,14 @@ def confidence_correct(logits: np.ndarray, labels: np.ndarray,
     """Per-sample max-class probability of ``logits / temperature`` (softmax,
     or per-class sigmoid when multi-label) and whether that class is a true
     label: the inputs of ``ece``."""
-    probs = class_probs(logits / temperature, multilabel)
-    pred = probs.argmax(axis=1)
+    probs = class_probs(logits if temperature == 1.0
+                        else logits / temperature, multilabel)
+    top = (np.arange(len(probs)), probs.argmax(axis=1))
     if multilabel:
-        correct = labels[np.arange(len(pred)), pred].astype(bool)
+        correct = labels[top].astype(bool)
     else:
-        correct = pred == labels.astype(np.int64)
-    return probs.max(axis=1), correct
+        correct = top[1] == labels.astype(np.int64)
+    return probs[top], correct
 
 
 @dataclass(frozen=True)
@@ -162,10 +163,11 @@ def audit_confidences(conf: np.ndarray, lattice: SubsetLattice,
     s = len(lattice.subsets)
     if conf.ndim != 2 or conf.shape[0] != s or conf.shape[1] == 0:
         raise ValueError(f"confidences {conf.shape} need [{s}, n] with n > 0")
-    gap = conf[lattice.pairs[:, 0]] - conf[lattice.pairs[:, 1]]
+    small, big = lattice.pairs.T
+    gap = conf[small] - conf[big]
     rows = np.full(len(gap), conf.shape[1])
     if presence is not None:
-        meets = lattice.views(presence).any(axis=2)[lattice.pairs[:, 0]]
+        meets = last_axis_first(lattice.views(presence)).any(axis=0)[small]
         gap, rows = np.where(meets, gap, 0.0), meets.sum(axis=1)
     return InversionAudit(subsets=lattice.subsets, pairs=lattice.pairs,
                           counts=(gap > 0.0).sum(axis=1),

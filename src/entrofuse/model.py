@@ -26,7 +26,7 @@ from typing import Iterable, Iterator, NamedTuple
 import numpy as np
 
 from . import tensor as T
-from .data import MultimodalBatch
+from .data import MultimodalBatch, last_axis_first
 from .rng import stream
 
 __all__ = [
@@ -191,10 +191,9 @@ def class_probs(logits: np.ndarray, multilabel: bool) -> np.ndarray:
     if multilabel:
         e = np.exp(-np.abs(logits))
         return np.where(logits >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
-    # shift by the entry at the argmax, the max itself: a max along this
-    # short class axis is slower
-    probs = logits - logits[np.arange(len(logits)), logits.argmax(axis=1),
-                            None]
+    # shift by each row's max, taken across rows; the denominator stays a
+    # row sum, as NumPy adds 8 or more terms pairwise there, not in order
+    probs = logits - last_axis_first(logits).max(axis=0)[:, None]
     np.exp(probs, out=probs)
     probs /= probs.sum(axis=-1, keepdims=True)
     return probs
@@ -203,7 +202,8 @@ def class_probs(logits: np.ndarray, multilabel: bool) -> np.ndarray:
 def entropy_rows(p: np.ndarray) -> np.ndarray:
     """Shannon entropy (nats) of each row of a row-stochastic matrix, with
     0 log 0 = 0."""
-    return -(p * np.log(np.where(p > 0.0, p, 1.0))).sum(axis=1)
+    p = last_axis_first(p)
+    return -(p * np.log(np.where(p > 0.0, p, 1.0))).sum(axis=0)
 
 
 @dataclass
@@ -222,7 +222,7 @@ class ForwardOutput:
     @property
     def confidence(self) -> T.Tensor:
         probs = class_probs(self.logits.data, self.multilabel)
-        return T.Tensor(probs[np.arange(len(probs)), probs.argmax(axis=1)])
+        return T.Tensor(last_axis_first(probs).max(axis=0))
 
     @property
     def gate_entropy(self) -> np.ndarray:
@@ -300,13 +300,13 @@ def _gate(model: FusionModel, batch: MultimodalBatch, views: np.ndarray,
         pre, wv = _blend(keep.astype(np.float64), stacked)
     pre += b1
     h = np.maximum(pre, 0.0, out=pre)
-    s = h @ w2
-    s += b2
-    # softmax over the kept entries; the rest are exp(-inf) = 0 exactly
-    s[~keep] = -np.inf
-    s -= s.max(axis=1, keepdims=True)
-    p = np.exp(s)
-    p /= p.sum(axis=1, keepdims=True)
+    # softmax across rows over the kept entries (the rest are exp(-inf) = 0
+    # exactly), then p back in C order, which the pullback's sums rely on
+    s = last_axis_first(np.where(keep, h @ w2 + b2, -np.inf))
+    s -= s.max(axis=0)
+    np.exp(s, out=s)
+    s /= s.sum(axis=0)
+    p = last_axis_first(s)
     if not np.isfinite(p).all():
         raise ValueError("gate weights are non-finite")
     weights, rows = p, None
@@ -317,7 +317,7 @@ def _gate(model: FusionModel, batch: MultimodalBatch, views: np.ndarray,
 
     def pullback(gp: np.ndarray) -> None:
         g = np.where(keep, gp if rows is None else gp[rows], 0.0)
-        gs = p * (g - (g * p).sum(axis=1, keepdims=True))
+        gs = p * (g - last_axis_first(g * p).sum(axis=0)[:, None])
         _add_grad(model.gate_b2, gs.sum(axis=0))
         _add_grad(model.gate_w2, h.T @ gs)
         gpre = (gs @ w2.T) * (h > 0.0)
@@ -354,9 +354,10 @@ def _gate_rows(model: FusionModel, batch: MultimodalBatch,
                          f"{batch.num_modalities}]")
     if (views > batch.presence).any():
         raise ValueError("a view keeps a modality its row does not observe")
-    if not views.any(axis=2).all():
+    observed = last_axis_first(views).sum(axis=0)  # [V, n]
+    if not observed.all():
         raise ValueError("a sample has no observed modality")
-    gated = np.flatnonzero((views.sum(axis=2) > 1).any(axis=1))
+    gated = np.flatnonzero((observed > 1).any(axis=1))
     if gated.size == 0:
         return views.reshape(-1, batch.num_modalities).astype(np.float64), None
     p, pullback = _gate(model, batch, views, gated, stacked)

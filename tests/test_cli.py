@@ -165,6 +165,48 @@ class TestAblateCommand:
                      "--out", str(tmp_path / "grid"), "--jobs", jobs]) == 2
         assert "ablation 'no_gate' failed: boom" in capsys.readouterr().err
 
+    def test_jobs_start_at_most_one_worker_per_ablation(
+            self, one_epoch_config, tmp_path, monkeypatch):
+        # a fork pool starts every worker it is given up front, so --jobs 64
+        # must ask for one per ablation; the stand-in pool maps in-process
+        asked = []
+
+        class InProcessPool:
+            def __init__(self, max_workers=None):
+                asked.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return None
+
+            def map(self, fn, jobs):
+                return map(fn, jobs)
+
+        monkeypatch.setattr(cli_module, "ProcessPoolExecutor", InProcessPool)
+        monkeypatch.setattr(cli_module, "_ablate_job", lambda job: (
+            job[1], {r: {"score": 0.0, "ece": 0.0} for r in (0.0, 0.5)}))
+        assert main(["ablate", "--config", one_epoch_config,
+                     "--out", str(tmp_path / "grid"), "--jobs", "64"]) == 0
+        assert asked == [len(ABLATIONS)] == [5]
+
+    @pytest.mark.parametrize("jobs", ["0", "-1"])
+    def test_jobs_below_one_is_a_usage_error(self, one_epoch_config,
+                                             tmp_path, monkeypatch, capsys,
+                                             jobs):
+        def no_compute(*args):
+            raise AssertionError("ablate computed with --jobs < 1")
+
+        monkeypatch.setattr(cli_module, "ProcessPoolExecutor", no_compute)
+        monkeypatch.setattr(cli_module, "_ablate_job", no_compute)
+        monkeypatch.setattr(cli_module, "_load", no_compute)
+        out = tmp_path / "grid"
+        assert main(["ablate", "--config", one_epoch_config,
+                     "--out", str(out), "--jobs", jobs]) == 1
+        assert "--jobs must be at least 1" in capsys.readouterr().err
+        assert not out.exists()
+
 
 def spy_passes(monkeypatch, modules, record):
     """Call ``record(batch, clean)`` for every pass over the rows of a
