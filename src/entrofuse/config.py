@@ -129,6 +129,10 @@ def parse_config(doc) -> ExperimentConfig:
     if not 0 <= train.single_modality_index < data.modalities:
         raise ConfigError(f"train.single_modality_index must name one of "
                           f"the {data.modalities} modalities")
+    if (train.schedules.mode == "acm" and train.acm_family == "all_subsets"
+            and data.modalities > 4):
+        raise ConfigError("train.acm_family all_subsets is limited to 4 "
+                          "modalities")
     return ExperimentConfig(data=data, train=train,
                             out=_cast(str | None, root.get("out"), "out"))
 

@@ -13,11 +13,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import MultimodalBatch, keep_observed, last_axis_first
+from .data import MultimodalBatch, keep_observed
 from .model import entropy_rows, gate_rows
 from .subsets import nonempty_subsets
 
 __all__ = [
+    "FAMILIES",
     "Schedules",
     "MaskDistribution",
     "ramp",
@@ -25,6 +26,10 @@ __all__ = [
     "acm_distribution",
     "sample_keep",
 ]
+
+
+# the candidate families of the mask teacher (``candidate_family``)
+FAMILIES = ("single_drops", "all_subsets")
 
 
 @dataclass(frozen=True)
@@ -87,14 +92,14 @@ class MaskDistribution:
 def candidate_family(modalities: int, family: str) -> np.ndarray:
     """Candidate drop subsets as [K, M] bool rows: exhaustive nonempty
     proper subsets for small modality counts, or just the M singletons
-    (linear cost)."""
-    if family == "all_subsets":
-        if modalities > 4:
-            raise ValueError("all_subsets family is limited to 4 modalities")
-        return nonempty_subsets(modalities)[:-1]
+    (linear cost), by name in ``FAMILIES``."""
+    if family not in FAMILIES:
+        raise ValueError(f"unknown family {family!r}")
     if family == "single_drops":
         return np.eye(modalities, dtype=bool)
-    raise ValueError(f"unknown family {family!r}")
+    if modalities > 4:
+        raise ValueError("all_subsets family is limited to 4 modalities")
+    return nonempty_subsets(modalities)[:-1]
 
 
 def acm_distribution(model, batch: MultimodalBatch, eta: float,
@@ -103,16 +108,15 @@ def acm_distribution(model, batch: MultimodalBatch, eta: float,
     the gate stays most undecided are sampled most often. Each candidate is
     one ``gate_rows`` view of the probe rows, so one that leaves exactly
     one observed modality in every row has entropy 0 and no gate pass. Its
-    entropy is the mean over the rows it leaves observable (0 if none):
-    a row it would empty reads its presence and is left out."""
+    entropy is the mean over the rows it leaves live (``keep_observed``;
+    0 if none)."""
     if eta <= 0.0:
         raise ValueError("eta must be positive")
     candidates = candidate_family(batch.num_modalities, family)
     entropies = np.zeros(len(candidates))
     for i, drop in enumerate(candidates):
-        live = last_axis_first(batch.presence)[~drop].any(axis=0)
+        view, live = keep_observed(batch.presence, ~drop)
         if live.any():
-            view = keep_observed(batch.presence, ~drop)
             entropies[i] = float(entropy_rows(
                 gate_rows(model, batch, view[None]).data)[live].mean())
     scaled = entropies / eta

@@ -69,10 +69,10 @@ class MultimodalBatch:
 
     features[m] is [n, d_m]; presence is [n, M] bool; labels is [n] int64 in
     single-label mode or [n, C] float64 {0,1} in multi-label mode (checked:
-    a bool presence, and 1-D labels exactly when single-label). A model
-    pass weighs the features of a modality a row does not observe by
-    exactly 0, so they may hold any finite values (``apply_mask`` zeroes
-    them).
+    a bool presence with a modality in every row, and 1-D labels exactly
+    when single-label). A model pass weighs the features of a modality a
+    row does not observe by exactly 0, so they may hold any finite values
+    (``apply_mask`` zeroes them).
     """
 
     features: list = field(default_factory=list)
@@ -89,6 +89,9 @@ class MultimodalBatch:
             raise ValueError("presence shape mismatch")
         if self.presence.dtype != bool:  # an int 0/1 matrix would index rows
             raise ValueError(f"presence is {self.presence.dtype}, not bool")
+        empty = n - int(last_axis_first(self.presence).any(axis=0).sum())
+        if empty:
+            raise ValueError(f"{empty} of {n} rows observe no modality")
         if self.labels.shape[0] != n:
             raise ValueError("label count mismatch")
         if self.labels.ndim != (2 if self.multilabel else 1):
@@ -204,12 +207,17 @@ def bernoulli_mask(n: int, modalities: int, pi: float,
     raise RuntimeError("resampling failed to produce non-empty rows")
 
 
-def keep_observed(presence: np.ndarray, keep: np.ndarray) -> np.ndarray:
-    """The [n, M] view ``presence & keep`` (``keep`` broadcasts, e.g. one
-    [M] subset row), except that a row it would empty keeps its presence:
-    a mask draw or a subset never leaves a row with nothing observed."""
+def keep_observed(presence: np.ndarray, keep: np.ndarray
+                  ) -> tuple[np.ndarray, np.ndarray]:
+    """What a mask draw or subset leaves each row: the [..., n, M] views
+    ``presence & keep`` (``keep`` broadcasts: an [n, M] draw, an [M] subset
+    or [S, 1, M] subsets) and the [..., n] mask ``live`` of the rows they
+    leave a modality. A row that is not live keeps its presence, a filler."""
+    if np.shape(keep)[-1] != presence.shape[-1]:
+        raise ValueError("subset length does not match the modality count")
     view = presence & keep
-    return np.where(last_axis_first(view).any(axis=0)[:, None], view, presence)
+    live = last_axis_first(view).any(axis=0)
+    return np.where(live[..., None], view, presence), live
 
 
 def last_axis_first(a: np.ndarray) -> np.ndarray:

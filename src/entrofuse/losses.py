@@ -5,7 +5,8 @@ total = task + lam * ent + gamma * cec
 where ``task`` is the mean cross-entropy (mean BCE over every entry when
 multi-label), ``ent`` the mean negative gate entropy (so positive ``lam``
 pushes the gate toward spread-out mixture weights) and ``cec`` the squared
-hinge on confidence inversions between nested observed subsets.
+hinge on confidence inversions between nested observed subsets, on the
+rows where the smaller one is live (``data.keep_observed``).
 ``composite_loss`` computes the objective and its gradients with respect to
 the logits and the gate weights in plain NumPy, and records them on the
 tape as one node. ``task_term`` is the task term alone, which
@@ -19,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import tensor as T
-from .data import MultimodalBatch, last_axis_first
+from .data import MultimodalBatch, keep_observed, last_axis_first
 from .model import class_probs, entropy_rows, forward
 from .subsets import SubsetLattice, subset_lattice
 
@@ -76,16 +77,17 @@ def subset_confidences(model, batch: MultimodalBatch,
     equal to the confidence of ``predict_subset(model, batch,
     lattice.subsets[s])`` up to round-off: one ``forward`` over a view of
     the batch's rows per subset, read back in row blocks."""
-    views = lattice.views(batch.presence)
+    views = keep_observed(batch.presence, lattice.subsets[:, None])[0]
     return forward(model, batch, views).confidence.data.reshape(-1, batch.n)
 
 
-def cec_loss(conf: np.ndarray, pairs, weight: float = 1.0
-             ) -> tuple[float, np.ndarray]:
+def cec_loss(conf: np.ndarray, pairs, weight: float = 1.0,
+             live: np.ndarray | None = None) -> tuple[float, np.ndarray]:
     """Mean over index pairs (a, b) and columns of relu(conf[a] - conf[b])^2
     for [V, n] confidences whose row a views a subset strictly inside row
-    b's: seeing more modalities must not look less confident. Returns the
-    value and the gradient of ``weight`` times it with respect to ``conf``.
+    b's: seeing more modalities must not look less confident, where row a
+    is ``live`` ([V, n] bool; elsewhere a term adds 0). Returns the value
+    and the gradient of ``weight`` times it with respect to ``conf``.
 
     The pair terms are summed in pair order, and each row's gradient sums
     its terms in reverse pair order."""
@@ -99,6 +101,8 @@ def cec_loss(conf: np.ndarray, pairs, weight: float = 1.0
         raise ValueError(f"pair index out of range for {len(conf)} rows")
     small, big = pairs[:, 0], pairs[:, 1]
     diff = conf[small] - conf[big]
+    if live is not None:
+        diff = np.where(live[small], diff, 0.0)
     gap = np.maximum(diff, 0.0)
     n = conf.shape[1]
     scale = 1.0 / len(pairs)
@@ -148,7 +152,8 @@ def task_term(z: np.ndarray, labels: np.ndarray, multilabel: bool = False
 def composite_loss(logits: T.Tensor, p: T.Tensor, labels: np.ndarray, *,
                    lam: float | np.ndarray, gamma: float,
                    rows: np.ndarray | None = None,
-                   pairs: np.ndarray | None = None, multilabel: bool = False
+                   pairs: np.ndarray | None = None,
+                   live: np.ndarray | None = None, multilabel: bool = False
                    ) -> tuple[T.Tensor, LossBreakdown]:
     """The objective over V views of n labelled rows, as one tape node.
 
@@ -156,7 +161,7 @@ def composite_loss(logits: T.Tensor, p: T.Tensor, labels: np.ndarray, *,
     view v at v * n + i. The task and entropy terms read the n distinct
     rows ``rows`` picks (default: every row, V = 1). The consistency term,
     on when ``pairs`` is given, is ``cec_loss`` over every row's max-class
-    confidence as a [V, n] array and the (a, b) view index ``pairs``.
+    confidence as a [V, n] array, the view index ``pairs`` and ``live``.
 
     ``lam`` may be a scalar or a per-sample vector (instance-adaptive mode);
     every entry must be nonnegative. The returned breakdown reports the
@@ -215,7 +220,7 @@ def composite_loss(logits: T.Tensor, p: T.Tensor, labels: np.ndarray, *,
                              f"of {n} rows")
         probs = class_probs(logits.data, multilabel)
         top = (np.arange(len(probs)), probs.argmax(axis=1))
-        cec, g_conf = cec_loss(probs[top].reshape(-1, n), pairs, gamma)
+        cec, g_conf = cec_loss(probs[top].reshape(-1, n), pairs, gamma, live)
         # through each row's max into its softmax (or sigmoids) of the logits
         g = np.zeros_like(probs)
         g[top] = g_conf.ravel()
@@ -245,7 +250,8 @@ def step_loss(model, batch: MultimodalBatch, keep: np.ndarray,
     reads over the lattice's pairs; the task and entropy terms read each
     masked row from a view whose row has the same presence pattern. That is
     every row when all nonempty subsets are viewed (up to 4 modalities);
-    rows no view holds get one extra view, ``keep`` itself.
+    rows no view holds get one extra view, ``keep`` itself. The subset
+    views are ``data.keep_observed``'s: the penalty counts their live rows.
     """
     keep = np.asarray(keep, dtype=bool)
     if lattice is None:
@@ -255,7 +261,7 @@ def step_loss(model, batch: MultimodalBatch, keep: np.ndarray,
     n = batch.n
     if keep.shape != batch.presence.shape:
         raise ValueError(f"keep {keep.shape} needs {batch.presence.shape}")
-    views = lattice.views(batch.presence)
+    views, live = keep_observed(batch.presence, lattice.subsets[:, None])
     held = last_axis_first(views == keep).all(axis=0)  # [V, n]
     if not held.any(axis=0).all():
         views = np.concatenate([views, keep[None]])
@@ -263,5 +269,5 @@ def step_loss(model, batch: MultimodalBatch, keep: np.ndarray,
     out = forward(model, batch, views)
     return composite_loss(out.logits, out.p, batch.labels, lam=lam,
                           gamma=gamma, rows=held.argmax(axis=0) * n
-                          + np.arange(n), pairs=lattice.pairs,
+                          + np.arange(n), pairs=lattice.pairs, live=live,
                           multilabel=multilabel)

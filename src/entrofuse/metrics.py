@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import MultimodalBatch, keep_observed, last_axis_first
+from .data import MultimodalBatch, keep_observed
 from .model import class_probs, forward_views
 from .subsets import SubsetLattice, subset_lattice
 
@@ -136,7 +136,7 @@ def confidence_correct(logits: np.ndarray, labels: np.ndarray,
 class InversionAudit:
     """Confidence monotonicity audit over the strict-inclusion lattice:
     observing strictly more modalities must not lower confidence. A pair
-    counts on the rows where its small subset meets the row's presence."""
+    counts where its small subset is live (``keep_observed``), as in cec."""
 
     subsets: np.ndarray         # [S, M] bool subset rows
     pairs: np.ndarray           # [P, 2] (small, big) rows of ``subsets``
@@ -158,17 +158,16 @@ def audit_confidences(conf: np.ndarray, lattice: SubsetLattice,
                       presence: np.ndarray | None = None) -> InversionAudit:
     """Count, per lattice pair (A, B), the samples with conf(A) > conf(B),
     given [S, n] confidences whose row s is the lattice's subset s, over
-    the rows whose [n, M] ``presence`` (default: every modality) meets A."""
+    the rows where A is live in [n, M] ``presence`` (default: every row)."""
     conf = np.asarray(conf, dtype=np.float64)
     s = len(lattice.subsets)
     if conf.ndim != 2 or conf.shape[0] != s or conf.shape[1] == 0:
         raise ValueError(f"confidences {conf.shape} need [{s}, n] with n > 0")
+    if presence is None:
+        presence = np.ones((conf.shape[1], lattice.subsets.shape[1]), bool)
     small, big = lattice.pairs.T
-    gap = conf[small] - conf[big]
-    rows = np.full(len(gap), conf.shape[1])
-    if presence is not None:
-        meets = last_axis_first(lattice.views(presence)).any(axis=0)[small]
-        gap, rows = np.where(meets, gap, 0.0), meets.sum(axis=1)
+    live = keep_observed(presence, lattice.subsets[:, None])[1][small]
+    gap, rows = np.where(live, conf[small] - conf[big], 0.0), live.sum(axis=1)
     return InversionAudit(subsets=lattice.subsets, pairs=lattice.pairs,
                           counts=(gap > 0.0).sum(axis=1),
                           mean_violation=(np.maximum(gap, 0.0).sum(axis=1)
@@ -178,17 +177,14 @@ def audit_confidences(conf: np.ndarray, lattice: SubsetLattice,
 
 def inversion_audit(model, batch: MultimodalBatch) -> InversionAudit:
     """Count samples with conf(A) > conf(B) for every strict pair A in B,
-    with one ``forward_views`` pass over the subsets' views of the batch.
-    A view that would empty a row reads the row's presence there, and the
-    audit leaves that row out of the pairs whose small subset it is."""
+    with one ``forward_views`` pass over the subsets' ``keep_observed``
+    views of the batch, counted as ``audit_confidences`` does."""
     modalities = batch.num_modalities
     if modalities > 4:
         raise ValueError("full lattice audit is limited to 4 modalities")
     lattice = subset_lattice(modalities)
-    views = (keep_observed(batch.presence, s) for s in lattice.subsets)
-    conf = np.empty((len(lattice.subsets), batch.n))
-    for row, out in zip(conf, forward_views(model, batch, views)):
-        row[:] = out.confidence.data
+    views = keep_observed(batch.presence, lattice.subsets[:, None])[0]
+    conf = [out.confidence.data for out in forward_views(model, batch, views)]
     return audit_confidences(conf, lattice, batch.presence)
 
 

@@ -26,7 +26,7 @@ from typing import Iterable, Iterator, NamedTuple
 import numpy as np
 
 from . import tensor as T
-from .data import MultimodalBatch, last_axis_first
+from .data import MultimodalBatch, keep_observed, last_axis_first
 from .rng import stream
 
 __all__ = [
@@ -462,13 +462,13 @@ def forward_views(model: FusionModel, batch: MultimodalBatch,
 
 def predict_subset(model: FusionModel, batch: MultimodalBatch,
                    observed: np.ndarray) -> ForwardOutput:
-    """``forward`` over the view of the batch that keeps the modalities of
-    the [M] bool row ``observed``. Raises ``ValueError`` as ``forward``
-    does, or if ``observed`` does not cover the batch's modalities."""
-    observed = np.asarray(observed, dtype=bool)
-    if observed.shape != (batch.num_modalities,):
-        raise ValueError("subset length != modality count")
-    return forward(model, batch, (batch.presence & observed)[None])
+    """``forward`` over the ``keep_observed`` view of the batch for the
+    nonempty [M] bool row ``observed``. Raises ``ValueError`` as ``forward``
+    does, or if ``observed`` is empty or does not cover the modalities."""
+    if not np.any(observed):
+        raise ValueError("the subset is empty")
+    view = keep_observed(batch.presence, observed)[0]
+    return forward(model, batch, view[None])
 
 
 # ---------------------------------------------------------------------------

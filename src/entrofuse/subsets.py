@@ -58,13 +58,6 @@ class SubsetLattice:
         renumber[order] = np.arange(len(order))
         return SubsetLattice(self.subsets[order], renumber[pairs])
 
-    def views(self, presence: np.ndarray) -> np.ndarray:
-        """[S, n, M] views of rows with [n, M] ``presence``: each subset's
-        modalities that the row observes."""
-        if self.subsets.shape[1] != presence.shape[1]:
-            raise ValueError("subset length does not match the modality count")
-        return self.subsets[:, None] & presence[None]
-
 
 def subset_lattice(modalities: int) -> SubsetLattice:
     """All pairs (A, B) of nonempty subsets with A strictly inside B, in

@@ -1,16 +1,17 @@
 """End-to-end training loop with ablation switches and dropout evaluation.
 
 One epoch: refresh the mask teacher, advance the warm-up ramps, then for
-each shuffled minibatch draw a modality mask inside each row's observed set
-(``data.keep_observed``), run the gated forward pass over presence views of
-the minibatch rows (the masked pattern, and with the consistency penalty
-on, one view per lattice subset) and the task + entropy + consistency
-objective, each one tape node, and take one
-decoupled-weight-decay Adam step per parameter group on the model's flat
-buffers (gate parameters at their own learning rate, cosine decay on both
-groups). Instance lambda reads the masked pattern as presence too, and the
-single_modality ablation restricts each split's presence to the kept
-modality: no path builds a zero-filled masked copy.
+each shuffled minibatch draw a modality mask inside each row's observed set,
+run the gated forward pass over presence views of the minibatch rows (the
+masked pattern, and with the consistency penalty on, one view per lattice
+subset) and the task + entropy + consistency objective, each one tape node,
+and take one decoupled-weight-decay Adam step per parameter group on the
+model's flat buffers (gate parameters at their own learning rate, cosine
+decay on both groups). Every draw and subset view is ``data.keep_observed``'s,
+so any presence that leaves each row a modality trains. Instance lambda
+reads the masked pattern as presence too, and the single_modality ablation
+restricts each split's presence to the kept modality: no path builds a
+zero-filled masked copy.
 
 Named RNG streams keyed by the run seed keep the data order identical
 across ablations of the same seed, so switched-off components are the only
@@ -28,7 +29,8 @@ from dataclasses import asdict, dataclass, field, replace
 import numpy as np
 
 from . import tensor as T
-from .curriculum import Schedules, acm_distribution, ramp, sample_keep
+from .curriculum import (FAMILIES, Schedules, acm_distribution, ramp,
+                         sample_keep)
 from .data import MultimodalBatch, bernoulli_mask, keep_observed
 from .losses import LossBreakdown, cec_pairs, step_loss, task_term
 from .metrics import (confidence_correct, ece, entropy_confidence_export,
@@ -91,6 +93,8 @@ class TrainConfig:
             raise ValueError(f"unknown lam_mode {self.lam_mode!r}")
         if self.ablation not in ABLATIONS:
             raise ValueError(f"unknown ablation {self.ablation!r}")
+        if self.acm_family not in FAMILIES:
+            raise ValueError(f"unknown acm_family {self.acm_family!r}")
         check_rates(self.eval_rates)
         hidden = () if self.gate_hidden is None else (self.gate_hidden,)
         if min(self.eval_seeds, self.probe_size, self.cec_pair_limit,
@@ -271,7 +275,7 @@ def train(cfg: TrainConfig, data: tuple[MultimodalBatch, MultimodalBatch, Multim
                     draw = sample_keep(dist, pi_t, idx.size, mask_rng)
                 else:
                     draw = bernoulli_mask(idx.size, modalities, pi_t, mask_rng)
-                keep = keep_observed(keep, draw)
+                keep = keep_observed(keep, draw)[0]
 
             lam = lam_t
             if instance_lam:
@@ -362,7 +366,7 @@ def _dropout_table(model: FusionModel, batch: MultimodalBatch,
             for s in range(draws[rate]):
                 rng = stream(seed, f"eval:{r_index}:{s}")
                 yield keep_observed(batch.presence, bernoulli_mask(
-                    batch.n, batch.num_modalities, rate, rng))
+                    batch.n, batch.num_modalities, rate, rng))[0]
 
     outs = forward_views(model, batch, views())
     table: dict[float, dict[str, float]] = {}

@@ -153,18 +153,12 @@ def ensemble_variance(model, batch: MultimodalBatch, rng: np.random.Generator,
 def mean_branch_variance(model, batch: MultimodalBatch, cfg: LambdaConfig,
                          rng: np.random.Generator) -> np.ndarray:
     """v(x): each row's branch variances, from ``cfg.source``, averaged over
-    the modalities it observes. Raises ``ValueError`` if a row observes
-    none, before drawing anything."""
-    observed = batch.presence.sum(axis=1)
-    empty = int((observed == 0).sum())
-    if empty:
-        raise ValueError(f"{empty} of {batch.n} rows observe no modality, "
-                         "so they have no branch variance to average")
+    the modalities it observes (a batch row observes at least one)."""
     if cfg.source == "mc":
         var = mc_variance(model, batch, rng, draws=cfg.draws, rate=cfg.rate)
     else:
         var = ensemble_variance(model, batch, rng, size=cfg.ensemble_size)
-    return var.sum(axis=1) / observed
+    return var.sum(axis=1) / batch.presence.sum(axis=1)
 
 
 def softplus(x):

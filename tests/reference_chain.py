@@ -260,9 +260,10 @@ def mean_all(x: Tensor) -> Tensor:
     return _maybe_record(out, (x,), backward)
 
 
-def hinge_pairs(xs: Sequence[Tensor], pairs: Sequence[tuple[int, int]]
-                ) -> Tensor:
-    """Mean over index pairs (i, j) of ``mean(relu(xs[i] - xs[j]) ** 2)``.
+def hinge_pairs(xs: Sequence[Tensor], pairs: Sequence[tuple[int, int]],
+                live=None) -> Tensor:
+    """Mean over index pairs (i, j) of ``mean(relu(xs[i] - xs[j]) ** 2)``,
+    with the gap held at 0 where ``live[i]`` (default: everywhere) is False.
 
     One node for any number of pairs, with the values and gradients of the
     composed ``sub``, ``relu``, ``mul``, ``mean_all``, ``add`` and
@@ -275,6 +276,8 @@ def hinge_pairs(xs: Sequence[Tensor], pairs: Sequence[tuple[int, int]]
         raise ValueError("hinge_pairs inputs must all have one shape")
     diff = (np.array([xs[i].data for i, _ in pairs])
             - np.array([xs[j].data for _, j in pairs]))
+    if live is not None:
+        diff = diff * np.array([live[i] for i, _ in pairs])
     gap = np.maximum(diff, 0.0)
     n = gap[0].size
     terms = np.add.reduce((gap * gap).reshape(len(pairs), n), axis=1) / n
@@ -625,7 +628,7 @@ def confidence(logits: Tensor, multilabel: bool = False) -> Tensor:
 
 
 def composite_loss(logits: Tensor, p: Tensor, labels: np.ndarray, *,
-                   lam, gamma: float, rows=None, pairs=None,
+                   lam, gamma: float, rows=None, pairs=None, live=None,
                    multilabel: bool = False
                    ) -> tuple[Tensor, LossBreakdown]:
     """``losses.composite_loss`` as the chain it replaced: the confidences'
@@ -642,7 +645,7 @@ def composite_loss(logits: Tensor, p: Tensor, labels: np.ndarray, *,
         pairs = [(int(a), int(b)) for a, b in pairs]
         views = max(max(pair) for pair in pairs) + 1
         cec = hinge_pairs([gather(conf, np.arange(v * n, (v + 1) * n))
-                           for v in range(views)], pairs)
+                           for v in range(views)], pairs, live)
     task = task_loss(logits, labels, multilabel=multilabel)
     ent_rows = entropy_rows(p)
     n = ent_rows.shape[0]

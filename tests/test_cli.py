@@ -589,11 +589,29 @@ class TestExitCodes:
         ("train", {"gate_hidden": 0}),
         ("train", {"cec_pair_limit": 0}),
         ("train", {"weight_decay": -0.01}),
-        ("train", {"single_modality_index": 2})])
+        ("train", {"single_modality_index": 2}),
+        ("train", {"acm_family": "typo"})])
     def test_bad_run_settings_exit_one_before_any_compute(
             self, tmp_path, monkeypatch, capsys, command, section, setting):
         doc = dict(SMALL_CONFIG, **{section: dict(SMALL_CONFIG[section],
                                                   **setting)})
+        self._assert_config_error_before_compute(
+            doc, command, tmp_path, monkeypatch, capsys)
+
+    @pytest.mark.parametrize("command", ["run", "ablate"])
+    def test_all_subsets_beyond_four_modalities_exits_one_before_any_compute(
+            self, tmp_path, monkeypatch, capsys, command):
+        doc = {"data": dict(SMALL_CONFIG["data"], modalities=5, dims=[6] * 5,
+                            snr=[1e4] * 5),
+               "train": dict(SMALL_CONFIG["train"], acm_family="all_subsets",
+                             schedules={"mode": "acm"}),
+               "eval": SMALL_CONFIG["eval"]}
+        self._assert_config_error_before_compute(
+            doc, command, tmp_path, monkeypatch, capsys)
+
+    @staticmethod
+    def _assert_config_error_before_compute(doc, command, tmp_path,
+                                            monkeypatch, capsys):
         path = tmp_path / "cfg.yaml"
         path.write_text(yaml.safe_dump(doc))
 

@@ -120,6 +120,25 @@ class TestParseConfig:
                                        train={"single_modality_index": 2}))
         assert cfg.train.single_modality_index == 2
 
+    def test_unknown_acm_family_is_a_config_error(self):
+        with pytest.raises(ConfigError, match="unknown acm_family 'typo'"):
+            parse_config(minimal_doc(train={"acm_family": "typo"}))
+
+    @pytest.mark.parametrize("mode", ["acm", "bernoulli"])
+    def test_all_subsets_limited_to_four_modalities_under_acm(self, mode):
+        def doc(m):
+            return minimal_doc(
+                data={"modalities": m, "dims": [4] * m, "snr": [1.0] * m},
+                train={"acm_family": "all_subsets",
+                       "schedules": {"mode": mode}})
+
+        assert parse_config(doc(4)).train.acm_family == "all_subsets"
+        if mode == "bernoulli":  # the teacher never runs
+            assert parse_config(doc(5)).data.modalities == 5
+            return
+        with pytest.raises(ConfigError, match="limited to 4 modalities"):
+            parse_config(doc(5))
+
     def test_with_seed_overrides_both_seeds(self):
         cfg = parse_config(minimal_doc())
         seeded = cfg.with_seed(9)

@@ -1,5 +1,7 @@
 """Seeded streams, modality subsets, synthetic data, masking, dataset IO."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -88,12 +90,17 @@ class TestSubsetLattice:
     def test_views_check_width(self):
         lattice = subset_lattice(2)
         presence = np.array([[True, True], [True, False]])
-        views = lattice.views(presence)
-        assert views.shape == (3, 2, 2)
+        views, live = keep_observed(presence, lattice.subsets[:, None])
+        assert views.shape == (3, 2, 2) and live.shape == (3, 2)
         np.testing.assert_array_equal(views[0], [[True, False],
                                                  [True, False]])
+        # subset 2, {1}, would empty row 1: it reads the row's presence there
+        np.testing.assert_array_equal(views[2], [[False, True],
+                                                 [True, False]])
+        assert live.tolist() == [[True, True], [True, True], [True, False]]
         with pytest.raises(ValueError, match="modality count"):
-            lattice.views(np.ones((2, 3), dtype=bool))
+            keep_observed(np.ones((2, 3), dtype=bool),
+                          lattice.subsets[:, None])
 
 
 class TestLattice:
@@ -329,15 +336,17 @@ class TestKeepObserved:
                              [True, True]])
         keep = np.array([[True, False], [False, True], [False, True],
                          [False, False]])
-        view = keep_observed(presence, keep)
+        view, live = keep_observed(presence, keep)
         assert view.dtype == bool
         assert view.tolist() == [[True, False], [True, False], [False, True],
                                  [True, True]]
+        assert live.tolist() == [True, False, True, False]
 
     def test_one_subset_row_broadcasts(self):
         presence = np.array([[True, True, False], [False, False, True]])
-        view = keep_observed(presence, np.array([True, True, False]))
+        view, live = keep_observed(presence, np.array([True, True, False]))
         assert view.tolist() == [[True, True, False], [False, False, True]]
+        assert live.tolist() == [True, False]
 
 
 class TestBatchValidation:
@@ -351,6 +360,22 @@ class TestBatchValidation:
         with pytest.raises(ValueError, match="presence is int64, not bool"):
             MultimodalBatch(features=self._parts(), presence=presence,
                             labels=np.zeros(6, dtype=np.int64))
+
+    def test_rows_observing_nothing_rejected(self):
+        # checked once, where a batch is built: no view, draw or variance
+        # downstream meets a row with nothing observed
+        presence = np.ones((6, 2), dtype=bool)
+        presence[[1, 4], :] = False
+        with pytest.raises(ValueError, match="2 of 6 rows observe no modality"):
+            MultimodalBatch(features=self._parts(), presence=presence,
+                            labels=np.zeros(6, dtype=np.int64))
+        batch = MultimodalBatch(features=self._parts(),
+                                presence=np.ones((6, 2), dtype=bool),
+                                labels=np.zeros(6, dtype=np.int64))
+        presence[[1, 4], 0] = True
+        presence[3] = False
+        with pytest.raises(ValueError, match="1 of 6 rows observe no"):
+            replace(batch, presence=presence)  # as lambda_of's batch is made
 
     @pytest.mark.parametrize("multilabel,labels", [
         (False, np.zeros((6, 3))), (False, np.zeros((6, 1), dtype=np.int64)),

@@ -97,3 +97,20 @@ def test_traced_training_counts_two_nodes_per_step_and_restores_names():
         assert vars(target)[key] is original, key
     for space, saved in zip(namespaces, before):
         assert all(space[key] is value for key, value in saved.items())
+
+
+def test_every_private_function_is_referenced():
+    # a refactor must not leave a dead helper behind: every _-prefixed
+    # function or method defined in the package is named somewhere in it
+    defined, named = set(), set()
+    for path in Path(entrofuse.__file__).parent.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                if node.name.startswith("_") and not node.name.endswith("__"):
+                    defined.add(node.name)
+            elif isinstance(node, ast.Name):
+                named.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                named.add(node.attr)
+    assert len(defined) > 10
+    assert sorted(defined - named) == []

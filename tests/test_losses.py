@@ -9,16 +9,18 @@ import pytest
 import entrofuse.data as data_module
 import entrofuse.losses as losses_module
 import entrofuse.tensor as T
-from entrofuse.data import bernoulli_mask
+from entrofuse.data import bernoulli_mask, keep_observed
 from entrofuse.losses import (cec_loss, cec_pairs, composite_loss, step_loss,
                               subset_confidences)
+from entrofuse.metrics import audit_confidences
 from entrofuse.model import FusionConfig, forward
 from entrofuse.rng import stream
 from entrofuse.subsets import SubsetLattice, subset_lattice
 from entrofuse.trainer import train
 
 import reference_chain as R
-from test_model import frozen_gate_model, random_batch, random_model
+from test_model import (frozen_gate_model, random_batch, random_model,
+                        random_presence)
 from test_trainer import small_cfg, small_data
 from test_views import reference_forward
 
@@ -530,21 +532,27 @@ class TestNodeMatchesChain:
     row has no subset view), each view row's logits and gate weights a
     function of its presence pattern. Some rows get the same logits in
     every view, so their confidences tie exactly and the hinge sits at its
-    kink."""
+    kink. With ``partial`` presence some subset view rows are fillers, which
+    the chain's hinge masks out."""
 
     CASES = [(m, lam, multilabel, with_pairs)
              for m in (2, 3, 4, 5) for lam in ("scalar", "rows")
              for multilabel in (False, True) for with_pairs in (True, False)]
 
     @staticmethod
-    def _inputs(seed, m, lam_kind, multilabel, with_pairs, n=9, classes=4):
+    def _inputs(seed, m, lam_kind, multilabel, with_pairs, n=9, classes=4,
+                partial=False):
         rng = np.random.default_rng(seed)
         presence = np.ones((n, m), dtype=bool)
         keep = bernoulli_mask(n, m, 0.4, rng)
-        rows, index, views = None, None, keep[None]
+        if partial:
+            presence = random_presence(rng, n, m)
+            keep = keep_observed(presence, keep)[0]
+        rows, index, live, views = None, None, None, keep[None]
         if with_pairs:
             lattice = cec_pairs(m, rng, limit=8)
-            index, views = lattice.pairs, lattice.views(presence)
+            views, live = keep_observed(presence, lattice.subsets[:, None])
+            index = lattice.pairs
             held = (views == keep).all(axis=2)
             if not held.any(axis=0).all():
                 views = np.concatenate([views, keep[None]])
@@ -564,7 +572,7 @@ class TestNodeMatchesChain:
         labels = ((rng.random((n, classes)) < 0.4).astype(float) if multilabel
                   else rng.integers(0, classes, size=n))
         lam = 0.05 if lam_kind == "scalar" else rng.uniform(0.01, 0.5, size=n)
-        return logits, p, labels, lam, dict(rows=rows, pairs=index,
+        return logits, p, labels, lam, dict(rows=rows, pairs=index, live=live,
                                             multilabel=multilabel), len(views)
 
     @staticmethod
@@ -592,6 +600,21 @@ class TestNodeMatchesChain:
             assert g.any() and np.array_equal(g, w)
         if with_pairs:
             assert got_bd.cec > 0.0
+
+    @pytest.mark.parametrize("m", [2, 3, 4, 5])
+    @pytest.mark.parametrize("multilabel", [False, True])
+    def test_filler_rows_equal_the_chain(self, m, multilabel):
+        logits, p, labels, lam, kw, _ = self._inputs(
+            [m, multilabel, 7], m, "rows", multilabel, True, partial=True)
+        assert not kw["live"].all()
+        got, got_bd, got_grads = self._run(composite_loss, logits, p, labels,
+                                           lam, 20.0, kw)
+        want, want_bd, want_grads = self._run(R.composite_loss, logits, p,
+                                              labels, lam, 20.0, kw)
+        assert np.array_equal(got, want)
+        assert got_bd == want_bd
+        for g, w in zip(got_grads, want_grads):
+            assert np.array_equal(g, w)
 
     def test_cases_include_rows_that_need_the_extra_keep_view(self):
         extra = 0
@@ -627,7 +650,7 @@ class TestStackedStep:
 
     CASES = [(m, frozen) for m in (2, 3, 4, 5) for frozen in (False, True)]
 
-    def _setup(self, seed, m, frozen=False, multilabel=False):
+    def _setup(self, seed, m, frozen=False, multilabel=False, partial=False):
         rng = np.random.default_rng(seed)
         cfg = FusionConfig(modalities=m, dims=(3, 4, 2, 5, 3)[:m], classes=4,
                            fused_dim=5, multilabel=multilabel)
@@ -637,6 +660,10 @@ class TestStackedStep:
             batch.labels = (rng.random((7, cfg.classes)) < 0.4).astype(float)
             batch.multilabel = True
         keep = bernoulli_mask(batch.n, m, 0.4, rng)
+        if partial:  # rows lacking modalities, so some subset views fill
+            batch = random_batch(rng, 7, cfg.dims, cfg.classes,
+                                 random_presence(rng, 7, m))
+            keep = keep_observed(batch.presence, keep)[0]
         return model, batch, keep, cec_pairs(m, rng, limit=8)
 
     def _reference_loss(self, model, batch, keep, lattice, multilabel=False):
@@ -645,11 +672,11 @@ class TestStackedStep:
                                  gamma=0.0, multilabel=multilabel)[0]
         if lattice is None:
             return total
-        conf = [R.confidence(reference_forward(
-                    model, batch, batch.presence & s).logits, multilabel)
-                for s in lattice.subsets]
+        views, live = keep_observed(batch.presence, lattice.subsets[:, None])
+        conf = [R.confidence(reference_forward(model, batch, view).logits,
+                             multilabel) for view in views]
         return R.add(total, R.mul_scalar(
-            R.hinge_pairs(conf, lattice.pairs.tolist()), 2.0))
+            R.hinge_pairs(conf, lattice.pairs.tolist(), live), 2.0))
 
     @staticmethod
     def _loss_and_grads(model, loss_fn):
@@ -681,7 +708,8 @@ class TestStackedStep:
     @pytest.mark.parametrize("m,frozen", CASES)
     def test_every_view_matches_its_reference_forward(self, m, frozen):
         model, batch, keep, lattice = self._setup(70 + m, m, frozen)
-        views = np.concatenate([lattice.views(batch.presence), keep[None]])
+        views = np.concatenate([keep_observed(
+            batch.presence, lattice.subsets[:, None])[0], keep[None]])
         out = forward(model, batch, views)
         assert out.logits.shape[0] == len(views) * batch.n
         for v, view in enumerate(views):
@@ -703,6 +731,14 @@ class TestStackedStep:
         self._assert_step_matches(model, batch, keep,
                                   lattice if with_pairs else None, frozen)
 
+    @pytest.mark.parametrize("m,frozen", CASES)
+    def test_partial_presence_step_matches_reference(self, m, frozen):
+        model, batch, keep, lattice = self._setup(60 + m, m, frozen,
+                                                  partial=True)
+        live = keep_observed(batch.presence, lattice.subsets[:, None])[1]
+        assert not live.all()
+        self._assert_step_matches(model, batch, keep, lattice, frozen)
+
     @pytest.mark.parametrize("m", [2, 4, 5])
     def test_multilabel_step_matches_reference(self, m):
         model, batch, keep, lattice = self._setup(85 + m, m, multilabel=True)
@@ -711,7 +747,7 @@ class TestStackedStep:
     def test_masked_rows_outside_every_view_get_one_extra_view(
             self, monkeypatch):
         model, batch, keep, lattice = self._setup(85, 5)
-        held = lattice.views(batch.presence)
+        held = keep_observed(batch.presence, lattice.subsets[:, None])[0]
         outside = [not any((v[i] == keep[i]).all() for v in held)
                    for i in range(batch.n)]
         assert any(outside) and not all(outside)
@@ -739,18 +775,35 @@ class TestStackedStep:
         assert got.item() == want.item()
         assert bd.cec == 0.0
 
-    def test_view_with_no_observed_modality_rejected(self):
+    def test_view_with_no_observed_modality_rejected(self, monkeypatch):
         rng = np.random.default_rng(91)
         cfg = FusionConfig(modalities=2, dims=(3, 3), classes=3, fused_dim=4)
         model = random_model(rng, cfg)
         presence = np.array([[True, True], [True, False], [True, True]])
         batch = random_batch(rng, 3, cfg.dims, cfg.classes, presence=presence)
-        # the {1} view leaves row 1, which observes only modality 0, empty
-        with pytest.raises(ValueError, match="observed modality"):
-            subset_confidences(model, batch, subset_lattice(2))
-        with pytest.raises(ValueError, match="observed modality"):
-            step_loss(model, batch, batch.presence, subset_lattice(2),
-                      lam=0.05, gamma=2.0)
+        lattice = subset_lattice(2)  # subsets {0}, {0,1}, {1}
+        # the {1} view would leave row 1, which observes only modality 0,
+        # empty: it reads the row's presence there, a filler that carries no
+        # consistency weight
+        live = keep_observed(batch.presence, lattice.subsets[:, None])[1]
+        assert live.tolist() == [[True] * 3, [True] * 3, [True, False, True]]
+        conf = subset_confidences(model, batch, lattice)
+        conf[2, 1] = 1.0  # an inversion at the filler, were it counted
+        value, grad = cec_loss(conf, lattice.pairs, live=live)
+        assert grad[2, 1] == 0.0
+        kept = cec_loss(conf[:, [0, 2]], lattice.pairs)[0] * 2 / 3
+        assert value == pytest.approx(kept, rel=1e-15, abs=0)
+        seen = []
+
+        def spy(conf, pairs, weight, live):
+            seen.append(cec_loss(conf, pairs, weight, live))
+            assert not live[2, 1]
+            return seen[-1]
+
+        monkeypatch.setattr(losses_module, "cec_loss", spy)
+        _, bd = step_loss(model, batch, batch.presence, lattice, lam=0.05,
+                          gamma=2.0)
+        assert bd.cec == seen[0][0] and seen[0][1][2, 1] == 0.0
         with pytest.raises(ValueError, match="does not observe"):
             step_loss(model, batch, np.ones((3, 2), dtype=bool), None,
                       lam=0.05, gamma=2.0)
@@ -769,3 +822,75 @@ class TestStackedStep:
                               gamma=2.0)
             step_loss(model, batch, keep, None, lam=0.05, gamma=2.0)
         assert bd.cec > 0.0
+
+
+class TestPartialPresenceProperties:
+    """Invariants over random presence, each row observing at least one of
+    M = 2-5 modalities: the consistency term and the inversion audit count
+    the same live rows, a filler row takes no consistency gradient, and a
+    step's gate weights lie on the simplex of each view row."""
+
+    @staticmethod
+    def _draws(m, trials=30):
+        rng = np.random.default_rng(200 + m)
+        lattice = cec_pairs(m, rng, limit=8)
+        for _ in range(trials):
+            presence = random_presence(rng, int(rng.integers(1, 12)), m)
+            live = keep_observed(presence, lattice.subsets[:, None])[1]
+            conf = rng.random(live.shape).round(1)
+            yield lattice, presence, live, conf
+
+    @pytest.mark.parametrize("m", [2, 3, 4, 5])
+    def test_zero_consistency_iff_clean_audit(self, m):
+        seen = set()
+        for i, (lattice, presence, live, conf) in enumerate(self._draws(m)):
+            sizes = lattice.subsets.sum(axis=1)[:, None] / m
+            if i % 2:  # monotone on live rows, arbitrary on the fillers
+                conf = np.where(live, sizes, conf)
+            value = cec_loss(conf, lattice.pairs, live=live)[0]
+            audit = audit_confidences(conf, lattice, presence)
+            clean = audit.total_count == 0
+            assert (value == 0.0) == clean
+            # one [P, n] mask: the rows the term counts are the audit's
+            assert np.array_equal(audit.rows,
+                                  live[lattice.pairs[:, 0]].sum(axis=1))
+            seen.add(clean)
+        assert seen == {False, True}
+
+    @pytest.mark.parametrize("m", [2, 3, 4, 5])
+    def test_filler_rows_get_zero_gradient(self, m):
+        fillers = 0
+        for lattice, _, live, conf in self._draws(m):
+            grad = cec_loss(conf, lattice.pairs, weight=3.0, live=live)[1]
+            assert (grad[~live] == 0.0).all()
+            fillers += int((~live).sum())
+        assert fillers > 0
+
+    @pytest.mark.parametrize("m", [2, 3, 4, 5])
+    def test_step_gate_weights_on_the_masked_simplex(self, m, monkeypatch):
+        seen = []
+
+        def spy(model, batch, views):
+            seen.append((batch.presence, views, forward(model, batch, views)))
+            return seen[-1][2]
+
+        monkeypatch.setattr(losses_module, "forward", spy)
+        rng = np.random.default_rng(300 + m)
+        cfg = FusionConfig(modalities=m, dims=(3, 4, 2, 5, 3)[:m], classes=4,
+                           fused_dim=5)
+        model = random_model(rng, cfg)
+        for lattice in (cec_pairs(m, rng, limit=8), None):
+            batch = random_batch(rng, 16, cfg.dims, cfg.classes,
+                                 random_presence(rng, 16, m))
+            keep = keep_observed(batch.presence,
+                                 bernoulli_mask(16, m, 0.4, rng))[0]
+            _, bd = step_loss(model, batch, keep, lattice, lam=0.05,
+                              gamma=20.0)
+            assert np.isfinite(bd.total)
+        assert len(seen) == 2
+        for presence, views, out in seen:
+            assert not (views > presence).any() and views.any(axis=2).all()
+            p = out.p.data
+            assert (p >= 0.0).all() and (p[~views.reshape(-1, m)] == 0.0).all()
+            np.testing.assert_allclose(p.sum(axis=1), 1.0, rtol=0,
+                                       atol=1e-12)

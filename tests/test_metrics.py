@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from entrofuse.data import keep_observed
 from entrofuse.losses import cec_loss, cec_pairs, subset_confidences
 from entrofuse.metrics import (audit_confidences, confidence_correct, ece,
                                entropy_confidence_export, format_value,
@@ -341,7 +342,8 @@ class TestPartialPresenceAudit:
         batch = random_batch(rng, 30, cfg.dims, cfg.classes)
         lattice = subset_lattice(m)
         conf = [out.confidence.data for out in forward_views(
-            model, batch, lattice.views(batch.presence))]
+            model, batch, keep_observed(batch.presence,
+                                        lattice.subsets[:, None])[0])]
         audit = inversion_audit(model, batch)
         plain = audit_confidences(conf, lattice)
         assert (audit.rows == batch.n).all()
@@ -384,7 +386,8 @@ class TestAuditConfidences:
         batch = random_batch(rng, 14, cfg.dims, cfg.classes)
         lattice = subset_lattice(3)
         conf = [out.confidence.data for out in forward_views(
-            model, batch, lattice.views(batch.presence))]
+            model, batch, keep_observed(batch.presence,
+                                        lattice.subsets[:, None])[0])]
         direct = audit_confidences(conf, lattice)
         via_model = inversion_audit(model, batch)
         assert np.array_equal(direct.pairs, via_model.pairs)

@@ -336,6 +336,7 @@ class TestNormStats:
         model.norm_mean = [rng.normal(size=d) for d in cfg.dims]
         model.norm_std = [rng.uniform(0.1, 3.0, size=d) for d in cfg.dims]
         presence = rng.random((50, 3)) < 0.6
+        presence[~presence.any(axis=1), 0] = True  # a batch row observes one
         batch = random_batch(rng, 50, cfg.dims, cfg.classes, presence)
         cols = [(batch.features[m] - model.norm_mean[m]) / model.norm_std[m]
                 * presence[:, m:m + 1] for m in range(3)]

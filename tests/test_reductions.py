@@ -175,7 +175,7 @@ class TestSameAsRowWise:
                 view = presence & keep
                 old = np.where(view.any(axis=1, keepdims=True), view,
                                presence)
-                assert np.array_equal(keep_observed(presence, keep), old)
+                assert np.array_equal(keep_observed(presence, keep)[0], old)
             seed = int(rng.integers(2**31))
             old_rng, new_rng = (np.random.default_rng(seed) for _ in "ab")
             old = old_rng.random((n, m)) >= 0.8
@@ -191,19 +191,20 @@ class TestSameAsRowWise:
         for m in MODALITIES:
             presence = _presence(rng, n, m)
             lattice = subset_lattice(m)
-            views = lattice.views(presence)
+            views, live = keep_observed(presence, lattice.subsets[:, None])
             observed = last_axis_first(views).sum(axis=0)
             assert np.array_equal(observed.all(), views.any(axis=2).all())
             assert np.array_equal(
                 np.flatnonzero((observed > 1).any(axis=1)),
                 np.flatnonzero((views.sum(axis=2) > 1).any(axis=1)))
-            keep = keep_observed(presence, rng.random((n, m)) < 0.6)
+            keep = keep_observed(presence, rng.random((n, m)) < 0.6)[0]
             assert np.array_equal(last_axis_first(views == keep).all(axis=0),
                                   (views == keep).all(axis=2))
             conf = rng.random((len(lattice.subsets), n)).round(1)
             audit = audit_confidences(conf, lattice, presence)
             small, big = lattice.pairs.T
-            meets = views.any(axis=2)[small]
+            meets = (presence & lattice.subsets[:, None]).any(axis=2)[small]
+            assert np.array_equal(live[small], meets)
             gap = np.where(meets, conf[small] - conf[big], 0.0)
             rows = meets.sum(axis=1)
             assert np.array_equal(audit.rows, rows)
@@ -222,8 +223,7 @@ def test_model_outputs_are_c_contiguous(m):
     rng = np.random.default_rng(m)
     model, batch = _model_and_batch(rng, 64, m, 8)
     batch.presence[1] = np.arange(m) == 0
-    views = np.stack([keep_observed(batch.presence, s)
-                      for s in subset_lattice(m).subsets])
+    views = keep_observed(batch.presence, subset_lattice(m).subsets[:, None])[0]
     outs = [forward(model, batch), forward(model, batch, views),
             *forward_views(model, batch, views)]
     arrays = [gate_rows(model, batch).data,

@@ -401,21 +401,6 @@ class TestObservedBranches:
         expected = [var[0].mean(), var[1, 0], var[2, 1:].mean(), var[3, 2]]
         np.testing.assert_allclose(v, expected, rtol=1e-15, atol=0)
 
-    @pytest.mark.parametrize("source", ["mc", "ensemble"])
-    def test_rows_observing_nothing_rejected(self, source):
-        presence = np.ones((6, 2), dtype=bool)
-        presence[[1, 4], :] = False
-        model, batch = self._cfg_batch(92, 6, (3, 3), presence)
-        lcfg = LambdaConfig(source=source, draws=4)
-        rng = np.random.default_rng(93)
-        state = rng.bit_generator.state
-        message = "2 of 6 rows observe no modality"
-        with pytest.raises(ValueError, match=message):
-            lambda_of(model, batch, lcfg, rng, 0.5)
-        with pytest.raises(ValueError, match=message):
-            calibrate_vmax(model, batch, lcfg, rng)
-        assert rng.bit_generator.state == state  # raised before drawing
-
 
 class TestLambdaInvariants:
     """Random presence patterns (every row observing at least one modality),
