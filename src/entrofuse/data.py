@@ -199,11 +199,12 @@ def bernoulli_mask(n: int, modalities: int, pi: float,
     if not 0.0 <= pi < 1.0:
         raise ValueError(f"drop rate must be in [0, 1), got {pi}")
     keep = rng.random((n, modalities)) >= pi
+    empty = np.flatnonzero(~last_axis_first(keep).any(axis=0))
     for _ in range(10_000):
-        empty = ~last_axis_first(keep).any(axis=0)
-        if not empty.any():
+        if not empty.size:
             return keep
-        keep[empty] = rng.random((int(empty.sum()), modalities)) >= pi
+        keep[empty] = rng.random((empty.size, modalities)) >= pi
+        empty = empty[~keep[empty].any(axis=1)]  # only redrawn rows change
     raise RuntimeError("resampling failed to produce non-empty rows")
 
 
@@ -217,7 +218,9 @@ def keep_observed(presence: np.ndarray, keep: np.ndarray
         raise ValueError("subset length does not match the modality count")
     view = presence & keep
     live = last_axis_first(view).any(axis=0)
-    return np.where(live[..., None], view, presence), live
+    if not live.all():
+        view[~live] = np.broadcast_to(presence, view.shape)[~live]
+    return view, live
 
 
 def last_axis_first(a: np.ndarray) -> np.ndarray:

@@ -165,8 +165,15 @@ def audit_confidences(conf: np.ndarray, lattice: SubsetLattice,
         raise ValueError(f"confidences {conf.shape} need [{s}, n] with n > 0")
     if presence is None:
         presence = np.ones((conf.shape[1], lattice.subsets.shape[1]), bool)
+    return _count_inversions(conf, lattice, keep_observed(
+        presence, lattice.subsets[:, None])[1])
+
+
+def _count_inversions(conf: np.ndarray, lattice: SubsetLattice,
+                      live: np.ndarray) -> InversionAudit:
+    """``audit_confidences`` of checked confidences and [S, n] live rows."""
     small, big = lattice.pairs.T
-    live = keep_observed(presence, lattice.subsets[:, None])[1][small]
+    live = live[small]
     gap, rows = np.where(live, conf[small] - conf[big], 0.0), live.sum(axis=1)
     return InversionAudit(subsets=lattice.subsets, pairs=lattice.pairs,
                           counts=(gap > 0.0).sum(axis=1),
@@ -183,9 +190,9 @@ def inversion_audit(model, batch: MultimodalBatch) -> InversionAudit:
     if modalities > 4:
         raise ValueError("full lattice audit is limited to 4 modalities")
     lattice = subset_lattice(modalities)
-    views = keep_observed(batch.presence, lattice.subsets[:, None])[0]
+    views, live = keep_observed(batch.presence, lattice.subsets[:, None])
     conf = [out.confidence.data for out in forward_views(model, batch, views)]
-    return audit_confidences(conf, lattice, batch.presence)
+    return _count_inversions(np.array(conf), lattice, live)
 
 
 def entropy_confidence_export(out) -> np.ndarray:

@@ -169,19 +169,29 @@ class FusionModel:
 
     def gate_input(self, batch: MultimodalBatch,
                    presence: np.ndarray | None = None) -> np.ndarray:
-        """Standardized features zeroed where ``presence`` (default: the
-        batch's) is False, then those presence flags, written block by block
-        into one [n, sum(dims) + M] array."""
+        """Each modality's ``_gate_block`` at ``presence`` (default: the
+        batch's), then those flags, in one [n, sum(dims) + M] array."""
         x = np.empty((batch.n, sum(batch.dims) + batch.num_modalities))
         flags = x[:, x.shape[1] - batch.num_modalities:]
         flags[...] = batch.presence if presence is None else presence
         lo = 0
         for m, f in enumerate(batch.features):
-            z = f - self.norm_mean[m]
-            z /= self.norm_std[m]
-            np.multiply(z, flags[:, m:m + 1], out=x[:, lo:lo + f.shape[1]])
+            self._gate_block(m, f, flags[:, m:m + 1], x[:, lo:lo + f.shape[1]])
             lo += f.shape[1]
         return x
+
+    def _gate_block(self, m: int, features: np.ndarray, flag: np.ndarray,
+                    out: np.ndarray) -> None:
+        """Write modality m's [n, d_m] gate-input block into ``out``: its
+        standardized features (on a contiguous temporary, as ufuncs writing
+        into a strided column block run far slower) times the [n, 1] presence
+        ``flag``, or copied when every flag is 1: times 1 changes no bit."""
+        z = features - self.norm_mean[m]
+        z /= self.norm_std[m]
+        if flag.all():
+            out[...] = z
+        else:
+            np.multiply(z, flag, out=out)
 
 
 def class_probs(logits: np.ndarray, multilabel: bool) -> np.ndarray:
@@ -244,14 +254,18 @@ def _per_modality(n: int, xs, ws: list[np.ndarray]) -> np.ndarray:
 
 
 def _gate_products(model: FusionModel, batch: MultimodalBatch):
-    """The gate input at the batch's presence, its columns of each modality
-    (features and flag) and their [n, M, H] products with ``gate_w1``."""
-    x = model.gate_input(batch)
+    """Each modality's [n, d_m + 1] gate-input block at the batch's presence
+    (``_gate_block``, then the flag), its columns of the gate input and the
+    [n, M, H] products of the blocks with those rows of ``gate_w1``."""
     edges = np.cumsum((0,) + batch.dims)
     cols = [np.append(np.arange(edges[m], edges[m + 1]), edges[-1] + m)
             for m in range(batch.num_modalities)]
-    return x, cols, _per_modality(batch.n, (x[:, c] for c in cols),
-                                  [model.gate_w1.data[c] for c in cols])
+    blocks = [np.empty((batch.n, d + 1)) for d in batch.dims]
+    for m, (f, block) in enumerate(zip(batch.features, blocks)):
+        block[:, -1] = batch.presence[:, m]
+        model._gate_block(m, f, block[:, -1:], block[:, :-1])
+    return blocks, cols, _per_modality(batch.n, blocks,
+                                       [model.gate_w1.data[c] for c in cols])
 
 
 def _blend(w: np.ndarray, stacked: np.ndarray):
@@ -296,7 +310,7 @@ def _gate(model: FusionModel, batch: MultimodalBatch, views: np.ndarray,
         pre = x @ w1
     else:
         if stacked is None:
-            x, cols, stacked = _gate_products(model, batch)
+            blocks, cols, stacked = _gate_products(model, batch)
         pre, wv = _blend(keep.astype(np.float64), stacked)
     pre += b1
     h = np.maximum(pre, 0.0, out=pre)
@@ -328,7 +342,7 @@ def _gate(model: FusionModel, batch: MultimodalBatch, views: np.ndarray,
         _, gb = _blend_back(gpre, stacked, wv, weights=False)
         gw1 = np.empty_like(w1)  # the cols cover every row of w1
         for m, c in enumerate(cols):
-            gw1[c] = x[:, c].T @ gb[:, m]
+            gw1[c] = blocks[m].T @ gb[:, m]
         _add_grad(model.gate_w1, gw1)
 
     return weights, pullback

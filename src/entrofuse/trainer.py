@@ -34,7 +34,7 @@ from .curriculum import (FAMILIES, Schedules, acm_distribution, ramp,
 from .data import MultimodalBatch, bernoulli_mask, keep_observed
 from .losses import LossBreakdown, cec_pairs, step_loss, task_term
 from .metrics import (confidence_correct, ece, entropy_confidence_export,
-                      map_at_1, top1_accuracy)
+                      map_at_1)
 from .model import (ForwardOutput, FusionConfig, FusionModel, forward,
                     forward_views)
 from .optim import adamw_step, cosine_lr
@@ -192,7 +192,7 @@ def _metric_row(out: ForwardOutput, labels: np.ndarray,
     conf, correct = confidence_correct(logits, labels, out.multilabel,
                                        temperature)
     score = (map_at_1(logits, labels) if out.multilabel
-             else top1_accuracy(logits, labels))
+             else float(correct.mean()))
     return {"score": score, "ece": ece(conf, correct).ece,
             "gate_entropy": float(out.gate_entropy.mean())}
 

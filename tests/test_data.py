@@ -322,6 +322,28 @@ class TestBernoulliMask:
         per_modality = keep.mean(axis=0)
         np.testing.assert_allclose(per_modality, 0.70, atol=0.01)
 
+    @staticmethod
+    def _full_recheck(n, m, pi, rng):
+        """The loop that checks every row after each redraw, the reference
+        for redrawing and checking only the rows left empty."""
+        keep = rng.random((n, m)) >= pi
+        for _ in range(10_000):
+            empty = ~keep.any(axis=1)
+            if not empty.any():
+                return keep
+            keep[empty] = rng.random((int(empty.sum()), m)) >= pi
+        raise RuntimeError("resampling failed to produce non-empty rows")
+
+    def test_same_draws_as_the_full_recheck(self):
+        rng = np.random.default_rng(4)
+        for _ in range(60):
+            n, m = int(rng.integers(1, 300)), int(rng.integers(2, 6))
+            pi, seed = rng.uniform(0.0, 0.9), int(rng.integers(2**31))
+            ref_rng, rng_ = (np.random.default_rng(seed) for _ in "ab")
+            ref = self._full_recheck(n, m, pi, ref_rng)
+            assert np.array_equal(bernoulli_mask(n, m, pi, rng_), ref)
+            assert rng_.bit_generator.state == ref_rng.bit_generator.state
+
     def test_rate_validation(self):
         rng = np.random.default_rng(3)
         with pytest.raises(ValueError):

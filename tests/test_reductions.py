@@ -171,11 +171,17 @@ class TestSameAsRowWise:
         rng = np.random.default_rng(n + 5)
         for m in MODALITIES:
             presence = _presence(rng, n, m)
-            for keep in (rng.random(m) < 0.5, rng.random((n, m)) < 0.3):
+            # a draw, a subset, and the lattice's subsets, where row 0 (it
+            # observes one modality) is not live in every subset without it
+            for keep in (rng.random(m) < 0.5, rng.random((n, m)) < 0.3,
+                         subset_lattice(m).subsets[:, None]):
                 view = presence & keep
-                old = np.where(view.any(axis=1, keepdims=True), view,
-                               presence)
-                assert np.array_equal(keep_observed(presence, keep)[0], old)
+                live = view.any(axis=-1)
+                old = np.where(live[..., None], view, presence)
+                got = keep_observed(presence, keep)
+                assert np.array_equal(got[0], old)
+                assert np.array_equal(got[1], live)
+            assert n == 1 or not live.all()
             seed = int(rng.integers(2**31))
             old_rng, new_rng = (np.random.default_rng(seed) for _ in "ab")
             old = old_rng.random((n, m)) >= 0.8

@@ -477,6 +477,45 @@ class TestForwardViews:
             assert np.array_equal(alone,
                                   together[v * batch.n:(v + 1) * batch.n])
 
+    @staticmethod
+    def _concatenated_gate_input(model, batch, presence=None):
+        """The gate input built as one array, each modality's block written
+        from a standardized temporary: the reference for the blocks."""
+        x = np.empty((batch.n, sum(batch.dims) + batch.num_modalities))
+        flags = x[:, x.shape[1] - batch.num_modalities:]
+        flags[...] = batch.presence if presence is None else presence
+        lo = 0
+        for m, f in enumerate(batch.features):
+            z = f - model.norm_mean[m]
+            z /= model.norm_std[m]
+            np.multiply(z, flags[:, m:m + 1], out=x[:, lo:lo + f.shape[1]])
+            lo += f.shape[1]
+        return x
+
+    @pytest.mark.parametrize("m", MODALITIES)
+    def test_gate_blocks_are_the_gate_input_bit_for_bit(self, m):
+        # bytes, not values: -0.0 (a negative standardized filler times a
+        # 0 flag) must stay -0.0; the last modality is observed in every
+        # row, so its block is copied rather than multiplied by its flags
+        rng, model, batch, views = _setup(315 + m, m, 3, single=0, n=40)
+        batch.presence[:, -1] = True
+        for f in batch.features:
+            f[f == 0.0] = rng.normal(size=int((f == 0.0).sum()))
+        x = self._concatenated_gate_input(model, batch)
+        assert model.gate_input(batch).tobytes() == x.tobytes()
+        for view in views:
+            assert (model.gate_input(batch, view).tobytes()
+                    == self._concatenated_gate_input(model, batch,
+                                                     view).tobytes())
+        blocks, cols, products = model_module._gate_products(model, batch)
+        for block, c in zip(blocks, cols):
+            assert block.flags.c_contiguous
+            assert block.tobytes() == x[:, c].tobytes()
+        gathered = model_module._per_modality(
+            batch.n, (x[:, c] for c in cols),
+            [model.gate_w1.data[c] for c in cols])
+        assert products.tobytes() == gathered.tobytes()
+
     def test_read_paths_prepare_the_split_once(self, monkeypatch):
         rng = np.random.default_rng(320)
         cfg = FusionConfig(modalities=3, dims=(3, 4, 2), classes=4,
@@ -486,16 +525,16 @@ class TestForwardViews:
         presence[0] = True
         batch = random_batch(rng, 30, cfg.dims, cfg.classes, presence)
         calls = {}
-        real_input = model_module.FusionModel.gate_input
+        real_block = model_module.FusionModel._gate_block
         real_products = model_module._per_modality
         real_forward = model_module.forward
 
         def count(name, k=1):
             calls[name] = calls.get(name, 0) + k
 
-        def gate_input(self, *args):
-            count("gate_input")
-            return real_input(self, *args)
+        def gate_block(self, *args):
+            count("gate blocks")
+            return real_block(self, *args)
 
         def per_modality(n, xs, ws):
             count("projection matmuls" if ws[0] is model.proj[0].data
@@ -506,8 +545,8 @@ class TestForwardViews:
             count("forward")
             return real_forward(*args)
 
-        monkeypatch.setattr(model_module.FusionModel, "gate_input",
-                            gate_input)
+        monkeypatch.setattr(model_module.FusionModel, "_gate_block",
+                            gate_block)
         monkeypatch.setattr(model_module, "_per_modality", per_modality)
         for module in (model_module, trainer_module):
             monkeypatch.setattr(module, "forward", forward_spy)
@@ -516,7 +555,8 @@ class TestForwardViews:
                         model, batch, rates=(0.0, 0.3, 0.5), seeds=3)):
             calls.clear()
             run()
-            assert calls == {"gate_input": 1, "gate products": 3,
+            # one standardized block per modality, for every view
+            assert calls == {"gate blocks": 3, "gate products": 3,
                              "projection matmuls": 3}
 
     def test_views_are_read_one_at_a_time(self):
