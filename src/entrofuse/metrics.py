@@ -105,8 +105,9 @@ def map_at_1(logits: np.ndarray, labels: np.ndarray) -> float:
 
 
 def top1_accuracy(logits: np.ndarray, labels: np.ndarray) -> float:
-    """Fraction of samples whose argmax class (ties to the lowest index)
-    equals the integer label."""
+    """Fraction of rows whose logit argmax (ties to the lowest index) is the
+    label: the single-label score metric rows take from ``confidence_correct``
+    (tests hold that score to this function)."""
     logits = np.asarray(logits, dtype=np.float64)
     labels = np.asarray(labels).ravel()
     if logits.ndim != 2 or labels.shape[0] != logits.shape[0]:
@@ -119,12 +120,12 @@ def top1_accuracy(logits: np.ndarray, labels: np.ndarray) -> float:
 def confidence_correct(logits: np.ndarray, labels: np.ndarray,
                        multilabel: bool, temperature: float = 1.0
                        ) -> tuple[np.ndarray, np.ndarray]:
-    """Per-sample max-class probability of ``logits / temperature`` (softmax,
-    or per-class sigmoid when multi-label) and whether that class is a true
-    label: the inputs of ``ece``."""
+    """Per-sample probability under ``logits / temperature`` (softmax, or
+    per-class sigmoid when multi-label) of the logits' argmax class, which no
+    temperature moves, and whether it is a true label: ``ece``'s inputs."""
     probs = class_probs(logits if temperature == 1.0
                         else logits / temperature, multilabel)
-    top = (np.arange(len(probs)), probs.argmax(axis=1))
+    top = (np.arange(len(probs)), logits.argmax(axis=1))
     if multilabel:
         correct = labels[top].astype(bool)
     else:
@@ -163,10 +164,9 @@ def audit_confidences(conf: np.ndarray, lattice: SubsetLattice,
     s = len(lattice.subsets)
     if conf.ndim != 2 or conf.shape[0] != s or conf.shape[1] == 0:
         raise ValueError(f"confidences {conf.shape} need [{s}, n] with n > 0")
-    if presence is None:
-        presence = np.ones((conf.shape[1], lattice.subsets.shape[1]), bool)
-    return _count_inversions(conf, lattice, keep_observed(
-        presence, lattice.subsets[:, None])[1])
+    live = (np.ones(conf.shape, bool) if presence is None  # no subset is empty
+            else keep_observed(presence, lattice.subsets[:, None])[1])
+    return _count_inversions(conf, lattice, live)
 
 
 def _count_inversions(conf: np.ndarray, lattice: SubsetLattice,

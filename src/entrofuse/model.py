@@ -182,16 +182,11 @@ class FusionModel:
 
     def _gate_block(self, m: int, features: np.ndarray, flag: np.ndarray,
                     out: np.ndarray) -> None:
-        """Write modality m's [n, d_m] gate-input block into ``out``: its
-        standardized features (on a contiguous temporary, as ufuncs writing
-        into a strided column block run far slower) times the [n, 1] presence
-        ``flag``, or copied when every flag is 1: times 1 changes no bit."""
+        """Modality m's features, standardized on a contiguous temporary, times
+        the [n, 1] presence ``flag``, written into ``out``."""
         z = features - self.norm_mean[m]
         z /= self.norm_std[m]
-        if flag.all():
-            out[...] = z
-        else:
-            np.multiply(z, flag, out=out)
+        np.multiply(z, flag, out=out)
 
 
 def class_probs(logits: np.ndarray, multilabel: bool) -> np.ndarray:
@@ -254,9 +249,8 @@ def _per_modality(n: int, xs, ws: list[np.ndarray]) -> np.ndarray:
 
 
 def _gate_products(model: FusionModel, batch: MultimodalBatch):
-    """Each modality's [n, d_m + 1] gate-input block at the batch's presence
-    (``_gate_block``, then the flag), its columns of the gate input and the
-    [n, M, H] products of the blocks with those rows of ``gate_w1``."""
+    """Each modality's [n, d_m + 1] block of the gate input (its columns
+    ``cols``) and the blocks' [n, M, H] products with those rows of gate_w1."""
     edges = np.cumsum((0,) + batch.dims)
     cols = [np.append(np.arange(edges[m], edges[m + 1]), edges[-1] + m)
             for m in range(batch.num_modalities)]

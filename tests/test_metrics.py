@@ -130,6 +130,19 @@ class TestConfidenceCorrect:
         top = probs.argmax(axis=1)
         assert np.array_equal(correct, labels[np.arange(50), top] == 1.0)
 
+    def test_near_tie_goes_to_the_logit_argmax(self):
+        # the tempered probabilities of 0 and 1e-17 round equal, so their
+        # argmax would pick index 0; the logits' argmax picks the larger one
+        logits = np.array([[0.0, 1e-17], [1e-17, 0.0], [0.0, 0.0]])
+        labels = np.array([1, 0, 1])
+        for t in (1.0, 2.5):
+            conf, correct = confidence_correct(logits, labels, False, t)
+            assert np.array_equal(conf, [0.5, 0.5, 0.5])
+            assert correct.tolist() == [True, True, False]
+            assert correct.mean() == top1_accuracy(logits, labels)
+            _, correct = confidence_correct(logits, np.eye(2)[labels], True, t)
+            assert correct.tolist() == [True, True, False]
+
     def test_temperature_divides_the_logits(self):
         rng = np.random.default_rng(6)
         logits = rng.normal(scale=2.0, size=(20, 3))

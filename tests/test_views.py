@@ -495,10 +495,8 @@ class TestForwardViews:
     @pytest.mark.parametrize("m", MODALITIES)
     def test_gate_blocks_are_the_gate_input_bit_for_bit(self, m):
         # bytes, not values: -0.0 (a negative standardized filler times a
-        # 0 flag) must stay -0.0; the last modality is observed in every
-        # row, so its block is copied rather than multiplied by its flags
+        # 0 flag) must stay -0.0
         rng, model, batch, views = _setup(315 + m, m, 3, single=0, n=40)
-        batch.presence[:, -1] = True
         for f in batch.features:
             f[f == 0.0] = rng.normal(size=int((f == 0.0).sum()))
         x = self._concatenated_gate_input(model, batch)
