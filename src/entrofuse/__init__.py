@@ -2,8 +2,8 @@
 
 A small float64 research stack: a gated mixture fusion model that
 renormalizes over observed modalities and an entropy/consistency composite
-loss, each with a hand-derived gradient recorded as one node on a
-reverse-mode tape, instance-adaptive entropy weighting from predictive
+loss, each with a hand-derived gradient that one training step chains
+without a tape, instance-adaptive entropy weighting from predictive
 variance, curriculum mask schedules with an adaptive teacher, and a
 reproducible training/evaluation harness.
 """

@@ -28,6 +28,7 @@ from .data import generate, save_dataset
 from .metrics import (confidence_correct, ece, entropy_confidence_export,
                       inversion_audit, write_csv)
 from .model import forward_views, load_checkpoint, save_checkpoint
+from .subsets import EXHAUSTIVE_MAX
 from .trainer import (ABLATIONS, DivergenceError, RunResult, check_rates,
                       evaluate_under_dropout, train)
 
@@ -236,8 +237,9 @@ def cmd_audit(args) -> int:
         model = load_checkpoint(args.checkpoint)
     except (OSError, KeyError, ValueError) as exc:
         raise ConfigError(f"cannot load checkpoint {args.checkpoint}: {exc}")
-    if model.cfg.modalities > 4:  # before any compute or file
-        raise ValueError("full lattice audit is limited to 4 modalities")
+    if model.cfg.modalities > EXHAUSTIVE_MAX:  # before any compute or file
+        raise ValueError("full lattice audit is limited to "
+                         f"{EXHAUSTIVE_MAX} modalities")
 
     doc = read_yaml(args.config)
     if isinstance(doc, dict):

@@ -21,6 +21,7 @@ from typing import get_args, get_origin, get_type_hints
 import yaml
 
 from .data import SyntheticSpec
+from .subsets import EXHAUSTIVE_MAX
 from .trainer import TrainConfig
 
 __all__ = ["ConfigError", "ExperimentConfig", "read_yaml", "load_config",
@@ -130,9 +131,9 @@ def parse_config(doc) -> ExperimentConfig:
         raise ConfigError(f"train.single_modality_index must name one of "
                           f"the {data.modalities} modalities")
     if (train.schedules.mode == "acm" and train.acm_family == "all_subsets"
-            and data.modalities > 4):
-        raise ConfigError("train.acm_family all_subsets is limited to 4 "
-                          "modalities")
+            and data.modalities > EXHAUSTIVE_MAX):
+        raise ConfigError("train.acm_family all_subsets is limited to "
+                          f"{EXHAUSTIVE_MAX} modalities")
     return ExperimentConfig(data=data, train=train,
                             out=_cast(str | None, root.get("out"), "out"))
 

@@ -15,7 +15,7 @@ import numpy as np
 
 from .data import MultimodalBatch, keep_observed
 from .model import entropy_rows, gate_rows
-from .subsets import nonempty_subsets
+from .subsets import EXHAUSTIVE_MAX, nonempty_subsets
 
 __all__ = [
     "FAMILIES",
@@ -97,8 +97,9 @@ def candidate_family(modalities: int, family: str) -> np.ndarray:
         raise ValueError(f"unknown family {family!r}")
     if family == "single_drops":
         return np.eye(modalities, dtype=bool)
-    if modalities > 4:
-        raise ValueError("all_subsets family is limited to 4 modalities")
+    if modalities > EXHAUSTIVE_MAX:
+        raise ValueError("all_subsets family is limited to "
+                         f"{EXHAUSTIVE_MAX} modalities")
     return nonempty_subsets(modalities)[:-1]
 
 
@@ -139,8 +140,10 @@ def sample_keep(dist: MaskDistribution, pi_t: float, n: int,
         raise ValueError("need at least one sample")
     gate = rng.random(n) < pi_t
     # inverse-CDF draws from the teacher, one uniform per sample, matching
-    # rng.choice(len(support), size=n, p=probs) draw for draw
+    # rng.choice(len(support), size=n, p=probs) draw for draw; a draw at or
+    # past a cumsum that ends just below 1 takes the last candidate
     picks = np.searchsorted(np.cumsum(dist.probs), rng.random(n),
                             side="right")
+    picks = np.minimum(picks, len(dist.probs) - 1)
     drop = np.where(gate[:, None], dist.support[picks], False)
     return ~drop

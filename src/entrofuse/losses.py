@@ -1,4 +1,4 @@
-"""Composite training objective, one tape node.
+"""Composite training objective and one training step's gradients.
 
 total = task + lam * ent + gamma * cec
 
@@ -8,8 +8,8 @@ pushes the gate toward spread-out mixture weights) and ``cec`` the squared
 hinge on confidence inversions between nested observed subsets, on the
 rows where the smaller one is live (``data.keep_observed``).
 ``composite_loss`` computes the objective and its gradients with respect to
-the logits and the gate weights in plain NumPy, and records them on the
-tape as one node. ``task_term`` is the task term alone, which
+the logits and the gate weights in plain NumPy, and ``step_loss`` chains
+them through the model pass. ``task_term`` is the task term alone, which
 ``trainer.fit_temperature`` also minimises.
 """
 
@@ -19,10 +19,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import tensor as T
 from .data import MultimodalBatch, keep_observed, last_axis_first
-from .model import class_probs, entropy_rows, forward
-from .subsets import SubsetLattice, subset_lattice
+from .model import class_probs, entropy_rows, forward, forward_pullback
+from .subsets import EXHAUSTIVE_MAX, SubsetLattice, subset_lattice
 
 __all__ = [
     "LossBreakdown",
@@ -59,14 +58,15 @@ def cec_pairs(modalities: int, rng: np.random.Generator | None = None,
               limit: int = 8) -> SubsetLattice:
     """The strict-inclusion lattice the consistency penalty runs over.
 
-    Exhaustive up to 4 modalities; beyond that a fixed-size sample keeps the
-    per-step cost bounded (requires an rng).
+    Exhaustive up to ``EXHAUSTIVE_MAX`` modalities; beyond that a fixed-size
+    sample keeps the per-step cost bounded (requires an rng).
     """
     lattice = subset_lattice(modalities)
-    if modalities <= 4 or len(lattice.pairs) <= limit:
+    if modalities <= EXHAUSTIVE_MAX or len(lattice.pairs) <= limit:
         return lattice
     if rng is None:
-        raise ValueError("rng required to sample pairs for modalities > 4")
+        raise ValueError("rng required to sample pairs for modalities > "
+                         f"{EXHAUSTIVE_MAX}")
     chosen = rng.choice(len(lattice.pairs), size=limit, replace=False)
     return lattice.select(np.sort(chosen))
 
@@ -149,13 +149,14 @@ def task_term(z: np.ndarray, labels: np.ndarray, multilabel: bool = False
     return -log_probs[at].mean(), grad
 
 
-def composite_loss(logits: T.Tensor, p: T.Tensor, labels: np.ndarray, *,
+def composite_loss(logits: np.ndarray, p: np.ndarray, labels: np.ndarray, *,
                    lam: float | np.ndarray, gamma: float,
                    rows: np.ndarray | None = None,
                    pairs: np.ndarray | None = None,
                    live: np.ndarray | None = None, multilabel: bool = False
-                   ) -> tuple[T.Tensor, LossBreakdown]:
-    """The objective over V views of n labelled rows, as one tape node.
+                   ) -> tuple[LossBreakdown, np.ndarray, np.ndarray]:
+    """The objective over V views of n labelled rows, and its gradients
+    with respect to ``logits`` and ``p``.
 
     ``logits`` [V * n, C] and gate weights ``p`` [V * n, M] hold row i of
     view v at v * n + i. The task and entropy terms read the n distinct
@@ -172,11 +173,10 @@ def composite_loss(logits: T.Tensor, p: T.Tensor, labels: np.ndarray, *,
         raise ValueError("gamma must be nonnegative")
     if gamma > 0 and pairs is None:
         raise ValueError("gamma > 0 needs subset pairs")
-    if logits.data.ndim != 2 or p.data.ndim != 2 or len(p.data) != len(
-            logits.data):
+    if logits.ndim != 2 or p.ndim != 2 or len(p) != len(logits):
         raise ValueError(f"logits {logits.shape} and gate weights {p.shape} "
                          "need one row each per view row")
-    z, w = logits.data, p.data
+    z, w = logits, p
     if rows is not None:
         rows = np.asarray(rows, dtype=np.int64)
         if (rows.ndim != 1 or rows.size == 0 or rows.min() < 0
@@ -211,14 +211,14 @@ def composite_loss(logits: T.Tensor, p: T.Tensor, labels: np.ndarray, *,
 
     g_logits, g_p = g_task, g_w
     if rows is not None:
-        g_logits, g_p = np.zeros_like(logits.data), np.zeros_like(p.data)
+        g_logits, g_p = np.zeros_like(logits), np.zeros_like(p)
         g_logits[rows], g_p[rows] = g_task, g_w
     total, cec = task + ent_term, 0.0
     if pairs is not None:
-        if len(logits.data) % n:
-            raise ValueError(f"{len(logits.data)} logit rows are not views "
-                             f"of {n} rows")
-        probs = class_probs(logits.data, multilabel)
+        if len(logits) % n:
+            raise ValueError(f"{len(logits)} logit rows are not views of "
+                             f"{n} rows")
+        probs = class_probs(logits, multilabel)
         top = (np.arange(len(probs)), probs.argmax(axis=1))
         cec, g_conf = cec_loss(probs[top].reshape(-1, n), pairs, gamma, live)
         # through each row's max into its softmax (or sigmoids) of the logits
@@ -233,41 +233,40 @@ def composite_loss(logits: T.Tensor, p: T.Tensor, labels: np.ndarray, *,
     breakdown = LossBreakdown(
         total=float(total), task=float(task), ent=float(ent_report),
         cec=cec, lam=lam_report, gamma=float(gamma))
-    return T.scalar_node(total, (logits, p), (g_logits, g_p)), breakdown
+    return breakdown, g_logits, g_p
 
 
 def step_loss(model, batch: MultimodalBatch, keep: np.ndarray,
               lattice: SubsetLattice | None, *, lam: float | np.ndarray,
-              gamma: float, multilabel: bool = False
-              ) -> tuple[T.Tensor, LossBreakdown]:
-    """Objective of one training step on the active tape.
+              gamma: float, multilabel: bool = False) -> LossBreakdown:
+    """Objective of one training step; its gradients are added into
+    ``model.base.grads`` and ``model.gate.grads``.
 
-    ``batch`` holds the minibatch rows and ``keep`` their [n, M]
-    curriculum-masked presence, inside ``batch.presence``. Without a
-    lattice, one ``forward`` over the ``keep`` view feeds the task and
-    entropy terms and the consistency term is off. With one, one
-    ``forward`` holds a view per lattice subset, which the consistency term
-    reads over the lattice's pairs; the task and entropy terms read each
-    masked row from a view whose row has the same presence pattern. That is
-    every row when all nonempty subsets are viewed (up to 4 modalities);
-    rows no view holds get one extra view, ``keep`` itself. The subset
-    views are ``data.keep_observed``'s: the penalty counts their live rows.
+    ``keep`` is the minibatch's [n, M] curriculum-masked presence, inside
+    ``batch.presence``. Without a lattice, one pass over the ``keep`` view
+    feeds the task and entropy terms and the consistency term is off. With
+    one, the pass holds the lattice subsets' ``keep_observed`` views, which
+    the consistency term reads over the lattice's pairs and live rows, and
+    the task and entropy terms read each row from a view with its ``keep``
+    pattern, or from ``keep`` itself as one extra view if none has it.
     """
     keep = np.asarray(keep, dtype=bool)
+    views, rows, pairs, live = keep[None], None, None, None
     if lattice is None:
-        out = forward(model, batch, keep[None])
-        return composite_loss(out.logits, out.p, batch.labels, lam=lam,
-                              gamma=0.0, multilabel=multilabel)
-    n = batch.n
-    if keep.shape != batch.presence.shape:
-        raise ValueError(f"keep {keep.shape} needs {batch.presence.shape}")
-    views, live = keep_observed(batch.presence, lattice.subsets[:, None])
-    held = last_axis_first(views == keep).all(axis=0)  # [V, n]
-    if not held.any(axis=0).all():
-        views = np.concatenate([views, keep[None]])
-        held = np.concatenate([held, np.ones((1, n), dtype=bool)])
-    out = forward(model, batch, views)
-    return composite_loss(out.logits, out.p, batch.labels, lam=lam,
-                          gamma=gamma, rows=held.argmax(axis=0) * n
-                          + np.arange(n), pairs=lattice.pairs, live=live,
-                          multilabel=multilabel)
+        gamma = 0.0
+    else:
+        n = batch.n
+        if keep.shape != batch.presence.shape:
+            raise ValueError(f"keep {keep.shape} needs {batch.presence.shape}")
+        views, live = keep_observed(batch.presence, lattice.subsets[:, None])
+        held = last_axis_first(views == keep).all(axis=0)  # [V, n]
+        if not held.any(axis=0).all():
+            views = np.concatenate([views, keep[None]])
+            held = np.concatenate([held, np.ones((1, n), dtype=bool)])
+        rows, pairs = held.argmax(axis=0) * n + np.arange(n), lattice.pairs
+    out, pullback = forward_pullback(model, batch, views)
+    breakdown, g_logits, g_p = composite_loss(
+        out.logits.data, out.p.data, batch.labels, lam=lam, gamma=gamma,
+        rows=rows, pairs=pairs, live=live, multilabel=multilabel)
+    pullback(g_logits, g_p)
+    return breakdown

@@ -14,7 +14,7 @@ import numpy as np
 
 from .data import MultimodalBatch, keep_observed
 from .model import class_probs, forward_views
-from .subsets import SubsetLattice, subset_lattice
+from .subsets import EXHAUSTIVE_MAX, SubsetLattice, subset_lattice
 
 __all__ = [
     "CalibrationReport",
@@ -187,8 +187,9 @@ def inversion_audit(model, batch: MultimodalBatch) -> InversionAudit:
     with one ``forward_views`` pass over the subsets' ``keep_observed``
     views of the batch, counted as ``audit_confidences`` does."""
     modalities = batch.num_modalities
-    if modalities > 4:
-        raise ValueError("full lattice audit is limited to 4 modalities")
+    if modalities > EXHAUSTIVE_MAX:
+        raise ValueError("full lattice audit is limited to "
+                         f"{EXHAUSTIVE_MAX} modalities")
     lattice = subset_lattice(modalities)
     views, live = keep_observed(batch.presence, lattice.subsets[:, None])
     conf = [out.confidence.data for out in forward_views(model, batch, views)]

@@ -12,9 +12,8 @@ the batch's own presence and return V * n rows, row v * n + i being row i
 as seen through view v. Features a view leaves out do not reach its rows:
 they are zeroed in the gate input and weighted by exactly 0 in the fusion.
 
-The pass is plain NumPy. On an active tape ``forward`` records itself as
-one node whose pullback is derived by hand; ``gate_rows`` is off the tape,
-and so is ``forward_views``, which reads one view at a time.
+The pass is plain NumPy; ``forward_pullback`` returns it with its
+hand-derived pullback, and the other passes only read.
 """
 
 from __future__ import annotations
@@ -38,6 +37,7 @@ __all__ = [
     "entropy_rows",
     "gate_rows",
     "forward",
+    "forward_pullback",
     "forward_views",
     "predict_subset",
     "save_checkpoint",
@@ -104,7 +104,7 @@ class FusionModel:
 
     The model owns its parameter memory: ``base`` (projections and head)
     and ``gate`` are each laid out as flat parameter and gradient buffers,
-    which ``forward``'s pullback adds into and an optimizer updates whole.
+    which the pass's pullback adds into and an optimizer updates whole.
     Write a parameter through its view (``t.data[...] = x``), not by
     rebinding it."""
 
@@ -214,10 +214,9 @@ def entropy_rows(p: np.ndarray) -> np.ndarray:
 @dataclass
 class ForwardOutput:
     """Per-sample gate weights, fused features and logits, as tensors; use
-    ``.data``. ``p`` and ``logits`` are the outputs of the pass's tape
-    node, which reads their gradients. The max-class confidence (a tensor)
-    and the gate entropy (nats, an array) are computed from the logits and
-    weights when read, and take no gradient: the loss derives its own."""
+    ``.data``. The max-class confidence (a tensor) and the gate entropy
+    (nats, an array) are computed from the logits and weights when read,
+    and take no gradient: the loss derives its own."""
 
     p: T.Tensor
     z: T.Tensor
@@ -379,8 +378,8 @@ def gate_rows(model: FusionModel, batch: MultimodalBatch,
               views: np.ndarray | None = None) -> T.Tensor:
     """Mixture weights over observed modalities, one simplex row per sample
     and view: [V * n, M] for V [n, M] presence ``views`` inside
-    ``batch.presence`` (default: that presence, V = 1). Off the tape: the
-    gate's gradient flows through ``forward``'s node.
+    ``batch.presence`` (default: that presence, V = 1). Read-only: the
+    gate's gradient flows through ``forward_pullback``.
 
     A row observing one modality weighs it by exactly 1 and passes the gate
     no gradient, so the gate runs only on views with a row observing more.
@@ -414,39 +413,33 @@ def forward(model: FusionModel, batch: MultimodalBatch,
     """Full fusion pass over ``views`` of the batch's rows, as in
     ``gate_rows``: each modality's projection is computed once on the
     batch's rows and ``_blend`` sums them per view row by its gate weights,
-    then the linear head gives the logits.
+    then the linear head gives the logits. Raises ``ValueError`` as
+    ``gate_rows`` does, and if the logits are non-finite."""
+    return forward_pullback(model, batch, views)[0]
 
-    On an active tape the pass is one node. Its pullback reads the
-    gradients of ``p`` and ``logits`` and adds every parameter's, with the
-    array operations of the layer-by-layer chain it replaced (kept in
-    ``tests/reference_chain.py``), in that chain's reverse order. Raises
-    ``ValueError`` as ``gate_rows`` does, and if the logits are non-finite.
-    """
+
+def forward_pullback(model: FusionModel, batch: MultimodalBatch,
+                     views: np.ndarray | None = None):
+    """``forward``'s output and its pullback, which adds every parameter's
+    gradient (none where ``requires_grad`` is cleared) from those of the
+    logits and ``p`` into the model's buffers, with the array operations of
+    the chain in ``tests/reference_chain.py``, in its reverse order."""
     p, gate_back = _gate_rows(model, batch, views)
     stacked = _per_modality(batch.n, batch.features,
                             [w.data for w in model.proj])
     out, wv = _fuse(model, p, stacked)
 
-    def backward():
-        gp, g = out.p.grad, out.logits.grad
-        if g is not None:
-            _add_grad(model.head_b, g.sum(axis=0))
-            gz = g @ model.head_w.data.T
-            _add_grad(model.head_w, out.z.data.T @ g)
-            gw, gb = _blend_back(gz, stacked, wv, gate_back is not None)
-            if gate_back is not None:
-                gp = gw if gp is None else gp + gw
-            for m, (f, w) in enumerate(zip(batch.features, model.proj)):
-                _add_grad(w, f.T @ gb[:, m])
-        if gp is not None and gate_back is not None:
-            gate_back(gp)
+    def pullback(g: np.ndarray, gp: np.ndarray) -> None:
+        _add_grad(model.head_b, g.sum(axis=0))
+        gz = g @ model.head_w.data.T
+        _add_grad(model.head_w, out.z.data.T @ g)
+        gw, gb = _blend_back(gz, stacked, wv, gate_back is not None)
+        for m, (f, w) in enumerate(zip(batch.features, model.proj)):
+            _add_grad(w, f.T @ gb[:, m])
+        if gate_back is not None:
+            gate_back(gp + gw)
 
-    inputs = model.base_parameters()
-    if gate_back is not None:
-        inputs += model.gate_parameters()
-    T._maybe_record(out.logits, inputs, backward)
-    out.p.requires_grad = out.logits.requires_grad and gate_back is not None
-    return out
+    return out, pullback
 
 
 def forward_views(model: FusionModel, batch: MultimodalBatch,
@@ -455,8 +448,8 @@ def forward_views(model: FusionModel, batch: MultimodalBatch,
     view's rows are alive at a time. The split's prepared form, its
     ``_gate_products`` and projections, is built once when iteration
     starts; each view then runs only the blend of those by its keep mask,
-    the rest of the gate, the fusion blend and the head. Off the tape;
-    raises ``ValueError`` as ``forward`` does, at the view at fault."""
+    the rest of the gate, the fusion blend and the head. Raises
+    ``ValueError`` as ``forward`` does, at the view at fault."""
     _check_layout(model, batch)
     gate = None
     if (batch.presence.sum(axis=1) > 1).any():  # else no view runs the gate

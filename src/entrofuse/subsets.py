@@ -9,7 +9,12 @@ from itertools import combinations
 
 import numpy as np
 
-__all__ = ["SubsetLattice", "subset_lattice", "nonempty_subsets"]
+__all__ = ["EXHAUSTIVE_MAX", "SubsetLattice", "subset_lattice",
+           "nonempty_subsets"]
+
+# the most modalities for which every subset is enumerated: the audit, the
+# all_subsets teacher family and the consistency penalty's unsampled lattice
+EXHAUSTIVE_MAX = 4
 
 
 def nonempty_subsets(modalities: int) -> np.ndarray:

@@ -1,29 +1,24 @@
-"""Dense float64 tensors and a reverse-mode gradient tape of hand-derived nodes.
+"""Dense float64 tensors and a reverse-mode gradient tape.
 
-A node is one computation whose pullback is written out by hand: the
-fusion model pass (``model.forward``) is one, and a loss joins the tape
-as one ``scalar_node``; the training objective (``losses.composite_loss``)
-is one. ``Tape.backward`` replays the nodes in reverse, each exactly once.
+Parameters and the model pass's outputs are ``Tensor``s. Training opens no
+tape, as the model pass and the objective derive their gradients by hand;
+the tests' reference chain of generic ops records on it.
 
 Finiteness is checked at the boundaries: ``Tensor(data)`` rejects
-non-finite data and parameters coming from outside, node results skip that
-scan, and the model rejects non-finite gate weights and logits on every
-read and train path. The trainer's divergence guard and ``adamw_step``'s
-gradient check cover the loss and the backward pass.
+non-finite data and parameters coming from outside, results built with
+``_result`` skip that scan, and the model rejects non-finite gate weights
+and logits on every read and train path. The trainer's divergence guard and
+``adamw_step``'s gradient check cover the loss and the backward pass.
 """
 
 from __future__ import annotations
 
 import threading
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
-__all__ = [
-    "Tensor",
-    "Tape",
-    "scalar_node",
-]
+__all__ = ["Tensor", "Tape"]
 
 
 class Tensor:
@@ -53,7 +48,7 @@ class Tensor:
 
 
 def _result(data) -> Tensor:
-    """A node result: a Tensor built without the finiteness scan."""
+    """A computed result: a Tensor built without the finiteness scan."""
     out = Tensor.__new__(Tensor)
     out.data = np.asarray(data, dtype=np.float64)
     out.grad = None
@@ -69,17 +64,12 @@ def _active_tape() -> "Tape | None":
 
 
 class Tape:
-    """Ordered record of nodes, replayable backward exactly once.
-
-    Nodes record themselves onto the active tape in execution (topological)
-    order; ``backward`` walks the record in reverse, invoking every node's
-    pullback exactly once.
-    """
+    """Ordered record of nodes, which record themselves onto the active
+    tape in execution order; ``backward`` replays it in reverse, once."""
 
     def __init__(self):
         self._nodes: list[Callable[[], None]] = []
         self._consumed = False
-        self.backward_calls = 0
 
     def __enter__(self) -> "Tape":
         if _active_tape() is not None:
@@ -107,40 +97,3 @@ class Tape:
         root.grad = np.ones((), dtype=np.float64)
         for fn in reversed(self._nodes):
             fn()
-            self.backward_calls += 1
-
-
-def _accum(t: Tensor, g: np.ndarray) -> None:
-    if t.grad is None:
-        t.grad = g
-    else:
-        t.grad = t.grad + g
-
-
-def _maybe_record(out: Tensor, inputs: Sequence[Tensor], backward_fn) -> Tensor:
-    tape = _active_tape()
-    if tape is not None and any(t.requires_grad for t in inputs):
-        out.requires_grad = True
-        tape.record(backward_fn)
-    return out
-
-
-def scalar_node(value, inputs: Sequence[Tensor],
-                grads: Sequence[np.ndarray]) -> Tensor:
-    """A scalar whose gradients are derived by hand, as one node:
-    ``grads[k]`` is d value / d ``inputs[k]``, and backward adds it, times
-    the upstream gradient (1 at the root), into that input's gradient."""
-    if any(g.shape != t.shape for t, g in zip(inputs, grads, strict=True)):
-        raise ValueError("each gradient needs its input's shape")
-    out = _result(value)
-    if out.data.ndim != 0:
-        raise ValueError("scalar_node value must be a scalar")
-
-    def backward():
-        if out.grad is None:
-            return
-        for t, g in zip(inputs, grads):
-            if t.requires_grad:
-                _accum(t, g * out.grad)
-
-    return _maybe_record(out, inputs, backward)

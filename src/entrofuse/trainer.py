@@ -4,10 +4,10 @@ One epoch: refresh the mask teacher, advance the warm-up ramps, then for
 each shuffled minibatch draw a modality mask inside each row's observed set,
 run the gated forward pass over presence views of the minibatch rows (the
 masked pattern, and with the consistency penalty on, one view per lattice
-subset) and the task + entropy + consistency objective, each one tape node,
-and take one decoupled-weight-decay Adam step per parameter group on the
-model's flat buffers (gate parameters at their own learning rate, cosine
-decay on both groups). Every draw and subset view is ``data.keep_observed``'s,
+subset) and the task + entropy + consistency objective, whose gradients
+``losses.step_loss`` adds into the model's flat buffers, and take one
+decoupled-weight-decay Adam step per parameter group on them (gate
+parameters at their own learning rate, cosine decay on both groups). Every draw and subset view is ``data.keep_observed``'s,
 so any presence that leaves each row a modality trains. Instance lambda
 reads the masked pattern as presence too, and the single_modality ablation
 restricts each split's presence to the kept modality: no path builds a
@@ -28,7 +28,6 @@ from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
-from . import tensor as T
 from .curriculum import (FAMILIES, Schedules, acm_distribution, ramp,
                          sample_keep)
 from .data import MultimodalBatch, bernoulli_mask, keep_observed
@@ -282,29 +281,21 @@ def train(cfg: TrainConfig, data: tuple[MultimodalBatch, MultimodalBatch, Multim
                 lam = lambda_of(model, replace(batch, presence=keep),
                                 cfg.lambda_cfg, drop_rng, v_max)
 
-            with T.Tape() as tape:
-                total, bd = step_loss(
-                    model, batch, keep, lattice, lam=lam, gamma=cfg.gamma,
-                    multilabel=multilabel)
-                if ref_total is None:
-                    ref_total = bd.total
-                guard = cfg.divergence_factor * max(abs(ref_total), 1e-3)
-                if not np.isfinite(bd.total) or bd.total > guard:
-                    raise DivergenceError(
-                        f"loss {bd.total} at epoch {epoch} step {step} "
-                        f"exceeds guard {guard} (reference {ref_total})")
-                tape.backward(total)
+            bd = step_loss(model, batch, keep, lattice, lam=lam,
+                           gamma=cfg.gamma, multilabel=multilabel)
+            if ref_total is None:
+                ref_total = bd.total
+            guard = cfg.divergence_factor * max(abs(ref_total), 1e-3)
+            if not np.isfinite(bd.total) or bd.total > guard:
+                raise DivergenceError(
+                    f"loss {bd.total} at epoch {epoch} step {step} "
+                    f"exceeds guard {guard} (reference {ref_total})")
             for group, lr, state in groups:
                 adamw_step(group.params, group.grads, state, lr * lr_scale,
                            weight_decay=cfg.weight_decay)
             model.zero_grad()
             sums += (bd.total, bd.task, bd.ent, bd.cec, bd.lam)
 
-        # the last step's tape holds its intermediates and their gradients:
-        # drop it before the validation pass and the next teacher probe.
-        # Only here: freed after every backward, that memory sits at the top
-        # of the heap, and the allocator returns and re-faults it each step
-        tape = None
         mean = sums / steps
         history.append(LossBreakdown(
             total=float(mean[0]), task=float(mean[1]), ent=float(mean[2]),

@@ -1,7 +1,7 @@
 """The fusion model pass and the training objective as the chains of
-generic tape ops they were built from, before ``model.forward`` and
-``losses.composite_loss`` each became one hand-derived node, kept as the
-references those nodes must equal bit for bit.
+generic tape ops they were built from, before ``model.forward_pullback``
+and ``losses.composite_loss`` each derived their gradients by hand, kept as
+the references those must equal bit for bit.
 
 The ops are the package's former tape primitives, unchanged: the layer ops
 ``matmul``, ``linear``, ``relu``, ``masked_softmax``, ``gather``,
@@ -10,7 +10,13 @@ and the loss ops, which ``composite_loss`` composes. Tests also use
 ``add``, ``mul``, ``mul_scalar`` and ``mean_all`` to weight the outputs of
 the package's own ops in gradient checks, and ``row_max`` over ``softmax``
 or ``sigmoid`` as a confidence that takes a gradient. ``grad_check``
-compares tape gradients with central differences.
+compares tape gradients with central differences, and ``scalar_node``
+puts a value with hand-derived gradients on the tape.
+
+The adapters at the end join the two sides: ``run_pullback`` feeds a
+package pass's pullback the tape gradients of a loss on its outputs, and
+``forward_pullback`` and ``objective`` give the chains the package's
+tapeless call forms, so a training step can run on them.
 """
 
 from __future__ import annotations
@@ -21,7 +27,7 @@ import numpy as np
 
 from entrofuse.losses import LossBreakdown
 from entrofuse.model import ForwardOutput
-from entrofuse.tensor import Tape, Tensor, _maybe_record, _result
+from entrofuse.tensor import Tape, Tensor, _active_tape, _result
 
 
 def _accum(t: Tensor, g: np.ndarray) -> None:
@@ -32,6 +38,35 @@ def _accum(t: Tensor, g: np.ndarray) -> None:
         t.grad = np.array(g, dtype=np.float64)
     else:
         t.grad += g
+
+
+def _maybe_record(out: Tensor, inputs: Sequence[Tensor], backward_fn) -> Tensor:
+    tape = _active_tape()
+    if tape is not None and any(t.requires_grad for t in inputs):
+        out.requires_grad = True
+        tape.record(backward_fn)
+    return out
+
+
+def scalar_node(value, inputs: Sequence[Tensor],
+                grads: Sequence[np.ndarray]) -> Tensor:
+    """A scalar whose gradients are derived by hand, as one node:
+    ``grads[k]`` is d value / d ``inputs[k]``, and backward adds it, times
+    the upstream gradient (1 at the root), into that input's gradient."""
+    if any(g.shape != t.shape for t, g in zip(inputs, grads, strict=True)):
+        raise ValueError("each gradient needs its input's shape")
+    out = _result(value)
+    if out.data.ndim != 0:
+        raise ValueError("scalar_node value must be a scalar")
+
+    def backward():
+        if out.grad is None:
+            return
+        for t, g in zip(inputs, grads):
+            if t.requires_grad:
+                _accum(t, g * out.grad)
+
+    return _maybe_record(out, inputs, backward)
 
 
 def grad_check(f: Callable[[Tensor], Tensor], x: Tensor, eps: float = 1e-5) -> float:
@@ -668,3 +703,51 @@ def composite_loss(logits: Tensor, p: Tensor, labels: np.ndarray, *,
         total=total.item(), task=task.item(), ent=ent_report,
         cec=0.0 if cec is None else cec.item(), lam=lam_report,
         gamma=float(gamma))
+
+
+# ---------------------------------------------------------------------------
+# adapters between the package's tapeless gradients and the tape
+# ---------------------------------------------------------------------------
+
+def _grad_or_zeros(t: Tensor) -> np.ndarray:
+    return np.zeros_like(t.data) if t.grad is None else t.grad
+
+
+def run_pullback(out, pullback, loss) -> Tensor:
+    """Take the scalar ``loss(logits, p)`` on the tape over leaves holding
+    the package pass's outputs ``out`` and feed their gradients to the
+    pass's ``pullback``; returns the loss."""
+    logits = Tensor(out.logits.data, requires_grad=True)
+    p = Tensor(out.p.data, requires_grad=True)
+    with Tape() as tape:
+        value = loss(logits, p)
+    tape.backward(value)
+    pullback(_grad_or_zeros(logits), _grad_or_zeros(p))
+    return value
+
+
+def forward_pullback(model, batch, views=None):
+    """``model.forward_pullback`` from the chain ``forward``: the chain
+    records on its own tape, and the pullback seeds the outputs' gradients
+    with one ``scalar_node`` and replays that tape."""
+    tape = Tape()
+    with tape:
+        out = forward(model, batch, views)
+
+    def pullback(g_logits: np.ndarray, g_p: np.ndarray) -> None:
+        with tape:
+            root = scalar_node(0.0, (out.logits, out.p), (g_logits, g_p))
+        tape.backward(root)
+
+    return out, pullback
+
+
+def objective(logits: np.ndarray, p: np.ndarray, labels: np.ndarray, **kw):
+    """``losses.composite_loss``'s results from the chain ``composite_loss``
+    on a tape over leaves holding ``logits`` and ``p``: the breakdown and
+    the gradients with respect to both."""
+    leaves = [Tensor(a, requires_grad=True) for a in (logits, p)]
+    with Tape() as tape:
+        total, breakdown = composite_loss(*leaves, labels, **kw)
+    tape.backward(total)
+    return (breakdown, *map(_grad_or_zeros, leaves))

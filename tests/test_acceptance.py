@@ -13,7 +13,6 @@ import numpy as np
 import pytest
 import yaml
 
-import entrofuse.tensor as T
 from entrofuse.cli import main
 from entrofuse.curriculum import (Schedules, acm_distribution, candidate_family,
                                   ramp)
@@ -87,10 +86,10 @@ def arm_mean(bench, arm, key):
 
 
 def test_c01_loss_gradients_match_finite_differences():
-    # the objective is one node, so each term is read off it: the task term
-    # at lam = gamma = 0, the entropy and consistency terms as the change of
-    # the analytic and of the numeric gradient from coefficient 0 to 1, and
-    # the composite objective at (0.05, 0.2)
+    # the objective's gradient is derived as a whole, so each term is read
+    # off it: the task term at lam = gamma = 0, the entropy and consistency
+    # terms as the change of the analytic and of the numeric gradient from
+    # coefficient 0 to 1, and the composite objective at (0.05, 0.2)
     terms = {"task": [(0.0, 0.0)],
              "entropy": [(1.0, 0.0), (0.0, 0.0)],
              "consistency": [(0.0, 1.0), (0.0, 0.0)],
@@ -106,24 +105,25 @@ def test_c01_loss_gradients_match_finite_differences():
         params = [param for _, param in model.parameters()]
 
         def objective(lam, gamma):
+            # each call also adds its gradients into the model's buffers
             return step_loss(model, batch, batch.presence, lattice, lam=lam,
-                             gamma=gamma)[0]
+                             gamma=gamma).total
 
         def gradients(lam, gamma, picks):
             """Analytic and central-difference gradients of the objective
             at one entry of each parameter."""
             model.zero_grad()
-            with T.Tape() as tape:
-                tape.backward(objective(lam, gamma))
-            analytic, numeric = [], []
+            objective(lam, gamma)
+            analytic = [param.grad.reshape(-1)[idx]
+                        for param, idx in zip(params, picks)]
+            numeric = []
             for param, idx in zip(params, picks):
                 flat = param.data.reshape(-1)
-                analytic.append(param.grad.reshape(-1)[idx])
                 keep = flat[idx]
                 flat[idx] = keep + eps
-                up = objective(lam, gamma).item()
+                up = objective(lam, gamma)
                 flat[idx] = keep - eps
-                down = objective(lam, gamma).item()
+                down = objective(lam, gamma)
                 flat[idx] = keep
                 numeric.append((up - down) / (2 * eps))
             return np.array(analytic), np.array(numeric)

@@ -334,6 +334,22 @@ class TestSampleMask:
         keep = sample_keep(dist, 1.0, 50, np.random.default_rng(1))
         assert (keep == ~dist.support[0]).all()
 
+    def test_draw_past_a_short_cumsum_picks_the_last_candidate(self):
+        # the teacher's probabilities may sum to within 1e-9 of 1, so a
+        # uniform draw can land at or above their cumsum's last entry
+        dist = self._dist(probs=(0.5, 0.4999999995))
+
+        class Draws:  # the gate's uniforms, then the picks'
+            def __init__(self, *draws):
+                self.draws = list(draws)
+
+            def random(self, n):
+                return self.draws.pop(0)
+
+        draws = Draws(np.zeros(2), np.array([0.25, 0.99999999999]))
+        keep = sample_keep(dist, 1.0, 2, draws)
+        assert np.array_equal(keep, ~dist.support)
+
     def test_masked_fraction_tracks_rate(self):
         dist = self._dist()
         keep = sample_keep(dist, 0.5, 100_000, np.random.default_rng(2))

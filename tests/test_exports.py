@@ -1,6 +1,6 @@
 """Export lists: every name a module lists in ``__all__`` exists, every
 name the benchmark's tracer wraps still resolves, and a traced training
-run counts its tape nodes and leaves the package as it found it."""
+run records no tape node and leaves the package as it found it."""
 
 import ast
 import importlib
@@ -11,6 +11,7 @@ from pathlib import Path
 import entrofuse
 import entrofuse.trainer as trainer_module
 from entrofuse.data import MultimodalBatch
+from entrofuse.subsets import EXHAUSTIVE_MAX
 from entrofuse.tensor import Tape
 
 from test_trainer import small_cfg, small_data
@@ -42,10 +43,13 @@ def test_every_exported_name_resolves():
 
 
 def test_only_the_training_path_imports_the_tape():
-    # the tape serves the model pass, the objective and the step loop only
-    importers = []
+    # the model's parameters and outputs are tensors; training records no
+    # node, so the helpers that record one live in the tests
+    importers, defined = [], set()
     for path in sorted(Path(entrofuse.__file__).parent.glob("*.py")):
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.FunctionDef):
+                defined.add(node.name)
             if isinstance(node, ast.ImportFrom) and (
                     node.module in ("tensor", "entrofuse.tensor")
                     or node.module in (None, "entrofuse")
@@ -54,8 +58,23 @@ def test_only_the_training_path_imports_the_tape():
             if isinstance(node, ast.Import) and any(
                     a.name == "entrofuse.tensor" for a in node.names):
                 importers.append(path.stem)
-    assert sorted(set(importers)) == ["__init__", "losses", "model",
-                                      "trainer"]
+    assert sorted(set(importers)) == ["__init__", "model"]
+    assert not defined & {"scalar_node", "_maybe_record", "_accum"}
+
+
+def test_the_exhaustive_lattice_limit_has_one_owner():
+    # the audit, the CLI, the teacher family, the config and the penalty's
+    # lattice compare a modality count with subsets.EXHAUSTIVE_MAX, never
+    # with its value
+    literal = []
+    for path in sorted(Path(entrofuse.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Compare) and any(
+                    isinstance(side, ast.Constant)
+                    and side.value == EXHAUSTIVE_MAX
+                    for side in (node.left, *node.comparators)):
+                literal.append(f"{path.stem}:{node.lineno}")
+    assert literal == []
 
 
 def test_every_traced_name_resolves():
@@ -72,9 +91,10 @@ def test_every_traced_name_resolves():
     assert missing == []
 
 
-def test_traced_training_counts_two_nodes_per_step_and_restores_names():
-    # the --trace 1 path: one model-pass node and one objective node per
-    # gamma > 0 step, and every wrapped name put back on removal
+def test_traced_training_records_no_tape_node_and_restores_names():
+    # the --trace 1 path: a gamma > 0 run records no tape node, its
+    # objective shows as a span, and every wrapped name is put back on
+    # removal
     tracing = _tracing()
     namespaces = [vars(module) for module in _modules()] + [
         Tape.__dict__, MultimodalBatch.__dict__]
@@ -88,10 +108,9 @@ def test_traced_training_counts_two_nodes_per_step_and_restores_names():
         trainer_module.train(cfg, data)
     finally:
         tracer.remove()
-    steps = cfg.epochs * -(-data[0].n // cfg.batch_size)
-    assert dict(tracer.tape_nodes) == {"idle": 2 * steps}
+    assert sum(tracer.tape_nodes.values()) == 0
     names = {span[0] for span in tracer.spans}
-    assert {"model.forward", "tensor.backward"} <= names
+    assert "losses.composite_loss" in names and "tensor.backward" not in names
     assert patched
     for target, key, original in patched:
         assert vars(target)[key] is original, key

@@ -1,5 +1,5 @@
 """Composite objective: task term, entropy penalty, consistency hinge, and
-the one tape node that computes them against the op chain it replaced."""
+their hand-derived gradients against the op chain they replaced."""
 
 from itertools import combinations
 
@@ -13,7 +13,7 @@ from entrofuse.data import bernoulli_mask, keep_observed
 from entrofuse.losses import (cec_loss, cec_pairs, composite_loss, step_loss,
                               subset_confidences)
 from entrofuse.metrics import audit_confidences
-from entrofuse.model import FusionConfig, forward
+from entrofuse.model import FusionConfig, forward, forward_pullback
 from entrofuse.rng import stream
 from entrofuse.subsets import SubsetLattice, subset_lattice
 from entrofuse.trainer import train
@@ -35,8 +35,15 @@ def terms(logits, labels, p=None, multilabel=False, lam=0.0):
     weights default to uniform rows over 3 modalities."""
     if p is None:
         p = np.full((len(logits), 3), 1.0 / 3.0)
-    return composite_loss(T.Tensor(logits), T.Tensor(p), labels, lam=lam,
-                          gamma=0.0, multilabel=multilabel)[1]
+    return composite_loss(logits, p, labels, lam=lam, gamma=0.0,
+                          multilabel=multilabel)[0]
+
+
+def loss_node(logits, p, labels, **kw):
+    """``composite_loss`` of the tensors ``logits`` and ``p`` as one tape
+    node with its gradients, for ``grad_check``."""
+    bd, g_logits, g_p = composite_loss(logits.data, p.data, labels, **kw)
+    return R.scalar_node(bd.total, (logits, p), (g_logits, g_p))
 
 
 class TestTaskLoss:
@@ -106,8 +113,8 @@ class TestEntropyPenalty:
             logits = T.Tensor(rng.normal(size=(4, 3)))
             labels = rng.integers(0, 3, size=4)
             x = T.Tensor(rng.uniform(0.05, 1.0, size=(4, 3)))
-            err = R.grad_check(lambda t: composite_loss(
-                logits, t, labels, lam=1.0, gamma=0.0)[0], x)
+            err = R.grad_check(lambda t: loss_node(
+                logits, t, labels, lam=1.0, gamma=0.0), x)
             assert err < 1e-6
 
 
@@ -340,7 +347,7 @@ class TestFusedCecLoss:
 
         def loss(x):
             value, grad = cec_loss(x.data.reshape(shape), index)
-            return T.scalar_node(value, (x,), (grad.ravel(),))
+            return R.scalar_node(value, (x,), (grad.ravel(),))
 
         x = T.Tensor(rng.uniform(0.3, 1.0, size=shape[0] * shape[1]))
         assert R.grad_check(loss, x) < 1e-6
@@ -356,30 +363,29 @@ class TestCompositeLoss:
         """Logits and gate weights of ``views`` views of n rows; the task
         reads view 0 and the one pair penalizes view 0 against view 1."""
         rng = np.random.default_rng(seed)
-        logits = T.Tensor(rng.normal(size=(views * n, classes)) * 2.0)
-        p = T.Tensor(softmax_rows(rng.normal(size=(views * n, m))))
+        logits = rng.normal(size=(views * n, classes)) * 2.0
+        p = softmax_rows(rng.normal(size=(views * n, m)))
         labels = rng.integers(0, classes, size=n)
         return logits, p, labels, dict(rows=np.arange(n), pairs=[(0, 1)])
 
     def test_breakdown_recomposes_total(self):
         for seed in range(5):
             logits, p, labels, kw = self._parts(seed)
-            total, bd = composite_loss(logits, p, labels, lam=0.05, gamma=0.2,
-                                       **kw)
+            bd = composite_loss(logits, p, labels, lam=0.05, gamma=0.2,
+                                **kw)[0]
             assert bd.cec > 0.0
-            np.testing.assert_allclose(total.item(), bd.composed(), rtol=0,
+            np.testing.assert_allclose(bd.total, bd.composed(), rtol=0,
                                        atol=1e-12)
-            assert total.item() == bd.total
 
     def test_component_values_match_independent_terms(self):
         logits, p, labels, kw = self._parts(11)
-        _, bd = composite_loss(logits, p, labels, lam=0.1, gamma=0.3, **kw)
-        rows = T.Tensor(logits.data[:6]), T.Tensor(p.data[:6])
+        bd = composite_loss(logits, p, labels, lam=0.1, gamma=0.3, **kw)[0]
+        rows = T.Tensor(logits[:6]), T.Tensor(p[:6])
         np.testing.assert_allclose(bd.task, R.task_loss(rows[0], labels).item(),
                                    rtol=0, atol=1e-12)
         np.testing.assert_allclose(bd.ent, R.entropy_penalty(rows[1]).item(),
                                    rtol=0, atol=1e-12)
-        conf = softmax_rows(logits.data).max(axis=1).reshape(2, 6)
+        conf = softmax_rows(logits).max(axis=1).reshape(2, 6)
         np.testing.assert_allclose(
             bd.cec, np.mean(np.maximum(conf[0] - conf[1], 0.0) ** 2), rtol=0,
             atol=1e-15)
@@ -389,7 +395,7 @@ class TestCompositeLoss:
 
         def total(lam, gamma):
             return composite_loss(logits, p, labels, lam=lam, gamma=gamma,
-                                  **kw)[0].item()
+                                  **kw)[0].total
 
         t00, t10, t01 = total(0.0, 0.0), total(1.0, 0.0), total(0.0, 1.0)
         lam, gam = 0.37, 0.83
@@ -401,7 +407,7 @@ class TestCompositeLoss:
         # entropy term is nonpositive, so a larger weight can only lower total
         logits, p, labels, _ = self._parts(14, views=1)
         lams = [0.0, 0.01, 0.1, 0.5, 2.0]
-        totals = [composite_loss(logits, p, labels, lam=l, gamma=0.0)[0].item()
+        totals = [composite_loss(logits, p, labels, lam=l, gamma=0.0)[0].total
                   for l in lams]
         assert all(b <= a + 1e-15 for a, b in zip(totals, totals[1:]))
 
@@ -419,14 +425,14 @@ class TestCompositeLoss:
                 composite_loss(logits, p, labels, lam=0.1, gamma=0.0,
                                rows=np.array(rows))
         with pytest.raises(ValueError, match="one row each"):
-            composite_loss(logits, T.Tensor(p.data[:6]), labels, lam=0.1,
-                           gamma=0.0, rows=np.arange(6))
+            composite_loss(logits, p[:6], labels, lam=0.1, gamma=0.0,
+                           rows=np.arange(6))
 
     def test_negative_scalar_lambda_rejected(self):
         logits, p, labels, _ = self._parts(16, views=1)
         with pytest.raises(ValueError, match="negative"):
             composite_loss(logits, p, labels, lam=-0.01, gamma=0.0)
-        _, bd = composite_loss(logits, p, labels, lam=0.0, gamma=0.0)
+        bd = composite_loss(logits, p, labels, lam=0.0, gamma=0.0)[0]
         assert bd.total == bd.task
 
     def test_vector_lambda_recomposes_and_reports_mean(self):
@@ -434,15 +440,15 @@ class TestCompositeLoss:
             logits, p, labels, _ = self._parts(20 + seed, views=1)
             rng = np.random.default_rng(100 + seed)
             lam = rng.uniform(0.01, 0.2, size=6)
-            total, bd = composite_loss(logits, p, labels, lam=lam, gamma=0.0)
+            bd = composite_loss(logits, p, labels, lam=lam, gamma=0.0)[0]
             np.testing.assert_allclose(bd.lam, lam.mean(), rtol=0, atol=1e-15)
-            np.testing.assert_allclose(total.item(), bd.composed(), rtol=0,
+            np.testing.assert_allclose(bd.total, bd.composed(), rtol=0,
                                        atol=1e-12)
             # per-sample weighting oracle
-            ent_rows = -(p.data * np.log(np.maximum(p.data, 1e-300))).sum(axis=1)
-            expected = (R.task_loss(logits, labels).item()
+            ent_rows = -(p * np.log(np.maximum(p, 1e-300))).sum(axis=1)
+            expected = (R.task_loss(T.Tensor(logits), labels).item()
                         - np.mean(lam * ent_rows))
-            np.testing.assert_allclose(total.item(), expected, rtol=0, atol=1e-12)
+            np.testing.assert_allclose(bd.total, expected, rtol=0, atol=1e-12)
 
     def test_negative_vector_lambda_entry_rejected(self):
         logits, p, labels, _ = self._parts(24, views=1)
@@ -466,12 +472,13 @@ class TestCompositeLoss:
             lam = np.linspace(0.05, 0.3, 6)
             for name, x in (("logits", logits), ("p", p)):
                 def loss(t, name=name):
-                    inputs = {"logits": logits, "p": p, name: t}
-                    return composite_loss(inputs["logits"], inputs["p"],
-                                          labels, lam=lam, gamma=2.0,
-                                          multilabel=multilabel, **kw)[0]
+                    inputs = {"logits": T.Tensor(logits), "p": T.Tensor(p),
+                              name: t}
+                    return loss_node(inputs["logits"], inputs["p"], labels,
+                                     lam=lam, gamma=2.0,
+                                     multilabel=multilabel, **kw)
 
-                assert R.grad_check(loss, x) < 1e-6
+                assert R.grad_check(loss, T.Tensor(x)) < 1e-6
 
     def test_gradient_through_model_matches_central_differences(self):
         rng = np.random.default_rng(30)
@@ -481,23 +488,23 @@ class TestCompositeLoss:
         lattice = subset_lattice(2)
 
         def total_value():
+            # each call also adds its gradients into the model's buffers
             return step_loss(model, batch, batch.presence, lattice, lam=0.05,
-                             gamma=0.2)[0]
+                             gamma=0.2).total
 
-        with T.Tape() as tape:
-            tape.backward(total_value())
+        total_value()
+        grads = [param.grad.copy() for _, param in model.parameters()]
         eps = 1e-5
         checked = 0
-        for _, param in model.parameters():
+        for (_, param), grad in zip(model.parameters(), grads):
             flat = param.data.reshape(-1)
-            gflat = (param.grad if param.grad is not None
-                     else np.zeros_like(param.data)).reshape(-1)
+            gflat = grad.reshape(-1)
             for idx in rng.choice(flat.size, size=min(2, flat.size), replace=False):
                 keep = flat[idx]
                 flat[idx] = keep + eps
-                up = total_value().item()
+                up = total_value()
                 flat[idx] = keep - eps
-                down = total_value().item()
+                down = total_value()
                 flat[idx] = keep
                 numeric = (up - down) / (2 * eps)
                 err = abs(gflat[idx] - numeric) / (abs(gflat[idx]) + abs(numeric) + 1e-12)
@@ -510,24 +517,25 @@ class TestCompositeLoss:
             logits, p, labels, kw = self._parts(31, views=views)
             if views == 1:
                 kw = {}
-            _, bd = composite_loss(logits, p, labels, lam=0.1, gamma=gamma,
-                                   **kw)
+            bd = composite_loss(logits, p, labels, lam=0.1, gamma=gamma,
+                                **kw)[0]
             for field in ("total", "task", "ent", "cec", "lam", "gamma"):
                 assert type(getattr(bd, field)) is float
 
-    def test_records_one_node(self):
+    def test_returns_a_gradient_of_each_input_shape(self):
+        # the task and entropy terms read view 0 only, the hinge both views
         logits, p, labels, kw = self._parts(32)
-        leaves = [T.Tensor(t.data, requires_grad=True) for t in (logits, p)]
-        with T.Tape() as tape:
-            composite_loss(*leaves, labels, lam=0.1, gamma=0.5, **kw)
-        assert tape.num_recorded == 1
+        _, g_logits, g_p = composite_loss(logits, p, labels, lam=0.1,
+                                          gamma=0.5, **kw)
+        assert g_logits.shape == logits.shape and g_p.shape == p.shape
+        assert g_logits[6:].any() and not g_p[6:].any()
 
 
 class TestNodeMatchesChain:
     """``composite_loss`` against ``reference_chain.composite_loss``, the
-    chain of tape ops it replaced: the value, the breakdown and the
-    gradients with respect to the logits and the gate weights are equal bit
-    for bit. Inputs are laid out as a training step lays them out: the
+    chain of tape ops it replaced, run on the tape: the value, the breakdown
+    and the gradients with respect to the logits and the gate weights are
+    equal bit for bit. Inputs are laid out as a training step lays them out: the
     views of the pairs' subsets (plus the extra ``keep`` view where a masked
     row has no subset view), each view row's logits and gate weights a
     function of its presence pattern. Some rows get the same logits in
@@ -577,11 +585,11 @@ class TestNodeMatchesChain:
 
     @staticmethod
     def _run(loss_fn, logits, p, labels, lam, gamma, kw):
-        leaves = [T.Tensor(a.copy(), requires_grad=True) for a in (logits, p)]
-        with T.Tape() as tape:
-            total, bd = loss_fn(*leaves, labels, lam=lam, gamma=gamma, **kw)
-            tape.backward(total)
-        return total.data, bd, [t.grad for t in leaves]
+        """The total, the breakdown and the two gradients: ``composite_loss``
+        returns them, and the chain runs on the tape (``R.objective``)."""
+        bd, *grads = loss_fn(logits.copy(), p.copy(), labels, lam=lam,
+                             gamma=gamma, **kw)
+        return bd.total, bd, grads
 
     @pytest.mark.parametrize("m,lam,multilabel,with_pairs", CASES)
     def test_value_breakdown_and_gradients_equal_the_chain(
@@ -592,7 +600,7 @@ class TestNodeMatchesChain:
         gamma = 20.0 if with_pairs else 0.0
         got, got_bd, got_grads = self._run(composite_loss, logits, p, labels,
                                            lam, gamma, kw)
-        want, want_bd, want_grads = self._run(R.composite_loss, logits, p,
+        want, want_bd, want_grads = self._run(R.objective, logits, p,
                                               labels, lam, gamma, kw)
         assert np.array_equal(got, want)
         assert got_bd == want_bd
@@ -609,7 +617,7 @@ class TestNodeMatchesChain:
         assert not kw["live"].all()
         got, got_bd, got_grads = self._run(composite_loss, logits, p, labels,
                                            lam, 20.0, kw)
-        want, want_bd, want_grads = self._run(R.composite_loss, logits, p,
+        want, want_bd, want_grads = self._run(R.objective, logits, p,
                                               labels, lam, 20.0, kw)
         assert np.array_equal(got, want)
         assert got_bd == want_bd
@@ -632,7 +640,7 @@ class TestNodeMatchesChain:
                                                lam_mode):
         cfg = small_cfg(gamma=gamma, lam_mode=lam_mode, epochs=2)
         got = train(cfg, small_data())
-        monkeypatch.setattr(losses_module, "composite_loss", R.composite_loss)
+        monkeypatch.setattr(losses_module, "composite_loss", R.objective)
         want = train(cfg, small_data())
         assert got.history == want.history
         for (name, a), (_, b) in zip(got.model.parameters(),
@@ -679,22 +687,21 @@ class TestStackedStep:
             R.hinge_pairs(conf, lattice.pairs.tolist(), live), 2.0))
 
     @staticmethod
-    def _loss_and_grads(model, loss_fn):
-        model.zero_grad()
-        with T.Tape() as tape:
-            loss = loss_fn()
-            tape.backward(loss)
-        return loss.item(), {name: param.grad.copy()
-                             for name, param in model.parameters()}
+    def _grads(model):
+        return {name: param.grad.copy() for name, param in model.parameters()}
 
     def _assert_step_matches(self, model, batch, keep, lattice, frozen=False,
                              multilabel=False):
-        got_loss, got = self._loss_and_grads(model, lambda: step_loss(
-            model, batch, keep, lattice, lam=0.05, gamma=2.0,
-            multilabel=multilabel)[0])
-        want_loss, want = self._loss_and_grads(
-            model, lambda: self._reference_loss(model, batch, keep, lattice,
-                                                multilabel))
+        model.zero_grad()
+        got_loss = step_loss(model, batch, keep, lattice, lam=0.05, gamma=2.0,
+                             multilabel=multilabel).total
+        got = self._grads(model)
+        model.zero_grad()
+        with T.Tape() as tape:
+            want_loss = self._reference_loss(model, batch, keep, lattice,
+                                             multilabel)
+            tape.backward(want_loss)
+        want_loss, want = want_loss.item(), self._grads(model)
         assert abs(got_loss - want_loss) <= 1e-12 * abs(want_loss)
         for name, g in want.items():
             scale = np.abs(g).max()
@@ -755,9 +762,9 @@ class TestStackedStep:
 
         def spy(model, batch, views):
             seen.append(views.shape[0])
-            return forward(model, batch, views)
+            return forward_pullback(model, batch, views)
 
-        monkeypatch.setattr(losses_module, "forward", spy)
+        monkeypatch.setattr(losses_module, "forward_pullback", spy)
         step_loss(model, batch, keep, lattice, lam=0.05, gamma=2.0)
         assert seen == [len(lattice.subsets) + 1]
         seen.clear()
@@ -769,11 +776,11 @@ class TestStackedStep:
     def test_without_pairs_is_the_plain_composite_loss(self):
         model, batch, keep, _ = self._setup(90, 3)
         out = forward(model, batch, [keep])
-        want, _ = composite_loss(out.logits, out.p, batch.labels, lam=0.05,
-                                 gamma=0.0)
-        got, bd = step_loss(model, batch, keep, None, lam=0.05, gamma=2.0)
-        assert got.item() == want.item()
-        assert bd.cec == 0.0
+        want = composite_loss(out.logits.data, out.p.data, batch.labels,
+                              lam=0.05, gamma=0.0)[0]
+        got = step_loss(model, batch, keep, None, lam=0.05, gamma=2.0)
+        assert got == want
+        assert got.cec == 0.0
 
     def test_view_with_no_observed_modality_rejected(self, monkeypatch):
         rng = np.random.default_rng(91)
@@ -801,8 +808,8 @@ class TestStackedStep:
             return seen[-1]
 
         monkeypatch.setattr(losses_module, "cec_loss", spy)
-        _, bd = step_loss(model, batch, batch.presence, lattice, lam=0.05,
-                          gamma=2.0)
+        bd = step_loss(model, batch, batch.presence, lattice, lam=0.05,
+                       gamma=2.0)
         assert bd.cec == seen[0][0] and seen[0][1][2, 1] == 0.0
         with pytest.raises(ValueError, match="does not observe"):
             step_loss(model, batch, np.ones((3, 2), dtype=bool), None,
@@ -817,10 +824,8 @@ class TestStackedStep:
         monkeypatch.setattr(data_module, "apply_mask", refuse)
         monkeypatch.setattr(data_module.MultimodalBatch, "__init__", refuse)
         monkeypatch.setattr(data_module.MultimodalBatch, "take", refuse)
-        with T.Tape():
-            _, bd = step_loss(model, batch, keep, lattice, lam=0.05,
-                              gamma=2.0)
-            step_loss(model, batch, keep, None, lam=0.05, gamma=2.0)
+        bd = step_loss(model, batch, keep, lattice, lam=0.05, gamma=2.0)
+        step_loss(model, batch, keep, None, lam=0.05, gamma=2.0)
         assert bd.cec > 0.0
 
 
@@ -871,10 +876,11 @@ class TestPartialPresenceProperties:
         seen = []
 
         def spy(model, batch, views):
-            seen.append((batch.presence, views, forward(model, batch, views)))
-            return seen[-1][2]
+            out, pullback = forward_pullback(model, batch, views)
+            seen.append((batch.presence, views, out))
+            return out, pullback
 
-        monkeypatch.setattr(losses_module, "forward", spy)
+        monkeypatch.setattr(losses_module, "forward_pullback", spy)
         rng = np.random.default_rng(300 + m)
         cfg = FusionConfig(modalities=m, dims=(3, 4, 2, 5, 3)[:m], classes=4,
                            fused_dim=5)
@@ -884,8 +890,7 @@ class TestPartialPresenceProperties:
                                  random_presence(rng, 16, m))
             keep = keep_observed(batch.presence,
                                  bernoulli_mask(16, m, 0.4, rng))[0]
-            _, bd = step_loss(model, batch, keep, lattice, lam=0.05,
-                              gamma=20.0)
+            bd = step_loss(model, batch, keep, lattice, lam=0.05, gamma=20.0)
             assert np.isfinite(bd.total)
         assert len(seen) == 2
         for presence, views, out in seen:

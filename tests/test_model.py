@@ -3,12 +3,11 @@
 import numpy as np
 import pytest
 
-import entrofuse.losses as losses_module
-import entrofuse.tensor as T
 from entrofuse.data import MultimodalBatch, apply_mask
 from entrofuse.losses import cec_pairs, step_loss
-from entrofuse.model import (FusionConfig, FusionModel, forward, gate_rows,
-                             load_checkpoint, predict_subset, save_checkpoint)
+from entrofuse.model import (FusionConfig, FusionModel, forward,
+                             forward_pullback, gate_rows, load_checkpoint,
+                             predict_subset, save_checkpoint)
 from entrofuse.rng import stream
 from entrofuse.subsets import nonempty_subsets
 
@@ -93,15 +92,12 @@ class TestGateWeights:
         cfg = FusionConfig(modalities=3, dims=(4, 3, 5), classes=4, fused_dim=6)
         model = random_model(np.random.default_rng(5), cfg)
         batch = random_batch(np.random.default_rng(6), 8, cfg.dims, cfg.classes)
-        with T.Tape() as tape:
-            out = forward(model, batch)
-            recorded = tape.num_recorded
-            entropy = out.gate_entropy
-            taped = R.entropy_rows(out.p)
-            conf = R.confidence(out.logits)
+        out = forward(model, batch)
+        entropy = out.gate_entropy
+        taped = R.entropy_rows(out.p)
+        conf = R.confidence(out.logits)
         assert isinstance(entropy, np.ndarray)
         assert not out.confidence.requires_grad
-        assert tape.num_recorded == recorded + 3  # the reference ops only
         assert (entropy == taped.data).all()
         assert (out.confidence.data == conf.data).all()
 
@@ -140,10 +136,8 @@ class TestGateWeights:
                 model = frozen_gate_model(rng, cfg)
                 batch = random_batch(rng, 16, cfg.dims, cfg.classes)
                 keep = random_presence(rng, 16, m)
-                with T.Tape() as tape:
-                    total, _ = step_loss(model, batch, keep, cec_pairs(m),
-                                         lam=0.05, gamma=2.0)
-                    tape.backward(total)
+                step_loss(model, batch, keep, cec_pairs(m), lam=0.05,
+                          gamma=2.0)
                 assert not model.gate.grads.any()
                 assert all(t.grad.any() for t in model.base_parameters())
 
@@ -397,60 +391,6 @@ class TestValidation:
             forward(model, batch)
 
 
-class TestTapeSize:
-    def test_m2_consistency_step_records_2_nodes(self):
-        # the model pass, over the {0, 1}, {0} and {1} views, is one node
-        # and the objective, which reads the masked rows and the confidence
-        # of each subset view from the logits, is the other
-        rng = np.random.default_rng(64)
-        cfg = FusionConfig(modalities=2, dims=(3, 5), classes=4, fused_dim=6)
-        model = random_model(rng, cfg)
-        batch = random_batch(rng, 16, cfg.dims, cfg.classes)
-        keep = rng.random((16, 2)) < 0.7
-        keep[~keep.any(axis=1), 1] = True
-        with T.Tape() as tape:
-            step_loss(model, batch, keep, cec_pairs(2), lam=0.05, gamma=20.0)
-        assert tape.num_recorded == 2
-
-    def test_m2_instance_lambda_step_without_pairs_records_2_nodes(self):
-        # the model pass on the keep view and the objective, one node each
-        rng = np.random.default_rng(66)
-        cfg = FusionConfig(modalities=2, dims=(3, 5), classes=4, fused_dim=6)
-        model = random_model(rng, cfg)
-        batch = random_batch(rng, 16, cfg.dims, cfg.classes)
-        keep = rng.random((16, 2)) < 0.7
-        keep[~keep.any(axis=1), 1] = True
-        lam = rng.uniform(0.01, 0.5, size=16)
-        with T.Tape() as tape:
-            step_loss(model, batch, keep, None, lam=lam, gamma=0.0)
-        assert tape.num_recorded == 2
-
-    def test_m4_all_subsets_step_records_one_objective_node(
-            self, monkeypatch):
-        rng = np.random.default_rng(65)
-        cfg = FusionConfig(modalities=4, dims=(3, 4, 2, 5), classes=4,
-                           fused_dim=6)
-        model = random_model(rng, cfg)
-        batch = random_batch(rng, 16, cfg.dims, cfg.classes)
-        subsets = nonempty_subsets(4)
-        keep = subsets[rng.integers(0, len(subsets), size=16)]
-        lattice = cec_pairs(4)
-        assert len(lattice.pairs) == 50
-        recorded = []
-
-        def counted(*args, **kwargs):
-            before = tape.num_recorded
-            out = composite_loss(*args, **kwargs)
-            recorded.append(tape.num_recorded - before)
-            return out
-
-        composite_loss = losses_module.composite_loss
-        monkeypatch.setattr(losses_module, "composite_loss", counted)
-        with T.Tape() as tape:
-            step_loss(model, batch, keep, lattice, lam=0.05, gamma=20.0)
-        assert recorded == [1]
-
-
 class TestCheckpoint:
     def test_round_trip_preserves_everything(self, tmp_path):
         rng = np.random.default_rng(70)
@@ -533,9 +473,8 @@ class TestParamBuffers:
         batch = random_batch(rng, 8, cfg.dims, cfg.classes)
         grads = []
         for _ in range(2):
-            with T.Tape() as tape:
-                out = forward(model, batch)
-                tape.backward(R.mean_all(R.confidence(out.logits)))
+            R.run_pullback(*forward_pullback(model, batch),
+                           lambda logits, p: R.mean_all(R.confidence(logits)))
             grads.append(np.concatenate([model.base.grads, model.gate.grads]))
         np.testing.assert_allclose(grads[1], 2.0 * grads[0], rtol=1e-12)
         self._assert_views(model)

@@ -16,7 +16,8 @@ from entrofuse.data import bernoulli_mask, keep_observed, last_axis_first
 from entrofuse.losses import task_term
 from entrofuse.metrics import audit_confidences, confidence_correct
 from entrofuse.model import (ForwardOutput, FusionConfig, class_probs,
-                             entropy_rows, forward, forward_views, gate_rows)
+                             entropy_rows, forward, forward_pullback,
+                             forward_views, gate_rows)
 from entrofuse.subsets import subset_lattice
 
 from test_model import random_batch, random_model, random_presence
@@ -151,9 +152,8 @@ class TestSameAsRowWise:
             assert np.array_equal(gate_rows(model, batch).data, p)
             gp = rng.normal(size=(n, m))
             model.zero_grad()
-            with T.Tape() as tape:
-                out = forward(model, batch)
-                tape.backward(T.scalar_node(0.0, (out.p,), (gp,)))
+            out, pullback = forward_pullback(model, batch)
+            pullback(np.zeros_like(out.logits.data), gp)
             assert np.array_equal(out.p.data, p)
             g = np.where(batch.presence, gp, 0.0)
             gs = p * (g - (g * p).sum(axis=1, keepdims=True))

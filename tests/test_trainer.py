@@ -243,15 +243,14 @@ class TestTrainLoop:
     @pytest.mark.parametrize("ablation", ["full", "no_gate"])
     def test_consistency_penalty_shares_one_forward_per_step(
             self, monkeypatch, ablation):
-        # training passes are the ones under a tape: one forward per step
-        # carries the masked rows and every subset view, with no
-        # predict_subset call beside it
-        calls = {"forward": 0, "predict_subset": 0}
+        # one model pass per step carries the masked rows and every subset
+        # view, with no predict_subset call beside it; the only other pass
+        # through forward_pullback is each epoch's validation forward
+        calls = {"forward_pullback": 0, "predict_subset": 0}
 
         def counting(name, fn):
             def wrapped(*args, **kwargs):
-                if name == "predict_subset" or T._active_tape() is not None:
-                    calls[name] += 1
+                calls[name] += 1
                 return fn(*args, **kwargs)
             return wrapped
 
@@ -267,7 +266,8 @@ class TestTrainLoop:
         res = train(cfg, small_data())
         assert all(h.cec > 0.0 for h in res.history)
         steps = cfg.epochs * (256 // cfg.batch_size)
-        assert calls == {"forward": steps, "predict_subset": 0}
+        assert calls == {"forward_pullback": steps + cfg.epochs,
+                         "predict_subset": 0}
 
     def test_divergence_guard_raises(self):
         cfg = small_cfg(epochs=10, lr_base=2.0, lr_gate=20.0,
@@ -334,19 +334,17 @@ class TestMaskedCopies:
 class TestTracedPhases:
     def test_each_step_makes_one_update_per_group_and_one_consistency_call(
             self, monkeypatch):
-        # the benchmark's tracer times the optimizer, the objective, its
-        # consistency term and the backward pass by wrapping these
-        # functions in every entrofuse namespace that binds them, and the
-        # tape method, so one gamma > 0 run must reach them through those
-        # names: once per optimizer group and step, and once per step
-        calls = {"adamw_step": [], "cec_loss": [], "composite_loss": [],
-                 "backward": []}
+        # the benchmark's tracer times the optimizer, the objective and its
+        # consistency term by wrapping these functions in every entrofuse
+        # namespace that binds them, so one gamma > 0 run must reach them
+        # through those names: once per optimizer group and step, and once
+        # per step
+        calls = {"adamw_step": [], "cec_loss": [], "composite_loss": []}
         spaces = [module for key, module in sys.modules.items()
-                  if key.split(".")[0] == "entrofuse"] + [T.Tape]
+                  if key.split(".")[0] == "entrofuse"]
         for module, name in ((optim_module, "adamw_step"),
                              (losses_module, "cec_loss"),
-                             (losses_module, "composite_loss"),
-                             (T.Tape, "backward")):
+                             (losses_module, "composite_loss")):
             real = getattr(module, name)
 
             def spy(*args, _real=real, _name=name, **kw):
@@ -361,8 +359,28 @@ class TestTracedPhases:
         steps = cfg.epochs * (256 // cfg.batch_size)
         assert all(h.cec > 0.0 for h in res.history)
         assert len(calls["adamw_step"]) == 2 * steps
-        for name in ("cec_loss", "composite_loss", "backward"):
+        for name in ("cec_loss", "composite_loss"):
             assert len(calls[name]) == steps, name
+
+
+class TestNoTape:
+    @pytest.mark.parametrize("kw", [
+        dict(gamma=2.0, schedules=Schedules(mode="acm", t_warm=5, t_lam=5)),
+        dict(gamma=0.0, lam_mode="instance"),
+        dict(gamma=2.0, ablation="no_gate")])
+    def test_training_never_opens_a_tape(self, monkeypatch, kw):
+        # each step's gradients come from the objective and the model
+        # pass's pullback, so a tape that cannot be entered changes nothing
+        cfg = small_cfg(epochs=2, **kw)
+        want = train(cfg, small_data())
+
+        def refuse(self):
+            raise AssertionError("training opened a tape")
+
+        monkeypatch.setattr(T.Tape, "__enter__", refuse)
+        got = train(cfg, small_data())
+        assert got.history == want.history and len(got.history) == 2
+        assert np.array_equal(got.model.base.params, want.model.base.params)
 
 
 class TestAblationRuns:

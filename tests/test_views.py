@@ -8,8 +8,9 @@ give 0, 1 and several views needing the gate, for 2 to 5 modalities,
 gradients, and every view row must lie on its masked simplex. The read
 paths, the gamma=0 training step and every ablation's training run must
 run without a masked copy.
-``forward``'s one tape node must also equal, bit for bit, the layer-op
-chain it replaced (``reference_chain.forward``) over the same views.
+``forward_pullback``'s values and gradients must also equal, bit for bit,
+the layer-op chain it replaced (``reference_chain.forward``) over the same
+views.
 """
 
 import sys
@@ -26,7 +27,7 @@ from entrofuse.data import apply_mask, bernoulli_mask
 from entrofuse.losses import cec_pairs, step_loss
 from entrofuse.metrics import audit_confidences, inversion_audit
 from entrofuse.model import (ForwardOutput, FusionConfig, forward,
-                             forward_views, gate_rows)
+                             forward_pullback, forward_views, gate_rows)
 from entrofuse.rng import stream
 from entrofuse.subsets import subset_lattice
 from entrofuse.trainer import evaluate_under_dropout, train
@@ -111,13 +112,26 @@ def _setup(seed, m, gated, frozen=False, n=9, single=2, multilabel=False):
     return rng, model, batch, random_views(rng, presence, gated, single)
 
 
+def _grads(model):
+    return {name: param.grad.copy() for name, param in model.parameters()}
+
+
 def _loss_and_grads(model, build):
+    """A tape-built loss and the parameter gradients its backward adds."""
     model.zero_grad()
     with T.Tape() as tape:
         loss = build()
         tape.backward(loss)
-    return loss.item(), {name: param.grad.copy()
-                         for name, param in model.parameters()}
+    return loss.item(), _grads(model)
+
+
+def _pullback_loss_and_grads(model, batch, views, loss):
+    """``forward_pullback``'s output, ``loss(logits, p)`` of it and the
+    parameter gradients its pullback adds."""
+    model.zero_grad()
+    out, pullback = forward_pullback(model, batch, views)
+    value = R.run_pullback(out, pullback, loss)
+    return out, value.item(), _grads(model)
 
 
 class TestAgainstReference:
@@ -144,25 +158,23 @@ class TestAgainstReference:
         n = batch.n
         weights = rng.normal(size=(len(views) * n, model.cfg.classes))
 
-        def objective(out, w):
+        def objective(logits, w):
             # the confidence a loss derives from the logits, on the tape
-            return R.add(R.mean_all(R.mul(out.logits, T.Tensor(w))),
-                         R.mean_all(R.confidence(out.logits)))
-
-        def viewed():
-            return objective(forward(model, batch, views), weights)
+            return R.add(R.mean_all(R.mul(logits, T.Tensor(w))),
+                         R.mean_all(R.confidence(logits)))
 
         def reference():
             # the mean over all view rows is the mean of the view means
             total = None
             for v, view in enumerate(views):
                 term = R.mul_scalar(objective(
-                    reference_forward(model, batch, view),
+                    reference_forward(model, batch, view).logits,
                     weights[v * n:(v + 1) * n]), 1.0 / len(views))
                 total = term if total is None else R.add(total, term)
             return total
 
-        got_loss, got = _loss_and_grads(model, viewed)
+        _, got_loss, got = _pullback_loss_and_grads(
+            model, batch, views, lambda logits, p: objective(logits, weights))
         want_loss, want = _loss_and_grads(model, reference)
         assert abs(got_loss - want_loss) <= 1e-12 * abs(want_loss)
         for name, g in want.items():
@@ -180,25 +192,16 @@ class TestAgainstReference:
 
 
 class TestForwardMatchesTape:
-    """``forward``'s one node against the layer-by-layer chain it replaced,
-    ``reference_chain.forward``: logits, gate weights and every parameter
-    gradient equal bit for bit. The views leave no row, one gated view (one
-    affine gate layer 1) or three (per-modality products summed by blend)
-    needing the gate, beside two single-modality views (the put_rows path)
-    or none."""
+    """``forward_pullback`` against the layer-by-layer chain it replaced,
+    ``reference_chain.forward`` on the tape: logits, gate weights and every
+    parameter gradient equal bit for bit. The views leave no row, one gated
+    view (one affine gate layer 1) or three (per-modality products summed
+    by blend) needing the gate, beside two single-modality views (the
+    put_rows path) or none."""
 
     CASES = [(m, gated, single, frozen, multilabel)
              for m in MODALITIES for gated, single in LAYOUTS
              for frozen in (False, True) for multilabel in (False, True)]
-
-    @staticmethod
-    def _run(model, build):
-        model.zero_grad()
-        with T.Tape() as tape:
-            out, loss = build()
-            tape.backward(loss)
-        return out, loss.item(), {name: param.grad.copy()
-                                  for name, param in model.parameters()}
 
     @staticmethod
     def _assert_same_grads(got, want):
@@ -215,24 +218,25 @@ class TestForwardMatchesTape:
         w_logits = T.Tensor(rng.normal(size=(rows, model.cfg.classes)))
         w_p = T.Tensor(rng.normal(size=(rows, m)))
 
-        def build(pass_fn):
+        def loss_of(logits, p):
             # upstream gradients into both outputs, the logits' through a
             # confidence too, as the objective's reach them
-            out = pass_fn(model, batch, views)
-            loss = R.add(R.add(R.mean_all(R.mul(out.logits, w_logits)),
-                               R.mean_all(R.mul(out.p, w_p))),
-                         R.mean_all(R.confidence(out.logits, multilabel)))
-            return out, loss
+            return R.add(R.add(R.mean_all(R.mul(logits, w_logits)),
+                               R.mean_all(R.mul(p, w_p))),
+                         R.mean_all(R.confidence(logits, multilabel)))
 
-        out, loss, grads = self._run(model, lambda: build(forward))
-        ref, ref_loss, ref_grads = self._run(model, lambda: build(R.forward))
+        out, loss, grads = _pullback_loss_and_grads(model, batch, views,
+                                                    loss_of)
+        model.zero_grad()
+        with T.Tape() as tape:
+            ref = R.forward(model, batch, views)
+            ref_loss = loss_of(ref.logits, ref.p)
+            tape.backward(ref_loss)
+        ref_grads = _grads(model)
         for field in ("p", "z", "logits"):
             assert np.array_equal(getattr(out, field).data,
                                   getattr(ref, field).data), field
-        for field in ("p", "logits"):
-            assert (getattr(out, field).requires_grad
-                    == getattr(ref, field).requires_grad), field
-        assert loss == ref_loss
+        assert loss == ref_loss.item()
         self._assert_same_grads(grads, ref_grads)
         # no gate gradient leaves the gate's buffer zero
         assert (not grads["gate_w1"].any()) == (frozen or gated == 0)
@@ -253,15 +257,17 @@ class TestForwardMatchesTape:
         # gamma > 0 with a scalar lambda; gamma = 0 with a per-row one
         lam = 0.05 if with_pairs else rng.uniform(0.01, 0.5, size=batch.n)
 
-        def build():
-            total, bd = step_loss(model, batch, keep, pairs, lam=lam,
-                                  gamma=2.0 if with_pairs else 0.0,
-                                  multilabel=multilabel)
-            return bd, total
+        def run():
+            model.zero_grad()
+            bd = step_loss(model, batch, keep, pairs, lam=lam,
+                           gamma=2.0 if with_pairs else 0.0,
+                           multilabel=multilabel)
+            return bd, _grads(model)
 
-        bd, _, grads = self._run(model, build)
-        monkeypatch.setattr(losses_module, "forward", R.forward)
-        ref_bd, _, ref_grads = self._run(model, build)
+        bd, grads = run()
+        monkeypatch.setattr(losses_module, "forward_pullback",
+                            R.forward_pullback)
+        ref_bd, ref_grads = run()
         assert bd == ref_bd
         self._assert_same_grads(grads, ref_grads)
 
@@ -273,6 +279,8 @@ class TestForwardMatchesTape:
         got = train(cfg, small_data())
         for module in (model_module, losses_module, trainer_module):
             monkeypatch.setattr(module, "forward", R.forward)
+        monkeypatch.setattr(losses_module, "forward_pullback",
+                            R.forward_pullback)
         want = train(cfg, small_data())
         assert got.history == want.history
         for (name, a), (_, b) in zip(got.model.parameters(),
@@ -317,9 +325,9 @@ class TestRandomViews:
     def test_single_modality_views_skip_the_gate(self):
         # rows observing one modality pass the gate no gradient
         _, model, batch, views = _setup(93, 3, 0)
-        with T.Tape() as tape:
-            out = forward(model, batch, views)
-            tape.backward(R.mean_all(R.confidence(out.logits)))
+        out, pullback = forward_pullback(model, batch, views)
+        R.run_pullback(out, pullback,
+                       lambda logits, p: R.mean_all(R.confidence(logits)))
         np.testing.assert_array_equal(out.p.data, views.reshape(-1, 3))
         assert not model.gate.grads.any()
         assert all(t.grad.any() for t in model.base_parameters())
