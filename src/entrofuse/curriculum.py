@@ -140,10 +140,9 @@ def sample_keep(dist: MaskDistribution, pi_t: float, n: int,
         raise ValueError("need at least one sample")
     gate = rng.random(n) < pi_t
     # inverse-CDF draws from the teacher, one uniform per sample, matching
-    # rng.choice(len(support), size=n, p=probs) draw for draw; a draw at or
-    # past a cumsum that ends just below 1 takes the last candidate
-    picks = np.searchsorted(np.cumsum(dist.probs), rng.random(n),
-                            side="right")
-    picks = np.minimum(picks, len(dist.probs) - 1)
+    # rng.choice(len(support), size=n, p=probs) draw for draw: the cumsum is
+    # normalized to end at exactly 1, so every draw picks a candidate
+    cdf = np.cumsum(dist.probs)
+    picks = np.searchsorted(cdf / cdf[-1], rng.random(n), side="right")
     drop = np.where(gate[:, None], dist.support[picks], False)
     return ~drop

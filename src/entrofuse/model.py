@@ -12,8 +12,9 @@ the batch's own presence and return V * n rows, row v * n + i being row i
 as seen through view v. Features a view leaves out do not reach its rows:
 they are zeroed in the gate input and weighted by exactly 0 in the fusion.
 
-The pass is plain NumPy; ``forward_pullback`` returns it with its
-hand-derived pullback, and the other passes only read.
+The pass is plain NumPy over parameters that are plain arrays;
+``forward_pullback`` returns it with its hand-derived pullback, and the
+other passes only read.
 """
 
 from __future__ import annotations
@@ -75,69 +76,73 @@ def _fan_in_uniform(rng: np.random.Generator, shape: tuple[int, ...]) -> np.ndar
 
 
 class ParamBuffers(NamedTuple):
-    """One parameter group as two flat buffers: each of its parameters'
-    ``.data`` and ``.grad`` is a reshaped view of ``params`` and ``grads``."""
+    """One parameter group as two flat buffers: each parameter and its
+    gradient are reshaped views of ``params`` and ``grads``."""
 
     params: np.ndarray
     grads: np.ndarray
 
 
-def _lay_out(tensors: list[T.Tensor]) -> ParamBuffers:
-    """Copy the tensors' data into one group's buffers and rebind their
-    ``.data`` and ``.grad`` (zero) to views of them."""
-    sizes = [t.data.size for t in tensors]
-    group = ParamBuffers(np.empty(sum(sizes)), np.zeros(sum(sizes)))
-    lo = 0
-    for t, size in zip(tensors, sizes):
-        shape = t.shape
-        group.params[lo:lo + size] = t.data.ravel()
-        t.data = group.params[lo:lo + size].reshape(shape)
-        t.grad = group.grads[lo:lo + size].reshape(shape)
-        lo += size
-    return group
+def _lay_out(arrays: dict[str, np.ndarray], grad: dict[str, np.ndarray]):
+    """One group's buffers holding ``arrays``, and each array's view of
+    ``params``; each one's (zero) view of ``grads`` goes into ``grad``."""
+    size = sum(a.size for a in arrays.values())
+    group = ParamBuffers(np.empty(size), np.zeros(size))
+    views, lo = [], 0
+    for name, a in arrays.items():
+        group.params[lo:lo + a.size] = a.ravel()
+        views.append(group.params[lo:lo + a.size].reshape(a.shape))
+        grad[name] = group.grads[lo:lo + a.size].reshape(a.shape)
+        lo += a.size
+    return group, views
 
 
 class FusionModel:
     """Gate MLP (``gate_w1``, ``gate_b1``, ReLU, ``gate_w2``, ``gate_b2``:
     concat(standardized features, presence flags) -> M logits), per-modality
-    projections and a linear head, with train-set norm stats.
+    projections ``proj`` and a linear head (``head_w``, ``head_b``), with
+    train-set norm stats.
 
     The model owns its parameter memory: ``base`` (projections and head)
     and ``gate`` are each laid out as flat parameter and gradient buffers,
     which the pass's pullback adds into and an optimizer updates whole.
-    Write a parameter through its view (``t.data[...] = x``), not by
-    rebinding it."""
+    Each parameter attribute is its array view of its group's ``params``,
+    and ``grad[name]`` (by checkpoint name) the same view of ``grads``.
+    Write a parameter through its view (``model.head_w[...] = x``), not by
+    rebinding it. With ``gate_frozen`` set, the pullback leaves the gate's
+    gradients alone."""
 
     def __init__(self, cfg: FusionConfig, rng: np.random.Generator):
         """Fan-in-uniform weights drawn from ``rng``, zero biases; the gate
         output layer starts at zero so training begins from the
         equal-weight mixture."""
-        def param(data: np.ndarray) -> T.Tensor:
-            return T.Tensor(data, requires_grad=True)
-
         hid = cfg.gate_hidden_dim
         self.cfg = cfg
-        self.gate_w1 = param(_fan_in_uniform(rng, (cfg.gate_input_dim, hid)))
-        self.gate_b1 = param(np.zeros(hid))
-        self.gate_w2 = param(np.zeros((hid, cfg.modalities)))
-        self.gate_b2 = param(np.zeros(cfg.modalities))
-        self.proj = [param(_fan_in_uniform(rng, (d, cfg.fused_dim)))
-                     for d in cfg.dims]
-        self.head_w = param(_fan_in_uniform(rng, (cfg.fused_dim, cfg.classes)))
-        self.head_b = param(np.zeros(cfg.classes))
+        self.grad: dict[str, np.ndarray] = {}
+        self.gate, gate = _lay_out({
+            "gate_w1": _fan_in_uniform(rng, (cfg.gate_input_dim, hid)),
+            "gate_b1": np.zeros(hid),
+            "gate_w2": np.zeros((hid, cfg.modalities)),
+            "gate_b2": np.zeros(cfg.modalities)}, self.grad)
+        self.gate_w1, self.gate_b1, self.gate_w2, self.gate_b2 = gate
+        base = {f"proj_{m}": _fan_in_uniform(rng, (d, cfg.fused_dim))
+                for m, d in enumerate(cfg.dims)}
+        base["head_w"] = _fan_in_uniform(rng, (cfg.fused_dim, cfg.classes))
+        base["head_b"] = np.zeros(cfg.classes)
+        self.base, base = _lay_out(base, self.grad)
+        *self.proj, self.head_w, self.head_b = base
+        self.gate_frozen = False
         self.norm_mean = [np.zeros(d) for d in cfg.dims]
         self.norm_std = [np.ones(d) for d in cfg.dims]
-        self.base = _lay_out(self.base_parameters())
-        self.gate = _lay_out(self.gate_parameters())
-        self._views = [(t.data, t.grad) for _, t in self.parameters()]
+        self._views = [(p, self.grad[name]) for name, p in self.parameters()]
 
     def zero_grad(self) -> None:
         """Zero both gradient buffers. Raises ``RuntimeError`` if a
-        parameter's ``.data`` or ``.grad`` no longer views its buffer, which
+        parameter or its ``grad`` entry no longer views its buffer, which
         would leave it out of training."""
-        for (_, t), (data, grad) in zip(self.parameters(), self._views):
-            if t.data is not data or t.grad is not grad:
-                raise RuntimeError(f"{t} was rebound off its group buffer")
+        for (name, p), (data, grad) in zip(self.parameters(), self._views):
+            if p is not data or self.grad.get(name) is not grad:
+                raise RuntimeError(f"{name} was rebound off its group buffer")
         self.base.grads.fill(0.0)
         self.gate.grads.fill(0.0)
 
@@ -154,18 +159,12 @@ class FusionModel:
             self.norm_mean[m] = rows.mean(axis=0)
             self.norm_std[m] = np.maximum(rows.std(axis=0), 1e-8)
 
-    def parameters(self) -> list[tuple[str, T.Tensor]]:
-        """(checkpoint array name, tensor) for every parameter."""
+    def parameters(self) -> list[tuple[str, np.ndarray]]:
+        """(checkpoint array name, parameter) for every parameter."""
         return ([("gate_w1", self.gate_w1), ("gate_b1", self.gate_b1),
                  ("gate_w2", self.gate_w2), ("gate_b2", self.gate_b2)]
                 + [(f"proj_{m}", w) for m, w in enumerate(self.proj)]
                 + [("head_w", self.head_w), ("head_b", self.head_b)])
-
-    def gate_parameters(self) -> list[T.Tensor]:
-        return [self.gate_w1, self.gate_b1, self.gate_w2, self.gate_b2]
-
-    def base_parameters(self) -> list[T.Tensor]:
-        return list(self.proj) + [self.head_w, self.head_b]
 
     def gate_input(self, batch: MultimodalBatch,
                    presence: np.ndarray | None = None) -> np.ndarray:
@@ -233,11 +232,6 @@ class ForwardOutput:
         return entropy_rows(self.p.data)
 
 
-def _add_grad(t: T.Tensor, g: np.ndarray) -> None:
-    if t.requires_grad:
-        t.grad += g
-
-
 def _per_modality(n: int, xs, ws: list[np.ndarray]) -> np.ndarray:
     """The [n, M, k] blocks ``xs[m] @ ws[m]`` that a ``_blend`` sums,
     written into one array; ``xs`` may be a generator."""
@@ -258,7 +252,7 @@ def _gate_products(model: FusionModel, batch: MultimodalBatch):
         block[:, -1] = batch.presence[:, m]
         model._gate_block(m, f, block[:, -1:], block[:, :-1])
     return blocks, cols, _per_modality(batch.n, blocks,
-                                       [model.gate_w1.data[c] for c in cols])
+                                       [model.gate_w1[c] for c in cols])
 
 
 def _blend(w: np.ndarray, stacked: np.ndarray):
@@ -296,7 +290,7 @@ def _gate(model: FusionModel, batch: MultimodalBatch, views: np.ndarray,
     one affine map of its masked gate input; with several, or given the
     ``_gate_products`` ``stacked``, ``_blend`` sums those per view row.
     Raises ``ValueError`` if the weights are non-finite."""
-    w1, b1, w2, b2 = (t.data for t in model.gate_parameters())
+    w1, w2 = model.gate_w1, model.gate_w2
     keep = views[gated].reshape(-1, batch.num_modalities)
     if gated.size == 1 and stacked is None:
         x = model.gate_input(batch, views[gated[0]])
@@ -305,11 +299,11 @@ def _gate(model: FusionModel, batch: MultimodalBatch, views: np.ndarray,
         if stacked is None:
             blocks, cols, stacked = _gate_products(model, batch)
         pre, wv = _blend(keep.astype(np.float64), stacked)
-    pre += b1
+    pre += model.gate_b1
     h = np.maximum(pre, 0.0, out=pre)
     # softmax across rows over the kept entries (the rest are exp(-inf) = 0
     # exactly), then p back in C order, which the pullback's sums rely on
-    s = last_axis_first(np.where(keep, h @ w2 + b2, -np.inf))
+    s = last_axis_first(np.where(keep, h @ w2 + model.gate_b2, -np.inf))
     s -= s.max(axis=0)
     np.exp(s, out=s)
     s /= s.sum(axis=0)
@@ -325,18 +319,18 @@ def _gate(model: FusionModel, batch: MultimodalBatch, views: np.ndarray,
     def pullback(gp: np.ndarray) -> None:
         g = np.where(keep, gp if rows is None else gp[rows], 0.0)
         gs = p * (g - last_axis_first(g * p).sum(axis=0)[:, None])
-        _add_grad(model.gate_b2, gs.sum(axis=0))
-        _add_grad(model.gate_w2, h.T @ gs)
+        model.grad["gate_b2"] += gs.sum(axis=0)
+        model.grad["gate_w2"] += h.T @ gs
         gpre = (gs @ w2.T) * (h > 0.0)
-        _add_grad(model.gate_b1, gpre.sum(axis=0))
+        model.grad["gate_b1"] += gpre.sum(axis=0)
         if gated.size == 1:
-            _add_grad(model.gate_w1, x.T @ gpre)
+            model.grad["gate_w1"] += x.T @ gpre
             return
         _, gb = _blend_back(gpre, stacked, wv, weights=False)
         gw1 = np.empty_like(w1)  # the cols cover every row of w1
         for m, c in enumerate(cols):
             gw1[c] = blocks[m].T @ gb[:, m]
-        _add_grad(model.gate_w1, gw1)
+        model.grad["gate_w1"] += gw1
 
     return weights, pullback
 
@@ -368,8 +362,7 @@ def _gate_rows(model: FusionModel, batch: MultimodalBatch,
     if gated.size == 0:
         return views.reshape(-1, batch.num_modalities).astype(np.float64), None
     p, pullback = _gate(model, batch, views, gated, stacked)
-    if stacked is not None or not any(t.requires_grad
-                                      for t in model.gate_parameters()):
+    if stacked is not None or model.gate_frozen:
         pullback = None
     return p, pullback
 
@@ -384,12 +377,12 @@ def gate_rows(model: FusionModel, batch: MultimodalBatch,
     A row observing one modality weighs it by exactly 1 and passes the gate
     no gradient, so the gate runs only on views with a row observing more.
 
-    A gate frozen at its initialisation (``requires_grad`` cleared on
-    ``model.gate_parameters()``) gives exactly ``presence / presence.sum(1)``
-    and takes no gradient: its output layer starts at zero, so every logit
-    is 0. Raises ``ValueError`` if the batch's layout is not the model's,
-    the weights are non-finite, or a view row observes no modality or one
-    its batch row does not.
+    A gate frozen at its initialisation (``model.gate_frozen`` set) gives
+    exactly ``presence / presence.sum(1)`` and takes no gradient: its
+    output layer starts at zero, so every logit is 0. Raises
+    ``ValueError`` if the batch's layout is not the model's, the weights
+    are non-finite, or a view row observes no modality or one its batch row
+    does not.
     """
     return T._result(_gate_rows(model, batch, views)[0])
 
@@ -399,8 +392,8 @@ def _fuse(model: FusionModel, p: np.ndarray, stacked: np.ndarray):
     projections: their ``_blend``, then the head; and the blend's weights.
     Raises ``ValueError`` if the logits are non-finite."""
     z, wv = _blend(p, stacked)
-    logits = z @ model.head_w.data
-    logits += model.head_b.data
+    logits = z @ model.head_w
+    logits += model.head_b
     if not np.isfinite(logits).all():
         raise ValueError("logits are non-finite")
     return ForwardOutput(p=T._result(p), z=T._result(z),
@@ -421,21 +414,20 @@ def forward(model: FusionModel, batch: MultimodalBatch,
 def forward_pullback(model: FusionModel, batch: MultimodalBatch,
                      views: np.ndarray | None = None):
     """``forward``'s output and its pullback, which adds every parameter's
-    gradient (none where ``requires_grad`` is cleared) from those of the
+    gradient (none of the gate's if ``gate_frozen`` is set) from those of the
     logits and ``p`` into the model's buffers, with the array operations of
     the chain in ``tests/reference_chain.py``, in its reverse order."""
     p, gate_back = _gate_rows(model, batch, views)
-    stacked = _per_modality(batch.n, batch.features,
-                            [w.data for w in model.proj])
+    stacked = _per_modality(batch.n, batch.features, model.proj)
     out, wv = _fuse(model, p, stacked)
 
     def pullback(g: np.ndarray, gp: np.ndarray) -> None:
-        _add_grad(model.head_b, g.sum(axis=0))
-        gz = g @ model.head_w.data.T
-        _add_grad(model.head_w, out.z.data.T @ g)
+        model.grad["head_b"] += g.sum(axis=0)
+        gz = g @ model.head_w.T
+        model.grad["head_w"] += out.z.data.T @ g
         gw, gb = _blend_back(gz, stacked, wv, gate_back is not None)
-        for m, (f, w) in enumerate(zip(batch.features, model.proj)):
-            _add_grad(w, f.T @ gb[:, m])
+        for m, f in enumerate(batch.features):
+            model.grad[f"proj_{m}"] += f.T @ gb[:, m]
         if gate_back is not None:
             gate_back(gp + gw)
 
@@ -454,8 +446,7 @@ def forward_views(model: FusionModel, batch: MultimodalBatch,
     gate = None
     if (batch.presence.sum(axis=1) > 1).any():  # else no view runs the gate
         gate = _gate_products(model, batch)[2]
-    stacked = _per_modality(batch.n, batch.features,
-                            [w.data for w in model.proj])
+    stacked = _per_modality(batch.n, batch.features, model.proj)
     for view in views:
         p = _gate_rows(model, batch, np.asarray(view)[None], gate)[0]
         yield _fuse(model, p, stacked)[0]
@@ -477,7 +468,7 @@ def predict_subset(model: FusionModel, batch: MultimodalBatch,
 # ---------------------------------------------------------------------------
 
 def save_checkpoint(model: FusionModel, path) -> None:
-    arrays = {name: t.data for name, t in model.parameters()}
+    arrays = dict(model.parameters())
     for m in range(model.cfg.modalities):
         arrays[f"norm_mean_{m}"] = model.norm_mean[m]
         arrays[f"norm_std_{m}"] = model.norm_std[m]
@@ -491,8 +482,8 @@ def save_checkpoint(model: FusionModel, path) -> None:
 def load_checkpoint(path) -> FusionModel:
     """Model saved by ``save_checkpoint``. Raises ``ValueError`` if the stored
     config does not build a ``FusionConfig`` (e.g. a key this version no
-    longer has), or an array's shape does not fit that config, or an array
-    holds a non-finite value."""
+    longer has), an array's shape does not fit that config, an array holds
+    a non-finite value or a ``norm_std`` entry is not positive."""
     with np.load(path) as z:
         try:
             cfg_dict = json.loads(bytes(z["config_json"].tobytes()).decode("utf-8"))
@@ -502,15 +493,19 @@ def load_checkpoint(path) -> FusionModel:
             raise ValueError(f"checkpoint config does not fit: {exc}") from exc
 
         def load(key: str, shape: tuple[int, ...]) -> np.ndarray:
-            arr = z[key]
+            arr = np.asarray(z[key], dtype=np.float64)
             if arr.shape != shape:
                 raise ValueError(f"checkpoint array {key} has shape "
                                  f"{arr.shape}, the config needs {shape}")
-            return T.Tensor(arr).data  # rejects non-finite data
+            if not np.isfinite(arr).all():
+                raise ValueError(f"checkpoint array {key} is non-finite")
+            if key.startswith("norm_std") and not (arr > 0.0).all():
+                raise ValueError(f"checkpoint array {key} holds a value <= 0")
+            return arr
 
         model = FusionModel.from_seed(cfg, seed=0)
-        for name, t in model.parameters():
-            t.data[...] = load(name, t.shape)
+        for name, p in model.parameters():
+            p[...] = load(name, p.shape)
         model.norm_mean = [load(f"norm_mean_{m}", (d,))
                            for m, d in enumerate(cfg.dims)]
         model.norm_std = [load(f"norm_std_{m}", (d,))

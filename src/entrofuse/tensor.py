@@ -1,14 +1,15 @@
 """Dense float64 tensors and a reverse-mode gradient tape.
 
-Parameters and the model pass's outputs are ``Tensor``s. Training opens no
-tape, as the model pass and the objective derive their gradients by hand;
-the tests' reference chain of generic ops records on it.
+The model pass's outputs are ``Tensor``s; its parameters are plain arrays.
+Training opens no tape, as the model pass and the objective derive their
+gradients by hand; the tests' reference chain of generic ops records on it.
 
 Finiteness is checked at the boundaries: ``Tensor(data)`` rejects
-non-finite data and parameters coming from outside, results built with
-``_result`` skip that scan, and the model rejects non-finite gate weights
-and logits on every read and train path. The trainer's divergence guard and
-``adamw_step``'s gradient check cover the loss and the backward pass.
+non-finite data, results built with ``_result`` skip that scan,
+``load_checkpoint`` rejects non-finite parameters, and the model rejects
+non-finite gate weights and logits on every read and train path. The
+trainer's divergence guard and ``adamw_step``'s gradient check cover the
+loss and the backward pass.
 """
 
 from __future__ import annotations

@@ -225,8 +225,7 @@ def train(cfg: TrainConfig, data: tuple[MultimodalBatch, MultimodalBatch, Multim
         # frozen at its zero-output initialisation, and out of the optimizer
         # so weight decay leaves it there, the gate weights every observed
         # modality equally (see gate_rows)
-        for t in model.gate_parameters():
-            t.requires_grad = False
+        model.gate_frozen = True
 
     data_rng = stream(cfg.seed, "data")
     mask_rng = stream(cfg.seed, "masking")

@@ -85,8 +85,7 @@ def mc_variance(model, batch: MultimodalBatch, rng: np.random.Generator,
         raise ValueError("rate must be in [0, 1)")
     n = batch.n
     var = np.zeros((n, batch.num_modalities))
-    head_w = model.head_w.data
-    head_b = model.head_b.data
+    head_w, head_b = model.head_w, model.head_b
     # a Python int, compared by value: at 2**16 (rates within 2**-17 of 1)
     # every lane drops rather than the threshold wrapping to 0 in uint16
     cut = round(rate * 2**16)
@@ -98,7 +97,7 @@ def mc_variance(model, batch: MultimodalBatch, rng: np.random.Generator,
             continue
         h = batch.features[m][rows]
         d = h.shape[1]
-        vw = model.proj[m].data @ head_w  # combined [d_m, classes]
+        vw = model.proj[m] @ head_w  # combined [d_m, classes]
         ys = samples[:draws * r].reshape(draws, r)
         if rate == 0.0:
             ys[:] = (h @ vw + head_b).max(axis=1)
@@ -144,7 +143,7 @@ def ensemble_variance(model, batch: MultimodalBatch, rng: np.random.Generator,
     var = np.zeros((batch.n, batch.num_modalities))
     for m in range(batch.num_modalities):
         rows = np.flatnonzero(batch.presence[:, m])
-        base = batch.features[m][rows] @ model.proj[m].data  # [r, d_z]
+        base = batch.features[m][rows] @ model.proj[m]  # [r, d_z]
         ys = (base @ heads).max(axis=2)  # [size, r], one head per row
         var[rows, m] = ys.var(axis=0, ddof=1)
     return var

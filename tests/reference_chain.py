@@ -13,8 +13,9 @@ or ``sigmoid`` as a confidence that takes a gradient. ``grad_check``
 compares tape gradients with central differences, and ``scalar_node``
 puts a value with hand-derived gradients on the tape.
 
-The adapters at the end join the two sides: ``run_pullback`` feeds a
-package pass's pullback the tape gradients of a loss on its outputs, and
+The adapters at the end join the two sides: ``leaves`` gives the chains
+the model's parameters as tape leaves, ``run_pullback`` feeds a package
+pass's pullback the tape gradients of a loss on its outputs, and
 ``forward_pullback`` and ``objective`` give the chains the package's
 tapeless call forms, so a training step can run on them.
 """
@@ -582,10 +583,11 @@ def blend(w: Tensor, blocks: Sequence[Tensor], b: Tensor | None = None) -> Tenso
 # the model pass composed from the layer ops
 # ---------------------------------------------------------------------------
 
-def _gate_weights(model, pre: Tensor, keep: np.ndarray) -> Tensor:
+def _gate_weights(leaf, pre: Tensor, keep: np.ndarray) -> Tensor:
     """ReLU, gate layer 2 and the softmax masked to ``keep``, from gate
     layer 1's pre-activation."""
-    p = masked_softmax(linear(relu(pre), model.gate_w2, model.gate_b2), keep)
+    p = masked_softmax(linear(relu(pre), leaf["gate_w2"], leaf["gate_b2"]),
+                       keep)
     if not np.isfinite(p.data).all():
         raise ValueError("gate weights are non-finite")
     return p
@@ -597,6 +599,7 @@ def gate_rows(model, batch, views=None) -> Tensor:
     gate layer 1 of one view that needs it, per-modality ``gather`` and
     ``matmul`` products summed by ``blend`` for several, and ``put_rows``
     beside the one-hot weights of the views that do not."""
+    leaf = leaves(model)
     views = np.asarray(batch.presence[None] if views is None else views,
                        dtype=bool)
     keep = views.reshape(-1, batch.num_modalities)
@@ -605,7 +608,7 @@ def gate_rows(model, batch, views=None) -> Tensor:
         return Tensor(keep.astype(np.float64))
     if gated.size == 1:
         pre = linear(Tensor(model.gate_input(batch, views[gated[0]])),
-                     model.gate_w1, model.gate_b1)
+                     leaf["gate_w1"], leaf["gate_b1"])
     else:
         x = model.gate_input(batch)
         edges = np.cumsum((0,) + batch.dims)
@@ -613,24 +616,26 @@ def gate_rows(model, batch, views=None) -> Tensor:
         for m in range(batch.num_modalities):
             cols = np.append(np.arange(edges[m], edges[m + 1]), edges[-1] + m)
             layer1.append(matmul(Tensor(x[:, cols]),
-                                 gather(model.gate_w1, cols)))
+                                 gather(leaf["gate_w1"], cols)))
         weights = views[gated].reshape(-1, batch.num_modalities)
-        pre = blend(Tensor(weights.astype(np.float64)), layer1, model.gate_b1)
+        pre = blend(Tensor(weights.astype(np.float64)), layer1,
+                    leaf["gate_b1"])
     if gated.size == len(views):
-        return _gate_weights(model, pre, keep)
+        return _gate_weights(leaf, pre, keep)
     rows = (gated[:, None] * batch.n + np.arange(batch.n)).ravel()
     return put_rows(Tensor(keep.astype(np.float64)), rows,
-                    _gate_weights(model, pre, keep[rows]))
+                    _gate_weights(leaf, pre, keep[rows]))
 
 
 def forward(model, batch, views=None) -> ForwardOutput:
     """``model.forward`` as the chain it replaced: ``gate_rows`` above, a
     ``matmul`` per modality's projection summed by ``blend``, and the head
     as one ``linear``, recorded in that order."""
+    leaf = leaves(model)
     p = gate_rows(model, batch, views)
-    z = blend(p, [matmul(Tensor(f), w)
-                  for f, w in zip(batch.features, model.proj)])
-    logits = linear(z, model.head_w, model.head_b)
+    z = blend(p, [matmul(Tensor(f), leaf[f"proj_{m}"])
+                  for m, f in enumerate(batch.features)])
+    logits = linear(z, leaf["head_w"], leaf["head_b"])
     if not np.isfinite(logits.data).all():
         raise ValueError("logits are non-finite")
     return ForwardOutput(p=p, z=z, logits=logits,
@@ -708,6 +713,20 @@ def composite_loss(logits: Tensor, p: Tensor, labels: np.ndarray, *,
 # ---------------------------------------------------------------------------
 # adapters between the package's tapeless gradients and the tape
 # ---------------------------------------------------------------------------
+
+def leaves(model) -> dict[str, Tensor]:
+    """Each model parameter as a tape leaf, by checkpoint name: its
+    ``.data`` and ``.grad`` are the model's own views, so the tape adds
+    into the model's gradient buffers; with ``model.gate_frozen`` set the
+    gate's leaves take no gradient."""
+    out = {}
+    for name, param in model.parameters():
+        out[name] = leaf = _result(param)
+        leaf.grad = model.grad[name]
+        leaf.requires_grad = not (model.gate_frozen
+                                  and name.startswith("gate_"))
+    return out
+
 
 def _grad_or_zeros(t: Tensor) -> np.ndarray:
     return np.zeros_like(t.data) if t.grad is None else t.grad

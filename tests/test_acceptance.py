@@ -102,7 +102,7 @@ def test_c01_loss_gradients_match_finite_differences():
         model = random_model(rng, cfg)
         batch = random_batch(rng, 6, cfg.dims, cfg.classes)
         lattice = subset_lattice(2)
-        params = [param for _, param in model.parameters()]
+        names, params = zip(*model.parameters())
 
         def objective(lam, gamma):
             # each call also adds its gradients into the model's buffers
@@ -114,11 +114,11 @@ def test_c01_loss_gradients_match_finite_differences():
             at one entry of each parameter."""
             model.zero_grad()
             objective(lam, gamma)
-            analytic = [param.grad.reshape(-1)[idx]
-                        for param, idx in zip(params, picks)]
+            analytic = [model.grad[name].reshape(-1)[idx]
+                        for name, idx in zip(names, picks)]
             numeric = []
             for param, idx in zip(params, picks):
-                flat = param.data.reshape(-1)
+                flat = param.reshape(-1)
                 keep = flat[idx]
                 flat[idx] = keep + eps
                 up = objective(lam, gamma)
@@ -129,7 +129,7 @@ def test_c01_loss_gradients_match_finite_differences():
             return np.array(analytic), np.array(numeric)
 
         for name, coefficients in terms.items():
-            picks = [rng.integers(param.data.size) for param in params]
+            picks = [rng.integers(param.size) for param in params]
             (analytic, numeric), *base = [gradients(lam, gamma, picks)
                                           for lam, gamma in coefficients]
             for base_analytic, base_numeric in base:

@@ -522,6 +522,20 @@ class TestAuditCommand:
         assert "non-finite" in err
 
 
+    @pytest.mark.parametrize("key,value", [("norm_std_1", -1.0),
+                                           ("norm_std_0", 0.0)])
+    def test_checkpoint_with_a_non_positive_norm_std_exits_one(
+            self, run_dir, config_path, tmp_path, capsys, key, value):
+        # a flipped or zero standardization, rejected before any file
+        def alter(arrays):
+            arrays[key][...] = value
+
+        code, err = self._audit_altered(run_dir, config_path, tmp_path,
+                                        capsys, alter)
+        assert code == 1 and "cannot load checkpoint" in err
+        assert f"{key} holds a value <= 0" in err
+        assert not (tmp_path / "audit").exists()
+
 class TestExitCodes:
     def test_missing_config_file_is_one(self, tmp_path):
         assert main(["run", "--config", str(tmp_path / "nope.yaml")]) == 1

@@ -350,6 +350,43 @@ class TestSampleMask:
         keep = sample_keep(dist, 1.0, 2, draws)
         assert np.array_equal(keep, ~dist.support)
 
+    def test_draw_in_the_band_past_a_short_cumsum_entry(self):
+        # normalized as rng.choice normalizes it, the first cumsum entry is
+        # 0.50000000025, so a draw just past 0.5 still picks candidate 0
+        dist = self._dist(probs=(0.5, 0.4999999995))
+
+        class Draws:  # the gate's uniforms, then the picks'
+            def __init__(self, *draws):
+                self.draws = list(draws)
+
+            def random(self, n):
+                return self.draws.pop(0)
+
+        keep = sample_keep(dist, 1.0, 1, Draws(np.zeros(1),
+                                                np.array([0.5000000001])))
+        assert np.array_equal(keep, ~dist.support[:1])
+
+    def test_unnormalized_teachers_match_rng_choice(self):
+        rng = np.random.default_rng(30)
+        for m, family in ((2, "single_drops"), (3, "all_subsets"),
+                          (4, "all_subsets"), (5, "single_drops")):
+            support = candidate_family(m, family)
+            for _ in range(50):
+                logits = rng.normal(scale=3.0, size=len(support))
+                probs = np.exp(logits - logits.max())
+                probs /= probs.sum()
+                probs *= 1.0 + rng.uniform(-9e-10, 9e-10)
+                dist = MaskDistribution(support=support, probs=probs,
+                                        mean_entropies=np.zeros(len(support)))
+                seed = int(rng.integers(2**32))
+                got_rng = np.random.default_rng(seed)
+                want_rng = np.random.default_rng(seed)
+                keep = sample_keep(dist, 1.0, 200, got_rng)
+                want_rng.random(200)
+                picks = want_rng.choice(len(support), size=200, p=probs)
+                assert np.array_equal(keep, ~support[picks])
+                assert got_rng.random() == want_rng.random()
+
     def test_masked_fraction_tracks_rate(self):
         dist = self._dist()
         keep = sample_keep(dist, 0.5, 100_000, np.random.default_rng(2))

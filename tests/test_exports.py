@@ -43,8 +43,8 @@ def test_every_exported_name_resolves():
 
 
 def test_only_the_training_path_imports_the_tape():
-    # the model's parameters and outputs are tensors; training records no
-    # node, so the helpers that record one live in the tests
+    # the model pass's outputs are tensors; training records no node, so
+    # the helpers that record one live in the tests
     importers, defined = [], set()
     for path in sorted(Path(entrofuse.__file__).parent.glob("*.py")):
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
@@ -60,6 +60,23 @@ def test_only_the_training_path_imports_the_tape():
                 importers.append(path.stem)
     assert sorted(set(importers)) == ["__init__", "model"]
     assert not defined & {"scalar_node", "_maybe_record", "_accum"}
+
+
+def test_parameters_carry_no_gradient_flag():
+    # parameters are plain arrays and one model attribute freezes the gate:
+    # only tensor.py knows requires_grad, and no per-parameter gradient or
+    # group helper is left
+    mentions, defined = [], set()
+    for path in sorted(Path(entrofuse.__file__).parent.glob("*.py")):
+        text = path.read_text(encoding="utf-8")
+        if "requires_grad" in text and path.name != "tensor.py":
+            mentions.append(path.stem)
+        for node in ast.walk(ast.parse(text)):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                defined.add(node.name)
+    assert mentions == []
+    assert "zero_grad" in defined
+    assert not defined & {"_add_grad", "gate_parameters", "base_parameters"}
 
 
 def test_the_exhaustive_lattice_limit_has_one_owner():

@@ -493,11 +493,11 @@ class TestCompositeLoss:
                              gamma=0.2).total
 
         total_value()
-        grads = [param.grad.copy() for _, param in model.parameters()]
+        grads = [grad.copy() for grad in model.grad.values()]
         eps = 1e-5
         checked = 0
         for (_, param), grad in zip(model.parameters(), grads):
-            flat = param.data.reshape(-1)
+            flat = param.reshape(-1)
             gflat = grad.reshape(-1)
             for idx in rng.choice(flat.size, size=min(2, flat.size), replace=False):
                 keep = flat[idx]
@@ -645,7 +645,7 @@ class TestNodeMatchesChain:
         assert got.history == want.history
         for (name, a), (_, b) in zip(got.model.parameters(),
                                      want.model.parameters()):
-            assert np.array_equal(a.data, b.data), name
+            assert np.array_equal(a, b), name
 
 
 class TestStackedStep:
@@ -688,7 +688,7 @@ class TestStackedStep:
 
     @staticmethod
     def _grads(model):
-        return {name: param.grad.copy() for name, param in model.parameters()}
+        return {name: grad.copy() for name, grad in model.grad.items()}
 
     def _assert_step_matches(self, model, batch, keep, lattice, frozen=False,
                              multilabel=False):

@@ -231,7 +231,7 @@ class TestInversionAudit:
         cfg = FusionConfig(modalities=2, dims=(3, 3), classes=3, fused_dim=4)
         model = random_model(rng, cfg)
         for w in model.proj:
-            w.data[...] = 0.0
+            w[...] = 0.0
         batch = random_batch(rng, 12, cfg.dims, cfg.classes)
         audit = inversion_audit(model, batch)
         assert audit.total_count == 0
@@ -271,7 +271,7 @@ class TestInversionAudit:
         lattice = cec_pairs(m, stream(m, "pairs"), 8)
         zero_model = random_model(rng, cfg)
         for w in zero_model.proj:
-            w.data[...] = 0.0
+            w[...] = 0.0
         batch = random_batch(rng, 10, cfg.dims, cfg.classes)
         audit, loss = audit_and_cec(zero_model, batch)
         assert loss == 0.0 and audit.total_count == 0

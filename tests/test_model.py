@@ -29,7 +29,7 @@ def random_model(rng, cfg):
     """Init then scatter every weight so the gate path is nontrivial."""
     model = FusionModel(cfg, rng)
     for _, t in model.parameters():
-        t.data[...] = rng.normal(scale=0.5, size=t.data.shape)
+        t[...] = rng.normal(scale=0.5, size=t.shape)
     return model
 
 
@@ -38,10 +38,9 @@ def frozen_gate_model(rng, cfg):
     its zero initialisation and no gate parameter taking a gradient. The
     first gate layer and every other weight are scattered."""
     model = random_model(rng, cfg)
-    model.gate_w2.data[:] = 0.0
-    model.gate_b2.data[:] = 0.0
-    for t in model.gate_parameters():
-        t.requires_grad = False
+    model.gate_w2[:] = 0.0
+    model.gate_b2[:] = 0.0
+    model.gate_frozen = True
     return model
 
 
@@ -139,7 +138,8 @@ class TestGateWeights:
                 step_loss(model, batch, keep, cec_pairs(m), lam=0.05,
                           gamma=2.0)
                 assert not model.gate.grads.any()
-                assert all(t.grad.any() for t in model.base_parameters())
+                assert all(g.any() for name, g in model.grad.items()
+                           if not name.startswith("gate_"))
 
 
 class TestForwardValues:
@@ -162,15 +162,15 @@ class TestForwardValues:
                 z = (batch.features[m] - model.norm_mean[m]) / model.norm_std[m]
                 cols.append(z * presence[:, m:m + 1])
             x_gate = np.concatenate(cols + [presence.astype(float)], axis=1)
-            h1 = np.maximum(x_gate @ model.gate_w1.data + model.gate_b1.data, 0.0)
-            glog = h1 @ model.gate_w2.data + model.gate_b2.data
+            h1 = np.maximum(x_gate @ model.gate_w1 + model.gate_b1, 0.0)
+            glog = h1 @ model.gate_w2 + model.gate_b2
             glog = np.where(presence, glog, -np.inf)
             glog = glog - glog.max(axis=1, keepdims=True)
             e = np.exp(glog)
             p = e / e.sum(axis=1, keepdims=True)
-            z = sum(p[:, m:m + 1] * (batch.features[m] @ model.proj[m].data)
+            z = sum(p[:, m:m + 1] * (batch.features[m] @ model.proj[m])
                     for m in range(2))
-            logits = z @ model.head_w.data + model.head_b.data
+            logits = z @ model.head_w + model.head_b
 
             np.testing.assert_allclose(out.p.data, p, rtol=0, atol=1e-12)
             np.testing.assert_allclose(out.logits.data, logits, rtol=0, atol=1e-12)
@@ -373,7 +373,7 @@ class TestValidation:
         rng = np.random.default_rng(62)
         cfg = FusionConfig(modalities=2, dims=(3, 3), classes=2, fused_dim=4)
         model = random_model(rng, cfg)
-        model.head_w.data[:] = 1e308
+        model.head_w[:] = 1e308
         batch = random_batch(rng, 4, cfg.dims, cfg.classes)
         with np.errstate(over="ignore", invalid="ignore"):
             with pytest.raises(ValueError, match="logits"):
@@ -383,7 +383,7 @@ class TestValidation:
         rng = np.random.default_rng(63)
         cfg = FusionConfig(modalities=2, dims=(3, 3), classes=2, fused_dim=4)
         model = random_model(rng, cfg)
-        model.gate_w2.data[0, 1] = np.nan
+        model.gate_w2[0, 1] = np.nan
         batch = random_batch(rng, 4, cfg.dims, cfg.classes)
         with pytest.raises(ValueError, match="gate weights"):
             gate_rows(model, batch)
@@ -406,7 +406,7 @@ class TestCheckpoint:
         for (name_a, ta), (name_b, tb) in zip(model.parameters(),
                                               loaded.parameters()):
             assert name_a == name_b
-            assert (ta.data == tb.data).all()
+            assert (ta == tb).all()
         for m in range(2):
             assert (model.norm_mean[m] == loaded.norm_mean[m]).all()
             assert (model.norm_std[m] == loaded.norm_std[m]).all()
@@ -426,25 +426,68 @@ class TestCheckpoint:
         assert (a.p.data == b.p.data).all()
 
 
+    @staticmethod
+    def _saved_arrays(tmp_path):
+        """A fitted model and the arrays of its saved checkpoint."""
+        rng = np.random.default_rng(74)
+        cfg = FusionConfig(modalities=2, dims=(3, 4), classes=3, fused_dim=5)
+        model = random_model(rng, cfg)
+        model.fit_norm(random_batch(rng, 20, cfg.dims, cfg.classes))
+        save_checkpoint(model, tmp_path / "ckpt.npz")
+        with np.load(tmp_path / "ckpt.npz") as z:
+            return model, {name: z[name].copy() for name in z.files}
+
+    @pytest.mark.parametrize("key,value,message", [
+        ("norm_std_1", -1.0, "norm_std_1 holds a value <= 0"),
+        ("norm_std_0", 0.0, "norm_std_0 holds a value <= 0"),
+        ("norm_std_1", np.inf, "norm_std_1 is non-finite"),
+        ("norm_mean_0", np.nan, "norm_mean_0 is non-finite"),
+        ("gate_w1", -np.inf, "gate_w1 is non-finite"),
+        ("head_b", np.nan, "head_b is non-finite")])
+    def test_load_rejects_an_out_of_range_entry(self, tmp_path, key, value,
+                                                message):
+        _, arrays = self._saved_arrays(tmp_path)
+        arrays[key].flat[-1] = value
+        np.savez(tmp_path / "bad.npz", **arrays)
+        with pytest.raises(ValueError, match=message):
+            load_checkpoint(tmp_path / "bad.npz")
+
+    def test_load_accepts_the_smallest_fitted_deviation(self, tmp_path):
+        model, arrays = self._saved_arrays(tmp_path)
+        arrays["norm_std_0"][...] = 1e-8  # fit_norm's floor
+        np.savez(tmp_path / "floor.npz", **arrays)
+        loaded = load_checkpoint(tmp_path / "floor.npz")
+        assert (loaded.norm_std[0] == 1e-8).all()
+        assert np.array_equal(loaded.norm_std[1], model.norm_std[1])
+
+
 class TestParamBuffers:
     """The model lays out each parameter group as one flat parameter and
-    one flat gradient buffer; every parameter's ``.data`` and ``.grad``
-    view them."""
+    one flat gradient buffer; every parameter is a plain array viewing the
+    first, and its ``grad`` entry the same view of the second."""
 
     @staticmethod
     def _assert_views(model):
-        for group, tensors in ((model.base, model.base_parameters()),
-                               (model.gate, model.gate_parameters())):
+        params = dict(model.parameters())
+        assert list(model.grad) == list(params)
+        covered = 0
+        for group, prefixes in ((model.base, ("proj_", "head_")),
+                                (model.gate, ("gate_",))):
+            names = [name for name in params if name.startswith(prefixes)]
             assert group.params.ndim == 1 and group.grads.ndim == 1
-            assert group.params.size == sum(t.data.size for t in tensors)
+            assert group.params.size == sum(params[k].size for k in names)
             lo = 0
-            for t in tensors:
-                hi = lo + t.data.size
-                assert t.data.base is group.params
-                assert t.grad.base is group.grads
-                assert np.shares_memory(t.data, group.params[lo:hi])
-                assert np.shares_memory(t.grad, group.grads[lo:hi])
+            for name in names:
+                param, grad = params[name], model.grad[name]
+                hi = lo + param.size
+                assert type(param) is np.ndarray and grad.shape == param.shape
+                assert param.base is group.params
+                assert grad.base is group.grads
+                assert np.shares_memory(param, group.params[lo:hi])
+                assert np.shares_memory(grad, group.grads[lo:hi])
                 lo = hi
+            covered += len(names)
+        assert covered == len(params)
         assert not np.shares_memory(model.base.params, model.gate.params)
 
     def test_views_after_init(self):
@@ -452,9 +495,9 @@ class TestParamBuffers:
         model = FusionModel.from_seed(cfg, 3)
         self._assert_views(model)
         init = FusionModel(cfg, stream(3, "init"))
-        for (_, a), (_, b) in zip(model.parameters(), init.parameters()):
-            assert np.array_equal(a.data, b.data)
-            assert not a.grad.any()
+        for (name, a), (_, b) in zip(model.parameters(), init.parameters()):
+            assert np.array_equal(a, b)
+            assert not model.grad[name].any()
 
     def test_views_after_load_checkpoint(self, tmp_path):
         rng = np.random.default_rng(72)
@@ -481,20 +524,21 @@ class TestParamBuffers:
         model.zero_grad()
         assert not model.base.grads.any() and not model.gate.grads.any()
 
-    @pytest.mark.parametrize("rebind", ["data", "grad", "no grad",
+    @pytest.mark.parametrize("rebind", ["data", "head", "grad", "no grad",
                                         "grad shape"])
     def test_rebound_parameter_rejected(self, rebind):
         cfg = FusionConfig(modalities=2, dims=(3, 4), classes=3, fused_dim=5)
         model = FusionModel.from_seed(cfg, 0)
-        t = model.proj[1]
-        if rebind == "data":
-            t.data = t.data.copy()  # a detached copy no optimizer can see
+        if rebind == "data":  # a detached copy no optimizer can see
+            model.proj[1] = model.proj[1].copy()
+        elif rebind == "head":
+            model.head_w = model.head_w + 0.0
         elif rebind == "grad":
-            t.grad = t.grad + 1.0
+            model.grad["proj_1"] = model.grad["proj_1"] + 1.0
         elif rebind == "no grad":
-            t.grad = None
+            del model.grad["proj_1"]
         else:
-            t.grad = np.ones(())
+            model.grad["proj_1"] = np.ones(())
         with pytest.raises(RuntimeError, match="rebound"):
             model.zero_grad()
 
@@ -505,16 +549,16 @@ class TestSeededInit:
         a = FusionModel.from_seed(cfg, 7)
         b = FusionModel.from_seed(cfg, 7)
         for (_, ta), (_, tb) in zip(a.parameters(), b.parameters()):
-            assert (ta.data == tb.data).all()
+            assert (ta == tb).all()
 
     def test_different_seed_different_weights(self):
         cfg = FusionConfig(modalities=2, dims=(3, 3), classes=3, fused_dim=4)
         a = FusionModel.from_seed(cfg, 7)
         b = FusionModel.from_seed(cfg, 8)
-        assert np.abs(a.gate_w1.data - b.gate_w1.data).max() > 1e-9
+        assert np.abs(a.gate_w1 - b.gate_w1).max() > 1e-9
 
     def test_gate_output_layer_starts_at_zero(self):
         cfg = FusionConfig(modalities=3, dims=(3, 3, 3), classes=3, fused_dim=4)
         model = FusionModel.from_seed(cfg, 0)
-        assert (model.gate_w2.data == 0.0).all()
-        assert (model.gate_b2.data == 0.0).all()
+        assert (model.gate_w2 == 0.0).all()
+        assert (model.gate_b2 == 0.0).all()

@@ -159,30 +159,33 @@ class TestModelGroups:
     def test_matches_per_parameter_kernel_bit_for_bit(self, weight_decay):
         rng = np.random.default_rng(35)
         model = self._model()
-        groups = [(model.base, model.base_parameters(), 5e-3),
-                  (model.gate, model.gate_parameters(), 5e-2)]
-        refs = [[t.data.copy() for t in tensors] for _, tensors, _ in groups]
+        params = dict(model.parameters())
+        gate = [name for name in params if name.startswith("gate_")]
+        groups = [(model.base, [k for k in params if k not in gate], 5e-3),
+                  (model.gate, gate, 5e-2)]
+        refs = [[params[k].copy() for k in names] for _, names, _ in groups]
         states = [({}, {}) for _ in groups]
         for step in range(20):
             lr_scale = cosine_lr(1.0, step, 20)
             model.zero_grad()
-            for (buffers, tensors, lr), ref, (state, ref_state) in zip(
+            for (buffers, names, lr), ref, (state, ref_state) in zip(
                     groups, refs, states):
                 grads = []
-                for t in tensors:
-                    if t is not model.gate_b2:  # never reached by a gradient
+                for name in names:
+                    grad = model.grad[name]
+                    if name != "gate_b2":  # never reached by a gradient
                         scale = 10.0 ** rng.integers(-4, 2)
-                        t.grad[...] = rng.standard_normal(t.shape) * scale
-                    grads.append(t.grad.copy())
+                        grad[...] = rng.standard_normal(grad.shape) * scale
+                    grads.append(grad.copy())
                 _per_parameter_step(ref, grads, ref_state, lr * lr_scale,
                                     (0.9, 0.999), weight_decay)
                 adamw_step(buffers.params, buffers.grads, state,
                            lr * lr_scale, weight_decay=weight_decay)
-            for (_, tensors, _), ref in zip(groups, refs):
-                for t, want in zip(tensors, ref):
-                    assert np.array_equal(t.data, want), step
+            for (_, names, _), ref in zip(groups, refs):
+                for name, want in zip(names, ref):
+                    assert np.array_equal(params[name], want), step
         # no gradient and a zero start: decay and moments leave it at 0
-        assert np.array_equal(model.gate_b2.data, np.zeros(2))
+        assert np.array_equal(model.gate_b2, np.zeros(2))
 
     def test_fresh_gradients_are_zero_and_leave_the_parameters(self):
         model = self._model()

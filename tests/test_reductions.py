@@ -146,7 +146,8 @@ class TestSameAsRowWise:
         rng = np.random.default_rng(n + 3)
         for m in MODALITIES:
             model, batch = _model_and_batch(rng, n, m, 8)
-            w1, b1, w2, b2 = (t.data for t in model.gate_parameters())
+            w1, b1, w2, b2 = (model.gate_w1, model.gate_b1, model.gate_w2,
+                              model.gate_b2)
             h = np.maximum(model.gate_input(batch) @ w1 + b1, 0.0)
             p = _old_masked_softmax(h @ w2 + b2, batch.presence)
             assert np.array_equal(gate_rows(model, batch).data, p)
@@ -157,8 +158,8 @@ class TestSameAsRowWise:
             assert np.array_equal(out.p.data, p)
             g = np.where(batch.presence, gp, 0.0)
             gs = p * (g - (g * p).sum(axis=1, keepdims=True))
-            assert np.array_equal(model.gate_b2.grad, gs.sum(axis=0))
-            assert np.array_equal(model.gate_w2.grad, h.T @ gs)
+            assert np.array_equal(model.grad["gate_b2"], gs.sum(axis=0))
+            assert np.array_equal(model.grad["gate_w2"], h.T @ gs)
 
     def test_entropy_rows(self, n):
         rng = np.random.default_rng(n + 4)

@@ -194,7 +194,7 @@ class TestTrainLoop:
         expect.fit_norm(data[0])
         for (name, got), (_, want) in zip(res.model.parameters(),
                                           expect.parameters()):
-            assert (got.data == want.data).all(), name
+            assert (got == want).all(), name
         for m in range(2):
             assert (res.model.norm_mean[m] == expect.norm_mean[m]).all()
 
@@ -213,7 +213,7 @@ class TestTrainLoop:
         assert [h.total for h in a.history] == [h.total for h in b.history]
         assert a.eval_table == b.eval_table
         for (_, ta), (_, tb) in zip(a.model.parameters(), b.model.parameters()):
-            assert (ta.data == tb.data).all()
+            assert (ta == tb).all()
         assert a.config_hash == b.config_hash
 
     def test_different_seed_changes_outcome(self):
@@ -384,18 +384,28 @@ class TestNoTape:
 
 
 class TestAblationRuns:
-    def test_no_gate_never_updates_gate_parameters(self):
+    def test_no_gate_never_updates_gate_parameters(self, monkeypatch):
         cfg = small_cfg(ablation="no_gate", weight_decay=0.0)
+        steps = []
+        real = trainer_module.step_loss
+
+        def spy(model, *args, **kw):
+            # the step's gradients, read before the optimizer runs
+            out = real(model, *args, **kw)
+            steps.append((model.gate.grads.any(), model.base.grads.any()))
+            return out
+
+        monkeypatch.setattr(trainer_module, "step_loss", spy)
         res = train(cfg, small_data())
         init = FusionModel(
             FusionConfig(modalities=2, dims=(6, 6), classes=3,
                          fused_dim=cfg.fused_dim),
             stream(cfg.seed, "init"))
-        for got, want in zip(res.model.gate_parameters(),
-                             init.gate_parameters()):
-            assert (got.data == want.data).all()
+        assert res.model.gate_frozen
+        assert steps and all(base and not gate for gate, base in steps)
+        assert np.array_equal(res.model.gate.params, init.gate.params)
         # base parameters did move
-        assert np.abs(res.model.head_w.data - init.head_w.data).max() > 1e-6
+        assert np.abs(res.model.head_w - init.head_w).max() > 1e-6
 
     def test_no_gate_keeps_its_gate_out_of_weight_decay(self):
         cfg = small_cfg(ablation="no_gate")
@@ -405,9 +415,7 @@ class TestAblationRuns:
             FusionConfig(modalities=2, dims=(6, 6), classes=3,
                          fused_dim=cfg.fused_dim),
             stream(cfg.seed, "init"))
-        for got, want in zip(res.model.gate_parameters(),
-                             init.gate_parameters()):
-            assert (got.data == want.data).all()
+        assert np.array_equal(res.model.gate.params, init.gate.params)
 
     def test_no_entropy_reports_zero_lambda(self):
         res = train(small_cfg(ablation="no_entropy"), small_data())

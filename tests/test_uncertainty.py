@@ -21,15 +21,15 @@ def per_draw_mc_variance(model, batch, rng, draws=20, rate=0.1):
     rows that observe the modality, each draw's mask read from its own
     ``random_raw`` call as uint16 lanes."""
     var = np.zeros((batch.n, batch.num_modalities))
-    head_w = model.head_w.data
-    head_b = model.head_b.data
+    head_w = model.head_w
+    head_b = model.head_b
     cut = round(rate * 2**16)
     for m in range(batch.num_modalities):
         rows = np.flatnonzero(batch.presence[:, m])
         if rows.size == 0:
             continue
         h = batch.features[m][rows]
-        vw = model.proj[m].data @ head_w
+        vw = model.proj[m] @ head_w
         ys = np.empty((draws, rows.size))
         for k in range(draws):
             if rate > 0.0:
@@ -55,7 +55,7 @@ def per_head_ensemble_variance(model, batch, rng, size=5):
         rows = np.flatnonzero(batch.presence[:, m])
         if rows.size == 0:
             continue
-        base = batch.features[m][rows] @ model.proj[m].data
+        base = batch.features[m][rows] @ model.proj[m]
         ys = np.stack([(base @ w).max(axis=1) for w in heads])
         var[rows, m] = ys.var(axis=0, ddof=1)
     return var
@@ -129,7 +129,7 @@ class TestMcVariance:
         rate = 0.3
         var = mc_variance(model, batch, np.random.default_rng(7),
                           draws=8000, rate=rate)
-        vw = (model.proj[0].data @ model.head_w.data)[:, 0]
+        vw = (model.proj[0] @ model.head_w)[:, 0]
         expected = ((batch.features[0] * vw) ** 2).sum(axis=1) * rate / (1 - rate)
         np.testing.assert_allclose(var[:, 0], expected, rtol=0.1)
 
@@ -218,8 +218,8 @@ class TestDropoutStream:
                  .astype("<u8").view("<u2")[::4])
         keep = lanes >= round(rate * 2**16)
         h = batch.features[0][0, 0] / (1.0 - rate)
-        vw = (model.proj[0].data @ model.head_w.data)[0, 0]
-        ys = np.where(keep, h, 0.0) * vw + model.head_b.data[0]
+        vw = (model.proj[0] @ model.head_w)[0, 0]
+        ys = np.where(keep, h, 0.0) * vw + model.head_b[0]
         var = mc_variance(model, batch, np.random.default_rng(89),
                           draws=draws, rate=rate)
         np.testing.assert_allclose(var[0, 0], ys.var(ddof=1), rtol=1e-12)
@@ -309,7 +309,7 @@ class TestEnsembleVariance:
         rng = np.random.default_rng(13)
         cfg = FusionConfig(modalities=2, dims=(3, 3), classes=3, fused_dim=4)
         model = random_model(rng, cfg)
-        model.proj[0].data[...] = 0.0
+        model.proj[0][...] = 0.0
         batch = random_batch(rng, 6, cfg.dims, cfg.classes)
         var = ensemble_variance(model, batch, np.random.default_rng(14), size=4)
         assert (var[:, 0] == 0.0).all()

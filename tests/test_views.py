@@ -54,12 +54,13 @@ def reference_forward(model, batch, keep=None) -> ForwardOutput:
             for m, (f, mu, sd) in enumerate(zip(
                 masked.features, model.norm_mean, model.norm_std))]
     x = np.concatenate(cols + [presence.astype(np.float64)], axis=1)
-    pre = R.linear(T.Tensor(x), model.gate_w1, model.gate_b1)
-    p = R.masked_softmax(R.linear(R.relu(pre), model.gate_w2, model.gate_b2),
-                         presence)
-    z = _ref_mix(p, [R.matmul(T.Tensor(f), w)
-                     for f, w in zip(masked.features, model.proj)])
-    logits = R.linear(z, model.head_w, model.head_b)
+    leaf = R.leaves(model)
+    pre = R.linear(T.Tensor(x), leaf["gate_w1"], leaf["gate_b1"])
+    p = R.masked_softmax(R.linear(R.relu(pre), leaf["gate_w2"],
+                                  leaf["gate_b2"]), presence)
+    z = _ref_mix(p, [R.matmul(T.Tensor(f), leaf[f"proj_{m}"])
+                     for m, f in enumerate(masked.features)])
+    logits = R.linear(z, leaf["head_w"], leaf["head_b"])
     return ForwardOutput(p=p, z=z, logits=logits,
                          multilabel=model.cfg.multilabel)
 
@@ -113,7 +114,7 @@ def _setup(seed, m, gated, frozen=False, n=9, single=2, multilabel=False):
 
 
 def _grads(model):
-    return {name: param.grad.copy() for name, param in model.parameters()}
+    return {name: grad.copy() for name, grad in model.grad.items()}
 
 
 def _loss_and_grads(model, build):
@@ -285,7 +286,7 @@ class TestForwardMatchesTape:
         assert got.history == want.history
         for (name, a), (_, b) in zip(got.model.parameters(),
                                      want.model.parameters()):
-            assert np.array_equal(a.data, b.data), name
+            assert np.array_equal(a, b), name
 
 
 class TestRandomViews:
@@ -330,7 +331,8 @@ class TestRandomViews:
                        lambda logits, p: R.mean_all(R.confidence(logits)))
         np.testing.assert_array_equal(out.p.data, views.reshape(-1, 3))
         assert not model.gate.grads.any()
-        assert all(t.grad.any() for t in model.base_parameters())
+        assert all(g.any() for name, g in model.grad.items()
+                   if not name.startswith("gate_"))
 
     def test_views_outside_the_batch_or_empty_rejected(self):
         _, model, batch, views = _setup(94, 3, 1)
@@ -519,7 +521,7 @@ class TestForwardViews:
             assert block.tobytes() == x[:, c].tobytes()
         gathered = model_module._per_modality(
             batch.n, (x[:, c] for c in cols),
-            [model.gate_w1.data[c] for c in cols])
+            [model.gate_w1[c] for c in cols])
         assert products.tobytes() == gathered.tobytes()
 
     def test_read_paths_prepare_the_split_once(self, monkeypatch):
@@ -543,7 +545,7 @@ class TestForwardViews:
             return real_block(self, *args)
 
         def per_modality(n, xs, ws):
-            count("projection matmuls" if ws[0] is model.proj[0].data
+            count("projection matmuls" if ws[0] is model.proj[0]
                   else "gate products", len(ws))
             return real_products(n, xs, ws)
 
@@ -599,12 +601,12 @@ class TestForwardViews:
         gated = views[(views.sum(axis=2) > 1).any(axis=1)][0]
         for param, message in ((model.gate_w2, "gate weights are non-finite"),
                                (model.head_w, "logits are non-finite")):
-            kept = param.data.copy()
-            param.data[...] = np.inf
+            kept = param.copy()
+            param[...] = np.inf
             with (pytest.raises(ValueError, match=message),
                   np.errstate(over="ignore", invalid="ignore")):
                 next(forward_views(model, batch, [gated]))
-            param.data[...] = kept
+            param[...] = kept
 
     def test_off_the_tape(self):
         _, model, batch, views = _setup(340, 3, 3)
