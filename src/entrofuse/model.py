@@ -83,13 +83,15 @@ class ParamBuffers(NamedTuple):
     grads: np.ndarray
 
 
-def _lay_out(arrays: dict[str, np.ndarray], grad: dict[str, np.ndarray]):
-    """One group's buffers holding ``arrays``, and each array's view of
-    ``params``; each one's (zero) view of ``grads`` goes into ``grad``."""
-    size = sum(a.size for a in arrays.values())
-    group = ParamBuffers(np.empty(size), np.zeros(size))
+def _lay_out(named: list[tuple[str, np.ndarray]], grad: dict[str, np.ndarray],
+             group: ParamBuffers | None = None):
+    """``group`` (default: new buffers) holding the named arrays in order,
+    and each one's view of ``params``; its ``grads`` view goes in ``grad``."""
+    size = sum(a.size for _, a in named)
+    if group is None:
+        group = ParamBuffers(np.empty(size), np.zeros(size))
     views, lo = [], 0
-    for name, a in arrays.items():
+    for name, a in named:
         group.params[lo:lo + a.size] = a.ravel()
         views.append(group.params[lo:lo + a.size].reshape(a.shape))
         grad[name] = group.grads[lo:lo + a.size].reshape(a.shape)
@@ -118,22 +120,32 @@ class FusionModel:
         equal-weight mixture."""
         hid = cfg.gate_hidden_dim
         self.cfg = cfg
-        self.grad: dict[str, np.ndarray] = {}
-        self.gate, gate = _lay_out({
-            "gate_w1": _fan_in_uniform(rng, (cfg.gate_input_dim, hid)),
-            "gate_b1": np.zeros(hid),
-            "gate_w2": np.zeros((hid, cfg.modalities)),
-            "gate_b2": np.zeros(cfg.modalities)}, self.grad)
-        self.gate_w1, self.gate_b1, self.gate_w2, self.gate_b2 = gate
-        base = {f"proj_{m}": _fan_in_uniform(rng, (d, cfg.fused_dim))
-                for m, d in enumerate(cfg.dims)}
-        base["head_w"] = _fan_in_uniform(rng, (cfg.fused_dim, cfg.classes))
-        base["head_b"] = np.zeros(cfg.classes)
-        self.base, base = _lay_out(base, self.grad)
-        *self.proj, self.head_w, self.head_b = base
+        self.gate_w1 = _fan_in_uniform(rng, (cfg.gate_input_dim, hid))
+        self.gate_b1 = np.zeros(hid)
+        self.gate_w2 = np.zeros((hid, cfg.modalities))
+        self.gate_b2 = np.zeros(cfg.modalities)
+        self.proj = [_fan_in_uniform(rng, (d, cfg.fused_dim))
+                     for d in cfg.dims]
+        self.head_w = _fan_in_uniform(rng, (cfg.fused_dim, cfg.classes))
+        self.head_b = np.zeros(cfg.classes)
         self.gate_frozen = False
         self.norm_mean = [np.zeros(d) for d in cfg.dims]
         self.norm_std = [np.ones(d) for d in cfg.dims]
+        self._view_buffers()
+
+    def __setstate__(self, state: dict) -> None:
+        """A copy's parameters come as whole arrays: view its buffers again."""
+        self.__dict__.update(state)
+        self._view_buffers((self.gate, self.base))
+
+    def _view_buffers(self, groups=(None, None)) -> None:
+        """Lay the parameters, the gate's four first, out on ``groups`` (new
+        buffers by default) as their views, and rebuild ``grad``."""
+        named, self.grad = self.parameters(), {}
+        self.gate, gate = _lay_out(named[:4], self.grad, groups[0])
+        self.base, base = _lay_out(named[4:], self.grad, groups[1])
+        (self.gate_w1, self.gate_b1, self.gate_w2, self.gate_b2,
+         *self.proj, self.head_w, self.head_b) = gate + base
         self._views = [(p, self.grad[name]) for name, p in self.parameters()]
 
     def zero_grad(self) -> None:

@@ -84,7 +84,7 @@ class TrainConfig:
     def __post_init__(self):
         if not 0.0 < self.lr_base <= self.lr_gate:
             raise ValueError("need lr_gate >= lr_base > 0")
-        if min(self.gamma, self.weight_decay) < 0.0:
+        if not (self.gamma >= 0.0 and self.weight_decay >= 0.0):
             raise ValueError("gamma and weight_decay must be nonnegative")
         if self.epochs < 0 or self.batch_size < 1:
             raise ValueError("epochs must be >= 0 and batch_size >= 1")
@@ -100,7 +100,7 @@ class TrainConfig:
                self.fused_dim, *hidden) < 1:
             raise ValueError("eval_seeds, probe_size, cec_pair_limit, "
                              "fused_dim and gate_hidden must be positive")
-        if self.divergence_factor <= 1.0:
+        if not self.divergence_factor > 1.0:
             raise ValueError("divergence_factor must exceed 1")
 
 

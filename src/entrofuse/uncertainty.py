@@ -1,8 +1,7 @@
 """Instance-adaptive entropy weight from predictive variance.
 
 Each modality branch is scored by the variance of its max class logit under
-feature dropout (Monte Carlo) or under an ensemble of freshly drawn heads.
-The per-sample weight is
+Monte-Carlo feature dropout (``mc_variance``). The per-sample weight is
 
     lam(x) = lam_min + softplus(min(v(x), v_max)),
     v(x) = sum over observed m of var_m(x) / |observed(x)|,
@@ -23,7 +22,6 @@ from .data import MultimodalBatch
 __all__ = [
     "LambdaConfig",
     "mc_variance",
-    "ensemble_variance",
     "mean_branch_variance",
     "lambda_of",
     "calibrate_vmax",
@@ -37,18 +35,14 @@ class LambdaConfig:
     lam_min: float = 0.01
     draws: int = 20
     rate: float = 0.1
-    source: str = "mc"  # "mc" or "ensemble"
-    ensemble_size: int = 5
 
     def __post_init__(self):
-        if self.lam_min <= 0.0:
+        if not self.lam_min > 0.0:
             raise ValueError("lam_min must be positive")
         if not 0.0 <= self.rate < 1.0:
             raise ValueError("rate must be in [0, 1)")
-        if self.draws < 2 or self.ensemble_size < 2:
+        if self.draws < 2:
             raise ValueError("variance needs at least two draws")
-        if self.source not in ("mc", "ensemble"):
-            raise ValueError(f"unknown variance source {self.source!r}")
 
 
 # Entries drawn per dropout block: enough draws per block to amortize the
@@ -130,33 +124,11 @@ def mc_variance(model, batch: MultimodalBatch, rng: np.random.Generator,
     return var
 
 
-def ensemble_variance(model, batch: MultimodalBatch, rng: np.random.Generator,
-                      size: int = 5) -> np.ndarray:
-    """Same statistic with head weights resampled instead of dropout, over
-    the rows that observe each modality; the heads are drawn first, all at
-    once, whatever the presence."""
-    if size < 2:
-        raise ValueError("variance needs at least two ensemble members")
-    d_z, classes = model.head_w.shape
-    bound = 1.0 / np.sqrt(d_z)
-    heads = rng.uniform(-bound, bound, size=(size, d_z, classes))
-    var = np.zeros((batch.n, batch.num_modalities))
-    for m in range(batch.num_modalities):
-        rows = np.flatnonzero(batch.presence[:, m])
-        base = batch.features[m][rows] @ model.proj[m]  # [r, d_z]
-        ys = (base @ heads).max(axis=2)  # [size, r], one head per row
-        var[rows, m] = ys.var(axis=0, ddof=1)
-    return var
-
-
 def mean_branch_variance(model, batch: MultimodalBatch, cfg: LambdaConfig,
                          rng: np.random.Generator) -> np.ndarray:
-    """v(x): each row's branch variances, from ``cfg.source``, averaged over
-    the modalities it observes (a batch row observes at least one)."""
-    if cfg.source == "mc":
-        var = mc_variance(model, batch, rng, draws=cfg.draws, rate=cfg.rate)
-    else:
-        var = ensemble_variance(model, batch, rng, size=cfg.ensemble_size)
+    """v(x): each row's ``mc_variance`` branch variances averaged over the
+    modalities it observes (a batch row observes at least one)."""
+    var = mc_variance(model, batch, rng, draws=cfg.draws, rate=cfg.rate)
     return var.sum(axis=1) / batch.presence.sum(axis=1)
 
 

@@ -603,6 +603,7 @@ class TestExitCodes:
         ("train", {"gate_hidden": 0}),
         ("train", {"cec_pair_limit": 0}),
         ("train", {"weight_decay": -0.01}),
+        ("train", {"gamma": float("nan")}),  # YAML .nan
         ("train", {"single_modality_index": 2}),
         ("train", {"acm_family": "typo"})])
     def test_bad_run_settings_exit_one_before_any_compute(

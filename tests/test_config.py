@@ -55,9 +55,10 @@ class TestParseConfig:
     def test_nested_lambda_section(self):
         cfg = parse_config(minimal_doc(
             train={"lam_mode": "instance",
-                   "lambda": {"lam_min": 0.05, "draws": 4, "source": "mc"}}))
+                   "lambda": {"lam_min": 0.05, "draws": 4, "rate": 0.2}}))
         assert cfg.train.lambda_cfg.lam_min == 0.05
         assert cfg.train.lambda_cfg.draws == 4
+        assert cfg.train.lambda_cfg.rate == 0.2
 
     def test_eval_section_lands_in_train_config(self):
         cfg = parse_config(minimal_doc(eval={"rates": [0.0, 0.25], "seeds": 3}))
@@ -77,6 +78,12 @@ class TestParseConfig:
             parse_config(minimal_doc(train={"lr": 0.1}))
         with pytest.raises(ConfigError, match="'beta' in train"):
             parse_config(minimal_doc(train={"beta": 0.0}))
+        # the branch variance is always Monte-Carlo dropout: the keys that
+        # chose a head ensemble instead and sized it are gone, like beta
+        with pytest.raises(ConfigError, match="'source' in train.lambda"):
+            parse_config(minimal_doc(train={"lambda": {"source": "mc"}}))
+        with pytest.raises(ConfigError, match="'ensemble_size' in train"):
+            parse_config(minimal_doc(train={"lambda": {"ensemble_size": 5}}))
         with pytest.raises(ConfigError, match="'pi' in train.schedules"):
             parse_config(minimal_doc(train={"schedules": {"pi": 0.1}}))
         with pytest.raises(ConfigError, match="in config"):
@@ -209,7 +216,7 @@ EVAL_KEY = {"eval_rates": "rates", "eval_seeds": "seeds"}
 # valid values for fields whose domain the default alone does not give
 OTHER = {"modalities": 3, "lam_mode": "instance", "ablation": "no_gate",
          "acm_family": "all_subsets", "mode": "bernoulli",
-         "source": "ensemble", "multilabel": True, "temp_scaling": True}
+         "multilabel": True, "temp_scaling": True}
 # (YAML section, attribute path from ExperimentConfig, default)
 SECTIONS = [("data", ("data",), SyntheticSpec()),
             ("train", ("train",), TrainConfig()),
@@ -226,6 +233,20 @@ def schema_fields():
                 path = (*where.split("."), YAML_KEY.get(f.name, f.name))
             yield pytest.param(path, (*attrs, f.name),
                                getattr(default, f.name), id=".".join(path))
+
+
+def nan_values():
+    """NaN for every float field, and in turn for each entry of every list
+    of floats, the other entries at their defaults."""
+    for param in schema_fields():
+        path, _, default = param.values
+        if isinstance(default, float):
+            yield pytest.param(path, float("nan"), id=param.id)
+        elif isinstance(default, tuple) and isinstance(default[0], float):
+            for i in range(len(default)):
+                value = [float("nan") if j == i else v
+                         for j, v in enumerate(default)]
+                yield pytest.param(path, value, id=f"{param.id}[{i}]")
 
 
 def other_value(name, default):
@@ -309,3 +330,11 @@ class TestSchemaIsTheDataclassFields:
     def test_wrong_type_is_named(self, path, attrs, default):
         with pytest.raises(ConfigError, match=re.escape(".".join(path))):
             parse_config(document(path, wrong_value(default)))
+
+    @pytest.mark.parametrize("path,value", nan_values())
+    def test_nan_is_rejected_and_its_section_named(self, path, value):
+        # every range check is written so that NaN fails it; the eval keys
+        # are TrainConfig fields, so its check names the train section
+        section = "train" if path[0] == "eval" else ".".join(path[:-1])
+        with pytest.raises(ConfigError, match=f"^{re.escape(section)}: "):
+            parse_config(document(path, value))

@@ -3,6 +3,7 @@ name the benchmark's tracer wraps still resolves, and a traced training
 run records no tape node and leaves the package as it found it."""
 
 import ast
+import dataclasses
 import importlib
 import importlib.util
 import pkgutil
@@ -13,6 +14,7 @@ import entrofuse.trainer as trainer_module
 from entrofuse.data import MultimodalBatch
 from entrofuse.subsets import EXHAUSTIVE_MAX
 from entrofuse.tensor import Tape
+from entrofuse.uncertainty import LambdaConfig
 
 from test_trainer import small_cfg, small_data
 
@@ -77,6 +79,18 @@ def test_parameters_carry_no_gradient_flag():
     assert mentions == []
     assert "zero_grad" in defined
     assert not defined & {"_add_grad", "gate_parameters", "base_parameters"}
+
+
+def test_branch_variance_has_one_estimator():
+    # instance lambda reads Monte-Carlo dropout only: no head-ensemble
+    # estimator, and no config key that would pick or size one
+    src = Path(entrofuse.__file__).resolve().parent.parent
+    mentions = [str(path.relative_to(src))
+                for path in sorted(src.rglob("*.py"))
+                if "ensemble" in path.read_text(encoding="utf-8").lower()]
+    assert mentions == []
+    assert [f.name for f in dataclasses.fields(LambdaConfig)] == [
+        "lam_min", "draws", "rate"]
 
 
 def test_the_exhaustive_lattice_limit_has_one_owner():

@@ -1,5 +1,8 @@
 """Fusion model: gate weights, masking semantics, fused logits, checkpoints."""
 
+import copy
+import pickle
+
 import numpy as np
 import pytest
 
@@ -8,6 +11,7 @@ from entrofuse.losses import cec_pairs, step_loss
 from entrofuse.model import (FusionConfig, FusionModel, forward,
                              forward_pullback, gate_rows, load_checkpoint,
                              predict_subset, save_checkpoint)
+from entrofuse.optim import adamw_step
 from entrofuse.rng import stream
 from entrofuse.subsets import nonempty_subsets
 
@@ -541,6 +545,62 @@ class TestParamBuffers:
             model.grad["proj_1"] = np.ones(())
         with pytest.raises(RuntimeError, match="rebound"):
             model.zero_grad()
+
+
+COPIES = {"deepcopy": copy.deepcopy,
+          "pickle": lambda model: pickle.loads(pickle.dumps(model))}
+
+
+class TestCopies:
+    """A deep copy or an unpickled model views its own buffers, as a model
+    just built does: NumPy copies each view as an array of its own."""
+
+    @pytest.fixture
+    def pair(self, request):
+        rng = np.random.default_rng(75)
+        cfg = FusionConfig(modalities=3, dims=(3, 4, 2), classes=4, fused_dim=5)
+        model = random_model(rng, cfg)
+        model.grad["head_w"][...] = rng.normal(size=model.head_w.shape)
+        batch = random_batch(rng, 9, cfg.dims, cfg.classes)
+        return model, COPIES[request.param](model), batch
+
+    @pytest.mark.parametrize("pair", list(COPIES), indirect=True)
+    def test_copy_views_its_own_buffers(self, pair):
+        model, twin, _ = pair
+        TestParamBuffers._assert_views(twin)
+        for name, p in twin.parameters():
+            for buf in (model.base.params, model.gate.params,
+                        model.base.grads, model.gate.grads):
+                assert not np.shares_memory(p, buf)
+                assert not np.shares_memory(twin.grad[name], buf)
+        assert np.array_equal(twin.grad["head_w"], model.grad["head_w"])
+
+    @pytest.mark.parametrize("pair", list(COPIES), indirect=True)
+    def test_copy_forward_is_bit_identical(self, pair):
+        model, twin, batch = pair
+        a, b = forward(model, batch), forward(twin, batch)
+        assert np.array_equal(a.logits.data, b.logits.data)
+        assert np.array_equal(a.p.data, b.p.data)
+
+    @pytest.mark.parametrize("pair", list(COPIES), indirect=True)
+    def test_adamw_on_the_copy_moves_only_the_copy(self, pair):
+        model, twin, batch = pair
+        before = forward(model, batch).logits.data
+        twin.base.grads[...] = 1.0
+        twin.gate.grads[...] = 1.0
+        for group in (twin.base, twin.gate):
+            adamw_step(group.params, group.grads, {}, lr=0.1)
+        assert not np.array_equal(forward(twin, batch).logits.data, before)
+        assert np.array_equal(forward(model, batch).logits.data, before)
+
+    @pytest.mark.parametrize("pair", list(COPIES), indirect=True)
+    def test_zero_grad_rejects_a_rebound_parameter_of_the_copy(self, pair):
+        _, twin, _ = pair
+        twin.zero_grad()
+        assert not twin.base.grads.any() and not twin.gate.grads.any()
+        twin.head_w = twin.head_w.copy()
+        with pytest.raises(RuntimeError, match="head_w was rebound"):
+            twin.zero_grad()
 
 
 class TestSeededInit:

@@ -10,8 +10,8 @@ from entrofuse.data import apply_mask
 from entrofuse.model import FusionConfig
 from entrofuse.uncertainty import softplus
 from entrofuse.uncertainty import (BLOCK, LambdaConfig, calibrate_vmax,
-                                   ensemble_variance, lambda_of, lambda_upper,
-                                   mc_variance, mean_branch_variance)
+                                   lambda_of, lambda_upper, mc_variance,
+                                   mean_branch_variance)
 
 from test_model import random_batch, random_model, random_presence
 
@@ -44,23 +44,6 @@ def per_draw_mc_variance(model, batch, rng, draws=20, rate=0.1):
     return var
 
 
-def per_head_ensemble_variance(model, batch, rng, size=5):
-    """Reference estimator: one head drawn and scored at a time, over the
-    rows that observe each modality."""
-    d_z, classes = model.head_w.shape
-    bound = 1.0 / np.sqrt(d_z)
-    heads = [rng.uniform(-bound, bound, size=(d_z, classes)) for _ in range(size)]
-    var = np.zeros((batch.n, batch.num_modalities))
-    for m in range(batch.num_modalities):
-        rows = np.flatnonzero(batch.presence[:, m])
-        if rows.size == 0:
-            continue
-        base = batch.features[m][rows] @ model.proj[m]
-        ys = np.stack([(base @ w).max(axis=1) for w in heads])
-        var[rows, m] = ys.var(axis=0, ddof=1)
-    return var
-
-
 def same_state(a, b):
     return a.bit_generator.state == b.bit_generator.state
 
@@ -83,10 +66,6 @@ class TestLambdaConfig:
             LambdaConfig(rate=1.0)
         with pytest.raises(ValueError):
             LambdaConfig(draws=1)
-        with pytest.raises(ValueError):
-            LambdaConfig(ensemble_size=1)
-        with pytest.raises(ValueError):
-            LambdaConfig(source="bootstrap")
 
 
 class TestMcVariance:
@@ -255,24 +234,6 @@ class TestBlockedEquivalence:
         assert np.array_equal(got, want)
         assert same_state(got_rng, want_rng)
 
-    @pytest.mark.parametrize("dims,classes", LAYOUTS)
-    @pytest.mark.parametrize("n", [1, 7, 500])
-    @pytest.mark.parametrize("partial", [False, True])
-    def test_ensemble_variance_matches_per_head_loop(self, dims, classes, n,
-                                                     partial):
-        rng = np.random.default_rng(70 + n)
-        presence = (random_presence(rng, n, len(dims)) if partial
-                    else np.ones((n, len(dims)), dtype=bool))
-        cfg = FusionConfig(modalities=len(dims), dims=dims, classes=classes,
-                           fused_dim=8)
-        model = random_model(rng, cfg)
-        batch = random_batch(rng, n, dims, classes, presence)
-        got_rng, want_rng = np.random.default_rng(61), np.random.default_rng(61)
-        got = ensemble_variance(model, batch, got_rng, size=5)
-        want = per_head_ensemble_variance(model, batch, want_rng, size=5)
-        assert np.array_equal(got, want)
-        assert same_state(got_rng, want_rng)
-
     @pytest.mark.parametrize("draws", [20, 400])
     def test_working_set_does_not_grow_with_draws(self, draws):
         # beyond the [draws, n] max logits the variance is taken from, the
@@ -291,45 +252,6 @@ class TestBlockedEquivalence:
             tracemalloc.stop()
         samples = draws * batch.n * 8
         assert peak - samples < 2**20
-
-
-class TestEnsembleVariance:
-    def test_shape_and_determinism(self):
-        rng = np.random.default_rng(11)
-        cfg = FusionConfig(modalities=2, dims=(4, 4), classes=3, fused_dim=4)
-        model = random_model(rng, cfg)
-        batch = random_batch(rng, 8, cfg.dims, cfg.classes)
-        a = ensemble_variance(model, batch, np.random.default_rng(12), size=5)
-        b = ensemble_variance(model, batch, np.random.default_rng(12), size=5)
-        assert a.shape == (8, 2)
-        assert (a == b).all()
-        assert (a >= 0.0).all()
-
-    def test_zero_projection_gives_zero_variance(self):
-        rng = np.random.default_rng(13)
-        cfg = FusionConfig(modalities=2, dims=(3, 3), classes=3, fused_dim=4)
-        model = random_model(rng, cfg)
-        model.proj[0][...] = 0.0
-        batch = random_batch(rng, 6, cfg.dims, cfg.classes)
-        var = ensemble_variance(model, batch, np.random.default_rng(14), size=4)
-        assert (var[:, 0] == 0.0).all()
-        assert (var[:, 1] > 0.0).any()
-
-    def test_dispatch_follows_config_source(self):
-        rng = np.random.default_rng(15)
-        cfg = FusionConfig(modalities=2, dims=(3, 3), classes=3, fused_dim=4)
-        model = random_model(rng, cfg)
-        batch = random_batch(rng, 6, cfg.dims, cfg.classes)
-        mc_cfg = LambdaConfig(source="mc", draws=6, rate=0.2)
-        en_cfg = LambdaConfig(source="ensemble", ensemble_size=4)
-        a = mean_branch_variance(model, batch, mc_cfg,
-                                 np.random.default_rng(16))
-        b = mc_variance(model, batch, np.random.default_rng(16), draws=6, rate=0.2)
-        assert (a == b.sum(axis=1) / 2).all()
-        c = mean_branch_variance(model, batch, en_cfg,
-                                 np.random.default_rng(17))
-        d = ensemble_variance(model, batch, np.random.default_rng(17), size=4)
-        assert (c == d.sum(axis=1) / 2).all()
 
 
 class TestLambdaOf:
@@ -404,12 +326,11 @@ class TestObservedBranches:
 
 class TestLambdaInvariants:
     """Random presence patterns (every row observing at least one modality),
-    2 to 5 modalities, both variance sources."""
+    2 to 5 modalities."""
 
-    @pytest.mark.parametrize("source", ["mc", "ensemble"])
     @pytest.mark.parametrize("modalities", [2, 3, 4, 5])
     @pytest.mark.parametrize("seed", range(3))
-    def test_invariants(self, source, modalities, seed):
+    def test_invariants(self, modalities, seed):
         rng = np.random.default_rng(1000 * modalities + seed)
         dims = tuple(int(d) for d in rng.integers(1, 9, size=modalities))
         cfg = FusionConfig(modalities=modalities, dims=dims,
@@ -418,14 +339,12 @@ class TestLambdaInvariants:
         full = random_batch(rng, 40, dims, cfg.classes)
         presence = random_presence(rng, 40, modalities)
         batch = random_batch(rng, 40, dims, cfg.classes, presence)
-        lcfg = LambdaConfig(lam_min=0.01, draws=5, rate=0.25, source=source,
-                            ensemble_size=4)
+        lcfg = LambdaConfig(lam_min=0.01, draws=5, rate=0.25)
 
         # a fully observed batch averages every branch, as var.mean does
         v = mean_branch_variance(model, full, lcfg, np.random.default_rng(1))
-        var = (mc_variance(model, full, np.random.default_rng(1), draws=5,
-                           rate=0.25) if source == "mc" else
-               ensemble_variance(model, full, np.random.default_rng(1), size=4))
+        var = mc_variance(model, full, np.random.default_rng(1), draws=5,
+                          rate=0.25)
         assert np.array_equal(v, var.mean(axis=1))
 
         v_max = calibrate_vmax(model, full, lcfg, np.random.default_rng(2))
