@@ -46,10 +46,10 @@ class Schedules:
             raise ValueError("warm-up horizons must be at least one epoch")
         if not 0.0 < self.pi_max < 1.0:
             raise ValueError("pi_max must be in (0, 1)")
-        if not self.lam_max >= 0.0:
-            raise ValueError("lam_max must be nonnegative")
-        if not self.eta > 0.0:
-            raise ValueError("eta must be positive")
+        if not 0.0 <= self.lam_max < np.inf:
+            raise ValueError("lam_max must be finite and nonnegative")
+        if not 0.0 < self.eta < np.inf:
+            raise ValueError("eta must be finite and positive")
         if self.mode not in ("bernoulli", "acm"):
             raise ValueError(f"unknown mask mode {self.mode!r}")
 

@@ -51,8 +51,10 @@ class SyntheticSpec:
             raise ValueError("need at least 2 modalities")
         if len(self.dims) != self.modalities or any(d < 1 for d in self.dims):
             raise ValueError("dims must list one dimension >= 1 per modality")
-        if len(self.snr) != self.modalities or any(not s > 0 for s in self.snr):
-            raise ValueError("snr must list one positive ratio per modality")
+        if (len(self.snr) != self.modalities
+                or any(not 0 < s < np.inf for s in self.snr)):
+            raise ValueError("snr must list one positive finite ratio "
+                             "per modality")
         if self.classes < 2:
             raise ValueError("need at least 2 classes")
         for name, n in (("n_train", self.n_train), ("n_val", self.n_val),

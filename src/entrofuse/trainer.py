@@ -82,10 +82,12 @@ class TrainConfig:
     divergence_factor: float = 10.0
 
     def __post_init__(self):
-        if not 0.0 < self.lr_base <= self.lr_gate:
-            raise ValueError("need lr_gate >= lr_base > 0")
-        if not (self.gamma >= 0.0 and self.weight_decay >= 0.0):
-            raise ValueError("gamma and weight_decay must be nonnegative")
+        if not 0.0 < self.lr_base <= self.lr_gate < np.inf:
+            raise ValueError("need lr_gate >= lr_base > 0, both finite")
+        if not (0.0 <= self.gamma < np.inf
+                and 0.0 <= self.weight_decay < np.inf):
+            raise ValueError("gamma and weight_decay must be finite and "
+                             "nonnegative")
         if self.epochs < 0 or self.batch_size < 1:
             raise ValueError("epochs must be >= 0 and batch_size >= 1")
         if self.lam_mode not in ("scheduled", "instance"):
@@ -100,8 +102,8 @@ class TrainConfig:
                self.fused_dim, *hidden) < 1:
             raise ValueError("eval_seeds, probe_size, cec_pair_limit, "
                              "fused_dim and gate_hidden must be positive")
-        if not self.divergence_factor > 1.0:
-            raise ValueError("divergence_factor must exceed 1")
+        if not 1.0 < self.divergence_factor < np.inf:
+            raise ValueError("divergence_factor must be finite and exceed 1")
 
 
 def check_rates(rates) -> None:

@@ -37,8 +37,8 @@ class LambdaConfig:
     rate: float = 0.1
 
     def __post_init__(self):
-        if not self.lam_min > 0.0:
-            raise ValueError("lam_min must be positive")
+        if not 0.0 < self.lam_min < np.inf:
+            raise ValueError("lam_min must be finite and positive")
         if not 0.0 <= self.rate < 1.0:
             raise ValueError("rate must be in [0, 1)")
         if self.draws < 2:

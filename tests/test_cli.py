@@ -605,7 +605,9 @@ class TestExitCodes:
         ("train", {"weight_decay": -0.01}),
         ("train", {"gamma": float("nan")}),  # YAML .nan
         ("train", {"single_modality_index": 2}),
-        ("train", {"acm_family": "typo"})])
+        ("train", {"acm_family": "typo"}),
+        ("train", {"divergence_factor": float("inf")}),  # YAML .inf
+        ("data", {"snr": [float("inf"), 1e4]})])
     def test_bad_run_settings_exit_one_before_any_compute(
             self, tmp_path, monkeypatch, capsys, command, section, setting):
         doc = dict(SMALL_CONFIG, **{section: dict(SMALL_CONFIG[section],

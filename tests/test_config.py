@@ -235,18 +235,17 @@ def schema_fields():
                                getattr(default, f.name), id=".".join(path))
 
 
-def nan_values():
-    """NaN for every float field, and in turn for each entry of every list
-    of floats, the other entries at their defaults."""
+def float_values(bad, prefix=""):
+    """``bad`` for every float field, and in turn for each entry of every
+    list of floats, the other entries at their defaults."""
     for param in schema_fields():
         path, _, default = param.values
         if isinstance(default, float):
-            yield pytest.param(path, float("nan"), id=param.id)
+            yield pytest.param(path, bad, id=prefix + param.id)
         elif isinstance(default, tuple) and isinstance(default[0], float):
             for i in range(len(default)):
-                value = [float("nan") if j == i else v
-                         for j, v in enumerate(default)]
-                yield pytest.param(path, value, id=f"{param.id}[{i}]")
+                value = [bad if j == i else v for j, v in enumerate(default)]
+                yield pytest.param(path, value, id=f"{prefix}{param.id}[{i}]")
 
 
 def other_value(name, default):
@@ -331,10 +330,20 @@ class TestSchemaIsTheDataclassFields:
         with pytest.raises(ConfigError, match=re.escape(".".join(path))):
             parse_config(document(path, wrong_value(default)))
 
-    @pytest.mark.parametrize("path,value", nan_values())
+    @pytest.mark.parametrize("path,value", float_values(float("nan")))
     def test_nan_is_rejected_and_its_section_named(self, path, value):
         # every range check is written so that NaN fails it; the eval keys
         # are TrainConfig fields, so its check names the train section
+        section = "train" if path[0] == "eval" else ".".join(path[:-1])
+        with pytest.raises(ConfigError, match=f"^{re.escape(section)}: "):
+            parse_config(document(path, value))
+
+    @pytest.mark.parametrize("path,value", [
+        *float_values(float("inf"), "+inf-"),
+        *float_values(float("-inf"), "-inf-")])
+    def test_infinity_is_rejected_and_its_section_named(self, path, value):
+        # every range check is bounded on both sides, so neither YAML .inf
+        # nor -.inf passes one, as NaN does not
         section = "train" if path[0] == "eval" else ".".join(path[:-1])
         with pytest.raises(ConfigError, match=f"^{re.escape(section)}: "):
             parse_config(document(path, value))
