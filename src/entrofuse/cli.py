@@ -16,8 +16,6 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
-from contextlib import nullcontext
 from dataclasses import replace
 
 import yaml
@@ -196,10 +194,15 @@ def cmd_ablate(args) -> int:
     os.makedirs(out, exist_ok=True)
     jobs = [(cfg, tag, os.path.join(out, tag)) for tag in ABLATIONS]
 
-    # a fork pool starts all its workers up front: one per job at most
-    with (ProcessPoolExecutor(min(args.jobs, len(jobs))) if args.jobs > 1
-          else nullcontext()) as pool:
-        tables = dict((map if pool is None else pool.map)(_ablate_job, jobs))
+    if args.jobs == 1:
+        tables = dict(map(_ablate_job, jobs))
+    else:
+        # imported here, so that no other command loads the pool's modules
+        from concurrent.futures import ProcessPoolExecutor
+
+        # a fork pool starts all its workers up front: one per job at most
+        with ProcessPoolExecutor(min(args.jobs, len(jobs))) as pool:
+            tables = dict(pool.map(_ablate_job, jobs))
 
     cols = [(rate, key) for rate in cfg.train.eval_rates
             for key in ("score", "ece")]

@@ -123,9 +123,10 @@ def parse_config(doc) -> ExperimentConfig:
             raise ConfigError(f"missing required field '{required}'")
     data = _cast(SyntheticSpec, root["data"], "data", SyntheticSpec())
     train = TrainConfig()
-    changes = _section(train, root["train"], "train")
-    changes.update(_section(train, root.get("eval", {}), "eval", _EVAL))
-    train = _build(train, changes, "train")
+    train = _build(train, _section(train, root["train"], "train"), "train")
+    # a step of its own, so that a bad eval value is reported under eval
+    train = _build(train, _section(train, root.get("eval", {}), "eval", _EVAL),
+                   "eval")
     # every ablation grid runs single_modality, whatever the ablation tag
     if not 0 <= train.single_modality_index < data.modalities:
         raise ConfigError(f"train.single_modality_index must name one of "

@@ -145,10 +145,12 @@ def generate(spec: SyntheticSpec) -> tuple[MultimodalBatch, MultimodalBatch, Mul
     labels = _make_labels(total, spec.classes, label_rng)
 
     features = []
-    for m in range(spec.modalities):
+    for m in range(spec.modalities):  # prototype + sigma * noise, no temporary
         sigma = 1.0 / np.sqrt(spec.snr[m])
         noise = noise_rng.standard_normal((total, spec.dims[m]))
-        features.append(prototypes[m][labels] + sigma * noise)
+        noise *= sigma
+        noise += prototypes[m][labels]
+        features.append(noise)
 
     if spec.multilabel:
         y = np.zeros((total, spec.classes), dtype=np.float64)
@@ -160,12 +162,13 @@ def generate(spec: SyntheticSpec) -> tuple[MultimodalBatch, MultimodalBatch, Mul
         labels_out = labels
 
     presence = np.ones((total, spec.modalities), dtype=bool)
-    full = MultimodalBatch(features=features, presence=presence,
-                           labels=labels_out, multilabel=spec.multilabel)
     a, b = spec.n_train, spec.n_train + spec.n_val
-    return (full.take(np.arange(0, a)),
-            full.take(np.arange(a, b)),
-            full.take(np.arange(b, full.n)))
+    # disjoint row slices: no split shares memory with another
+    return tuple(MultimodalBatch(features=[f[rows] for f in features],
+                                 presence=presence[rows],
+                                 labels=labels_out[rows],
+                                 multilabel=spec.multilabel)
+                 for rows in (slice(0, a), slice(a, b), slice(b, total)))
 
 
 def apply_mask(batch: MultimodalBatch,

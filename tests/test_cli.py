@@ -1,5 +1,6 @@
 """Command-line driver: run directories, exit codes, audit reports."""
 
+import concurrent.futures
 import json
 import multiprocessing
 import os
@@ -184,7 +185,8 @@ class TestAblateCommand:
             def map(self, fn, jobs):
                 return map(fn, jobs)
 
-        monkeypatch.setattr(cli_module, "ProcessPoolExecutor", InProcessPool)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
+                            InProcessPool)
         monkeypatch.setattr(cli_module, "_ablate_job", lambda job: (
             job[1], {r: {"score": 0.0, "ece": 0.0} for r in (0.0, 0.5)}))
         assert main(["ablate", "--config", one_epoch_config,
@@ -198,7 +200,8 @@ class TestAblateCommand:
         def no_compute(*args):
             raise AssertionError("ablate computed with --jobs < 1")
 
-        monkeypatch.setattr(cli_module, "ProcessPoolExecutor", no_compute)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
+                            no_compute)
         monkeypatch.setattr(cli_module, "_ablate_job", no_compute)
         monkeypatch.setattr(cli_module, "_load", no_compute)
         out = tmp_path / "grid"
@@ -600,6 +603,7 @@ class TestExitCodes:
     @pytest.mark.parametrize("command", ["run", "ablate"])
     @pytest.mark.parametrize("section,setting", [
         ("eval", {"rates": [0.0, 0.5, 0.5]}),
+        ("eval", {"seeds": 0}),
         ("train", {"gate_hidden": 0}),
         ("train", {"cec_pair_limit": 0}),
         ("train", {"weight_decay": -0.01}),
@@ -612,8 +616,9 @@ class TestExitCodes:
             self, tmp_path, monkeypatch, capsys, command, section, setting):
         doc = dict(SMALL_CONFIG, **{section: dict(SMALL_CONFIG[section],
                                                   **setting)})
-        self._assert_config_error_before_compute(
+        err = self._assert_config_error_before_compute(
             doc, command, tmp_path, monkeypatch, capsys)
+        assert f"config error: {section}" in err  # names the section set
 
     @pytest.mark.parametrize("command", ["run", "ablate"])
     def test_all_subsets_beyond_four_modalities_exits_one_before_any_compute(
@@ -638,8 +643,10 @@ class TestExitCodes:
         monkeypatch.setattr(cli_module, "generate", no_compute)
         out = tmp_path / "out"
         assert main([command, "--config", str(path), "--out", str(out)]) == 1
-        assert "config error" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "config error" in err
         assert not out.exists()
+        return err
 
     def test_divergent_training_is_two(self, tmp_path):
         doc = {

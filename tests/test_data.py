@@ -234,6 +234,65 @@ class TestGenerate:
         extra_rate = (train.labels.sum() - 2000) / (2000 * 5)
         assert abs(extra_rate - 0.2) < 0.03
 
+    @pytest.mark.parametrize("modalities", [2, 4])
+    @pytest.mark.parametrize("multilabel", [False, True])
+    def test_equals_prototype_plus_scaled_noise_split_by_take(
+            self, modalities, multilabel):
+        # the reference forms prototype + sigma * noise in full-size
+        # temporaries and splits by take copies; generate works in place
+        spec = SyntheticSpec(modalities=modalities, classes=5,
+                             dims=(6, 3, 5, 4)[:modalities],
+                             snr=(1e6, 0.5, 4.0, 0.01)[:modalities],
+                             n_train=60, n_val=20, n_test=30, seed=8,
+                             multilabel=multilabel, extra_label_rate=0.3)
+        label_rng = stream(spec.seed, "data:labels")
+        noise_rng = stream(spec.seed, "data:noise")
+        proto_rng = stream(spec.seed, "data:prototypes")
+        prototypes = [proto_rng.standard_normal((spec.classes, d))
+                      for d in spec.dims]
+        total = spec.n_train + spec.n_val + spec.n_test
+        reps = -(-total // spec.classes)
+        labels = np.tile(np.arange(spec.classes, dtype=np.int64), reps)[:total]
+        label_rng.shuffle(labels)
+        features = [prototypes[m][labels] + (1.0 / np.sqrt(spec.snr[m]))
+                    * noise_rng.standard_normal((total, spec.dims[m]))
+                    for m in range(modalities)]
+        if multilabel:
+            y = np.zeros((total, spec.classes))
+            y[np.arange(total), labels] = 1.0
+            labels = np.maximum(y, (label_rng.random((total, spec.classes))
+                                    < spec.extra_label_rate).astype(float))
+        full = MultimodalBatch(features=features,
+                               presence=np.ones((total, modalities), bool),
+                               labels=labels, multilabel=multilabel)
+        bounds = np.cumsum([0, spec.n_train, spec.n_val, spec.n_test])
+        for split, lo, hi in zip(generate(spec), bounds, bounds[1:]):
+            ref = full.take(np.arange(lo, hi))
+            assert split.multilabel is multilabel
+            assert all(np.array_equal(a, b)
+                       for a, b in zip(split.features, ref.features))
+            assert np.array_equal(split.presence, ref.presence)
+            assert np.array_equal(split.labels, ref.labels)
+
+    @pytest.mark.parametrize("multilabel", [False, True])
+    def test_splits_share_no_memory(self, multilabel):
+        spec = SyntheticSpec(modalities=3, classes=4, dims=(5, 3, 2),
+                             snr=(1.0, 1.0, 1.0), n_train=40, n_val=10,
+                             n_test=20, seed=2, multilabel=multilabel)
+        splits = generate(spec)
+        arrays = [[*s.features, s.presence, s.labels] for s in splits]
+        for i, j in ((0, 1), (0, 2), (1, 2)):
+            assert not any(np.shares_memory(a, b)
+                           for a in arrays[i] for b in arrays[j])
+        for i, split in enumerate(splits):
+            others = [s for j, s in enumerate(splits) if j != i]
+            before = [[f.copy() for f in s.features] for s in others]
+            for f in split.features:
+                f[...] = 7.0
+            for s, saved in zip(others, before):
+                assert all(np.array_equal(f, g)
+                           for f, g in zip(s.features, saved))
+
     def test_spec_validation(self):
         with pytest.raises(ValueError):
             SyntheticSpec(modalities=1, dims=(4,), snr=(1.0,))

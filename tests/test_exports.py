@@ -6,7 +6,10 @@ import ast
 import dataclasses
 import importlib
 import importlib.util
+import os
 import pkgutil
+import subprocess
+import sys
 from pathlib import Path
 
 import entrofuse
@@ -42,6 +45,20 @@ def test_every_exported_name_resolves():
              if not hasattr(module, name)]
     assert len(modules) == 14
     assert stale == []
+
+
+def test_the_cli_import_loads_no_process_pool():
+    # every command imports entrofuse.cli; the pool's modules load only when
+    # ablate --jobs > 1 builds a pool, so a fresh interpreter shows the rest
+    src = str(Path(entrofuse.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, (src, os.environ.get("PYTHONPATH")))))
+    code = ("import sys, entrofuse, entrofuse.cli; print(entrofuse.__file__); "
+            "print(*sorted({'multiprocessing', 'concurrent.futures'}"
+            " & set(sys.modules)))")
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout.splitlines()
+    assert out == [entrofuse.__file__, ""]
 
 
 def test_only_the_training_path_imports_the_tape():
