@@ -28,8 +28,8 @@ from .tensor import Tape, Tensor
 from .trainer import (DivergenceError, RunResult, Switches, TrainConfig,
                       apply_ablation, evaluate_under_dropout, fit_temperature,
                       train)
-from .uncertainty import (LambdaConfig, calibrate_vmax, lambda_of,
-                          lambda_upper, mc_variance, softplus)
+from .uncertainty import (LambdaConfig, calibrate_vmax, dropout_variance,
+                          lambda_of, softplus)
 
 __version__ = "0.1.0"
 
@@ -41,11 +41,11 @@ __all__ = [
     "Tape", "Tensor", "TrainConfig", "acm_distribution", "adamw_step",
     "apply_ablation", "apply_mask", "audit_confidences", "bernoulli_mask",
     "calibrate_vmax", "candidate_family", "cec_loss", "cec_pairs",
-    "composite_loss", "cosine_lr", "ece", "entropy_confidence_export",
-    "evaluate_under_dropout", "fit_temperature",
+    "composite_loss", "cosine_lr", "dropout_variance", "ece",
+    "entropy_confidence_export", "evaluate_under_dropout", "fit_temperature",
     "forward", "forward_views", "generate", "inversion_audit",
-    "keep_observed", "lambda_of", "lambda_upper", "load_checkpoint",
-    "load_config", "load_dataset", "map_at_1", "mc_variance",
+    "keep_observed", "lambda_of", "load_checkpoint",
+    "load_config", "load_dataset", "map_at_1",
     "nonempty_subsets", "parse_config", "predict_subset", "ramp",
     "sample_keep", "save_checkpoint", "save_dataset", "softplus", "stream",
     "subset_confidences", "subset_lattice", "top1_accuracy", "train",

@@ -50,9 +50,6 @@ class LossBreakdown:
     lam: float
     gamma: float
 
-    def composed(self) -> float:
-        return self.task + self.lam * self.ent + self.gamma * self.cec
-
 
 def cec_pairs(modalities: int, rng: np.random.Generator | None = None,
               limit: int = 8) -> SubsetLattice:

@@ -231,12 +231,11 @@ def train(cfg: TrainConfig, data: tuple[MultimodalBatch, MultimodalBatch, Multim
 
     data_rng = stream(cfg.seed, "data")
     mask_rng = stream(cfg.seed, "masking")
-    drop_rng = stream(cfg.seed, "dropout")
 
     v_max = None
     instance_lam = sw.lam_on and cfg.lam_mode == "instance"
     if instance_lam:
-        v_max = calibrate_vmax(model, val_b, cfg.lambda_cfg, drop_rng)
+        v_max = calibrate_vmax(model, val_b, cfg.lambda_cfg)
 
     lattice = None
     if cfg.gamma > 0.0 and sw.cec_on:
@@ -280,7 +279,7 @@ def train(cfg: TrainConfig, data: tuple[MultimodalBatch, MultimodalBatch, Multim
             lam = lam_t
             if instance_lam:
                 lam = lambda_of(model, replace(batch, presence=keep),
-                                cfg.lambda_cfg, drop_rng, v_max)
+                                cfg.lambda_cfg, v_max)
 
             bd = step_loss(model, batch, keep, lattice, lam=lam,
                            gamma=cfg.gamma, multilabel=multilabel)

@@ -1,7 +1,8 @@
 """Instance-adaptive entropy weight from predictive variance.
 
-Each modality branch is scored by the variance of its max class logit under
-Monte-Carlo feature dropout (``mc_variance``). The per-sample weight is
+Each modality branch is scored by the variance of its predicted class logit
+under inverted feature dropout at ``rate``, in closed form
+(``dropout_variance``). The per-sample weight is
 
     lam(x) = lam_min + softplus(min(v(x), v_max)),
     v(x) = sum over observed m of var_m(x) / |observed(x)|,
@@ -21,11 +22,10 @@ from .data import MultimodalBatch
 
 __all__ = [
     "LambdaConfig",
-    "mc_variance",
+    "dropout_variance",
     "mean_branch_variance",
     "lambda_of",
     "calibrate_vmax",
-    "lambda_upper",
     "softplus",
 ]
 
@@ -33,7 +33,6 @@ __all__ = [
 @dataclass(frozen=True)
 class LambdaConfig:
     lam_min: float = 0.01
-    draws: int = 20
     rate: float = 0.1
 
     def __post_init__(self):
@@ -41,94 +40,50 @@ class LambdaConfig:
             raise ValueError("lam_min must be finite and positive")
         if not 0.0 <= self.rate < 1.0:
             raise ValueError("rate must be in [0, 1)")
-        if self.draws < 2:
-            raise ValueError("variance needs at least two draws")
 
 
-# Entries drawn per dropout block: enough draws per block to amortize the
-# per-op overhead on these small arrays, few enough that the block stays in
-# cache and the working set does not grow with the draw count. On a 2-core
-# Xeon (AVX-512, 4 MiB L2) 2**15 beat 2**14 and 2**16 on 128 x 32 batches.
-BLOCK = 1 << 15
+def dropout_variance(model, batch: MultimodalBatch,
+                     rate: float = 0.1) -> np.ndarray:
+    """Per-sample, per-branch variance of the predicted class logit when the
+    branch input is hit with inverted dropout at ``rate``. Shape
+    [n, modalities].
 
+    Branch m's logits are h @ vw + head_b with vw = proj[m] @ head_w. Each
+    feature h_j is kept with probability 1 - rate and then scaled by
+    1 / (1 - rate), independently, so logit c has variance
 
-def mc_variance(model, batch: MultimodalBatch, rng: np.random.Generator,
-                draws: int = 20, rate: float = 0.1) -> np.ndarray:
-    """Per-sample, per-branch variance (ddof=1) of the max class logit when
-    the branch input is hit with inverted dropout. Shape [n, modalities].
+        rate / (1 - rate) * sum_j h_j**2 * vw[j, c]**2
+
+    exactly. It is read at the class k the undropped logits predict: the
+    delta-method reading of the variance of the max logit (fast dropout).
     A modality a row does not observe (``batch.presence``) is no branch of
-    that row: it takes no draws and its entry is 0.
-
-    The masks come from one stream of 16-bit lanes. For modality m, observed
-    by r rows (in row order) with d features, each draw reads
-    ceil(r * d / 4) words of ``rng.bit_generator.random_raw`` as
-    little-endian uint16 lanes, and its first r * d lanes are the draw's
-    [r, d] entries in row-major order. An entry drops when its lane is
-    below cut = round(rate * 2**16), so the realised drop probability is
-    cut / 2**16; a kept entry is scaled by 1 / (1 - rate). Draws are taken
-    modality by modality and draw-major within a modality, in blocks of
-    max(1, BLOCK // (r * d)) draws with one ``random_raw`` call each, so
-    the estimate does not depend on the blocking, and the dropout working
-    set is BLOCK entries or one draw, whichever is larger, whatever
-    ``draws`` is; only the [draws, n] max logits grow with ``draws``.
-    ``rate == 0`` draws nothing.
+    that row, and its entry is 0; every entry is 0 when ``rate == 0``.
     """
-    if draws < 2:
-        raise ValueError("variance needs at least two draws")
     if not 0.0 <= rate < 1.0:
         raise ValueError("rate must be in [0, 1)")
-    n = batch.n
-    var = np.zeros((n, batch.num_modalities))
-    head_w, head_b = model.head_w, model.head_b
-    # a Python int, compared by value: at 2**16 (rates within 2**-17 of 1)
-    # every lane drops rather than the threshold wrapping to 0 in uint16
-    cut = round(rate * 2**16)
-    samples = np.empty(draws * n)  # each modality's [draws, r] max logits
+    var = np.zeros((batch.n, batch.num_modalities))
     for m in range(batch.num_modalities):
         rows = np.flatnonzero(batch.presence[:, m])
-        r = rows.size
-        if r == 0:
+        if rows.size == 0:
             continue
         h = batch.features[m][rows]
-        d = h.shape[1]
-        vw = model.proj[m] @ head_w  # combined [d_m, classes]
-        ys = samples[:draws * r].reshape(draws, r)
-        if rate == 0.0:
-            ys[:] = (h @ vw + head_b).max(axis=1)
-        else:
-            scaled = h / (1.0 - rate)
-            words = -(-r * d // 4)
-            block = np.empty((min(draws, max(1, BLOCK // (r * d))), r, d))
-            for lo in range(0, draws, len(block)):
-                u = block[:draws - lo]
-                raw = rng.bit_generator.random_raw(len(u) * words)
-                lanes = raw.astype("<u8", copy=False).view("<u2")
-                np.greater_equal(
-                    lanes.reshape(len(u), -1)[:, :r * d].reshape(u.shape),
-                    cut, out=u)
-                u *= scaled
-                # the stacked matmul makes the same BLAS call per draw as a
-                # single [r, d_m] @ [d_m, classes] product, so each draw's
-                # logits are bit-identical to it; the class axis goes first
-                # so the max runs over a few long rows
-                logits = np.empty((vw.shape[1], len(u), r))
-                np.add((u @ vw).transpose(2, 0, 1), head_b[:, None, None],
-                       out=logits)
-                logits.max(axis=0, out=ys[lo:lo + len(u)])
-        # ys.var(axis=0, ddof=1) step for step, but in place: the samples
-        # are the one array here that grows with draws
-        mean = ys.sum(axis=0) / draws
-        ys -= mean
-        ys *= ys
-        var[rows, m] = ys.sum(axis=0) / (draws - 1)
+        vw = model.proj[m] @ model.head_w  # combined [d_m, classes]
+        k = (h @ vw + model.head_b).argmax(axis=1)
+        per_logit = (h * h) @ (vw * vw)
+        var[rows, m] = rate / (1.0 - rate) * per_logit[np.arange(rows.size), k]
     return var
 
 
-def mean_branch_variance(model, batch: MultimodalBatch, cfg: LambdaConfig,
-                         rng: np.random.Generator) -> np.ndarray:
-    """v(x): each row's ``mc_variance`` branch variances averaged over the
-    modalities it observes (a batch row observes at least one)."""
-    var = mc_variance(model, batch, rng, draws=cfg.draws, rate=cfg.rate)
+def mean_branch_variance(model, batch: MultimodalBatch,
+                         cfg: LambdaConfig) -> np.ndarray:
+    """v(x): each row's ``dropout_variance`` branch variances,
+
+        rate / (1 - rate) * sum_j h_j**2 * vw_m[j, k_m]**2
+
+    for the row's features h of modality m and its predicted class k_m on
+    that branch, averaged over the modalities it observes (a batch row
+    observes at least one)."""
+    var = dropout_variance(model, batch, rate=cfg.rate)
     return var.sum(axis=1) / batch.presence.sum(axis=1)
 
 
@@ -140,21 +95,15 @@ def softplus(x):
 
 
 def lambda_of(model, batch: MultimodalBatch, cfg: LambdaConfig,
-              rng: np.random.Generator, v_max: float) -> np.ndarray:
+              v_max: float) -> np.ndarray:
     """Per-sample entropy weight, capped at ``v_max`` (``np.inf``: no cap)
     before the softplus. Raises ``ValueError`` unless v_max >= 0."""
     if not v_max >= 0.0:
         raise ValueError("v_max must be nonnegative")
-    vbar = np.minimum(mean_branch_variance(model, batch, cfg, rng), v_max)
+    vbar = np.minimum(mean_branch_variance(model, batch, cfg), v_max)
     return cfg.lam_min + softplus(vbar)
 
 
-def calibrate_vmax(model, batch: MultimodalBatch, cfg: LambdaConfig,
-                   rng: np.random.Generator) -> float:
+def calibrate_vmax(model, batch: MultimodalBatch, cfg: LambdaConfig) -> float:
     """Largest uncapped mean branch variance on the given batch."""
-    return float(mean_branch_variance(model, batch, cfg, rng).max())
-
-
-def lambda_upper(cfg: LambdaConfig, v_max: float) -> float:
-    """Supremum of lambda_of under this config and cap (attained at it)."""
-    return cfg.lam_min + float(softplus(v_max))
+    return float(mean_branch_variance(model, batch, cfg).max())

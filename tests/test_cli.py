@@ -631,6 +631,17 @@ class TestExitCodes:
         self._assert_config_error_before_compute(
             doc, command, tmp_path, monkeypatch, capsys)
 
+    def test_removed_lambda_draws_key_exits_one_before_any_compute(
+            self, tmp_path, monkeypatch, capsys):
+        # the branch variance is in closed form, so the Monte-Carlo draw
+        # count is an unknown key
+        doc = dict(SMALL_CONFIG, train=dict(
+            SMALL_CONFIG["train"], lam_mode="instance",
+            **{"lambda": {"lam_min": 0.01, "draws": 20}}))
+        err = self._assert_config_error_before_compute(
+            doc, "run", tmp_path, monkeypatch, capsys)
+        assert "'draws' in train.lambda" in err
+
     @staticmethod
     def _assert_config_error_before_compute(doc, command, tmp_path,
                                             monkeypatch, capsys):

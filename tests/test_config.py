@@ -55,9 +55,8 @@ class TestParseConfig:
     def test_nested_lambda_section(self):
         cfg = parse_config(minimal_doc(
             train={"lam_mode": "instance",
-                   "lambda": {"lam_min": 0.05, "draws": 4, "rate": 0.2}}))
+                   "lambda": {"lam_min": 0.05, "rate": 0.2}}))
         assert cfg.train.lambda_cfg.lam_min == 0.05
-        assert cfg.train.lambda_cfg.draws == 4
         assert cfg.train.lambda_cfg.rate == 0.2
 
     def test_eval_section_lands_in_train_config(self):
@@ -78,10 +77,13 @@ class TestParseConfig:
             parse_config(minimal_doc(train={"lr": 0.1}))
         with pytest.raises(ConfigError, match="'beta' in train"):
             parse_config(minimal_doc(train={"beta": 0.0}))
-        # the branch variance is always Monte-Carlo dropout: the keys that
-        # chose a head ensemble instead and sized it are gone, like beta
+        # the branch variance is always the closed-form dropout variance:
+        # the keys that chose a head ensemble instead and sized it are gone,
+        # like beta, and so is the Monte-Carlo draw count
         with pytest.raises(ConfigError, match="'source' in train.lambda"):
             parse_config(minimal_doc(train={"lambda": {"source": "mc"}}))
+        with pytest.raises(ConfigError, match="'draws' in train.lambda"):
+            parse_config(minimal_doc(train={"lambda": {"draws": 20}}))
         with pytest.raises(ConfigError, match="'ensemble_size' in train"):
             parse_config(minimal_doc(train={"lambda": {"ensemble_size": 5}}))
         with pytest.raises(ConfigError, match="'pi' in train.schedules"):

@@ -99,15 +99,15 @@ def test_parameters_carry_no_gradient_flag():
 
 
 def test_branch_variance_has_one_estimator():
-    # instance lambda reads Monte-Carlo dropout only: no head-ensemble
-    # estimator, and no config key that would pick or size one
+    # instance lambda reads the closed-form dropout variance only: no
+    # head-ensemble estimator, and no config key that would pick or size one
     src = Path(entrofuse.__file__).resolve().parent.parent
     mentions = [str(path.relative_to(src))
                 for path in sorted(src.rglob("*.py"))
                 if "ensemble" in path.read_text(encoding="utf-8").lower()]
     assert mentions == []
     assert [f.name for f in dataclasses.fields(LambdaConfig)] == [
-        "lam_min", "draws", "rate"]
+        "lam_min", "rate"]
 
 
 def test_the_exhaustive_lattice_limit_has_one_owner():

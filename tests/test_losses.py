@@ -25,6 +25,11 @@ from test_trainer import small_cfg, small_data
 from test_views import reference_forward
 
 
+def composed(bd):
+    """The breakdown's invariant: task + lam * ent + gamma * cec."""
+    return bd.task + bd.lam * bd.ent + bd.gamma * bd.cec
+
+
 def softmax_rows(z):
     e = np.exp(z - z.max(axis=1, keepdims=True))
     return e / e.sum(axis=1, keepdims=True)
@@ -374,7 +379,7 @@ class TestCompositeLoss:
             bd = composite_loss(logits, p, labels, lam=0.05, gamma=0.2,
                                 **kw)[0]
             assert bd.cec > 0.0
-            np.testing.assert_allclose(bd.total, bd.composed(), rtol=0,
+            np.testing.assert_allclose(bd.total, composed(bd), rtol=0,
                                        atol=1e-12)
 
     def test_component_values_match_independent_terms(self):
@@ -442,7 +447,7 @@ class TestCompositeLoss:
             lam = rng.uniform(0.01, 0.2, size=6)
             bd = composite_loss(logits, p, labels, lam=lam, gamma=0.0)[0]
             np.testing.assert_allclose(bd.lam, lam.mean(), rtol=0, atol=1e-15)
-            np.testing.assert_allclose(bd.total, bd.composed(), rtol=0,
+            np.testing.assert_allclose(bd.total, composed(bd), rtol=0,
                                        atol=1e-12)
             # per-sample weighting oracle
             ent_rows = -(p * np.log(np.maximum(p, 1e-300))).sum(axis=1)

@@ -24,8 +24,6 @@ from entrofuse.trainer import (ABLATIONS, DivergenceError, Switches,
                                fit_temperature, run_config_hash, train)
 from entrofuse.uncertainty import LambdaConfig
 
-from test_uncertainty import per_draw_mc_variance
-
 
 def small_data(seed=0, classes=3, snr=(1e4, 1e4)):
     spec = SyntheticSpec(modalities=2, classes=classes, dims=(6, 6), snr=snr,
@@ -277,30 +275,32 @@ class TestTrainLoop:
 
     def test_instance_mode_calibrates_vmax_and_reports_it(self):
         cfg = small_cfg(lam_mode="instance",
-                        lambda_cfg=LambdaConfig(draws=4, rate=0.2))
+                        lambda_cfg=LambdaConfig(rate=0.2))
         res = train(cfg, small_data())
         assert res.v_max is not None and res.v_max >= 0.0
         # per-sample weights average above the floor
         assert all(h.lam > cfg.lambda_cfg.lam_min for h in res.history)
 
-    def test_instance_lambda_history_matches_per_draw_estimator(
+    def test_instance_lambda_reads_one_dropout_variance_per_step(
             self, monkeypatch):
-        # the blocked dropout estimator leaves instance-lambda training,
-        # calibration included, exactly as the one-draw-at-a-time loop does
+        # the calibration and each step read the closed-form variance once,
+        # at the configured rate, and draw nothing for it: the history is
+        # the one the variance alone determines
         cfg = small_cfg(lam_mode="instance", gamma=0.0,
-                        lambda_cfg=LambdaConfig(draws=6, rate=0.2))
-        blocked = train(cfg, small_data())
-        calls = []
+                        lambda_cfg=LambdaConfig(rate=0.2))
+        plain = train(cfg, small_data())
+        rates = []
+        original = uncertainty.dropout_variance
 
-        def reference(*args, **kwargs):
-            calls.append(1)
-            return per_draw_mc_variance(*args, **kwargs)
+        def counted(model, batch, rate):
+            rates.append(rate)
+            return original(model, batch, rate)
 
-        monkeypatch.setattr(uncertainty, "mc_variance", reference)
-        per_draw = train(cfg, small_data())
-        assert len(calls) == 1 + cfg.epochs * (256 // cfg.batch_size)
-        assert blocked.v_max == per_draw.v_max
-        assert blocked.history == per_draw.history
+        monkeypatch.setattr(uncertainty, "dropout_variance", counted)
+        traced = train(cfg, small_data())
+        assert rates == [0.2] * (1 + cfg.epochs * (256 // cfg.batch_size))
+        assert plain.v_max == traced.v_max
+        assert plain.history == traced.history
 
     def test_wall_clock_and_hash_are_populated(self):
         res = train(small_cfg(epochs=1), small_data())
