@@ -1,5 +1,6 @@
 """Instance-adaptive entropy weight from per-branch predictive variance."""
 
+import tracemalloc
 from dataclasses import fields, replace
 
 import numpy as np
@@ -43,6 +44,24 @@ def mc_max_logit_variance(model, batch, rng, draws, rate):
             ys = mc_branch_logits(model, batch, m, rng, draws, rate).max(axis=2)
             var[rows, m] = ys.var(axis=0, ddof=1)
     return var
+
+
+def per_row_dropout_variance(model, batch, rate):
+    """Reference: the closed form one row and one observed modality at a
+    time, each row's predicted class read from its own undropped logits."""
+    var = np.zeros((batch.n, batch.num_modalities))
+    for m in range(batch.num_modalities):
+        vw = model.proj[m] @ model.head_w
+        for i in np.flatnonzero(batch.presence[:, m]):
+            h = batch.features[m][i]
+            k = int(np.argmax(h @ vw + model.head_b))
+            var[i, m] = rate / (1.0 - rate) * float(np.dot(h * h,
+                                                            vw[:, k] ** 2))
+    return var
+
+
+# (dims, classes): the benchmark's layout, and unequal dims with few classes
+LAYOUTS = [((32, 32), 8), ((3, 5, 40), 3)]
 
 
 def spearman(a, b):
@@ -185,6 +204,49 @@ class TestDropoutVariance:
         print(f"spearman vs 400 draws: closed form {rho_closed:.3f}, "
               f"20 draws {rho_few:.3f}")
         assert np.isfinite(rho_closed) and np.isfinite(rho_few)
+
+
+class TestLoopEquivalence:
+    """The batched closed form against a per-row loop, and its memory."""
+
+    @pytest.mark.parametrize("dims,classes", LAYOUTS)
+    @pytest.mark.parametrize("rate", [0.0, 0.2])
+    @pytest.mark.parametrize("n", [1, 7, 2000])
+    @pytest.mark.parametrize("partial", [False, True])
+    def test_dropout_variance_matches_per_row_loop(self, dims, classes, rate,
+                                                   n, partial):
+        # equal to 1e-12 relative (a gemm row may round differently from a
+        # dot product); an unobserved modality's entry is exactly 0
+        rng = np.random.default_rng(n)
+        presence = (random_presence(rng, n, len(dims)) if partial
+                    else np.ones((n, len(dims)), dtype=bool))
+        cfg = FusionConfig(modalities=len(dims), dims=dims, classes=classes,
+                           fused_dim=8)
+        model = random_model(rng, cfg)
+        batch = random_batch(rng, n, dims, classes, presence)
+        got = dropout_variance(model, batch, rate=rate)
+        want = per_row_dropout_variance(model, batch, rate)
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
+        assert np.array_equal(got[~presence], np.zeros((~presence).sum()))
+
+    @pytest.mark.parametrize("n", [500, 2000])
+    def test_working_set_holds_no_dim_by_class_array(self, n):
+        # the estimator holds a few [rows, dim] and [rows, classes] arrays;
+        # forming the per-logit sums as a [rows, dim, classes] product
+        # before reducing breaks the bound
+        rng = np.random.default_rng(62)
+        cfg = FusionConfig(modalities=2, dims=(32, 32), classes=16,
+                           fused_dim=32)
+        model = random_model(rng, cfg)
+        batch = random_batch(rng, n, cfg.dims, cfg.classes)
+        tracemalloc.start()
+        try:
+            dropout_variance(model, batch, rate=0.1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        d, c = cfg.dims[0], cfg.classes
+        assert peak < 4 * n * (d + c) * 8 < n * d * c * 8
 
 
 class TestLambdaOf:
