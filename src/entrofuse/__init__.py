@@ -12,7 +12,7 @@ from .config import ConfigError, ExperimentConfig, load_config, parse_config
 from .curriculum import (MaskDistribution, Schedules, acm_distribution,
                          candidate_family, ramp, sample_keep)
 from .data import (MultimodalBatch, SyntheticSpec, apply_mask, bernoulli_mask,
-                   generate, keep_observed, load_dataset, save_dataset)
+                   generate, keep_observed)
 from .losses import (LossBreakdown, cec_loss, cec_pairs, composite_loss,
                      subset_confidences)
 from .metrics import (CalibrationReport, InversionAudit, audit_confidences,
@@ -44,9 +44,8 @@ __all__ = [
     "composite_loss", "cosine_lr", "dropout_variance", "ece",
     "entropy_confidence_export", "evaluate_under_dropout", "fit_temperature",
     "forward", "forward_views", "generate", "inversion_audit",
-    "keep_observed", "lambda_of", "load_checkpoint",
-    "load_config", "load_dataset", "map_at_1",
-    "nonempty_subsets", "parse_config", "predict_subset", "ramp",
-    "sample_keep", "save_checkpoint", "save_dataset", "softplus", "stream",
+    "keep_observed", "lambda_of", "load_checkpoint", "load_config",
+    "map_at_1", "nonempty_subsets", "parse_config", "predict_subset", "ramp",
+    "sample_keep", "save_checkpoint", "softplus", "stream",
     "subset_confidences", "subset_lattice", "top1_accuracy", "train",
 ]

@@ -1,7 +1,6 @@
 """Experiment driver.
 
 Subcommands:
-  gen-data  write a synthetic dataset to an .npz file
   run       train one configuration and write a run directory
   ablate    run the ablation grid with shared seeds, emit a combined table
   audit     calibration + inversion + scatter reports for a checkpoint,
@@ -22,7 +21,7 @@ import yaml
 
 from .config import (ConfigError, ExperimentConfig, dump_resolved, load_config,
                      parse_config, read_yaml)
-from .data import generate, save_dataset
+from .data import generate
 from .metrics import (confidence_correct, ece, entropy_confidence_export,
                       inversion_audit, write_csv)
 from .model import forward_views, load_checkpoint, save_checkpoint
@@ -59,12 +58,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="entrofuse",
                      description="entropy-gated fusion experiment driver")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p_gen = sub.add_parser("gen-data", help="write a synthetic dataset file")
-    p_gen.add_argument("--config", required=True)
-    p_gen.add_argument("--out", required=True)
-    p_gen.add_argument("--seed", type=int, default=None)
-    p_gen.set_defaults(func=cmd_gen_data)
 
     p_run = sub.add_parser("run", help="train one configuration")
     p_run.add_argument("--config", required=True)
@@ -147,18 +140,6 @@ def write_run_dir(out: str, cfg: ExperimentConfig, result: RunResult,
         yaml.safe_dump(summary, fh, sort_keys=True)
 
 
-def cmd_gen_data(args) -> int:
-    cfg = _load(args)
-    train_b, val_b, test_b = generate(cfg.data)
-    parent = os.path.dirname(args.out)
-    if parent:
-        os.makedirs(parent, exist_ok=True)
-    save_dataset(args.out, train_b, val_b, test_b, cfg.data.classes)
-    print(f"wrote {args.out}: train={train_b.n} val={val_b.n} "
-          f"test={test_b.n} modalities={train_b.num_modalities}")
-    return 0
-
-
 def cmd_run(args) -> int:
     cfg = _load(args)
     out = _resolve_out(cfg, args.out, f"runs/run-seed{cfg.train.seed}")
@@ -238,7 +219,7 @@ def _run_temperature(checkpoint: str) -> float:
 def cmd_audit(args) -> int:
     try:
         model = load_checkpoint(args.checkpoint)
-    except (OSError, KeyError, ValueError) as exc:
+    except (OSError, ValueError) as exc:
         raise ConfigError(f"cannot load checkpoint {args.checkpoint}: {exc}")
     if model.cfg.modalities > EXHAUSTIVE_MAX:  # before any compute or file
         raise ValueError("full lattice audit is limited to "

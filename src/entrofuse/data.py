@@ -2,14 +2,13 @@
 
 Features play the role of frozen encoder outputs: each class has a Gaussian
 prototype per modality and samples observe prototype + noise at a
-per-modality signal-to-noise ratio. A masked modality is replaced by the
-zero fill vector and its presence flag is cleared; a draw that would
-empty a row leaves it its presence (``keep_observed``).
+per-modality signal-to-noise ratio. Every train and eval path masks a
+modality by clearing its presence flag in a ``keep_observed`` view; no
+package path calls ``apply_mask``, which zero-fills a masked copy.
 """
 
 from __future__ import annotations
 
-import zipfile
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -24,11 +23,7 @@ __all__ = [
     "bernoulli_mask",
     "keep_observed",
     "last_axis_first",
-    "save_dataset",
-    "load_dataset",
 ]
-
-_SPLITS = ("train", "val", "test")
 
 
 @dataclass(frozen=True)
@@ -233,59 +228,3 @@ def last_axis_first(a: np.ndarray) -> np.ndarray:
     reduction over a short modality or class axis runs across rows, where
     NumPy is far faster (README, library map)."""
     return a.transpose(-1, *range(a.ndim - 1)).copy()
-
-
-# ---------------------------------------------------------------------------
-# dataset file: one .npz holding, per split s in (train, val, test),
-# s_features_0 .. s_features_{M-1} [n, d_m], s_presence [n, M] bool and
-# s_labels ([n] class indices, or the [n, C] multi-hot matrix), plus classes
-# ---------------------------------------------------------------------------
-
-def save_dataset(path, train: MultimodalBatch, val: MultimodalBatch,
-                 test: MultimodalBatch, classes: int) -> None:
-    arrays = {"classes": np.int64(classes)}
-    for name, split in zip(_SPLITS, (train, val, test)):
-        for m, f in enumerate(split.features):
-            arrays[f"{name}_features_{m}"] = f
-        arrays[f"{name}_presence"] = split.presence
-        arrays[f"{name}_labels"] = split.labels
-    with open(path, "wb") as fh:  # a file object: no ".npz" gets appended
-        np.savez(fh, **arrays)
-
-
-def load_dataset(path) -> tuple[MultimodalBatch, MultimodalBatch, MultimodalBatch, int]:
-    """Returns (train, val, test, classes) from a ``save_dataset`` file.
-
-    Raises ``ValueError`` if the file is not such an archive, lacks an array,
-    or holds arrays whose row counts disagree.
-    """
-    try:
-        archive = np.load(path, allow_pickle=False)
-    except (EOFError, zipfile.BadZipFile) as exc:
-        raise ValueError(f"not a dataset file: {exc}") from exc
-    if not isinstance(archive, np.lib.npyio.NpzFile):
-        raise ValueError("not a dataset file: expected an .npz archive")
-    with archive:
-        def get(key: str, ndim: tuple[int, ...]) -> np.ndarray:
-            if key not in archive.files:
-                raise ValueError(f"dataset file lacks array {key!r}")
-            arr = archive[key]
-            if arr.ndim not in ndim:
-                raise ValueError(f"dataset array {key!r} has {arr.ndim} axes")
-            return arr
-
-        classes = int(get("classes", (0,)))
-        splits = []
-        for name in _SPLITS:
-            presence = get(f"{name}_presence", (2,)).astype(bool)
-            if presence.shape[1] == 0:
-                raise ValueError(f"dataset split {name!r} has no modality")
-            labels = get(f"{name}_labels", (1, 2))
-            multilabel = labels.ndim == 2
-            splits.append(MultimodalBatch(
-                features=[get(f"{name}_features_{m}", (2,)).astype(np.float64)
-                          for m in range(presence.shape[1])],
-                presence=presence,
-                labels=labels.astype(np.float64 if multilabel else np.int64),
-                multilabel=multilabel))
-    return (*splits, classes)

@@ -237,7 +237,7 @@ class ForwardOutput:
     @property
     def confidence(self) -> T.Tensor:
         probs = class_probs(self.logits.data, self.multilabel)
-        return T.Tensor(last_axis_first(probs).max(axis=0))
+        return T._result(last_axis_first(probs).max(axis=0))
 
     @property
     def gate_entropy(self) -> np.ndarray:
@@ -492,20 +492,25 @@ def save_checkpoint(model: FusionModel, path) -> None:
 
 
 def load_checkpoint(path) -> FusionModel:
-    """Model saved by ``save_checkpoint``. Raises ``ValueError`` if the stored
-    config does not build a ``FusionConfig`` (e.g. a key this version no
-    longer has), an array's shape does not fit that config, an array holds
-    a non-finite value or a ``norm_std`` entry is not positive."""
+    """Model saved by ``save_checkpoint``. Raises ``ValueError`` if an entry
+    is missing, the stored config does not build a ``FusionConfig`` (e.g. a
+    key this version no longer has), an array does not fit that config or
+    holds a non-finite value, or a ``norm_std`` entry is not positive."""
     with np.load(path) as z:
+        def entry(key: str) -> np.ndarray:
+            if key not in z.files:
+                raise ValueError(f"checkpoint lacks entry {key}")
+            return z[key]
+
         try:
-            cfg_dict = json.loads(bytes(z["config_json"].tobytes()).decode("utf-8"))
+            cfg_dict = json.loads(entry("config_json").tobytes().decode("utf-8"))
             cfg_dict["dims"] = tuple(cfg_dict["dims"])
             cfg = FusionConfig(**cfg_dict)
-        except TypeError as exc:
+        except (KeyError, TypeError) as exc:
             raise ValueError(f"checkpoint config does not fit: {exc}") from exc
 
         def load(key: str, shape: tuple[int, ...]) -> np.ndarray:
-            arr = np.asarray(z[key], dtype=np.float64)
+            arr = np.asarray(entry(key), dtype=np.float64)
             if arr.shape != shape:
                 raise ValueError(f"checkpoint array {key} has shape "
                                  f"{arr.shape}, the config needs {shape}")

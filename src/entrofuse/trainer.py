@@ -7,11 +7,12 @@ masked pattern, and with the consistency penalty on, one view per lattice
 subset) and the task + entropy + consistency objective, whose gradients
 ``losses.step_loss`` adds into the model's flat buffers, and take one
 decoupled-weight-decay Adam step per parameter group on them (gate
-parameters at their own learning rate, cosine decay on both groups). Every draw and subset view is ``data.keep_observed``'s,
-so any presence that leaves each row a modality trains. Instance lambda
-reads the masked pattern as presence too, and the single_modality ablation
-restricts each split's presence to the kept modality: no path builds a
-zero-filled masked copy.
+parameters at their own learning rate, cosine decay on both groups).
+Every draw and subset view is ``data.keep_observed``'s, so any presence
+that leaves each row a modality trains. Instance lambda reads the masked
+pattern as presence too, and the single_modality ablation restricts each
+split's presence to the kept modality: no path builds a zero-filled
+masked copy.
 
 Named RNG streams keyed by the run seed keep the data order identical
 across ablations of the same seed, so switched-off components are the only

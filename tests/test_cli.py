@@ -4,7 +4,9 @@ import concurrent.futures
 import json
 import multiprocessing
 import os
+import re
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -14,11 +16,12 @@ import entrofuse.cli as cli_module
 import entrofuse.metrics as metrics_module
 import entrofuse.model as model_module
 import entrofuse.trainer as trainer_module
-from entrofuse.cli import main
+from entrofuse.cli import build_parser, main
 from entrofuse.config import load_config
-from entrofuse.data import generate, load_dataset
+from entrofuse.data import generate
 from entrofuse.metrics import entropy_confidence_export
-from entrofuse.model import FusionConfig, FusionModel, save_checkpoint
+from entrofuse.model import (FusionConfig, FusionModel, load_checkpoint,
+                             save_checkpoint)
 from entrofuse.trainer import ABLATIONS, train
 
 
@@ -92,23 +95,6 @@ class TestRunCommand:
                                 "v_max", "final_val_score"}
         assert summary["wall_clock_s"] > 0.0
         assert 0.0 <= summary["final_val_score"] <= 1.0
-
-
-class TestGenDataCommand:
-    def test_writes_loadable_dataset(self, config_path, tmp_path, capsys):
-        out = str(tmp_path / "data.bin")
-        assert main(["gen-data", "--config", config_path, "--out", out]) == 0
-        train_b, val_b, test_b, classes = load_dataset(out)
-        assert (train_b.n, val_b.n, test_b.n) == (256, 96, 96)
-        assert classes == 3
-        assert train_b.dims == (6, 6)
-        assert "wrote" in capsys.readouterr().out
-
-    def test_gen_data_is_deterministic(self, config_path, tmp_path):
-        a, b = str(tmp_path / "a.bin"), str(tmp_path / "b.bin")
-        assert main(["gen-data", "--config", config_path, "--out", a]) == 0
-        assert main(["gen-data", "--config", config_path, "--out", b]) == 0
-        assert open(a, "rb").read() == open(b, "rb").read()
 
 
 class TestAblateCommand:
@@ -524,6 +510,18 @@ class TestAuditCommand:
         assert code == 1 and "cannot load checkpoint" in err
         assert "non-finite" in err
 
+    @pytest.mark.parametrize("key", ["head_b", "norm_std_1", "config_json"])
+    def test_checkpoint_missing_an_entry_exits_one(
+            self, run_dir, config_path, tmp_path, capsys, key):
+        def alter(arrays):
+            del arrays[key]
+
+        code, err = self._audit_altered(run_dir, config_path, tmp_path,
+                                        capsys, alter)
+        assert code == 1 and "cannot load checkpoint" in err
+        assert not (tmp_path / "audit").exists()
+        with pytest.raises(ValueError, match=f"^checkpoint lacks entry {key}$"):
+            load_checkpoint(tmp_path / "altered.npz")
 
     @pytest.mark.parametrize("key,value", [("norm_std_1", -1.0),
                                            ("norm_std_0", 0.0)])
@@ -538,6 +536,7 @@ class TestAuditCommand:
         assert code == 1 and "cannot load checkpoint" in err
         assert f"{key} holds a value <= 0" in err
         assert not (tmp_path / "audit").exists()
+
 
 class TestExitCodes:
     def test_missing_config_file_is_one(self, tmp_path):
@@ -575,7 +574,7 @@ class TestExitCodes:
             path.write_bytes(b"data: {seed: 0}  # caf\xe9\n")
         return str(path)
 
-    @pytest.mark.parametrize("command", ["run", "ablate", "gen-data"])
+    @pytest.mark.parametrize("command", ["run", "ablate"])
     def test_unreadable_config_is_one(self, unreadable_config, command,
                                       tmp_path, capsys):
         code = main([command, "--config", unreadable_config,
@@ -589,8 +588,24 @@ class TestExitCodes:
                      "--config", unreadable_config]) == 1
         assert "config error: cannot read config" in capsys.readouterr().err
 
-    def test_unknown_subcommand_is_one(self):
-        assert main(["explode"]) == 1
+    @pytest.mark.parametrize("command", ["explode", "gen-data"])
+    def test_unknown_subcommand_is_one(self, command, config_path, tmp_path,
+                                       capsys):
+        out = tmp_path / "data.npz"
+        assert main([command, "--config", config_path, "--out", str(out)]) == 1
+        assert "usage error" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_docstring_readme_and_parser_name_the_same_subcommands(self):
+        doc = cli_module.__doc__.split("Subcommands:\n")[1].split("\n\n")[0]
+        readme = Path(__file__).resolve().parent.parent / "README.md"
+        usage = (readme.read_text(encoding="utf-8").split("## CLI\n")[1]
+                 .split("```bash\n")[1].split("```")[0])
+        (sub,) = [a for a in build_parser()._actions if a.dest == "command"]
+        named = set(re.findall(r"^  (\S+)  ", doc, re.MULTILINE))
+        assert {"run", "ablate", "audit"} <= named
+        assert set(re.findall(r"^entrofuse (\S+)", usage, re.MULTILINE)) == named
+        assert set(sub.choices) == named
 
     def test_missing_required_flag_is_one(self):
         assert main(["run"]) == 1

@@ -1,4 +1,4 @@
-"""Seeded streams, modality subsets, synthetic data, masking, dataset IO."""
+"""Seeded streams, modality subsets, synthetic data, masking."""
 
 from dataclasses import replace
 
@@ -6,8 +6,7 @@ import numpy as np
 import pytest
 
 from entrofuse.data import (MultimodalBatch, SyntheticSpec, apply_mask,
-                            bernoulli_mask, generate, keep_observed,
-                            load_dataset, save_dataset)
+                            bernoulli_mask, generate, keep_observed)
 from entrofuse.rng import stream
 from entrofuse.subsets import (SubsetLattice, nonempty_subsets,
                               subset_lattice)
@@ -466,82 +465,3 @@ class TestBatchValidation:
             MultimodalBatch(features=self._parts(),
                             presence=np.ones((6, 2), dtype=bool),
                             labels=labels, multilabel=multilabel)
-
-
-class TestDatasetIO:
-    def test_round_trip(self, tmp_path):
-        spec = SyntheticSpec(modalities=2, classes=4, dims=(5, 3),
-                             snr=(10.0, 2.0), n_train=40, n_val=8, n_test=8,
-                             seed=11)
-        train, val, test = generate(spec)
-        path = tmp_path / "ds.bin"
-        save_dataset(path, train, val, test, classes=4)
-        r_train, r_val, r_test, classes = load_dataset(path)
-        assert classes == 4
-        for orig, loaded in zip((train, val, test), (r_train, r_val, r_test)):
-            for f_o, f_l in zip(orig.features, loaded.features):
-                np.testing.assert_array_equal(f_o, f_l)
-            np.testing.assert_array_equal(orig.presence, loaded.presence)
-            np.testing.assert_array_equal(orig.labels, loaded.labels)
-
-    def test_multilabel_round_trip(self, tmp_path):
-        spec = SyntheticSpec(modalities=2, classes=3, dims=(4, 4),
-                             snr=(5.0, 5.0), n_train=30, n_val=6, n_test=6,
-                             seed=12, multilabel=True)
-        train, val, test = generate(spec)
-        path = tmp_path / "ml.bin"
-        save_dataset(path, train, val, test, classes=3)
-        r_train, _, _, _ = load_dataset(path)
-        assert r_train.multilabel
-        np.testing.assert_array_equal(train.labels, r_train.labels)
-
-    def test_byte_deterministic(self, tmp_path):
-        spec = SyntheticSpec(classes=5, n_train=20, n_val=5, n_test=5, seed=13)
-        train, val, test = generate(spec)
-        p1, p2 = tmp_path / "a.bin", tmp_path / "b.bin"
-        save_dataset(p1, train, val, test, classes=5)
-        save_dataset(p2, train, val, test, classes=5)
-        assert p1.read_bytes() == p2.read_bytes()
-
-    def test_bad_magic_rejected(self, tmp_path):
-        path = tmp_path / "bad.bin"
-        path.write_bytes(b"NOPE" + b"\x00" * 64)
-        with pytest.raises(ValueError):
-            load_dataset(path)
-        with open(path, "wb") as fh:
-            np.save(fh, np.zeros(3))  # a lone array, not an archive
-        with pytest.raises(ValueError, match="archive"):
-            load_dataset(path)
-
-    def test_truncated_rejected(self, tmp_path):
-        spec = SyntheticSpec(classes=5, n_train=20, n_val=5, n_test=5, seed=14)
-        train, val, test = generate(spec)
-        path = tmp_path / "t.bin"
-        save_dataset(path, train, val, test, classes=5)
-        blob = path.read_bytes()
-        path.write_bytes(blob[: len(blob) // 2])
-        with pytest.raises(ValueError):
-            load_dataset(path)
-
-    def _arrays(self, tmp_path):
-        spec = SyntheticSpec(classes=5, n_train=20, n_val=5, n_test=5, seed=15)
-        path = tmp_path / "full.npz"
-        save_dataset(path, *generate(spec), classes=5)
-        with np.load(path) as z:
-            return {k: z[k] for k in z.files}
-
-    def test_missing_array_rejected(self, tmp_path):
-        arrays = self._arrays(tmp_path)
-        del arrays["val_labels"]
-        path = tmp_path / "missing.npz"
-        np.savez(path, **arrays)
-        with pytest.raises(ValueError, match="val_labels"):
-            load_dataset(path)
-
-    def test_disagreeing_row_counts_rejected(self, tmp_path):
-        arrays = self._arrays(tmp_path)
-        arrays["test_features_1"] = arrays["test_features_1"][:-1]
-        path = tmp_path / "rows.npz"
-        np.savez(path, **arrays)
-        with pytest.raises(ValueError, match="row count"):
-            load_dataset(path)
