@@ -492,15 +492,29 @@ def save_checkpoint(model: FusionModel, path) -> None:
 
 
 def load_checkpoint(path) -> FusionModel:
-    """Model saved by ``save_checkpoint``. Raises ``ValueError`` if an entry
-    is missing, the stored config does not build a ``FusionConfig`` (e.g. a
-    key this version no longer has), an array does not fit that config or
-    holds a non-finite value, or a ``norm_std`` entry is not positive."""
-    with np.load(path) as z:
+    """Model saved by ``save_checkpoint``. Raises ``ValueError`` if the file
+    is not a readable npz archive (empty, cut off, a lone ``.npy``, a failed
+    CRC), an entry is missing, the stored config does not build a
+    ``FusionConfig`` (e.g. a key this version no longer has), an array does
+    not fit that config or holds a non-finite value, or a ``norm_std`` entry
+    is not positive."""
+    try:
+        archive = np.load(path)
+    except OSError:
+        raise
+    except Exception as exc:  # EOFError, a bad zip, a pickle
+        raise ValueError(f"checkpoint is not an npz archive: {exc}") from exc
+    if not isinstance(archive, np.lib.npyio.NpzFile):
+        raise ValueError("checkpoint is not an npz archive")
+    with archive as z:
         def entry(key: str) -> np.ndarray:
             if key not in z.files:
                 raise ValueError(f"checkpoint lacks entry {key}")
-            return z[key]
+            try:
+                return z[key]
+            except Exception as exc:  # a bad CRC or a cut-off member
+                raise ValueError(f"checkpoint entry {key} is unreadable: "
+                                 f"{exc}") from exc
 
         try:
             cfg_dict = json.loads(entry("config_json").tobytes().decode("utf-8"))

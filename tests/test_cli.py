@@ -20,8 +20,7 @@ from entrofuse.cli import build_parser, main
 from entrofuse.config import load_config
 from entrofuse.data import generate
 from entrofuse.metrics import entropy_confidence_export
-from entrofuse.model import (FusionConfig, FusionModel, load_checkpoint,
-                             save_checkpoint)
+from entrofuse.model import FusionConfig, FusionModel, save_checkpoint
 from entrofuse.trainer import ABLATIONS, train
 
 
@@ -519,9 +518,23 @@ class TestAuditCommand:
         code, err = self._audit_altered(run_dir, config_path, tmp_path,
                                         capsys, alter)
         assert code == 1 and "cannot load checkpoint" in err
+        assert f"checkpoint lacks entry {key}" in err
         assert not (tmp_path / "audit").exists()
-        with pytest.raises(ValueError, match=f"^checkpoint lacks entry {key}$"):
-            load_checkpoint(tmp_path / "altered.npz")
+
+    @pytest.mark.parametrize("kept", [0.0, 0.5], ids=["empty", "half"])
+    def test_truncated_checkpoint_exits_one(self, run_dir, config_path,
+                                            tmp_path, capsys, kept):
+        # as a save killed part way leaves the file
+        blob = open(os.path.join(run_dir, "checkpoint.npz"), "rb").read()
+        path = tmp_path / "cut.npz"
+        path.write_bytes(blob[: int(len(blob) * kept)])
+        capsys.readouterr()
+        code = main(["audit", "--checkpoint", str(path), "--config",
+                     config_path, "--out", str(tmp_path / "audit")])
+        err = capsys.readouterr().err
+        assert code == 1 and "cannot load checkpoint" in err
+        assert "not an npz archive" in err
+        assert not (tmp_path / "audit").exists()
 
     @pytest.mark.parametrize("key,value", [("norm_std_1", -1.0),
                                            ("norm_std_0", 0.0)])

@@ -456,6 +456,44 @@ class TestCheckpoint:
         with pytest.raises(ValueError, match=message):
             load_checkpoint(tmp_path / "bad.npz")
 
+    @pytest.mark.parametrize("key", ["head_b", "norm_mean_0", "norm_std_1",
+                                     "config_json"])
+    def test_load_rejects_a_missing_entry(self, tmp_path, key):
+        _, arrays = self._saved_arrays(tmp_path)
+        del arrays[key]
+        np.savez(tmp_path / "short.npz", **arrays)
+        with pytest.raises(ValueError, match=f"^checkpoint lacks entry {key}$"):
+            load_checkpoint(tmp_path / "short.npz")
+
+    @staticmethod
+    def _flip_a_head_w_byte(blob, arrays):
+        # np.savez stores members uncompressed, so the bytes appear verbatim
+        at = blob.find(arrays["head_w"].tobytes())
+        assert at > 0
+        return blob[:at] + bytes([blob[at] ^ 0xFF]) + blob[at + 1:]
+
+    @pytest.mark.parametrize("damage,message", [
+        ("empty", "^checkpoint is not an npz archive: "),
+        ("truncated", "^checkpoint is not an npz archive: "),
+        ("lone_npy", "^checkpoint is not an npz archive$"),
+        ("bad_crc", "^checkpoint entry head_w is unreadable: ")],
+        ids=["empty", "truncated", "lone_npy", "bad_crc"])
+    def test_load_rejects_a_file_that_is_not_a_readable_archive(
+            self, tmp_path, damage, message):
+        _, arrays = self._saved_arrays(tmp_path)
+        blob = (tmp_path / "ckpt.npz").read_bytes()
+        path = tmp_path / "damaged.npz"
+        if damage == "lone_npy":
+            with open(path, "wb") as fh:
+                np.save(fh, arrays["head_w"])
+        else:
+            path.write_bytes({"empty": b"",
+                              "truncated": blob[: len(blob) // 2],
+                              "bad_crc": self._flip_a_head_w_byte(blob, arrays),
+                              }[damage])
+        with pytest.raises(ValueError, match=message):
+            load_checkpoint(path)
+
     def test_load_accepts_the_smallest_fitted_deviation(self, tmp_path):
         model, arrays = self._saved_arrays(tmp_path)
         arrays["norm_std_0"][...] = 1e-8  # fit_norm's floor
