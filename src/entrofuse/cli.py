@@ -105,6 +105,13 @@ def _write_scatter(out: str, scatter) -> None:
               ["gate_entropy", "confidence"], scatter.tolist())
 
 
+def _clean_pass(model, batch):
+    """The pass over the split's own presence, as the dropout table reads
+    its clean view."""
+    passes, index = forward_views(model, batch, [batch.presence])
+    return passes.take(index[0])
+
+
 def write_run_dir(out: str, cfg: ExperimentConfig, result: RunResult,
                   test_batch) -> None:
     os.makedirs(out, exist_ok=True)
@@ -122,8 +129,8 @@ def write_run_dir(out: str, cfg: ExperimentConfig, result: RunResult,
     _write_eval(out, result.eval_table)
     scatter = result.test_scatter  # from train's clean evaluation pass
     if scatter is None:  # read that pass as train would have
-        scatter = entropy_confidence_export(next(forward_views(
-            result.model, test_batch, [test_batch.presence])))
+        scatter = entropy_confidence_export(_clean_pass(result.model,
+                                                        test_batch))
     _write_scatter(out, scatter)
 
     save_checkpoint(result.model, os.path.join(out, "checkpoint.npz"))
@@ -131,6 +138,7 @@ def write_run_dir(out: str, cfg: ExperimentConfig, result: RunResult,
     summary = {
         "config_hash": result.config_hash,
         "wall_clock_s": float(result.wall_clock),
+        "eval_s": float(result.eval_s),
         "temperature": result.temperature,
         "v_max": result.v_max,
         "final_val_score": float(result.metric_history[-1]["score"])
@@ -246,7 +254,7 @@ def cmd_audit(args) -> int:
 
     # the clean pass as run's evaluation reads it, so the calibration and
     # scatter match the run's rate-0 column
-    out_fwd = next(forward_views(model, test_b, [test_b.presence]))
+    out_fwd = _clean_pass(model, test_b)
     report = ece(*confidence_correct(out_fwd.logits.data, test_b.labels,
                                      model.cfg.multilabel, temperature))
     bin_rows = [[k, report.bin_edges[k], report.bin_edges[k + 1],

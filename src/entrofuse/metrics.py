@@ -184,7 +184,7 @@ def _count_inversions(conf: np.ndarray, lattice: SubsetLattice,
 
 def inversion_audit(model, batch: MultimodalBatch) -> InversionAudit:
     """Count samples with conf(A) > conf(B) for every strict pair A in B,
-    with one ``forward_views`` pass over the subsets' ``keep_observed``
+    with one ``forward_views`` table over the subsets' ``keep_observed``
     views of the batch, counted as ``audit_confidences`` does."""
     modalities = batch.num_modalities
     if modalities > EXHAUSTIVE_MAX:
@@ -192,8 +192,8 @@ def inversion_audit(model, batch: MultimodalBatch) -> InversionAudit:
                          f"{EXHAUSTIVE_MAX} modalities")
     lattice = subset_lattice(modalities)
     views, live = keep_observed(batch.presence, lattice.subsets[:, None])
-    conf = [out.confidence.data for out in forward_views(model, batch, views)]
-    return _count_inversions(np.array(conf), lattice, live)
+    passes, index = forward_views(model, batch, views)
+    return _count_inversions(passes.confidence.data[index], lattice, live)
 
 
 def entropy_confidence_export(out) -> np.ndarray:

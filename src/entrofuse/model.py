@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, asdict
-from typing import Iterable, Iterator, NamedTuple
+from typing import Iterable, NamedTuple
 
 import numpy as np
 
@@ -224,15 +224,22 @@ def entropy_rows(p: np.ndarray) -> np.ndarray:
 
 @dataclass
 class ForwardOutput:
-    """Per-sample gate weights, fused features and logits, as tensors; use
-    ``.data``. The max-class confidence (a tensor) and the gate entropy
-    (nats, an array) are computed from the logits and weights when read,
-    and take no gradient: the loss derives its own."""
+    """Per-sample gate weights, fused features (None on ``forward_views``'
+    passes) and logits, as tensors; use ``.data``. The max-class confidence
+    (a tensor) and the gate entropy (nats, an array) are computed from the
+    logits and weights when read, and take no gradient: the loss derives
+    its own."""
 
     p: T.Tensor
-    z: T.Tensor
+    z: T.Tensor | None
     logits: T.Tensor
     multilabel: bool
+
+    def take(self, rows: np.ndarray) -> "ForwardOutput":
+        """The weights and logits of the rows that ``rows`` indexes, no z."""
+        return ForwardOutput(p=T._result(self.p.data[rows]), z=None,
+                             logits=T._result(self.logits.data[rows]),
+                             multilabel=self.multilabel)
 
     @property
     def confidence(self) -> T.Tensor:
@@ -294,14 +301,16 @@ def _blend_back(g: np.ndarray, stacked: np.ndarray, wv: np.ndarray,
 
 
 def _gate(model: FusionModel, batch: MultimodalBatch, views: np.ndarray,
-          gated: np.ndarray, stacked: np.ndarray | None):
+          gated: np.ndarray, stacked: np.ndarray | None,
+          read: np.ndarray | None = None):
     """The gate MLP on the [n, M] ``views`` of the batch's rows that
     ``gated`` indexes: [V * n, M] weights, rows of the other views being
     their one-hot presence, and the pullback that adds the gate parameters'
     gradients from the weights' one. With one gated view, gate layer 1 is
     one affine map of its masked gate input; with several, or given the
     ``_gate_products`` ``stacked``, ``_blend`` sums those per view row.
-    Raises ``ValueError`` if the weights are non-finite."""
+    Raises ``ValueError`` if the weights are non-finite on the gated rows
+    that the bool mask ``read`` selects (default: all)."""
     w1, w2 = model.gate_w1, model.gate_w2
     keep = views[gated].reshape(-1, batch.num_modalities)
     if gated.size == 1 and stacked is None:
@@ -320,7 +329,7 @@ def _gate(model: FusionModel, batch: MultimodalBatch, views: np.ndarray,
     np.exp(s, out=s)
     s /= s.sum(axis=0)
     p = last_axis_first(s)
-    if not np.isfinite(p).all():
+    if not np.isfinite(p if read is None else p[read]).all():
         raise ValueError("gate weights are non-finite")
     weights, rows = p, None
     if gated.size < len(views):
@@ -354,14 +363,12 @@ def _check_layout(model: FusionModel, batch: MultimodalBatch) -> None:
                          f"{tuple(model.cfg.dims)}")
 
 
-def _gate_rows(model: FusionModel, batch: MultimodalBatch,
-               views: np.ndarray | None, stacked: np.ndarray | None = None):
-    """The [V * n, M] weights of the checked [V, n, M] views (default: the
-    batch's presence) and their pullback, None when no gate parameter
-    takes a gradient, no view runs the gate or ``stacked`` is given."""
-    _check_layout(model, batch)
-    views = np.asarray(batch.presence[None] if views is None else views,
-                       dtype=bool)
+def _check_views(batch: MultimodalBatch, views):
+    """The [V, n, M] bool ``views`` and the [V, n] counts of the modalities
+    each view row keeps. Raises ``ValueError`` if the views are not of
+    that shape, a view row keeps no modality, or one its batch row does not
+    observe."""
+    views = np.asarray(views, dtype=bool)
     if views.ndim != 3 or views.shape[1:] != batch.presence.shape:
         raise ValueError(f"views {views.shape} need [V, {batch.n}, "
                          f"{batch.num_modalities}]")
@@ -370,13 +377,22 @@ def _gate_rows(model: FusionModel, batch: MultimodalBatch,
     observed = last_axis_first(views).sum(axis=0)  # [V, n]
     if not observed.all():
         raise ValueError("a sample has no observed modality")
+    return views, observed
+
+
+def _gate_rows(model: FusionModel, batch: MultimodalBatch,
+               views: np.ndarray | None):
+    """The [V * n, M] weights of the checked [V, n, M] views (default: the
+    batch's presence) and their pullback, None when no gate parameter
+    takes a gradient or no view runs the gate."""
+    _check_layout(model, batch)
+    views, observed = _check_views(
+        batch, batch.presence[None] if views is None else views)
     gated = np.flatnonzero((observed > 1).any(axis=1))
     if gated.size == 0:
         return views.reshape(-1, batch.num_modalities).astype(np.float64), None
-    p, pullback = _gate(model, batch, views, gated, stacked)
-    if stacked is not None or model.gate_frozen:
-        pullback = None
-    return p, pullback
+    p, pullback = _gate(model, batch, views, gated, None)
+    return p, None if model.gate_frozen else pullback
 
 
 def gate_rows(model: FusionModel, batch: MultimodalBatch,
@@ -399,14 +415,16 @@ def gate_rows(model: FusionModel, batch: MultimodalBatch,
     return T._result(_gate_rows(model, batch, views)[0])
 
 
-def _fuse(model: FusionModel, p: np.ndarray, stacked: np.ndarray):
+def _fuse(model: FusionModel, p: np.ndarray, stacked: np.ndarray,
+          read: np.ndarray | None = None):
     """The pass's output from the [V * n, M] gate weights p and the [n, M, k]
     projections: their ``_blend``, then the head; and the blend's weights.
-    Raises ``ValueError`` if the logits are non-finite."""
+    Raises ``ValueError`` if the logits are non-finite on the rows that the
+    bool mask ``read`` selects (default: all)."""
     z, wv = _blend(p, stacked)
     logits = z @ model.head_w
     logits += model.head_b
-    if not np.isfinite(logits).all():
+    if not np.isfinite(logits if read is None else logits[read]).all():
         raise ValueError("logits are non-finite")
     return ForwardOutput(p=T._result(p), z=T._result(z),
                          logits=T._result(logits),
@@ -446,22 +464,69 @@ def forward_pullback(model: FusionModel, batch: MultimodalBatch,
     return out, pullback
 
 
+def _kept_sets(keep: np.ndarray):
+    """The distinct rows of the [N, M] bool ``keep``, and the [N] index of
+    each row's among them. Each row is coded as an integer, and one
+    ``np.bincount`` over the 2^M codes finds the sets, unless 2^M exceeds N."""
+    m = keep.shape[1]
+    if 1 << m > len(keep):
+        return np.unique(keep, axis=0, return_inverse=True)
+    codes = keep @ (1 << np.arange(m))
+    found = np.flatnonzero(np.bincount(codes, minlength=1 << m))
+    of_code = np.zeros(1 << m, dtype=np.intp)
+    of_code[found] = np.arange(found.size)
+    return ((found[:, None] >> np.arange(m)) & 1).astype(bool), of_code[codes]
+
+
 def forward_views(model: FusionModel, batch: MultimodalBatch,
-                  views: Iterable[np.ndarray]) -> Iterator[ForwardOutput]:
-    """Read-only ``forward`` over each [n, M] view in ``views``, lazily: one
-    view's rows are alive at a time. The split's prepared form, its
-    ``_gate_products`` and projections, is built once when iteration
-    starts; each view then runs only the blend of those by its keep mask,
-    the rest of the gate, the fusion blend and the head. Raises
-    ``ValueError`` as ``forward`` does, at the view at fault."""
+                  views: Iterable[np.ndarray]):
+    """Read-only ``forward`` over V [n, M] ``views``, run as a table of
+    passes over every row of the batch: one pass per kept set that some
+    view row keeps, or one per view when there are more such sets than
+    views. A row reads each pass at its own position in an n-row product,
+    so its weights and logits are bit for bit those of a pass over its own
+    view alone.
+
+    Returns the passes' ``ForwardOutput`` over their P * n rows, row
+    k * n + i being row i in pass k (no ``z``), and the [V, n] index of
+    the pass row that row i of view v reads: ``out.take(index[v])`` is
+    view v. All views are read and checked first; gate layer 1 blends the
+    split's ``_gate_products`` once per gated pass, and those are freed
+    before the projections are built. Raises ``ValueError`` as ``forward``
+    does, a non-finite value counting only on rows that a view reads."""
     _check_layout(model, batch)
-    gate = None
-    if (batch.presence.sum(axis=1) > 1).any():  # else no view runs the gate
-        gate = _gate_products(model, batch)[2]
-    stacked = _per_modality(batch.n, batch.features, model.proj)
-    for view in views:
-        p = _gate_rows(model, batch, np.asarray(view)[None], gate)[0]
-        yield _fuse(model, p, stacked)[0]
+    views = list(views)
+    n, m = batch.presence.shape
+    if any(np.shape(v) != (n, m) for v in views):
+        raise ValueError(f"each view needs [{n}, {m}]")
+    views = _check_views(batch, np.reshape(views, (-1, n, m)))[0]
+    sets, index = _kept_sets(views.reshape(-1, m))
+    if len(sets) <= len(views):
+        # C order: p takes the layout of keeps, and the blend of a
+        # strided p rounds differently
+        keeps = np.repeat(sets[:, None], n, axis=1)
+        index = index.reshape(-1, n) * n + np.arange(n)
+    else:
+        keeps = views
+        index = np.arange(len(views))[:, None] * n + np.arange(n)
+    read = np.zeros(len(keeps) * n, dtype=bool)
+    read[index] = True
+    read = read.reshape(-1, n)
+    gated = (last_axis_first(keeps).sum(axis=0) > 1).any(axis=1)
+
+    products = _gate_products(model, batch)[2] if gated.any() else None
+    p = keeps.astype(np.float64)  # one-hot rows where the gate does not run
+    for k in np.flatnonzero(gated):
+        p[k] = _gate(model, batch, keeps[k][None], np.zeros(1, np.int64),
+                     products, read[k])[0]
+    del products  # before the projections: one prepared form at a time
+    stacked = _per_modality(n, batch.features, model.proj)
+    logits = np.empty((len(keeps), n, model.cfg.classes))
+    for k in range(len(keeps)):
+        logits[k] = _fuse(model, p[k], stacked, read[k])[0].logits.data
+    return ForwardOutput(p=T._result(p.reshape(-1, m)), z=None,
+                         logits=T._result(logits.reshape(-1, logits.shape[2])),
+                         multilabel=model.cfg.multilabel), index
 
 
 def predict_subset(model: FusionModel, batch: MultimodalBatch,

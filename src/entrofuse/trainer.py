@@ -22,7 +22,6 @@ difference between runs.
 from __future__ import annotations
 
 import hashlib
-import itertools
 import json
 import time
 from dataclasses import asdict, dataclass, field, replace
@@ -162,6 +161,8 @@ class RunResult:
     # pass of the test split as train evaluated it; None when every rate
     # masked the split
     test_scatter: np.ndarray | None = None
+    # seconds spent in the final dropout table on the test split
+    eval_s: float = 0.0
 
 
 def run_config_hash(cfg: TrainConfig, fcfg: FusionConfig) -> str:
@@ -187,16 +188,22 @@ def _keep_single(batch: MultimodalBatch, index: int) -> MultimodalBatch:
     return replace(batch, presence=np.tile(only, (batch.n, 1)))
 
 
-def _metric_row(out: ForwardOutput, labels: np.ndarray,
-                temperature: float = 1.0) -> dict[str, float]:
-    """Score, ECE at ``temperature`` and mean gate entropy of one pass."""
+def _metric_rows(out: ForwardOutput, labels: np.ndarray, index: np.ndarray,
+                 temperature: float = 1.0) -> list[dict[str, float]]:
+    """Score, ECE at ``temperature`` and mean gate entropy of each view that
+    a row of the [V, n] ``index`` gathers from ``out``'s rows, row k * n + i
+    of ``out`` being a row with label ``labels[i]``. Each row's confidence,
+    correctness and gate entropy are computed once, however many views
+    read it."""
     logits = out.logits.data
-    conf, correct = confidence_correct(logits, labels, out.multilabel,
-                                       temperature)
-    score = (map_at_1(logits, labels) if out.multilabel
-             else float(correct.mean()))
-    return {"score": score, "ece": ece(conf, correct).ece,
-            "gate_entropy": float(out.gate_entropy.mean())}
+    conf, correct = confidence_correct(
+        logits, labels[np.arange(len(logits)) % len(labels)], out.multilabel,
+        temperature)
+    entropy = out.gate_entropy
+    return [{"score": (map_at_1(logits[rows], labels) if out.multilabel
+                       else float(correct[rows].mean())),
+             "ece": ece(conf[rows], correct[rows]).ece,
+             "gate_entropy": float(entropy[rows].mean())} for rows in index]
 
 
 def train(cfg: TrainConfig, data: tuple[MultimodalBatch, MultimodalBatch, MultimodalBatch]) -> RunResult:
@@ -302,8 +309,8 @@ def train(cfg: TrainConfig, data: tuple[MultimodalBatch, MultimodalBatch, Multim
             total=float(mean[0]), task=float(mean[1]), ent=float(mean[2]),
             cec=float(mean[3]), lam=float(mean[4]), gamma=cfg.gamma))
         val_out = forward(model, val_b)
-        metric_history.append({"epoch": epoch,
-                               **_metric_row(val_out, val_b.labels)})
+        metric_history.append({"epoch": epoch, **_metric_rows(
+            val_out, val_b.labels, np.arange(val_b.n)[None])[0]})
 
     temperature = None
     if cfg.temp_scaling:
@@ -313,15 +320,17 @@ def train(cfg: TrainConfig, data: tuple[MultimodalBatch, MultimodalBatch, Multim
                                       multilabel=multilabel)
     val_out = None  # free the last validation pass before the test passes
 
+    t_eval = time.perf_counter()
     eval_table, test_scatter = _dropout_table(
         model, test_b, rates=cfg.eval_rates, seeds=cfg.eval_seeds,
         seed=cfg.seed, temperature=temperature or 1.0)
+    t_end = time.perf_counter()
 
     return RunResult(
         history=history, metric_history=metric_history, eval_table=eval_table,
         model=model, config_hash=run_config_hash(cfg, fcfg),
-        wall_clock=time.perf_counter() - t_start,
-        temperature=temperature, v_max=v_max, test_scatter=test_scatter)
+        wall_clock=t_end - t_start, temperature=temperature, v_max=v_max,
+        test_scatter=test_scatter, eval_s=t_end - t_eval)
 
 
 def evaluate_under_dropout(model: FusionModel, batch: MultimodalBatch,
@@ -350,27 +359,26 @@ def _dropout_table(model: FusionModel, batch: MultimodalBatch,
         raise ValueError("seeds must be positive")
     maskable = (batch.presence.sum(axis=1) > 1).any()
     draws = {rate: seeds if rate > 0.0 and maskable else 0 for rate in rates}
+    views = []
+    for r_index, rate in enumerate(rates):
+        if not draws[rate]:
+            views.append(batch.presence)
+        for s in range(draws[rate]):
+            rng = stream(seed, f"eval:{r_index}:{s}")
+            views.append(keep_observed(batch.presence, bernoulli_mask(
+                batch.n, batch.num_modalities, rate, rng))[0])
 
-    def views():  # lazily: one draw's view is alive at a time
-        for r_index, rate in enumerate(rates):
-            if not draws[rate]:
-                yield batch.presence
-            for s in range(draws[rate]):
-                rng = stream(seed, f"eval:{r_index}:{s}")
-                yield keep_observed(batch.presence, bernoulli_mask(
-                    batch.n, batch.num_modalities, rate, rng))[0]
-
-    outs = forward_views(model, batch, views())
+    passes, index = forward_views(model, batch, views)
+    rows = _metric_rows(passes, batch.labels, index, temperature)
     table: dict[float, dict[str, float]] = {}
-    scatter = None
+    scatter, v = None, 0
     for rate in rates:
-        acc = {"score": 0.0, "ece": 0.0, "gate_entropy": 0.0}
-        for out in itertools.islice(outs, max(draws[rate], 1)):
-            if scatter is None and not draws[rate]:
-                scatter = entropy_confidence_export(out)
-            for k, v in _metric_row(out, batch.labels, temperature).items():
-                acc[k] += v
-        table[rate] = {k: v / max(draws[rate], 1) for k, v in acc.items()}
+        count = max(draws[rate], 1)
+        if scatter is None and not draws[rate]:
+            scatter = entropy_confidence_export(passes.take(index[v]))
+        table[rate] = {k: sum(row[k] for row in rows[v:v + count]) / count
+                       for k in rows[v]}
+        v += count
     return table, scatter
 
 

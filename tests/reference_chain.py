@@ -13,11 +13,17 @@ or ``sigmoid`` as a confidence that takes a gradient. ``grad_check``
 compares tape gradients with central differences, and ``scalar_node``
 puts a value with hand-derived gradients on the tape.
 
-The adapters at the end join the two sides: ``leaves`` gives the chains
-the model's parameters as tape leaves, ``run_pullback`` feeds a package
+The adapters join the two sides: ``leaves`` gives the chains the
+model's parameters as tape leaves, ``run_pullback`` feeds a package
 pass's pullback the tape gradients of a loss on its outputs, and
 ``forward_pullback`` and ``objective`` give the chains the package's
 tapeless call forms, so a training step can run on them.
+
+The read path before ``model.forward_views`` became a table of passes
+closes the file: ``lazy_forward_views`` runs the per-view kernel once per
+view, lazily, and ``lazy_dropout_table`` and ``lazy_inversion_audit``
+score its views one at a time, as ``trainer._dropout_table`` and
+``metrics.inversion_audit`` did. The table must equal them bit for bit.
 """
 
 from __future__ import annotations
@@ -26,8 +32,14 @@ from typing import Callable, Sequence
 
 import numpy as np
 
+import entrofuse.model as model_module
+from entrofuse.data import bernoulli_mask, keep_observed
 from entrofuse.losses import LossBreakdown
+from entrofuse.metrics import (_count_inversions, confidence_correct, ece,
+                               entropy_confidence_export, map_at_1)
 from entrofuse.model import ForwardOutput
+from entrofuse.rng import stream
+from entrofuse.subsets import subset_lattice
 from entrofuse.tensor import Tape, Tensor, _active_tape, _result
 
 
@@ -770,3 +782,75 @@ def objective(logits: np.ndarray, p: np.ndarray, labels: np.ndarray, **kw):
         total, breakdown = composite_loss(*leaves, labels, **kw)
     tape.backward(total)
     return (breakdown, *map(_grad_or_zeros, leaves))
+
+
+# ---------------------------------------------------------------------------
+# the read path as one pass per view
+# ---------------------------------------------------------------------------
+
+def lazy_forward_views(model, batch, views):
+    """Read-only ``forward`` over each [n, M] view, lazily: the split's
+    ``_gate_products`` and projections are built when iteration starts,
+    and each view then runs the gate on them (unless no row of it keeps
+    two modalities) and the fusion. Raises ``ValueError`` at the view at
+    fault."""
+    M = model_module
+    M._check_layout(model, batch)
+    gate = None
+    if (batch.presence.sum(axis=1) > 1).any():
+        gate = M._gate_products(model, batch)[2]
+    stacked = M._per_modality(batch.n, batch.features, model.proj)
+    for view in views:
+        one, observed = M._check_views(batch, np.asarray(view)[None])
+        gated = np.flatnonzero((observed > 1).any(axis=1))
+        p = (one[0].astype(np.float64) if gated.size == 0
+             else M._gate(model, batch, one, gated, gate)[0])
+        yield M._fuse(model, p, stacked)[0]
+
+
+def _metric_row(out, labels, temperature=1.0):
+    logits = out.logits.data
+    conf, correct = confidence_correct(logits, labels, out.multilabel,
+                                       temperature)
+    score = (map_at_1(logits, labels) if out.multilabel
+             else float(correct.mean()))
+    return {"score": score, "ece": ece(conf, correct).ece,
+            "gate_entropy": float(out.gate_entropy.mean())}
+
+
+def lazy_dropout_table(model, batch, rates, seeds, seed, temperature=1.0):
+    """``trainer._dropout_table`` scored view by view on
+    ``lazy_forward_views``: the table and the clean pass's scatter."""
+    maskable = (batch.presence.sum(axis=1) > 1).any()
+    draws = {rate: seeds if rate > 0.0 and maskable else 0 for rate in rates}
+
+    def views():
+        for r_index, rate in enumerate(rates):
+            if not draws[rate]:
+                yield batch.presence
+            for s in range(draws[rate]):
+                rng = stream(seed, f"eval:{r_index}:{s}")
+                yield keep_observed(batch.presence, bernoulli_mask(
+                    batch.n, batch.num_modalities, rate, rng))[0]
+
+    outs = lazy_forward_views(model, batch, views())
+    table, scatter = {}, None
+    for rate in rates:
+        acc = {"score": 0.0, "ece": 0.0, "gate_entropy": 0.0}
+        for _ in range(max(draws[rate], 1)):
+            out = next(outs)
+            if scatter is None and not draws[rate]:
+                scatter = entropy_confidence_export(out)
+            for k, v in _metric_row(out, batch.labels, temperature).items():
+                acc[k] += v
+        table[rate] = {k: v / max(draws[rate], 1) for k, v in acc.items()}
+    return table, scatter
+
+
+def lazy_inversion_audit(model, batch):
+    """``metrics.inversion_audit`` on ``lazy_forward_views``."""
+    lattice = subset_lattice(batch.num_modalities)
+    views, live = keep_observed(batch.presence, lattice.subsets[:, None])
+    conf = [out.confidence.data
+            for out in lazy_forward_views(model, batch, views)]
+    return _count_inversions(np.array(conf), lattice, live)

@@ -368,10 +368,11 @@ def test_c10_run_command_bit_reproducible(tmp_path):
     same.append(sorted(ck_a.files) == sorted(ck_b.files))
     for key in ck_a.files:
         same.append(np.array_equal(ck_a[key], ck_b[key]))
-    # summaries match except the wall-clock measurement
+    # summaries match except the wall-clock measurements
     sum_a = yaml.safe_load(open(os.path.join(out_a, "summary.yaml")))
     sum_b = yaml.safe_load(open(os.path.join(out_b, "summary.yaml")))
-    sum_a.pop("wall_clock_s"), sum_b.pop("wall_clock_s")
+    for key in ("wall_clock_s", "eval_s"):
+        sum_a.pop(key), sum_b.pop(key)
     same.append(sum_a == sum_b)
     verdict("C10", "repeated runs are bit-identical", all(same),
             f"{sum(same)}/{len(same)} artifacts identical")

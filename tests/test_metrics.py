@@ -354,9 +354,9 @@ class TestPartialPresenceAudit:
         model = random_model(rng, cfg)
         batch = random_batch(rng, 30, cfg.dims, cfg.classes)
         lattice = subset_lattice(m)
-        conf = [out.confidence.data for out in forward_views(
-            model, batch, keep_observed(batch.presence,
-                                        lattice.subsets[:, None])[0])]
+        passes, index = forward_views(model, batch, keep_observed(
+            batch.presence, lattice.subsets[:, None])[0])
+        conf = passes.confidence.data[index]
         audit = inversion_audit(model, batch)
         plain = audit_confidences(conf, lattice)
         assert (audit.rows == batch.n).all()
@@ -398,10 +398,9 @@ class TestAuditConfidences:
         model = random_model(rng, cfg)
         batch = random_batch(rng, 14, cfg.dims, cfg.classes)
         lattice = subset_lattice(3)
-        conf = [out.confidence.data for out in forward_views(
-            model, batch, keep_observed(batch.presence,
-                                        lattice.subsets[:, None])[0])]
-        direct = audit_confidences(conf, lattice)
+        passes, index = forward_views(model, batch, keep_observed(
+            batch.presence, lattice.subsets[:, None])[0])
+        direct = audit_confidences(passes.confidence.data[index], lattice)
         via_model = inversion_audit(model, batch)
         assert np.array_equal(direct.pairs, via_model.pairs)
         assert (direct.counts == via_model.counts).all()

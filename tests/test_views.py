@@ -13,7 +13,9 @@ the layer-op chain it replaced (``reference_chain.forward``) over the same
 views.
 """
 
+import itertools
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -23,7 +25,7 @@ import entrofuse.model as model_module
 import entrofuse.tensor as T
 import entrofuse.trainer as trainer_module
 from entrofuse.curriculum import acm_distribution, candidate_family
-from entrofuse.data import apply_mask, bernoulli_mask
+from entrofuse.data import apply_mask, bernoulli_mask, keep_observed
 from entrofuse.losses import cec_pairs, step_loss
 from entrofuse.metrics import audit_confidences, inversion_audit
 from entrofuse.model import (ForwardOutput, FusionConfig, forward,
@@ -460,8 +462,9 @@ class TestForwardViews:
         _, model, batch, views = _setup(300 + 10 * m + gated, m, gated,
                                         single=single, multilabel=multilabel)
         n = batch.n
-        outs = list(forward_views(model, batch, iter(views)))
-        assert len(outs) == len(views)
+        passes, index = forward_views(model, batch, iter(views))
+        assert index.shape == (len(views), n)
+        outs = [passes.take(rows) for rows in index]
         whole = forward(model, batch, views)
         for v, out in enumerate(outs):
             rows = slice(v * n, (v + 1) * n)
@@ -567,37 +570,37 @@ class TestForwardViews:
             assert calls == {"gate blocks": 3, "gate products": 3,
                              "projection matmuls": 3}
 
-    def test_views_are_read_one_at_a_time(self):
-        _, model, batch, views = _setup(325, 3, 3)
-        pulled = []
-
-        def lazy():
-            for view in views:
-                pulled.append(view)
-                yield view
-
-        outs = forward_views(model, batch, lazy())
-        assert pulled == []
-        next(outs)
-        assert len(pulled) == 1
+    def test_table_peaks_no_higher_than_the_per_view_loop(self):
+        # all views are read first, but the gate's products are freed
+        # before the projections are built and the table keeps no z
+        rng = np.random.default_rng(326)
+        cfg = FusionConfig(modalities=4, dims=(32,) * 4, classes=8,
+                           fused_dim=32, gate_hidden=64)
+        model = random_model(rng, cfg)
+        batch = random_batch(rng, 1000, cfg.dims, cfg.classes)
+        args = (model, batch, RATES, 5, 0, 1.0)
+        peaks = []
+        for table in (trainer_module._dropout_table, R.lazy_dropout_table):
+            table(*args)  # warm caches outside the measurement
+            tracemalloc.start()
+            try:
+                table(*args)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[0] <= peaks[1], peaks
 
     def test_bad_views_and_non_finite_values_rejected(self):
+        # every view is read and checked before any pass runs
         _, model, batch, views = _setup(330, 3, 3)
-
-        def first(bad):
-            # a bad view is rejected when the pass reaches it
-            passes = forward_views(model, batch, [views[0], bad])
-            next(passes)
-            return next(passes)
-
-        with pytest.raises(ValueError, match="does not observe"):
-            first(np.ones((batch.n, 3), dtype=bool))
         empty = views[0].copy()
         empty[1] = False
-        with pytest.raises(ValueError, match="no observed modality"):
-            first(empty)
-        with pytest.raises(ValueError, match="need"):
-            first(views[0][:, :-1])
+        for bad, message in (
+                ([np.ones((batch.n, 3), dtype=bool)], "does not observe"),
+                ([empty], "no observed modality"),
+                ([views[0][:, :-1]], "need")):
+            with pytest.raises(ValueError, match=message):
+                forward_views(model, batch, [views[0]] + bad)
         gated = views[(views.sum(axis=2) > 1).any(axis=1)][0]
         for param, message in ((model.gate_w2, "gate weights are non-finite"),
                                (model.head_w, "logits are non-finite")):
@@ -605,13 +608,176 @@ class TestForwardViews:
             param[...] = np.inf
             with (pytest.raises(ValueError, match=message),
                   np.errstate(over="ignore", invalid="ignore")):
-                next(forward_views(model, batch, [gated]))
+                forward_views(model, batch, [gated])
             param[...] = kept
+
+    def test_non_finite_values_count_only_on_rows_a_view_reads(self):
+        # row 0 does not observe modality 2, whose huge (finite) filler
+        # overflows the head in the pass for the set {0, 1, 2} there; no
+        # view reads that row of it, so the table is the per-view loop's
+        rng = np.random.default_rng(331)
+        cfg = FusionConfig(modalities=3, dims=(3, 4, 2), classes=4,
+                           fused_dim=5)
+        model = random_model(rng, cfg)
+        for w in (model.gate_w2, model.gate_b2):
+            w[...] = 0.0  # equal weights over the kept set
+        for w in model.proj:
+            w[...] = 1.0
+        model.head_w[...] = 10.0
+        presence = np.ones((6, 3), dtype=bool)
+        presence[0, 2] = False
+        batch = random_batch(rng, 6, cfg.dims, cfg.classes, presence)
+        batch.features[2][0] = 5e307  # each projection reads 1e308
+        views = [presence, presence]  # two views, two sets: one pass each
+        with np.errstate(over="ignore", invalid="ignore"):
+            passes, index = forward_views(model, batch, views)
+        assert len(passes.logits.data) == 2 * batch.n
+        assert not np.isfinite(passes.logits.data).all()
+        for rows, want in zip(index, R.lazy_forward_views(model, batch,
+                                                          views)):
+            assert np.array_equal(passes.logits.data[rows], want.logits.data)
+        batch.features[0][0] = 5e307  # now a row a view reads overflows
+        with (pytest.raises(ValueError, match="logits are non-finite"),
+              np.errstate(over="ignore", invalid="ignore")):
+            forward_views(model, batch, views)
 
     def test_off_the_tape(self):
         _, model, batch, views = _setup(340, 3, 3)
         with T.Tape() as tape:
-            outs = list(forward_views(model, batch, views))
+            passes, _ = forward_views(model, batch, views)
         assert tape.num_recorded == 0
-        assert not any(out.logits.requires_grad or out.p.requires_grad
-                       for out in outs)
+        assert passes.z is None  # no read path reads it
+        assert not (passes.logits.requires_grad or passes.p.requires_grad)
+
+
+RATES = (0.0, 0.1, 0.2, 0.3, 0.5)  # the rates the benchmark's audit reads
+
+
+def _oracle_case(i, m, hidden):
+    """Case i of the pass-table oracle: classes, presence, label mode and
+    row count cycle through their values as i runs over (M, hidden)."""
+    classes = (1, 2, 8)[i % 3]
+    partial, multilabel = i % 2 == 0, (i // 2) % 2 == 1
+    n = (1, 17, 1000)[(i // 3) % 3]
+    return m, hidden, classes, partial, multilabel, n
+
+
+class TestPassTable:
+    """``forward_views`` as a table of passes against the per-view loop it
+    replaced (``reference_chain.lazy_forward_views`` and the read paths on
+    it), bit for bit."""
+
+    CASES = [_oracle_case(i, m, hidden) for i, (m, hidden) in enumerate(
+        itertools.product(MODALITIES, (1, 2, 3, 64)))]
+
+    @staticmethod
+    def _model_and_batch(seed, m, hidden, classes, partial, multilabel, n):
+        rng = np.random.default_rng(seed)
+        cfg = FusionConfig(modalities=m, dims=(3, 4, 2, 5, 3)[:m],
+                           classes=classes, fused_dim=5, gate_hidden=hidden,
+                           multilabel=multilabel)
+        model = random_model(rng, cfg)
+        model.norm_mean = [rng.normal(size=d) for d in cfg.dims]
+        model.norm_std = [rng.uniform(0.5, 2.0, size=d) for d in cfg.dims]
+        presence = (random_presence(rng, n, m) if partial
+                    else np.ones((n, m), dtype=bool))
+        batch = random_batch(rng, n, cfg.dims, classes, presence)
+        if multilabel:
+            batch.labels = (rng.random((n, classes)) < 0.4).astype(float)
+            batch.multilabel = True
+        return model, batch
+
+    @staticmethod
+    def _assert_views_equal(model, batch, views):
+        """Every view's weights, logits, confidence and gate entropy equal
+        the per-view loop's; returns the number of passes."""
+        passes, index = forward_views(model, batch, views)
+        conf, entropy = passes.confidence.data, passes.gate_entropy
+        wants = list(R.lazy_forward_views(model, batch, views))
+        assert index.shape == (len(wants), batch.n)
+        for rows, want in zip(index, wants):
+            assert np.array_equal(passes.p.data[rows], want.p.data)
+            assert np.array_equal(passes.logits.data[rows], want.logits.data)
+            assert np.array_equal(conf[rows], want.confidence.data)
+            assert np.array_equal(entropy[rows], want.gate_entropy)
+        return len(passes.p.data) // batch.n
+
+    @pytest.mark.parametrize("m,hidden,classes,partial,multilabel,n", CASES)
+    def test_matches_the_per_view_loop(self, m, hidden, classes, partial,
+                                       multilabel, n):
+        model, batch = self._model_and_batch(400 + 7 * m + hidden, m, hidden,
+                                             classes, partial, multilabel, n)
+        views = [batch.presence] + [
+            keep_observed(batch.presence,
+                          bernoulli_mask(n, m, rate, stream(3, f"v:{s}")))[0]
+            for rate in RATES[1:] for s in range(5)]
+        self._assert_views_equal(model, batch, views)
+        self._assert_views_equal(model, batch, [batch.presence])
+        for temperature in (1.0, 1.7):
+            got = trainer_module._dropout_table(model, batch, RATES, 5, 3,
+                                                temperature)
+            want = R.lazy_dropout_table(model, batch, RATES, 5, 3,
+                                        temperature)
+            assert got[0] == want[0]
+            assert np.array_equal(got[1], want[1])
+        if m <= 4:
+            got, want = (inversion_audit(model, batch),
+                         R.lazy_inversion_audit(model, batch))
+            for field in ("counts", "mean_violation", "rows"):
+                assert np.array_equal(getattr(got, field),
+                                      getattr(want, field)), field
+
+    def test_both_pass_rules_meet_the_per_view_loop(self):
+        # one pass per set when there are no more sets than views ...
+        model, batch = self._model_and_batch(450, 4, 3, 8, True, False, 200)
+        sets = len(np.unique(batch.presence, axis=0))
+        assert sets > 2
+        views = [batch.presence] * sets
+        assert self._assert_views_equal(model, batch, views) == sets
+        # ... else one per view: one clean view of a partial split
+        assert self._assert_views_equal(model, batch, [batch.presence]) == 1
+        assert self._assert_views_equal(model, batch, views[:2]) == 2
+
+    def test_no_views_no_passes(self):
+        # train with no evaluation rates reads an empty table
+        model, batch = self._model_and_batch(455, 3, 2, 4, True, False, 9)
+        passes, index = forward_views(model, batch, [])
+        assert passes.p.data.shape == (0, 3) and index.shape == (0, 9)
+        assert evaluate_under_dropout(model, batch, rates=()) == {}
+
+    @staticmethod
+    def _count_passes(monkeypatch, run):
+        """The ``_fuse`` and ``_gate`` calls ``run()`` makes."""
+        calls = {"_fuse": 0, "_gate": 0}
+        for name in calls:
+            real = getattr(model_module, name)
+
+            def spy(*args, name=name, real=real):
+                calls[name] += 1
+                return real(*args)
+
+            monkeypatch.setattr(model_module, name, spy)
+        run()
+        monkeypatch.undo()
+        return calls["_fuse"], calls["_gate"]
+
+    def test_pass_counts(self, monkeypatch):
+        # the benchmark's audit table: M=4, full presence, 1000 rows, rates
+        # 0/0.1/0.2/0.3/0.5 x 5 draws leave every one of the 15 sets, and
+        # the 4 one-modality sets need no gate
+        rng = np.random.default_rng(460)
+        cfg = FusionConfig(modalities=4, dims=(3, 4, 2, 5), classes=8,
+                           fused_dim=5, gate_hidden=8)
+        model = random_model(rng, cfg)
+        batch = random_batch(rng, 1000, cfg.dims, cfg.classes)
+        assert self._count_passes(monkeypatch, lambda: evaluate_under_dropout(
+            model, batch, rates=RATES, seeds=5)) == (15, 11)
+        two = FusionConfig(modalities=2, dims=(3, 4), classes=8, fused_dim=5)
+        model = random_model(rng, two)
+        batch = random_batch(rng, 1000, two.dims, two.classes)
+        assert self._count_passes(monkeypatch, lambda: evaluate_under_dropout(
+            model, batch, rates=(0.0, 0.5), seeds=5)) == (3, 1)
+        assert self._count_passes(monkeypatch, lambda: forward_views(
+            model, batch, [batch.presence])) == (1, 1)
+
+
