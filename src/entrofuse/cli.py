@@ -108,7 +108,7 @@ def _write_scatter(out: str, scatter) -> None:
 def _clean_pass(model, batch):
     """The pass over the split's own presence, as the dropout table reads
     its clean view."""
-    passes, index = forward_views(model, batch, [batch.presence])
+    passes, index = forward_views(model, batch, batch.presence[None])
     return passes.take(index[0])
 
 

@@ -21,7 +21,7 @@ from typing import get_args, get_origin, get_type_hints
 import yaml
 
 from .data import SyntheticSpec
-from .subsets import EXHAUSTIVE_MAX
+from .subsets import EXHAUSTIVE_MAX, LATTICE_MAX
 from .trainer import TrainConfig
 
 __all__ = ["ConfigError", "ExperimentConfig", "read_yaml", "load_config",
@@ -135,6 +135,10 @@ def parse_config(doc) -> ExperimentConfig:
             and data.modalities > EXHAUSTIVE_MAX):
         raise ConfigError("train.acm_family all_subsets is limited to "
                           f"{EXHAUSTIVE_MAX} modalities")
+    # and full, whose consistency penalty builds the subset lattice
+    if train.gamma > 0.0 and data.modalities > LATTICE_MAX:
+        raise ConfigError(f"train.gamma > 0 is limited to {LATTICE_MAX} "
+                          "modalities")
     return ExperimentConfig(data=data, train=train,
                             out=_cast(str | None, root.get("out"), "out"))
 

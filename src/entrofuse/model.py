@@ -7,10 +7,10 @@ observed set only. Fusion is the gate-weighted sum of per-modality linear
 projections, followed by a linear classification head.
 
 A missing-modality pattern is a presence view, not a masked copy of the
-batch: ``forward`` and ``gate_rows`` take V [n, M] presence patterns inside
-the batch's own presence and return V * n rows, row v * n + i being row i
-as seen through view v. Features a view leaves out do not reach its rows:
-they are zeroed in the gate input and weighted by exactly 0 in the fusion.
+batch: every pass takes [V, n, M] bool views inside the batch's presence,
+and ``forward`` returns V * n rows, row v * n + i being row i as seen
+through view v. Features a view leaves out do not reach its rows: they
+are zeroed in the gate input and weighted by exactly 0 in the fusion.
 
 The pass is plain NumPy over parameters that are plain arrays;
 ``forward_pullback`` returns it with its hand-derived pullback, and the
@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, asdict
-from typing import Iterable, NamedTuple
+from typing import NamedTuple
 
 import numpy as np
 
@@ -224,20 +224,18 @@ def entropy_rows(p: np.ndarray) -> np.ndarray:
 
 @dataclass
 class ForwardOutput:
-    """Per-sample gate weights, fused features (None on ``forward_views``'
-    passes) and logits, as tensors; use ``.data``. The max-class confidence
-    (a tensor) and the gate entropy (nats, an array) are computed from the
-    logits and weights when read, and take no gradient: the loss derives
-    its own."""
+    """Per-sample gate weights and logits, as tensors; use ``.data``. The
+    max-class confidence (a tensor) and the gate entropy (nats, an array)
+    are computed from the logits and weights when read, and take no
+    gradient: the loss derives its own."""
 
     p: T.Tensor
-    z: T.Tensor | None
     logits: T.Tensor
     multilabel: bool
 
     def take(self, rows: np.ndarray) -> "ForwardOutput":
-        """The weights and logits of the rows that ``rows`` indexes, no z."""
-        return ForwardOutput(p=T._result(self.p.data[rows]), z=None,
+        """The weights and logits of the rows that ``rows`` indexes."""
+        return ForwardOutput(p=T._result(self.p.data[rows]),
                              logits=T._result(self.logits.data[rows]),
                              multilabel=self.multilabel)
 
@@ -300,21 +298,18 @@ def _blend_back(g: np.ndarray, stacked: np.ndarray, wv: np.ndarray,
     return gw, np.matmul(wv[:, :, 0, :].transpose(1, 2, 0), g)
 
 
-def _gate(model: FusionModel, batch: MultimodalBatch, views: np.ndarray,
-          gated: np.ndarray, stacked: np.ndarray | None,
-          read: np.ndarray | None = None):
-    """The gate MLP on the [n, M] ``views`` of the batch's rows that
-    ``gated`` indexes: [V * n, M] weights, rows of the other views being
-    their one-hot presence, and the pullback that adds the gate parameters'
-    gradients from the weights' one. With one gated view, gate layer 1 is
-    one affine map of its masked gate input; with several, or given the
-    ``_gate_products`` ``stacked``, ``_blend`` sums those per view row.
-    Raises ``ValueError`` if the weights are non-finite on the gated rows
-    that the bool mask ``read`` selects (default: all)."""
+def _gate(model: FusionModel, batch: MultimodalBatch, keep: np.ndarray,
+          stacked: np.ndarray | None = None, read: np.ndarray | None = None):
+    """The gate MLP's weights on the [G * n, M] bool ``keep`` rows of G views
+    and the pullback that adds the gate parameters' gradients from theirs.
+    With one view and no ``_gate_products`` ``stacked``, gate layer 1 is one
+    affine map of its masked gate input; else ``_blend`` sums those per row.
+    Raises ``ValueError`` if the weights are non-finite on the rows that the
+    bool mask ``read`` selects (default: all)."""
     w1, w2 = model.gate_w1, model.gate_w2
-    keep = views[gated].reshape(-1, batch.num_modalities)
-    if gated.size == 1 and stacked is None:
-        x = model.gate_input(batch, views[gated[0]])
+    single = len(keep) == batch.n and stacked is None
+    if single:
+        x = model.gate_input(batch, keep)
         pre = x @ w1
     else:
         if stacked is None:
@@ -331,20 +326,15 @@ def _gate(model: FusionModel, batch: MultimodalBatch, views: np.ndarray,
     p = last_axis_first(s)
     if not np.isfinite(p if read is None else p[read]).all():
         raise ValueError("gate weights are non-finite")
-    weights, rows = p, None
-    if gated.size < len(views):
-        rows = (gated[:, None] * batch.n + np.arange(batch.n)).ravel()
-        weights = views.reshape(-1, batch.num_modalities).astype(np.float64)
-        weights[rows] = p
 
     def pullback(gp: np.ndarray) -> None:
-        g = np.where(keep, gp if rows is None else gp[rows], 0.0)
+        g = np.where(keep, gp, 0.0)
         gs = p * (g - last_axis_first(g * p).sum(axis=0)[:, None])
         model.grad["gate_b2"] += gs.sum(axis=0)
         model.grad["gate_w2"] += h.T @ gs
         gpre = (gs @ w2.T) * (h > 0.0)
         model.grad["gate_b1"] += gpre.sum(axis=0)
-        if gated.size == 1:
+        if single:
             model.grad["gate_w1"] += x.T @ gpre
             return
         _, gb = _blend_back(gpre, stacked, wv, weights=False)
@@ -353,21 +343,17 @@ def _gate(model: FusionModel, batch: MultimodalBatch, views: np.ndarray,
             gw1[c] = blocks[m].T @ gb[:, m]
         model.grad["gate_w1"] += gw1
 
-    return weights, pullback
+    return p, pullback
 
 
-def _check_layout(model: FusionModel, batch: MultimodalBatch) -> None:
-    if (batch.num_modalities != model.cfg.modalities
-            or batch.dims != tuple(model.cfg.dims)):
+def _check_views(model: FusionModel, batch: MultimodalBatch, views):
+    """The [V, n, M] bool ``views`` and the [V, n] counts of the modalities
+    each view row keeps. Raises ``ValueError`` if the batch's layout is not
+    the model's, the views are not of that shape, a view row keeps no
+    modality, or one its batch row does not observe."""
+    if batch.dims != tuple(model.cfg.dims):
         raise ValueError(f"batch layout {batch.dims} does not match model "
                          f"{tuple(model.cfg.dims)}")
-
-
-def _check_views(batch: MultimodalBatch, views):
-    """The [V, n, M] bool ``views`` and the [V, n] counts of the modalities
-    each view row keeps. Raises ``ValueError`` if the views are not of
-    that shape, a view row keeps no modality, or one its batch row does not
-    observe."""
     views = np.asarray(views, dtype=bool)
     if views.ndim != 3 or views.shape[1:] != batch.presence.shape:
         raise ValueError(f"views {views.shape} need [V, {batch.n}, "
@@ -384,21 +370,27 @@ def _gate_rows(model: FusionModel, batch: MultimodalBatch,
                views: np.ndarray | None):
     """The [V * n, M] weights of the checked [V, n, M] views (default: the
     batch's presence) and their pullback, None when no gate parameter
-    takes a gradient or no view runs the gate."""
-    _check_layout(model, batch)
+    takes a gradient or no view runs the gate. Only views with a row
+    keeping two or more modalities run it; the others' rows are one-hot."""
     views, observed = _check_views(
-        batch, batch.presence[None] if views is None else views)
+        model, batch, batch.presence[None] if views is None else views)
+    weights = views.reshape(-1, batch.num_modalities).astype(np.float64)
     gated = np.flatnonzero((observed > 1).any(axis=1))
     if gated.size == 0:
-        return views.reshape(-1, batch.num_modalities).astype(np.float64), None
-    p, pullback = _gate(model, batch, views, gated, None)
+        return weights, None
+    p, pullback = _gate(model, batch,
+                        views[gated].reshape(-1, batch.num_modalities))
+    if gated.size < len(views):
+        rows = (gated[:, None] * batch.n + np.arange(batch.n)).ravel()
+        weights[rows] = p
+        p, pullback = weights, lambda gp, back=pullback: back(gp[rows])
     return p, None if model.gate_frozen else pullback
 
 
 def gate_rows(model: FusionModel, batch: MultimodalBatch,
               views: np.ndarray | None = None) -> T.Tensor:
     """Mixture weights over observed modalities, one simplex row per sample
-    and view: [V * n, M] for V [n, M] presence ``views`` inside
+    and view: [V * n, M] for the [V, n, M] presence ``views`` inside
     ``batch.presence`` (default: that presence, V = 1). Read-only: the
     gate's gradient flows through ``forward_pullback``.
 
@@ -417,18 +409,16 @@ def gate_rows(model: FusionModel, batch: MultimodalBatch,
 
 def _fuse(model: FusionModel, p: np.ndarray, stacked: np.ndarray,
           read: np.ndarray | None = None):
-    """The pass's output from the [V * n, M] gate weights p and the [n, M, k]
-    projections: their ``_blend``, then the head; and the blend's weights.
-    Raises ``ValueError`` if the logits are non-finite on the rows that the
-    bool mask ``read`` selects (default: all)."""
+    """The pass's logits from the [V * n, M] gate weights p and the [n, M, k]
+    projections: their ``_blend`` z, then the head; and z and the blend's
+    weights. Raises ``ValueError`` if the logits are non-finite on the rows
+    that the bool mask ``read`` selects (default: all)."""
     z, wv = _blend(p, stacked)
     logits = z @ model.head_w
     logits += model.head_b
     if not np.isfinite(logits if read is None else logits[read]).all():
         raise ValueError("logits are non-finite")
-    return ForwardOutput(p=T._result(p), z=T._result(z),
-                         logits=T._result(logits),
-                         multilabel=model.cfg.multilabel), wv
+    return logits, z, wv
 
 
 def forward(model: FusionModel, batch: MultimodalBatch,
@@ -449,19 +439,20 @@ def forward_pullback(model: FusionModel, batch: MultimodalBatch,
     the chain in ``tests/reference_chain.py``, in its reverse order."""
     p, gate_back = _gate_rows(model, batch, views)
     stacked = _per_modality(batch.n, batch.features, model.proj)
-    out, wv = _fuse(model, p, stacked)
+    logits, z, wv = _fuse(model, p, stacked)
 
     def pullback(g: np.ndarray, gp: np.ndarray) -> None:
         model.grad["head_b"] += g.sum(axis=0)
         gz = g @ model.head_w.T
-        model.grad["head_w"] += out.z.data.T @ g
+        model.grad["head_w"] += z.T @ g
         gw, gb = _blend_back(gz, stacked, wv, gate_back is not None)
         for m, f in enumerate(batch.features):
             model.grad[f"proj_{m}"] += f.T @ gb[:, m]
         if gate_back is not None:
             gate_back(gp + gw)
 
-    return out, pullback
+    return ForwardOutput(p=T._result(p), logits=T._result(logits),
+                         multilabel=model.cfg.multilabel), pullback
 
 
 def _kept_sets(keep: np.ndarray):
@@ -479,52 +470,41 @@ def _kept_sets(keep: np.ndarray):
 
 
 def forward_views(model: FusionModel, batch: MultimodalBatch,
-                  views: Iterable[np.ndarray]):
-    """Read-only ``forward`` over V [n, M] ``views``, run as a table of
-    passes over every row of the batch: one pass per kept set that some
-    view row keeps, or one per view when there are more such sets than
-    views. A row reads each pass at its own position in an n-row product,
+                  views: np.ndarray):
+    """Read-only ``forward`` over the [V, n, M] ``views``, run as a table of
+    passes over every row of the batch, one per kept set that some view row
+    keeps. A row reads each pass at its own position in an n-row product,
     so its weights and logits are bit for bit those of a pass over its own
     view alone.
 
     Returns the passes' ``ForwardOutput`` over their P * n rows, row
-    k * n + i being row i in pass k (no ``z``), and the [V, n] index of
-    the pass row that row i of view v reads: ``out.take(index[v])`` is
-    view v. All views are read and checked first; gate layer 1 blends the
-    split's ``_gate_products`` once per gated pass, and those are freed
-    before the projections are built. Raises ``ValueError`` as ``forward``
-    does, a non-finite value counting only on rows that a view reads."""
-    _check_layout(model, batch)
-    views = list(views)
+    k * n + i being row i in pass k, and the [V, n] index of the pass row
+    that row i of view v reads: ``out.take(index[v])`` is view v. All views
+    are checked first; gate layer 1 blends the split's ``_gate_products``
+    once per gated pass, and those are freed before the projections are
+    built. Raises ``ValueError`` as ``forward`` does, a non-finite value
+    counting only on rows that a view reads."""
+    views = _check_views(model, batch, views)[0]
     n, m = batch.presence.shape
-    if any(np.shape(v) != (n, m) for v in views):
-        raise ValueError(f"each view needs [{n}, {m}]")
-    views = _check_views(batch, np.reshape(views, (-1, n, m)))[0]
     sets, index = _kept_sets(views.reshape(-1, m))
-    if len(sets) <= len(views):
-        # C order: p takes the layout of keeps, and the blend of a
-        # strided p rounds differently
-        keeps = np.repeat(sets[:, None], n, axis=1)
-        index = index.reshape(-1, n) * n + np.arange(n)
-    else:
-        keeps = views
-        index = np.arange(len(views))[:, None] * n + np.arange(n)
-    read = np.zeros(len(keeps) * n, dtype=bool)
-    read[index] = True
-    read = read.reshape(-1, n)
-    gated = (last_axis_first(keeps).sum(axis=0) > 1).any(axis=1)
+    # C order: p takes the layout of keeps, and the blend of a strided p
+    # rounds differently
+    keeps = np.repeat(sets[:, None], n, axis=1)
+    index = index.reshape(-1, n) * n + np.arange(n)
+    read = np.zeros((len(sets), n), dtype=bool)
+    read.flat[index] = True
+    gated = sets.sum(axis=1) > 1
 
     products = _gate_products(model, batch)[2] if gated.any() else None
     p = keeps.astype(np.float64)  # one-hot rows where the gate does not run
     for k in np.flatnonzero(gated):
-        p[k] = _gate(model, batch, keeps[k][None], np.zeros(1, np.int64),
-                     products, read[k])[0]
+        p[k] = _gate(model, batch, keeps[k], products, read[k])[0]
     del products  # before the projections: one prepared form at a time
     stacked = _per_modality(n, batch.features, model.proj)
-    logits = np.empty((len(keeps), n, model.cfg.classes))
-    for k in range(len(keeps)):
-        logits[k] = _fuse(model, p[k], stacked, read[k])[0].logits.data
-    return ForwardOutput(p=T._result(p.reshape(-1, m)), z=None,
+    logits = np.empty((len(sets), n, model.cfg.classes))
+    for k in range(len(sets)):
+        logits[k] = _fuse(model, p[k], stacked, read[k])[0]
+    return ForwardOutput(p=T._result(p.reshape(-1, m)),
                          logits=T._result(logits.reshape(-1, logits.shape[2])),
                          multilabel=model.cfg.multilabel), index
 

@@ -9,12 +9,15 @@ from itertools import combinations
 
 import numpy as np
 
-__all__ = ["EXHAUSTIVE_MAX", "SubsetLattice", "subset_lattice",
-           "nonempty_subsets"]
+__all__ = ["EXHAUSTIVE_MAX", "LATTICE_MAX", "SubsetLattice",
+           "subset_lattice", "nonempty_subsets"]
 
 # the most modalities for which every subset is enumerated: the audit, the
 # all_subsets teacher family and the consistency penalty's unsampled lattice
 EXHAUSTIVE_MAX = 4
+# the most modalities for which the lattice is built at all, from which the
+# consistency penalty samples its pairs beyond EXHAUSTIVE_MAX
+LATTICE_MAX = 10
 
 
 def nonempty_subsets(modalities: int) -> np.ndarray:
@@ -68,8 +71,9 @@ def subset_lattice(modalities: int) -> SubsetLattice:
     """All pairs (A, B) of nonempty subsets with A strictly inside B, in
     nested ``nonempty_subsets`` order, A outer; the lattice's subsets are
     numbered in order of first mention."""
-    if not 2 <= modalities <= 10:
-        raise ValueError(f"modality count must be in [2, 10], got {modalities}")
+    if not 2 <= modalities <= LATTICE_MAX:
+        raise ValueError(f"modality count must be in [2, {LATTICE_MAX}], "
+                         f"got {modalities}")
     rows = nonempty_subsets(modalities)
     inside = (rows[:, None] <= rows[None]).all(axis=2)
     np.fill_diagonal(inside, False)

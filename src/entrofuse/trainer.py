@@ -368,6 +368,8 @@ def _dropout_table(model: FusionModel, batch: MultimodalBatch,
             views.append(keep_observed(batch.presence, bernoulli_mask(
                 batch.n, batch.num_modalities, rate, rng))[0])
 
+    # one [V, n, M] array, [0, n, M] when there are no rates
+    views = np.reshape(views, (-1, batch.n, batch.num_modalities))
     passes, index = forward_views(model, batch, views)
     rows = _metric_rows(passes, batch.labels, index, temperature)
     table: dict[float, dict[str, float]] = {}

@@ -650,8 +650,7 @@ def forward(model, batch, views=None) -> ForwardOutput:
     logits = linear(z, leaf["head_w"], leaf["head_b"])
     if not np.isfinite(logits.data).all():
         raise ValueError("logits are non-finite")
-    return ForwardOutput(p=p, z=z, logits=logits,
-                         multilabel=model.cfg.multilabel)
+    return ForwardOutput(p=p, logits=logits, multilabel=model.cfg.multilabel)
 
 
 # ---------------------------------------------------------------------------
@@ -795,17 +794,18 @@ def lazy_forward_views(model, batch, views):
     two modalities) and the fusion. Raises ``ValueError`` at the view at
     fault."""
     M = model_module
-    M._check_layout(model, batch)
+    M._check_views(model, batch, batch.presence[None])  # the layout
     gate = None
     if (batch.presence.sum(axis=1) > 1).any():
         gate = M._gate_products(model, batch)[2]
     stacked = M._per_modality(batch.n, batch.features, model.proj)
     for view in views:
-        one, observed = M._check_views(batch, np.asarray(view)[None])
+        one, observed = M._check_views(model, batch, np.asarray(view)[None])
         gated = np.flatnonzero((observed > 1).any(axis=1))
         p = (one[0].astype(np.float64) if gated.size == 0
-             else M._gate(model, batch, one, gated, gate)[0])
-        yield M._fuse(model, p, stacked)[0]
+             else M._gate(model, batch, one[0], gate)[0])
+        yield ForwardOutput(p=_result(p), logits=_result(
+            M._fuse(model, p, stacked)[0]), multilabel=model.cfg.multilabel)
 
 
 def _metric_row(out, labels, temperature=1.0):

@@ -199,8 +199,8 @@ class TestAblateCommand:
 def spy_passes(monkeypatch, modules, record):
     """Call ``record(batch, clean)`` for every pass over the rows of a
     batch: each ``forward`` call, clean when it takes no views, and each
-    view a ``forward_views`` call reads, clean when it is the batch's own
-    presence array."""
+    view a ``forward_views`` call reads, clean when it equals the batch's
+    own presence."""
     real, real_views = model_module.forward, model_module.forward_views
 
     def counting(model, batch, views=None):
@@ -208,11 +208,9 @@ def spy_passes(monkeypatch, modules, record):
         return real(model, batch, views)
 
     def counting_views(model, batch, views):
-        def spied():
-            for view in views:
-                record(batch, view is batch.presence)
-                yield view
-        return real_views(model, batch, spied())
+        for view in views:
+            record(batch, np.array_equal(view, batch.presence))
+        return real_views(model, batch, views)
 
     for module in modules:
         for name, spy in (("forward", counting),
@@ -260,7 +258,7 @@ class TestOneTestForwardPerRun:
         scatter = np.loadtxt(tmp_path / "a" / "scatter.csv", delimiter=",",
                              skiprows=1)
         passes, index = model_module.forward_views(result.model, data[2],
-                                                   [data[2].presence])
+                                                   data[2].presence[None])
         want = entropy_confidence_export(passes.take(index[0]))
         assert np.array_equal(scatter, want)
 
@@ -276,7 +274,7 @@ class TestOneTestForwardPerRun:
         scatter = np.loadtxt(tmp_path / "run" / "scatter.csv", delimiter=",",
                              skiprows=1)
         passes, index = model_module.forward_views(result.model, data[2],
-                                                   [data[2].presence])
+                                                   data[2].presence[None])
         want = entropy_confidence_export(passes.take(index[0]))
         assert np.array_equal(scatter, want)
 
@@ -336,7 +334,8 @@ class TestAuditCommand:
     def test_one_forward_pass_over_the_test_split(
             self, run_dir, config_path, tmp_path, monkeypatch):
         # the scatter reuses the calibration pass; every other forward is
-        # over a subset view
+        # over a subset view, in the lattice's order {0}, {0, 1}, {1}, and
+        # at full presence the view of {0, 1} is the split's presence
         seen = []
         spy_passes(monkeypatch, (cli_module, model_module, metrics_module),
                    lambda batch, clean: seen.append(clean))
@@ -344,7 +343,7 @@ class TestAuditCommand:
                      "--checkpoint", os.path.join(run_dir, "checkpoint.npz"),
                      "--config", config_path,
                      "--out", str(tmp_path / "audit")]) == 0
-        assert seen.count(True) == 1 and len(seen) == 4  # and 3 subsets
+        assert seen == [True, False, True, False]
 
     def test_more_than_four_modalities_exit_before_any_compute(
             self, tmp_path, capsys):
@@ -660,6 +659,19 @@ class TestExitCodes:
                "eval": SMALL_CONFIG["eval"]}
         self._assert_config_error_before_compute(
             doc, command, tmp_path, monkeypatch, capsys)
+
+    @pytest.mark.parametrize("command", ["run", "ablate"])
+    def test_consistency_penalty_beyond_ten_modalities_exits_one_before_any_compute(
+            self, tmp_path, monkeypatch, capsys, command):
+        # the subset lattice stops at 10 modalities, so such a run could
+        # never train: it is a config error, caught before data generation
+        doc = {"data": dict(SMALL_CONFIG["data"], modalities=11, dims=[2] * 11,
+                            snr=[1e4] * 11),
+               "train": dict(SMALL_CONFIG["train"], gamma=1.0),
+               "eval": SMALL_CONFIG["eval"]}
+        err = self._assert_config_error_before_compute(
+            doc, command, tmp_path, monkeypatch, capsys)
+        assert "train.gamma > 0 is limited to 10 modalities" in err
 
     def test_removed_lambda_draws_key_exits_one_before_any_compute(
             self, tmp_path, monkeypatch, capsys):

@@ -152,6 +152,22 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match="limited to 4 modalities"):
             parse_config(doc(5))
 
+    @pytest.mark.parametrize("ablation", ["full", "single_modality"])
+    def test_consistency_penalty_limited_to_ten_modalities(self, ablation):
+        # every ablation grid runs full, whose penalty builds the lattice
+        def doc(m, gamma):
+            return minimal_doc(
+                data={"modalities": m, "dims": [2] * m, "snr": [1.0] * m},
+                train={"gamma": gamma, "ablation": ablation})
+
+        assert parse_config(doc(10, 0.5)).data.modalities == 10
+        assert parse_config(doc(11, 0.0)).data.modalities == 11
+        for gamma in (0.5, TrainConfig().gamma):
+            with pytest.raises(ConfigError,
+                               match=r"train.gamma > 0 is limited to 10 "
+                                     "modalities"):
+                parse_config(doc(11, gamma))
+
     def test_with_seed_overrides_both_seeds(self):
         cfg = parse_config(minimal_doc())
         seeded = cfg.with_seed(9)

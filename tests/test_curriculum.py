@@ -202,9 +202,9 @@ class TestAcmDistribution:
         real = model_module.gate_rows
         real_gate = model_module._gate
 
-        def counting(model, batch, views, gated, *rest):
-            calls.append(len(gated) * batch.n)
-            return real_gate(model, batch, views, gated, *rest)
+        def counting(model, batch, keep, *rest):
+            calls.append(len(keep))
+            return real_gate(model, batch, keep, *rest)
 
         monkeypatch.setattr(model_module, "_gate", counting)
         rng = np.random.default_rng(16)

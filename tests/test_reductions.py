@@ -11,6 +11,7 @@ arrays the model hands on stay C-contiguous.
 import numpy as np
 import pytest
 
+import entrofuse.model as model_module
 import entrofuse.tensor as T
 from entrofuse.data import bernoulli_mask, keep_observed, last_axis_first
 from entrofuse.losses import task_term
@@ -113,7 +114,6 @@ class TestSameAsRowWise:
             probs = (class_probs(z, True) if multilabel
                      else _old_class_probs(z))
             out = ForwardOutput(p=T.Tensor(np.ones((n, 1))),
-                                z=T.Tensor(np.zeros((n, 1))),
                                 logits=T.Tensor(z), multilabel=multilabel)
             assert np.array_equal(out.confidence.data, probs.max(axis=1))
             labels = (rng.random((n, c)) < 0.5).astype(np.float64) \
@@ -235,8 +235,11 @@ def test_model_outputs_are_c_contiguous(m):
     passes, index = forward_views(model, batch, views)
     arrays = [gate_rows(model, batch).data,
               gate_rows(model, batch, views).data]
-    arrays += [getattr(out, f).data for out in outs
-               for f in ("p", "z", "logits")]
-    arrays += [getattr(out, f).data for out in (passes, passes.take(index[0]))
-               for f in ("p", "logits")]  # table views carry no z
+    arrays += [getattr(out, f).data for out in (*outs, passes,
+                                                 passes.take(index[0]))
+               for f in ("p", "logits")]
+    # the fused features the pullback's head gradient reads
+    stacked = model_module._per_modality(batch.n, batch.features, model.proj)
+    arrays += [model_module._fuse(model, out.p.data, stacked)[1]
+               for out in outs]
     assert all(a.flags.c_contiguous for a in arrays)

@@ -490,7 +490,7 @@ class TestEvaluateUnderDropout:
 
         def counting(model, batch, views):
             calls.extend(views)
-            return forward_views(model, batch, calls)
+            return forward_views(model, batch, views)
 
         monkeypatch.setattr(trainer_module, "forward_views", counting)
         table = evaluate_under_dropout(model, test_b, rates=(0.0, 0.3, 0.5),

@@ -13,6 +13,7 @@ the layer-op chain it replaced (``reference_chain.forward``) over the same
 views.
 """
 
+import dataclasses
 import itertools
 import sys
 import tracemalloc
@@ -63,8 +64,7 @@ def reference_forward(model, batch, keep=None) -> ForwardOutput:
     z = _ref_mix(p, [R.matmul(T.Tensor(f), leaf[f"proj_{m}"])
                      for m, f in enumerate(masked.features)])
     logits = R.linear(z, leaf["head_w"], leaf["head_b"])
-    return ForwardOutput(p=p, z=z, logits=logits,
-                         multilabel=model.cfg.multilabel)
+    return ForwardOutput(p=p, logits=logits, multilabel=model.cfg.multilabel)
 
 
 def assert_close(got, want, what=""):
@@ -236,7 +236,8 @@ class TestForwardMatchesTape:
             ref_loss = loss_of(ref.logits, ref.p)
             tape.backward(ref_loss)
         ref_grads = _grads(model)
-        for field in ("p", "z", "logits"):
+        # the fused features show in head_w's gradient
+        for field in ("p", "logits"):
             assert np.array_equal(getattr(out, field).data,
                                   getattr(ref, field).data), field
         assert loss == ref_loss.item()
@@ -314,9 +315,9 @@ class TestRandomViews:
         passes = []
         real = model_module._gate
 
-        def counting(model, batch, views, gated, *rest):
-            passes.append(len(gated) * batch.n)
-            return real(model, batch, views, gated, *rest)
+        def counting(model, batch, keep, *rest):
+            passes.append(len(keep))
+            return real(model, batch, keep, *rest)
 
         monkeypatch.setattr(model_module, "_gate", counting)
         for gated in GATED:
@@ -401,14 +402,14 @@ class TestReadPathsTakeViews:
 
         def spy(model, batch, views):
             seen.extend(views)
-            return forward_views(model, batch, seen)
+            return forward_views(model, batch, views)
 
         monkeypatch.setattr(trainer_module, "forward_views", spy)
         table = evaluate_under_dropout(model, batch, rates=(0.0, 0.5),
                                        seeds=2)
         assert all(np.isfinite(list(row.values())).all()
                    for row in table.values())
-        assert seen[0] is batch.presence and len(seen) == 3
+        assert np.array_equal(seen[0], batch.presence) and len(seen) == 3
         emptied = 0
         for s, views in enumerate(seen[1:]):
             want = presence & bernoulli_mask(30, 3, 0.5,
@@ -462,7 +463,7 @@ class TestForwardViews:
         _, model, batch, views = _setup(300 + 10 * m + gated, m, gated,
                                         single=single, multilabel=multilabel)
         n = batch.n
-        passes, index = forward_views(model, batch, iter(views))
+        passes, index = forward_views(model, batch, views)
         assert index.shape == (len(views), n)
         outs = [passes.take(rows) for rows in index]
         whole = forward(model, batch, views)
@@ -591,24 +592,29 @@ class TestForwardViews:
         assert peaks[0] <= peaks[1], peaks
 
     def test_bad_views_and_non_finite_values_rejected(self):
-        # every view is read and checked before any pass runs
+        # every view is checked before any pass runs
         _, model, batch, views = _setup(330, 3, 3)
         empty = views[0].copy()
         empty[1] = False
         for bad, message in (
-                ([np.ones((batch.n, 3), dtype=bool)], "does not observe"),
-                ([empty], "no observed modality"),
-                ([views[0][:, :-1]], "need")):
+                (np.ones((batch.n, 3), dtype=bool), "does not observe"),
+                (empty, "no observed modality")):
             with pytest.raises(ValueError, match=message):
-                forward_views(model, batch, [views[0]] + bad)
-        gated = views[(views.sum(axis=2) > 1).any(axis=1)][0]
+                forward_views(model, batch, np.stack([views[0], bad]))
+        for shape in (views[0], views[:, :-1], views[:, :, :-1], views[None],
+                      views[..., None]):  # [V, n, M] views only
+            with pytest.raises(ValueError, match="need"):
+                forward_views(model, batch, shape)
+        with pytest.raises(ValueError):  # ragged
+            forward_views(model, batch, [views[0], views[0][:, :-1]])
+        gated = views[(views.sum(axis=2) > 1).any(axis=1)][:1]
         for param, message in ((model.gate_w2, "gate weights are non-finite"),
                                (model.head_w, "logits are non-finite")):
             kept = param.copy()
             param[...] = np.inf
             with (pytest.raises(ValueError, match=message),
                   np.errstate(over="ignore", invalid="ignore")):
-                forward_views(model, batch, [gated])
+                forward_views(model, batch, gated)
             param[...] = kept
 
     def test_non_finite_values_count_only_on_rows_a_view_reads(self):
@@ -628,7 +634,7 @@ class TestForwardViews:
         presence[0, 2] = False
         batch = random_batch(rng, 6, cfg.dims, cfg.classes, presence)
         batch.features[2][0] = 5e307  # each projection reads 1e308
-        views = [presence, presence]  # two views, two sets: one pass each
+        views = np.stack([presence, presence])  # two sets: one pass each
         with np.errstate(over="ignore", invalid="ignore"):
             passes, index = forward_views(model, batch, views)
         assert len(passes.logits.data) == 2 * batch.n
@@ -646,7 +652,9 @@ class TestForwardViews:
         with T.Tape() as tape:
             passes, _ = forward_views(model, batch, views)
         assert tape.num_recorded == 0
-        assert passes.z is None  # no read path reads it
+        # no read path reads the fused features
+        assert [f.name for f in dataclasses.fields(ForwardOutput)] == [
+            "p", "logits", "multilabel"]
         assert not (passes.logits.requires_grad or passes.p.requires_grad)
 
 
@@ -707,12 +715,12 @@ class TestPassTable:
                                        multilabel, n):
         model, batch = self._model_and_batch(400 + 7 * m + hidden, m, hidden,
                                              classes, partial, multilabel, n)
-        views = [batch.presence] + [
+        views = np.array([batch.presence] + [
             keep_observed(batch.presence,
                           bernoulli_mask(n, m, rate, stream(3, f"v:{s}")))[0]
-            for rate in RATES[1:] for s in range(5)]
+            for rate in RATES[1:] for s in range(5)])
         self._assert_views_equal(model, batch, views)
-        self._assert_views_equal(model, batch, [batch.presence])
+        self._assert_views_equal(model, batch, batch.presence[None])
         for temperature in (1.0, 1.7):
             got = trainer_module._dropout_table(model, batch, RATES, 5, 3,
                                                 temperature)
@@ -727,22 +735,26 @@ class TestPassTable:
                 assert np.array_equal(getattr(got, field),
                                       getattr(want, field)), field
 
-    def test_both_pass_rules_meet_the_per_view_loop(self):
-        # one pass per set when there are no more sets than views ...
+    def test_one_pass_per_occurring_set(self, monkeypatch):
+        # however few the views: one clean view of a partial M=4 split
+        # runs every set its rows keep
         model, batch = self._model_and_batch(450, 4, 3, 8, True, False, 200)
-        sets = len(np.unique(batch.presence, axis=0))
-        assert sets > 2
-        views = [batch.presence] * sets
-        assert self._assert_views_equal(model, batch, views) == sets
-        # ... else one per view: one clean view of a partial split
-        assert self._assert_views_equal(model, batch, [batch.presence]) == 1
-        assert self._assert_views_equal(model, batch, views[:2]) == 2
+        sets = np.unique(batch.presence, axis=0)
+        assert len(sets) > 2
+        for count in (1, 2, len(sets)):
+            views = np.repeat(batch.presence[None], count, axis=0)
+            assert self._assert_views_equal(model, batch, views) == len(sets)
+        assert self._count_passes(monkeypatch, lambda: forward_views(
+            model, batch, batch.presence[None])) == (
+                len(sets), int((sets.sum(axis=1) > 1).sum()))
 
     def test_no_views_no_passes(self):
         # train with no evaluation rates reads an empty table
         model, batch = self._model_and_batch(455, 3, 2, 4, True, False, 9)
-        passes, index = forward_views(model, batch, [])
+        passes, index = forward_views(model, batch,
+                                      np.zeros((0, 9, 3), dtype=bool))
         assert passes.p.data.shape == (0, 3) and index.shape == (0, 9)
+        assert passes.logits.data.shape == (0, 4)
         assert evaluate_under_dropout(model, batch, rates=()) == {}
 
     @staticmethod
@@ -778,6 +790,6 @@ class TestPassTable:
         assert self._count_passes(monkeypatch, lambda: evaluate_under_dropout(
             model, batch, rates=(0.0, 0.5), seeds=5)) == (3, 1)
         assert self._count_passes(monkeypatch, lambda: forward_views(
-            model, batch, [batch.presence])) == (1, 1)
+            model, batch, batch.presence[None])) == (1, 1)
 
 
