@@ -19,8 +19,8 @@ from dataclasses import replace
 
 import yaml
 
-from .config import (ConfigError, ExperimentConfig, dump_resolved, load_config,
-                     parse_config, read_yaml)
+from .config import (ConfigError, ExperimentConfig, check_lattice,
+                     dump_resolved, load_config, parse_config, read_yaml)
 from .data import generate
 from .metrics import (confidence_correct, ece, entropy_confidence_export,
                       inversion_audit, write_csv)
@@ -179,6 +179,8 @@ def cmd_ablate(args) -> int:
     if args.jobs < 1:
         raise UsageError(f"--jobs must be at least 1, got {args.jobs}")
     cfg = _load(args)
+    # the grid runs full, whatever the config's ablation tag
+    check_lattice(replace(cfg.train, ablation="full"), cfg.data.modalities)
     out = _resolve_out(cfg, args.out, f"runs/ablate-seed{cfg.train.seed}")
     os.makedirs(out, exist_ok=True)
     jobs = [(cfg, tag, os.path.join(out, tag)) for tag in ABLATIONS]

@@ -22,10 +22,10 @@ import yaml
 
 from .data import SyntheticSpec
 from .subsets import EXHAUSTIVE_MAX, LATTICE_MAX
-from .trainer import TrainConfig
+from .trainer import ABLATIONS, TrainConfig
 
-__all__ = ["ConfigError", "ExperimentConfig", "read_yaml", "load_config",
-           "parse_config", "resolved_dict", "dump_resolved"]
+__all__ = ["ConfigError", "ExperimentConfig", "check_lattice", "read_yaml",
+           "load_config", "parse_config", "resolved_dict", "dump_resolved"]
 
 
 class ConfigError(ValueError):
@@ -135,12 +135,18 @@ def parse_config(doc) -> ExperimentConfig:
             and data.modalities > EXHAUSTIVE_MAX):
         raise ConfigError("train.acm_family all_subsets is limited to "
                           f"{EXHAUSTIVE_MAX} modalities")
-    # and full, whose consistency penalty builds the subset lattice
-    if train.gamma > 0.0 and data.modalities > LATTICE_MAX:
-        raise ConfigError(f"train.gamma > 0 is limited to {LATTICE_MAX} "
-                          "modalities")
+    check_lattice(train, data.modalities)
     return ExperimentConfig(data=data, train=train,
                             out=_cast(str | None, root.get("out"), "out"))
+
+
+def check_lattice(train: TrainConfig, modalities: int) -> None:
+    """Raises ``ConfigError`` if ``train``'s consistency penalty runs over
+    more modalities than its subset lattice is built for."""
+    if (train.gamma > 0.0 and ABLATIONS[train.ablation].cec_on
+            and modalities > LATTICE_MAX):
+        raise ConfigError(f"train.gamma > 0 is limited to {LATTICE_MAX} "
+                          "modalities")
 
 
 def read_yaml(path):

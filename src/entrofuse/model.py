@@ -374,14 +374,14 @@ def _gate_rows(model: FusionModel, batch: MultimodalBatch,
     keeping two or more modalities run it; the others' rows are one-hot."""
     views, observed = _check_views(
         model, batch, batch.presence[None] if views is None else views)
-    weights = views.reshape(-1, batch.num_modalities).astype(np.float64)
+    m = batch.num_modalities
     gated = np.flatnonzero((observed > 1).any(axis=1))
     if gated.size == 0:
-        return weights, None
-    p, pullback = _gate(model, batch,
-                        views[gated].reshape(-1, batch.num_modalities))
+        return views.reshape(-1, m).astype(np.float64), None
+    p, pullback = _gate(model, batch, views[gated].reshape(-1, m))
     if gated.size < len(views):
         rows = (gated[:, None] * batch.n + np.arange(batch.n)).ravel()
+        weights = views.reshape(-1, m).astype(np.float64)
         weights[rows] = p
         p, pullback = weights, lambda gp, back=pullback: back(gp[rows])
     return p, None if model.gate_frozen else pullback
@@ -472,8 +472,9 @@ def _kept_sets(keep: np.ndarray):
 def forward_views(model: FusionModel, batch: MultimodalBatch,
                   views: np.ndarray):
     """Read-only ``forward`` over the [V, n, M] ``views``, run as a table of
-    passes over every row of the batch, one per kept set that some view row
-    keeps. A row reads each pass at its own position in an n-row product,
+    passes over every row of the batch: one pass per kept set that some
+    view row keeps, or one per view when there are more such sets than
+    views. A row reads each pass at its own position in an n-row product,
     so its weights and logits are bit for bit those of a pass over its own
     view alone.
 
@@ -487,13 +488,17 @@ def forward_views(model: FusionModel, batch: MultimodalBatch,
     views = _check_views(model, batch, views)[0]
     n, m = batch.presence.shape
     sets, index = _kept_sets(views.reshape(-1, m))
-    # C order: p takes the layout of keeps, and the blend of a strided p
-    # rounds differently
-    keeps = np.repeat(sets[:, None], n, axis=1)
-    index = index.reshape(-1, n) * n + np.arange(n)
-    read = np.zeros((len(sets), n), dtype=bool)
+    if len(sets) <= len(views):
+        # C order: p takes the layout of keeps, and the blend of a
+        # strided p rounds differently
+        keeps = np.repeat(sets[:, None], n, axis=1)
+        index = index.reshape(-1, n) * n + np.arange(n)
+    else:
+        keeps = views
+        index = np.arange(len(views))[:, None] * n + np.arange(n)
+    read = np.zeros((len(keeps), n), dtype=bool)
     read.flat[index] = True
-    gated = sets.sum(axis=1) > 1
+    gated = (last_axis_first(keeps).sum(axis=0) > 1).any(axis=1)
 
     products = _gate_products(model, batch)[2] if gated.any() else None
     p = keeps.astype(np.float64)  # one-hot rows where the gate does not run
@@ -501,8 +506,8 @@ def forward_views(model: FusionModel, batch: MultimodalBatch,
         p[k] = _gate(model, batch, keeps[k], products, read[k])[0]
     del products  # before the projections: one prepared form at a time
     stacked = _per_modality(n, batch.features, model.proj)
-    logits = np.empty((len(sets), n, model.cfg.classes))
-    for k in range(len(sets)):
+    logits = np.empty((len(keeps), n, model.cfg.classes))
+    for k in range(len(keeps)):
         logits[k] = _fuse(model, p[k], stacked, read[k])[0]
     return ForwardOutput(p=T._result(p.reshape(-1, m)),
                          logits=T._result(logits.reshape(-1, logits.shape[2])),

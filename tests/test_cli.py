@@ -660,14 +660,17 @@ class TestExitCodes:
         self._assert_config_error_before_compute(
             doc, command, tmp_path, monkeypatch, capsys)
 
-    @pytest.mark.parametrize("command", ["run", "ablate"])
+    @pytest.mark.parametrize("command,ablation", [
+        ("run", "full"), ("ablate", "single_modality")])
     def test_consistency_penalty_beyond_ten_modalities_exits_one_before_any_compute(
-            self, tmp_path, monkeypatch, capsys, command):
+            self, tmp_path, monkeypatch, capsys, command, ablation):
         # the subset lattice stops at 10 modalities, so such a run could
-        # never train: it is a config error, caught before data generation
+        # never train: it is a config error, caught before data generation;
+        # the ablate grid runs full whatever the tag
         doc = {"data": dict(SMALL_CONFIG["data"], modalities=11, dims=[2] * 11,
                             snr=[1e4] * 11),
-               "train": dict(SMALL_CONFIG["train"], gamma=1.0),
+               "train": dict(SMALL_CONFIG["train"], gamma=1.0,
+                             ablation=ablation),
                "eval": SMALL_CONFIG["eval"]}
         err = self._assert_config_error_before_compute(
             doc, command, tmp_path, monkeypatch, capsys)

@@ -5,8 +5,8 @@ import re
 
 import pytest
 
-from entrofuse.config import (ConfigError, dump_resolved, load_config,
-                              parse_config, resolved_dict)
+from entrofuse.config import (ConfigError, check_lattice, dump_resolved,
+                              load_config, parse_config, resolved_dict)
 from entrofuse.curriculum import Schedules
 from entrofuse.data import SyntheticSpec
 from entrofuse.trainer import TrainConfig
@@ -152,10 +152,9 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match="limited to 4 modalities"):
             parse_config(doc(5))
 
-    @pytest.mark.parametrize("ablation", ["full", "single_modality"])
-    def test_consistency_penalty_limited_to_ten_modalities(self, ablation):
-        # every ablation grid runs full, whose penalty builds the lattice
-        def doc(m, gamma):
+    def test_consistency_penalty_limited_to_ten_modalities(self):
+        # the penalty builds the subset lattice, which stops at 10
+        def doc(m, gamma, ablation="full"):
             return minimal_doc(
                 data={"modalities": m, "dims": [2] * m, "snr": [1.0] * m},
                 train={"gamma": gamma, "ablation": ablation})
@@ -167,6 +166,16 @@ class TestParseConfig:
                                match=r"train.gamma > 0 is limited to 10 "
                                      "modalities"):
                 parse_config(doc(11, gamma))
+        # single_modality switches the penalty off, so gamma goes unread
+        assert parse_config(doc(11, 0.5, "single_modality")).train.gamma == 0.5
+
+    def test_check_lattice_reads_the_ablation_tag(self):
+        # ablate runs the grid's full whatever the tag, through this check
+        train = TrainConfig(gamma=0.5, ablation="single_modality")
+        check_lattice(train, 11)
+        with pytest.raises(ConfigError, match="limited to 10 modalities"):
+            check_lattice(dataclasses.replace(train, ablation="full"), 11)
+        check_lattice(dataclasses.replace(train, ablation="full"), 10)
 
     def test_with_seed_overrides_both_seeds(self):
         cfg = parse_config(minimal_doc())

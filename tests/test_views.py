@@ -735,18 +735,19 @@ class TestPassTable:
                 assert np.array_equal(getattr(got, field),
                                       getattr(want, field)), field
 
-    def test_one_pass_per_occurring_set(self, monkeypatch):
-        # however few the views: one clean view of a partial M=4 split
-        # runs every set its rows keep
+    def test_both_pass_rules_meet_the_per_view_loop(self, monkeypatch):
+        # one pass per set when there are no more sets than views ...
         model, batch = self._model_and_batch(450, 4, 3, 8, True, False, 200)
         sets = np.unique(batch.presence, axis=0)
         assert len(sets) > 2
-        for count in (1, 2, len(sets)):
-            views = np.repeat(batch.presence[None], count, axis=0)
-            assert self._assert_views_equal(model, batch, views) == len(sets)
+        views = np.repeat(batch.presence[None], len(sets), axis=0)
+        assert self._assert_views_equal(model, batch, views) == len(sets)
+        # ... else one per view: one clean view of a partial split
+        assert self._assert_views_equal(model, batch, views[:1]) == 1
+        assert self._assert_views_equal(model, batch, views[:2]) == 2
         assert self._count_passes(monkeypatch, lambda: forward_views(
-            model, batch, batch.presence[None])) == (
-                len(sets), int((sets.sum(axis=1) > 1).sum()))
+            model, batch, views)) == (len(sets),
+                                      int((sets.sum(axis=1) > 1).sum()))
 
     def test_no_views_no_passes(self):
         # train with no evaluation rates reads an empty table
@@ -792,4 +793,19 @@ class TestPassTable:
         assert self._count_passes(monkeypatch, lambda: forward_views(
             model, batch, batch.presence[None])) == (1, 1)
 
-
+    def test_passes_never_outnumber_the_views(self, monkeypatch):
+        # at M=6 the 21 views of the default table's draws keep more of the
+        # 63 sets than there are views, so the table runs one pass per view
+        rng = np.random.default_rng(465)
+        cfg = FusionConfig(modalities=6, dims=(3, 4, 2, 5, 3, 2), classes=4,
+                           fused_dim=5, gate_hidden=8)
+        model = random_model(rng, cfg)
+        batch = random_batch(rng, 300, cfg.dims, cfg.classes)
+        views = np.array([batch.presence] + [
+            keep_observed(batch.presence,
+                          bernoulli_mask(300, 6, rate, stream(3, f"v:{s}")))[0]
+            for rate in RATES[1:] for s in range(5)])
+        assert len(np.unique(views.reshape(-1, 6), axis=0)) > len(views) == 21
+        assert self._assert_views_equal(model, batch, views) == 21
+        assert self._count_passes(monkeypatch, lambda: evaluate_under_dropout(
+            model, batch, rates=RATES, seeds=5)) == (21, 21)
