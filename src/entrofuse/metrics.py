@@ -13,13 +13,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import MultimodalBatch, keep_observed
-from .model import class_probs, forward_views
+from .model import class_probs, forward_views, top_class_prob
 from .subsets import EXHAUSTIVE_MAX, SubsetLattice, subset_lattice
 
 __all__ = [
     "CalibrationReport",
     "InversionAudit",
     "ece",
+    "ece_rows",
     "map_at_1",
     "top1_accuracy",
     "confidence_correct",
@@ -51,36 +52,58 @@ def ece(confidences: np.ndarray, correct: np.ndarray, bins: int = 15) -> Calibra
     """Expected calibration error over equal-width bins.
 
     Bin k covers [k/bins, (k+1)/bins), the last bin closed at 1. Empty bins
-    are skipped; the score is sum_k (n_k/n) * |acc_k - conf_k|.
+    are skipped; the score is sum_k (n_k/n) * |acc_k - conf_k|. The one-view
+    case of ``ece_rows``.
     """
     conf = np.asarray(confidences, dtype=np.float64).ravel()
     corr = np.asarray(correct, dtype=bool).ravel()
-    if conf.size == 0:
+    return ece_rows(conf[None], corr[None], bins)[0]
+
+
+def ece_rows(conf: np.ndarray, correct: np.ndarray,
+             bins: int = 15) -> list[CalibrationReport]:
+    """``ece`` of each row of the [V, n] confidences and bool ``correct``,
+    binned for every row in one pass: row v's rows fill bins
+    v * bins ... v * bins + bins - 1 of one ``np.bincount``, in their order,
+    so each report is bit for bit that of ``ece`` on its row alone. The
+    reports share one read-only ``bin_edges`` array."""
+    conf = np.asarray(conf, dtype=np.float64)
+    correct = np.asarray(correct, dtype=bool)
+    if conf.shape[1:] == (0,):
         raise ValueError("need at least one prediction")
-    if conf.shape != corr.shape:
+    if conf.ndim != 2 or conf.shape != correct.shape:
         raise ValueError("confidences and correct must align")
     if not ((conf >= 0.0) & (conf <= 1.0)).all():  # NaN fails too
         raise ValueError("confidences must lie in [0, 1]")
     if bins < 1:
         raise ValueError("need at least one bin")
 
-    idx = np.minimum((conf * bins).astype(np.int64), bins - 1)
-    counts = np.bincount(idx, minlength=bins)
-    conf_sum = np.bincount(idx, weights=conf, minlength=bins)
-    acc_sum = np.bincount(idx, weights=corr.astype(np.float64), minlength=bins)
+    views, n = conf.shape
+    idx = (conf * bins).astype(np.int64)
+    np.minimum(idx, bins - 1, out=idx)
+    idx += np.arange(0, views * bins, bins)[:, None]
+    size = views * bins
+    counts = np.bincount(idx.ravel(), minlength=size).reshape(views, bins)
+    conf_sum = np.bincount(idx.ravel(), weights=conf.ravel(),
+                           minlength=size).reshape(views, bins)
+    # a sum of ones is exact, so the correct rows' count is their sum
+    acc_sum = np.bincount(idx[correct], minlength=size).reshape(views, bins)
 
     nonempty = counts > 0
-    mean_conf = np.zeros(bins)
-    accuracy = np.zeros(bins)
+    mean_conf = np.zeros((views, bins))
+    accuracy = np.zeros((views, bins))
     mean_conf[nonempty] = conf_sum[nonempty] / counts[nonempty]
     accuracy[nonempty] = acc_sum[nonempty] / counts[nonempty]
-
-    n = conf.size
-    score = float(np.sum(counts[nonempty] / n
-                         * np.abs(accuracy[nonempty] - mean_conf[nonempty])))
-    return CalibrationReport(
-        bin_edges=np.linspace(0.0, 1.0, bins + 1), counts=counts,
-        mean_confidence=mean_conf, accuracy=accuracy, ece=score, n=n)
+    gaps = np.zeros((views, bins))
+    gaps[nonempty] = counts[nonempty] / n * np.abs(accuracy[nonempty]
+                                                  - mean_conf[nonempty])
+    edges = np.linspace(0.0, 1.0, bins + 1)
+    edges.flags.writeable = False
+    # each score sums its nonempty bins alone: NumPy's sum rounds by count
+    return [CalibrationReport(
+        bin_edges=edges, counts=counts[v], mean_confidence=mean_conf[v],
+        accuracy=accuracy[v], ece=float(np.sum(gaps[v][nonempty[v]])), n=n)
+        for v in range(views)]
 
 
 def map_at_1(logits: np.ndarray, labels: np.ndarray) -> float:
@@ -123,14 +146,15 @@ def confidence_correct(logits: np.ndarray, labels: np.ndarray,
     """Per-sample probability under ``logits / temperature`` (softmax, or
     per-class sigmoid when multi-label) of the logits' argmax class, which no
     temperature moves, and whether it is a true label: ``ece``'s inputs."""
-    probs = class_probs(logits if temperature == 1.0
-                        else logits / temperature, multilabel)
-    top = (np.arange(len(probs)), logits.argmax(axis=1))
-    if multilabel:
-        correct = labels[top].astype(bool)
-    else:
-        correct = top[1] == labels.astype(np.int64)
-    return probs[top], correct
+    scaled = logits if temperature == 1.0 else logits / temperature
+    top = logits.argmax(axis=1)
+    if not multilabel:
+        # dividing by T > 0 keeps the argmax entry a row max, so its
+        # probability is the row's top one
+        return top_class_prob(scaled, False), top == labels.astype(np.int64)
+    rows = np.arange(len(logits))
+    return (class_probs(scaled, True)[rows, top],
+            labels[rows, top].astype(bool))
 
 
 @dataclass(frozen=True)

@@ -35,6 +35,7 @@ __all__ = [
     "ParamBuffers",
     "ForwardOutput",
     "class_probs",
+    "top_class_prob",
     "entropy_rows",
     "gate_rows",
     "forward",
@@ -200,6 +201,15 @@ class FusionModel:
         np.multiply(z, flag, out=out)
 
 
+def _shifted_exp(logits: np.ndarray):
+    """exp(z - max z) of each logit row, the max taken across rows, and the
+    [N, 1] row sums, a softmax's numerators and denominators. The sums stay
+    row sums, as NumPy adds 8 or more terms pairwise there, not in order."""
+    e = logits - last_axis_first(logits).max(axis=0)[:, None]
+    np.exp(e, out=e)
+    return e, e.sum(axis=-1, keepdims=True)
+
+
 def class_probs(logits: np.ndarray, multilabel: bool) -> np.ndarray:
     """Class probabilities of logit rows: each row's softmax, or with
     ``multilabel`` every entry's sigmoid in the stable two-branch form,
@@ -207,12 +217,18 @@ def class_probs(logits: np.ndarray, multilabel: bool) -> np.ndarray:
     if multilabel:
         e = np.exp(-np.abs(logits))
         return np.where(logits >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
-    # shift by each row's max, taken across rows; the denominator stays a
-    # row sum, as NumPy adds 8 or more terms pairwise there, not in order
-    probs = logits - last_axis_first(logits).max(axis=0)[:, None]
-    np.exp(probs, out=probs)
-    probs /= probs.sum(axis=-1, keepdims=True)
+    probs, total = _shifted_exp(logits)
+    probs /= total
     return probs
+
+
+def top_class_prob(logits: np.ndarray, multilabel: bool) -> np.ndarray:
+    """Each logit row's largest ``class_probs`` entry. A softmax row's is
+    1 / sum_j exp(z_j - max z), bit for bit: its top numerator is exp(0) = 1
+    over the same row sum, so the [N, C] matrix is never divided."""
+    if multilabel:
+        return last_axis_first(class_probs(logits, True)).max(axis=0)
+    return 1.0 / _shifted_exp(logits)[1][:, 0]
 
 
 def entropy_rows(p: np.ndarray) -> np.ndarray:
@@ -241,8 +257,7 @@ class ForwardOutput:
 
     @property
     def confidence(self) -> T.Tensor:
-        probs = class_probs(self.logits.data, self.multilabel)
-        return T._result(last_axis_first(probs).max(axis=0))
+        return T._result(top_class_prob(self.logits.data, self.multilabel))
 
     @property
     def gate_entropy(self) -> np.ndarray:
@@ -299,11 +314,15 @@ def _blend_back(g: np.ndarray, stacked: np.ndarray, wv: np.ndarray,
 
 
 def _gate(model: FusionModel, batch: MultimodalBatch, keep: np.ndarray,
-          stacked: np.ndarray | None = None, read: np.ndarray | None = None):
+          stacked: np.ndarray | None = None, read: np.ndarray | None = None,
+          kept: np.ndarray | None = None):
     """The gate MLP's weights on the [G * n, M] bool ``keep`` rows of G views
     and the pullback that adds the gate parameters' gradients from theirs.
     With one view and no ``_gate_products`` ``stacked``, gate layer 1 is one
-    affine map of its masked gate input; else ``_blend`` sums those per row.
+    affine map of its masked gate input; else ``_blend`` sums those per row,
+    unless every row keeps the same [M] set ``kept`` of two modalities (a
+    read-only set pass): then it is their two blocks' sum, which two terms
+    give in any order.
     Raises ``ValueError`` if the weights are non-finite on the rows that the
     bool mask ``read`` selects (default: all)."""
     w1, w2 = model.gate_w1, model.gate_w2
@@ -311,6 +330,12 @@ def _gate(model: FusionModel, batch: MultimodalBatch, keep: np.ndarray,
     if single:
         x = model.gate_input(batch, keep)
         pre = x @ w1
+    elif kept is not None and kept.sum() == 2:
+        # a row's [1, 2] ones times its two blocks, a strided view: no
+        # [n, M] weights, no copy, and no ufunc buffer for strided operands
+        a, b = np.flatnonzero(kept)
+        pre = np.matmul(np.ones((1, 2)), stacked[:, a:b + 1:b - a])
+        pre = pre.reshape(-1, stacked.shape[2])
     else:
         if stacked is None:
             blocks, cols, stacked = _gate_products(model, batch)
@@ -408,12 +433,18 @@ def gate_rows(model: FusionModel, batch: MultimodalBatch,
 
 
 def _fuse(model: FusionModel, p: np.ndarray, stacked: np.ndarray,
-          read: np.ndarray | None = None):
+          read: np.ndarray | None = None, kept: np.ndarray | None = None):
     """The pass's logits from the [V * n, M] gate weights p and the [n, M, k]
     projections: their ``_blend`` z, then the head; and z and the blend's
-    weights. Raises ``ValueError`` if the logits are non-finite on the rows
-    that the bool mask ``read`` selects (default: all)."""
-    z, wv = _blend(p, stacked)
+    weights. If every row of a one-view p keeps the same [M] set ``kept`` of
+    one modality (a read-only set pass), z is that modality's block, which
+    the blend by those one-hot rows gives. Raises ``ValueError`` if the
+    logits are non-finite on the rows that the bool mask ``read`` selects
+    (default: all)."""
+    if kept is not None and kept.sum() == 1:
+        z, wv = stacked[:, kept.argmax()], None
+    else:
+        z, wv = _blend(p, stacked)
     logits = z @ model.head_w
     logits += model.head_b
     if not np.isfinite(logits if read is None else logits[read]).all():
@@ -457,12 +488,16 @@ def forward_pullback(model: FusionModel, batch: MultimodalBatch,
 
 def _kept_sets(keep: np.ndarray):
     """The distinct rows of the [N, M] bool ``keep``, and the [N] index of
-    each row's among them. Each row is coded as an integer, and one
-    ``np.bincount`` over the 2^M codes finds the sets, unless 2^M exceeds N."""
+    each row's among them. Each row is coded as an integer from its shifted
+    bit columns, and one ``np.bincount`` over the 2^M codes finds the sets,
+    unless 2^M exceeds N."""
     m = keep.shape[1]
     if 1 << m > len(keep):
         return np.unique(keep, axis=0, return_inverse=True)
-    codes = keep @ (1 << np.arange(m))
+    bits = last_axis_first(keep)
+    codes = bits[0].astype(np.intp)
+    for j in range(1, m):
+        codes |= bits[j].astype(np.intp) << j
     found = np.flatnonzero(np.bincount(codes, minlength=1 << m))
     of_code = np.zeros(1 << m, dtype=np.intp)
     of_code[found] = np.arange(found.size)
@@ -483,32 +518,41 @@ def forward_views(model: FusionModel, batch: MultimodalBatch,
     that row i of view v reads: ``out.take(index[v])`` is view v. All views
     are checked first; gate layer 1 blends the split's ``_gate_products``
     once per gated pass, and those are freed before the projections are
-    built. Raises ``ValueError`` as ``forward`` does, a non-finite value
-    counting only on rows that a view reads."""
-    views = _check_views(model, batch, views)[0]
+    built. A set pass skips the blends whose 0/1 weights give the same
+    bits without them: a one-modality set's fusion and a two-modality
+    set's gate layer 1. Raises ``ValueError`` as ``forward`` does, a
+    non-finite value counting only on rows that a view reads."""
+    views, observed = _check_views(model, batch, views)
     n, m = batch.presence.shape
     sets, index = _kept_sets(views.reshape(-1, m))
     if len(sets) <= len(views):
         # C order: p takes the layout of keeps, and the blend of a
         # strided p rounds differently
         keeps = np.repeat(sets[:, None], n, axis=1)
-        index = index.reshape(-1, n) * n + np.arange(n)
+        index = index.reshape(-1, n)
+        read = np.zeros((len(keeps), n), dtype=bool)
+        read[index, np.arange(n)] = True
+        index *= n
+        index += np.arange(n)
+        gated = sets.sum(axis=1) > 1
     else:
         keeps = views
         index = np.arange(len(views))[:, None] * n + np.arange(n)
-    read = np.zeros((len(keeps), n), dtype=bool)
-    read.flat[index] = True
-    gated = (last_axis_first(keeps).sum(axis=0) > 1).any(axis=1)
+        # a view reads every row of its pass and may keep several sets
+        read = sets = [None] * len(views)
+        gated = (observed > 1).any(axis=1)
+    del observed  # no [V, n] temporary beside the passes
 
     products = _gate_products(model, batch)[2] if gated.any() else None
     p = keeps.astype(np.float64)  # one-hot rows where the gate does not run
     for k in np.flatnonzero(gated):
-        p[k] = _gate(model, batch, keeps[k], products, read[k])[0]
+        p[k] = _gate(model, batch, keeps[k], products, read[k],
+                     sets[k])[0]
     del products  # before the projections: one prepared form at a time
     stacked = _per_modality(n, batch.features, model.proj)
     logits = np.empty((len(keeps), n, model.cfg.classes))
     for k in range(len(keeps)):
-        logits[k] = _fuse(model, p[k], stacked, read[k])[0]
+        logits[k] = _fuse(model, p[k], stacked, read[k], sets[k])[0]
     return ForwardOutput(p=T._result(p.reshape(-1, m)),
                          logits=T._result(logits.reshape(-1, logits.shape[2])),
                          multilabel=model.cfg.multilabel), index

@@ -32,8 +32,8 @@ from .curriculum import (FAMILIES, Schedules, acm_distribution, ramp,
                          sample_keep)
 from .data import MultimodalBatch, bernoulli_mask, keep_observed
 from .losses import LossBreakdown, cec_pairs, step_loss, task_term
-from .metrics import (confidence_correct, ece, entropy_confidence_export,
-                      map_at_1)
+from .metrics import (confidence_correct, ece_rows,
+                      entropy_confidence_export, map_at_1)
 from .model import (ForwardOutput, FusionConfig, FusionModel, forward,
                     forward_views)
 from .optim import adamw_step, cosine_lr
@@ -194,16 +194,19 @@ def _metric_rows(out: ForwardOutput, labels: np.ndarray, index: np.ndarray,
     a row of the [V, n] ``index`` gathers from ``out``'s rows, row k * n + i
     of ``out`` being a row with label ``labels[i]``. Each row's confidence,
     correctness and gate entropy are computed once, however many views
-    read it."""
+    read it, and all views are binned in one ``ece_rows`` pass."""
     logits = out.logits.data
+    entropy = out.gate_entropy[index].mean(axis=1)
     conf, correct = confidence_correct(
         logits, labels[np.arange(len(logits)) % len(labels)], out.multilabel,
         temperature)
-    entropy = out.gate_entropy
-    return [{"score": (map_at_1(logits[rows], labels) if out.multilabel
-                       else float(correct[rows].mean())),
-             "ece": ece(conf[rows], correct[rows]).ece,
-             "gate_entropy": float(entropy[rows].mean())} for rows in index]
+    correct = correct[index]
+    reports = ece_rows(conf[index], correct)
+    scores = ([map_at_1(logits[rows], labels) for rows in index]
+              if out.multilabel else correct.mean(axis=1))
+    return [{"score": float(score), "ece": report.ece,
+             "gate_entropy": float(h)}
+            for score, report, h in zip(scores, reports, entropy)]
 
 
 def train(cfg: TrainConfig, data: tuple[MultimodalBatch, MultimodalBatch, MultimodalBatch]) -> RunResult:
@@ -345,15 +348,16 @@ def evaluate_under_dropout(model: FusionModel, batch: MultimodalBatch,
     every rate, evaluated once, when no row observes two modalities (e.g.
     single-modality runs): no draw can change such a batch.
     """
-    return _dropout_table(model, batch, rates, seeds, seed, temperature)[0]
+    return _dropout_table(model, batch, rates, seeds, seed, temperature,
+                          scatter=False)[0]
 
 
 def _dropout_table(model: FusionModel, batch: MultimodalBatch,
                    rates: tuple[float, ...], seeds: int, seed: int,
-                   temperature: float):
-    """``evaluate_under_dropout``'s table, and the per-sample (gate entropy,
-    confidence) rows of its first unmasked pass (None when every rate was
-    masked)."""
+                   temperature: float, scatter: bool = True):
+    """``evaluate_under_dropout``'s table, and with ``scatter`` the
+    per-sample (gate entropy, confidence) rows of its first unmasked view
+    (else, or when every rate was masked, None)."""
     check_rates(rates)
     if seeds < 1:
         raise ValueError("seeds must be positive")
@@ -373,15 +377,15 @@ def _dropout_table(model: FusionModel, batch: MultimodalBatch,
     passes, index = forward_views(model, batch, views)
     rows = _metric_rows(passes, batch.labels, index, temperature)
     table: dict[float, dict[str, float]] = {}
-    scatter, v = None, 0
+    clean, v = None, 0
     for rate in rates:
         count = max(draws[rate], 1)
-        if scatter is None and not draws[rate]:
-            scatter = entropy_confidence_export(passes.take(index[v]))
+        if scatter and clean is None and not draws[rate]:
+            clean = entropy_confidence_export(passes.take(index[v]))
         table[rate] = {k: sum(row[k] for row in rows[v:v + count]) / count
                        for k in rows[v]}
         v += count
-    return table, scatter
+    return table, clean
 
 
 def fit_temperature(logits: np.ndarray, labels: np.ndarray,

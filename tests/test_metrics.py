@@ -1,11 +1,14 @@
 """Calibration, ranking metrics, inversion audit, and CSV formatting."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
 from entrofuse.data import keep_observed
 from entrofuse.losses import cec_loss, cec_pairs, subset_confidences
-from entrofuse.metrics import (audit_confidences, confidence_correct, ece,
+from entrofuse.metrics import (CalibrationReport, audit_confidences,
+                               confidence_correct, ece, ece_rows,
                                entropy_confidence_export, format_value,
                                inversion_audit, map_at_1, top1_accuracy,
                                write_csv)
@@ -104,6 +107,74 @@ class TestEce:
     def test_nan_confidence_rejected_with_range_message(self):
         with pytest.raises(ValueError, match=r"confidences must lie in \[0, 1\]"):
             ece(np.array([0.5, np.nan]), np.array([True, False]))
+
+
+def one_view_ece(conf, correct, bins=15):
+    """``ece`` as it binned one view on its own, before ``ece_rows``."""
+    idx = np.minimum((conf * bins).astype(np.int64), bins - 1)
+    counts = np.bincount(idx, minlength=bins)
+    conf_sum = np.bincount(idx, weights=conf, minlength=bins)
+    acc_sum = np.bincount(idx, weights=correct.astype(np.float64),
+                          minlength=bins)
+    nonempty = counts > 0
+    mean_conf, accuracy = np.zeros(bins), np.zeros(bins)
+    mean_conf[nonempty] = conf_sum[nonempty] / counts[nonempty]
+    accuracy[nonempty] = acc_sum[nonempty] / counts[nonempty]
+    score = float(np.sum(counts[nonempty] / conf.size
+                         * np.abs(accuracy[nonempty] - mean_conf[nonempty])))
+    return CalibrationReport(
+        bin_edges=np.linspace(0.0, 1.0, bins + 1), counts=counts,
+        mean_confidence=mean_conf, accuracy=accuracy, ece=score, n=conf.size)
+
+
+class TestEceRows:
+    """``ece_rows`` bins every row of a [V, n] table in one pass; each
+    row's report must be ``ece``'s on that row alone, field by field, and
+    both the one-view binning ``ece`` did before."""
+
+    @staticmethod
+    def _assert_rows_are_ece(conf, correct):
+        reports = ece_rows(conf, correct)
+        assert len(reports) == len(conf)
+        for report, c, k in zip(reports, conf, correct):
+            for want in (ece(c, k), one_view_ece(c, k)):
+                for field in dataclasses.fields(CalibrationReport):
+                    assert np.array_equal(getattr(report, field.name),
+                                          getattr(want, field.name)), field
+
+    def test_each_row_is_its_own_ece(self):
+        rng = np.random.default_rng(41)
+        conf = rng.random((21, 300))
+        conf[0, :5] = 0.0
+        conf[1, :5] = 1.0  # the last bin is closed at 1
+        conf[2] = rng.uniform(7 / 15, 8 / 15, size=300)  # one bin only
+        conf[3] = conf[3].round(1)  # rows on the bin edges
+        correct = rng.random(conf.shape) < conf
+        correct[4] = False
+        correct[5] = True
+        self._assert_rows_are_ece(conf, correct)
+
+    def test_rows_with_empty_bins(self):
+        # each score sums its own nonempty bins: NumPy's sum rounds by the
+        # number of terms, so a sum over all 15 bins, zeros included, would
+        # differ in the last bits
+        rng = np.random.default_rng(43)
+        bins = np.array([rng.choice(15, size=rng.integers(2, 15),
+                                    replace=False) for _ in range(200)],
+                        dtype=object)
+        conf = np.array([(rng.choice(b, size=60) + rng.random(60)) / 15
+                         for b in bins])
+        self._assert_rows_are_ece(conf, rng.random(conf.shape) < conf)
+
+    def test_one_row_views(self):
+        rng = np.random.default_rng(42)
+        conf = np.concatenate([[[0.0], [1.0]], rng.random((6, 1))])
+        self._assert_rows_are_ece(conf, rng.random(conf.shape) < 0.5)
+
+    def test_no_views_and_no_rows(self):
+        assert ece_rows(np.zeros((0, 4)), np.zeros((0, 4), dtype=bool)) == []
+        with pytest.raises(ValueError, match="at least one prediction"):
+            ece_rows(np.zeros((3, 0)), np.zeros((3, 0), dtype=bool))
 
 
 class TestConfidenceCorrect:

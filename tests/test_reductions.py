@@ -221,6 +221,43 @@ class TestSameAsRowWise:
                                   / np.maximum(rows, 1))
 
 
+def _old_confidence_correct(logits, labels, multilabel, t):
+    """``confidence_correct`` as it read the whole probability matrix."""
+    scaled = logits if t == 1.0 else logits / t
+    probs = (class_probs(scaled, True) if multilabel
+             else _old_class_probs(scaled))
+    top = (np.arange(len(probs)), logits.argmax(axis=1))
+    correct = (labels[top].astype(bool) if multilabel
+               else top[1] == labels.astype(np.int64))
+    return probs[top], correct
+
+
+@pytest.mark.parametrize("c", [1, 2, 8, 33])
+@pytest.mark.parametrize("multilabel", [False, True])
+def test_top_class_prob_without_the_probability_matrix(c, multilabel):
+    # 1 / (row sum of exp(z - max z)) is the softmax's top entry bit for
+    # bit; a multi-label row keeps its largest sigmoid
+    rng = np.random.default_rng(c + 40 * multilabel)
+    z = _logits(rng, 600, c)
+    z[:50] = rng.integers(-2, 3, size=(50, c))  # exact ties everywhere
+    z[50:100] = rng.choice([-700.0, 700.0], size=(50, c))
+    z[100:150] = z[100:150] * 200.0  # entries far beyond exp's range
+    labels = ((rng.random((len(z), c)) < 0.5).astype(np.float64)
+              if multilabel else rng.integers(0, c, size=len(z)))
+    probs = class_probs(z, True) if multilabel else _old_class_probs(z)
+    out = ForwardOutput(p=T.Tensor(np.ones((len(z), 1))),
+                        logits=T.Tensor(z), multilabel=multilabel)
+    assert np.array_equal(out.confidence.data, probs.max(axis=1))
+    assert np.array_equal(model_module.top_class_prob(z, multilabel),
+                          last_axis_first(probs).max(axis=0))
+    for t in (1.0, 1.7):
+        got = confidence_correct(z, labels, multilabel, t)
+        want = _old_confidence_correct(z, labels, multilabel, t)
+        assert np.array_equal(got[0], want[0])
+        assert np.array_equal(got[1], want[1])
+        assert got[1].dtype == bool
+
+
 @pytest.mark.parametrize("m", [2, 3, 4])
 def test_model_outputs_are_c_contiguous(m):
     # A first version of the across-rows softmax handed on F-ordered gate

@@ -759,9 +759,9 @@ class TestPassTable:
         assert evaluate_under_dropout(model, batch, rates=()) == {}
 
     @staticmethod
-    def _count_passes(monkeypatch, run):
-        """The ``_fuse`` and ``_gate`` calls ``run()`` makes."""
-        calls = {"_fuse": 0, "_gate": 0}
+    def _count_passes(monkeypatch, run, names=("_fuse", "_gate")):
+        """The calls ``run()`` makes to each function of ``model`` named."""
+        calls = dict.fromkeys(names, 0)
         for name in calls:
             real = getattr(model_module, name)
 
@@ -772,7 +772,59 @@ class TestPassTable:
             monkeypatch.setattr(model_module, name, spy)
         run()
         monkeypatch.undo()
-        return calls["_fuse"], calls["_gate"]
+        return tuple(calls.values())
+
+    @pytest.mark.parametrize("m", MODALITIES)
+    @pytest.mark.parametrize("hidden", (1, 2, 3, 64))
+    def test_one_and_two_modality_set_passes(self, m, hidden):
+        # a one-modality set's fusion is its projection block and a
+        # two-modality set's gate layer 1 the sum of its two product
+        # blocks, which the blends by 0/1 weights give bit for bit
+        model, batch = self._model_and_batch(480 + 7 * m + hidden, m, hidden,
+                                             8, False, False, 400)
+        subsets = subset_lattice(m).subsets
+        subsets = subsets[subsets.sum(axis=1) <= 2]
+        views = keep_observed(batch.presence, subsets[:, None])[0]
+        assert self._assert_views_equal(model, batch, views) == len(subsets)
+
+    def test_set_passes_skip_the_exact_blends(self, monkeypatch):
+        # the benchmark's audit table: of 15 fusion and 11 gate passes, the
+        # 4 one-modality fusions and the 6 two-modality gate layers blend
+        # nothing, so 16 blends run, not 26
+        rng = np.random.default_rng(475)
+        cfg = FusionConfig(modalities=4, dims=(3, 4, 2, 5), classes=8,
+                           fused_dim=5, gate_hidden=8)
+        model = random_model(rng, cfg)
+        batch = random_batch(rng, 1000, cfg.dims, cfg.classes)
+        assert self._count_passes(monkeypatch, lambda: evaluate_under_dropout(
+            model, batch, rates=RATES, seeds=5),
+            ("_fuse", "_gate", "_blend")) == (15, 11, 16)
+
+    @pytest.mark.parametrize("m", range(1, 9))
+    def test_kept_sets_match_unique(self, m, monkeypatch):
+        # integer codes when 2^M <= N rows, np.unique above: both give the
+        # distinct rows (in their own order) and each row's index among them
+        rng = np.random.default_rng(490 + m)
+        for rows in ((1 << m) + 5, (1 << m) - 1):
+            keep = rng.random((rows, m)) < rng.uniform(0.2, 0.8)
+            keep[0] = True
+            want, want_index = np.unique(keep, axis=0, return_inverse=True)
+            unique_calls = []
+            real_unique = np.unique
+
+            def spy(*args, **kwargs):
+                unique_calls.append(args)
+                return real_unique(*args, **kwargs)
+
+            monkeypatch.setattr(np, "unique", spy)
+            sets, index = model_module._kept_sets(keep)
+            monkeypatch.undo()
+            assert len(unique_calls) == (rows < 1 << m)
+            assert sets.dtype == bool and index.shape == (rows,)
+            assert np.array_equal(real_unique(sets, axis=0), want)
+            assert len(sets) == len(want)
+            assert np.array_equal(sets[index], keep)
+            assert np.array_equal(sets[index], want[want_index.ravel()])
 
     def test_pass_counts(self, monkeypatch):
         # the benchmark's audit table: M=4, full presence, 1000 rows, rates
