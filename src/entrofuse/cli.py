@@ -22,12 +22,11 @@ import yaml
 from .config import (ConfigError, ExperimentConfig, check_lattice,
                      dump_resolved, load_config, parse_config, read_yaml)
 from .data import generate
-from .metrics import (confidence_correct, ece, entropy_confidence_export,
-                      inversion_audit, write_csv)
+from .metrics import (audit_block, check_audit, confidence_correct, ece,
+                      entropy_confidence_export, write_csv)
 from .model import forward_views, load_checkpoint, save_checkpoint
-from .subsets import EXHAUSTIVE_MAX
 from .trainer import (ABLATIONS, DivergenceError, RunResult, check_rates,
-                      evaluate_under_dropout, train)
+                      dropout_block, train)
 
 __all__ = ["main"]
 
@@ -105,33 +104,22 @@ def _write_scatter(out: str, scatter) -> None:
               ["gate_entropy", "confidence"], scatter.tolist())
 
 
-def _clean_pass(model, batch):
-    """The pass over the split's own presence, as the dropout table reads
-    its clean view."""
-    passes, index = forward_views(model, batch, batch.presence[None])
-    return passes.take(index[0])
-
-
 def write_run_dir(out: str, cfg: ExperimentConfig, result: RunResult,
                   test_batch) -> None:
+    """Write ``result``'s run directory. ``test_batch`` is not read: the
+    scatter is ``result.test_scatter``, from the test split's table."""
     os.makedirs(out, exist_ok=True)
     dump_resolved(cfg, os.path.join(out, "config.yaml"))
 
-    history_rows = []
-    for bd, row in zip(result.history, result.metric_history):
-        history_rows.append([row["epoch"], bd.total, bd.task, bd.ent, bd.cec,
-                             bd.lam, row["score"], row["ece"],
-                             row["gate_entropy"]])
+    history_rows = [[row["epoch"], bd.total, bd.task, bd.ent, bd.cec, bd.lam,
+                     row["score"], row["ece"], row["gate_entropy"]]
+                    for bd, row in zip(result.history, result.metric_history)]
     write_csv(os.path.join(out, "history.csv"),
               ["epoch", "total", "task", "ent", "cec", "lam",
                "val_score", "val_ece", "val_gate_entropy"], history_rows)
 
     _write_eval(out, result.eval_table)
-    scatter = result.test_scatter  # from train's clean evaluation pass
-    if scatter is None:  # read that pass as train would have
-        scatter = entropy_confidence_export(_clean_pass(result.model,
-                                                        test_batch))
-    _write_scatter(out, scatter)
+    _write_scatter(out, result.test_scatter)
 
     save_checkpoint(result.model, os.path.join(out, "checkpoint.npz"))
 
@@ -231,9 +219,7 @@ def cmd_audit(args) -> int:
         model = load_checkpoint(args.checkpoint)
     except (OSError, ValueError) as exc:
         raise ConfigError(f"cannot load checkpoint {args.checkpoint}: {exc}")
-    if model.cfg.modalities > EXHAUSTIVE_MAX:  # before any compute or file
-        raise ValueError("full lattice audit is limited to "
-                         f"{EXHAUSTIVE_MAX} modalities")
+    check_audit(model.cfg.modalities)  # before any compute or file
 
     doc = read_yaml(args.config)
     if isinstance(doc, dict):
@@ -254,10 +240,15 @@ def cmd_audit(args) -> int:
     out = _resolve_out(cfg, args.out, "runs/audit")
     os.makedirs(out, exist_ok=True)
 
-    # the clean pass as run's evaluation reads it, so the calibration and
-    # scatter match the run's rate-0 column
-    out_fwd = _clean_pass(model, test_b)
-    report = ece(*confidence_correct(out_fwd.logits.data, test_b.labels,
+    # one table: the dropout block, then the lattice block; calibration and
+    # scatter read view 0, the clean view of run's rate-0 column and scatter
+    table_views, read_table = dropout_block(
+        test_b, args.rates or (), cfg.train.eval_seeds, cfg.train.seed,
+        temperature)
+    audit_views, read_audit = audit_block(test_b)
+    passes, index = forward_views(model, test_b, [*table_views, *audit_views])
+    clean = passes.take(index[0])
+    report = ece(*confidence_correct(clean.logits.data, test_b.labels,
                                      model.cfg.multilabel, temperature))
     bin_rows = [[k, report.bin_edges[k], report.bin_edges[k + 1],
                  report.counts[k], report.mean_confidence[k],
@@ -266,7 +257,7 @@ def cmd_audit(args) -> int:
               ["bin", "lower", "upper", "count", "mean_confidence",
                "accuracy"], bin_rows)
 
-    audit = inversion_audit(model, test_b)
+    audit = read_audit(passes, index[len(table_views):])
 
     def cell(row):  # a subset's modality indices, comma-free for CSV cells
         return "+".join(str(m) for m, on in enumerate(audit.subsets[row])
@@ -279,11 +270,9 @@ def cmd_audit(args) -> int:
               ["observed_small", "observed_big", "count", "mean_violation",
                "rows"], pair_rows)
 
-    _write_scatter(out, entropy_confidence_export(out_fwd))
+    _write_scatter(out, entropy_confidence_export(clean))
     if args.rates is not None:
-        _write_eval(out, evaluate_under_dropout(
-            model, test_b, rates=args.rates, seeds=cfg.train.eval_seeds,
-            seed=cfg.train.seed, temperature=temperature))
+        _write_eval(out, read_table(passes, index[:len(table_views)]))
 
     print(f"audit: out={out} ece={report.ece:.4f} "
           f"inversion_rate={audit.rate:.4f} pairs={len(audit.pairs)} "

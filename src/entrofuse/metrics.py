@@ -25,6 +25,8 @@ __all__ = [
     "top1_accuracy",
     "confidence_correct",
     "audit_confidences",
+    "check_audit",
+    "audit_block",
     "inversion_audit",
     "entropy_confidence_export",
     "format_value",
@@ -206,18 +208,29 @@ def _count_inversions(conf: np.ndarray, lattice: SubsetLattice,
                           n=conf.shape[1], rows=rows)
 
 
-def inversion_audit(model, batch: MultimodalBatch) -> InversionAudit:
-    """Count samples with conf(A) > conf(B) for every strict pair A in B,
-    with one ``forward_views`` table over the subsets' ``keep_observed``
-    views of the batch, counted as ``audit_confidences`` does."""
-    modalities = batch.num_modalities
+def check_audit(modalities: int) -> None:
+    """Raise ``ValueError`` past the audit's ``EXHAUSTIVE_MAX`` modalities."""
     if modalities > EXHAUSTIVE_MAX:
         raise ValueError("full lattice audit is limited to "
                          f"{EXHAUSTIVE_MAX} modalities")
-    lattice = subset_lattice(modalities)
+
+
+def audit_block(batch: MultimodalBatch):
+    """``check_audit``, then the lattice block of a ``forward_views`` table:
+    the batch's [S, n, M] subset views, and ``read(passes, index)``, their
+    audit from the pass rows of their [S, n] ``index``."""
+    check_audit(batch.num_modalities)
+    lattice = subset_lattice(batch.num_modalities)
     views, live = keep_observed(batch.presence, lattice.subsets[:, None])
-    passes, index = forward_views(model, batch, views)
-    return _count_inversions(passes.confidence.data[index], lattice, live)
+    return views, lambda passes, index: _count_inversions(
+        passes.confidence.data[index], lattice, live)
+
+
+def inversion_audit(model, batch: MultimodalBatch) -> InversionAudit:
+    """Count samples with conf(A) > conf(B) for every strict pair A in B,
+    with one ``forward_views`` table of the batch's ``audit_block``."""
+    views, read = audit_block(batch)
+    return read(*forward_views(model, batch, views))
 
 
 def entropy_confidence_export(out) -> np.ndarray:

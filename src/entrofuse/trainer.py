@@ -157,10 +157,8 @@ class RunResult:
     wall_clock: float
     temperature: float | None
     v_max: float | None
-    # the [n, 2] (gate entropy, confidence) rows of the clean evaluation
-    # pass of the test split as train evaluated it; None when every rate
-    # masked the split
-    test_scatter: np.ndarray | None = None
+    # the [n, 2] (gate entropy, confidence) rows of the test split's clean pass
+    test_scatter: np.ndarray
     # seconds spent in the final dropout table on the test split
     eval_s: float = 0.0
 
@@ -348,44 +346,44 @@ def evaluate_under_dropout(model: FusionModel, batch: MultimodalBatch,
     every rate, evaluated once, when no row observes two modalities (e.g.
     single-modality runs): no draw can change such a batch.
     """
-    return _dropout_table(model, batch, rates, seeds, seed, temperature,
-                          scatter=False)[0]
+    views, read = dropout_block(batch, rates, seeds, seed, temperature)
+    return read(*forward_views(model, batch, views))
 
 
-def _dropout_table(model: FusionModel, batch: MultimodalBatch,
-                   rates: tuple[float, ...], seeds: int, seed: int,
-                   temperature: float, scatter: bool = True):
-    """``evaluate_under_dropout``'s table, and with ``scatter`` the
-    per-sample (gate entropy, confidence) rows of its first unmasked view
-    (else, or when every rate was masked, None)."""
+def dropout_block(batch: MultimodalBatch, rates: tuple[float, ...],
+                  seeds: int, seed: int, temperature: float):
+    """The dropout block of a ``forward_views`` table: the batch's [V, n, M]
+    views, view 0 its presence (the clean view, which a rate without draws
+    reads) and then each drawn rate's, and ``read(passes, index)``, their
+    table from the pass rows of their [V, n] ``index``."""
     check_rates(rates)
     if seeds < 1:
         raise ValueError("seeds must be positive")
     maskable = (batch.presence.sum(axis=1) > 1).any()
-    draws = {rate: seeds if rate > 0.0 and maskable else 0 for rate in rates}
-    views = []
+    views, spans = [batch.presence], []  # spans: the views each rate reads
     for r_index, rate in enumerate(rates):
-        if not draws[rate]:
-            views.append(batch.presence)
-        for s in range(draws[rate]):
-            rng = stream(seed, f"eval:{r_index}:{s}")
-            views.append(keep_observed(batch.presence, bernoulli_mask(
-                batch.n, batch.num_modalities, rate, rng))[0])
+        count = seeds if rate > 0.0 and maskable else 0
+        spans.append(range(len(views), len(views) + count) or range(1))
+        views += [keep_observed(batch.presence, bernoulli_mask(
+            batch.n, batch.num_modalities, rate,
+            stream(seed, f"eval:{r_index}:{s}")))[0] for s in range(count)]
 
-    # one [V, n, M] array, [0, n, M] when there are no rates
-    views = np.reshape(views, (-1, batch.n, batch.num_modalities))
+    def read(passes: ForwardOutput, index: np.ndarray):
+        rows = _metric_rows(passes, batch.labels, index, temperature)
+        return {rate: {k: sum(rows[v][k] for v in span) / len(span)
+                       for k in rows[0]} for rate, span in zip(rates, spans)}
+
+    return np.array(views), read
+
+
+def _dropout_table(model: FusionModel, batch: MultimodalBatch,
+                   rates: tuple[float, ...], seeds: int, seed: int,
+                   temperature: float):
+    """``evaluate_under_dropout``'s table and its clean view's scatter rows."""
+    views, read = dropout_block(batch, rates, seeds, seed, temperature)
     passes, index = forward_views(model, batch, views)
-    rows = _metric_rows(passes, batch.labels, index, temperature)
-    table: dict[float, dict[str, float]] = {}
-    clean, v = None, 0
-    for rate in rates:
-        count = max(draws[rate], 1)
-        if scatter and clean is None and not draws[rate]:
-            clean = entropy_confidence_export(passes.take(index[v]))
-        table[rate] = {k: sum(row[k] for row in rows[v:v + count]) / count
-                       for k in rows[v]}
-        v += count
-    return table, clean
+    return (read(passes, index),
+            entropy_confidence_export(passes.take(index[0])))
 
 
 def fit_temperature(logits: np.ndarray, labels: np.ndarray,

@@ -232,12 +232,18 @@ class TestOneTestForwardPerRun:
                    lambda batch, clean: seen.append(clean and is_test(batch)))
         return seen
 
+    @pytest.mark.parametrize("rates", [[0.0, 0.5], [0.5]],
+                             ids=["clean-rate", "no-clean-rate"])
     def test_run_forwards_the_clean_test_split_once(
-            self, config_path, tmp_path, monkeypatch):
-        # eval rates hold 0.0: the scatter reuses that column's pass
-        test = generate(load_config(config_path).data)[2]
+            self, tmp_path, monkeypatch, rates):
+        # the scatter reads the table's clean view 0, with or without a
+        # rate-0 column
+        path = tmp_path / "config.yaml"
+        path.write_text(yaml.safe_dump(dict(
+            SMALL_CONFIG, eval=dict(SMALL_CONFIG["eval"], rates=rates))))
+        test = generate(load_config(str(path)).data)[2]
         seen = self._count_test_forwards(monkeypatch, test)
-        assert main(["run", "--config", config_path,
+        assert main(["run", "--config", str(path),
                      "--out", str(tmp_path / "run")]) == 0
         assert seen.count(True) == 1
 
@@ -262,20 +268,23 @@ class TestOneTestForwardPerRun:
         want = entropy_confidence_export(passes.take(index[0]))
         assert np.array_equal(scatter, want)
 
-    def test_scatter_without_a_clean_rate_is_forwarded(self, config_path,
-                                                       tmp_path):
-        # as the dropout table would have read the clean pass
+    def test_scatter_without_a_clean_rate_is_forwarded(
+            self, config_path, tmp_path, monkeypatch):
+        # train's table forwards its clean view 0 though no rate reads it,
+        # so write_run_dir forwards nothing
         cfg = load_config(config_path)
         cfg = replace(cfg, train=replace(cfg.train, eval_rates=(0.5,)))
         data = generate(cfg.data)
         result = train(cfg.train, data)
-        assert result.test_scatter is None
-        cli_module.write_run_dir(str(tmp_path / "run"), cfg, result, data[2])
-        scatter = np.loadtxt(tmp_path / "run" / "scatter.csv", delimiter=",",
-                             skiprows=1)
         passes, index = model_module.forward_views(result.model, data[2],
                                                    data[2].presence[None])
         want = entropy_confidence_export(passes.take(index[0]))
+        assert np.array_equal(result.test_scatter, want)
+        seen = self._count_test_forwards(monkeypatch, data[2])
+        cli_module.write_run_dir(str(tmp_path / "run"), cfg, result, data[2])
+        assert seen == []
+        scatter = np.loadtxt(tmp_path / "run" / "scatter.csv", delimiter=",",
+                             skiprows=1)
         assert np.array_equal(scatter, want)
 
     def test_single_modality_scatter_reads_the_kept_modality(self,
@@ -444,6 +453,91 @@ class TestAuditCommand:
             bins[full, 5] - bins[full, 4])))
         rate0 = np.loadtxt(run / "eval.csv", delimiter=",", skiprows=1)[0]
         assert rate0[0] == 0.0 and implied == rate0[2]
+
+    def test_one_table_over_the_test_split(self, run_dir, config_path,
+                                           tmp_path, monkeypatch):
+        # the clean pass, the lattice and the dropout table are blocks of
+        # one forward_views call, which prepares the split's gate once
+        test = generate(load_config(config_path).data)[2]
+        tables, products = [], []
+        real_views, real_products = (model_module.forward_views,
+                                     model_module._gate_products)
+
+        def views_spy(model, batch, views):
+            tables.append(np.array_equal(batch.features[0], test.features[0]))
+            return real_views(model, batch, views)
+
+        def products_spy(model, batch):
+            products.append(batch.n)
+            return real_products(model, batch)
+
+        for module in (cli_module, metrics_module, model_module,
+                       trainer_module):
+            monkeypatch.setattr(module, "forward_views", views_spy)
+        monkeypatch.setattr(model_module, "_gate_products", products_spy)
+        assert main(["audit",
+                     "--checkpoint", os.path.join(run_dir, "checkpoint.npz"),
+                     "--config", config_path, "--out", str(tmp_path / "audit"),
+                     "--rates", "0.0,0.5"]) == 0
+        assert tables == [True] and products == [test.n]
+
+    @pytest.mark.parametrize("modalities,hidden,temp_scaling",
+                             [(3, 3, True), (4, 2, False)])
+    def test_files_equal_the_one_block_reads(self, tmp_path, modalities,
+                                             hidden, temp_scaling):
+        # every file from the shared table is byte for byte the file the
+        # one-block calls give: a one-view clean pass, inversion_audit and
+        # evaluate_under_dropout
+        doc = dict(SMALL_CONFIG,
+                   data=dict(SMALL_CONFIG["data"], modalities=modalities,
+                             dims=[6, 5, 4, 3][:modalities],
+                             snr=[100.0, 1.0, 0.3, 3.0][:modalities]),
+                   train=dict(SMALL_CONFIG["train"], gate_hidden=hidden,
+                              temp_scaling=temp_scaling, gamma=1.0))
+        path = tmp_path / "config.yaml"
+        path.write_text(yaml.safe_dump(doc))
+        run, out, want = tmp_path / "run", tmp_path / "audit", tmp_path / "want"
+        assert main(["run", "--config", str(path), "--out", str(run)]) == 0
+        checkpoint = str(run / "checkpoint.npz")
+        assert main(["audit", "--checkpoint", checkpoint, "--config",
+                     str(path), "--out", str(out), "--rates", "0.0,0.5"]) == 0
+
+        cfg = load_config(str(path))
+        model = model_module.load_checkpoint(checkpoint)
+        temperature = cli_module._run_temperature(checkpoint)
+        assert (temperature != 1.0) == temp_scaling
+        test = generate(cfg.data)[2]
+        passes, index = model_module.forward_views(model, test,
+                                                   test.presence[None])
+        clean = passes.take(index[0])
+        report = metrics_module.ece(*metrics_module.confidence_correct(
+            clean.logits.data, test.labels, False, temperature))
+        metrics_module.write_csv(
+            want / "calibration.csv", ["bin", "lower", "upper", "count",
+                                       "mean_confidence", "accuracy"],
+            [[k, report.bin_edges[k], report.bin_edges[k + 1],
+              report.counts[k], report.mean_confidence[k],
+              report.accuracy[k]] for k in range(len(report.counts))])
+        audit = metrics_module.inversion_audit(model, test)
+        cells = ["+".join(str(m) for m in np.flatnonzero(row))
+                 for row in audit.subsets]
+        metrics_module.write_csv(
+            want / "inversions.csv", ["observed_small", "observed_big",
+                                      "count", "mean_violation", "rows"],
+            [[cells[small], cells[big], audit.counts[i],
+              audit.mean_violation[i], audit.rows[i]]
+             for i, (small, big) in enumerate(audit.pairs)])
+        cli_module._write_scatter(str(want),
+                                  entropy_confidence_export(clean))
+        cli_module._write_eval(str(want), trainer_module.evaluate_under_dropout(
+            model, test, rates=(0.0, 0.5), seeds=cfg.train.eval_seeds,
+            seed=cfg.train.seed, temperature=temperature))
+        names = ["calibration.csv", "inversions.csv", "scatter.csv",
+                 "eval.csv"]
+        assert sorted(os.listdir(out)) == sorted(names)
+        for name in names:
+            assert ((out / name).read_bytes()
+                    == (want / name).read_bytes()), name
 
     def test_mismatched_config_exits_one(self, run_dir, tmp_path):
         doc = dict(SMALL_CONFIG)

@@ -24,6 +24,8 @@ from entrofuse.trainer import (ABLATIONS, DivergenceError, Switches,
                                fit_temperature, run_config_hash, train)
 from entrofuse.uncertainty import LambdaConfig
 
+import reference_chain as R
+
 
 def small_data(seed=0, classes=3, snr=(1e4, 1e4)):
     spec = SyntheticSpec(modalities=2, classes=classes, dims=(6, 6), snr=snr,
@@ -481,7 +483,7 @@ class TestEvaluateUnderDropout:
     def test_one_modality_per_row_evaluates_each_rate_once(self,
                                                             monkeypatch):
         # no draw can change a batch whose rows observe one modality each:
-        # every rate is the clean column, computed once
+        # every rate reads the clean view 0, the table's one view
         model, test_b = self._trained()
         keep = np.zeros_like(test_b.presence)
         keep[np.arange(test_b.n), np.arange(test_b.n) % 2] = True
@@ -495,9 +497,12 @@ class TestEvaluateUnderDropout:
         monkeypatch.setattr(trainer_module, "forward_views", counting)
         table = evaluate_under_dropout(model, test_b, rates=(0.0, 0.3, 0.5),
                                        seeds=2)
-        assert len(calls) == 3
+        assert len(calls) == 1
         rows = list(table.values())
         assert all(r == rows[0] for r in rows)
+        # bit for bit the loop that read one clean view per rate
+        assert table == R.lazy_dropout_table(model, test_b, (0.0, 0.3, 0.5),
+                                             2, 0)[0]
 
     def test_invalid_rate_rejected(self):
         model, test_b = self._trained()

@@ -28,12 +28,12 @@ import entrofuse.trainer as trainer_module
 from entrofuse.curriculum import acm_distribution, candidate_family
 from entrofuse.data import apply_mask, bernoulli_mask, keep_observed
 from entrofuse.losses import cec_pairs, step_loss
-from entrofuse.metrics import audit_confidences, inversion_audit
+from entrofuse.metrics import audit_block, audit_confidences, inversion_audit
 from entrofuse.model import (ForwardOutput, FusionConfig, forward,
                              forward_pullback, forward_views, gate_rows)
 from entrofuse.rng import stream
 from entrofuse.subsets import subset_lattice
-from entrofuse.trainer import evaluate_under_dropout, train
+from entrofuse.trainer import dropout_block, evaluate_under_dropout, train
 
 import reference_chain as R
 from test_model import (frozen_gate_model, random_batch, random_model,
@@ -750,7 +750,8 @@ class TestPassTable:
                                       int((sets.sum(axis=1) > 1).sum()))
 
     def test_no_views_no_passes(self):
-        # train with no evaluation rates reads an empty table
+        # no views give an empty table; with no rates the dropout table
+        # still reads its clean view 0, and has no column
         model, batch = self._model_and_batch(455, 3, 2, 4, True, False, 9)
         passes, index = forward_views(model, batch,
                                       np.zeros((0, 9, 3), dtype=bool))
@@ -861,3 +862,41 @@ class TestPassTable:
         assert self._assert_views_equal(model, batch, views) == 21
         assert self._count_passes(monkeypatch, lambda: evaluate_under_dropout(
             model, batch, rates=RATES, seeds=5)) == (21, 21)
+
+    @pytest.mark.parametrize("m", (2, 3, 4))
+    @pytest.mark.parametrize("rates,multilabel", [((0.0, 0.3, 0.5), False),
+                                                  ((0.5, 0.2), True)])
+    def test_one_table_per_split(self, m, rates, multilabel, monkeypatch):
+        # audit's table: the dropout block, whose view 0 is the clean view,
+        # then the lattice block, in one forward_views call. On a split with
+        # missing inputs a lone clean view runs one pass per view and the
+        # shared table one per kept set, yet each block reads the bits of
+        # its one-block call
+        model, batch = self._model_and_batch(500 + m, m, 3, 8, True,
+                                             multilabel, 300)
+        table_views, read_table = dropout_block(batch, rates, 3, 5, 1.7)
+        audit_views, read_audit = audit_block(batch)
+        views = np.concatenate([table_views, audit_views])
+        passes, index = forward_views(model, batch, views)
+        clean_view = batch.presence[None]
+        assert len(np.unique(batch.presence, axis=0)) > 1
+        assert self._count_passes(monkeypatch, lambda: forward_views(
+            model, batch, clean_view))[0] == 1
+        assert self._count_passes(monkeypatch, lambda: forward_views(
+            model, batch, views))[0] == len(np.unique(views.reshape(-1, m),
+                                                      axis=0))
+
+        clean, clean_index = forward_views(model, batch, clean_view)
+        got, want = passes.take(index[0]), clean.take(clean_index[0])
+        assert np.array_equal(got.p.data, want.p.data)
+        assert np.array_equal(got.logits.data, want.logits.data)
+        audit = read_audit(passes, index[len(table_views):])
+        for want in (inversion_audit(model, batch),
+                     R.lazy_inversion_audit(model, batch)):
+            for field in ("counts", "mean_violation", "rows"):
+                assert np.array_equal(getattr(audit, field),
+                                      getattr(want, field)), field
+        table = read_table(passes, index[:len(table_views)])
+        assert table == evaluate_under_dropout(model, batch, rates, 3, 5, 1.7)
+        assert table == R.lazy_dropout_table(model, batch, rates, 3, 5,
+                                             1.7)[0]
