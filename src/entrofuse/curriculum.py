@@ -9,7 +9,7 @@ gets probability proportional to exp(mean_entropy_after_dropping_S / eta).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -65,7 +65,8 @@ def ramp(t: int, horizon: int, peak: float) -> float:
 @dataclass(frozen=True)
 class MaskDistribution:
     """Categorical distribution over candidate drop subsets, the [K, M]
-    bool rows of ``support``.
+    bool rows of ``support``, with the CDF of ``probs`` that ``sample_keep``
+    draws from: their cumsum, normalized to end at exactly 1.
 
     The support never contains the full drop (some modality always stays).
     """
@@ -73,6 +74,7 @@ class MaskDistribution:
     support: np.ndarray
     probs: np.ndarray
     mean_entropies: np.ndarray
+    cdf: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if (self.support.dtype != bool or self.support.ndim != 2
@@ -87,6 +89,8 @@ class MaskDistribution:
             raise ValueError("probs must lie on the simplex")
         if self.mean_entropies.shape != self.probs.shape:
             raise ValueError("mean_entropies length must match support")
+        cdf = np.cumsum(self.probs)
+        object.__setattr__(self, "cdf", cdf / cdf[-1])
 
 
 def candidate_family(modalities: int, family: str) -> np.ndarray:
@@ -107,17 +111,17 @@ def acm_distribution(model, batch: MultimodalBatch, eta: float,
                      family: str = "single_drops") -> MaskDistribution:
     """Softmax over per-candidate probe entropies: drop subsets after which
     the gate stays most undecided are sampled most often. Each candidate is
-    one ``gate_rows`` view of the probe rows, so one that leaves exactly
-    one observed modality in every row has entropy 0 and no gate pass. Its
-    entropy is the mean over the rows it leaves live (``keep_observed``;
-    0 if none)."""
+    one ``gate_rows`` view of the probe rows, and its entropy the mean over
+    the rows it leaves live (``keep_observed``). A candidate that leaves no
+    live row more than one modality scores 0 with no gate pass: one-hot
+    weights have entropy 0, and so does a candidate with no live row."""
     if eta <= 0.0:
         raise ValueError("eta must be positive")
     candidates = candidate_family(batch.num_modalities, family)
     entropies = np.zeros(len(candidates))
     for i, drop in enumerate(candidates):
         view, live = keep_observed(batch.presence, ~drop)
-        if live.any():
+        if (live & (view.sum(axis=1) > 1)).any():
             entropies[i] = float(entropy_rows(
                 gate_rows(model, batch, view[None]).data)[live].mean())
     scaled = entropies / eta
@@ -140,9 +144,8 @@ def sample_keep(dist: MaskDistribution, pi_t: float, n: int,
         raise ValueError("need at least one sample")
     gate = rng.random(n) < pi_t
     # inverse-CDF draws from the teacher, one uniform per sample, matching
-    # rng.choice(len(support), size=n, p=probs) draw for draw: the cumsum is
-    # normalized to end at exactly 1, so every draw picks a candidate
-    cdf = np.cumsum(dist.probs)
-    picks = np.searchsorted(cdf / cdf[-1], rng.random(n), side="right")
+    # rng.choice(len(support), size=n, p=probs) draw for draw: the CDF ends
+    # at exactly 1, so every draw picks a candidate
+    picks = np.searchsorted(dist.cdf, rng.random(n), side="right")
     drop = np.where(gate[:, None], dist.support[picks], False)
     return ~drop

@@ -206,25 +206,40 @@ def composite_loss(logits: np.ndarray, p: np.ndarray, labels: np.ndarray, *,
     g_w = (np.where(pos, -(np.log(np.where(pos, w, 1.0)) + 1.0), 0.0)
            * (coef[:, None] if coef.ndim else coef))
 
-    g_logits, g_p = g_task, g_w
+    g_p = g_w
     if rows is not None:
-        g_logits, g_p = np.zeros_like(logits), np.zeros_like(p)
-        g_logits[rows], g_p[rows] = g_task, g_w
+        g_p = np.zeros_like(p)
+        g_p[rows] = g_w
     total, cec = task + ent_term, 0.0
-    if pairs is not None:
+    if pairs is None:
+        g_logits = g_task
+        if rows is not None:
+            g_logits = np.zeros_like(logits)
+            g_logits[rows] = g_task
+    else:
         if len(logits) % n:
             raise ValueError(f"{len(logits)} logit rows are not views of "
                              f"{n} rows")
         probs = class_probs(logits, multilabel)
         top = (np.arange(len(probs)), probs.argmax(axis=1))
-        cec, g_conf = cec_loss(probs[top].reshape(-1, n), pairs, gamma, live)
-        # through each row's max into its softmax (or sigmoids) of the logits
-        g = np.zeros_like(probs)
-        g[top] = g_conf.ravel()
+        p_top = probs[top]
+        cec, g_conf = cec_loss(p_top.reshape(-1, n), pairs, gamma, live)
+        # through each row's max into its softmax (or sigmoids) of the
+        # logits: the probabilities' gradient is g_top at the top entry and
+        # 0 elsewhere, so its row sum with them is s = g_top * p_top, and
+        # 0 - s is its entry minus s off the top
+        g_top = g_conf.ravel()
         if multilabel:
-            g_logits += g * probs * (1.0 - probs)
+            g_logits = np.zeros_like(probs)
+            g_logits[top] = g_top * p_top * (1.0 - p_top)
         else:
-            g_logits += probs * (g - (g * probs).sum(axis=1, keepdims=True))
+            s = g_top * p_top
+            g_logits = probs * (0.0 - s)[:, None]
+            g_logits[top] = p_top * (g_top - s)
+        if rows is None:
+            g_logits += g_task
+        else:
+            g_logits[rows] += g_task
         total = total + cec * gamma
 
     breakdown = LossBreakdown(

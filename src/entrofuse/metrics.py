@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import MultimodalBatch, keep_observed
-from .model import class_probs, forward_views, top_class_prob
+from .model import class_probs, forward_views, top_class, top_class_prob
 from .subsets import EXHAUSTIVE_MAX, SubsetLattice, subset_lattice
 
 __all__ = [
@@ -147,16 +147,19 @@ def confidence_correct(logits: np.ndarray, labels: np.ndarray,
                        ) -> tuple[np.ndarray, np.ndarray]:
     """Per-sample probability under ``logits / temperature`` (softmax, or
     per-class sigmoid when multi-label) of the logits' argmax class, which no
-    temperature moves, and whether it is a true label: ``ece``'s inputs."""
-    scaled = logits if temperature == 1.0 else logits / temperature
-    top = logits.argmax(axis=1)
-    if not multilabel:
-        # dividing by T > 0 keeps the argmax entry a row max, so its
-        # probability is the row's top one
-        return top_class_prob(scaled, False), top == labels.astype(np.int64)
-    rows = np.arange(len(logits))
-    return (class_probs(scaled, True)[rows, top],
-            labels[rows, top].astype(bool))
+    temperature moves, and whether it is a true label: ``ece``'s inputs.
+    The class and the softmax's row max come from one ``top_class`` pass."""
+    peak, top = top_class(logits)
+    if multilabel:
+        rows = np.arange(len(logits))
+        return (class_probs(logits[rows, top] / temperature, True),
+                labels[rows, top].astype(bool))
+    if temperature != 1.0:
+        # dividing by T > 0 rounds monotonically, so each row's max of
+        # logits / T is its max divided by T
+        logits, peak = logits / temperature, peak / temperature
+    return (top_class_prob(logits, False, peak),
+            top == labels.astype(np.int64))
 
 
 @dataclass(frozen=True)
@@ -241,6 +244,8 @@ def entropy_confidence_export(out) -> np.ndarray:
 
 def format_value(value) -> str:
     """Stable text for CSV cells; floats use %.17g (round-trip exact)."""
+    if type(value) is float:  # most cells: no isinstance chain
+        return "%.17g" % value
     if isinstance(value, (bool, np.bool_)):
         return str(bool(value)).lower()
     if isinstance(value, (int, np.integer)):

@@ -35,6 +35,7 @@ __all__ = [
     "ParamBuffers",
     "ForwardOutput",
     "class_probs",
+    "top_class",
     "top_class_prob",
     "entropy_rows",
     "gate_rows",
@@ -201,11 +202,14 @@ class FusionModel:
         np.multiply(z, flag, out=out)
 
 
-def _shifted_exp(logits: np.ndarray):
-    """exp(z - max z) of each logit row, the max taken across rows, and the
-    [N, 1] row sums, a softmax's numerators and denominators. The sums stay
-    row sums, as NumPy adds 8 or more terms pairwise there, not in order."""
-    e = logits - last_axis_first(logits).max(axis=0)[:, None]
+def _shifted_exp(logits: np.ndarray, peak: np.ndarray | None = None):
+    """exp(z - max z) of each logit row and the [N, 1] row sums, a softmax's
+    numerators and denominators; ``peak`` holds the row maxima if known,
+    else they are taken across rows. The sums stay row sums, as NumPy adds
+    8 or more terms pairwise there, not in order."""
+    if peak is None:
+        peak = last_axis_first(logits).max(axis=0)
+    e = logits - peak[:, None]
     np.exp(e, out=e)
     return e, e.sum(axis=-1, keepdims=True)
 
@@ -222,13 +226,33 @@ def class_probs(logits: np.ndarray, multilabel: bool) -> np.ndarray:
     return probs
 
 
-def top_class_prob(logits: np.ndarray, multilabel: bool) -> np.ndarray:
+def top_class(logits: np.ndarray):
+    """Each logit row's max and the lowest class that holds it, which is
+    ``logits.argmax(axis=1)``, ties and NaN rows included. Both are taken
+    across rows on one class-major copy, freed on return: a row's class is
+    the count of its leading classes below the max."""
+    cols = last_axis_first(logits)
+    peak = cols.max(axis=0)
+    below = cols[0] != peak
+    top = below.astype(np.intp)
+    for c in range(1, len(cols) - 1):
+        below &= cols[c] != peak
+        top += below
+    nan = np.isnan(peak)  # NaN equals nothing: argmax finds the first NaN
+    if nan.any():
+        top[nan] = logits[nan].argmax(axis=1)
+    return peak, top
+
+
+def top_class_prob(logits: np.ndarray, multilabel: bool,
+                   peak: np.ndarray | None = None) -> np.ndarray:
     """Each logit row's largest ``class_probs`` entry. A softmax row's is
     1 / sum_j exp(z_j - max z), bit for bit: its top numerator is exp(0) = 1
-    over the same row sum, so the [N, C] matrix is never divided."""
+    over the same row sum, so the [N, C] matrix is never divided. ``peak``
+    holds the softmax rows' maxima if known."""
     if multilabel:
         return last_axis_first(class_probs(logits, True)).max(axis=0)
-    return 1.0 / _shifted_exp(logits)[1][:, 0]
+    return 1.0 / _shifted_exp(logits, peak)[1][:, 0]
 
 
 def entropy_rows(p: np.ndarray) -> np.ndarray:
@@ -313,16 +337,25 @@ def _blend_back(g: np.ndarray, stacked: np.ndarray, wv: np.ndarray,
     return gw, np.matmul(wv[:, :, 0, :].transpose(1, 2, 0), g)
 
 
+def _check_finite(a: np.ndarray, read: np.ndarray | None, what: str) -> None:
+    """Raise ``ValueError`` if ``a`` holds a non-finite value on the rows
+    that the bool mask ``read`` selects (default: all). The whole array is
+    scanned first, so the read rows are gathered only when it finds one."""
+    if not np.isfinite(a).all() and (read is None
+                                     or not np.isfinite(a[read]).all()):
+        raise ValueError(f"{what} are non-finite")
+
+
 def _gate(model: FusionModel, batch: MultimodalBatch, keep: np.ndarray,
           stacked: np.ndarray | None = None, read: np.ndarray | None = None,
-          kept: np.ndarray | None = None):
+          kept: np.ndarray | None = None, out: np.ndarray | None = None):
     """The gate MLP's weights on the [G * n, M] bool ``keep`` rows of G views
     and the pullback that adds the gate parameters' gradients from theirs.
     With one view and no ``_gate_products`` ``stacked``, gate layer 1 is one
     affine map of its masked gate input; else ``_blend`` sums those per row,
     unless every row keeps the same [M] set ``kept`` of two modalities (a
     read-only set pass): then it is their two blocks' sum, which two terms
-    give in any order.
+    give in any order. The weights go into ``out`` if given.
     Raises ``ValueError`` if the weights are non-finite on the rows that the
     bool mask ``read`` selects (default: all)."""
     w1, w2 = model.gate_w1, model.gate_w2
@@ -348,9 +381,9 @@ def _gate(model: FusionModel, batch: MultimodalBatch, keep: np.ndarray,
     s -= s.max(axis=0)
     np.exp(s, out=s)
     s /= s.sum(axis=0)
-    p = last_axis_first(s)
-    if not np.isfinite(p if read is None else p[read]).all():
-        raise ValueError("gate weights are non-finite")
+    p = np.empty(keep.shape) if out is None else out
+    p[...] = s.T
+    _check_finite(p, read, "gate weights")
 
     def pullback(gp: np.ndarray) -> None:
         g = np.where(keep, gp, 0.0)
@@ -371,11 +404,13 @@ def _gate(model: FusionModel, batch: MultimodalBatch, keep: np.ndarray,
     return p, pullback
 
 
+_NO_MODALITY = "a sample has no observed modality"
+
+
 def _check_views(model: FusionModel, batch: MultimodalBatch, views):
-    """The [V, n, M] bool ``views`` and the [V, n] counts of the modalities
-    each view row keeps. Raises ``ValueError`` if the batch's layout is not
-    the model's, the views are not of that shape, a view row keeps no
-    modality, or one its batch row does not observe."""
+    """The [V, n, M] bool ``views``. Raises ``ValueError`` if the batch's
+    layout is not the model's, the views are not of that shape, or a view
+    row keeps a modality its batch row does not observe."""
     if batch.dims != tuple(model.cfg.dims):
         raise ValueError(f"batch layout {batch.dims} does not match model "
                          f"{tuple(model.cfg.dims)}")
@@ -385,10 +420,7 @@ def _check_views(model: FusionModel, batch: MultimodalBatch, views):
                          f"{batch.num_modalities}]")
     if (views > batch.presence).any():
         raise ValueError("a view keeps a modality its row does not observe")
-    observed = last_axis_first(views).sum(axis=0)  # [V, n]
-    if not observed.all():
-        raise ValueError("a sample has no observed modality")
-    return views, observed
+    return views
 
 
 def _gate_rows(model: FusionModel, batch: MultimodalBatch,
@@ -397,8 +429,11 @@ def _gate_rows(model: FusionModel, batch: MultimodalBatch,
     batch's presence) and their pullback, None when no gate parameter
     takes a gradient or no view runs the gate. Only views with a row
     keeping two or more modalities run it; the others' rows are one-hot."""
-    views, observed = _check_views(
+    views = _check_views(
         model, batch, batch.presence[None] if views is None else views)
+    observed = last_axis_first(views).sum(axis=0)  # [V, n]
+    if not observed.all():
+        raise ValueError(_NO_MODALITY)
     m = batch.num_modalities
     gated = np.flatnonzero((observed > 1).any(axis=1))
     if gated.size == 0:
@@ -433,22 +468,22 @@ def gate_rows(model: FusionModel, batch: MultimodalBatch,
 
 
 def _fuse(model: FusionModel, p: np.ndarray, stacked: np.ndarray,
-          read: np.ndarray | None = None, kept: np.ndarray | None = None):
+          read: np.ndarray | None = None, kept: np.ndarray | None = None,
+          out: np.ndarray | None = None):
     """The pass's logits from the [V * n, M] gate weights p and the [n, M, k]
-    projections: their ``_blend`` z, then the head; and z and the blend's
-    weights. If every row of a one-view p keeps the same [M] set ``kept`` of
-    one modality (a read-only set pass), z is that modality's block, which
-    the blend by those one-hot rows gives. Raises ``ValueError`` if the
-    logits are non-finite on the rows that the bool mask ``read`` selects
-    (default: all)."""
+    projections: their ``_blend`` z, then the head, written into ``out`` if
+    given; and z and the blend's weights. If every row of a one-view p keeps
+    the same [M] set ``kept`` of one modality (a read-only set pass), z is
+    that modality's block, which the blend by those one-hot rows gives.
+    Raises ``ValueError`` if the logits are non-finite on the rows that the
+    bool mask ``read`` selects (default: all)."""
     if kept is not None and kept.sum() == 1:
         z, wv = stacked[:, kept.argmax()], None
     else:
         z, wv = _blend(p, stacked)
-    logits = z @ model.head_w
+    logits = np.matmul(z, model.head_w, out=out)
     logits += model.head_b
-    if not np.isfinite(logits if read is None else logits[read]).all():
-        raise ValueError("logits are non-finite")
+    _check_finite(logits, read, "logits")
     return logits, z, wv
 
 
@@ -520,11 +555,14 @@ def forward_views(model: FusionModel, batch: MultimodalBatch,
     once per gated pass, and those are freed before the projections are
     built. A set pass skips the blends whose 0/1 weights give the same
     bits without them: a one-modality set's fusion and a two-modality
-    set's gate layer 1. Raises ``ValueError`` as ``forward`` does, a
+    set's gate layer 1. Each pass writes its weights and logits into its
+    slot of the table. Raises ``ValueError`` as ``forward`` does, a
     non-finite value counting only on rows that a view reads."""
-    views, observed = _check_views(model, batch, views)
+    views = _check_views(model, batch, views)
     n, m = batch.presence.shape
     sets, index = _kept_sets(views.reshape(-1, m))
+    if not sets.any(axis=1).all():  # an empty view row keeps the empty set
+        raise ValueError(_NO_MODALITY)
     if len(sets) <= len(views):
         # C order: p takes the layout of keeps, and the blend of a
         # strided p rounds differently
@@ -540,19 +578,17 @@ def forward_views(model: FusionModel, batch: MultimodalBatch,
         index = np.arange(len(views))[:, None] * n + np.arange(n)
         # a view reads every row of its pass and may keep several sets
         read = sets = [None] * len(views)
-        gated = (observed > 1).any(axis=1)
-    del observed  # no [V, n] temporary beside the passes
+        gated = (last_axis_first(views).sum(axis=0) > 1).any(axis=1)
 
     products = _gate_products(model, batch)[2] if gated.any() else None
     p = keeps.astype(np.float64)  # one-hot rows where the gate does not run
     for k in np.flatnonzero(gated):
-        p[k] = _gate(model, batch, keeps[k], products, read[k],
-                     sets[k])[0]
+        _gate(model, batch, keeps[k], products, read[k], sets[k], out=p[k])
     del products  # before the projections: one prepared form at a time
     stacked = _per_modality(n, batch.features, model.proj)
     logits = np.empty((len(keeps), n, model.cfg.classes))
     for k in range(len(keeps)):
-        logits[k] = _fuse(model, p[k], stacked, read[k], sets[k])[0]
+        _fuse(model, p[k], stacked, read[k], sets[k], out=logits[k])
     return ForwardOutput(p=T._result(p.reshape(-1, m)),
                          logits=T._result(logits.reshape(-1, logits.shape[2])),
                          multilabel=model.cfg.multilabel), index

@@ -195,8 +195,9 @@ def _metric_rows(out: ForwardOutput, labels: np.ndarray, index: np.ndarray,
     read it, and all views are binned in one ``ece_rows`` pass."""
     logits = out.logits.data
     entropy = out.gate_entropy[index].mean(axis=1)
+    passes = len(logits) // max(len(labels), 1)
     conf, correct = confidence_correct(
-        logits, labels[np.arange(len(logits)) % len(labels)], out.multilabel,
+        logits, np.tile(labels, (passes, 1)[:labels.ndim]), out.multilabel,
         temperature)
     correct = correct[index]
     reports = ece_rows(conf[index], correct)

@@ -800,10 +800,12 @@ def lazy_forward_views(model, batch, views):
         gate = M._gate_products(model, batch)[2]
     stacked = M._per_modality(batch.n, batch.features, model.proj)
     for view in views:
-        one, observed = M._check_views(model, batch, np.asarray(view)[None])
-        gated = np.flatnonzero((observed > 1).any(axis=1))
-        p = (one[0].astype(np.float64) if gated.size == 0
-             else M._gate(model, batch, one[0], gate)[0])
+        one = M._check_views(model, batch, np.asarray(view)[None])[0]
+        observed = one.sum(axis=1)
+        if not observed.all():
+            raise ValueError("a sample has no observed modality")
+        p = (one.astype(np.float64) if (observed < 2).all()
+             else M._gate(model, batch, one, gate)[0])
         yield ForwardOutput(p=_result(p), logits=_result(
             M._fuse(model, p, stacked)[0]), multilabel=model.cfg.multilabel)
 

@@ -6,8 +6,9 @@ import pytest
 from entrofuse.curriculum import (MaskDistribution, Schedules,
                                   acm_distribution, candidate_family, ramp,
                                   sample_keep)
+import entrofuse.curriculum as curriculum_module
 import entrofuse.model as model_module
-from entrofuse.data import apply_mask
+from entrofuse.data import apply_mask, keep_observed
 from entrofuse.model import FusionConfig, FusionModel
 from entrofuse.subsets import nonempty_subsets
 
@@ -221,6 +222,46 @@ class TestAcmDistribution:
                 batch, per_sample=np.tile(~d, (batch.n, 1))))).data.mean())
                      for d in dist.support]
             assert np.array_equal(dist.mean_entropies, brute)
+
+    @pytest.mark.parametrize("m", [2, 3, 4])
+    @pytest.mark.parametrize("family", ["single_drops", "all_subsets"])
+    def test_one_modality_shortcut_keeps_the_gate_route_probs(
+            self, m, family, monkeypatch):
+        # a candidate that leaves no live row two modalities scores 0 with
+        # no gate_rows call; every candidate through gate_rows gives the
+        # same probs and entropies, bit for bit (0 may read -0 there)
+        calls = []
+        monkeypatch.setattr(curriculum_module, "gate_rows",
+                            lambda *args: calls.append(1)
+                            or model_module.gate_rows(*args))
+        rng = np.random.default_rng(30 + m)
+        cfg = FusionConfig(modalities=m, dims=(3, 4, 2, 5)[:m], classes=3,
+                           fused_dim=4)
+        model = random_model(rng, cfg)
+        presence = random_presence(rng, 40, m)
+        batch = random_batch(rng, 40, cfg.dims, cfg.classes, presence)
+        for eta in (0.3, 1.0):
+            calls.clear()
+            dist = acm_distribution(model, batch, eta, family=family)
+            support = candidate_family(m, family)
+            entropies = np.zeros(len(support))
+            gated = 0
+            for i, drop in enumerate(support):
+                view, live = keep_observed(presence, ~drop)
+                gated += (view[live].sum(axis=1) > 1).any()
+                if live.any():
+                    entropies[i] = float(entropy_rows(model_module.gate_rows(
+                        model, batch, view[None])).data[live].mean())
+            scaled = entropies / eta
+            weights = np.exp(scaled - scaled.max())
+            assert np.array_equal(dist.mean_entropies, entropies)
+            assert np.array_equal(dist.probs, weights / weights.sum())
+            cdf = np.cumsum(dist.probs)
+            assert np.array_equal(dist.cdf, cdf / cdf[-1])
+            assert len(calls) == gated
+            # every M=2 single drop and each all_subsets drop of M - 1
+            # leaves one modality: those skip the gate
+            assert gated < len(support) or (m > 2 and family == "single_drops")
 
     @pytest.mark.parametrize("seed", range(3))
     def test_entropy_averages_the_rows_a_candidate_leaves_observable(

@@ -13,7 +13,8 @@ from entrofuse.data import bernoulli_mask, keep_observed
 from entrofuse.losses import (cec_loss, cec_pairs, composite_loss, step_loss,
                               subset_confidences)
 from entrofuse.metrics import audit_confidences
-from entrofuse.model import FusionConfig, forward, forward_pullback
+from entrofuse.model import (FusionConfig, class_probs, forward,
+                             forward_pullback)
 from entrofuse.rng import stream
 from entrofuse.subsets import SubsetLattice, subset_lattice
 from entrofuse.trainer import train
@@ -628,6 +629,38 @@ class TestNodeMatchesChain:
         assert got_bd == want_bd
         for g, w in zip(got_grads, want_grads):
             assert np.array_equal(g, w)
+
+    @pytest.mark.parametrize("m", [2, 3, 4, 5])
+    @pytest.mark.parametrize("multilabel", [False, True])
+    @pytest.mark.parametrize("partial", [False, True])
+    def test_consistency_gradient_equals_the_dense_formula(self, m,
+                                                           multilabel,
+                                                           partial):
+        # composite_loss takes the gradient through each row's top
+        # probability without the dense one-hot g this formula builds, and
+        # adds the task rows' gradient into it: the same bits
+        hinged = 0
+        for seed in range(3):
+            logits, p, labels, lam, kw, _ = self._inputs(
+                [m, multilabel, partial, seed, 11], m, "rows", multilabel,
+                True, partial=partial)
+            _, g_logits, g_p = composite_loss(logits, p, labels, lam=lam,
+                                              gamma=20.0, **kw)
+            _, g_task, g_w = composite_loss(logits, p, labels, lam=lam,
+                                            gamma=0.0, rows=kw["rows"],
+                                            multilabel=multilabel)
+            probs = class_probs(logits, multilabel)
+            top = (np.arange(len(probs)), probs.argmax(axis=1))
+            _, g_conf = cec_loss(probs[top].reshape(-1, len(labels)),
+                                 kw["pairs"], 20.0, kw["live"])
+            g = np.zeros_like(probs)
+            g[top] = g_conf.ravel()
+            dense = (g * probs * (1.0 - probs) if multilabel else
+                     probs * (g - (g * probs).sum(axis=1, keepdims=True)))
+            hinged += g_conf.any()
+            assert np.array_equal(g_logits, g_task + dense)
+            assert np.array_equal(g_p, g_w)
+        assert hinged
 
     def test_cases_include_rows_that_need_the_extra_keep_view(self):
         extra = 0

@@ -258,6 +258,36 @@ def test_top_class_prob_without_the_probability_matrix(c, multilabel):
         assert got[1].dtype == bool
 
 
+@pytest.mark.parametrize("c", [1, 2, 8, 33])
+@pytest.mark.parametrize("multilabel", [False, True])
+def test_top_class_is_the_argmax(c, multilabel):
+    # the lowest class holding the row max, counted across rows, is
+    # argmax's class, ties and NaN rows included; confidence_correct reads
+    # its probability from the same max
+    rng = np.random.default_rng(70 + c + 100 * multilabel)
+    z = _logits(rng, 600, c)
+    z[:50] = rng.integers(-2, 3, size=(50, c))  # exact ties everywhere
+    z[50:60] = z[50:60, :1]  # every class tied
+    z[60:70] = rng.choice([-np.inf, np.inf, 1.0], size=(10, c))
+    z[70:75, c // 2] = np.nan
+    peak, top = model_module.top_class(z)
+    with np.errstate(invalid="ignore"):
+        assert np.array_equal(top, z.argmax(axis=1))
+        assert np.array_equal(peak, z.max(axis=1), equal_nan=True)
+    z = np.delete(z, np.s_[60:75], axis=0)  # the finite rows, ties kept
+    labels = ((rng.random((len(z), c)) < 0.5).astype(np.float64)
+              if multilabel else rng.integers(0, c, size=len(z)))
+    top = z.argmax(axis=1)
+    assert np.array_equal(model_module.top_class(z)[1], top)
+    for t in (1.0, 1.7):
+        conf, correct = confidence_correct(z, labels, multilabel, t)
+        assert np.array_equal(
+            conf, model_module.top_class_prob(z / t, multilabel))
+        want = (labels[np.arange(len(z)), top].astype(bool) if multilabel
+                else top == labels)
+        assert np.array_equal(correct, want)
+
+
 @pytest.mark.parametrize("m", [2, 3, 4])
 def test_model_outputs_are_c_contiguous(m):
     # A first version of the across-rows softmax handed on F-ordered gate

@@ -647,6 +647,51 @@ class TestForwardViews:
               np.errstate(over="ignore", invalid="ignore")):
             forward_views(model, batch, views)
 
+    @pytest.mark.parametrize("m", (2, 3, 4))
+    def test_finite_checks_raise_exactly_on_read_rows(self, m):
+        # a pass scans its whole output and gathers its read rows only on
+        # a find: over random read masks it must raise exactly when a
+        # non-finite value sits on a read row, for the gate weights and
+        # for the logits, written into a table slot or not
+        rng = np.random.default_rng(335 + m)
+        cfg = FusionConfig(modalities=m, dims=(3, 4, 2, 5)[:m], classes=4,
+                           fused_dim=5)
+        model = random_model(rng, cfg)
+        n = 40
+        batch = random_batch(rng, n, cfg.dims, cfg.classes)
+        keep = np.ones((n, m), dtype=bool)
+        products = model_module._gate_products(model, batch)[2]
+        stacked = model_module._per_modality(n, batch.features, model.proj)
+        p = model_module._gate(model, batch, keep, products)[0]
+        shapes = {"gate weights": (n, m), "logits": (n, cfg.classes)}
+
+        def run(what, poisoned, read, out):
+            if what == "gate weights":
+                return model_module._gate(model, batch, keep, poisoned, read,
+                                          out=out)[0]
+            return model_module._fuse(model, p, poisoned, read, out=out)[0]
+
+        for trial in range(40):
+            bad = rng.random(n) < (0.0, 0.03, 0.3)[trial % 3]
+            read = (None if trial % 5 == 0
+                    else rng.random(n) < rng.uniform(0.05, 0.95))
+            hit = bad.any() if read is None else (bad & read).any()
+            for what, clean in (("gate weights", products),
+                                ("logits", stacked)):
+                poisoned = clean.copy()  # [n, M, k] blocks: rows go first
+                poisoned[bad] = (np.nan, np.inf)[trial % 2]
+                out = np.empty(shapes[what]) if trial % 4 < 2 else None
+                with np.errstate(invalid="ignore", over="ignore"):
+                    if hit:
+                        with pytest.raises(ValueError,
+                                           match=f"{what} are non-finite"):
+                            run(what, poisoned, read, out)
+                        continue
+                    got = run(what, poisoned, read, out)
+                assert out is None or got is out
+                assert np.isfinite(got[~bad]).all()
+                assert np.isfinite(got).all() == (not bad.any())
+
     def test_off_the_tape(self):
         _, model, batch, views = _setup(340, 3, 3)
         with T.Tape() as tape:
@@ -766,9 +811,9 @@ class TestPassTable:
         for name in calls:
             real = getattr(model_module, name)
 
-            def spy(*args, name=name, real=real):
+            def spy(*args, name=name, real=real, **kwargs):
                 calls[name] += 1
-                return real(*args)
+                return real(*args, **kwargs)
 
             monkeypatch.setattr(model_module, name, spy)
         run()
