@@ -26,8 +26,7 @@ from .rng import stream
 from .subsets import SubsetLattice, nonempty_subsets, subset_lattice
 from .tensor import Tape, Tensor
 from .trainer import (DivergenceError, RunResult, Switches, TrainConfig,
-                      apply_ablation, evaluate_under_dropout, fit_temperature,
-                      train)
+                      evaluate_under_dropout, fit_temperature, train)
 from .uncertainty import (LambdaConfig, calibrate_vmax, dropout_variance,
                           lambda_of, softplus)
 
@@ -39,13 +38,13 @@ __all__ = [
     "LambdaConfig", "LossBreakdown", "MaskDistribution", "MultimodalBatch",
     "RunResult", "Schedules", "SubsetLattice", "Switches", "SyntheticSpec",
     "Tape", "Tensor", "TrainConfig", "acm_distribution", "adamw_step",
-    "apply_ablation", "apply_mask", "audit_confidences", "bernoulli_mask",
-    "calibrate_vmax", "candidate_family", "cec_loss", "cec_pairs",
-    "composite_loss", "cosine_lr", "dropout_variance", "ece",
-    "entropy_confidence_export", "evaluate_under_dropout", "fit_temperature",
-    "forward", "forward_views", "generate", "inversion_audit",
-    "keep_observed", "lambda_of", "load_checkpoint", "load_config",
-    "map_at_1", "nonempty_subsets", "parse_config", "predict_subset", "ramp",
-    "sample_keep", "save_checkpoint", "softplus", "stream",
-    "subset_confidences", "subset_lattice", "top1_accuracy", "train",
+    "apply_mask", "audit_confidences", "bernoulli_mask", "calibrate_vmax",
+    "candidate_family", "cec_loss", "cec_pairs", "composite_loss", "cosine_lr",
+    "dropout_variance", "ece", "entropy_confidence_export",
+    "evaluate_under_dropout", "fit_temperature", "forward", "forward_views",
+    "generate", "inversion_audit", "keep_observed", "lambda_of",
+    "load_checkpoint", "load_config", "map_at_1", "nonempty_subsets",
+    "parse_config", "predict_subset", "ramp", "sample_keep", "save_checkpoint",
+    "softplus", "stream", "subset_confidences", "subset_lattice",
+    "top1_accuracy", "train",
 ]

@@ -249,7 +249,7 @@ def cmd_audit(args) -> int:
     passes, index = forward_views(model, test_b, [*table_views, *audit_views])
     clean = passes.take(index[0])
     report = ece(*confidence_correct(clean.logits.data, test_b.labels,
-                                     model.cfg.multilabel, temperature))
+                                     temperature))
     bin_rows = [[k, report.bin_edges[k], report.bin_edges[k + 1],
                  report.counts[k], report.mean_confidence[k],
                  report.accuracy[k]] for k in range(len(report.counts))]

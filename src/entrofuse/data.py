@@ -64,18 +64,17 @@ class SyntheticSpec:
 class MultimodalBatch:
     """Per-modality feature matrices, presence mask and labels.
 
-    features[m] is [n, d_m]; presence is [n, M] bool; labels is [n] int64 in
-    single-label mode or [n, C] float64 {0,1} in multi-label mode (checked:
-    a bool presence with a modality in every row, and 1-D labels exactly
-    when single-label). A model pass weighs the features of a modality a
-    row does not observe by exactly 0, so they may hold any finite values
-    (``apply_mask`` zeroes them).
+    features[m] is [n, d_m]; presence is [n, M] bool; labels is [n] int64
+    class indices, or [n, C] float64 {0,1} targets in multi-label mode,
+    which the labels' rank alone sets (checked: a bool presence with a
+    modality in every row, and 1-D or 2-D labels). A model pass weighs the
+    features of a modality a row does not observe by exactly 0, so they may
+    hold any finite values (``apply_mask`` zeroes them).
     """
 
     features: list = field(default_factory=list)
     presence: np.ndarray = None
     labels: np.ndarray = None
-    multilabel: bool = False
 
     def __post_init__(self):
         n = self.n
@@ -89,10 +88,15 @@ class MultimodalBatch:
         empty = n - int(last_axis_first(self.presence).any(axis=0).sum())
         if empty:
             raise ValueError(f"{empty} of {n} rows observe no modality")
+        if self.labels.ndim not in (1, 2):
+            raise ValueError("labels must be 1-D class indices or 2-D 0/1 "
+                             "targets")
         if self.labels.shape[0] != n:
             raise ValueError("label count mismatch")
-        if self.labels.ndim != (2 if self.multilabel else 1):
-            raise ValueError("labels must be 1-D exactly when single-label")
+
+    @property
+    def multilabel(self) -> bool:
+        return self.labels.ndim == 2
 
     @property
     def n(self) -> int:
@@ -113,7 +117,6 @@ class MultimodalBatch:
             features=[f[idx] for f in self.features],
             presence=self.presence[idx],
             labels=self.labels[idx],
-            multilabel=self.multilabel,
         )
 
     def copy(self) -> "MultimodalBatch":
@@ -151,18 +154,14 @@ def generate(spec: SyntheticSpec) -> tuple[MultimodalBatch, MultimodalBatch, Mul
         y = np.zeros((total, spec.classes), dtype=np.float64)
         y[np.arange(total), labels] = 1.0
         extras = label_rng.random((total, spec.classes)) < spec.extra_label_rate
-        y = np.maximum(y, extras.astype(np.float64))
-        labels_out = y
-    else:
-        labels_out = labels
+        labels = np.maximum(y, extras.astype(np.float64))
 
     presence = np.ones((total, spec.modalities), dtype=bool)
     a, b = spec.n_train, spec.n_train + spec.n_val
     # disjoint row slices: no split shares memory with another
     return tuple(MultimodalBatch(features=[f[rows] for f in features],
                                  presence=presence[rows],
-                                 labels=labels_out[rows],
-                                 multilabel=spec.multilabel)
+                                 labels=labels[rows])
                  for rows in (slice(0, a), slice(a, b), slice(b, total)))
 
 

@@ -3,10 +3,11 @@
 total = task + lam * ent + gamma * cec
 
 where ``task`` is the mean cross-entropy (mean BCE over every entry when
-multi-label), ``ent`` the mean negative gate entropy (so positive ``lam``
-pushes the gate toward spread-out mixture weights) and ``cec`` the squared
-hinge on confidence inversions between nested observed subsets, on the
-rows where the smaller one is live (``data.keep_observed``).
+the labels are 2-D 0/1 targets, the multi-label mode), ``ent`` the mean
+negative gate entropy (so positive ``lam`` pushes the gate toward
+spread-out mixture weights) and ``cec`` the squared hinge on confidence
+inversions between nested observed subsets, on the rows where the smaller
+one is live (``data.keep_observed``).
 ``composite_loss`` computes the objective and its gradients with respect to
 the logits and the gate weights in plain NumPy, and ``step_loss`` chains
 them through the model pass. ``task_term`` is the task term alone, which
@@ -117,13 +118,12 @@ def cec_loss(conf: np.ndarray, pairs, weight: float = 1.0,
     return value, grad
 
 
-def task_term(z: np.ndarray, labels: np.ndarray, multilabel: bool = False
-              ) -> tuple[float, np.ndarray]:
+def task_term(z: np.ndarray, labels: np.ndarray) -> tuple[float, np.ndarray]:
     """Mean cross-entropy of the logit rows ``z`` against one class index
-    per row (with ``multilabel``, mean BCE over every entry against 0/1
+    per row (with 2-D ``labels``, mean BCE over every entry against 0/1
     targets of ``z``'s shape), and its gradient with respect to ``z``."""
     n = len(z)
-    if multilabel:
+    if np.ndim(labels) == 2:
         t = np.asarray(labels, dtype=np.float64)
         if t.shape != z.shape:
             raise ValueError(f"target shape {t.shape} != logits shape {z.shape}")
@@ -150,16 +150,18 @@ def composite_loss(logits: np.ndarray, p: np.ndarray, labels: np.ndarray, *,
                    lam: float | np.ndarray, gamma: float,
                    rows: np.ndarray | None = None,
                    pairs: np.ndarray | None = None,
-                   live: np.ndarray | None = None, multilabel: bool = False
+                   live: np.ndarray | None = None
                    ) -> tuple[LossBreakdown, np.ndarray, np.ndarray]:
     """The objective over V views of n labelled rows, and its gradients
     with respect to ``logits`` and ``p``.
 
     ``logits`` [V * n, C] and gate weights ``p`` [V * n, M] hold row i of
     view v at v * n + i. The task and entropy terms read the n distinct
-    rows ``rows`` picks (default: every row, V = 1). The consistency term,
-    on when ``pairs`` is given, is ``cec_loss`` over every row's max-class
-    confidence as a [V, n] array, the view index ``pairs`` and ``live``.
+    rows ``rows`` picks (default: every row, V = 1), scored against
+    ``labels`` as ``task_term`` does. The consistency term, on when
+    ``pairs`` is given, is ``cec_loss`` over every row's max-class
+    confidence (sigmoid with 2-D labels) as a [V, n] array, the view index
+    ``pairs`` and ``live``.
 
     ``lam`` may be a scalar or a per-sample vector (instance-adaptive mode);
     every entry must be nonnegative. The returned breakdown reports the
@@ -182,7 +184,7 @@ def composite_loss(logits: np.ndarray, p: np.ndarray, labels: np.ndarray, *,
         z, w = z[rows], w[rows]
     n = len(z)
 
-    task, g_task = task_term(z, labels, multilabel)
+    task, g_task = task_term(z, labels)
 
     lam_arr = np.asarray(lam, dtype=np.float64)
     ent_rows = entropy_rows(w)
@@ -220,6 +222,7 @@ def composite_loss(logits: np.ndarray, p: np.ndarray, labels: np.ndarray, *,
         if len(logits) % n:
             raise ValueError(f"{len(logits)} logit rows are not views of "
                              f"{n} rows")
+        multilabel = np.ndim(labels) == 2
         probs = class_probs(logits, multilabel)
         top = (np.arange(len(probs)), probs.argmax(axis=1))
         p_top = probs[top]
@@ -250,7 +253,7 @@ def composite_loss(logits: np.ndarray, p: np.ndarray, labels: np.ndarray, *,
 
 def step_loss(model, batch: MultimodalBatch, keep: np.ndarray,
               lattice: SubsetLattice | None, *, lam: float | np.ndarray,
-              gamma: float, multilabel: bool = False) -> LossBreakdown:
+              gamma: float) -> LossBreakdown:
     """Objective of one training step; its gradients are added into
     ``model.base.grads`` and ``model.gate.grads``.
 
@@ -279,6 +282,6 @@ def step_loss(model, batch: MultimodalBatch, keep: np.ndarray,
     out, pullback = forward_pullback(model, batch, views)
     breakdown, g_logits, g_p = composite_loss(
         out.logits.data, out.p.data, batch.labels, lam=lam, gamma=gamma,
-        rows=rows, pairs=pairs, live=live, multilabel=multilabel)
+        rows=rows, pairs=pairs, live=live)
     pullback(g_logits, g_p)
     return breakdown

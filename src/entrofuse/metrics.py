@@ -143,14 +143,15 @@ def top1_accuracy(logits: np.ndarray, labels: np.ndarray) -> float:
 
 
 def confidence_correct(logits: np.ndarray, labels: np.ndarray,
-                       multilabel: bool, temperature: float = 1.0
+                       temperature: float = 1.0
                        ) -> tuple[np.ndarray, np.ndarray]:
     """Per-sample probability under ``logits / temperature`` (softmax, or
-    per-class sigmoid when multi-label) of the logits' argmax class, which no
-    temperature moves, and whether it is a true label: ``ece``'s inputs.
-    The class and the softmax's row max come from one ``top_class`` pass."""
+    per-class sigmoid when the labels are 2-D 0/1 targets) of the logits'
+    argmax class, which no temperature moves, and whether it is a true
+    label: ``ece``'s inputs. The class and the softmax's row max come from
+    one ``top_class`` pass."""
     peak, top = top_class(logits)
-    if multilabel:
+    if labels.ndim == 2:
         rows = np.arange(len(logits))
         return (class_probs(logits[rows, top] / temperature, True),
                 labels[rows, top].astype(bool))

@@ -350,8 +350,9 @@ def _gate(model: FusionModel, batch: MultimodalBatch, keep: np.ndarray,
           stacked: np.ndarray | None = None, read: np.ndarray | None = None,
           kept: np.ndarray | None = None, out: np.ndarray | None = None):
     """The gate MLP's weights on the [G * n, M] bool ``keep`` rows of G views
-    and the pullback that adds the gate parameters' gradients from theirs.
-    With one view and no ``_gate_products`` ``stacked``, gate layer 1 is one
+    and the pullback that adds the gate parameters' gradients from theirs
+    (None on a read-only pass, which passes ``stacked``). With one view and
+    no ``_gate_products`` ``stacked``, gate layer 1 is one
     affine map of its masked gate input; else ``_blend`` sums those per row,
     unless every row keeps the same [M] set ``kept`` of two modalities (a
     read-only set pass): then it is their two blocks' sum, which two terms
@@ -359,7 +360,8 @@ def _gate(model: FusionModel, batch: MultimodalBatch, keep: np.ndarray,
     Raises ``ValueError`` if the weights are non-finite on the rows that the
     bool mask ``read`` selects (default: all)."""
     w1, w2 = model.gate_w1, model.gate_w2
-    single = len(keep) == batch.n and stacked is None
+    given = stacked is not None
+    single = len(keep) == batch.n and not given
     if single:
         x = model.gate_input(batch, keep)
         pre = x @ w1
@@ -370,7 +372,7 @@ def _gate(model: FusionModel, batch: MultimodalBatch, keep: np.ndarray,
         pre = np.matmul(np.ones((1, 2)), stacked[:, a:b + 1:b - a])
         pre = pre.reshape(-1, stacked.shape[2])
     else:
-        if stacked is None:
+        if not given:
             blocks, cols, stacked = _gate_products(model, batch)
         pre, wv = _blend(keep.astype(np.float64), stacked)
     pre += model.gate_b1
@@ -384,6 +386,8 @@ def _gate(model: FusionModel, batch: MultimodalBatch, keep: np.ndarray,
     p = np.empty(keep.shape) if out is None else out
     p[...] = s.T
     _check_finite(p, read, "gate weights")
+    if given:  # no blocks or cols were built for a pullback
+        return p, None
 
     def pullback(gp: np.ndarray) -> None:
         g = np.where(keep, gp, 0.0)

@@ -8,15 +8,16 @@ import numpy as np
 
 __all__ = ["adamw_step", "cosine_lr"]
 
+BETAS = (0.9, 0.999)  # the moments' decay rates
+EPS = 1e-8  # added to the second moment's root
+
 
 def adamw_step(
     params: np.ndarray,
     grads: np.ndarray,
     state: dict,
     lr: float,
-    betas: tuple[float, float] = (0.9, 0.999),
     weight_decay: float = 0.0,
-    eps: float = 1e-8,
 ) -> None:
     """One decoupled-weight-decay Adam update of ``params``, in place.
 
@@ -38,14 +39,14 @@ def adamw_step(
         raise ValueError("non-finite gradient")
 
     state["step"] += 1
-    b1, b2 = betas
+    b1, b2 = BETAS
     bc1 = 1.0 - b1 ** state["step"]
     bc2 = 1.0 - b2 ** state["step"]
     m, v, s, t = (state[key] for key in "mvst")
 
     # the operations and their order are those of the expressions
     # (1 - b1) * g, (1 - b2) * g * g, lr * wd * p and
-    # (lr / bc1) * m / (sqrt(v / bc2) + eps), so the bits are too
+    # (lr / bc1) * m / (sqrt(v / bc2) + EPS), so the bits are too
     m *= b1
     m += np.multiply(1.0 - b1, grads, out=s)
     v *= b2
@@ -53,7 +54,7 @@ def adamw_step(
     if weight_decay != 0.0:
         params -= np.multiply(lr * weight_decay, params, out=s)
     np.sqrt(np.divide(v, bc2, out=s), out=s)
-    s += eps
+    s += EPS
     params -= np.divide(np.multiply(lr / bc1, m, out=t), s, out=t)
 
 

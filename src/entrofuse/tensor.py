@@ -42,7 +42,7 @@ class Tensor:
     def item(self) -> float:
         if self.data.size != 1:
             raise ValueError(f"item() on tensor of shape {self.shape}")
-        return float(self.data)
+        return float(self.data.item())  # float() takes only 0-D arrays
 
     def __repr__(self) -> str:
         return f"Tensor(shape={self.shape}, requires_grad={self.requires_grad})"

@@ -45,12 +45,14 @@ __all__ = [
     "Switches",
     "RunResult",
     "DivergenceError",
-    "apply_ablation",
     "check_rates",
     "train",
     "evaluate_under_dropout",
     "fit_temperature",
 ]
+
+TEMPERATURE_BOUNDS = (0.05, 20.0)  # fit_temperature's search interval
+TEMPERATURE_ITERS = 200  # fit_temperature's most golden-section steps
 
 
 class DivergenceError(RuntimeError):
@@ -118,17 +120,17 @@ def check_rates(rates) -> None:
 
 @dataclass(frozen=True)
 class Switches:
-    """Effective component toggles after resolving the ablation tag."""
+    """The components an ablation tag turns off, and whether it keeps only
+    one modality (``TrainConfig.single_modality_index``)."""
 
     lam_on: bool = True
     mask_on: bool = True
     gate_on: bool = True
     cec_on: bool = True
-    keep_only: int | None = None
+    keep_one: bool = False
 
 
-# ablation tag -> its switches, in ablate.csv's row order; apply_ablation
-# sets single_modality's kept index from the config
+# ablation tag -> its switches, in ablate.csv's row order
 ABLATIONS = {
     "full": Switches(),
     "no_entropy": Switches(lam_on=False),
@@ -136,15 +138,8 @@ ABLATIONS = {
     "no_gate": Switches(gate_on=False),
     # one observed modality: subset consistency is vacuous, masking would
     # empty samples, so both are off
-    "single_modality": Switches(mask_on=False, cec_on=False, keep_only=0),
+    "single_modality": Switches(mask_on=False, cec_on=False, keep_one=True),
 }
-
-
-def apply_ablation(cfg: TrainConfig) -> Switches:
-    sw = ABLATIONS[cfg.ablation]
-    if sw.keep_only is None:
-        return sw
-    return replace(sw, keep_only=cfg.single_modality_index)
 
 
 @dataclass
@@ -197,12 +192,11 @@ def _metric_rows(out: ForwardOutput, labels: np.ndarray, index: np.ndarray,
     entropy = out.gate_entropy[index].mean(axis=1)
     passes = len(logits) // max(len(labels), 1)
     conf, correct = confidence_correct(
-        logits, np.tile(labels, (passes, 1)[:labels.ndim]), out.multilabel,
-        temperature)
+        logits, np.tile(labels, (passes, 1)[:labels.ndim]), temperature)
     correct = correct[index]
     reports = ece_rows(conf[index], correct)
     scores = ([map_at_1(logits[rows], labels) for rows in index]
-              if out.multilabel else correct.mean(axis=1))
+              if labels.ndim == 2 else correct.mean(axis=1))
     return [{"score": float(score), "ece": report.ece,
              "gate_entropy": float(h)}
             for score, report, h in zip(scores, reports, entropy)]
@@ -212,22 +206,21 @@ def train(cfg: TrainConfig, data: tuple[MultimodalBatch, MultimodalBatch, Multim
     """Run the full curriculum-masked training recipe on (train, val, test)."""
     t_start = time.perf_counter()
     train_b, val_b, test_b = data
-    sw = apply_ablation(cfg)
+    sw = ABLATIONS[cfg.ablation]
     modalities = train_b.num_modalities
     classes = _infer_classes(train_b, val_b, test_b)
-    multilabel = train_b.multilabel
 
-    if sw.keep_only is not None:
-        if not 0 <= sw.keep_only < modalities:
+    if sw.keep_one:
+        index = cfg.single_modality_index
+        if not 0 <= index < modalities:
             raise ValueError("single_modality_index out of range")
-        train_b = _keep_single(train_b, sw.keep_only)
-        val_b = _keep_single(val_b, sw.keep_only)
-        test_b = _keep_single(test_b, sw.keep_only)
+        train_b, val_b, test_b = (_keep_single(b, index)
+                                  for b in (train_b, val_b, test_b))
 
     fcfg = FusionConfig(
         modalities=modalities, dims=train_b.dims, classes=classes,
         fused_dim=cfg.fused_dim, gate_hidden=cfg.gate_hidden,
-        multilabel=multilabel)
+        multilabel=train_b.multilabel)
     model = FusionModel.from_seed(fcfg, cfg.seed)
     model.fit_norm(train_b)
     groups = [(model.base, cfg.lr_base, {})]
@@ -252,8 +245,10 @@ def train(cfg: TrainConfig, data: tuple[MultimodalBatch, MultimodalBatch, Multim
         lattice = cec_pairs(modalities, rng=stream(cfg.seed, "pairs"),
                             limit=cfg.cec_pair_limit)
 
-    probe = train_b.take(np.arange(min(cfg.probe_size, train_b.n)))
     sched = cfg.schedules
+    probe = None  # the teacher's probe rows, read only by acm masking
+    if sw.mask_on and sched.mode == "acm":
+        probe = train_b.take(np.arange(min(cfg.probe_size, train_b.n)))
     n = train_b.n
     steps = max(1, (n + cfg.batch_size - 1) // cfg.batch_size)
     history: list[LossBreakdown] = []
@@ -266,9 +261,8 @@ def train(cfg: TrainConfig, data: tuple[MultimodalBatch, MultimodalBatch, Multim
         lam_t = 0.0
         if sw.lam_on and cfg.lam_mode == "scheduled":
             lam_t = ramp(epoch, sched.t_lam, sched.lam_max)
-        dist = None
-        if sw.mask_on and sched.mode == "acm":
-            dist = acm_distribution(model, probe, sched.eta, cfg.acm_family)
+        dist = (None if probe is None else
+                acm_distribution(model, probe, sched.eta, cfg.acm_family))
         lr_scale = cosine_lr(1.0, epoch - 1, max(cfg.epochs, 1))
 
         perm = data_rng.permutation(n)
@@ -292,7 +286,7 @@ def train(cfg: TrainConfig, data: tuple[MultimodalBatch, MultimodalBatch, Multim
                                 cfg.lambda_cfg, v_max)
 
             bd = step_loss(model, batch, keep, lattice, lam=lam,
-                           gamma=cfg.gamma, multilabel=multilabel)
+                           gamma=cfg.gamma)
             if ref_total is None:
                 ref_total = bd.total
             guard = cfg.divergence_factor * max(abs(ref_total), 1e-3)
@@ -318,8 +312,7 @@ def train(cfg: TrainConfig, data: tuple[MultimodalBatch, MultimodalBatch, Multim
     if cfg.temp_scaling:
         if val_out is None:  # no epoch ran, so no validation pass either
             val_out = forward(model, val_b)
-        temperature = fit_temperature(val_out.logits.data, val_b.labels,
-                                      multilabel=multilabel)
+        temperature = fit_temperature(val_out.logits.data, val_b.labels)
     val_out = None  # free the last validation pass before the test passes
 
     t_eval = time.perf_counter()
@@ -387,12 +380,10 @@ def _dropout_table(model: FusionModel, batch: MultimodalBatch,
             entropy_confidence_export(passes.take(index[0])))
 
 
-def fit_temperature(logits: np.ndarray, labels: np.ndarray,
-                    multilabel: bool = False,
-                    bounds: tuple[float, float] = (0.05, 20.0),
-                    iters: int = 200) -> float:
-    """Golden-section search for the temperature minimizing validation loss
-    of logits / T. Applied at evaluation only."""
+def fit_temperature(logits: np.ndarray, labels: np.ndarray) -> float:
+    """Golden-section search in ``TEMPERATURE_BOUNDS``, for at most
+    ``TEMPERATURE_ITERS`` steps, for the temperature minimizing validation
+    loss of logits / T. Applied at evaluation only."""
     logits = np.asarray(logits, dtype=np.float64)
     if logits.size == 0:
         raise ValueError("need a nonempty validation set")
@@ -400,15 +391,15 @@ def fit_temperature(logits: np.ndarray, labels: np.ndarray,
         raise ValueError("degenerate logits: all entries identical")
 
     def nll(t: float) -> float:
-        return float(task_term(logits / t, labels, multilabel)[0])
+        return float(task_term(logits / t, labels)[0])
 
-    lo, hi = bounds
+    lo, hi = TEMPERATURE_BOUNDS
     inv_phi = (np.sqrt(5.0) - 1.0) / 2.0
     a, b = lo, hi
     c = b - inv_phi * (b - a)
     d = a + inv_phi * (b - a)
     fc, fd = nll(c), nll(d)
-    for _ in range(iters):
+    for _ in range(TEMPERATURE_ITERS):
         if b - a < 1e-10:
             break
         if fc < fd:

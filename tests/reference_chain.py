@@ -775,10 +775,12 @@ def forward_pullback(model, batch, views=None):
 def objective(logits: np.ndarray, p: np.ndarray, labels: np.ndarray, **kw):
     """``losses.composite_loss``'s results from the chain ``composite_loss``
     on a tape over leaves holding ``logits`` and ``p``: the breakdown and
-    the gradients with respect to both."""
+    the gradients with respect to both. 2-D labels are multi-label, as
+    the package reads them."""
     leaves = [Tensor(a, requires_grad=True) for a in (logits, p)]
     with Tape() as tape:
-        total, breakdown = composite_loss(*leaves, labels, **kw)
+        total, breakdown = composite_loss(*leaves, labels, **kw,
+                                          multilabel=np.ndim(labels) == 2)
     tape.backward(total)
     return (breakdown, *map(_grad_or_zeros, leaves))
 
@@ -812,8 +814,7 @@ def lazy_forward_views(model, batch, views):
 
 def _metric_row(out, labels, temperature=1.0):
     logits = out.logits.data
-    conf, correct = confidence_correct(logits, labels, out.multilabel,
-                                       temperature)
+    conf, correct = confidence_correct(logits, labels, temperature)
     score = (map_at_1(logits, labels) if out.multilabel
              else float(correct.mean()))
     return {"score": score, "ece": ece(conf, correct).ece,

@@ -511,7 +511,7 @@ class TestAuditCommand:
                                                    test.presence[None])
         clean = passes.take(index[0])
         report = metrics_module.ece(*metrics_module.confidence_correct(
-            clean.logits.data, test.labels, False, temperature))
+            clean.logits.data, test.labels, temperature))
         metrics_module.write_csv(
             want / "calibration.csv", ["bin", "lower", "upper", "count",
                                        "mean_confidence", "accuracy"],

@@ -263,7 +263,7 @@ class TestGenerate:
                                     < spec.extra_label_rate).astype(float))
         full = MultimodalBatch(features=features,
                                presence=np.ones((total, modalities), bool),
-                               labels=labels, multilabel=multilabel)
+                               labels=labels)
         bounds = np.cumsum([0, spec.n_train, spec.n_val, spec.n_test])
         for split, lo, hi in zip(generate(spec), bounds, bounds[1:]):
             ref = full.take(np.arange(lo, hi))
@@ -457,11 +457,21 @@ class TestBatchValidation:
         with pytest.raises(ValueError, match="1 of 6 rows observe no"):
             replace(batch, presence=presence)  # as lambda_of's batch is made
 
-    @pytest.mark.parametrize("multilabel,labels", [
-        (False, np.zeros((6, 3))), (False, np.zeros((6, 1), dtype=np.int64)),
-        (True, np.zeros(6)), (True, np.zeros((6, 3, 1)))])
-    def test_label_shape_must_match_the_mode(self, multilabel, labels):
-        with pytest.raises(ValueError, match="1-D exactly when single"):
+    @pytest.mark.parametrize("labels,multilabel", [
+        (np.zeros(6, dtype=np.int64), False), (np.zeros((6, 3)), True),
+        (np.zeros((6, 1), dtype=np.int64), True)])
+    def test_the_labels_rank_sets_the_mode(self, labels, multilabel):
+        batch = MultimodalBatch(features=self._parts(),
+                                presence=np.ones((6, 2), dtype=bool),
+                                labels=labels)
+        assert batch.multilabel is multilabel
+        assert batch.take(np.arange(3)).multilabel is multilabel
+        with pytest.raises(AttributeError):
+            batch.multilabel = not multilabel  # read-only: the labels own it
+
+    @pytest.mark.parametrize("labels", [np.zeros((6, 3, 1)), np.zeros(())])
+    def test_labels_neither_1d_nor_2d_rejected(self, labels):
+        with pytest.raises(ValueError, match="1-D class indices or 2-D 0/1"):
             MultimodalBatch(features=self._parts(),
                             presence=np.ones((6, 2), dtype=bool),
-                            labels=labels, multilabel=multilabel)
+                            labels=labels)

@@ -6,6 +6,7 @@ import ast
 import dataclasses
 import importlib
 import importlib.util
+import inspect
 import os
 import pkgutil
 import subprocess
@@ -108,6 +109,34 @@ def test_branch_variance_has_one_estimator():
     assert mentions == []
     assert [f.name for f in dataclasses.fields(LambdaConfig)] == [
         "lam_min", "rate"]
+
+
+def test_the_labels_own_the_label_mode():
+    # 2-D labels are multi-label: no function that reads labels is also
+    # told the mode, and a batch derives it from its labels' rank
+    told = []
+    for path in sorted(Path(entrofuse.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                args = node.args
+                names = {a.arg for a in (*args.posonlyargs, *args.args,
+                                         *args.kwonlyargs)}
+                if {"labels", "multilabel"} <= names:
+                    told.append(f"{path.stem}.{node.name}")
+    assert told == []
+    assert "multilabel" not in {
+        f.name for f in dataclasses.fields(MultimodalBatch)}
+
+
+def test_settings_no_caller_varies_are_constants():
+    # AdamW's moment rates and epsilon, the temperature search's interval
+    # and step count, and the kept modality of the single_modality ablation
+    # each have one owner
+    assert list(inspect.signature(entrofuse.adamw_step).parameters) == [
+        "params", "grads", "state", "lr", "weight_decay"]
+    assert list(inspect.signature(entrofuse.fit_temperature).parameters) == [
+        "logits", "labels"]
+    assert not hasattr(trainer_module, "apply_ablation")
 
 
 def test_the_exhaustive_lattice_limit_has_one_owner():

@@ -36,13 +36,12 @@ def softmax_rows(z):
     return e / e.sum(axis=1, keepdims=True)
 
 
-def terms(logits, labels, p=None, multilabel=False, lam=0.0):
+def terms(logits, labels, p=None, lam=0.0):
     """Breakdown of the objective with the consistency term off; the gate
     weights default to uniform rows over 3 modalities."""
     if p is None:
         p = np.full((len(logits), 3), 1.0 / 3.0)
-    return composite_loss(logits, p, labels, lam=lam, gamma=0.0,
-                          multilabel=multilabel)[0]
+    return composite_loss(logits, p, labels, lam=lam, gamma=0.0)[0]
 
 
 def loss_node(logits, p, labels, **kw):
@@ -82,7 +81,7 @@ class TestTaskLoss:
         z, y = logits, targets
         expected = np.mean(np.maximum(z, 0) - z * y + np.log1p(np.exp(-np.abs(z))))
         np.testing.assert_allclose(
-            terms(logits, targets, multilabel=True).task, expected, rtol=0,
+            terms(logits, targets).task, expected, rtol=0,
             atol=1e-12)
 
     def test_label_out_of_range_rejected(self):
@@ -90,7 +89,7 @@ class TestTaskLoss:
             with pytest.raises(ValueError):
                 terms(np.zeros((2, 3)), np.array(labels))
         with pytest.raises(ValueError):
-            terms(np.zeros((2, 3)), np.zeros((2, 2)), multilabel=True)
+            terms(np.zeros((2, 3)), np.zeros((2, 2)))
 
 
 class TestEntropyPenalty:
@@ -481,8 +480,7 @@ class TestCompositeLoss:
                     inputs = {"logits": T.Tensor(logits), "p": T.Tensor(p),
                               name: t}
                     return loss_node(inputs["logits"], inputs["p"], labels,
-                                     lam=lam, gamma=2.0,
-                                     multilabel=multilabel, **kw)
+                                     lam=lam, gamma=2.0, **kw)
 
                 assert R.grad_check(loss, T.Tensor(x)) < 1e-6
 
@@ -586,8 +584,8 @@ class TestNodeMatchesChain:
         labels = ((rng.random((n, classes)) < 0.4).astype(float) if multilabel
                   else rng.integers(0, classes, size=n))
         lam = 0.05 if lam_kind == "scalar" else rng.uniform(0.01, 0.5, size=n)
-        return logits, p, labels, lam, dict(rows=rows, pairs=index, live=live,
-                                            multilabel=multilabel), len(views)
+        return (logits, p, labels, lam,
+                dict(rows=rows, pairs=index, live=live), len(views))
 
     @staticmethod
     def _run(loss_fn, logits, p, labels, lam, gamma, kw):
@@ -647,8 +645,7 @@ class TestNodeMatchesChain:
             _, g_logits, g_p = composite_loss(logits, p, labels, lam=lam,
                                               gamma=20.0, **kw)
             _, g_task, g_w = composite_loss(logits, p, labels, lam=lam,
-                                            gamma=0.0, rows=kw["rows"],
-                                            multilabel=multilabel)
+                                            gamma=0.0, rows=kw["rows"])
             probs = class_probs(logits, multilabel)
             top = (np.arange(len(probs)), probs.argmax(axis=1))
             _, g_conf = cec_loss(probs[top].reshape(-1, len(labels)),
@@ -704,7 +701,6 @@ class TestStackedStep:
         batch = random_batch(rng, 7, cfg.dims, cfg.classes)
         if multilabel:
             batch.labels = (rng.random((7, cfg.classes)) < 0.4).astype(float)
-            batch.multilabel = True
         keep = bernoulli_mask(batch.n, m, 0.4, rng)
         if partial:  # rows lacking modalities, so some subset views fill
             batch = random_batch(rng, 7, cfg.dims, cfg.classes,
@@ -728,16 +724,15 @@ class TestStackedStep:
     def _grads(model):
         return {name: grad.copy() for name, grad in model.grad.items()}
 
-    def _assert_step_matches(self, model, batch, keep, lattice, frozen=False,
-                             multilabel=False):
+    def _assert_step_matches(self, model, batch, keep, lattice, frozen=False):
         model.zero_grad()
-        got_loss = step_loss(model, batch, keep, lattice, lam=0.05, gamma=2.0,
-                             multilabel=multilabel).total
+        got_loss = step_loss(model, batch, keep, lattice, lam=0.05,
+                             gamma=2.0).total
         got = self._grads(model)
         model.zero_grad()
         with T.Tape() as tape:
             want_loss = self._reference_loss(model, batch, keep, lattice,
-                                             multilabel)
+                                             batch.multilabel)
             tape.backward(want_loss)
         want_loss, want = want_loss.item(), self._grads(model)
         assert abs(got_loss - want_loss) <= 1e-12 * abs(want_loss)
@@ -787,7 +782,7 @@ class TestStackedStep:
     @pytest.mark.parametrize("m", [2, 4, 5])
     def test_multilabel_step_matches_reference(self, m):
         model, batch, keep, lattice = self._setup(85 + m, m, multilabel=True)
-        self._assert_step_matches(model, batch, keep, lattice, multilabel=True)
+        self._assert_step_matches(model, batch, keep, lattice)
 
     def test_masked_rows_outside_every_view_get_one_extra_view(
             self, monkeypatch):

@@ -184,8 +184,7 @@ class TestConfidenceCorrect:
         model = random_model(rng, cfg)
         batch = random_batch(rng, 40, cfg.dims, cfg.classes)
         out = forward(model, batch)
-        conf, correct = confidence_correct(out.logits.data, batch.labels,
-                                           multilabel=False)
+        conf, correct = confidence_correct(out.logits.data, batch.labels)
         assert np.array_equal(conf, out.confidence.data)
         assert np.array_equal(
             correct, out.logits.data.argmax(axis=1) == batch.labels)
@@ -194,7 +193,7 @@ class TestConfidenceCorrect:
         rng = np.random.default_rng(5)
         logits = rng.normal(scale=3.0, size=(50, 4))
         labels = (rng.random((50, 4)) < 0.4).astype(np.float64)
-        conf, correct = confidence_correct(logits, labels, multilabel=True)
+        conf, correct = confidence_correct(logits, labels)
         e = np.exp(-np.abs(logits))
         probs = np.where(logits >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
         assert np.array_equal(conf, probs.max(axis=1))
@@ -207,11 +206,11 @@ class TestConfidenceCorrect:
         logits = np.array([[0.0, 1e-17], [1e-17, 0.0], [0.0, 0.0]])
         labels = np.array([1, 0, 1])
         for t in (1.0, 2.5):
-            conf, correct = confidence_correct(logits, labels, False, t)
+            conf, correct = confidence_correct(logits, labels, t)
             assert np.array_equal(conf, [0.5, 0.5, 0.5])
             assert correct.tolist() == [True, True, False]
             assert correct.mean() == top1_accuracy(logits, labels)
-            _, correct = confidence_correct(logits, np.eye(2)[labels], True, t)
+            _, correct = confidence_correct(logits, np.eye(2)[labels], t)
             assert correct.tolist() == [True, True, False]
 
     def test_temperature_divides_the_logits(self):
@@ -221,8 +220,8 @@ class TestConfidenceCorrect:
         for multilabel in (False, True):
             if multilabel:
                 labels = (rng.random((20, 3)) < 0.5).astype(np.float64)
-            hot = confidence_correct(logits, labels, multilabel, 2.5)
-            plain = confidence_correct(logits / 2.5, labels, multilabel)
+            hot = confidence_correct(logits, labels, 2.5)
+            plain = confidence_correct(logits / 2.5, labels)
             assert all(np.array_equal(a, b) for a, b in zip(hot, plain))
 
 

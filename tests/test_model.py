@@ -201,7 +201,7 @@ class TestForwardValues:
         presence = np.ones((16, 2), dtype=bool)
         labels = (rng.random((16, 5)) < 0.3).astype(np.float64)
         batch = MultimodalBatch(features=feats, presence=presence,
-                                labels=labels, multilabel=True)
+                                labels=labels)
         out = forward(model, batch)
         sig = 1.0 / (1.0 + np.exp(-out.logits.data))
         np.testing.assert_allclose(out.confidence.data, sig.max(axis=1),

@@ -119,7 +119,7 @@ class TestSameAsRowWise:
             labels = (rng.random((n, c)) < 0.5).astype(np.float64) \
                 if multilabel else rng.integers(0, c, size=n)
             for t in (1.0, 0.7):
-                conf, _ = confidence_correct(z, labels, multilabel, t)
+                conf, _ = confidence_correct(z, labels, t)
                 scaled = (class_probs(z / t, True) if multilabel
                           else _old_class_probs(z / t))
                 assert np.array_equal(conf, scaled.max(axis=1))
@@ -251,7 +251,7 @@ def test_top_class_prob_without_the_probability_matrix(c, multilabel):
     assert np.array_equal(model_module.top_class_prob(z, multilabel),
                           last_axis_first(probs).max(axis=0))
     for t in (1.0, 1.7):
-        got = confidence_correct(z, labels, multilabel, t)
+        got = confidence_correct(z, labels, t)
         want = _old_confidence_correct(z, labels, multilabel, t)
         assert np.array_equal(got[0], want[0])
         assert np.array_equal(got[1], want[1])
@@ -280,7 +280,7 @@ def test_top_class_is_the_argmax(c, multilabel):
     top = z.argmax(axis=1)
     assert np.array_equal(model_module.top_class(z)[1], top)
     for t in (1.0, 1.7):
-        conf, correct = confidence_correct(z, labels, multilabel, t)
+        conf, correct = confidence_correct(z, labels, t)
         assert np.array_equal(
             conf, model_module.top_class_prob(z / t, multilabel))
         want = (labels[np.arange(len(z)), top].astype(bool) if multilabel

@@ -29,6 +29,8 @@ class TestTensorBasics:
 
     def test_item_scalar_only(self):
         assert Tensor(3.5).item() == 3.5
+        assert Tensor(np.array([1.5])).item() == 1.5  # any size-1 tensor
+        assert Tensor(np.array([[-2.5]])).item() == -2.5
         with pytest.raises(ValueError):
             Tensor([1.0, 2.0]).item()
 

@@ -19,8 +19,7 @@ from entrofuse.model import FusionConfig, FusionModel, forward, forward_views
 from entrofuse.metrics import inversion_audit, top1_accuracy
 from entrofuse.rng import stream
 from entrofuse.trainer import (ABLATIONS, DivergenceError, Switches,
-                               TrainConfig, apply_ablation,
-                               evaluate_under_dropout,
+                               TrainConfig, evaluate_under_dropout,
                                fit_temperature, run_config_hash, train)
 from entrofuse.uncertainty import LambdaConfig
 
@@ -102,30 +101,30 @@ class TestMissingInputs:
         assert (audit.rows < data[2].n).any()  # rows lacking modality 1
 
 
-class TestApplyAblation:
+class TestAblations:
     def test_full_enables_everything(self):
-        sw = apply_ablation(small_cfg(ablation="full"))
+        sw = ABLATIONS["full"]
         assert sw == Switches()
 
     def test_no_entropy_only_drops_lambda(self):
-        sw = apply_ablation(small_cfg(ablation="no_entropy"))
+        sw = ABLATIONS["no_entropy"]
         assert not sw.lam_on
         assert sw.mask_on and sw.gate_on and sw.cec_on
 
     def test_no_curmask_only_drops_masking(self):
-        sw = apply_ablation(small_cfg(ablation="no_curmask"))
+        sw = ABLATIONS["no_curmask"]
         assert not sw.mask_on
         assert sw.lam_on and sw.gate_on and sw.cec_on
 
     def test_no_gate_only_freezes_mixture(self):
-        sw = apply_ablation(small_cfg(ablation="no_gate"))
+        sw = ABLATIONS["no_gate"]
         assert not sw.gate_on
         assert sw.lam_on and sw.mask_on and sw.cec_on
 
     def test_single_modality_pins_input_and_drops_subset_terms(self):
-        sw = apply_ablation(small_cfg(ablation="single_modality",
-                                      single_modality_index=1))
-        assert sw.keep_only == 1
+        # the kept modality is TrainConfig.single_modality_index's
+        sw = ABLATIONS["single_modality"]
+        assert sw.keep_one
         assert not sw.mask_on and not sw.cec_on
         assert sw.lam_on and sw.gate_on
 
@@ -137,12 +136,11 @@ class TestApplyAblation:
             "no_curmask": Switches(mask_on=False),
             "no_gate": Switches(gate_on=False),
             "single_modality": Switches(mask_on=False, cec_on=False,
-                                        keep_only=1),
+                                        keep_one=True),
         }
         assert list(ABLATIONS) == list(expected)
         for tag, switches in expected.items():
-            assert apply_ablation(small_cfg(
-                ablation=tag, single_modality_index=1)) == switches
+            assert ABLATIONS[tag] == switches
 
 
 class TestTrainConfigValidation:
@@ -597,7 +595,7 @@ class TestFitTemperature:
         logits = rng.normal(size=(3000, 4)) * 2.0
         probs = 1.0 / (1.0 + np.exp(-logits))
         targets = (rng.random(probs.shape) < probs).astype(np.float64)
-        t = fit_temperature(4.0 * logits, targets, multilabel=True)
+        t = fit_temperature(4.0 * logits, targets)
         assert 3.0 < t < 5.0
 
     @pytest.mark.parametrize("seed", range(5))
@@ -612,11 +610,11 @@ class TestFitTemperature:
         targets = (rng.random(logits.shape)
                    < 1.0 / (1.0 + np.exp(-logits / t_true))).astype(float)
         for y, multilabel in ((labels, False), (targets, True)):
-            t = fit_temperature(logits, y, multilabel)
+            t = fit_temperature(logits, y)
             assert t == golden_nll_temperature(logits, y, multilabel)
             assert 0.1 < t < 10.0
             for s in (0.05, t_true, t, 20.0):
-                assert task_term(logits / s, y, multilabel)[0] == (
+                assert task_term(logits / s, y)[0] == (
                     written_out_nll(logits / s, y, multilabel))
 
     def test_degenerate_inputs_rejected(self):

@@ -111,7 +111,6 @@ def _setup(seed, m, gated, frozen=False, n=9, single=2, multilabel=False):
     batch = random_batch(rng, n, cfg.dims, cfg.classes, presence)
     if multilabel:
         batch.labels = (rng.random((n, cfg.classes)) < 0.4).astype(float)
-        batch.multilabel = True
     return rng, model, batch, random_views(rng, presence, gated, single)
 
 
@@ -264,8 +263,7 @@ class TestForwardMatchesTape:
         def run():
             model.zero_grad()
             bd = step_loss(model, batch, keep, pairs, lam=lam,
-                           gamma=2.0 if with_pairs else 0.0,
-                           multilabel=multilabel)
+                           gamma=2.0 if with_pairs else 0.0)
             return bd, _grads(model)
 
         bd, grads = run()
@@ -702,6 +700,27 @@ class TestForwardViews:
             "p", "logits", "multilabel"]
         assert not (passes.logits.requires_grad or passes.p.requires_grad)
 
+    @pytest.mark.parametrize("kept", [(1, 1, 1), (1, 0, 1), (0, 1, 1)])
+    def test_a_read_only_gate_pass_returns_no_pullback(self, kept):
+        # forward_views passes the split's gate products and drops the
+        # pullback, which such a pass has no per-modality blocks for; its
+        # weights are the training pass's up to round-off
+        rng = np.random.default_rng(341)
+        cfg = FusionConfig(modalities=3, dims=(3, 4, 2), classes=4,
+                           fused_dim=5)
+        model = random_model(rng, cfg)
+        batch = random_batch(rng, 12, cfg.dims, cfg.classes)
+        kept = np.array(kept, dtype=bool)
+        keep = np.tile(kept, (batch.n, 1))
+        products = model_module._gate_products(model, batch)[2]
+        for read_only in (model_module._gate(model, batch, keep, products),
+                          model_module._gate(model, batch, keep, products,
+                                             kept=kept)):
+            assert read_only[1] is None
+            p, pullback = model_module._gate(model, batch, keep)
+            assert callable(pullback)
+            np.testing.assert_allclose(read_only[0], p, rtol=0, atol=1e-12)
+
 
 RATES = (0.0, 0.1, 0.2, 0.3, 0.5)  # the rates the benchmark's audit reads
 
@@ -737,7 +756,6 @@ class TestPassTable:
         batch = random_batch(rng, n, cfg.dims, classes, presence)
         if multilabel:
             batch.labels = (rng.random((n, classes)) < 0.4).astype(float)
-            batch.multilabel = True
         return model, batch
 
     @staticmethod
